@@ -18,8 +18,8 @@ from .numerics import (
     QuadratureSpec,
     det_small,
     integrate_expectation,
+    integrate_gram,
     integrate_unit_interval,
-    mc_mean,
     mc_mean_batches,
     substream,
 )

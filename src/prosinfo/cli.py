@@ -662,12 +662,26 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             return flag
         if key in conf:
-            return cast(conf[key])
+            try:
+                return cast(conf[key])
+            except ValueError:
+                raise CLIError(f"{args.config}: {key} = {conf[key]!r} is not a valid {cast.__name__}") from None
         return fallback
 
     env_seed = os.environ.get("PROSINFO_SEED")
-    seed_fallback = int(env_seed) if env_seed else numerics.DEFAULT_SEED
-    fmt_default = "csv" if args.subcommand in ("table", "sample") else "text"
+    try:
+        seed_fallback = int(env_seed) if env_seed else numerics.DEFAULT_SEED
+    except ValueError:
+        raise CLIError(f"PROSINFO_SEED={env_seed!r} is not an integer") from None
+    reps = pick(args.reps, "reps", information.DEFAULT_REPS, int)
+    seed = pick(args.seed, "seed", seed_fallback, int)
+    workers = pick(args.workers, "workers", 1, int)
+    for name, value, least in (("reps", reps, 2), ("seed", seed, 0), ("workers", workers, 1)):
+        if value < least:
+            raise CLIError(f"{name} must be at least {least}, got {value}")
+    fmt = pick(args.format, "format", "csv" if args.subcommand in ("table", "sample") else "text", str)
+    if fmt not in ("csv", "md", "text"):
+        raise CLIError(f"format must be csv, md or text, got {fmt!r}")
     active = tuple(s.strip() for s in args.active.split(",")) if getattr(args, "active", None) else None
     return RunConfig(
         subcommand=args.subcommand,
@@ -684,10 +698,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         order=getattr(args, "order", None),
         kind=getattr(args, "kind", "pros"),
         method=pick(args.method, "method", "quadrature", str),
-        reps=pick(args.reps, "reps", information.DEFAULT_REPS, int),
-        seed=pick(args.seed, "seed", seed_fallback, int),
-        workers=pick(args.workers, "workers", 1, int),
-        fmt=pick(args.format, "format", fmt_default, str),
+        reps=reps,
+        seed=seed,
+        workers=workers,
+        fmt=fmt,
         output=pick(args.output, "output", None, str),
     )
 

@@ -1,18 +1,24 @@
 """Fisher information of rank-ordered designs and relative efficiencies.
 
 Two computation routes are provided for every design.  The quadrature route
-integrates the analytic expressions on the quantile domain: complete-data PROS
-information is I_srs + K with
+uses one information kernel, numerics.integrate_gram: every Fisher quantity is
+a quantile-domain integral of a weighted score outer product
 
-    K = n (S-1) E[ (dF/dtheta)(dF/dtheta)^T / (F (1-F)) ],
+    int_0^1 sum_b w_b(t) v_b(t) v_b(t)^T dt,
 
-the marginal (measurements-only) information of a balanced design with
-misplacement weights g_r adds sum_r E[(dg_r)(dg_r)^T / g_r] to I_srs, and
-unbalanced designs integrate the per-observation score outer product of each
-set's marginal density directly.  The Monte Carlo route estimates
--E[d^2 log L / dtheta^2] by central finite-difference Hessians at simulated
-draws and reports a standard error per matrix entry; it is the ground truth the
-quadrature identities are checked against.
+and the routes differ only in the scores v and weights w they hand it:
+
+    I_srs      v = d log f                          w = 1
+    K / n(S-1) v = dF                               w = 1 / (t (1-t))
+    marginal   v = (g_r' / g_r) dF, one term per r  w = g_r
+    unbalanced v = d log f + (gamma' / gamma) dF    w = gamma, one term per set
+
+Complete-data PROS information is n I_srs + K; the marginal information of a
+balanced design with misplacement weights g_r adds the kernel to n I_srs; an
+unbalanced design integrates each set's full score directly.  The Monte Carlo
+route estimates -E[d^2 log L / dtheta^2] by central finite-difference Hessians
+at simulated draws and reports a standard error per matrix entry; it is the
+ground truth the quadrature identities are checked against.
 
 Relative efficiencies are determinant ratios: RE1 compares against SRS of the
 same size, RE2 against an RSS benchmark.
@@ -21,7 +27,6 @@ same size, RE2 against an RSS benchmark.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing as tp
 
 import numpy as np
@@ -101,26 +106,19 @@ def k_matrix(
 ) -> numerics.InfoMatrix:
     """Information gain of one perfect PROS cycle over n i.i.d. observations.
 
-    n (S-1) E[(dF)(dF)^T / (F(1-F))], evaluated entrywise on the quantile
-    domain where the weight becomes 1/(t(1-t)).
+    n (S-1) E[(dF)(dF)^T / (F(1-F))]: the information kernel with v = dF and,
+    on the quantile domain, w = 1/(t(1-t)).
     """
     if set_size < 1 or n < 1:
         raise InformationError("n and set_size must be >= 1")
     p = model.p
     if set_size == 1:
         return numerics.InfoMatrix(np.zeros((p, p)))
-    out = np.zeros((p, p))
 
-    def entry(j: int, k: int) -> float:
-        def integrand(u: float) -> float:
-            sc = model.score_cdf(model.quantile(u))
-            return float(sc[..., j] * sc[..., k]) / (u * (1.0 - u))
+    def cdf_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return model.score_cdf(model.quantile(u))[None], (1.0 / (u * (1.0 - u)))[None]
 
-        return numerics.integrate_unit_interval(integrand, spec)
-
-    for j, k in _tri_pairs(p):
-        out[j, k] = out[k, j] = entry(j, k)
-    return numerics.InfoMatrix(n * (set_size - 1) * out)
+    return numerics.InfoMatrix(n * (set_size - 1) * numerics.integrate_gram(cdf_scores, p, spec))
 
 
 def h_matrix(
@@ -212,52 +210,36 @@ def fi_pros_marginal(
     alpha = alpha if alpha is not None else identity_alpha(design.n)
     if alpha.n != design.n:
         raise DesignError(f"misplacement matrix is {alpha.n}x{alpha.n}, design has {design.n} subsets")
-    n, S, N = design.n, design.set_size, design.cycles
     label = f"{design.label()} marginal"
-    p = model.p
-
-    if method == "quadrature":
-        gain = np.zeros((p, p))
-        for r in range(1, n + 1):
-            row = alpha.row(r)
-
-            def entry(j: int, k: int) -> float:
-                def integrand(u: float) -> float:
-                    g = densities.alpha_weight(S, design.subsets, row, u)
-                    if not g > 0.0:
-                        return 0.0
-                    gd = densities.alpha_weight_dt(S, design.subsets, row, u)
-                    sc = model.score_cdf(model.quantile(u))
-                    return float(sc[..., j] * sc[..., k]) * gd * gd / g
-
-                return numerics.integrate_unit_interval(integrand, spec)
-
-            for j, k in _tri_pairs(p):
-                gain[j, k] += entry(j, k)
-                if j != k:
-                    gain[k, j] = gain[j, k]
-        per_cycle = model.fisher_srs_unit(spec).scaled(n) + numerics.InfoMatrix(gain)
-        return FIResult(
-            matrix=per_cycle.scaled(N),
-            method="quadrature",
-            design_label=label,
-            model_label=model.label(),
+    if method != "quadrature":
+        # the Monte Carlo route needs no decomposition: it is the unbalanced one
+        fi = fi_unbalanced(
+            model, UnbalancedDesign.from_design(design), {1: alpha}, method, reps, seed, workers, spec
         )
-    if method != "mc":
-        raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
+        return dataclasses.replace(fi, design_label=label)
+    pairs = [(design.subsets, alpha.row(r)) for r in range(1, design.n + 1)]
 
-    rows = [alpha.row(r) for r in range(1, n + 1)]
+    def tilted_cdf_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g, gd = _set_weights(design.set_size, pairs, u)
+        return (gd / g)[..., None] * model.score_cdf(model.quantile(u)), g
 
-    def batch(rng: np.random.Generator, count: int) -> np.ndarray:
-        total = None
-        for r in range(n):
-            x, _u = sampling.block_draws(model, S, design.subsets, rows[r], rng, count)
-            extra = _mixture_logw(S, design.subsets, rows[r])
-            tri = _neg_hessian_tri(model, x, extra)
-            total = tri if total is None else total + tri
-        return total
+    gain = numerics.InfoMatrix(numerics.integrate_gram(tilted_cdf_scores, model.p, spec))
+    per_cycle = model.fisher_srs_unit(spec).scaled(design.n) + gain
+    return FIResult(
+        matrix=per_cycle.scaled(design.cycles),
+        method="quadrature",
+        design_label=label,
+        model_label=model.label(),
+    )
 
-    return _mc_fi(model, batch, reps, seed, workers, N, label)
+
+def _set_weights(
+    set_size: int, pairs: tp.Sequence[tuple[tp.Sequence[tp.Sequence[int]], np.ndarray]], u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked misplacement weights g and dg/dt of each (partition, alpha row) pair at u."""
+    g = np.stack([densities.alpha_weight(set_size, blocks, row, u) for blocks, row in pairs])
+    gd = np.stack([densities.alpha_weight_dt(set_size, blocks, row, u) for blocks, row in pairs])
+    return g, gd
 
 
 def fi_unbalanced(
@@ -279,11 +261,12 @@ def fi_unbalanced(
         int_0^1 s(t) s(t)^T gamma(t) dt,
         s(t) = d log f + (gamma'(t) / gamma(t)) dF,
 
-    summed over all sets and cycles.  This is exact for any partition; for
-    balanced partitions it coincides with the fi_pros_marginal decomposition.
+    summed over all sets and cycles: the information kernel with
+    v = d log f + (gamma'/gamma) dF and w = gamma.  This is exact for any
+    partition; for balanced partitions it coincides with the fi_pros_marginal
+    decomposition.
     """
     label = f"{ud.label()} marginal"
-    p = model.p
     resolved: list[tuple[tuple[tuple[int, ...], ...], np.ndarray]] = []
     for i in ud.cycle_ids:
         a = alphas.get(i) if alphas is not None else None
@@ -297,26 +280,13 @@ def fi_unbalanced(
             resolved.append((sp.partition, alpha.row(sp.measured)))
 
     if method == "quadrature":
-        total = np.zeros((p, p))
-        for blocks, row in resolved:
 
-            def entry(j: int, k: int) -> float:
-                def integrand(u: float) -> float:
-                    g = densities.alpha_weight(ud.set_size, blocks, row, u)
-                    if not g > 0.0:
-                        return 0.0
-                    gd = densities.alpha_weight_dt(ud.set_size, blocks, row, u)
-                    x = model.quantile(u)
-                    s = model.score_logpdf(x) + (gd / g) * model.score_cdf(x)
-                    return float(s[..., j] * s[..., k]) * g
+        def set_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            g, gd = _set_weights(ud.set_size, resolved, u)
+            x = model.quantile(u)
+            return model.score_logpdf(x) + (gd / g)[..., None] * model.score_cdf(x), g
 
-                return numerics.integrate_unit_interval(integrand, spec)
-
-            for j, k in _tri_pairs(p):
-                v = entry(j, k)
-                total[j, k] += v
-                if j != k:
-                    total[k, j] = total[j, k]
+        total = numerics.integrate_gram(set_scores, model.p, spec)
         return FIResult(
             matrix=numerics.InfoMatrix(total * ud.replications),
             method="quadrature",
@@ -471,17 +441,14 @@ def regression_fi(
     a_const = float(unit[0, 0])
     b_const = float(unit[1, 1])
 
-    def c_integrand(u: float) -> float:
-        f = float(std.pdf(std.quantile(u)))
-        return f * f / u
+    def density_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = std.quantile(u)
+        f = std.pdf(z)
+        return np.stack([f, z * f], axis=-1)[None], (1.0 / u)[None]
 
-    def d_integrand(u: float) -> float:
-        z = float(std.quantile(u))
-        f = float(std.pdf(z))
-        return z * z * f * f / u
-
-    c_const = numerics.integrate_unit_interval(c_integrand, spec)
-    d_const = numerics.integrate_unit_interval(d_integrand, spec)
+    # C = int f^2/u and D = int z^2 f^2/u are the diagonal of one kernel
+    cd = numerics.integrate_gram(density_terms, 2, spec)
+    c_const, d_const = float(cd[0, 0]), float(cd[1, 1])
 
     sigma = noise_model.value("sigma")
     k = x.size

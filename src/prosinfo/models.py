@@ -156,10 +156,6 @@ class Model:
     def std(self) -> float:
         return math.sqrt(self.var())
 
-    def scale_hint(self) -> float:
-        """Characteristic magnitude per active parameter, for finite-difference steps."""
-        return max(self.std(), 1e-6)
-
     def fisher_srs_unit(self, spec: numerics.QuadratureSpec | None = None) -> numerics.InfoMatrix:
         return fisher_srs_unit(self, spec)
 
@@ -196,7 +192,7 @@ def fisher_srs_unit(model: Model, spec: numerics.QuadratureSpec | None = None) -
     quadrature of E[(d log f)(d log f)^T] otherwise.
 
     :raises ModelError: the family has no regular Fisher information (uniform).
-    :raises numerics.NumericsError: a quadrature entry failed to converge.
+    :raises numerics.NumericsError: the quadrature failed to converge.
     """
     fam = _family(model.family)
     if model.family == "uniform":
@@ -208,14 +204,11 @@ def fisher_srs_unit(model: Model, spec: numerics.QuadratureSpec | None = None) -
     if closed is not None:
         idx = [model.param_names.index(n) for n in model.active]
         return numerics.InfoMatrix(np.asarray(closed)[np.ix_(idx, idx)])
-    p = model.p
-    out = np.zeros((p, p))
-    for j in range(p):
-        for k in range(j, p):
-            out[j, k] = out[k, j] = numerics.integrate_expectation(
-                model, lambda x: float(model.score_logpdf(x)[..., j] * model.score_logpdf(x)[..., k]), spec
-            )
-    return numerics.InfoMatrix(out)
+
+    def scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return model.score_logpdf(model.quantile(u))[None], np.ones((1, u.size))
+
+    return numerics.InfoMatrix(numerics.integrate_gram(scores, model.p, spec))
 
 
 # -- family definitions ----------------------------------------------------

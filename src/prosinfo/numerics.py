@@ -3,13 +3,17 @@
 Everything here is plumbing shared by the statistical modules: expectations are
 evaluated on the quantile-transformed domain so endpoint-singular integrands such
 as 1/(F(1-F)) become 1/(u(1-u)), and Monte Carlo means are bit-reproducible for a
-fixed seed regardless of how replicates are scheduled across workers.
+fixed seed regardless of how replicates are scheduled across workers.  Scalar
+integrals use adaptive QUADPACK quadrature; every Fisher-information matrix goes
+through integrate_gram, one vectorised tanh-sinh pass (Takahasi & Mori, 1974)
+for all entries of a weighted score outer product.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import typing as tp
 
@@ -54,11 +58,14 @@ class ReplicateError(NumericsError):
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for adaptive quadrature on the unit quantile interval.
+    """Tolerances for quadrature on the unit quantile interval.
 
-    :param rtol: Relative tolerance of the adaptive rule.
-    :param atol: Absolute tolerance of the adaptive rule.
-    :param max_subdivisions: Subdivision budget before giving up.
+    :param rtol: Relative tolerance of both rules: QUADPACK in
+        integrate_unit_interval and tanh-sinh in integrate_gram.
+    :param atol: Absolute tolerance of both rules.
+    :param max_subdivisions: Subdivision budget of the QUADPACK path
+        (integrate_unit_interval) only; integrate_gram refines to a fixed
+        finest tanh-sinh level.
     :param endpoint_clip: Half-width epsilon of the clipped domain (eps, 1-eps).
     """
 
@@ -196,6 +203,75 @@ def integrate_unit_interval(fn: tp.Callable[[float], float], spec: QuadratureSpe
     return float(out[0])
 
 
+def integrate_gram(
+    fn: tp.Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    p: int,
+    spec: QuadratureSpec | None = None,
+) -> np.ndarray:
+    """The p x p matrix int sum_b w_b(u) v_b(u) v_b(u)^T du over (eps, 1-eps).
+
+    fn maps a 1-d array u to (v, w) of shapes (k, len(u), p) and (k, len(u));
+    a term whose weight is not positive contributes nothing, so v may be
+    non-finite there.  One tanh-sinh pass integrates every entry, calling fn
+    once per batch of abscissae, and stops when no entry moved from the
+    previous level by more than max(atol, rtol * max |entry|).  The tolerance is
+    shared because an entry that is zero by symmetry never meets one relative
+    to itself.  The change between levels bounds the coarser level's error, so
+    the finer level returned lies well inside the tolerance.
+
+    :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
+    :raises IntegrandEvaluationError: a term with positive weight is not finite.
+    """
+    spec = spec or QuadratureSpec()
+    rows, cols = np.triu_indices(p)
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        u = np.atleast_1d(x[0])  # every entry shares the same abscissae
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v, w = (np.asarray(a, dtype=float) for a in fn(u))
+            terms = np.where(w[..., None] > 0.0, w[..., None] * v[..., rows] * v[..., cols], 0.0)
+        out = terms.sum(axis=0).T
+        bad = ~np.all(np.isfinite(out), axis=0)
+        if np.any(bad):
+            raise IntegrandEvaluationError("integrand is not finite", u=float(u[np.argmax(bad)]))
+        return out.reshape(x.shape)
+
+    previous: np.ndarray | None = None
+    change = math.inf
+
+    def stop_when_levels_agree(res: tp.Any) -> None:
+        nonlocal previous, change
+        if np.min(res.maxlevel) < 0:  # the callback also runs before the first level
+            return
+        if previous is not None:
+            change = float(np.max(np.abs(res.integral - previous)))
+            if change <= max(spec.atol, spec.rtol * float(np.max(np.abs(res.integral)))):
+                raise StopIteration
+        previous = np.array(res.integral)
+
+    # tanh-sinh's own error estimate changes with the units of the integrand and
+    # certified errors of 2e-7 at S = 64, so entry tolerances of 0 leave the
+    # stopping rule to the callback.  Comparing levels 4 and 5 first keeps two
+    # coarse grids that both miss a sharp peak from agreeing.
+    res = scipy.integrate.tanhsinh(
+        integrand,
+        np.full(rows.size, spec.endpoint_clip),
+        1.0 - spec.endpoint_clip,
+        atol=0.0,
+        rtol=0.0,
+        minlevel=4,
+        preserve_shape=True,
+        callback=stop_when_levels_agree,
+    )
+    if np.any(res.status != -4):
+        raise QuadratureNonConvergence(
+            "matrix quadrature did not converge", float(np.max(np.abs(res.integral))), change
+        )
+    out = np.zeros((p, p))
+    out[rows, cols] = out[cols, rows] = res.integral
+    return out
+
+
 def integrate_expectation(
     model: tp.Any,
     integrand: tp.Callable[[float], float],
@@ -228,10 +304,6 @@ def det_small(m: tp.Any) -> float:
     )
 
 
-def _chunk_ranges(reps: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK_SIZE, reps)) for lo in range(0, reps, CHUNK_SIZE)]
-
-
 def _merge_moments(
     a: tuple[int, np.ndarray, np.ndarray], b: tuple[int, np.ndarray, np.ndarray]
 ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -252,72 +324,13 @@ def _moments_of(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return n, mean, m2
 
 
-def _reduce_chunks(
-    chunk_fn: tp.Callable[[int, int, int], np.ndarray],
-    reps: int,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run chunk_fn(chunk_index, lo, hi) -> (hi-lo, d) arrays and merge in chunk order."""
-    ranges = _chunk_ranges(reps)
-    results: list[tuple[int, np.ndarray, np.ndarray] | None] = [None] * len(ranges)
-    if workers > 1 and len(ranges) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(chunk_fn, idx, lo, hi): idx for idx, (lo, hi) in enumerate(ranges)
-            }
-            raw: dict[int, np.ndarray] = {}
-            for fut in concurrent.futures.as_completed(futures):
-                raw[futures[fut]] = fut.result()
-        for idx in range(len(ranges)):
-            results[idx] = _moments_of(raw[idx])
-    else:
-        for idx, (lo, hi) in enumerate(ranges):
-            results[idx] = _moments_of(chunk_fn(idx, lo, hi))
-    total = results[0]
-    for part in results[1:]:
-        total = _merge_moments(total, part)  # type: ignore[arg-type]
-    n, mean, m2 = total  # type: ignore[misc]
-    var = m2 / (n - 1)
-    return mean, np.sqrt(var / n)
-
-
-def mc_mean(
-    replicate_fn: tp.Callable[[int, np.random.Generator], float],
-    reps: int,
-    seed: int,
-    workers: int = 1,
-) -> MCEstimate:
-    """Mean and standard error of replicate_fn over reps replicates.
-
-    Each replicate i receives its own generator derived from (seed, i), so the
-    result is bit-identical for a fixed seed no matter how replicates are
-    scheduled.
-
-    :raises ReplicateError: a replicate returned a non-finite value.
-    """
-    if reps < 2:
-        raise ValueError("mc_mean needs reps >= 2")
-
-    def chunk(_idx: int, lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo)
-        for i in range(lo, hi):
-            v = float(replicate_fn(i, substream(seed, i)))
-            if not math.isfinite(v):
-                raise ReplicateError("replicate returned a non-finite value", index=i)
-            out[i - lo] = v
-        return out[:, None]
-
-    mean, se = _reduce_chunks(chunk, reps, workers)
-    return MCEstimate(value=float(mean[0]), std_error=float(se[0]), replications=reps)
-
-
 def mc_mean_batches(
     batch_fn: tp.Callable[[np.random.Generator, int], np.ndarray],
     reps: int,
     seed: int,
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized sibling of mc_mean for batch_fn(rng, count) -> (count, d) arrays.
+    """Mean and standard error of batch_fn(rng, count) -> (count, d) arrays over reps replicates.
 
     One substream per fixed-size chunk keyed by (seed, chunk index); chunks are
     merged in index order, so results are identical for any worker count.
@@ -339,5 +352,13 @@ def mc_mean_batches(
             )
         return values
 
-    mean, se = _reduce_chunks(chunk, reps, workers)
-    return mean, se, reps
+    ranges = [(lo, min(lo + CHUNK_SIZE, reps)) for lo in range(0, reps, CHUNK_SIZE)]
+    if workers > 1 and len(ranges) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {pool.submit(chunk, idx, lo, hi): idx for idx, (lo, hi) in enumerate(ranges)}
+            raw = {futures[fut]: fut.result() for fut in concurrent.futures.as_completed(futures)}
+        parts = [_moments_of(raw[idx]) for idx in range(len(ranges))]
+    else:
+        parts = [_moments_of(chunk(idx, lo, hi)) for idx, (lo, hi) in enumerate(ranges)]
+    n, mean, m2 = functools.reduce(_merge_moments, parts)
+    return mean, np.sqrt(m2 / (n - 1) / n), reps

@@ -4,9 +4,12 @@ One test per published-results criterion, each at its stated tolerance, each
 printing a single pass/fail line (run with -rA or -s to see them; pytest -v
 shows one PASSED/FAILED line per criterion either way).
 
-test_criterion_6b_steep_unbalanced_cell checks the {1..5},{6} partition
-against its exact value, 2.483, from an oracle built in the test with numpy and
-scipy only.  The printed 8.026 for that cell is not checked: even knowing each
+test_criterion_6a_balanced_partition_cell and
+test_criterion_6b_steep_unbalanced_cell check the {1,2,3},{4,5,6} and
+{1..5},{6} partitions against their exact values, 2.4825 and 2.483, from an
+oracle built in the test with numpy and scipy only.  The printed 2.507 for the
+balanced partition lies about 1.5 simulation SE from the exact value, so a check
+against it could not catch a quadrature error of 1%.  The printed 8.026 for that cell is not checked: even knowing each
 measured unit's exact rank, which the partition does not reveal, gives RE1 of
 at most 5.42, because a block's mixture carries no more information than the
 average of its order statistics.
@@ -198,10 +201,15 @@ def _unbalanced_re1_mc(blocks):
 
 
 def test_criterion_6a_balanced_partition_cell():
-    re1, se = _unbalanced_re1_mc(((1, 2, 3), (4, 5, 6)))
-    assert abs(re1 - 2.507) <= 4.0 * se, (re1, se)
-    _ok(f"criterion 6a: PASS — balanced partition RE1 = {re1:.3f} within 4 SE "
-        f"(SE {se:.4f}) of the published 2.507")
+    blocks = ((1, 2, 3), (4, 5, 6))
+    re1, se = _unbalanced_re1_mc(blocks)
+    oracle = _normal_partition_re1_oracle(blocks)
+    quad = _unbalanced_re1_quad(blocks)
+    report = (f"{{1,2,3}},{{4,5,6}} RE1: oracle {oracle:.7f}, simulation {re1:.4f} "
+              f"(SE {se:.4f}), quadrature {quad:.7f}; published 2.507")
+    assert abs(quad - oracle) <= 1e-6 * oracle, report
+    assert abs(re1 - oracle) <= 4.0 * se, report
+    _ok(f"criterion 6a: PASS — {report}")
 
 
 def _unbalanced_re1_quad(blocks):

@@ -192,6 +192,20 @@ def test_marginal_equals_complete_for_rss():
         np.testing.assert_allclose(marginal, complete, atol=1e-8)
 
 
+@pytest.mark.parametrize("fam", ["normal", "exponential"])
+@pytest.mark.parametrize("set_size, n, p", [(24, 3, 0.8), (64, 4, 0.9)])
+def test_marginal_information_is_scale_equivariant(fam, set_size, n, p):
+    # every active parameter is a location or scale, so I(sigma) sigma^2 is free of sigma
+    design = make_balanced_design(set_size, n)
+    alpha = make_symmetric_alpha(n, p)
+    scaled = [
+        fi_pros_marginal(make_model(fam, sigma=sigma), design, alpha).matrix.as_array() * sigma**2
+        for sigma in (0.01, 1.0, 100.0)
+    ]
+    for got in scaled:
+        assert np.max(np.abs(got - scaled[1])) <= 1e-8 * np.max(np.abs(scaled[1])), (fam, scaled)
+
+
 def test_marginal_rejects_unbalanced_designs():
     from prosinfo import Design
 

@@ -14,8 +14,8 @@ from prosinfo.numerics import (
     ReplicateError,
     det_small,
     integrate_expectation,
+    integrate_gram,
     integrate_unit_interval,
-    mc_mean,
     mc_mean_batches,
     substream,
 )
@@ -121,6 +121,67 @@ def test_quantile_domain_weight_normalizes_for_every_family():
         np.testing.assert_allclose(got, 1.0, atol=1e-9, err_msg=fam)
 
 
+def _unit_weight(u):
+    return np.ones((1, u.size))
+
+
+def test_integrate_gram_closed_forms():
+    from scipy.special import zeta
+
+    normal = make_model("normal")
+    unit = integrate_gram(lambda u: (normal.score_logpdf(normal.quantile(u))[None], _unit_weight(u)), 2)
+    # the clipped tails beyond |z| = 7.03 carry 5e-9 of the scale information
+    np.testing.assert_allclose(unit, np.diag([1.0, 2.0]), rtol=1e-8, atol=1e-12)
+    expo = make_model("exponential")
+
+    def cdf_scores(u):
+        return expo.score_cdf(expo.quantile(u))[None], (1.0 / (u * (1.0 - u)))[None]
+
+    got = integrate_gram(cdf_scores, 1)
+    np.testing.assert_allclose(got, [[0.4041]], atol=1e-4)
+    np.testing.assert_allclose(got, [[2.0 * (zeta(3.0) - 1.0)]], rtol=1e-9)
+
+
+def test_integrate_gram_sums_weighted_terms():
+    # two terms: v = (1, u) with w = 1 and v = (u, 0) with w = 2
+    def fn(u):
+        v = np.stack([np.stack([np.ones_like(u), u], axis=-1), np.stack([u, 0.0 * u], axis=-1)])
+        return v, np.stack([np.ones_like(u), np.full_like(u, 2.0)])
+
+    np.testing.assert_allclose(integrate_gram(fn, 2), [[1.0 + 2.0 / 3.0, 0.5], [0.5, 1.0 / 3.0]], rtol=1e-10)
+
+
+def test_integrate_gram_rejects_non_finite_integrand():
+    def fn(u):
+        return np.where(u > 0.5, np.nan, 1.0)[None, :, None], _unit_weight(u)
+
+    with pytest.raises(IntegrandEvaluationError) as err:
+        integrate_gram(fn, 1)
+    assert err.value.u > 0.5
+
+    def zero_weight_nan(u):
+        # a term whose weight vanishes contributes nothing, finite or not
+        v = np.stack([np.ones_like(u), np.full_like(u, np.nan)])[..., None]
+        return v, np.stack([np.ones_like(u), np.zeros_like(u)])
+
+    np.testing.assert_allclose(integrate_gram(zero_weight_nan, 1), [[1.0]], rtol=1e-10)
+
+
+def test_integrate_gram_reports_non_convergence():
+    def fast_oscillation(u):
+        return np.sin(2e4 * u)[None, :, None], _unit_weight(u)
+
+    with pytest.raises(QuadratureNonConvergence) as err:
+        integrate_gram(fast_oscillation, 1)
+    assert math.isfinite(err.value.estimate)
+    assert err.value.error_bound > 0.0
+
+
+def test_integrate_gram_zero_integrand_converges():
+    got = integrate_gram(lambda u: (np.zeros((1, u.size, 3)), _unit_weight(u)), 3)
+    np.testing.assert_array_equal(got, np.zeros((3, 3)))
+
+
 def test_det_small_closed_forms():
     np.testing.assert_allclose(det_small(np.array([[2.0]])), 2.0)
     np.testing.assert_allclose(
@@ -192,35 +253,17 @@ def test_substream_is_keyed_and_reproducible():
 
 
 def test_mc_mean_constant_has_zero_error():
-    est = mc_mean(lambda i, rng: 3.0, reps=100, seed=DEFAULT_SEED)
-    assert est.value == 3.0
-    assert est.std_error == 0.0
-    assert est.replications == 100
+    means, ses, reps = mc_mean_batches(lambda rng, count: np.full(count, 3.0), reps=10_000, seed=DEFAULT_SEED)
+    assert means[0] == 3.0
+    assert ses[0] == 0.0
+    assert reps == 10_000
 
 
 def test_mc_mean_standard_normal_clt():
     reps = 50_000
-    est = mc_mean(lambda i, rng: rng.standard_normal(), reps=reps, seed=DEFAULT_SEED)
-    assert abs(est.value) <= 3.0 / math.sqrt(reps)
-    np.testing.assert_allclose(est.std_error, 1.0 / math.sqrt(reps), rtol=0.05)
-
-
-def test_mc_mean_worker_count_does_not_change_bits():
-    def rep(i, rng):
-        return rng.normal() ** 2
-
-    one = mc_mean(rep, reps=9_999, seed=11, workers=1)
-    many = mc_mean(rep, reps=9_999, seed=11, workers=7)
-    assert one.value == many.value
-    assert one.std_error == many.std_error
-
-
-def test_mc_mean_rejects_bad_replicates():
-    with pytest.raises(ValueError):
-        mc_mean(lambda i, rng: 0.0, reps=1, seed=1)
-    with pytest.raises(ReplicateError) as err:
-        mc_mean(lambda i, rng: float("inf") if i == 5 else 0.0, reps=10, seed=1)
-    assert err.value.index == 5
+    means, ses, _ = mc_mean_batches(lambda rng, count: rng.standard_normal(count), reps=reps, seed=DEFAULT_SEED)
+    assert abs(means[0]) <= 3.0 / math.sqrt(reps)
+    np.testing.assert_allclose(ses[0], 1.0 / math.sqrt(reps), rtol=0.05)
 
 
 def test_mc_mean_batches_matches_manual_merge():
@@ -242,5 +285,8 @@ def test_mc_mean_batches_validates_batches():
         mc_mean_batches(lambda rng, count: np.zeros(count + 1), reps=100, seed=1)
     with pytest.raises(ReplicateError):
         mc_mean_batches(lambda rng, count: np.full(count, np.nan), reps=100, seed=1)
+    with pytest.raises(ReplicateError) as err:
+        mc_mean_batches(lambda rng, count: np.where(np.arange(count) == 5, np.inf, 0.0), reps=10, seed=1)
+    assert err.value.index == 5
     with pytest.raises(ValueError):
         mc_mean_batches(lambda rng, count: np.zeros(count), reps=1, seed=1)

@@ -237,13 +237,25 @@ def test_cli_table_unknown_id(capsys):
     assert "valid ids" in capsys.readouterr().err
 
 
-def test_cli_bad_params_exit_code(capsys):
-    assert main(["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2",
-                 "--params", "sigma"]) == 2
-    assert main(["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2",
-                 "--params", "sigma=abc"]) == 2
-    assert main(["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2",
-                 "--alpha", "bogus:1"]) == 2
+def test_cli_bad_params_exit_code(capsys, tmp_path):
+    base = ["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2"]
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("reps = abc\n")
+    bad_format = tmp_path / "format.cfg"
+    bad_format.write_text("format = xml\n")
+    for extra in (
+        ["--params", "sigma"],
+        ["--params", "sigma=abc"],
+        ["--alpha", "bogus:1"],
+        ["--method", "mc", "--reps", "1"],
+        ["--workers", "0"],
+        ["--seed", "-1"],
+        ["--config", str(bad_cfg)],
+        ["--config", str(bad_format)],
+    ):
+        assert main(base + extra) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
 
 
 def test_cli_env_seed_changes_sample(capsys, monkeypatch):
