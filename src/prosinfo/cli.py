@@ -613,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--reps", type=int, default=None)
     common.add_argument("--method", choices=("quadrature", "mc"), default=None)
-    common.add_argument("--workers", type=int, default=None)
+    common.add_argument("--workers", type=int, default=None, help="advisory: Monte Carlo runs on one thread")
 
     model_flags = argparse.ArgumentParser(add_help=False)
     model_flags.add_argument("--family", default="normal", choices=family_names())

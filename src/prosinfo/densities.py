@@ -26,6 +26,7 @@ from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign
 from .models import Model
 
 FloatArray = tp.Union[float, np.ndarray]
+Blocks = tp.Sequence[tp.Sequence[int]]
 
 
 class DensityError(ValueError):
@@ -96,41 +97,77 @@ def block_weight_dt(set_size: int, ranks: tp.Sequence[int], t: FloatArray) -> Fl
     return acc if np.ndim(t) else float(acc)
 
 
-def alpha_weight(
-    set_size: int,
-    blocks: tp.Sequence[tp.Sequence[int]],
-    alpha_row: np.ndarray,
-    t: FloatArray,
-) -> FloatArray:
+def alpha_weight(set_size: int, blocks: Blocks, alpha_row: np.ndarray, t: FloatArray) -> FloatArray:
     """Misplacement mixture sum_h alpha_row[h] * block_weight(blocks[h], t)."""
-    if len(alpha_row) != len(blocks):
-        raise DensityError(
-            f"misplacement row has {len(alpha_row)} entries for {len(blocks)} blocks"
-        )
+    return _alpha_mix(block_weight, set_size, blocks, alpha_row, t)
+
+
+def alpha_weight_dt(set_size: int, blocks: Blocks, alpha_row: np.ndarray, t: FloatArray) -> FloatArray:
+    return _alpha_mix(block_weight_dt, set_size, blocks, alpha_row, t)
+
+
+def _alpha_mix(fn: tp.Callable, set_size: int, blocks: Blocks, row: np.ndarray, t: FloatArray) -> FloatArray:
+    _check_row(blocks, row)
     ta = np.asarray(t, dtype=float)
     acc = np.zeros_like(ta)
-    for a_h, ranks in zip(alpha_row, blocks):
+    for a_h, ranks in zip(row, blocks):
         if a_h:
-            acc += a_h * np.asarray(block_weight(set_size, ranks, ta))
+            acc += a_h * np.asarray(fn(set_size, ranks, ta))
     return acc if np.ndim(t) else float(acc)
 
 
-def alpha_weight_dt(
-    set_size: int,
-    blocks: tp.Sequence[tp.Sequence[int]],
-    alpha_row: np.ndarray,
-    t: FloatArray,
-) -> FloatArray:
+def _check_row(blocks: Blocks, alpha_row: np.ndarray) -> None:
     if len(alpha_row) != len(blocks):
-        raise DensityError(
-            f"misplacement row has {len(alpha_row)} entries for {len(blocks)} blocks"
-        )
-    ta = np.asarray(t, dtype=float)
-    acc = np.zeros_like(ta)
+        raise DensityError(f"misplacement row has {len(alpha_row)} entries for {len(blocks)} blocks")
+
+
+def rank_coefficients(set_size: int, blocks: Blocks, alpha_row: np.ndarray) -> np.ndarray:
+    """Coefficients c_u = sum_h alpha_row[h] (S/m_h) 1[u in blocks[h]] with alpha_weight = sum_u c_u b_u."""
+    _check_row(blocks, alpha_row)
+    c = np.zeros(set_size)
     for a_h, ranks in zip(alpha_row, blocks):
-        if a_h:
-            acc += a_h * np.asarray(block_weight_dt(set_size, ranks, ta))
-    return acc if np.ndim(t) else float(acc)
+        c[np.asarray(ranks) - 1] += a_h * set_size / len(ranks)
+    return c
+
+
+def bernstein_series(coef: np.ndarray, t: FloatArray) -> tuple[np.ndarray, ...]:
+    """w(t) = sum_u coef[..., u-1] b_u(t) and its first two t-derivatives.
+
+    coef holds rank coefficients c_1..c_S on its last axis (see
+    rank_coefficients); leading axes are independent series, and each result
+    has shape coef.shape[:-1] + t.shape.  The k-th derivative is the degree
+    S-1-k series of the k-th differences of c, times (S-1)!/(S-1-k)!.  Only the
+    window [lo, hi] of coefficients non-zero in some row is summed, by Horner's
+    rule in t/(1-t) after factoring out t^lo (1-t)^(m-lo) for t <= 1/2, and in
+    (1-t)/t after t^hi (1-t)^(m-hi) above: the cost is linear in the window,
+    nothing overflows, and a weight below the double range underflows to 0.
+    """
+    c = np.asarray(coef, dtype=float)
+    ta = np.asarray(t, dtype=float)
+    flat = ta.ravel()
+    windows = []
+    for k in range(3):
+        a = np.diff(c, n=k, axis=-1) * math.perm(c.shape[-1] - 1, k)
+        live = np.flatnonzero(np.any(a != 0.0, axis=tuple(range(a.ndim - 1))))
+        if live.size:
+            m, lo, hi = a.shape[-1] - 1, int(live[0]), int(live[-1])
+            binom = np.exp([_log_comb(m, j) for j in range(lo, hi + 1)])
+            windows.append((k, m, lo, hi, (a[..., lo : hi + 1] * binom)[..., None]))
+    out = np.zeros((3,) + c.shape[:-1] + flat.shape)
+    low = flat <= 0.5
+    with np.errstate(divide="ignore"):
+        for mask, is_low in ((low, True), (~low, False)):
+            tm = flat[mask]
+            ratio = tm / (1.0 - tm) if is_low else (1.0 - tm) / tm
+            log_t, log_1mt = np.log(tm), np.log1p(-tm)
+            for k, m, lo, hi, coef_w in windows:
+                lead = lo if is_low else hi
+                acc = 0.0
+                for j in range(hi - lo, -1, -1) if is_low else range(hi - lo + 1):
+                    acc = acc * ratio + coef_w[..., j, :]
+                expo = (lead * log_t if lead else 0.0) + ((m - lead) * log_1mt if m > lead else 0.0)
+                out[k][..., mask] = acc * np.exp(expo)
+    return tuple(out.reshape((3,) + c.shape[:-1] + ta.shape))
 
 
 # -- model-facing densities --------------------------------------------------

@@ -16,9 +16,13 @@ and the routes differ only in the scores v and weights w they hand it:
 Complete-data PROS information is n I_srs + K; the marginal information of a
 balanced design with misplacement weights g_r adds the kernel to n I_srs; an
 unbalanced design integrates each set's full score directly.  The Monte Carlo
-route estimates -E[d^2 log L / dtheta^2] by central finite-difference Hessians
-at simulated draws and reports a standard error per matrix entry; it is the
-ground truth the quadrature identities are checked against.
+route estimates -E[d^2 log L / dtheta^2] at simulated draws and reports a
+standard error per matrix entry; it is the check the quadrature identities are
+tested against.  A draw's log likelihood is log f(x) + log w(F(x)), so by the
+chain rule its Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T:
+w and its t-derivatives are evaluated once per draw (in closed form for a known
+latent rank, by densities.bernstein_series for a misplacement mixture), and
+only the analytic scores are differenced in the parameters.
 
 Relative efficiencies are determinant ratios: RE1 compares against SRS of the
 same size, RE2 against an RSS benchmark.
@@ -40,7 +44,7 @@ from .designs import (
     identity_alpha,
     make_balanced_design,
 )
-from .models import Model
+from .models import Model, require_fi_regular
 
 DEFAULT_REPS = 50_000
 
@@ -80,14 +84,10 @@ def _entries(obj: tp.Any) -> np.ndarray:
     return np.atleast_2d(np.asarray(obj, dtype=float))
 
 
-def _tri_pairs(p: int) -> list[tuple[int, int]]:
-    return [(j, k) for j in range(p) for k in range(j, p)]
-
-
 def _matrix_from_tri(p: int, tri: np.ndarray) -> np.ndarray:
     out = np.zeros((p, p))
-    for idx, (j, k) in enumerate(_tri_pairs(p)):
-        out[j, k] = out[k, j] = tri[idx]
+    rows, cols = np.triu_indices(p)
+    out[rows, cols] = out[cols, rows] = tri
     return out
 
 
@@ -109,6 +109,7 @@ def k_matrix(
     n (S-1) E[(dF)(dF)^T / (F(1-F))]: the information kernel with v = dF and,
     on the quantile domain, w = 1/(t(1-t)).
     """
+    require_fi_regular(model)
     if set_size < 1 or n < 1:
         raise InformationError("n and set_size must be >= 1")
     p = model.p
@@ -150,9 +151,10 @@ def fi_pros_complete(
     """Complete-data information of PROS(n, S) with N cycles: N (n I_srs + K).
 
     Complete data includes the latent rank of every measured unit.  The mc
-    method simulates draws with their true ranks and takes finite-difference
-    Hessians of the complete-data log likelihood.
+    method simulates draws with their true ranks and takes chain-rule Hessians
+    of the complete-data log likelihood.
     """
+    require_fi_regular(model)
     if cycles < 1:
         raise InformationError(f"cycles must be >= 1, got {cycles}")
     label = f"PROS(n={n}, S={set_size}, N={cycles}) complete"
@@ -166,27 +168,20 @@ def fi_pros_complete(
         )
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
-    design = _balanced_design(n, set_size, cycles)
-    blocks = design.subsets
+    try:
+        blocks = make_balanced_design(set_size, n, cycles).subsets
+    except DesignError as e:
+        raise InformationError(str(e)) from e
     alpha = identity_alpha(n)
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
-        total = None
+        total = 0.0
         for r in range(1, n + 1):
             x, u = sampling.block_draws(model, set_size, blocks, alpha.row(r), rng, count)
-            extra = _complete_logw(set_size, u)
-            tri = _neg_hessian_tri(model, x, extra)
-            total = tri if total is None else total + tri
+            total = total + _neg_hessian(model, x, *_rank_logw_dt(set_size, u, model.cdf(x)))
         return total
 
     return _mc_fi(model, batch, reps, seed, workers, cycles, label)
-
-
-def _balanced_design(n: int, set_size: int, cycles: int) -> Design:
-    try:
-        return make_balanced_design(set_size, n, cycles)
-    except DesignError as e:
-        raise InformationError(str(e)) from e
 
 
 def fi_pros_marginal(
@@ -205,6 +200,7 @@ def fi_pros_marginal(
     subsetting is the identity alpha.  The decomposition requires the balanced
     property sum_r g_r = n; unbalanced partitions go through fi_unbalanced.
     """
+    require_fi_regular(model)
     if not design.is_balanced:
         raise InformationError("design is unbalanced; use fi_unbalanced")
     alpha = alpha if alpha is not None else identity_alpha(design.n)
@@ -217,10 +213,10 @@ def fi_pros_marginal(
             model, UnbalancedDesign.from_design(design), {1: alpha}, method, reps, seed, workers, spec
         )
         return dataclasses.replace(fi, design_label=label)
-    pairs = [(design.subsets, alpha.row(r)) for r in range(1, design.n + 1)]
+    coefs = np.stack([densities.rank_coefficients(design.set_size, design.subsets, row) for row in alpha.entries])
 
     def tilted_cdf_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g, gd = _set_weights(design.set_size, pairs, u)
+        g, gd, _ = densities.bernstein_series(coefs, u)
         return (gd / g)[..., None] * model.score_cdf(model.quantile(u)), g
 
     gain = numerics.InfoMatrix(numerics.integrate_gram(tilted_cdf_scores, model.p, spec))
@@ -231,15 +227,6 @@ def fi_pros_marginal(
         design_label=label,
         model_label=model.label(),
     )
-
-
-def _set_weights(
-    set_size: int, pairs: tp.Sequence[tuple[tp.Sequence[tp.Sequence[int]], np.ndarray]], u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked misplacement weights g and dg/dt of each (partition, alpha row) pair at u."""
-    g = np.stack([densities.alpha_weight(set_size, blocks, row, u) for blocks, row in pairs])
-    gd = np.stack([densities.alpha_weight_dt(set_size, blocks, row, u) for blocks, row in pairs])
-    return g, gd
 
 
 def fi_unbalanced(
@@ -266,6 +253,7 @@ def fi_unbalanced(
     partition; for balanced partitions it coincides with the fi_pros_marginal
     decomposition.
     """
+    require_fi_regular(model)
     label = f"{ud.label()} marginal"
     resolved: list[tuple[tuple[tuple[int, ...], ...], np.ndarray]] = []
     for i in ud.cycle_ids:
@@ -278,11 +266,12 @@ def fi_unbalanced(
             )
         for sp in ud.sets_in_cycle(i):
             resolved.append((sp.partition, alpha.row(sp.measured)))
+    coefs = np.stack([densities.rank_coefficients(ud.set_size, blocks, row) for blocks, row in resolved])
 
     if method == "quadrature":
 
         def set_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            g, gd = _set_weights(ud.set_size, resolved, u)
+            g, gd, _ = densities.bernstein_series(coefs, u)
             x = model.quantile(u)
             return model.score_logpdf(x) + (gd / g)[..., None] * model.score_cdf(x), g
 
@@ -297,12 +286,11 @@ def fi_unbalanced(
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
-        total = None
-        for blocks, row in resolved:
+        total = 0.0
+        for (blocks, row), c in zip(resolved, coefs):
             x, _u = sampling.block_draws(model, ud.set_size, blocks, row, rng, count)
-            extra = _mixture_logw(ud.set_size, blocks, row)
-            tri = _neg_hessian_tri(model, x, extra)
-            total = tri if total is None else total + tri
+            w, w1, w2 = densities.bernstein_series(c, model.cdf(x))
+            total = total + _neg_hessian(model, x, w1 / w, w2 / w - (w1 / w) ** 2)
         return total
 
     return _mc_fi(model, batch, reps, seed, workers, ud.replications, label)
@@ -311,60 +299,33 @@ def fi_unbalanced(
 # -- Monte Carlo machinery ------------------------------------------------------
 
 
-def _complete_logw(set_size: int, u: np.ndarray) -> tp.Callable[[Model, np.ndarray], np.ndarray]:
-    def logw(m: Model, y: np.ndarray) -> np.ndarray:
-        b = densities.bernstein_many(set_size, u, np.asarray(m.cdf(y)))
-        return np.log(np.maximum(b, np.finfo(float).tiny))
-
-    return logw
-
-
-def _mixture_logw(
-    set_size: int, blocks: tp.Sequence[tp.Sequence[int]], row: np.ndarray
-) -> tp.Callable[[Model, np.ndarray], np.ndarray]:
-    def logw(m: Model, y: np.ndarray) -> np.ndarray:
-        g = densities.alpha_weight(set_size, blocks, row, np.asarray(m.cdf(y)))
-        return np.log(np.maximum(g, np.finfo(float).tiny))
-
-    return logw
+def _rank_logw_dt(set_size: int, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First two t-derivatives of log b_u(t): (k - N t)/(t(1-t)) and -(k(1-t)^2 + (N-k)t^2)/(t(1-t))^2."""
+    k, big_n = u - 1.0, set_size - 1.0
+    tt = t * (1.0 - t)
+    return (k - big_n * t) / tt, -(k * (1.0 - t) ** 2 + (big_n - k) * t * t) / (tt * tt)
 
 
-def _neg_hessian_tri(
-    model: Model,
-    y: np.ndarray,
-    extra_logw: tp.Callable[[Model, np.ndarray], np.ndarray] | None,
-) -> np.ndarray:
-    """-(d^2/dtheta^2) of log f(y; theta) + extra log weight, by central differences.
+def _neg_hessian(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-(d^2/dtheta^2) of log f(x; theta) + log w(F(x; theta)) at each draw, by the chain rule.
 
-    Returns the upper-triangle entries, shape (len(y), p(p+1)/2).
+    a and b are the first two t-derivatives of log w at t = F(x; theta); the
+    Hessian is d^2 log f + a d^2 F + b dF dF^T.  dF comes from the analytic
+    score_cdf; d^2 log f and d^2 F are central differences of the analytic
+    scores in each parameter, symmetrized, so the weight is evaluated once per
+    draw.  Returns the upper-triangle entries, shape (len(x), p(p+1)/2).
     """
-    names = model.active
-    p = len(names)
-    steps = [1e-4 * max(abs(model.value(nm)), 1.0) for nm in names]
-
-    def L(shift: dict[str, float]) -> np.ndarray:
-        m = model.with_params(**{nm: model.value(nm) + d for nm, d in shift.items()})
-        out = np.asarray(m.logpdf(y), dtype=float)
-        if extra_logw is not None:
-            out = out + extra_logw(m, y)
-        return out
-
-    L0 = L({})
-    cols: list[np.ndarray] = []
-    plus = [L({names[j]: steps[j]}) for j in range(p)]
-    minus = [L({names[j]: -steps[j]}) for j in range(p)]
-    for j, k in _tri_pairs(p):
-        if j == k:
-            h = steps[j]
-            cols.append(-(plus[j] - 2.0 * L0 + minus[j]) / (h * h))
-        else:
-            hj, hk = steps[j], steps[k]
-            pp = L({names[j]: hj, names[k]: hk})
-            pm = L({names[j]: hj, names[k]: -hk})
-            mp = L({names[j]: -hj, names[k]: hk})
-            mm = L({names[j]: -hj, names[k]: -hk})
-            cols.append(-(pp - pm - mp + mm) / (4.0 * hj * hk))
-    return np.stack(cols, axis=1)
+    p = model.p
+    d_cdf = model.score_cdf(x)
+    hess = (b[:, None, None] * d_cdf[:, :, None]) * d_cdf[:, None, :]
+    for k, name in enumerate(model.active):
+        h = 1e-4 * max(abs(model.value(name)), 1.0)
+        up = model.with_params(**{name: model.value(name) + h})
+        down = model.with_params(**{name: model.value(name) - h})
+        hess[:, :, k] += (up.score_logpdf(x) - down.score_logpdf(x)) / (2.0 * h)
+        hess[:, :, k] += a[:, None] * (up.score_cdf(x) - down.score_cdf(x)) / (2.0 * h)
+    rows, cols = np.triu_indices(p)
+    return -0.5 * (hess[:, rows, cols] + hess[:, cols, rows])
 
 
 def _mc_fi(

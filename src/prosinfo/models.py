@@ -185,6 +185,15 @@ def score_cdf(model: Model, x: FloatArray) -> np.ndarray:
     return model.score_cdf(x)
 
 
+def require_fi_regular(model: Model) -> None:
+    """Raise ModelError for a family without regular Fisher information; every route checks this first."""
+    if model.family == "uniform":
+        raise ModelError(
+            f"fisher information entry ({model.active[0]}, {model.active[0]}) does not exist: "
+            "the uniform family is not FI-regular (support depends on the parameters)"
+        )
+
+
 def fisher_srs_unit(model: Model, spec: numerics.QuadratureSpec | None = None) -> numerics.InfoMatrix:
     """Per-observation Fisher information over the active parameters.
 
@@ -194,12 +203,8 @@ def fisher_srs_unit(model: Model, spec: numerics.QuadratureSpec | None = None) -
     :raises ModelError: the family has no regular Fisher information (uniform).
     :raises numerics.NumericsError: the quadrature failed to converge.
     """
+    require_fi_regular(model)
     fam = _family(model.family)
-    if model.family == "uniform":
-        raise ModelError(
-            f"fisher information entry ({model.active[0]}, {model.active[0]}) does not exist: "
-            "the uniform family is not FI-regular (support depends on the parameters)"
-        )
     closed = fam.fisher_unit(dict(zip(model.param_names, model.params)))
     if closed is not None:
         idx = [model.param_names.index(n) for n in model.active]

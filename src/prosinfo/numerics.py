@@ -3,15 +3,15 @@
 Everything here is plumbing shared by the statistical modules: expectations are
 evaluated on the quantile-transformed domain so endpoint-singular integrands such
 as 1/(F(1-F)) become 1/(u(1-u)), and Monte Carlo means are bit-reproducible for a
-fixed seed regardless of how replicates are scheduled across workers.  Scalar
-integrals use adaptive QUADPACK quadrature; every Fisher-information matrix goes
-through integrate_gram, one vectorised tanh-sinh pass (Takahasi & Mori, 1974)
-for all entries of a weighted score outer product.
+fixed seed; their `workers` count is advisory, as a thread pool gained little on
+the mostly GIL-bound chunks.  Scalar integrals use adaptive QUADPACK quadrature;
+every Fisher-information matrix goes through integrate_gram, one vectorised
+tanh-sinh pass (Takahasi & Mori, 1974) for all entries of a weighted score outer
+product.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -332,9 +332,9 @@ def mc_mean_batches(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mean and standard error of batch_fn(rng, count) -> (count, d) arrays over reps replicates.
 
-    One substream per fixed-size chunk keyed by (seed, chunk index); chunks are
-    merged in index order, so results are identical for any worker count.
-    Returns (means, standard errors, reps) with shape (d,).
+    One substream per fixed-size chunk keyed by (seed, chunk index); chunks run
+    on the calling thread and merge in index order.  workers is advisory and
+    never changes a result.  Returns (means, standard errors, reps), shape (d,).
     """
     if reps < 2:
         raise ValueError("mc_mean_batches needs reps >= 2")
@@ -353,12 +353,6 @@ def mc_mean_batches(
         return values
 
     ranges = [(lo, min(lo + CHUNK_SIZE, reps)) for lo in range(0, reps, CHUNK_SIZE)]
-    if workers > 1 and len(ranges) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(chunk, idx, lo, hi): idx for idx, (lo, hi) in enumerate(ranges)}
-            raw = {futures[fut]: fut.result() for fut in concurrent.futures.as_completed(futures)}
-        parts = [_moments_of(raw[idx]) for idx in range(len(ranges))]
-    else:
-        parts = [_moments_of(chunk(idx, lo, hi)) for idx, (lo, hi) in enumerate(ranges)]
+    parts = [_moments_of(chunk(idx, lo, hi)) for idx, (lo, hi) in enumerate(ranges)]
     n, mean, m2 = functools.reduce(_merge_moments, parts)
     return mean, np.sqrt(m2 / (n - 1) / n), reps

@@ -280,3 +280,63 @@ def test_large_set_sizes_stay_finite():
 def test_alpha_weight_row_length_mismatch():
     with pytest.raises(DensityError):
         alpha_weight(6, ((1, 2, 3), (4, 5, 6)), np.array([1.0]), 0.5)
+
+
+# -- the Bernstein-series evaluator ---------------------------------------------
+
+EDGE_T = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.25, 0.5, 0.75, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+
+
+def _series_cases():
+    """(S, partition, alpha row) for perfect, symmetric and one-block rows."""
+    for S in (1, 2, 3, 6, 12, 64):
+        n = min(S, 3)
+        blocks = tuple(tuple(int(u) for u in b) for b in np.array_split(np.arange(1, S + 1), n))
+        yield S, ((tuple(range(1, S + 1)),)), np.array([1.0])
+        for r in range(1, n + 1):
+            yield S, blocks, identity_alpha(n).row(r)
+            if n > 1:
+                yield S, blocks, make_symmetric_alpha(n, 0.7).row(r)
+
+
+@pytest.mark.parametrize("S,blocks,row", list(_series_cases()))
+def test_bernstein_series_matches_alpha_weight(S, blocks, row):
+    from prosinfo.densities import bernstein_series, rank_coefficients
+
+    t = np.concatenate([EDGE_T, T_GRID])
+    w, w1, w2 = bernstein_series(rank_coefficients(S, blocks, row), t)
+    ref = np.asarray(alpha_weight(S, blocks, row, t))
+    ref1 = np.asarray(alpha_weight_dt(S, blocks, row, t))
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-300)
+    scale = S * max(np.max(np.abs(ref)), np.max(np.abs(ref1)))
+    np.testing.assert_allclose(w1, ref1, rtol=1e-10, atol=1e-12 * scale)
+    # second derivative against a central difference of the independent first derivative
+    h = 1e-5
+    up, down = (np.asarray(alpha_weight_dt(S, blocks, row, T_GRID + d)) for d in (h, -h))
+    fd2 = (up - down) / (2 * h)
+    _, _, w2_grid = bernstein_series(rank_coefficients(S, blocks, row), T_GRID)
+    np.testing.assert_allclose(w2_grid, fd2, rtol=1e-5, atol=1e-6 * max(np.max(np.abs(fd2)), 1.0))
+    if S <= 2:
+        # w is constant (S = 1) or linear (S = 2): the vanishing derivatives are exact zeros
+        assert np.all(w2 == 0.0)
+        assert S == 2 or np.all(w1 == 0.0)
+    if len(blocks) == 1:
+        np.testing.assert_allclose(w, 1.0, rtol=1e-13)
+        assert np.all(w1 == 0.0) and np.all(w2 == 0.0)
+
+
+def test_bernstein_series_stacks_rows_and_keeps_shape():
+    from prosinfo.densities import bernstein_series, rank_coefficients
+
+    design = make_balanced_design(12, 3)
+    alpha = make_symmetric_alpha(3, 0.8)
+    coefs = np.stack([rank_coefficients(12, design.subsets, alpha.row(r)) for r in (1, 2, 3)])
+    t = T_GRID.reshape(5, 5)
+    w, w1, w2 = bernstein_series(coefs, t)
+    assert w.shape == w1.shape == w2.shape == (3, 5, 5)
+    for r in (1, 2, 3):
+        single = bernstein_series(coefs[r - 1], t)
+        for got, want in zip((w[r - 1], w1[r - 1], w2[r - 1]), single):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    with pytest.raises(DensityError):
+        rank_coefficients(12, design.subsets, np.array([0.5, 0.5]))

@@ -315,3 +315,159 @@ def test_lemma_identity_smoke():
     assert abs(check.lambda0.value - check.reference) <= 3.0 * check.lambda0.std_error
     assert abs(check.lambda1.value - check.reference) <= 3.0 * check.lambda1.std_error
     assert check.lambda0.replications == 8_000
+
+
+# -- Monte Carlo by the chain rule ----------------------------------------------
+
+
+def test_uniform_family_is_rejected_by_every_route():
+    from prosinfo import ModelError
+
+    model = make_model("uniform")
+    design = make_balanced_design(6, 2)
+    ud = UnbalancedDesign.from_design(design)
+    calls = [lambda: k_matrix(model, 2, 6), lambda: fisher_srs(model, 2)]
+    for method in ("quadrature", "mc"):
+        opts = dict(method=method, reps=2000, seed=SEED)
+        calls += [
+            lambda o=opts: fi_pros_complete(model, 2, 6, **o),
+            lambda o=opts: fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.8), **o),
+            lambda o=opts: fi_unbalanced(model, ud, **o),
+        ]
+    for call in calls:
+        with pytest.raises(ModelError, match="not FI-regular"):
+            call()
+
+
+def _oracle_logpdf_cdf(family, params, x):
+    """log f and F from scipy.stats or the closed form, independent of prosinfo."""
+    from scipy import stats
+
+    if family == "exp_mixture":
+        pi, h = params["pi"], params["h"]
+        pdf = pi * h * np.exp(-h * x) + (1 - pi) * np.exp(-x)
+        return np.log(pdf), 1 - pi * np.exp(-h * x) - (1 - pi) * np.exp(-x)
+    dist = {
+        "normal": lambda: stats.norm(params["mu"], params["sigma"]),
+        "logistic": lambda: stats.logistic(params["mu"], params["sigma"]),
+        "extreme_value": lambda: stats.gumbel_l(params["mu"], params["sigma"]),
+        "exponential": lambda: stats.expon(scale=params["sigma"]),
+        "gamma": lambda: stats.gamma(params["shape"], scale=params["sigma"]),
+    }[family]()
+    return dist.logpdf(x), dist.cdf(x)
+
+
+def _oracle_neg_hessian(model, x, log_weight):
+    """-Hessian of log f(x) + log_weight(F(x)) over the active parameters by central differences."""
+    names = model.active
+    base = dict(zip(model.param_names, model.params))
+    steps = [1e-3 * max(abs(base[nm]), 1.0) for nm in names]
+
+    def L(shift):
+        params = dict(base)
+        for j, d in shift.items():
+            params[names[j]] += d * steps[j]
+        logf, F = _oracle_logpdf_cdf(model.family, params, x)
+        return logf + log_weight(F)
+
+    def second(j, k, h):
+        # Richardson extrapolation of the central difference with steps h and h/2
+        def cd(s):
+            if j == k:
+                return (L({j: s}) - 2 * L({}) + L({j: -s})) / (s * steps[j]) ** 2
+            return (L({j: s, k: s}) - L({j: s, k: -s}) - L({j: -s, k: s}) + L({j: -s, k: -s})) / (
+                4 * s * s * steps[j] * steps[k]
+            )
+
+        return (4 * cd(h / 2) - cd(h)) / 3
+
+    p = len(names)
+    return np.stack([-second(j, k, 1.0) for j in range(p) for k in range(j, p)], axis=1)
+
+
+ORACLE_MODELS = (
+    ("normal", {}),
+    ("exponential", {}),
+    ("logistic", {}),
+    ("extreme_value", {}),
+    ("gamma", {"shape": 2.0, "sigma": 1.5}),
+    ("exp_mixture", {}),
+)
+
+
+@pytest.mark.parametrize("family,params", ORACLE_MODELS)
+@pytest.mark.parametrize("S", (6, 12))
+@pytest.mark.parametrize("weights", ("complete", "perfect", "symmetric"))
+def test_chain_rule_hessian_matches_difference_oracle(family, params, S, weights):
+    from scipy import stats
+
+    from prosinfo import densities, information
+
+    model = make_model(family, **params)
+    t = np.linspace(0.03, 0.97, 15)
+    x = np.asarray(model.quantile(t))
+    design = make_balanced_design(S, 3)
+    if weights == "complete":
+        u = 1 + np.arange(t.size) % S
+        got = information._neg_hessian(model, x, *information._rank_logw_dt(S, u, model.cdf(x)))
+        want = _oracle_neg_hessian(model, x, lambda F: stats.binom.logpmf(u - 1, S - 1, F))
+    else:
+        row = (identity_alpha(3) if weights == "perfect" else make_symmetric_alpha(3, 0.8)).row(2)
+        coef = densities.rank_coefficients(S, design.subsets, row)
+        w, w1, w2 = densities.bernstein_series(coef, model.cdf(x))
+        got = information._neg_hessian(model, x, w1 / w, w2 / w - (w1 / w) ** 2)
+
+        def log_weight(F):
+            terms = [
+                a * S / len(block) * sum(stats.binom.pmf(v - 1, S - 1, F) for v in block)
+                for a, block in zip(row, design.subsets)
+            ]
+            return np.log(sum(terms))
+
+        want = _oracle_neg_hessian(model, x, log_weight)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.max(np.abs(want)))
+
+
+STRESS_MODELS = (
+    ("normal", {}),
+    ("exponential", {}),
+    ("gamma", {"shape": 0.5}),
+    ("exp_mixture", {"pi": 0.999, "h": 0.01}),
+    ("extreme_value", {}),
+)
+
+
+@pytest.mark.parametrize("family,params", STRESS_MODELS)
+@pytest.mark.parametrize("p", (1.0, 0.8))
+def test_marginal_mc_at_set_size_64(family, params, p):
+    model = make_model(family, **params)
+    design = make_balanced_design(64, 4)
+    alpha = make_symmetric_alpha(4, p)
+    quad = fi_pros_marginal(model, design, alpha).matrix.as_array()
+    mc = fi_pros_marginal(model, design, alpha, method="mc", reps=20_000, seed=SEED)
+    assert np.all(np.isfinite(mc.matrix.as_array())) and np.all(np.asarray(mc.std_errors) > 0)
+    dev = np.abs(mc.matrix.as_array() - quad) / np.asarray(mc.std_errors)
+    assert dev.max() <= 5.0, (dev, quad, mc.matrix.as_array())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_non_finite_replicate_raises(monkeypatch):
+    from prosinfo import sampling
+    from prosinfo.numerics import ReplicateError
+
+    real = sampling.block_draws
+
+    def far_tail_first(model, *args):
+        # at F(x) = 1e-300 upper-block weights underflow and their log derivatives overflow
+        x, u = real(model, *args)
+        x[0] = model.quantile(1e-300)
+        return x, u
+
+    monkeypatch.setattr(sampling, "block_draws", far_tail_first)
+    design = make_balanced_design(64, 4)
+    with pytest.raises(ReplicateError) as err:
+        fi_pros_marginal(make_model("normal"), design, identity_alpha(4), method="mc", reps=100, seed=SEED)
+    assert err.value.index == 0
+    with pytest.raises(ReplicateError):
+        fi_pros_complete(make_model("normal"), 4, 64, method="mc", reps=100, seed=SEED)

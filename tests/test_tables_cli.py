@@ -258,6 +258,16 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
 
 
+def test_cli_uniform_fisher_is_rejected_by_both_methods(capsys):
+    base = ["fisher", "--family", "uniform", "--set-size", "6", "--subsets", "2"]
+    mc = ["--method", "mc", "--reps", "100"]
+    for extra in ([], mc, ["--mode", "complete"] + mc):
+        assert main(base + extra) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
+        assert "not FI-regular" in err, (extra, err)
+
+
 def test_cli_env_seed_changes_sample(capsys, monkeypatch):
     args = ["sample", "--family", "normal", "--set-size", "2", "--subsets", "2", "--cycles", "1"]
     monkeypatch.setenv("PROSINFO_SEED", "1")
