@@ -17,6 +17,7 @@ from .numerics import (
     QuadratureNonConvergence,
     QuadratureSpec,
     det_small,
+    integrate,
     integrate_expectation,
     integrate_gram,
     integrate_unit_interval,

@@ -1,8 +1,20 @@
 """Shannon/Renyi entropy and KL information of SRS, RSS, and PROS samples.
 
-All quantities are computed on the quantile scale: a subset density factors
-as f(x)·w_r(F(x)), so with t = F(x) every integral below runs over (0, 1)
-with the block weight w_r(t) and the parent log-density log f(Q(t)).
+A subset density factors as f(x)·w_r(F(x)), where the block weight w_r is a
+Bernstein series in t = F(x) (densities.rank_coefficients, bernstein_series).
+Each report is one vector integral (numerics.integrate) with one row per
+weight: the parent (w = 1), every measured subset and, for the lower bound,
+each of the S ranks of an RSS with set size S.
+
+* Shannon entropy and KL information run on the clipped quantile scale
+  t in (eps, 1-eps), with the parent log-density log f(Q(t)).
+* Renyi entropy runs on the x-scale, ∫ f(x)^α w(F(x))^α dx over the support,
+  split at the median.  The quantile-scale clip would drop tail mass of f^α
+  that matters at small α.  Above the median w is evaluated from the survival
+  function s = 1 - F(x), as b_u(t) = b_{S+1-u}(1-t), so it keeps its precision
+  where F(x) rounds to 1.  An order whose integral does not converge raises
+  numerics.NumericsError instead of returning a truncated value.
+
 Entropies are reported in nats.  Subsetting is assumed perfect here.
 """
 
@@ -12,9 +24,10 @@ import dataclasses
 import typing as tp
 
 import numpy as np
+import scipy.special as sps
 
 from . import numerics
-from .densities import block_weight
+from .densities import bernstein_series, rank_coefficients
 from .designs import Design, make_balanced_design
 from .numerics import QuadratureSpec
 from .models import Model
@@ -29,12 +42,6 @@ __all__ = [
 ]
 
 _KINDS = ("srs", "rss", "pros")
-
-# f^{alpha-1}(Q(t)) carries an integrable power singularity at each endpoint
-# whenever alpha < 1 (with a slowly varying log factor for the normal family),
-# so the error bound cannot be certified to the default 1e-8; 1e-5 relative is
-# attainable on the whole family grid and ample for entropies in nats
-_RENYI_SPEC = QuadratureSpec(rtol=1e-5, atol=1e-9, max_subdivisions=400)
 
 
 class EntropyError(Exception):
@@ -84,22 +91,23 @@ def _resolve(kind: str, n: int, set_size: int | None) -> tuple[int, tuple[tuple[
     return set_size, design.subsets
 
 
-def _neg_log_pdf(model: Model, t: np.ndarray | float) -> np.ndarray | float:
-    return -model.logpdf(model.quantile(t))
+def _coefficients(set_size: int, blocks: tp.Sequence[tp.Sequence[int]]) -> np.ndarray:
+    """One row of Bernstein coefficients per block, so that w_r(t) = (S/m_r) sum_{u in block} b_u(t)."""
+    return np.array([rank_coefficients(set_size, (ranks,), [1.0]) for ranks in blocks])
 
 
-def _subset_shannon(
-    model: Model, set_size: int, ranks: tp.Sequence[int], spec: QuadratureSpec | None
-) -> float:
-    """-∫ w_r(t)·[log f(Q(t)) + log w_r(t)] dt for one subset."""
+def _report_coefficients(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> np.ndarray:
+    """Weight rows of one report: the parent (all S ranks, so w = 1), each subset, then each RSS rank."""
+    every = tuple(range(1, set_size + 1))
+    return _coefficients(set_size, (every,) + tuple(subsets) + tuple((v,) for v in every))
 
-    def integrand(t: float) -> float:
-        w = block_weight(set_size, ranks, t)
-        if not w > 0.0:
-            return 0.0
-        return -w * (float(model.logpdf(model.quantile(t))) + np.log(w))
 
-    return numerics.integrate_unit_interval(integrand, spec)
+def _quantile_integrals(
+    coef: np.ndarray, term: tp.Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec | None
+) -> np.ndarray:
+    """∫ term(t, w(t)) dt over the clipped quantile domain, one value per weight row w."""
+    eps = (spec or QuadratureSpec()).endpoint_clip
+    return numerics.integrate(lambda t: term(t, bernstein_series(coef, t)[0]), eps, 1.0 - eps, spec)
 
 
 def _label(kind: str, n: int, set_size: int) -> str:
@@ -110,15 +118,20 @@ def _label(kind: str, n: int, set_size: int) -> str:
     return f"pros(n={n}, S={set_size})"
 
 
-def _bounds_shannon(
-    model: Model, n: int, set_size: int, h_parent: float, spec: QuadratureSpec | None
-) -> tuple[float, float]:
-    """Sandwich: (1/m)·H_S(rss with all S ranks) <= total <= n·H(f)."""
-    m = set_size // n
-    rss_all = sum(
-        _subset_shannon(model, set_size, (v,), spec) for v in range(1, set_size + 1)
-    )
-    return rss_all / m, n * h_parent
+def _report(model: Model, kind: str, n: int, set_size: int, values: np.ndarray) -> EntropyReport:
+    """Assemble a report from one entropy per row of _report_coefficients.
+
+    Sandwich: (1/m)·H_S(rss with all S ranks) <= total <= n·H(f).
+    """
+    if kind == "srs":
+        per = tuple(float(values[0]) for _ in range(n))
+        total = float(np.sum(per))
+        return EntropyReport(kind, total, per, total, total, model.label(), _label(kind, n, 1))
+    per = tuple(float(v) for v in values[1 : n + 1])
+    total = float(np.sum(per))
+    lower = float(np.sum(values[n + 1 :])) / (set_size // n)
+    upper = n * float(values[0])
+    return EntropyReport(kind, total, per, lower, upper, model.label(), _label(kind, n, set_size))
 
 
 def shannon(
@@ -131,42 +144,16 @@ def shannon(
     """Shannon entropy of an SRS/RSS/PROS sample of n measurements.
 
     SRS returns n·H(f).  RSS (set size n, every rank measured once) and
-    PROS (balanced subsets of a size-``set_size`` set) sum the entropies of
-    their subset densities f·w_r.
+    PROS (balanced subsets of a size-``set_size`` set) sum the entropies
+    -∫ w_r(t)·[log f(Q(t)) + log w_r(t)] dt of their subset densities f·w_r.
     """
     set_size, subsets = _resolve(kind, n, set_size)
-    h_parent = numerics.integrate_unit_interval(lambda t: float(_neg_log_pdf(model, t)), spec)
-    if kind == "srs":
-        per = tuple(h_parent for _ in range(n))
-        total = float(np.sum(per))
-        return EntropyReport(kind, total, per, total, total, model.label(), _label(kind, n, 1))
-    per = tuple(_subset_shannon(model, set_size, ranks, spec) for ranks in subsets)
-    total = float(np.sum(per))
-    lower, upper = _bounds_shannon(model, n, set_size, h_parent, spec)
-    return EntropyReport(
-        kind, total, per, lower, upper, model.label(), _label(kind, n, set_size)
-    )
 
+    def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return -(w * model.logpdf(model.quantile(t)) + sps.xlogy(w, w))
 
-def _subset_renyi(
-    model: Model,
-    set_size: int,
-    ranks: tp.Sequence[int],
-    alpha: float,
-    spec: QuadratureSpec | None,
-) -> float:
-    """(1/(1-α))·log ∫ f^{α-1}(Q(t))·w_r(t)^α dt for one subset."""
-
-    def integrand(t: float) -> float:
-        w = block_weight(set_size, ranks, t)
-        if not w > 0.0:
-            return 0.0
-        return float(np.exp((alpha - 1.0) * model.logpdf(model.quantile(t)))) * w**alpha
-
-    value = numerics.integrate_unit_interval(integrand, spec)
-    if not value > 0.0:
-        raise EntropyError(f"Renyi integral is not positive for subset {tuple(ranks)}")
-    return np.log(value) / (1.0 - alpha)
+    values = _quantile_integrals(_report_coefficients(set_size, subsets), term, spec)
+    return _report(model, kind, n, set_size, values)
 
 
 def renyi(
@@ -179,34 +166,30 @@ def renyi(
 ) -> EntropyReport:
     """Renyi entropy of order alpha; only 0 < alpha < 1 is defined here.
 
-    Orders above 1 are outside the supported range for subset densities and
-    are rejected.
+    Each block contributes (1/(1-α))·log ∫ f(x)^α w_r(F(x))^α dx.  Orders
+    above 1 are outside the supported range for subset densities and are
+    rejected.
+
+    :raises numerics.NumericsError: the integral did not converge, as happens
+        at very small orders on an unbounded support.
     """
     if not 0.0 < alpha < 1.0:
         raise EntropyError(
             f"Renyi order must satisfy 0 < alpha < 1 (alpha > 1 unsupported), got {alpha!r}"
         )
-    if spec is None:
-        spec = _RENYI_SPEC
     set_size, subsets = _resolve(kind, n, set_size)
+    coef = _report_coefficients(set_size, subsets)
+    lo, hi = model.support()
+    median = float(model.quantile(0.5))
 
-    def parent(t: float) -> float:
-        return float(np.exp((alpha - 1.0) * model.logpdf(model.quantile(t))))
+    def below(x: np.ndarray) -> np.ndarray:
+        return model.pdf(x) ** alpha * bernstein_series(coef, model.cdf(x))[0] ** alpha
 
-    h_parent = np.log(numerics.integrate_unit_interval(parent, spec)) / (1.0 - alpha)
-    if kind == "srs":
-        per = tuple(h_parent for _ in range(n))
-        total = float(np.sum(per))
-        return EntropyReport(kind, total, per, total, total, model.label(), _label(kind, n, 1))
-    per = tuple(_subset_renyi(model, set_size, ranks, alpha, spec) for ranks in subsets)
-    total = float(np.sum(per))
-    m = set_size // n
-    rss_all = sum(
-        _subset_renyi(model, set_size, (v,), alpha, spec) for v in range(1, set_size + 1)
-    )
-    return EntropyReport(
-        kind, total, per, rss_all / m, n * h_parent, model.label(), _label(kind, n, set_size)
-    )
+    def above(x: np.ndarray) -> np.ndarray:
+        return model.pdf(x) ** alpha * bernstein_series(coef[:, ::-1], model.sf(x))[0] ** alpha
+
+    mass = numerics.integrate(below, lo, median, spec) + numerics.integrate(above, median, hi, spec)
+    return _report(model, kind, n, set_size, np.log(mass) / (1.0 - alpha))
 
 
 def kl_pros_srs(model: Model, design: Design, spec: QuadratureSpec | None = None) -> float:
@@ -217,17 +200,8 @@ def kl_pros_srs(model: Model, design: Design, spec: QuadratureSpec | None = None
     """
     if not design.is_balanced:
         raise EntropyError("KL information is defined here for balanced designs")
-    total = 0.0
-    for ranks in design.subsets:
-
-        def integrand(t: float, ranks: tp.Sequence[int] = ranks) -> float:
-            w = block_weight(design.set_size, ranks, t)
-            if not w > 0.0:
-                return 0.0
-            return w * np.log(w)
-
-        total += numerics.integrate_unit_interval(integrand, spec)
-    return float(total)
+    coef = _coefficients(design.set_size, design.subsets)
+    return float(np.sum(_quantile_integrals(coef, lambda t, w: sps.xlogy(w, w), spec)))
 
 
 def kl_likelihood_chain(
@@ -248,7 +222,6 @@ def kl_likelihood_chain(
         raise EntropyError("the likelihood chain is defined for balanced designs")
     delta = shift * model.std()
     S, n = design.set_size, design.n
-    m = design.m
 
     probe = np.linspace(1e-6, 1.0 - 1e-6, 257)
     if np.any(np.asarray(model.pdf(np.asarray(model.quantile(probe)) + delta)) <= 0.0):
@@ -256,21 +229,9 @@ def kl_likelihood_chain(
             "KL divergence is infinite: the shifted density vanishes on the parent support"
         )
 
-    def log_ratio(t: float) -> float:
+    def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = model.quantile(t)
-        return float(model.logpdf(x) - model.logpdf(x + delta))
+        return sps.xlogy(w, w) + w * (model.logpdf(x) - model.logpdf(x + delta))
 
-    k1 = numerics.integrate_unit_interval(log_ratio, spec)
-
-    def subset_term(ranks: tp.Sequence[int]) -> float:
-        def integrand(t: float) -> float:
-            w = block_weight(S, ranks, t)
-            if not w > 0.0:
-                return 0.0
-            return w * (np.log(w) + log_ratio(t))
-
-        return numerics.integrate_unit_interval(integrand, spec)
-
-    k_pros = sum(subset_term(ranks) for ranks in design.subsets)
-    k_rss = sum(subset_term((v,)) for v in range(1, S + 1))
-    return float(n * k1), float(k_pros), float(k_rss / m)
+    k = _quantile_integrals(_report_coefficients(S, design.subsets), term, spec)
+    return float(n * k[0]), float(np.sum(k[1 : n + 1])), float(np.sum(k[n + 1 :]) / design.m)

@@ -446,9 +446,12 @@ def verify_lemma_identity(
     """
     n, S = design.n, design.set_size
     alpha = identity_alpha(n)
-    reference = n * (S - 1) * numerics.integrate_expectation(
-        model, lambda v: float(np.asarray(G(np.asarray(v)))), spec
-    )
+    eps = (spec or numerics.QuadratureSpec()).endpoint_clip
+
+    def g_of_quantile(u: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(G(model.quantile(u)), dtype=float), u.shape)[None]
+
+    reference = n * (S - 1) * float(numerics.integrate(g_of_quantile, eps, 1.0 - eps, spec)[0])
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         t0 = np.zeros(count)

@@ -111,14 +111,21 @@ class Model:
         return out if np.ndim(x) else float(out)
 
     def cdf(self, x: FloatArray) -> FloatArray:
+        return self._clamped(_family(self.family).cdf, 0.0, x)
+
+    def sf(self, x: FloatArray) -> FloatArray:
+        """Survival function 1 - F(x), with full relative precision where F(x) rounds to 1."""
+        return self._clamped(_family(self.family).sf, 1.0, x)
+
+    def _clamped(self, fn: tp.Callable, below: float, x: FloatArray) -> FloatArray:
         lo, hi = self.support()
         xa = np.asarray(x, dtype=float)
         out = np.empty_like(xa)
         inside = (xa > lo) & (xa < hi)
-        out[xa <= lo] = 0.0
-        out[xa >= hi] = 1.0
+        out[xa <= lo] = below
+        out[xa >= hi] = 1.0 - below
         if np.any(inside):
-            out[inside] = np.clip(_family(self.family).cdf(self._ctx(), xa[inside]), 0.0, 1.0)
+            out[inside] = np.clip(fn(self._ctx(), xa[inside]), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
     def logpdf(self, x: FloatArray) -> FloatArray:
@@ -229,6 +236,7 @@ class _Family:
     support: tp.Callable[[dict[str, float]], tuple[float, float]]
     pdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     quantile: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     cdf_deriv: tp.Callable[[dict[str, float], str, np.ndarray], np.ndarray]
     logpdf_deriv: tp.Callable[[dict[str, float], str, np.ndarray], np.ndarray]
@@ -264,8 +272,9 @@ def _logistic_cdf(c, x):
 
 
 def _logistic_pdf(c, x):
-    G = _logistic_cdf(c, x)
-    return G * (1.0 - G) / c["sigma"]
+    # symmetric in z, so neither tail loses the density to 1 - G rounding to 0
+    e = np.exp(-np.abs((x - c["mu"]) / c["sigma"]))
+    return e / (1.0 + e) ** 2 / c["sigma"]
 
 
 def _logistic_cdf_deriv(c, name, x):
@@ -377,6 +386,7 @@ _FAMILIES: dict[str, _Family] = {
         support=lambda c: (-math.inf, math.inf),
         pdf=_normal_pdf,
         cdf=lambda c, x: sps.ndtr((x - c["mu"]) / c["sigma"]),
+        sf=lambda c, x: sps.ndtr((c["mu"] - x) / c["sigma"]),
         quantile=lambda c, u: c["mu"] + c["sigma"] * sps.ndtri(u),
         cdf_deriv=_normal_cdf_deriv,
         logpdf_deriv=_normal_logpdf_deriv,
@@ -393,6 +403,7 @@ _FAMILIES: dict[str, _Family] = {
         support=lambda c: (0.0, math.inf),
         pdf=_exponential_pdf,
         cdf=lambda c, x: -np.expm1(-x / c["sigma"]),
+        sf=lambda c, x: np.exp(-x / c["sigma"]),
         quantile=lambda c, u: -c["sigma"] * np.log1p(-u),
         cdf_deriv=lambda c, name, x: -(x / c["sigma"]) * _exponential_pdf(c, x),
         logpdf_deriv=lambda c, name, x: (x / c["sigma"] - 1.0) / c["sigma"],
@@ -409,6 +420,7 @@ _FAMILIES: dict[str, _Family] = {
         support=lambda c: (-math.inf, math.inf),
         pdf=_logistic_pdf,
         cdf=_logistic_cdf,
+        sf=lambda c, x: sps.expit((c["mu"] - x) / c["sigma"]),
         quantile=lambda c, u: c["mu"] + c["sigma"] * (np.log(u) - np.log1p(-u)),
         cdf_deriv=_logistic_cdf_deriv,
         logpdf_deriv=_logistic_logpdf_deriv,
@@ -425,6 +437,7 @@ _FAMILIES: dict[str, _Family] = {
         support=lambda c: (-math.inf, math.inf),
         pdf=_gumbel_min_pdf,
         cdf=_gumbel_min_cdf,
+        sf=lambda c, x: np.exp(-np.exp((x - c["mu"]) / c["sigma"])),
         quantile=lambda c, u: c["mu"] + c["sigma"] * np.log(-np.log1p(-u)),
         cdf_deriv=_gumbel_min_cdf_deriv,
         logpdf_deriv=_gumbel_min_logpdf_deriv,
@@ -441,6 +454,7 @@ _FAMILIES: dict[str, _Family] = {
         support=lambda c: (0.0, math.inf),
         pdf=_gamma_pdf,
         cdf=lambda c, x: sps.gammainc(c["shape"], x / c["sigma"]),
+        sf=lambda c, x: sps.gammaincc(c["shape"], x / c["sigma"]),
         quantile=lambda c, u: c["sigma"] * sps.gammaincinv(c["shape"], u),
         cdf_deriv=lambda c, name, x: -(x / c["sigma"]) * _gamma_pdf(c, x),
         logpdf_deriv=lambda c, name, x: (x / c["sigma"] - c["shape"]) / c["sigma"],
@@ -462,6 +476,7 @@ _FAMILIES: dict[str, _Family] = {
         support=lambda c: (c["loc"], c["loc"] + c["scale"]),
         pdf=_uniform_pdf,
         cdf=lambda c, x: (x - c["loc"]) / c["scale"],
+        sf=lambda c, x: (c["loc"] + c["scale"] - x) / c["scale"],
         quantile=lambda c, u: c["loc"] + c["scale"] * u,
         cdf_deriv=_uniform_cdf_deriv,
         logpdf_deriv=lambda c, name, x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -478,6 +493,7 @@ _FAMILIES: dict[str, _Family] = {
         support=lambda c: (0.0, math.inf),
         pdf=_mixture_pdf,
         cdf=_mixture_cdf,
+        sf=lambda c, x: c["pi"] * np.exp(-c["h"] * x) + (1.0 - c["pi"]) * np.exp(-x),
         quantile=_mixture_quantile,
         cdf_deriv=_mixture_cdf_deriv,
         logpdf_deriv=_mixture_logpdf_deriv,

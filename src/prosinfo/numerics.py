@@ -1,13 +1,14 @@
 """Deterministic quadrature, small symmetric-matrix algebra, and reproducible Monte Carlo.
 
-Everything here is plumbing shared by the statistical modules: expectations are
-evaluated on the quantile-transformed domain so endpoint-singular integrands such
-as 1/(F(1-F)) become 1/(u(1-u)), and Monte Carlo means are bit-reproducible for a
-fixed seed; their `workers` count is advisory, as a thread pool gained little on
-the mostly GIL-bound chunks.  Scalar integrals use adaptive QUADPACK quadrature;
-every Fisher-information matrix goes through integrate_gram, one vectorised
-tanh-sinh pass (Takahasi & Mori, 1974) for all entries of a weighted score outer
-product.
+Everything here is plumbing shared by the statistical modules.  Every integral
+goes through integrate, one vectorised tanh-sinh pass (Takahasi & Mori, 1974)
+over finite or infinite limits that integrates all rows of a vector integrand
+together and stops when successive levels agree.  Expectations are evaluated on
+the quantile-transformed domain so endpoint-singular integrands such as
+1/(F(1-F)) become 1/(u(1-u)); integrate_gram builds every Fisher-information
+matrix on it as a weighted score outer product.  Monte Carlo means are
+bit-reproducible for a fixed seed; their `workers` count is advisory, as a
+thread pool gained little on the mostly GIL-bound chunks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class QuadratureNonConvergence(NumericsError):
 
 
 class IntegrandEvaluationError(NumericsError):
-    """The integrand returned a non-finite value at a known quantile u."""
+    """The integrand returned a non-finite value at a known abscissa u (a quantile, or x on the x-scale)."""
 
     def __init__(self, message: str, u: float):
         super().__init__(f"{message} at u={u!r}")
@@ -58,27 +59,23 @@ class ReplicateError(NumericsError):
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for quadrature on the unit quantile interval.
+    """Tolerances of the tanh-sinh rule in integrate, and the quantile-domain clip.
 
-    :param rtol: Relative tolerance of both rules: QUADPACK in
-        integrate_unit_interval and tanh-sinh in integrate_gram.
-    :param atol: Absolute tolerance of both rules.
-    :param max_subdivisions: Subdivision budget of the QUADPACK path
-        (integrate_unit_interval) only; integrate_gram refines to a fixed
-        finest tanh-sinh level.
-    :param endpoint_clip: Half-width epsilon of the clipped domain (eps, 1-eps).
+    :param rtol: Relative tolerance on the change between successive levels,
+        shared by every row of one integrate pass.
+    :param atol: Absolute tolerance on that change.
+    :param endpoint_clip: Half-width epsilon of the clipped quantile domain
+        (eps, 1-eps) of integrate_gram and integrate_unit_interval; integrals
+        on the x-scale use the support's own limits.
     """
 
     rtol: float = 1e-8
     atol: float = 1e-12
-    max_subdivisions: int = 200
     endpoint_clip: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
         if not (0.0 < self.endpoint_clip <= 1e-6):
             raise ValueError("endpoint_clip must lie in (0, 1e-6]")
 
@@ -170,71 +167,45 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def integrate_unit_interval(fn: tp.Callable[[float], float], spec: QuadratureSpec | None = None) -> float:
-    """Integrate fn over the clipped unit interval (eps, 1-eps).
-
-    :raises QuadratureNonConvergence: tolerance not reached within the budget.
-    :raises IntegrandEvaluationError: fn returned NaN/inf at some u.
-    """
-    spec = spec or QuadratureSpec()
-
-    def checked(u: float) -> float:
-        v = fn(u)
-        if not math.isfinite(v):
-            raise IntegrandEvaluationError("integrand is not finite", u=float(u))
-        return v
-
-    out = scipy.integrate.quad(
-        checked,
-        spec.endpoint_clip,
-        1.0 - spec.endpoint_clip,
-        epsabs=spec.atol,
-        epsrel=spec.rtol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    if len(out) > 3:
-        value, abserr = float(out[0]), float(out[1])
-        # scipy's roundoff heuristics can flag piecewise-smooth integrands whose
-        # reported error bound already meets the requested tolerance
-        if abserr <= max(spec.atol, spec.rtol * abs(value)):
-            return value
-        raise QuadratureNonConvergence(f"quadrature did not converge: {out[3]}", value, abserr)
-    return float(out[0])
-
-
-def integrate_gram(
-    fn: tp.Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    p: int,
+def integrate(
+    fn: tp.Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
     spec: QuadratureSpec | None = None,
 ) -> np.ndarray:
-    """The p x p matrix int sum_b w_b(u) v_b(u) v_b(u)^T du over (eps, 1-eps).
+    """The integrals over (a, b) of every row of fn; either limit may be infinite.
 
-    fn maps a 1-d array u to (v, w) of shapes (k, len(u), p) and (k, len(u));
-    a term whose weight is not positive contributes nothing, so v may be
-    non-finite there.  One tanh-sinh pass integrates every entry, calling fn
-    once per batch of abscissae, and stops when no entry moved from the
-    previous level by more than max(atol, rtol * max |entry|).  The tolerance is
-    shared because an entry that is zero by symmetry never meets one relative
-    to itself.  The change between levels bounds the coarser level's error, so
-    the finer level returned lies well inside the tolerance.
+    fn maps a 1-d array x to an array of shape (k, len(x)).  One tanh-sinh pass
+    integrates every row, calling fn once per batch of abscissae, and stops when
+    no row moved from the previous level by more than
+    max(atol, rtol * max |integral|).  The tolerance is shared because a row
+    that is zero by symmetry never meets one relative to itself.  The change
+    between levels bounds the coarser level's error, so the finer level returned
+    lies well inside the tolerance.  Returns shape (k,).
 
     :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
-    :raises IntegrandEvaluationError: a term with positive weight is not finite.
+    :raises IntegrandEvaluationError: fn returned a non-finite value.
     """
     spec = spec or QuadratureSpec()
-    rows, cols = np.triu_indices(p)
+
+    def rows(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.array(fn(x), dtype=float)
+        # at an infinite abscissa tanhsinh itself takes the nearest finite value
+        bad = ~np.all(np.isfinite(out), axis=0) & np.isfinite(x)
+        if np.any(bad):
+            raise IntegrandEvaluationError("integrand is not finite", u=float(x[np.argmax(bad)]))
+        return out
+
+    # tanhsinh needs the number of rows up front, so probe one interior point
+    if math.isfinite(a) and math.isfinite(b):
+        probe = 0.5 * (a + b)
+    else:
+        probe = a + 1.0 if math.isfinite(a) else b - 1.0 if math.isfinite(b) else 0.0
+    k = rows(np.array([probe])).shape[0]
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(x[0])  # every entry shares the same abscissae
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v, w = (np.asarray(a, dtype=float) for a in fn(u))
-            terms = np.where(w[..., None] > 0.0, w[..., None] * v[..., rows] * v[..., cols], 0.0)
-        out = terms.sum(axis=0).T
-        bad = ~np.all(np.isfinite(out), axis=0)
-        if np.any(bad):
-            raise IntegrandEvaluationError("integrand is not finite", u=float(u[np.argmax(bad)]))
-        return out.reshape(x.shape)
+        return rows(np.atleast_1d(x[0])).reshape(x.shape)  # every row shares the abscissae
 
     previous: np.ndarray | None = None
     change = math.inf
@@ -250,13 +221,13 @@ def integrate_gram(
         previous = np.array(res.integral)
 
     # tanh-sinh's own error estimate changes with the units of the integrand and
-    # certified errors of 2e-7 at S = 64, so entry tolerances of 0 leave the
+    # certified errors of 2e-7 at S = 64, so row tolerances of 0 leave the
     # stopping rule to the callback.  Comparing levels 4 and 5 first keeps two
     # coarse grids that both miss a sharp peak from agreeing.
     res = scipy.integrate.tanhsinh(
         integrand,
-        np.full(rows.size, spec.endpoint_clip),
-        1.0 - spec.endpoint_clip,
+        np.full(k, float(a)),
+        float(b),
         atol=0.0,
         rtol=0.0,
         minlevel=4,
@@ -265,10 +236,46 @@ def integrate_gram(
     )
     if np.any(res.status != -4):
         raise QuadratureNonConvergence(
-            "matrix quadrature did not converge", float(np.max(np.abs(res.integral))), change
+            "quadrature did not converge", float(np.max(np.abs(res.integral))), change
         )
+    return np.asarray(res.integral, dtype=float)
+
+
+def integrate_unit_interval(fn: tp.Callable[[float], float], spec: QuadratureSpec | None = None) -> float:
+    """Integrate the scalar function fn over the clipped unit interval (eps, 1-eps)."""
+    spec = spec or QuadratureSpec()
+
+    def row(u: np.ndarray) -> list[list[float]]:
+        return [[fn(float(v)) for v in u]]
+
+    return float(integrate(row, spec.endpoint_clip, 1.0 - spec.endpoint_clip, spec)[0])
+
+
+def integrate_gram(
+    fn: tp.Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    p: int,
+    spec: QuadratureSpec | None = None,
+) -> np.ndarray:
+    """The p x p matrix int sum_b w_b(u) v_b(u) v_b(u)^T du over (eps, 1-eps).
+
+    fn maps a 1-d array u to (v, w) of shapes (k, len(u), p) and (k, len(u));
+    a term whose weight is not positive contributes nothing, so v may be
+    non-finite there.  The p(p+1)/2 distinct entries are the rows of one
+    integrate pass, under its shared tolerance.
+
+    :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
+    :raises IntegrandEvaluationError: a term with positive weight is not finite.
+    """
+    spec = spec or QuadratureSpec()
+    rows, cols = np.triu_indices(p)
+
+    def entries(u: np.ndarray) -> np.ndarray:
+        v, w = (np.asarray(a, dtype=float) for a in fn(u))
+        terms = np.where(w[..., None] > 0.0, w[..., None] * v[..., rows] * v[..., cols], 0.0)
+        return terms.sum(axis=0).T
+
     out = np.zeros((p, p))
-    out[rows, cols] = out[cols, rows] = res.integral
+    out[rows, cols] = out[cols, rows] = integrate(entries, spec.endpoint_clip, 1.0 - spec.endpoint_clip, spec)
     return out
 
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from prosinfo import (
     Design,
     EntropyError,
+    NumericsError,
     kl_likelihood_chain,
     kl_pros_srs,
     make_balanced_design,
@@ -15,6 +17,46 @@ from prosinfo import (
 )
 
 LN_2PIE = math.log(2.0 * math.pi * math.e)
+EULER_GAMMA = 0.5772156649015329
+GAMMA_SHAPE = 2.0  # the gamma family's default shape
+
+
+def _renyi_closed_form(fam, a, s):
+    """Parent Renyi entropy of order a at scale s (Song, 2001)."""
+    if fam == "normal":
+        return 0.5 * math.log(2.0 * math.pi * s * s) - math.log(a) / (2.0 * (1.0 - a))
+    if fam == "exponential":
+        return math.log(a) / (a - 1.0) + math.log(s)
+    if fam == "logistic":
+        return sps.betaln(a, a) / (1.0 - a) + math.log(s)
+    if fam == "extreme_value":
+        return (sps.gammaln(a) - a * math.log(a)) / (1.0 - a) + math.log(s)
+    if fam == "gamma":
+        # int f^a = s^(1-a) Gamma(a(k-1)+1) / (Gamma(k)^a a^(a(k-1)+1))
+        k = GAMMA_SHAPE
+        log_mass = ((1.0 - a) * math.log(s) + sps.gammaln(a * (k - 1.0) + 1.0)
+                    - a * sps.gammaln(k) - (a * (k - 1.0) + 1.0) * math.log(a))
+        return log_mass / (1.0 - a)
+    return math.log(s)  # uniform
+
+
+def _shannon_closed_form(fam, s):
+    k = GAMMA_SHAPE
+    return math.log(s) + {
+        "normal": 0.5 * LN_2PIE,
+        "exponential": 1.0,
+        "logistic": 2.0,
+        "extreme_value": EULER_GAMMA + 1.0,
+        "gamma": k + sps.gammaln(k) + (1.0 - k) * sps.digamma(k),
+        "uniform": 0.0,
+    }[fam]
+
+
+def _scaled(fam, s):
+    return make_model(fam, **({"scale": s} if fam == "uniform" else {"sigma": s}))
+
+
+ORACLE_FAMILIES = ("normal", "exponential", "logistic", "extreme_value", "gamma", "uniform")
 
 
 def test_shannon_srs_uniform_is_zero():
@@ -156,6 +198,11 @@ def test_kl_chain_exponential_exact():
     np.testing.assert_allclose(lo, 2.0 * 0.5, atol=1e-9)
     lo3, _, _ = kl_likelihood_chain(make_model("exponential"), make_balanced_design(6, 3), shift=0.25)
     np.testing.assert_allclose(lo3, 3.0 * 0.25, atol=1e-9)
+    # each RSS rank adds the shift less the entropy of its Beta(v, S+1-v) quantile density
+    from scipy.stats import beta
+
+    rss = sum(0.5 - beta(v, 7 - v).entropy() for v in range(1, 7))
+    np.testing.assert_allclose(hi, rss / 3.0, rtol=1e-9)
 
 
 def test_kl_chain_uniform_diverges():
@@ -168,3 +215,38 @@ def test_report_labels():
     assert "pros" in report.design_label
     assert "normal" in report.model_label
     assert len(report.per_subset) == 2
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+@pytest.mark.parametrize("s", (1.0, 2.5))
+@pytest.mark.parametrize("a", (0.03, 0.1, 0.25, 0.5, 0.9))
+def test_renyi_parent_matches_closed_form(fam, s, a):
+    got = renyi(_scaled(fam, s), a, kind="srs", n=1).total
+    np.testing.assert_allclose(got, _renyi_closed_form(fam, a, s), rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+@pytest.mark.parametrize("s", (1.0, 2.5))
+def test_shannon_parent_matches_closed_form(fam, s):
+    got = shannon(_scaled(fam, s), kind="srs", n=1).total
+    np.testing.assert_allclose(got, _shannon_closed_form(fam, s), rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_renyi_refuses_orders_it_cannot_certify(fam):
+    if fam == "uniform":  # a bounded support stays exact
+        got = renyi(_scaled(fam, 2.5), 0.01, kind="srs", n=1).total
+        np.testing.assert_allclose(got, math.log(2.5), rtol=1e-12)
+        return
+    # at order 0.01 the tails of f^a carry mass that no level of the rule resolves
+    for kind, set_size in (("srs", None), ("pros", 6)):
+        with pytest.raises(NumericsError):
+            renyi(make_model(fam), 0.01, kind=kind, n=2, set_size=set_size)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES + ("exp_mixture",))
+@pytest.mark.parametrize("a", (0.03, 0.1))
+def test_renyi_small_orders_keep_the_sandwich(fam, a):
+    report = renyi(make_model(fam), a, kind="pros", n=3, set_size=24)
+    assert report.lower_bound <= report.total <= report.upper_bound
+

@@ -117,6 +117,42 @@ def test_pdf_is_cdf_derivative(fam):
         np.testing.assert_allclose(model.pdf(x), fd, atol=1e-6)
 
 
+def test_logistic_pdf_in_both_tails():
+    import scipy.stats
+
+    model = make_model("logistic", mu=1.0, sigma=2.0)
+    z = np.linspace(-700.0, 700.0, 2801)
+    x = 1.0 + 2.0 * z
+    want = scipy.stats.logistic.pdf(x, loc=1.0, scale=2.0)
+    np.testing.assert_allclose(model.pdf(x), want, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(model.pdf(1.0 + 2.0 * z), model.pdf(1.0 - 2.0 * z))
+    assert make_model("logistic").pdf(40.0) == make_model("logistic").pdf(-40.0) > 0.0
+
+
+@pytest.mark.parametrize("fam", family_names())
+def test_sf_is_the_upper_tail(fam):
+    import scipy.stats
+
+    model = make_model(fam)
+    xs = np.asarray(model.quantile(U_GRID))
+    np.testing.assert_allclose(model.sf(xs), 1.0 - U_GRID, rtol=1e-10)
+    lo, hi = model.support()
+    assert model.sf(lo) == 1.0 and model.sf(hi) == 0.0
+    # far in the upper tail, where the cdf rounds to 1
+    far = {
+        "normal": (30.0, scipy.stats.norm.sf(30.0)),
+        "logistic": (40.0, scipy.stats.logistic.sf(40.0)),
+        "extreme_value": (4.0, math.exp(-math.exp(4.0))),
+        "exponential": (40.0, math.exp(-40.0)),
+        "gamma": (50.0, scipy.stats.gamma.sf(50.0, 2.0)),
+        "exp_mixture": (80.0, 0.5 * math.exp(-40.0) + 0.5 * math.exp(-80.0)),
+    }
+    if fam in far:
+        x, want = far[fam]
+        assert model.cdf(x) == 1.0
+        np.testing.assert_allclose(model.sf(x), want, rtol=1e-12)
+
+
 @pytest.mark.parametrize("fam", family_names())
 def test_mean_and_var_match_numeric_integrals(fam):
     from prosinfo import integrate_expectation

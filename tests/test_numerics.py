@@ -13,6 +13,7 @@ from prosinfo.numerics import (
     QuadratureSpec,
     ReplicateError,
     det_small,
+    integrate,
     integrate_expectation,
     integrate_gram,
     integrate_unit_interval,
@@ -27,8 +28,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rtol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(atol=-1e-12)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
     with pytest.raises(ValueError):
         QuadratureSpec(endpoint_clip=0.0)
     with pytest.raises(ValueError):
@@ -62,11 +61,24 @@ def test_integrate_rejects_non_finite_integrand():
 
 
 def test_integrate_reports_non_convergence():
-    spec = QuadratureSpec(rtol=1e-13, atol=1e-15, max_subdivisions=1)
+    # 1000 periods outrun the finest tanh-sinh level at a 1e-13 tolerance
+    def fast_oscillation(u):
+        return np.sin(2000.0 * math.pi * u)[None] ** 2
+
+    spec = QuadratureSpec(rtol=1e-13, atol=1e-15)
     with pytest.raises(QuadratureNonConvergence) as err:
-        integrate_unit_interval(lambda u: math.sin(50.0 * math.pi * u) ** 2, spec)
+        integrate(fast_oscillation, spec.endpoint_clip, 1.0 - spec.endpoint_clip, spec)
     assert math.isfinite(err.value.estimate)
     assert err.value.error_bound > 0.0
+
+
+@pytest.mark.parametrize(
+    "a,b,scale", ((-math.inf, math.inf, 1.0), (0.0, math.inf, 0.5), (-math.inf, 0.0, 0.5))
+)
+def test_integrate_infinite_limits_vector(a, b, scale):
+    # a Gaussian and an algebraic tail share one pass
+    got = integrate(lambda x: np.stack([np.exp(-x * x), 1.0 / (1.0 + x * x)]), a, b)
+    np.testing.assert_allclose(got, [scale * math.sqrt(math.pi), scale * math.pi], rtol=1e-12)
 
 
 def _exponential_rank_integrand():

@@ -204,11 +204,27 @@ def test_cli_entropy_kl(capsys):
     assert "kl(pros,srs)" in out
 
 
-def test_cli_renyi_order_required():
+def test_cli_entropy_logistic_large_set(capsys):
+    rc = main(["entropy", "--family", "logistic", "--set-size", "24", "--subsets", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "total = 3.719858" in out
+    assert "upper_bound = 6.000000" in out
+
+
+def test_cli_renyi_order_required(capsys):
     assert main(["entropy", "--family", "normal", "--measure", "renyi",
                  "--subsets", "2", "--set-size", "6"]) == 2
     assert main(["entropy", "--family", "normal", "--measure", "renyi", "--order", "1.5",
                  "--subsets", "2", "--set-size", "6"]) == 2
+    capsys.readouterr()
+    # an order whose integral cannot be certified is refused in one line, never printed
+    for fam in ("normal", "extreme_value"):
+        assert main(["entropy", "--family", fam, "--measure", "renyi", "--order", "0.01",
+                     "--subsets", "2", "--set-size", "6"]) == 3, fam
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_cli_sample_csv(capsys):
