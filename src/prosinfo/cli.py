@@ -115,12 +115,18 @@ class TableCell:
     method: str
 
 
+def _fixed(value: float) -> str:
+    """value to six decimals; a value that rounds to zero prints without a sign."""
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
 def cells_to_csv(cells: tp.Sequence[TableCell]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["row_label", "col_label", "estimate", "mc_stderr", "method"])
     for c in cells:
-        writer.writerow([c.row_label, c.col_label, f"{c.estimate:.6f}", f"{c.mc_stderr:.6f}", c.method])
+        writer.writerow([c.row_label, c.col_label, _fixed(c.estimate), _fixed(c.mc_stderr), c.method])
     return buf.getvalue()
 
 
@@ -457,9 +463,9 @@ def _fi_entry_pairs(fi: information.FIResult, names: tp.Sequence[str]) -> list[t
     p = fi.p
     for j in range(p):
         for k in range(j, p):
-            value = f"{fi.matrix[j, k]:.6f}"
+            value = _fixed(fi.matrix[j, k])
             if fi.std_errors is not None:
-                value += f" (se {fi.std_errors[j, k]:.6f})"
+                value += f" (se {_fixed(fi.std_errors[j, k])})"
             pairs.append((f"fi[{names[j]},{names[k]}]", value))
     return pairs
 
@@ -507,10 +513,10 @@ def _run_fisher(cfg: RunConfig) -> str:
     re1 = _rel(fi.matrix, information.fisher_srs(model, count))
     pairs = [("model", model.label()), ("design", fi.design_label), ("method", fi.method)]
     pairs += _fi_entry_pairs(fi, model.active)
-    pairs.append(("det", f"{fi.det():.6f}"))
-    pairs.append(("re1", f"{re1:.6f}"))
+    pairs.append(("det", _fixed(fi.det())))
+    pairs.append(("re1", _fixed(re1)))
     if re2 is not None:
-        pairs.append(("re2", f"{re2:.6f}"))
+        pairs.append(("re2", _fixed(re2)))
     return _report_lines(pairs, cfg.fmt)
 
 
@@ -521,7 +527,7 @@ def _run_entropy(cfg: RunConfig) -> str:
         design = make_balanced_design(set_size, n)
         value = entropy_lib.kl_pros_srs(model, design)
         return _report_lines(
-            [("model", model.label()), ("design", design.label()), ("kl(pros,srs)", f"{value:.6f}")],
+            [("model", model.label()), ("design", design.label()), ("kl(pros,srs)", _fixed(value))],
             cfg.fmt,
         )
     n = cfg.subsets if cfg.subsets is not None else 1
@@ -534,12 +540,11 @@ def _run_entropy(cfg: RunConfig) -> str:
     else:
         raise CLIError(f"--measure must be shannon, renyi, or kl, got {cfg.measure!r}")
     pairs = [("model", report.model_label), ("design", report.design_label), ("measure", cfg.measure)]
-    # the + 0.0 normalizes negative zero
-    pairs += [(f"subset {i}", f"{h + 0.0:.6f}") for i, h in enumerate(report.per_subset, start=1)]
+    pairs += [(f"subset {i}", _fixed(h)) for i, h in enumerate(report.per_subset, start=1)]
     pairs += [
-        ("total", f"{report.total + 0.0:.6f}"),
-        ("lower_bound", f"{report.lower_bound + 0.0:.6f}"),
-        ("upper_bound", f"{report.upper_bound + 0.0:.6f}"),
+        ("total", _fixed(report.total)),
+        ("lower_bound", _fixed(report.lower_bound)),
+        ("upper_bound", _fixed(report.upper_bound)),
     ]
     return _report_lines(pairs, cfg.fmt)
 

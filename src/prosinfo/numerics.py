@@ -3,7 +3,10 @@
 Everything here is plumbing shared by the statistical modules.  Every integral
 goes through integrate, one vectorised tanh-sinh pass (Takahasi & Mori, 1974)
 over finite or infinite limits that integrates all rows of a vector integrand
-together and stops when successive levels agree.  Expectations are evaluated on
+together.  Its level loop runs in numpy over node tables built once at import
+(the scheme of Bailey, Jeyabalan & Li, 2005): it sums levels 0..MIN_LEVEL = 4,
+adds one level of new nodes per step, and stops when successive levels agree,
+or raises at MAX_LEVEL = 10.  Expectations are evaluated on
 the quantile-transformed domain so endpoint-singular integrands such as
 1/(F(1-F)) become 1/(u(1-u)); integrate_gram builds every Fisher-information
 matrix on it as a weighted score outer product.  Monte Carlo means are
@@ -19,13 +22,17 @@ import math
 import typing as tp
 
 import numpy as np
-import scipy.integrate
 
 DEFAULT_SEED = 20240101
 
 # Fixed batch granularity of the Monte Carlo reduction.  Results depend on this
 # value, so it is a constant, not a knob.
 CHUNK_SIZE = 4096
+
+# Levels of the tanh-sinh rule in integrate; comparing levels 4 and 5 first
+# keeps two coarse grids that both miss a sharp peak from agreeing.
+MIN_LEVEL = 4
+MAX_LEVEL = 10
 
 
 class NumericsError(Exception):
@@ -60,6 +67,8 @@ class ReplicateError(NumericsError):
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances of the tanh-sinh rule in integrate, and the quantile-domain clip.
+
+    The rule's levels run from the constant MIN_LEVEL to the constant MAX_LEVEL.
 
     :param rtol: Relative tolerance on the change between successive levels,
         shared by every row of one integrate pass.
@@ -167,6 +176,58 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _level_tables() -> list[tuple[float, np.ndarray, np.ndarray]]:
+    # Bailey, Jeyabalan & Li's nodes x_j = tanh(pi/2 sinh(jh)) on (-1, 1), with
+    # weights pi/2 cosh(jh) / cosh^2(pi/2 sinh(jh)), in scipy's scheme: the base
+    # step is the largest whose complement 1 - x stays a normal number at j = 8;
+    # level 0 takes j = 0..8 with the centre, which each side counts once, at
+    # half weight; each later level halves h and adds the odd j only.  Returns
+    # (h, 1 - x, w): one table for levels 0..MIN_LEVEL at MIN_LEVEL's step, then
+    # one per later level holding its new nodes.
+    h0 = math.asinh(math.log(2.0 / (4.0 * np.finfo(float).tiny) - 1.0) / math.pi) / 8
+    levels = []
+    for level in range(MAX_LEVEL + 1):
+        h = h0 / 2**level
+        j = np.arange(9) if level == 0 else np.arange(1, 8 * 2**level + 1, 2)
+        u1 = math.pi / 2 * np.cosh(j * h)
+        u2 = math.pi / 2 * np.sinh(j * h)
+        w = u1 / np.cosh(u2) ** 2
+        if level == 0:
+            w[0] /= 2
+        levels.append((h, 1.0 / (np.exp(u2) * np.cosh(u2)), w))
+    first = levels[: MIN_LEVEL + 1]
+    xc, w = (np.concatenate([table[i] for table in first]) for i in (1, 2))
+    return [(levels[MIN_LEVEL][0], xc, w)] + levels[MIN_LEVEL + 1 :]
+
+
+_LEVELS = _level_tables()
+
+
+def _abscissae(xc: np.ndarray, w: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Table nodes 1 - xc and -1 + xc of weight w, mapped to (a, b) for a <= b.
+
+    Infinite limits substitute x = 1/t - 1 + a on (0, 1) for b = inf, its reflection
+    for a = -inf, and t/(1 - t^2) on (-1, 1) for both.  Nodes that round onto a limit
+    of t, or whose x or weight is not finite, are dropped.
+    """
+    finite_a, finite_b = math.isfinite(a), math.isfinite(b)
+    lo, hi = (a, b) if finite_a and finite_b else (0.0, 1.0) if finite_a or finite_b else (-1.0, 1.0)
+    half = (hi - lo) / 2
+    t = np.concatenate((hi - half * xc, lo + half * xc))
+    wt = np.concatenate((w, w)) * half
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not (finite_a or finite_b):
+            x, wt = t / (1.0 - t * t), wt * (1.0 + t * t) / (1.0 - t * t) ** 2
+        elif not finite_b:
+            x, wt = 1.0 / t - 1.0 + a, wt / t / t
+        elif not finite_a:
+            x, wt = b + 1.0 - 1.0 / t, wt / t / t
+        else:
+            x = t
+    keep = (lo < t) & (t < hi) & np.isfinite(x) & (0.0 < wt) & (wt < math.inf)
+    return x[keep], wt[keep]
+
+
 def integrate(
     fn: tp.Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -176,69 +237,38 @@ def integrate(
     """The integrals over (a, b) of every row of fn; either limit may be infinite.
 
     fn maps a 1-d array x to an array of shape (k, len(x)).  One tanh-sinh pass
-    integrates every row, calling fn once per batch of abscissae, and stops when
-    no row moved from the previous level by more than
+    integrates every row: it sums all nodes of levels 0..MIN_LEVEL, then each
+    later level L halves the previous sum and adds its new nodes, one fn call
+    per level, and stops when no row moved from the previous level by more than
     max(atol, rtol * max |integral|).  The tolerance is shared because a row
     that is zero by symmetry never meets one relative to itself.  The change
     between levels bounds the coarser level's error, so the finer level returned
     lies well inside the tolerance.  Returns shape (k,).
 
-    :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
-    :raises IntegrandEvaluationError: fn returned a non-finite value.
+    :raises QuadratureNonConvergence: MAX_LEVEL did not reach the tolerance.
+    :raises IntegrandEvaluationError: fn returned a non-finite value at a node of positive weight.
     """
     spec = spec or QuadratureSpec()
-
-    def rows(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.array(fn(x), dtype=float)
-        # at an infinite abscissa tanhsinh itself takes the nearest finite value
-        bad = ~np.all(np.isfinite(out), axis=0) & np.isfinite(x)
-        if np.any(bad):
-            raise IntegrandEvaluationError("integrand is not finite", u=float(x[np.argmax(bad)]))
-        return out
-
-    # tanhsinh needs the number of rows up front, so probe one interior point
-    if math.isfinite(a) and math.isfinite(b):
-        probe = 0.5 * (a + b)
-    else:
-        probe = a + 1.0 if math.isfinite(a) else b - 1.0 if math.isfinite(b) else 0.0
-    k = rows(np.array([probe])).shape[0]
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return rows(np.atleast_1d(x[0])).reshape(x.shape)  # every row shares the abscissae
-
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
     previous: np.ndarray | None = None
     change = math.inf
-
-    def stop_when_levels_agree(res: tp.Any) -> None:
-        nonlocal previous, change
-        if np.min(res.maxlevel) < 0:  # the callback also runs before the first level
-            return
+    for h, xc, w in _LEVELS:
+        x, wx = _abscissae(xc, w, a, b)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = np.asarray(fn(x), dtype=float)
+        bad = ~np.all(np.isfinite(values), axis=0)
+        if np.any(bad):
+            raise IntegrandEvaluationError("integrand is not finite", u=float(x[np.argmax(bad)]))
+        total = values @ wx * h
         if previous is not None:
-            change = float(np.max(np.abs(res.integral - previous)))
-            if change <= max(spec.atol, spec.rtol * float(np.max(np.abs(res.integral)))):
-                raise StopIteration
-        previous = np.array(res.integral)
-
-    # tanh-sinh's own error estimate changes with the units of the integrand and
-    # certified errors of 2e-7 at S = 64, so row tolerances of 0 leave the
-    # stopping rule to the callback.  Comparing levels 4 and 5 first keeps two
-    # coarse grids that both miss a sharp peak from agreeing.
-    res = scipy.integrate.tanhsinh(
-        integrand,
-        np.full(k, float(a)),
-        float(b),
-        atol=0.0,
-        rtol=0.0,
-        minlevel=4,
-        preserve_shape=True,
-        callback=stop_when_levels_agree,
-    )
-    if np.any(res.status != -4):
-        raise QuadratureNonConvergence(
-            "quadrature did not converge", float(np.max(np.abs(res.integral))), change
-        )
-    return np.asarray(res.integral, dtype=float)
+            total += previous / 2
+            change = float(np.max(np.abs(total - previous)))
+            if change <= max(spec.atol, spec.rtol * float(np.max(np.abs(total)))):
+                return sign * total
+        previous = total
+    raise QuadratureNonConvergence("quadrature did not converge", float(np.max(np.abs(previous))), change)
 
 
 def integrate_unit_interval(fn: tp.Callable[[float], float], spec: QuadratureSpec | None = None) -> float:

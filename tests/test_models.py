@@ -53,6 +53,19 @@ def test_exp_mixture_pdf_near_origin():
     np.testing.assert_allclose(model.pdf(1e-9), 0.8, atol=1e-8)
 
 
+@pytest.mark.parametrize("pi", (0.1, 0.5, 0.999))
+@pytest.mark.parametrize("h", (0.01, 0.5, 10.0))
+def test_exp_mixture_quantile_inverts_cdf_to_ulps(pi, h):
+    u = np.concatenate(
+        (np.logspace(-300.0, -1.0, 300), np.linspace(0.001, 0.999, 999), 1.0 - np.logspace(-1.0, -16.0, 151))
+    )
+    x = make_model("exp_mixture", pi=pi, h=h).quantile(u)
+    cdf = -(pi * np.expm1(-h * x) + (1.0 - pi) * np.expm1(-x))
+    ulps = np.abs(cdf - u) / np.spacing(u)
+    assert ulps.max() <= 4.0, (u[np.argmax(ulps)], ulps.max())
+    assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
+
+
 def test_quantile_exponential_median():
     model = make_model("exponential", sigma=2.0)
     np.testing.assert_allclose(quantile(model, 0.5), 2.0 * math.log(2.0), rtol=1e-10)
@@ -185,6 +198,34 @@ def test_fisher_unit_closed_forms():
     np.testing.assert_allclose(
         fisher_srs_unit(make_model("gamma")).as_array(), [[2.0]], atol=1e-12
     )
+
+
+def _location_scale_fisher_oracle(fam, mu, sigma):
+    # E[s s^T] on the x-scale from scipy.stats densities and scores written out
+    # here: logistic d/dmu log f = tanh(z/2)/sigma, Gumbel-min log f = z - e^z - log sigma
+    from scipy import integrate, stats
+
+    def integrand(x):
+        z = (x - mu) / sigma
+        if fam == "logistic":
+            pdf, dmu = stats.logistic.pdf(x, mu, sigma), np.tanh(z / 2.0) / sigma
+        else:
+            pdf, dmu = stats.gumbel_l.pdf(x, mu, sigma), np.expm1(z) / sigma
+        s = np.array([dmu, (z * dmu * sigma - 1.0) / sigma])
+        return np.outer(s, s) * pdf
+
+    lo, hi = (-40.0, 40.0) if fam == "logistic" else (-40.0, 6.0)
+    return integrate.quad_vec(integrand, mu + lo * sigma, mu + hi * sigma, epsabs=1e-14, epsrel=1e-12)[0]
+
+
+@pytest.mark.parametrize("fam", ("logistic", "extreme_value"))
+@pytest.mark.parametrize("mu,sigma", ((0.0, 1.0), (-1.5, 2.5)))
+def test_fisher_unit_location_scale_closed_forms(fam, mu, sigma):
+    want = _location_scale_fisher_oracle(fam, mu, sigma)
+    got = fisher_srs_unit(make_model(fam, mu=mu, sigma=sigma)).as_array()
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
+    scale_only = fisher_srs_unit(make_model(fam, active=("sigma",), mu=mu, sigma=sigma)).as_array()
+    np.testing.assert_allclose(scale_only, want[1:, 1:], rtol=1e-8)
 
 
 def test_fisher_unit_uniform_not_regular():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +82,97 @@ def test_integrate_infinite_limits_vector(a, b, scale):
     # a Gaussian and an algebraic tail share one pass
     got = integrate(lambda x: np.stack([np.exp(-x * x), 1.0 / (1.0 + x * x)]), a, b)
     np.testing.assert_allclose(got, [scale * math.sqrt(math.pi), scale * math.pi], rtol=1e-12)
+
+
+def _scipy_tanhsinh(fn, a, b, spec=None):
+    """integrate's stop rule on scipy's own tanh-sinh driver, as an independent oracle."""
+    from scipy.integrate import tanhsinh
+
+    spec = spec or QuadratureSpec()
+    lo, hi = sorted((a, b))
+    probe = next(v for v in (0.5 * (lo + hi), lo + 1.0, hi - 1.0, 0.0) if math.isfinite(v))
+    k = np.asarray(fn(np.array([probe]))).shape[0]
+    previous = []
+
+    def stop_when_levels_agree(res):
+        if np.min(res.maxlevel) < 0:
+            return
+        if previous:
+            change = np.max(np.abs(res.integral - previous[-1]))
+            if change <= max(spec.atol, spec.rtol * np.max(np.abs(res.integral))):
+                raise StopIteration
+        previous.append(np.array(res.integral))
+
+    def integrand(x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.asarray(fn(x[0]), dtype=float).reshape(x.shape)
+
+    res = tanhsinh(integrand, np.full(k, float(a)), float(b), atol=0.0, rtol=0.0, minlevel=4,
+                   preserve_shape=True, callback=stop_when_levels_agree)
+    assert np.all(res.status == -4), res.status
+    return res.integral
+
+
+_CLOSED_FORMS = (
+    # (a, b, rows of fn, their integrals)
+    (0.0, 2.0, lambda x: [np.sqrt(x), np.exp(x)], [2.0 / 3.0 * 2.0**1.5, math.expm1(2.0)]),
+    (-1.0, 3.0, lambda x: [x**3, 1.0 / (1.0 + x * x)], [20.0, math.atan(3.0) + math.pi / 4.0]),
+    (1.0, math.inf, lambda x: [np.exp(-x), x**-2.0], [math.exp(-1.0), 1.0]),
+    (0.0, math.inf, lambda x: [x * np.exp(-x), 1.0 / (1.0 + x * x)], [1.0, math.pi / 2.0]),
+    (-math.inf, 0.5, lambda x: [np.exp(-x * x), np.exp(x)], [math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(0.5)), math.exp(0.5)]),
+    (-math.inf, -1.0, lambda x: [x**-2.0, np.exp(2.0 * x)], [1.0, math.exp(-2.0) / 2.0]),
+    (-math.inf, math.inf, lambda x: [np.exp(-x * x / 2.0), 1.0 / (1.0 + x * x)], [math.sqrt(2.0 * math.pi), math.pi]),
+)
+
+
+@pytest.mark.parametrize("a,b,rows,want", _CLOSED_FORMS)
+@pytest.mark.parametrize("reverse", (False, True))
+def test_integrate_matches_scipy_tanhsinh(a, b, rows, want, reverse):
+    def fn(x):
+        return np.stack(rows(x))
+
+    if reverse:
+        a, b, want = b, a, [-w for w in want]
+    got = integrate(fn, a, b)
+    np.testing.assert_allclose(got, _scipy_tanhsinh(fn, a, b), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_information_matches_scipy_tanhsinh_at_set_size_64(monkeypatch):
+    from prosinfo import numerics
+    from prosinfo.designs import make_balanced_design, make_symmetric_alpha
+    from prosinfo.information import fi_pros_marginal, k_matrix
+
+    def compute():
+        normal = make_model("normal")
+        marginal = fi_pros_marginal(make_model("logistic"), make_balanced_design(64, 4), make_symmetric_alpha(4, 0.8))
+        return [k_matrix(normal, 4, 64).as_array(), marginal.matrix.as_array()]
+
+    got = compute()
+    monkeypatch.setattr(numerics, "integrate", _scipy_tanhsinh)
+    for mine, oracle in zip(got, compute()):
+        np.testing.assert_allclose(mine, oracle, rtol=0.0, atol=1e-13 * np.max(np.abs(oracle)))
+
+
+def test_integrate_reports_abscissa_on_an_infinite_limit():
+    def nan_beyond_ten(x):
+        return np.where(x > 10.0, np.nan, np.exp(-x))[None]
+
+    with pytest.raises(IntegrandEvaluationError) as err:
+        integrate(nan_beyond_ten, 0.0, math.inf)
+    assert 10.0 < err.value.u < math.inf
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # importing scipy.integrate took most of the package's start-up time, and
+    # the tanh-sinh kernel needs none of it
+    import prosinfo
+
+    src = os.path.dirname(os.path.dirname(prosinfo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, prosinfo, prosinfo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _exponential_rank_integrand():

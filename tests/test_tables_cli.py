@@ -169,6 +169,18 @@ def test_cli_fisher_marginal_reports_matrix(capsys):
     assert "re1" in out and "re2" in out
 
 
+@pytest.mark.parametrize("set_size,subsets,rho", (("6", "2", "0.8"), ("6", "2", "0.7"), ("12", "3", "0.8")))
+def test_cli_fisher_zero_entry_prints_unsigned(capsys, set_size, subsets, rho):
+    # the location-scale entry of a symmetric parent is zero by symmetry, and its
+    # quadrature lands within 1e-14 of 0 on either side
+    rc = main(["fisher", "--family", "normal", "--set-size", set_size, "--subsets", subsets,
+               "--alpha", f"symmetric:{rho}", "--format", "csv"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert '"fi[mu,sigma]",0.000000\n' in out
+    assert "-0.000000" not in out
+
+
 def test_cli_fisher_complete_rejects_alpha():
     rc = main(["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2",
                "--mode", "complete", "--alpha", "symmetric:0.8"])
