@@ -24,7 +24,7 @@ from .numerics import (
     mc_mean_batches,
     substream,
 )
-from .models import Model, ModelError, evaluate, family_names, fisher_srs_unit, make_model, quantile, score_cdf
+from .models import Model, ModelError, family_names, fisher_srs_unit, make_model
 from .designs import (
     Design,
     DesignError,
@@ -43,17 +43,13 @@ from .designs import (
 )
 from .densities import (
     DensityError,
-    alpha_weight,
-    alpha_weight_dt,
-    bernstein,
-    bernstein_dt,
-    bernstein_many,
+    bernstein_series,
     block_weight,
-    block_weight_dt,
     g_factor,
     imperfect_subset_pdf,
     latent_conditional,
     order_stat_pdf,
+    rank_coefficients,
     subset_pdf,
     unbalanced_subset_pdf,
     unbalanced_weight,

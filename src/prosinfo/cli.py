@@ -99,10 +99,6 @@ class RunConfig:
     fmt: str = "csv"
     output: str | None = None
 
-    def model_spec(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params)
-        return f"{self.family}({inner})" if inner else self.family
-
 
 @dataclasses.dataclass(frozen=True)
 class TableCell:
@@ -681,8 +677,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     reps = pick(args.reps, "reps", information.DEFAULT_REPS, int)
     seed = pick(args.seed, "seed", seed_fallback, int)
     workers = pick(args.workers, "workers", 1, int)
-    for name, value, least in (("reps", reps, 2), ("seed", seed, 0), ("workers", workers, 1)):
-        if value < least:
+    set_size, subsets = getattr(args, "set_size", None), getattr(args, "subsets", None)
+    for name, value, least in (
+        ("reps", reps, 2), ("seed", seed, 0), ("workers", workers, 1), ("set-size", set_size, 1), ("subsets", subsets, 1)
+    ):
+        if value is not None and value < least:
             raise CLIError(f"{name} must be at least {least}, got {value}")
     fmt = pick(args.format, "format", "csv" if args.subcommand in ("table", "sample") else "text", str)
     if fmt not in ("csv", "md", "text"):
@@ -693,8 +692,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         family=getattr(args, "family", "normal"),
         params=_parse_params(getattr(args, "params", None)),
         active=active,
-        set_size=getattr(args, "set_size", None),
-        subsets=getattr(args, "subsets", None),
+        set_size=set_size,
+        subsets=subsets,
         cycles=getattr(args, "cycles", 1),
         design_file=getattr(args, "design_file", None),
         alpha=getattr(args, "alpha", "perfect"),

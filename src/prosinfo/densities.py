@@ -8,10 +8,12 @@ because the u-th order statistic of a size-S sample has density
 f^(u:S)(x) = S b_u(F(x)) f(x).  A measured unit judged into rank block d_r then
 has density f(x) w(F(x)) where w(t) = (S/m) sum_{u in d_r} b_u(t), and
 misplacement replaces w by an alpha-weighted mixture of the per-block weights.
-Weight functions live on the quantile domain t in [0,1], where they are
-distribution-free; the *_pdf operations compose them with a model's f and F.
-All binomial coefficients go through lgamma so set sizes up to 64 evaluate
-without overflow.
+Every such weight is one row of rank coefficients, w = sum_u c_u b_u
+(rank_coefficients), and bernstein_series evaluates any stack of rows with its
+first two t-derivatives on the quantile domain t in [0,1], where the weights
+are distribution-free.  The *_pdf operations are thin compositions of one row
+with a model's f and F.  Binomial coefficients go through lgamma so set sizes
+up to 64 evaluate without overflow.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 import typing as tp
 
 import numpy as np
-import scipy.special as sps
 
 from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign
 from .models import Model
@@ -37,95 +38,19 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _bern_kn(k: int, n: int, t: np.ndarray) -> np.ndarray:
-    """Degree-n Bernstein basis polynomial C(n,k) t^k (1-t)^(n-k); zero outside 0<=k<=n."""
-    if k < 0 or k > n:
-        return np.zeros_like(t)
-    logc = _log_comb(n, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(logc + sps.xlogy(k, t) + sps.xlogy(n - k, 1.0 - t))
-    return out
+def rank_coefficients(set_size: int, blocks: Blocks, alpha_row: np.ndarray) -> np.ndarray:
+    """Coefficients c_u = sum_h alpha_row[h] (S/m_h) 1[u in blocks[h]] of the weight sum_u c_u b_u.
 
-
-def bernstein(set_size: int, u: int, t: FloatArray) -> FloatArray:
-    """b_u(t) for rank u in a size-S set; the binomial pmf term of f^(u:S)."""
-    if not 1 <= u <= set_size:
-        raise DensityError(f"rank must lie in 1..{set_size}, got {u}")
-    ta = np.asarray(t, dtype=float)
-    out = _bern_kn(u - 1, set_size - 1, ta)
-    return out if np.ndim(t) else float(out)
-
-
-def bernstein_many(set_size: int, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """b_u(t) evaluated elementwise for an integer rank array u."""
-    ua = np.asarray(u, dtype=int)
-    if ua.size and (ua.min() < 1 or ua.max() > set_size):
-        raise DensityError(f"ranks must lie in 1..{set_size}")
-    ta = np.asarray(t, dtype=float)
-    logc = np.array([_log_comb(set_size - 1, k) for k in range(set_size)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(logc[ua - 1] + sps.xlogy(ua - 1, ta) + sps.xlogy(set_size - ua, 1.0 - ta))
-    return out
-
-
-def bernstein_dt(set_size: int, u: int, t: FloatArray) -> FloatArray:
-    """d b_u(t) / dt via the degree-reduction identity; exact at the endpoints."""
-    if not 1 <= u <= set_size:
-        raise DensityError(f"rank must lie in 1..{set_size}, got {u}")
-    ta = np.asarray(t, dtype=float)
-    n = set_size - 1
-    out = n * (_bern_kn(u - 2, n - 1, ta) - _bern_kn(u - 1, n - 1, ta)) if n else np.zeros_like(ta)
-    return out if np.ndim(t) else float(out)
-
-
-def block_weight(set_size: int, ranks: tp.Sequence[int], t: FloatArray) -> FloatArray:
-    """Quantile-domain density (S/m) sum_{u in ranks} b_u(t) of a measured block."""
-    ta = np.asarray(t, dtype=float)
-    acc = np.zeros_like(ta)
-    for u in ranks:
-        acc += bernstein(set_size, u, ta)
-    acc *= set_size / len(ranks)
-    return acc if np.ndim(t) else float(acc)
-
-
-def block_weight_dt(set_size: int, ranks: tp.Sequence[int], t: FloatArray) -> FloatArray:
-    ta = np.asarray(t, dtype=float)
-    acc = np.zeros_like(ta)
-    for u in ranks:
-        acc += bernstein_dt(set_size, u, ta)
-    acc *= set_size / len(ranks)
-    return acc if np.ndim(t) else float(acc)
-
-
-def alpha_weight(set_size: int, blocks: Blocks, alpha_row: np.ndarray, t: FloatArray) -> FloatArray:
-    """Misplacement mixture sum_h alpha_row[h] * block_weight(blocks[h], t)."""
-    return _alpha_mix(block_weight, set_size, blocks, alpha_row, t)
-
-
-def alpha_weight_dt(set_size: int, blocks: Blocks, alpha_row: np.ndarray, t: FloatArray) -> FloatArray:
-    return _alpha_mix(block_weight_dt, set_size, blocks, alpha_row, t)
-
-
-def _alpha_mix(fn: tp.Callable, set_size: int, blocks: Blocks, row: np.ndarray, t: FloatArray) -> FloatArray:
-    _check_row(blocks, row)
-    ta = np.asarray(t, dtype=float)
-    acc = np.zeros_like(ta)
-    for a_h, ranks in zip(row, blocks):
-        if a_h:
-            acc += a_h * np.asarray(fn(set_size, ranks, ta))
-    return acc if np.ndim(t) else float(acc)
-
-
-def _check_row(blocks: Blocks, alpha_row: np.ndarray) -> None:
+    :raises DensityError: the row length differs from the block count, or a
+        rank lies outside 1..set_size.
+    """
     if len(alpha_row) != len(blocks):
         raise DensityError(f"misplacement row has {len(alpha_row)} entries for {len(blocks)} blocks")
-
-
-def rank_coefficients(set_size: int, blocks: Blocks, alpha_row: np.ndarray) -> np.ndarray:
-    """Coefficients c_u = sum_h alpha_row[h] (S/m_h) 1[u in blocks[h]] with alpha_weight = sum_u c_u b_u."""
-    _check_row(blocks, alpha_row)
     c = np.zeros(set_size)
     for a_h, ranks in zip(alpha_row, blocks):
+        for u in ranks:
+            if not 1 <= u <= set_size:
+                raise DensityError(f"rank must lie in 1..{set_size}, got {u}")
         c[np.asarray(ranks) - 1] += a_h * set_size / len(ranks)
     return c
 
@@ -170,7 +95,23 @@ def bernstein_series(coef: np.ndarray, t: FloatArray) -> tuple[np.ndarray, ...]:
     return tuple(out.reshape((3,) + c.shape[:-1] + ta.shape))
 
 
+def block_weight(set_size: int, ranks: tp.Sequence[int], t: FloatArray) -> FloatArray:
+    """Quantile-domain density (S/m) sum_{u in ranks} b_u(t) of a measured block."""
+    return _weight(rank_coefficients(set_size, (ranks,), [1.0]), t)
+
+
+def _weight(coef: np.ndarray, t: FloatArray) -> FloatArray:
+    """w(t) of one coefficient row; a scalar t gives a float."""
+    w = bernstein_series(coef, t)[0]
+    return w if np.ndim(t) else float(w)
+
+
 # -- model-facing densities --------------------------------------------------
+
+
+def _density(model: Model, coef: np.ndarray, x: FloatArray) -> FloatArray:
+    """f(x) w(F(x)) of one coefficient row; a scalar x gives a float."""
+    return model.pdf(x) * _weight(coef, model.cdf(x))
 
 
 def order_stat_pdf(model: Model, u: int, set_size: int, x: FloatArray) -> FloatArray:
@@ -178,12 +119,7 @@ def order_stat_pdf(model: Model, u: int, set_size: int, x: FloatArray) -> FloatA
 
     :raises DensityError: rank outside 1..set_size.
     """
-    if not 1 <= u <= set_size:
-        raise DensityError(f"rank must lie in 1..{set_size}, got {u}")
-    f = np.asarray(model.pdf(x), dtype=float)
-    t = np.asarray(model.cdf(x), dtype=float)
-    out = set_size * np.asarray(bernstein(set_size, u, t)) * f
-    return out if np.ndim(x) else float(out)
+    return _density(model, rank_coefficients(set_size, ((u,),), [1.0]), x)
 
 
 def subset_pdf(model: Model, design: Design, r: int, x: FloatArray) -> FloatArray:
@@ -191,11 +127,15 @@ def subset_pdf(model: Model, design: Design, r: int, x: FloatArray) -> FloatArra
 
     Equal to the average of the order-statistic densities with ranks in d_r.
     """
-    ranks = design.subset(r)
-    f = np.asarray(model.pdf(x), dtype=float)
-    t = np.asarray(model.cdf(x), dtype=float)
-    out = f * np.asarray(block_weight(design.set_size, ranks, t))
-    return out if np.ndim(x) else float(out)
+    return _density(model, rank_coefficients(design.set_size, (design.subset(r),), [1.0]), x)
+
+
+def _alpha_coefficients(design: Design, alpha: MisplacementMatrix, r: int) -> np.ndarray:
+    if alpha.n != design.n:
+        raise DesignError(
+            f"misplacement matrix is {alpha.n}x{alpha.n} but the design has {design.n} subsets"
+        )
+    return rank_coefficients(design.set_size, design.subsets, alpha.row(r))
 
 
 def g_factor(
@@ -205,22 +145,27 @@ def g_factor(
 
     :raises DesignError: alpha dimension differs from the number of subsets.
     """
-    if alpha.n != design.n:
-        raise DesignError(
-            f"misplacement matrix is {alpha.n}x{alpha.n} but the design has {design.n} subsets"
-        )
-    t = np.asarray(model.cdf(x), dtype=float)
-    out = alpha_weight(design.set_size, design.subsets, alpha.row(r), t)
-    return np.asarray(out) if np.ndim(x) else float(out)
+    return _weight(_alpha_coefficients(design, alpha, r), model.cdf(x))
 
 
 def imperfect_subset_pdf(
     model: Model, design: Design, alpha: MisplacementMatrix, r: int, x: FloatArray
 ) -> FloatArray:
     """f_[d_r](x) = f(x) g_r(x): marginal density of a unit judged into subset r."""
-    f = np.asarray(model.pdf(x), dtype=float)
-    out = f * np.asarray(g_factor(model, design, alpha, r, x))
-    return out if np.ndim(x) else float(out)
+    return _density(model, _alpha_coefficients(design, alpha, r), x)
+
+
+def _unbalanced_coefficients(ud: UnbalancedDesign, i: int, r: int, alpha_i: MisplacementMatrix) -> np.ndarray:
+    sets = ud.sets_in_cycle(i)
+    if not 1 <= r <= len(sets):
+        raise DensityError(f"cycle {i} has sets 1..{len(sets)}, got {r}")
+    sp = sets[r - 1]
+    if alpha_i.n != len(sp.partition):
+        raise DesignError(
+            f"misplacement matrix is {alpha_i.n}x{alpha_i.n} but cycle {i} partitions "
+            f"into {len(sp.partition)} subsets"
+        )
+    return rank_coefficients(ud.set_size, sp.partition, alpha_i.row(sp.measured))
 
 
 def unbalanced_weight(
@@ -231,16 +176,7 @@ def unbalanced_weight(
     The judged block is the set's measured index; misplacement mixes the
     (S/m_h)-weighted block densities of the same set's partition.
     """
-    sets = ud.sets_in_cycle(i)
-    if not 1 <= r <= len(sets):
-        raise DensityError(f"cycle {i} has sets 1..{len(sets)}, got {r}")
-    sp = sets[r - 1]
-    if alpha_i.n != len(sp.partition):
-        raise DesignError(
-            f"misplacement matrix is {alpha_i.n}x{alpha_i.n} but cycle {i} partitions "
-            f"into {len(sp.partition)} subsets"
-        )
-    return alpha_weight(ud.set_size, sp.partition, alpha_i.row(sp.measured), t)
+    return _weight(_unbalanced_coefficients(ud, i, r, alpha_i), t)
 
 
 def unbalanced_subset_pdf(
@@ -252,10 +188,7 @@ def unbalanced_subset_pdf(
     x: FloatArray,
 ) -> FloatArray:
     """Marginal density of the measurement from set r of cycle i under alpha_i."""
-    f = np.asarray(model.pdf(x), dtype=float)
-    t = np.asarray(model.cdf(x), dtype=float)
-    out = f * np.asarray(unbalanced_weight(ud, i, r, alpha_i, t))
-    return out if np.ndim(x) else float(out)
+    return _density(model, _unbalanced_coefficients(ud, i, r, alpha_i), x)
 
 
 def latent_conditional(model: Model, design: Design, r: int, x: float) -> np.ndarray:
@@ -266,9 +199,8 @@ def latent_conditional(model: Model, design: Design, r: int, x: float) -> np.nda
     :raises DensityError: the measurement lies outside the support, so every
         order-statistic density vanishes.
     """
-    ranks = design.subset(r)
-    t = float(model.cdf(x))
-    weights = np.array([bernstein(design.set_size, u, t) for u in ranks], dtype=float)
+    ranks = np.asarray(design.subset(r))
+    weights = bernstein_series(np.eye(design.set_size)[ranks - 1], float(model.cdf(x)))[0]
     total = weights.sum()
     if not total > 0.0:
         raise DensityError(

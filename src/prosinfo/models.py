@@ -57,6 +57,9 @@ class Model:
             raise ModelError(
                 f"{self.family} takes parameters {fam.param_names}, got {len(self.params)} values"
             )
+        for name, v in zip(fam.param_names, self.params):
+            if not math.isfinite(v):
+                raise ModelError(f"parameter {name!r} must be finite, got {v!r}")
         if not self.active:
             raise ModelError("active parameter set must be nonempty")
         for name in self.active:
@@ -182,19 +185,6 @@ def make_model(family: str, active: tp.Sequence[str] | None = None, **params: fl
         values[name] = float(v)
     chosen = tuple(active) if active is not None else fam.default_active
     return Model(family, tuple(values[n] for n in fam.param_names), chosen)
-
-
-def evaluate(model: Model, x: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """(pdf, cdf) at x; zero density and clamped cdf outside the support."""
-    return model.pdf(x), model.cdf(x)
-
-
-def quantile(model: Model, u: FloatArray) -> FloatArray:
-    return model.quantile(u)
-
-
-def score_cdf(model: Model, x: FloatArray) -> np.ndarray:
-    return model.score_cdf(x)
 
 
 def require_fi_regular(model: Model) -> None:

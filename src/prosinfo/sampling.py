@@ -15,7 +15,6 @@ tallied by simulation.
 from __future__ import annotations
 
 import dataclasses
-import io
 import typing as tp
 
 import numpy as np
@@ -162,14 +161,11 @@ def draw_unbalanced_pros(
 
 def sample_to_csv(sample: ProsSample) -> str:
     """CSV rendering: cycle,set,subset,value,true_position."""
-    buf = io.StringIO()
-    buf.write("cycle,set,subset,value,true_position\n")
-    for k in range(len(sample)):
-        buf.write(
-            f"{sample.cycle[k]},{sample.set_index[k]},{sample.target_subset[k]},"
-            f"{sample.values[k]:.17g},{sample.true_rank[k]}\n"
-        )
-    return buf.getvalue()
+    columns = (sample.cycle, sample.set_index, sample.target_subset, sample.values, sample.true_rank)
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return "cycle,set,subset,value,true_position\n" + "".join(
+        f"{c},{s},{d},{v:.17g},{u}\n" for c, s, d, v, u in rows
+    )
 
 
 # -- bulk engines for Monte Carlo information estimates -----------------------

@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import beta
 
 from prosinfo import (
     DensityError,
     DesignError,
     SetPlan,
     UnbalancedDesign,
-    alpha_weight,
-    alpha_weight_dt,
-    bernstein,
-    bernstein_dt,
-    bernstein_many,
+    bernstein_series,
     block_weight,
-    block_weight_dt,
+    family_names,
     g_factor,
     identity_alpha,
     imperfect_subset_pdf,
@@ -24,6 +24,7 @@ from prosinfo import (
     make_model,
     make_symmetric_alpha,
     order_stat_pdf,
+    rank_coefficients,
     subset_pdf,
     unbalanced_subset_pdf,
     unbalanced_weight,
@@ -33,55 +34,74 @@ from prosinfo import (
 T_GRID = np.linspace(0.02, 0.98, 25)
 
 
+def _basis(S, u, t):
+    """Oracle b_u(t) = C(S-1, u-1) t^(u-1) (1-t)^(S-u) by the binomial form."""
+    return sps.comb(S - 1, u - 1, exact=False) * t ** (u - 1) * (1 - t) ** (S - u)
+
+
+def _beta_weight(S, coef, t):
+    """Oracle w(t) = sum_u c_u b_u(t), with b_u = Beta(u, S+1-u) density / S."""
+    return sum(c * beta.pdf(t, u, S + 1 - u) / S for u, c in enumerate(coef, start=1) if c)
+
+
+def _beta_weight_dt(S, coef, t):
+    """Oracle w'(t) by degree reduction: b_u' = (S-1) [b^(S-1)_(u-1) - b^(S-1)_u]."""
+    out = np.zeros_like(np.asarray(t, dtype=float))
+    for u, c in enumerate(coef, start=1):
+        if c and u > 1:
+            out = out + c * beta.pdf(t, u - 1, S + 1 - u)
+        if c and u < S:
+            out = out - c * beta.pdf(t, u, S - u)
+    return out
+
+
 def test_bernstein_matches_binomial_form():
-    # b_u(t) = C(S-1, u-1) t^(u-1) (1-t)^(S-u)
-    np.testing.assert_allclose(bernstein(3, 2, 0.5), 2 * 0.5 * 0.5)
-    np.testing.assert_allclose(bernstein(5, 1, 0.3), 0.7**4)
-    np.testing.assert_allclose(bernstein(5, 5, 0.3), 0.3**4)
+    # b_u(t) = C(S-1, u-1) t^(u-1) (1-t)^(S-u), one single-rank row at a time
+    np.testing.assert_allclose(bernstein_series(np.eye(3)[1], 0.5)[0], 2 * 0.5 * 0.5)
+    np.testing.assert_allclose(bernstein_series(np.eye(5)[0], 0.3)[0], 0.7**4)
+    np.testing.assert_allclose(bernstein_series(np.eye(5)[4], 0.3)[0], 0.3**4)
+    np.testing.assert_allclose(block_weight(3, (2,), 0.5), 3 * 2 * 0.5 * 0.5)
 
 
 def test_bernstein_partition_of_unity():
     for S in (1, 2, 5, 12):
-        total = sum(bernstein(S, u, T_GRID) for u in range(1, S + 1))
+        total = bernstein_series(np.eye(S), T_GRID)[0].sum(axis=0)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
 def test_bernstein_rank_bounds():
+    for ranks in ((0,), (4,), (1, 4)):
+        with pytest.raises(DensityError, match=r"rank must lie in 1\.\.3"):
+            rank_coefficients(3, (ranks,), [1.0])
     with pytest.raises(DensityError):
-        bernstein(3, 0, 0.5)
+        block_weight(6, (0, 1), 0.5)
     with pytest.raises(DensityError):
-        bernstein(3, 4, 0.5)
+        order_stat_pdf(make_model("normal"), 0, 3, 0.5)
 
 
 def test_bernstein_many_matches_scalar_elementwise():
+    # a stack of single-rank rows evaluates every rank at once
     rng = np.random.default_rng(2)
     us = rng.integers(1, 6, size=T_GRID.size)
-    got = bernstein_many(5, us, T_GRID)
-    want = np.array([bernstein(5, int(u), t) for u, t in zip(us, T_GRID)])
-    np.testing.assert_allclose(got, want, atol=1e-14)
-    with pytest.raises(DensityError):
-        bernstein_many(5, np.array([0, 2]), np.array([0.5, 0.5]))
+    w = bernstein_series(np.eye(5)[us - 1], T_GRID)[0]
+    got = w[np.arange(T_GRID.size), np.arange(T_GRID.size)]
+    want = np.array([_basis(5, int(u), t) for u, t in zip(us, T_GRID)])
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_bernstein_dt_matches_finite_difference():
     h = 1e-7
     for S, u in ((2, 1), (5, 3), (12, 7)):
-        fd = (bernstein(S, u, T_GRID + h) - bernstein(S, u, T_GRID - h)) / (2 * h)
-        np.testing.assert_allclose(bernstein_dt(S, u, T_GRID), fd, atol=1e-5)
+        fd = (_basis(S, u, T_GRID + h) - _basis(S, u, T_GRID - h)) / (2 * h)
+        np.testing.assert_allclose(bernstein_series(np.eye(S)[u - 1], T_GRID)[1], fd, atol=1e-5)
 
 
 def test_block_weight_dt_matches_finite_difference():
     h = 1e-7
-    ranks = (2, 3, 4)
-    fd = (block_weight(6, ranks, T_GRID + h) - block_weight(6, ranks, T_GRID - h)) / (2 * h)
-    np.testing.assert_allclose(block_weight_dt(6, ranks, T_GRID), fd, atol=1e-4)
-    fd1 = (alpha_weight(6, ((1, 2, 3), (4, 5, 6)), np.array([0.8, 0.2]), T_GRID + h)
-           - alpha_weight(6, ((1, 2, 3), (4, 5, 6)), np.array([0.8, 0.2]), T_GRID - h)) / (2 * h)
-    np.testing.assert_allclose(
-        alpha_weight_dt(6, ((1, 2, 3), (4, 5, 6)), np.array([0.8, 0.2]), T_GRID),
-        fd1,
-        atol=1e-4,
-    )
+    for blocks, row in ((((2, 3, 4),), [1.0]), (((1, 2, 3), (4, 5, 6)), [0.8, 0.2])):
+        coef = rank_coefficients(6, blocks, row)
+        fd = (_beta_weight(6, coef, T_GRID + h) - _beta_weight(6, coef, T_GRID - h)) / (2 * h)
+        np.testing.assert_allclose(bernstein_series(coef, T_GRID)[1], fd, atol=1e-4)
 
 
 def test_block_weight_normalizes():
@@ -268,8 +288,9 @@ def test_latent_conditional_sums_to_one():
 
 def test_large_set_sizes_stay_finite():
     # log-space binomials keep S = 64 weights representable
-    val = bernstein(64, 32, 0.5)
+    val = block_weight(64, (32,), 0.5) / 64
     assert 0.0 < val < 1.0
+    np.testing.assert_allclose(val, beta.pdf(0.5, 32, 33) / 64, rtol=1e-13)
     w = block_weight(64, tuple(range(17, 33)), T_GRID)
     assert np.all(np.isfinite(w))
     design = make_balanced_design(64, 2)
@@ -279,7 +300,24 @@ def test_large_set_sizes_stay_finite():
 
 def test_alpha_weight_row_length_mismatch():
     with pytest.raises(DensityError):
-        alpha_weight(6, ((1, 2, 3), (4, 5, 6)), np.array([1.0]), 0.5)
+        rank_coefficients(6, ((1, 2, 3), (4, 5, 6)), np.array([1.0]))
+
+
+def test_scalar_points_give_floats():
+    model = make_model("normal")
+    design = make_balanced_design(6, 2)
+    alpha = make_symmetric_alpha(2, 0.7)
+    ud = UnbalancedDesign.from_design(design)
+    for value in (
+        order_stat_pdf(model, 2, 6, 0.3),
+        subset_pdf(model, design, 1, 0.3),
+        g_factor(model, design, alpha, 1, 0.3),
+        imperfect_subset_pdf(model, design, alpha, 1, 0.3),
+        unbalanced_weight(ud, 1, 1, alpha, 0.3),
+        unbalanced_subset_pdf(model, ud, 1, 1, alpha, 0.3),
+        block_weight(6, (1, 2, 3), 0.3),
+    ):
+        assert type(value) is float
 
 
 # -- the Bernstein-series evaluator ---------------------------------------------
@@ -301,20 +339,19 @@ def _series_cases():
 
 @pytest.mark.parametrize("S,blocks,row", list(_series_cases()))
 def test_bernstein_series_matches_alpha_weight(S, blocks, row):
-    from prosinfo.densities import bernstein_series, rank_coefficients
-
+    # the alpha-mixture weight and its derivatives against the Beta-density oracle
     t = np.concatenate([EDGE_T, T_GRID])
-    w, w1, w2 = bernstein_series(rank_coefficients(S, blocks, row), t)
-    ref = np.asarray(alpha_weight(S, blocks, row, t))
-    ref1 = np.asarray(alpha_weight_dt(S, blocks, row, t))
+    coef = rank_coefficients(S, blocks, row)
+    w, w1, w2 = bernstein_series(coef, t)
+    ref = _beta_weight(S, coef, t)
+    ref1 = _beta_weight_dt(S, coef, t)
     np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-300)
     scale = S * max(np.max(np.abs(ref)), np.max(np.abs(ref1)))
     np.testing.assert_allclose(w1, ref1, rtol=1e-10, atol=1e-12 * scale)
-    # second derivative against a central difference of the independent first derivative
+    # second derivative against a central difference of the oracle first derivative
     h = 1e-5
-    up, down = (np.asarray(alpha_weight_dt(S, blocks, row, T_GRID + d)) for d in (h, -h))
-    fd2 = (up - down) / (2 * h)
-    _, _, w2_grid = bernstein_series(rank_coefficients(S, blocks, row), T_GRID)
+    fd2 = (_beta_weight_dt(S, coef, T_GRID + h) - _beta_weight_dt(S, coef, T_GRID - h)) / (2 * h)
+    _, _, w2_grid = bernstein_series(coef, T_GRID)
     np.testing.assert_allclose(w2_grid, fd2, rtol=1e-5, atol=1e-6 * max(np.max(np.abs(fd2)), 1.0))
     if S <= 2:
         # w is constant (S = 1) or linear (S = 2): the vanishing derivatives are exact zeros
@@ -326,8 +363,6 @@ def test_bernstein_series_matches_alpha_weight(S, blocks, row):
 
 
 def test_bernstein_series_stacks_rows_and_keeps_shape():
-    from prosinfo.densities import bernstein_series, rank_coefficients
-
     design = make_balanced_design(12, 3)
     alpha = make_symmetric_alpha(3, 0.8)
     coefs = np.stack([rank_coefficients(12, design.subsets, alpha.row(r)) for r in (1, 2, 3)])
@@ -340,3 +375,28 @@ def test_bernstein_series_stacks_rows_and_keeps_shape():
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     with pytest.raises(DensityError):
         rank_coefficients(12, design.subsets, np.array([0.5, 0.5]))
+
+
+@st.composite
+def _density_cases(draw):
+    S = draw(st.integers(1, 64))
+    n = draw(st.sampled_from([d for d in range(1, S + 1) if S % d == 0]))
+    return draw(st.sampled_from(family_names())), S, n, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_density_cases())
+def test_densities_match_beta_oracle(case):
+    fam, S, n, p = case
+    model = make_model(fam)
+    design = make_balanced_design(S, n)
+    alpha = make_symmetric_alpha(n, p) if n > 1 else identity_alpha(1)
+    x = np.asarray(model.quantile(np.linspace(0.05, 0.95, 7)))
+    f, t = model.pdf(x), model.cdf(x)
+    for u in {1, (S + 1) // 2, S}:
+        np.testing.assert_allclose(order_stat_pdf(model, u, S, x), f * beta.pdf(t, u, S + 1 - u), rtol=1e-10)
+    mix = sum(imperfect_subset_pdf(model, design, alpha, r, x) for r in range(1, n + 1)) / n
+    np.testing.assert_allclose(mix, f, rtol=1e-10)
+    ranks = np.asarray(design.subset(n))
+    dens = beta.pdf(t[3], ranks, S + 1 - ranks)
+    np.testing.assert_allclose(latent_conditional(model, design, n, float(x[3])), dens / dens.sum(), rtol=1e-10)

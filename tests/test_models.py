@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from prosinfo import (
+    Model,
     ModelError,
-    evaluate,
     family_names,
     fisher_srs_unit,
     make_model,
-    quantile,
-    score_cdf,
 )
 
 U_GRID = np.linspace(0.04, 0.96, 20)
@@ -29,19 +27,22 @@ def test_family_names_sorted_and_complete():
 
 
 def test_evaluate_normal_at_zero():
-    pdf, cdf = evaluate(make_model("normal"), 0.0)
+    model = make_model("normal")
+    pdf, cdf = model.pdf(0.0), model.cdf(0.0)
     np.testing.assert_allclose(pdf, 0.398942, atol=1e-6)
     np.testing.assert_allclose(cdf, 0.5, atol=1e-12)
 
 
 def test_evaluate_exponential_boundary():
-    pdf, cdf = evaluate(make_model("exponential"), 0.0)
+    model = make_model("exponential")
+    pdf, cdf = model.pdf(0.0), model.cdf(0.0)
     np.testing.assert_allclose(pdf, 1.0)
     np.testing.assert_allclose(cdf, 0.0)
 
 
 def test_evaluate_outside_support():
-    pdf, cdf = evaluate(make_model("exponential"), -1.0)
+    model = make_model("exponential")
+    pdf, cdf = model.pdf(-1.0), model.cdf(-1.0)
     assert pdf == 0.0
     assert cdf == 0.0
     assert make_model("uniform").cdf(2.0) == 1.0
@@ -68,7 +69,7 @@ def test_exp_mixture_quantile_inverts_cdf_to_ulps(pi, h):
 
 def test_quantile_exponential_median():
     model = make_model("exponential", sigma=2.0)
-    np.testing.assert_allclose(quantile(model, 0.5), 2.0 * math.log(2.0), rtol=1e-10)
+    np.testing.assert_allclose(model.quantile(0.5), 2.0 * math.log(2.0), rtol=1e-10)
 
 
 @pytest.mark.parametrize("fam", family_names())
@@ -87,9 +88,9 @@ def test_quantile_rejects_boundary():
 
 def test_score_cdf_normal_values():
     mu_only = make_model("normal", active=("mu",))
-    np.testing.assert_allclose(score_cdf(mu_only, 0.0)[0], -0.398942, atol=1e-6)
+    np.testing.assert_allclose(mu_only.score_cdf(0.0)[0], -0.398942, atol=1e-6)
     sigma_only = make_model("normal", active=("sigma",))
-    np.testing.assert_allclose(score_cdf(sigma_only, 1.0)[0], -0.241971, atol=1e-6)
+    np.testing.assert_allclose(sigma_only.score_cdf(1.0)[0], -0.241971, atol=1e-6)
 
 
 @pytest.mark.parametrize("fam", family_names())
@@ -281,6 +282,22 @@ def test_make_model_validation():
         make_model("gamma", active=("shape",))
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    (("normal", {"mu": math.nan}), ("normal", {"sigma": math.inf}), ("logistic", {"mu": -math.inf}),
+     ("exp_mixture", {"h": math.inf}), ("gamma", {"shape": math.nan})),
+)
+def test_make_model_rejects_non_finite_params(family, params):
+    name = next(iter(params))
+    with pytest.raises(ModelError, match=f"parameter '{name}' must be finite"):
+        make_model(family, **params)
+    with pytest.raises(ModelError, match="must be finite"):
+        make_model(family).with_params(**params)
+    finite = make_model(family)
+    with pytest.raises(ModelError, match="must be finite"):
+        Model(family, tuple(math.nan if n == name else v for n, v in zip(finite.param_names, finite.params)), finite.active)
+
+
 def test_model_introspection():
     model = make_model("normal", mu=0.5)
     assert model.p == 2
@@ -316,6 +333,6 @@ def test_extreme_value_is_min_oriented():
 def test_evaluate_broadcasts_over_arrays():
     model = make_model("logistic")
     xs = np.linspace(-3.0, 3.0, 7)
-    pdf, cdf = evaluate(model, xs)
+    pdf, cdf = model.pdf(xs), model.cdf(xs)
     assert pdf.shape == xs.shape
     np.testing.assert_allclose(cdf, model.cdf(xs))

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -141,6 +144,20 @@ def test_sample_to_csv_layout():
     assert lines[0] == "cycle,set,subset,value,true_position"
     assert len(lines) == 5
     assert lines[1].startswith("1,1,")
+
+
+@pytest.mark.parametrize("fam", ("normal", "exp_mixture", "gamma"))
+def test_sample_to_csv_round_trips(fam):
+    balanced = draw_pros(make_model(fam), make_balanced_design(12, 3, cycles=50), make_symmetric_alpha(3, 0.7), seed=5)
+    unbalanced = draw_unbalanced_pros(make_model(fam), _table9_design(replications=20), seed=5)
+    for sample in (balanced, unbalanced):
+        rows = list(csv.reader(io.StringIO(sample_to_csv(sample))))
+        assert rows[0] == ["cycle", "set", "subset", "value", "true_position"]
+        cols = list(zip(*rows[1:]))
+        assert len(cols[0]) == len(sample)
+        np.testing.assert_array_equal(np.array(cols[3], dtype=float), sample.values)
+        for got, want in zip(cols[:3] + cols[4:], (sample.cycle, sample.set_index, sample.target_subset, sample.true_rank)):
+            assert [int(v) for v in got] == want.tolist()
 
 
 def test_block_draws_follow_block_law():

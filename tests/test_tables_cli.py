@@ -280,10 +280,21 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["--seed", "-1"],
         ["--config", str(bad_cfg)],
         ["--config", str(bad_format)],
+        ["--params", "mu=nan"],
+        ["--params", "sigma=inf"],
+        ["--set-size", "0"],
+        ["--subsets", "-1"],
     ):
         assert main(base + extra) == 2, extra
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
+    for argv in (
+        ["entropy", "--kind", "srs", "--set-size", "-3", "--subsets", "5"],
+        ["sample", "--set-size", "6", "--subsets", "0"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_cli_uniform_fisher_is_rejected_by_both_methods(capsys):
