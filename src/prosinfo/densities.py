@@ -23,7 +23,7 @@ import typing as tp
 
 import numpy as np
 
-from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign
+from .designs import Design, MisplacementMatrix, UnbalancedDesign
 from .models import Model
 
 FloatArray = tp.Union[float, np.ndarray]
@@ -130,14 +130,6 @@ def subset_pdf(model: Model, design: Design, r: int, x: FloatArray) -> FloatArra
     return _density(model, rank_coefficients(design.set_size, (design.subset(r),), [1.0]), x)
 
 
-def _alpha_coefficients(design: Design, alpha: MisplacementMatrix, r: int) -> np.ndarray:
-    if alpha.n != design.n:
-        raise DesignError(
-            f"misplacement matrix is {alpha.n}x{alpha.n} but the design has {design.n} subsets"
-        )
-    return rank_coefficients(design.set_size, design.subsets, alpha.row(r))
-
-
 def g_factor(
     model: Model, design: Design, alpha: MisplacementMatrix, r: int, x: FloatArray
 ) -> FloatArray:
@@ -145,27 +137,24 @@ def g_factor(
 
     :raises DesignError: alpha dimension differs from the number of subsets.
     """
-    return _weight(_alpha_coefficients(design, alpha, r), model.cdf(x))
+    ud = UnbalancedDesign.from_design(design)
+    return _weight(_unbalanced_coefficients(ud, 1, r, alpha), model.cdf(x))
 
 
 def imperfect_subset_pdf(
     model: Model, design: Design, alpha: MisplacementMatrix, r: int, x: FloatArray
 ) -> FloatArray:
     """f_[d_r](x) = f(x) g_r(x): marginal density of a unit judged into subset r."""
-    return _density(model, _alpha_coefficients(design, alpha, r), x)
+    ud = UnbalancedDesign.from_design(design)
+    return _density(model, _unbalanced_coefficients(ud, 1, r, alpha), x)
 
 
 def _unbalanced_coefficients(ud: UnbalancedDesign, i: int, r: int, alpha_i: MisplacementMatrix) -> np.ndarray:
-    sets = ud.sets_in_cycle(i)
-    if not 1 <= r <= len(sets):
-        raise DensityError(f"cycle {i} has sets 1..{len(sets)}, got {r}")
-    sp = sets[r - 1]
-    if alpha_i.n != len(sp.partition):
-        raise DesignError(
-            f"misplacement matrix is {alpha_i.n}x{alpha_i.n} but cycle {i} partitions "
-            f"into {len(sp.partition)} subsets"
-        )
-    return rank_coefficients(ud.set_size, sp.partition, alpha_i.row(sp.measured))
+    rows = [(sp, row) for sp, row in ud.measured_rows({i: alpha_i}) if sp.cycle == i]
+    if not 1 <= r <= len(rows):
+        raise DensityError(f"cycle {i} has sets 1..{len(rows)}, got {r}")
+    sp, row = rows[r - 1]
+    return rank_coefficients(ud.set_size, sp.partition, row)
 
 
 def unbalanced_weight(
@@ -195,15 +184,25 @@ def latent_conditional(model: Model, design: Design, r: int, x: float) -> np.nda
     """Conditional probabilities of the latent rank u in d_r given the measured value.
 
     Entry j is proportional to f^(u_j:S)(x) for u_j the j-th rank of subset r.
+    The weights b_u(F(x)) are formed and normalized in log space (1 - F(x) as
+    the model's survival function), so a block deep in a tail neither
+    underflows nor loses its small entries.
 
     :raises DensityError: the measurement lies outside the support, so every
         order-statistic density vanishes.
     """
-    ranks = np.asarray(design.subset(r))
-    weights = bernstein_series(np.eye(design.set_size)[ranks - 1], float(model.cdf(x)))[0]
-    total = weights.sum()
-    if not total > 0.0:
+    k = np.asarray(design.subset(r)) - 1.0
+    big_n = design.set_size - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t, log_1mt = np.log(model.cdf(x)), np.log(model.sf(x))
+        log_w = (
+            np.array([_log_comb(big_n, int(j)) for j in k])
+            + np.where(k > 0, k * log_t, 0.0)
+            + np.where(k < big_n, (big_n - k) * log_1mt, 0.0)
+        )
+    if not np.any(log_w > -np.inf):
         raise DensityError(
             f"latent rank probabilities vanish at x={x!r}: point outside the support"
         )
-    return weights / total
+    weights = np.exp(log_w - log_w.max())
+    return weights / weights.sum()

@@ -292,6 +292,32 @@ class UnbalancedDesign:
         """Misplacement-matrix dimension for cycle i."""
         return len(self.sets_in_cycle(i)[0].partition)
 
+    def measured_rows(
+        self, alphas: tp.Mapping[int, MisplacementMatrix | None] | None = None
+    ) -> tuple[tuple[SetPlan, np.ndarray], ...]:
+        """Every set, in cycle order, with the misplacement row of the block it measures.
+
+        Sets keep their listed order within a cycle.  A cycle that alphas
+        gives no matrix (or None) is ranked perfectly: its row is the identity's.
+
+        :raises DesignError: alphas names a cycle the design lacks, or a
+            matrix's dimension differs from its cycle's number of subsets.
+        """
+        alphas = alphas or {}
+        stray = sorted(set(alphas) - set(self.cycle_ids))
+        if stray:
+            raise DesignError(f"misplacement matrix given for cycle {stray[0]}, which the design lacks")
+        out: list[tuple[SetPlan, np.ndarray]] = []
+        for i in self.cycle_ids:
+            plans = self.sets_in_cycle(i)
+            n = len(plans[0].partition)
+            alpha = alphas.get(i)
+            alpha = identity_alpha(n) if alpha is None else alpha
+            if alpha.n != n:
+                raise DesignError(f"misplacement matrix is {alpha.n}x{alpha.n}, cycle {i} has {n} subsets")
+            out.extend((sp, alpha.row(sp.measured)) for sp in plans)
+        return tuple(out)
+
     def label(self) -> str:
         return f"UPROS(K={self.K}, S={self.set_size}, N={self.replications})"
 

@@ -36,14 +36,7 @@ import typing as tp
 import numpy as np
 
 from . import densities, numerics, sampling
-from .designs import (
-    Design,
-    DesignError,
-    MisplacementMatrix,
-    UnbalancedDesign,
-    identity_alpha,
-    make_balanced_design,
-)
+from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign, make_balanced_design
 from .models import Model, require_fi_regular
 
 DEFAULT_REPS = 50_000
@@ -169,15 +162,14 @@ def fi_pros_complete(
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
     try:
-        blocks = make_balanced_design(set_size, n, cycles).subsets
+        rows = UnbalancedDesign.from_design(make_balanced_design(set_size, n)).measured_rows()
     except DesignError as e:
         raise InformationError(str(e)) from e
-    alpha = identity_alpha(n)
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         total = 0.0
-        for r in range(1, n + 1):
-            x, u = sampling.block_draws(model, set_size, blocks, alpha.row(r), rng, count)
+        for sp, row in rows:
+            x, u = sampling.block_draws(model, set_size, sp.partition, row, rng, count)
             total = total + _neg_hessian(model, x, *_rank_logw_dt(set_size, u, model.cdf(x)))
         return total
 
@@ -203,17 +195,14 @@ def fi_pros_marginal(
     require_fi_regular(model)
     if not design.is_balanced:
         raise InformationError("design is unbalanced; use fi_unbalanced")
-    alpha = alpha if alpha is not None else identity_alpha(design.n)
-    if alpha.n != design.n:
-        raise DesignError(f"misplacement matrix is {alpha.n}x{alpha.n}, design has {design.n} subsets")
+    ud = UnbalancedDesign.from_design(design)
+    rows = ud.measured_rows({1: alpha})
     label = f"{design.label()} marginal"
     if method != "quadrature":
         # the Monte Carlo route needs no decomposition: it is the unbalanced one
-        fi = fi_unbalanced(
-            model, UnbalancedDesign.from_design(design), {1: alpha}, method, reps, seed, workers, spec
-        )
+        fi = fi_unbalanced(model, ud, {1: alpha}, method, reps, seed, workers, spec)
         return dataclasses.replace(fi, design_label=label)
-    coefs = np.stack([densities.rank_coefficients(design.set_size, design.subsets, row) for row in alpha.entries])
+    coefs = np.stack([densities.rank_coefficients(design.set_size, sp.partition, row) for sp, row in rows])
 
     def tilted_cdf_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g, gd, _ = densities.bernstein_series(coefs, u)
@@ -255,18 +244,8 @@ def fi_unbalanced(
     """
     require_fi_regular(model)
     label = f"{ud.label()} marginal"
-    resolved: list[tuple[tuple[tuple[int, ...], ...], np.ndarray]] = []
-    for i in ud.cycle_ids:
-        a = alphas.get(i) if alphas is not None else None
-        alpha = a if a is not None else identity_alpha(ud.n_subsets(i))
-        if alpha.n != ud.n_subsets(i):
-            raise DesignError(
-                f"cycle {i} needs a {ud.n_subsets(i)}x{ud.n_subsets(i)} misplacement matrix, "
-                f"got {alpha.n}x{alpha.n}"
-            )
-        for sp in ud.sets_in_cycle(i):
-            resolved.append((sp.partition, alpha.row(sp.measured)))
-    coefs = np.stack([densities.rank_coefficients(ud.set_size, blocks, row) for blocks, row in resolved])
+    rows = ud.measured_rows(alphas)
+    coefs = np.stack([densities.rank_coefficients(ud.set_size, sp.partition, row) for sp, row in rows])
 
     if method == "quadrature":
 
@@ -287,8 +266,8 @@ def fi_unbalanced(
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         total = 0.0
-        for (blocks, row), c in zip(resolved, coefs):
-            x, _u = sampling.block_draws(model, ud.set_size, blocks, row, rng, count)
+        for (sp, row), c in zip(rows, coefs):
+            x, _u = sampling.block_draws(model, ud.set_size, sp.partition, row, rng, count)
             w, w1, w2 = densities.bernstein_series(c, model.cdf(x))
             total = total + _neg_hessian(model, x, w1 / w, w2 / w - (w1 / w) ** 2)
         return total
@@ -445,7 +424,7 @@ def verify_lemma_identity(
     Both sides equal n (S-1) E[G(X)], returned as `reference` via quadrature.
     """
     n, S = design.n, design.set_size
-    alpha = identity_alpha(n)
+    rows = UnbalancedDesign.from_design(design).measured_rows()
     eps = (spec or numerics.QuadratureSpec()).endpoint_clip
 
     def g_of_quantile(u: np.ndarray) -> np.ndarray:
@@ -456,8 +435,8 @@ def verify_lemma_identity(
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         t0 = np.zeros(count)
         t1 = np.zeros(count)
-        for r in range(1, n + 1):
-            x, u = sampling.block_draws(model, S, design.subsets, alpha.row(r), rng, count)
+        for sp, row in rows:
+            x, u = sampling.block_draws(model, S, sp.partition, row, rng, count)
             F = np.asarray(model.cdf(x), dtype=float)
             gx = np.asarray(G(x), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -62,6 +62,8 @@ class Model:
                 raise ModelError(f"parameter {name!r} must be finite, got {v!r}")
         if not self.active:
             raise ModelError("active parameter set must be nonempty")
+        if len(set(self.active)) != len(self.active):
+            raise ModelError(f"active parameters must be distinct, got {self.active}")
         for name in self.active:
             if name not in fam.param_names:
                 raise ModelError(f"unknown parameter {name!r} for family {self.family!r}")

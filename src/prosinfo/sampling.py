@@ -1,10 +1,13 @@
 """Random generation of ranked-set style samples and ranking-error estimation.
 
-draw_pros follows the field procedure literally: every judgment set draws S
-independent values, sorts them, and measures the unit occupying a (possibly
-misplaced) randomly chosen position of the target rank block.  The true rank of
-every measured unit is recorded, which is what the complete-data information
-estimators and the latent-rank diagnostics consume.
+Every measured unit is drawn by block_draws: the judged block's misplacement
+row picks the source block h, a rank u is uniform among h's ranks, and the
+value is the order statistic X_(u:S) = F^{-1}(Beta(u, S+1-u)), which has the
+same joint law of (value, rank) as drawing S values, sorting them and
+measuring the u-th.  draw_unbalanced_pros makes one such call per judgment set
+for all replications at once, and draw_pros is its one-cycle case.  The true
+rank of every measured unit is recorded, which is what the complete-data
+information estimators and the latent-rank diagnostics consume.
 
 Ranking quality is modeled on the Dell and Clutter concomitant scheme: the
 ranker perceives W = rho * Z + sqrt(1 - rho^2) * eps instead of the
@@ -20,13 +23,7 @@ import typing as tp
 import numpy as np
 
 from . import numerics
-from .designs import (
-    Design,
-    DesignError,
-    MisplacementMatrix,
-    UnbalancedDesign,
-    identity_alpha,
-)
+from .designs import Design, MisplacementMatrix, UnbalancedDesign, identity_alpha
 from .models import Model
 
 
@@ -72,14 +69,6 @@ def draw_srs(model: Model, n: int, seed: int = numerics.DEFAULT_SEED) -> np.ndar
     return np.asarray(model.quantile(rng.random(n)))
 
 
-def _alpha_or_identity(alpha: MisplacementMatrix | None, n: int) -> MisplacementMatrix:
-    if alpha is None:
-        return identity_alpha(n)
-    if alpha.n != n:
-        raise DesignError(f"misplacement matrix is {alpha.n}x{alpha.n}, design needs {n}x{n}")
-    return alpha
-
-
 def draw_pros(
     model: Model,
     design: Design,
@@ -88,73 +77,43 @@ def draw_pros(
 ) -> ProsSample:
     """One PROS sample: N cycles of n judgment sets, one measurement per set.
 
-    Each set draws S i.i.d. values and sorts them.  Set r targets block r; under
-    misplacement the measured unit is drawn from block h with probability
-    alpha[r, h], uniformly among that block's positions.
+    Set r targets block r; under misplacement the measured unit comes from
+    block h with probability alpha[r, h], uniformly among that block's ranks.
+    This is the one-cycle unbalanced design of draw_unbalanced_pros.
     """
-    alpha = _alpha_or_identity(alpha, design.n)
-    rng = numerics.substream(seed)
-    n, S, N = design.n, design.set_size, design.cycles
-    starts = np.array([b[0] for b in design.subsets])
-    sizes = np.array(design.block_sizes)
-
-    total = N * n
-    sorted_sets = np.sort(np.asarray(model.quantile(rng.random((total, S)))), axis=1)
-    target = np.tile(np.arange(1, n + 1), N)
-    # invert alpha rows by cdf lookup, one uniform per set
-    cum = np.cumsum(alpha.entries, axis=1)
-    source = 1 + (rng.random(total)[:, None] > cum[target - 1]).sum(axis=1)
-    source = np.minimum(source, n)
-    rank = starts[source - 1] + rng.integers(0, sizes[source - 1])
-    values = sorted_sets[np.arange(total), rank - 1]
-    return ProsSample(
-        values=values,
-        cycle=np.repeat(np.arange(1, N + 1), n),
-        set_index=target.copy(),
-        target_subset=target,
-        source_subset=source,
-        true_rank=rank,
-        design_label=design.label(),
-    )
+    ud = UnbalancedDesign.from_design(design)
+    return dataclasses.replace(draw_unbalanced_pros(model, ud, {1: alpha}, seed), design_label=design.label())
 
 
 def draw_unbalanced_pros(
     model: Model,
     ud: UnbalancedDesign,
-    alphas: tp.Mapping[int, MisplacementMatrix] | None = None,
+    alphas: tp.Mapping[int, MisplacementMatrix | None] | None = None,
     seed: int = numerics.DEFAULT_SEED,
 ) -> ProsSample:
-    """K measurements per replication following each set's own partition and target block."""
+    """K measurements per replication following each set's own partition and target block.
+
+    Each set draws all its replications at once through block_draws; rows are
+    ordered by replication, then cycle, then set within the cycle.
+    """
     rng = numerics.substream(seed)
-    S = ud.set_size
-    n_cycles = len(ud.cycle_ids)
-    per_cycle_alpha: dict[int, MisplacementMatrix] = {}
-    for i in ud.cycle_ids:
-        a = alphas.get(i) if alphas is not None else None
-        per_cycle_alpha[i] = _alpha_or_identity(a, ud.n_subsets(i))
-
-    rows: list[tuple[float, int, int, int, int, int]] = []
-    for rep in range(ud.replications):
-        for i in ud.cycle_ids:
-            plans = ud.sets_in_cycle(i)
-            alpha = per_cycle_alpha[i]
-            for r, sp in enumerate(plans, start=1):
-                sorted_set = np.sort(np.asarray(model.quantile(rng.random(S))))
-                row = alpha.row(sp.measured)
-                h = 1 + int((rng.random() > np.cumsum(row)).sum())
-                h = min(h, len(sp.partition))
-                block = sp.partition[h - 1]
-                u = int(block[rng.integers(0, len(block))])
-                rows.append((float(sorted_set[u - 1]), rep * n_cycles + i, r, sp.measured, h, u))
-
-    arr = np.array(rows, dtype=float)
+    rows = ud.measured_rows(alphas)
+    columns = []
+    for sp, row in rows:
+        x, u = block_draws(model, ud.set_size, sp.partition, row, rng, ud.replications)
+        columns.append((x, u, np.searchsorted([b[0] for b in sp.partition], u, side="right")))
+    values, ranks, source = (np.stack(c, axis=1).ravel() for c in zip(*columns))
+    cycle = np.array([sp.cycle for sp, _ in rows])
+    # rows come grouped by cycle, so a set's index is its offset from its cycle's first row
+    set_index = np.arange(1, len(rows) + 1) - np.searchsorted(cycle, cycle)
+    reps = ud.replications
     return ProsSample(
-        values=arr[:, 0],
-        cycle=arr[:, 1].astype(int),
-        set_index=arr[:, 2].astype(int),
-        target_subset=arr[:, 3].astype(int),
-        source_subset=arr[:, 4].astype(int),
-        true_rank=arr[:, 5].astype(int),
+        values=values,
+        cycle=(np.arange(reps)[:, None] * cycle[-1] + cycle).ravel(),
+        set_index=np.tile(set_index, reps),
+        target_subset=np.tile([sp.measured for sp, _ in rows], reps),
+        source_subset=source,
+        true_rank=ranks,
         design_label=ud.label(),
     )
 

@@ -286,6 +286,20 @@ def test_latent_conditional_sums_to_one():
         assert np.all(probs >= 0.0)
 
 
+@pytest.mark.parametrize("r, x", [(4, -6.0), (4, -5.5), (4, -5.0), (1, 5.0), (1, 5.5), (1, 6.0)])
+def test_latent_conditional_deep_in_a_tail(r, x):
+    # the top block far below the median, and its mirror image, against binomial log-pmfs;
+    # b_u(t) is the Binomial(S-1, t) pmf at u-1, equivalently Binomial(S-1, 1-t) at S-u
+    from scipy.stats import binom, norm
+
+    design = make_balanced_design(64, 4)
+    u = np.asarray(design.subset(r))
+    log_w = binom.logpmf(u - 1, 63, norm.cdf(x)) if x < 0 else binom.logpmf(64 - u, 63, norm.sf(x))
+    want = np.exp(log_w - sps.logsumexp(log_w))
+    got = latent_conditional(make_model("normal"), design, r, x)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 def test_large_set_sizes_stay_finite():
     # log-space binomials keep S = 64 weights representable
     val = block_weight(64, (32,), 0.5) / 64

@@ -177,6 +177,33 @@ def test_unbalanced_from_design():
     assert tuple(plan.measured for plan in ud.sets) == (1, 2)
 
 
+def test_measured_rows_pairs_each_set_with_its_row():
+    first, second = ((1, 2, 3), (4, 5), (6,)), ((1, 2), (3, 4, 5, 6))
+    sets = (SetPlan(2, second, 2), SetPlan(1, first, 3), SetPlan(2, second, 1), SetPlan(1, first, 1))
+    ud = UnbalancedDesign(set_size=6, sets=sets)
+    alpha = make_symmetric_alpha(3, 0.7)
+    rows = ud.measured_rows({1: alpha})
+    # cycle order, listed order within a cycle
+    assert [sp for sp, _ in rows] == [sets[1], sets[3], sets[0], sets[2]]
+    np.testing.assert_array_equal(rows[0][1], alpha.row(3))
+    np.testing.assert_array_equal(rows[1][1], alpha.row(1))
+    # a cycle without a matrix ranks perfectly
+    np.testing.assert_array_equal(rows[2][1], [0.0, 1.0])
+    np.testing.assert_array_equal(rows[3][1], [1.0, 0.0])
+    assert [sp for sp, _ in ud.measured_rows()] == [sp for sp, _ in rows]
+    assert [sp for sp, _ in ud.measured_rows({1: None})] == [sp for sp, _ in rows]
+
+
+def test_measured_rows_rejects_wrong_size_and_stray_cycles():
+    ud = UnbalancedDesign.from_design(make_balanced_design(6, 2))
+    with pytest.raises(DesignError, match=r"^misplacement matrix is 3x3, cycle 1 has 2 subsets$"):
+        ud.measured_rows({1: identity_alpha(3)})
+    with pytest.raises(DesignError, match="cycle 2"):
+        ud.measured_rows({2: make_symmetric_alpha(2, 0.6)})
+    with pytest.raises(DesignError, match="cycle 2"):
+        ud.measured_rows({1: None, 2: identity_alpha(2)})
+
+
 def test_parse_design_file(tmp_path):
     text = "\n".join(
         [

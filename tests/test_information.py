@@ -240,6 +240,12 @@ def test_unbalanced_balanced_case_matches_marginal():
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
+def test_unbalanced_rejects_a_matrix_for_a_missing_cycle():
+    ud = UnbalancedDesign.from_design(make_balanced_design(6, 2))
+    with pytest.raises(DesignError, match="cycle 2"):
+        fi_unbalanced(make_model("normal"), ud, {2: make_symmetric_alpha(2, 0.6)})
+
+
 def test_unbalanced_replications_multiply():
     from prosinfo import SetPlan
 

@@ -261,6 +261,11 @@ def test_fisher_unit_agrees_with_score_outer_product(fam):
             np.testing.assert_allclose(fim[j, k], got, atol=2e-6, err_msg=fam)
 
 
+def test_repeated_active_names_are_rejected():
+    with pytest.raises(ModelError, match="distinct"):
+        make_model("normal", active=("mu", "mu"))
+
+
 def test_make_model_validation():
     with pytest.raises(ModelError):
         make_model("weibull")

@@ -7,6 +7,7 @@ from scipy import stats
 
 from prosinfo import (
     DellClutterConfig,
+    DesignError,
     SamplingError,
     SetPlan,
     UnbalancedDesign,
@@ -135,6 +136,69 @@ def test_draw_unbalanced_balanced_case_matches_parent_mixture():
     model = make_model("exponential")
     pooled = draw_unbalanced_pros(model, ud, seed=SEED).values
     assert stats.kstest(pooled, model.cdf).pvalue > 0.01
+
+
+def _sorting_oracle(model, ud, alphas, seed):
+    """The literal field procedure: sort S draws per set, measure a unit of the (misplaced) block."""
+    rng = np.random.default_rng(seed)
+    source, rank, values = [], [], []
+    for sp, row in ud.measured_rows(alphas):
+        count = ud.replications
+        sorted_sets = np.sort(np.asarray(model.quantile(rng.random((count, ud.set_size)))), axis=1)
+        h = np.minimum((rng.random(count)[:, None] > np.cumsum(row)).sum(axis=1), len(sp.partition) - 1)
+        starts = np.array([b[0] for b in sp.partition])
+        sizes = np.array([len(b) for b in sp.partition])
+        u = starts[h] + rng.integers(0, sizes[h])
+        source.append(h + 1)
+        rank.append(u)
+        values.append(sorted_sets[np.arange(count), u - 1])
+    return np.stack(source, axis=1).ravel(), np.stack(rank, axis=1).ravel(), np.stack(values, axis=1).ravel()
+
+
+def _assert_same_law(sample, oracle, sets_per_replication):
+    source, rank, values = oracle
+    # both lay rows out replication by replication, so a row's set is its index modulo K
+    set_of = np.arange(len(rank)) % sets_per_replication
+    drawn = ((sample.source_subset, sample.true_rank), (source, rank))
+    cells = sorted(set().union(*(zip(set_of, src, rk) for src, rk in drawn)))
+    table = [[np.sum((set_of == j) & (src == h) & (rk == u)) for j, h, u in cells] for src, rk in drawn]
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+    for u in np.unique(rank):
+        assert stats.ks_2samp(sample.values[sample.true_rank == u], values[rank == u]).pvalue > 1e-3, u
+
+
+def test_draw_pros_matches_the_sorting_procedure():
+    model = make_model("exponential")
+    design = make_balanced_design(6, 2, cycles=5_000)
+    alpha = make_symmetric_alpha(2, 0.8)
+    sample = draw_pros(model, design, alpha, seed=SEED)
+    _assert_same_law(sample, _sorting_oracle(model, UnbalancedDesign.from_design(design), {1: alpha}, SEED + 1), 2)
+
+
+def test_draw_unbalanced_matches_the_sorting_procedure():
+    model = make_model("normal")
+    ud = _table9_design(replications=3_000)
+    alphas = {1: make_symmetric_alpha(3, 0.7), 2: make_symmetric_alpha(2, 0.8)}
+    sample = draw_unbalanced_pros(model, ud, alphas, seed=SEED)
+    _assert_same_law(sample, _sorting_oracle(model, ud, alphas, SEED + 1), ud.K)
+
+
+def test_draw_unbalanced_row_layout_follows_cycle_order():
+    first, second = ((1, 2, 3), (4, 5), (6,)), ((1, 2), (3, 4, 5, 6))
+    sets = (SetPlan(2, second, 2), SetPlan(1, first, 3), SetPlan(2, second, 1), SetPlan(1, first, 1))
+    sample = draw_unbalanced_pros(make_model("normal"), UnbalancedDesign(6, sets, replications=2), seed=SEED)
+    np.testing.assert_array_equal(sample.cycle, [1, 1, 2, 2, 3, 3, 4, 4])
+    np.testing.assert_array_equal(sample.set_index, [1, 2, 1, 2, 1, 2, 1, 2])
+    np.testing.assert_array_equal(sample.target_subset, [3, 1, 2, 1, 3, 1, 2, 1])
+    np.testing.assert_array_equal(sample.source_subset, sample.target_subset)
+    blocks = [first[2], first[0], second[1], second[0]] * 2
+    assert all(u in block for u, block in zip(sample.true_rank, blocks))
+
+
+def test_draw_unbalanced_rejects_a_matrix_for_a_missing_cycle():
+    ud = UnbalancedDesign.from_design(make_balanced_design(6, 2))
+    with pytest.raises(DesignError, match="cycle 2"):
+        draw_unbalanced_pros(make_model("normal"), ud, {2: make_symmetric_alpha(2, 0.6)})
 
 
 def test_sample_to_csv_layout():

@@ -284,6 +284,7 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["--params", "sigma=inf"],
         ["--set-size", "0"],
         ["--subsets", "-1"],
+        ["--active", "mu,mu"],
     ):
         assert main(base + extra) == 2, extra
         err = capsys.readouterr().err
@@ -295,6 +296,18 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_cli_wrong_size_matrix_gives_one_message(capsys, tmp_path):
+    matrix = tmp_path / "alpha3.csv"
+    matrix.write_text("0.5,0.25,0.25\n0.25,0.5,0.25\n0.25,0.25,0.5\n")
+    design = tmp_path / "design.txt"
+    design.write_text("1;1-3|4-6;1\n1;1-3|4-6;2\n")
+    balanced = ["--family", "normal", "--set-size", "6", "--subsets", "2", "--alpha", str(matrix)]
+    from_file = ["--family", "normal", "--design-file", str(design), "--alpha", str(matrix)]
+    for argv in (["fisher"] + balanced, ["sample"] + balanced, ["fisher"] + from_file, ["sample"] + from_file):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: misplacement matrix is 3x3, cycle 1 has 2 subsets\n", argv
 
 
 def test_cli_uniform_fisher_is_rejected_by_both_methods(capsys):
