@@ -186,10 +186,12 @@ def latent_conditional(model: Model, design: Design, r: int, x: float) -> np.nda
     Entry j is proportional to f^(u_j:S)(x) for u_j the j-th rank of subset r.
     The weights b_u(F(x)) are formed and normalized in log space (1 - F(x) as
     the model's survival function), so a block deep in a tail neither
-    underflows nor loses its small entries.
+    underflows nor loses its small entries.  Where F(x) or 1 - F(x) rounds to
+    0 inside the support, the block's lowest or highest rank holds all the
+    mass: the limit, exact to within F(x) S < 1e-300.
 
-    :raises DensityError: the measurement lies outside the support, so every
-        order-statistic density vanishes.
+    :raises DensityError: the measurement lies outside the open support and
+        every order-statistic density of the block vanishes there.
     """
     k = np.asarray(design.subset(r)) - 1.0
     big_n = design.set_size - 1
@@ -201,8 +203,9 @@ def latent_conditional(model: Model, design: Design, r: int, x: float) -> np.nda
             + np.where(k < big_n, (big_n - k) * log_1mt, 0.0)
         )
     if not np.any(log_w > -np.inf):
-        raise DensityError(
-            f"latent rank probabilities vanish at x={x!r}: point outside the support"
-        )
+        lo, hi = model.support()
+        if not lo < x < hi:
+            raise DensityError(f"latent rank probabilities vanish at x={x!r}: point outside the support")
+        log_w = np.where(k == (k.min() if log_t == -np.inf else k.max()), 0.0, -np.inf)
     weights = np.exp(log_w - log_w.max())
     return weights / weights.sum()

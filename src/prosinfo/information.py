@@ -19,10 +19,12 @@ unbalanced design integrates each set's full score directly.  The Monte Carlo
 route estimates -E[d^2 log L / dtheta^2] at simulated draws and reports a
 standard error per matrix entry; it is the check the quadrature identities are
 tested against.  A draw's log likelihood is log f(x) + log w(F(x)), so by the
-chain rule its Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T:
-w and its t-derivatives are evaluated once per draw (in closed form for a known
-latent rank, by densities.bernstein_series for a misplacement mixture), and
-only the analytic scores are differenced in the parameters.
+chain rule its Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T.
+Each draw is evaluated once, on the quantile scale: sampling.block_draws
+returns t = F(x) along with x; w and its t-derivatives come from t (in closed
+form for a known latent rank, by densities.bernstein_series for a misplacement
+mixture), and every parameter derivative is analytic
+(Model.second_derivatives).
 
 Relative efficiencies are determinant ratios: RE1 compares against SRS of the
 same size, RE2 against an RSS benchmark.
@@ -169,8 +171,8 @@ def fi_pros_complete(
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         total = 0.0
         for sp, row in rows:
-            x, u = sampling.block_draws(model, set_size, sp.partition, row, rng, count)
-            total = total + _neg_hessian(model, x, *_rank_logw_dt(set_size, u, model.cdf(x)))
+            x, u, t = sampling.block_draws(model, set_size, sp.partition, row, rng, count)
+            total = total + _neg_hessian(model, x, *_rank_logw_dt(set_size, u, t))
         return total
 
     return _mc_fi(model, batch, reps, seed, workers, cycles, label)
@@ -267,8 +269,8 @@ def fi_unbalanced(
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         total = 0.0
         for (sp, row), c in zip(rows, coefs):
-            x, _u = sampling.block_draws(model, ud.set_size, sp.partition, row, rng, count)
-            w, w1, w2 = densities.bernstein_series(c, model.cdf(x))
+            x, _u, t = sampling.block_draws(model, ud.set_size, sp.partition, row, rng, count)
+            w, w1, w2 = densities.bernstein_series(c, t)
             total = total + _neg_hessian(model, x, w1 / w, w2 / w - (w1 / w) ** 2)
         return total
 
@@ -289,22 +291,12 @@ def _neg_hessian(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
     """-(d^2/dtheta^2) of log f(x; theta) + log w(F(x; theta)) at each draw, by the chain rule.
 
     a and b are the first two t-derivatives of log w at t = F(x; theta); the
-    Hessian is d^2 log f + a d^2 F + b dF dF^T.  dF comes from the analytic
-    score_cdf; d^2 log f and d^2 F are central differences of the analytic
-    scores in each parameter, symmetrized, so the weight is evaluated once per
-    draw.  Returns the upper-triangle entries, shape (len(x), p(p+1)/2).
+    Hessian is d^2 log f + a d^2 F + b dF dF^T, every term analytic.  Returns
+    the upper-triangle entries, shape (len(x), p(p+1)/2).
     """
-    p = model.p
-    d_cdf = model.score_cdf(x)
-    hess = (b[:, None, None] * d_cdf[:, :, None]) * d_cdf[:, None, :]
-    for k, name in enumerate(model.active):
-        h = 1e-4 * max(abs(model.value(name)), 1.0)
-        up = model.with_params(**{name: model.value(name) + h})
-        down = model.with_params(**{name: model.value(name) - h})
-        hess[:, :, k] += (up.score_logpdf(x) - down.score_logpdf(x)) / (2.0 * h)
-        hess[:, :, k] += a[:, None] * (up.score_cdf(x) - down.score_cdf(x)) / (2.0 * h)
-    rows, cols = np.triu_indices(p)
-    return -0.5 * (hess[:, rows, cols] + hess[:, cols, rows])
+    d_cdf, d2_logf, d2_cdf = model.second_derivatives(x)
+    rows, cols = zip(*((i, j) for i in range(model.p) for j in range(i, model.p)))  # np.triu_indices order
+    return -(d2_logf + a[:, None] * d2_cdf + (b[:, None] * d_cdf[:, rows]) * d_cdf[:, cols])
 
 
 def _mc_fi(
@@ -436,8 +428,7 @@ def verify_lemma_identity(
         t0 = np.zeros(count)
         t1 = np.zeros(count)
         for sp, row in rows:
-            x, u = sampling.block_draws(model, S, sp.partition, row, rng, count)
-            F = np.asarray(model.cdf(x), dtype=float)
+            x, u, F = sampling.block_draws(model, S, sp.partition, row, rng, count)
             gx = np.asarray(G(x), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 t0 += np.where(u > 1, (u - 1) * gx / F, 0.0)

@@ -1,10 +1,14 @@
 """Parametric distribution families with cdf parameter-derivatives and per-observation Fisher information.
 
-Each family exposes pdf/cdf/quantile plus the two derivative vectors the
-information calculations need: d F(x;theta)/d theta (the score of the cdf) and
-d log f(x;theta)/d theta.  All formulas are analytic, and so is every
-per-observation Fisher matrix but the exponential mixture's, which is obtained
-by quadrature of the score outer product.
+Each family exposes pdf/cdf/quantile plus the parameter derivatives the
+information calculations need: d F(x;theta)/d theta (the score of the cdf),
+d log f(x;theta)/d theta, and the second derivatives of both, which the Monte
+Carlo Hessians use.  The location-scale families (all but the exponential
+mixture; gamma with its shape fixed) state only their standard density f0,
+psi = (log f0)' and psi', and every derivative follows by the chain rule
+through z = (x - loc)/scale; the mixture states its own.  All formulas are
+analytic, and so is every per-observation Fisher matrix but the exponential
+mixture's, which is obtained by quadrature of the score outer product.
 
 Conventions: the extreme-value family is the Gumbel minimum, F(z) = 1 - exp(-e^z);
 the exponential mixture fixes the baseline rate at 1 and is parameterized by
@@ -150,19 +154,27 @@ class Model:
         out = _family(self.family).quantile(self._ctx(), ua)
         return np.asarray(out) if np.ndim(u) else float(out)
 
+    def _partials(self, x: FloatArray, second: bool) -> tuple[dict, ...]:
+        return _family(self.family).partials(self._ctx(), np.asarray(x, dtype=float), second)
+
     def score_cdf(self, x: FloatArray) -> np.ndarray:
         """d F(x;theta) / d theta_j for the active parameters, stacked on the last axis."""
-        xa = np.asarray(x, dtype=float)
-        fam = _family(self.family)
-        cols = [fam.cdf_deriv(self._ctx(), name, xa) for name in self.active]
-        return np.stack(np.broadcast_arrays(*cols), axis=-1) if len(cols) > 1 else np.asarray(cols[0])[..., None]
+        return _columns(self._partials(x, False)[1], self.active, np.shape(x))
 
     def score_logpdf(self, x: FloatArray) -> np.ndarray:
         """d log f(x;theta) / d theta_j for the active parameters, stacked on the last axis."""
-        xa = np.asarray(x, dtype=float)
-        fam = _family(self.family)
-        cols = [fam.logpdf_deriv(self._ctx(), name, xa) for name in self.active]
-        return np.stack(np.broadcast_arrays(*cols), axis=-1) if len(cols) > 1 else np.asarray(cols[0])[..., None]
+        return _columns(self._partials(x, False)[0], self.active, np.shape(x))
+
+    def second_derivatives(self, x: FloatArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dF, d^2 log f, d^2 F) in the active parameters, from one evaluation at x.
+
+        dF is stacked on the last axis like score_cdf; the second derivatives
+        hold the p(p+1)/2 upper-triangle entries in np.triu_indices order.
+        """
+        _, d_cdf, d2_logf, d2_cdf = self._partials(x, True)
+        pairs = [frozenset((a, b)) for i, a in enumerate(self.active) for b in self.active[i:]]
+        shape = np.shape(x)
+        return _columns(d_cdf, self.active, shape), _columns(d2_logf, pairs, shape), _columns(d2_cdf, pairs, shape)
 
     def mean(self) -> float:
         return _family(self.family).mean(self._ctx())
@@ -235,11 +247,19 @@ class _Family:
     cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     quantile: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    cdf_deriv: tp.Callable[[dict[str, float], str, np.ndarray], np.ndarray]
-    logpdf_deriv: tp.Callable[[dict[str, float], str, np.ndarray], np.ndarray]
+    # (c, x, second) -> (d log f, dF, d^2 log f, d^2 F): first derivatives keyed by parameter name,
+    # second ones by the frozenset of the two names and empty unless second
+    partials: tp.Callable[[dict[str, float], np.ndarray, bool], tuple[dict, ...]]
     mean: tp.Callable[[dict[str, float]], float]
     var: tp.Callable[[dict[str, float]], float]
     fisher_unit: tp.Callable[[dict[str, float]], np.ndarray | None]
+
+
+def _columns(partials: dict, keys: tp.Sequence, shape: tuple[int, ...]) -> np.ndarray:
+    out = np.empty(shape + (len(keys),))
+    for j, k in enumerate(keys):
+        out[..., j] = partials[k]
+    return out
 
 
 def _require_positive(ctx: dict[str, float], *names: str) -> None:
@@ -248,78 +268,82 @@ def _require_positive(ctx: dict[str, float], *names: str) -> None:
             raise ModelError(f"parameter {n!r} must be strictly positive, got {ctx[n]!r}")
 
 
-def _normal_pdf(c, x):
-    z = (x - c["mu"]) / c["sigma"]
-    return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * c["sigma"])
+@dataclasses.dataclass(frozen=True)
+class _Standard:
+    """A location-scale family stated through its standard variable z = (x - loc) / scale.
+
+    pdf, cdf and sf are f0, F0 and 1 - F0 of z, quantile is F0^{-1}, psi is
+    (log f0)' and dpsi is psi'; each takes the parameter dict first, for a
+    fixed shape.  loc is None for a scale family, whose location is 0.
+    """
+
+    loc: str | None
+    scale: str
+    pdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    quantile: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    psi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    dpsi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+
+    def z(self, c: dict[str, float], x: np.ndarray) -> np.ndarray:
+        return (x - (c[self.loc] if self.loc else 0.0)) / c[self.scale]
+
+    def partials(self, c: dict[str, float], x: np.ndarray, second: bool) -> tuple[dict, ...]:
+        """Chain rule through z, with log f = log f0(z) - log s and F = F0(z).
+
+        With a = 1 for loc and a = z for s, dz/dtheta_i = -a_i / s, and
+        d^2 z / dtheta_i dtheta_j = b_ij / s^2 with b = 0 in (loc, loc), 1 in
+        (loc, s) and 2z in (s, s); so d_i log f = -(psi a_i + [i = s]) / s,
+        d_i F = -f0 a_i / s, d_ij log f = (psi' a_i a_j + psi b_ij + [i = j = s]) / s^2
+        and d_ij F = f0 (psi a_i a_j + b_ij) / s^2.
+        """
+        s = c[self.scale]
+        z = self.z(c, x)
+        f0, psi = self.pdf(c, z), self.psi(c, z)
+        a = {self.scale: z}
+        b = {(self.scale, self.scale): 2.0 * z}
+        if self.loc:
+            a[self.loc] = 1.0
+            b[self.loc, self.loc], b[self.loc, self.scale] = 0.0, 1.0
+        d_logf = {n: -(psi * v + (n == self.scale)) / s for n, v in a.items()}
+        d_cdf = {n: -f0 * v / s for n, v in a.items()}
+        if not second:
+            return d_logf, d_cdf, {}, {}
+        dpsi = self.dpsi(c, z)
+        d2_logf, d2_cdf = {}, {}
+        for (i, j), bij in b.items():
+            aa = a[i] * a[j]
+            d2_logf[frozenset((i, j))] = (dpsi * aa + psi * bij + (i == j == self.scale)) / s**2
+            d2_cdf[frozenset((i, j))] = f0 * (psi * aa + bij) / s**2
+        return d_logf, d_cdf, d2_logf, d2_cdf
 
 
-def _normal_cdf_deriv(c, name, x):
-    z = (x - c["mu"]) / c["sigma"]
-    f = _normal_pdf(c, x)
-    return -f if name == "mu" else -z * f
+def _location_scale(std: _Standard, **fields: tp.Any) -> _Family:
+    """The family of std; fields override the defaults of a location-scale family
+    (every parameter active, loc 0, scale 1 and positive, support the real line or,
+    without loc, (0, inf))."""
+    names = (std.loc, std.scale) if std.loc else (std.scale,)
+    base = dict(
+        param_names=names,
+        defaults={n: float(n == std.scale) for n in names},
+        default_active=names,
+        never_active=(),
+        validate=lambda c: _require_positive(c, std.scale),
+        support=lambda c: (-math.inf if std.loc else 0.0, math.inf),
+        pdf=lambda c, x: std.pdf(c, std.z(c, x)) / c[std.scale],
+        cdf=lambda c, x: std.cdf(c, std.z(c, x)),
+        sf=lambda c, x: std.sf(c, std.z(c, x)),
+        quantile=lambda c, u: (c[std.loc] if std.loc else 0.0) + c[std.scale] * std.quantile(c, u),
+        partials=std.partials,
+    )
+    return _Family(**{**base, **fields})
 
 
-def _normal_logpdf_deriv(c, name, x):
-    z = (x - c["mu"]) / c["sigma"]
-    return z / c["sigma"] if name == "mu" else (z * z - 1.0) / c["sigma"]
-
-
-def _logistic_cdf(c, x):
-    return sps.expit((x - c["mu"]) / c["sigma"])
-
-
-def _logistic_pdf(c, x):
+def _logistic_pdf0(c, z):
     # symmetric in z, so neither tail loses the density to 1 - G rounding to 0
-    e = np.exp(-np.abs((x - c["mu"]) / c["sigma"]))
-    return e / (1.0 + e) ** 2 / c["sigma"]
-
-
-def _logistic_cdf_deriv(c, name, x):
-    z = (x - c["mu"]) / c["sigma"]
-    f = _logistic_pdf(c, x)
-    return -f if name == "mu" else -z * f
-
-
-def _logistic_logpdf_deriv(c, name, x):
-    z = (x - c["mu"]) / c["sigma"]
-    G = _logistic_cdf(c, x)
-    if name == "mu":
-        return (2.0 * G - 1.0) / c["sigma"]
-    return (z * (2.0 * G - 1.0) - 1.0) / c["sigma"]
-
-
-def _gumbel_min_cdf(c, x):
-    z = (x - c["mu"]) / c["sigma"]
-    return -np.expm1(-np.exp(z))
-
-
-def _gumbel_min_pdf(c, x):
-    z = (x - c["mu"]) / c["sigma"]
-    return np.exp(z - np.exp(z)) / c["sigma"]
-
-
-def _gumbel_min_cdf_deriv(c, name, x):
-    z = (x - c["mu"]) / c["sigma"]
-    f = _gumbel_min_pdf(c, x)
-    return -f if name == "mu" else -z * f
-
-
-def _gumbel_min_logpdf_deriv(c, name, x):
-    z = (x - c["mu"]) / c["sigma"]
-    ez = np.exp(z)
-    if name == "mu":
-        return (ez - 1.0) / c["sigma"]
-    return (z * (ez - 1.0) - 1.0) / c["sigma"]
-
-
-def _exponential_pdf(c, x):
-    return np.exp(-x / c["sigma"]) / c["sigma"]
-
-
-def _gamma_pdf(c, x):
-    k, s = c["shape"], c["sigma"]
-    z = x / s
-    return np.exp((k - 1.0) * np.log(z) - z - math.lgamma(k)) / s
+    e = np.exp(-np.abs(z))
+    return e / (1.0 + e) ** 2
 
 
 def _mixture_pdf(c, x):
@@ -365,97 +389,79 @@ def _mixture_quantile(c, u):
     return x.reshape(np.shape(u)) if np.ndim(u) else float(x[0])
 
 
-def _mixture_cdf_deriv(c, name, x):
+def _mixture_partials(c, x, second):
+    # with a = e^{-hx}, b = e^{-x}: f = pi h a + (1 - pi) b and F = 1 - pi a - (1 - pi) b
     pi, h = c["pi"], c["h"]
-    if name == "pi":
-        return np.exp(-x) - np.exp(-h * x)
-    return pi * x * np.exp(-h * x)
-
-
-def _mixture_logpdf_deriv(c, name, x):
-    pi, h = c["pi"], c["h"]
-    f = _mixture_pdf(c, x)
-    if name == "pi":
-        return (h * np.exp(-h * x) - np.exp(-x)) / f
-    return pi * np.exp(-h * x) * (1.0 - h * x) / f
-
-
-def _uniform_pdf(c, x):
-    return np.full_like(np.asarray(x, dtype=float), 1.0 / c["scale"])
-
-
-def _uniform_cdf_deriv(c, name, x):
-    f = 1.0 / c["scale"]
-    if name == "loc":
-        return np.full_like(np.asarray(x, dtype=float), -f)
-    return -((np.asarray(x, dtype=float) - c["loc"]) / c["scale"]) * f
+    a, b = np.exp(-h * x), np.exp(-x)
+    f = pi * h * a + (1.0 - pi) * b
+    d_logf = {"pi": (h * a - b) / f, "h": pi * a * (1.0 - h * x) / f}
+    d_cdf = {"pi": b - a, "h": pi * x * a}
+    if not second:
+        return d_logf, d_cdf, {}, {}
+    pp, ph, hh = frozenset(("pi",)), frozenset(("pi", "h")), frozenset(("h",))
+    # d^2 log f = f_ij / f - (d_i log f)(d_j log f), and f_{pi pi} = 0
+    d2_logf = {
+        pp: -d_logf["pi"] ** 2,
+        ph: a * (1.0 - h * x) / f - d_logf["pi"] * d_logf["h"],
+        hh: pi * a * x * (h * x - 2.0) / f - d_logf["h"] ** 2,
+    }
+    d2_cdf = {pp: np.zeros_like(x), ph: x * a, hh: -pi * x * x * a}
+    return d_logf, d_cdf, d2_logf, d2_cdf
 
 
 _FAMILIES: dict[str, _Family] = {
-    "normal": _Family(
-        param_names=("mu", "sigma"),
-        defaults={"mu": 0.0, "sigma": 1.0},
-        default_active=("mu", "sigma"),
-        never_active=(),
-        validate=lambda c: _require_positive(c, "sigma"),
-        support=lambda c: (-math.inf, math.inf),
-        pdf=_normal_pdf,
-        cdf=lambda c, x: sps.ndtr((x - c["mu"]) / c["sigma"]),
-        sf=lambda c, x: sps.ndtr((c["mu"] - x) / c["sigma"]),
-        quantile=lambda c, u: c["mu"] + c["sigma"] * sps.ndtri(u),
-        cdf_deriv=_normal_cdf_deriv,
-        logpdf_deriv=_normal_logpdf_deriv,
+    "normal": _location_scale(
+        _Standard(
+            "mu", "sigma",
+            pdf=lambda c, z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
+            cdf=lambda c, z: sps.ndtr(z),
+            sf=lambda c, z: sps.ndtr(-z),
+            quantile=lambda c, u: sps.ndtri(u),
+            psi=lambda c, z: -z,
+            dpsi=lambda c, z: -1.0,
+        ),
         mean=lambda c: c["mu"],
         var=lambda c: c["sigma"] ** 2,
         fisher_unit=lambda c: np.diag([1.0, 2.0]) / c["sigma"] ** 2,
     ),
-    "exponential": _Family(
-        param_names=("sigma",),
-        defaults={"sigma": 1.0},
-        default_active=("sigma",),
-        never_active=(),
-        validate=lambda c: _require_positive(c, "sigma"),
-        support=lambda c: (0.0, math.inf),
-        pdf=_exponential_pdf,
-        cdf=lambda c, x: -np.expm1(-x / c["sigma"]),
-        sf=lambda c, x: np.exp(-x / c["sigma"]),
-        quantile=lambda c, u: -c["sigma"] * np.log1p(-u),
-        cdf_deriv=lambda c, name, x: -(x / c["sigma"]) * _exponential_pdf(c, x),
-        logpdf_deriv=lambda c, name, x: (x / c["sigma"] - 1.0) / c["sigma"],
+    "exponential": _location_scale(
+        _Standard(
+            None, "sigma",
+            pdf=lambda c, z: np.exp(-z),
+            cdf=lambda c, z: -np.expm1(-z),
+            sf=lambda c, z: np.exp(-z),
+            quantile=lambda c, u: -np.log1p(-u),
+            psi=lambda c, z: -1.0,
+            dpsi=lambda c, z: 0.0,
+        ),
         mean=lambda c: c["sigma"],
         var=lambda c: c["sigma"] ** 2,
         fisher_unit=lambda c: np.array([[1.0 / c["sigma"] ** 2]]),
     ),
-    "logistic": _Family(
-        param_names=("mu", "sigma"),
-        defaults={"mu": 0.0, "sigma": 1.0},
-        default_active=("mu", "sigma"),
-        never_active=(),
-        validate=lambda c: _require_positive(c, "sigma"),
-        support=lambda c: (-math.inf, math.inf),
-        pdf=_logistic_pdf,
-        cdf=_logistic_cdf,
-        sf=lambda c, x: sps.expit((c["mu"] - x) / c["sigma"]),
-        quantile=lambda c, u: c["mu"] + c["sigma"] * (np.log(u) - np.log1p(-u)),
-        cdf_deriv=_logistic_cdf_deriv,
-        logpdf_deriv=_logistic_logpdf_deriv,
+    "logistic": _location_scale(
+        _Standard(
+            "mu", "sigma",
+            pdf=_logistic_pdf0,
+            cdf=lambda c, z: sps.expit(z),
+            sf=lambda c, z: sps.expit(-z),
+            quantile=lambda c, u: np.log(u) - np.log1p(-u),
+            psi=lambda c, z: -np.tanh(0.5 * z),
+            dpsi=lambda c, z: -2.0 * _logistic_pdf0(c, z),
+        ),
         mean=lambda c: c["mu"],
         var=lambda c: (math.pi * c["sigma"]) ** 2 / 3.0,
         fisher_unit=lambda c: np.diag([1.0 / 3.0, (math.pi**2 + 3.0) / 9.0]) / c["sigma"] ** 2,
     ),
-    "extreme_value": _Family(
-        param_names=("mu", "sigma"),
-        defaults={"mu": 0.0, "sigma": 1.0},
-        default_active=("mu", "sigma"),
-        never_active=(),
-        validate=lambda c: _require_positive(c, "sigma"),
-        support=lambda c: (-math.inf, math.inf),
-        pdf=_gumbel_min_pdf,
-        cdf=_gumbel_min_cdf,
-        sf=lambda c, x: np.exp(-np.exp((x - c["mu"]) / c["sigma"])),
-        quantile=lambda c, u: c["mu"] + c["sigma"] * np.log(-np.log1p(-u)),
-        cdf_deriv=_gumbel_min_cdf_deriv,
-        logpdf_deriv=_gumbel_min_logpdf_deriv,
+    "extreme_value": _location_scale(
+        _Standard(
+            "mu", "sigma",
+            pdf=lambda c, z: np.exp(z - np.exp(z)),
+            cdf=lambda c, z: -np.expm1(-np.exp(z)),
+            sf=lambda c, z: np.exp(-np.exp(z)),
+            quantile=lambda c, u: np.log(-np.log1p(-u)),
+            psi=lambda c, z: 1.0 - np.exp(z),
+            dpsi=lambda c, z: -np.exp(z),
+        ),
         mean=lambda c: c["mu"] - _EULER_GAMMA * c["sigma"],
         var=lambda c: (math.pi * c["sigma"]) ** 2 / 6.0,
         fisher_unit=lambda c: np.array(
@@ -463,19 +469,20 @@ _FAMILIES: dict[str, _Family] = {
         )
         / c["sigma"] ** 2,
     ),
-    "gamma": _Family(
+    "gamma": _location_scale(
+        _Standard(
+            None, "sigma",
+            pdf=lambda c, z: np.exp((c["shape"] - 1.0) * np.log(z) - z - math.lgamma(c["shape"])),
+            cdf=lambda c, z: sps.gammainc(c["shape"], z),
+            sf=lambda c, z: sps.gammaincc(c["shape"], z),
+            quantile=lambda c, u: sps.gammaincinv(c["shape"], u),
+            psi=lambda c, z: (c["shape"] - 1.0) / z - 1.0,
+            dpsi=lambda c, z: -(c["shape"] - 1.0) / (z * z),
+        ),
         param_names=("shape", "sigma"),
         defaults={"shape": 2.0, "sigma": 1.0},
-        default_active=("sigma",),
         never_active=("shape",),
         validate=lambda c: _require_positive(c, "shape", "sigma"),
-        support=lambda c: (0.0, math.inf),
-        pdf=_gamma_pdf,
-        cdf=lambda c, x: sps.gammainc(c["shape"], x / c["sigma"]),
-        sf=lambda c, x: sps.gammaincc(c["shape"], x / c["sigma"]),
-        quantile=lambda c, u: c["sigma"] * sps.gammaincinv(c["shape"], u),
-        cdf_deriv=lambda c, name, x: -(x / c["sigma"]) * _gamma_pdf(c, x),
-        logpdf_deriv=lambda c, name, x: (x / c["sigma"] - c["shape"]) / c["sigma"],
         mean=lambda c: c["shape"] * c["sigma"],
         var=lambda c: c["shape"] * c["sigma"] ** 2,
         fisher_unit=lambda c: np.array(
@@ -485,19 +492,18 @@ _FAMILIES: dict[str, _Family] = {
             ]
         ),
     ),
-    "uniform": _Family(
-        param_names=("loc", "scale"),
-        defaults={"loc": 0.0, "scale": 1.0},
+    "uniform": _location_scale(
+        _Standard(
+            "loc", "scale",
+            pdf=lambda c, z: np.ones_like(z),
+            cdf=lambda c, z: z,
+            sf=lambda c, z: 1.0 - z,
+            quantile=lambda c, u: u,
+            psi=lambda c, z: 0.0,
+            dpsi=lambda c, z: 0.0,
+        ),
         default_active=("loc",),
-        never_active=(),
-        validate=lambda c: _require_positive(c, "scale"),
         support=lambda c: (c["loc"], c["loc"] + c["scale"]),
-        pdf=_uniform_pdf,
-        cdf=lambda c, x: (x - c["loc"]) / c["scale"],
-        sf=lambda c, x: (c["loc"] + c["scale"] - x) / c["scale"],
-        quantile=lambda c, u: c["loc"] + c["scale"] * u,
-        cdf_deriv=_uniform_cdf_deriv,
-        logpdf_deriv=lambda c, name, x: np.zeros_like(np.asarray(x, dtype=float)),
         mean=lambda c: c["loc"] + c["scale"] / 2.0,
         var=lambda c: c["scale"] ** 2 / 12.0,
         fisher_unit=lambda c: None,
@@ -513,8 +519,7 @@ _FAMILIES: dict[str, _Family] = {
         cdf=_mixture_cdf,
         sf=_mixture_sf,
         quantile=_mixture_quantile,
-        cdf_deriv=_mixture_cdf_deriv,
-        logpdf_deriv=_mixture_logpdf_deriv,
+        partials=_mixture_partials,
         mean=lambda c: c["pi"] / c["h"] + (1.0 - c["pi"]),
         var=lambda c: 2.0 * c["pi"] / c["h"] ** 2 + 2.0 * (1.0 - c["pi"]) - (c["pi"] / c["h"] + 1.0 - c["pi"]) ** 2,
         fisher_unit=lambda c: None,

@@ -1,10 +1,12 @@
 """Random generation of ranked-set style samples and ranking-error estimation.
 
-Every measured unit is drawn by block_draws: the judged block's misplacement
-row picks the source block h, a rank u is uniform among h's ranks, and the
-value is the order statistic X_(u:S) = F^{-1}(Beta(u, S+1-u)), which has the
-same joint law of (value, rank) as drawing S values, sorting them and
-measuring the u-th.  draw_unbalanced_pros makes one such call per judgment set
+Every measured unit is drawn by block_draws on the quantile scale: the true
+rank u has probability c_u / S, with c the rank coefficients of the judged
+block's misplacement-mixed weight (densities.rank_coefficients), so source
+block h comes with probability alpha[r, h] and u is uniform among h's ranks;
+then t ~ Beta(u, S+1-u) and the value is the order statistic
+X_(u:S) = F^{-1}(t), which has the same joint law of (value, rank) as drawing
+S values, sorting them and measuring the u-th.  draw_unbalanced_pros makes one such call per judgment set
 for all replications at once, and draw_pros is its one-cycle case.  The true
 rank of every measured unit is recorded, which is what the complete-data
 information estimators and the latent-rank diagnostics consume.
@@ -22,7 +24,7 @@ import typing as tp
 
 import numpy as np
 
-from . import numerics
+from . import densities, numerics
 from .designs import Design, MisplacementMatrix, UnbalancedDesign, identity_alpha
 from .models import Model
 
@@ -100,7 +102,7 @@ def draw_unbalanced_pros(
     rows = ud.measured_rows(alphas)
     columns = []
     for sp, row in rows:
-        x, u = block_draws(model, ud.set_size, sp.partition, row, rng, ud.replications)
+        x, u, _t = block_draws(model, ud.set_size, sp.partition, row, rng, ud.replications)
         columns.append((x, u, np.searchsorted([b[0] for b in sp.partition], u, side="right")))
     values, ranks, source = (np.stack(c, axis=1).ravel() for c in zip(*columns))
     cycle = np.array([sp.cycle for sp, _ in rows])
@@ -137,20 +139,19 @@ def block_draws(
     alpha_row: np.ndarray,
     rng: np.random.Generator,
     count: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """count draws of (value, true rank) for one judged block under alpha_row.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count draws of (value x, true rank u, t = F(x)) for one judged block under alpha_row.
 
-    Uses the order-statistic shortcut X_(u:S) = F^{-1}(Beta(u, S+1-u)), whose
-    joint law of (value, rank) matches the literal sort-based procedure.
+    u is drawn with probability c_u / sum(c) from the rank coefficients of the
+    weight, so a row that sums to 1 only up to rounding still yields a rank of
+    positive weight.  The order-statistic shortcut t ~ Beta(u, S+1-u),
+    x = F^{-1}(t) gives the joint law of (value, rank) of the literal
+    sort-based procedure.
     """
-    cum = np.cumsum(np.asarray(alpha_row, dtype=float))
-    h = (rng.random(count)[:, None] > cum).sum(axis=1)
-    h = np.minimum(h, len(blocks) - 1)
-    starts = np.array([b[0] for b in blocks])
-    sizes = np.array([len(b) for b in blocks])
-    u = starts[h] + rng.integers(0, sizes[h])
-    x = np.asarray(model.quantile(rng.beta(u, set_size + 1 - u)))
-    return x, u
+    cum = np.cumsum(densities.rank_coefficients(set_size, blocks, alpha_row))
+    u = 1 + np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
+    t = rng.beta(u, set_size + 1 - u)
+    return np.asarray(model.quantile(t)), u, t
 
 
 @dataclasses.dataclass(frozen=True)

@@ -300,6 +300,27 @@ def test_latent_conditional_deep_in_a_tail(r, x):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "fam, r, x",
+    [("normal", 4, -38.0), ("normal", 4, -39.0), ("normal", 1, 38.0), ("normal", 1, 39.0),
+     ("logistic", 4, -800.0), ("logistic", 1, 800.0), ("extreme_value", 1, 7.0)],
+)
+def test_latent_conditional_where_the_cdf_underflows(fam, r, x):
+    # F(x) or 1 - F(x) rounds to 0 here, but the point lies inside the support; the oracle
+    # forms log b_u(F(x)) from scipy's log-cdf and log-sf, with log C(63, k) from the
+    # Binomial(63, 1/2) log-pmf (the constant 63 log 2 cancels in the normalization)
+    from scipy import stats
+
+    dist = {"normal": stats.norm, "logistic": stats.logistic, "extreme_value": stats.gumbel_l}[fam]
+    design = make_balanced_design(64, 4)
+    k = np.asarray(design.subset(r)) - 1
+    log_w = stats.binom.logpmf(k, 63, 0.5) + k * dist.logcdf(x) + (63 - k) * dist.logsf(x)
+    want = np.exp(log_w - sps.logsumexp(log_w))
+    got = latent_conditional(make_model(fam), design, r, x)
+    assert np.all(np.isfinite(got)) and got.sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-300)
+
+
 def test_large_set_sizes_stay_finite():
     # log-space binomials keep S = 64 weights representable
     val = block_weight(64, (32,), 0.5) / 64

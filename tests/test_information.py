@@ -466,9 +466,9 @@ def test_mc_non_finite_replicate_raises(monkeypatch):
 
     def far_tail_first(model, *args):
         # at F(x) = 1e-300 upper-block weights underflow and their log derivatives overflow
-        x, u = real(model, *args)
-        x[0] = model.quantile(1e-300)
-        return x, u
+        x, u, t = real(model, *args)
+        x[0], t[0] = model.quantile(1e-300), 1e-300
+        return x, u, t
 
     monkeypatch.setattr(sampling, "block_draws", far_tail_first)
     design = make_balanced_design(64, 4)
@@ -477,3 +477,24 @@ def test_mc_non_finite_replicate_raises(monkeypatch):
     assert err.value.index == 0
     with pytest.raises(ReplicateError):
         fi_pros_complete(make_model("normal"), 4, 64, method="mc", reps=100, seed=SEED)
+
+
+def test_mc_batches_use_the_drawn_quantile_and_analytic_hessians(monkeypatch):
+    from prosinfo import Model, SetPlan
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Monte Carlo batches must not rebuild models or recompute F(x)")
+
+    model = make_model("normal")
+    ud = UnbalancedDesign(6, (SetPlan(1, ((1, 2), (3, 4, 5, 6)), 1), SetPlan(1, ((1, 2), (3, 4, 5, 6)), 2)))
+    alphas = {1: make_symmetric_alpha(2, 0.8)}
+    want = (fi_pros_complete(model, 2, 6).matrix.as_array(), fi_unbalanced(model, ud, alphas).matrix.as_array())
+    monkeypatch.setattr(Model, "with_params", forbidden)
+    monkeypatch.setattr(Model, "cdf", forbidden)
+    complete = fi_pros_complete(model, 2, 6, method="mc", reps=20_000, seed=SEED)
+    unbalanced = fi_unbalanced(model, ud, alphas, method="mc", reps=20_000, seed=SEED)
+    for fi, quad in zip((complete, unbalanced), want):
+        assert np.all(np.abs(fi.matrix.as_array() - quad) <= 5.0 * np.asarray(fi.std_errors))
+    check = verify_lemma_identity(model, make_balanced_design(6, 2), lambda x: np.exp(-x * x), reps=20_000, seed=SEED)
+    for side in (check.lambda0, check.lambda1):
+        assert abs(side.value - check.reference) <= 5.0 * side.std_error

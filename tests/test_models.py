@@ -121,6 +121,77 @@ def test_score_logpdf_matches_finite_difference(fam):
         np.testing.assert_allclose(got[:, j], fd, atol=1e-5, err_msg=f"{fam}:{name}")
 
 
+def _model_id(fam, params):
+    return "-".join([fam] + [f"{k}={v:g}" for k, v in params.items()])
+
+
+def _free(fam, **params):
+    """The family with every parameter active but gamma's shape, which is fixed by design."""
+    names = make_model(fam).param_names
+    return make_model(fam, active=tuple(n for n in names if n != "shape"), **params)
+
+
+@pytest.mark.parametrize("fam", family_names())
+def test_scores_match_finite_difference_for_every_free_parameter(fam):
+    model = _free(fam)
+    h = 1e-6
+    xs = np.asarray(model.quantile(U_GRID))
+    for j, name in enumerate(model.active):
+        theta = model.value(name)
+        hi = model.with_params(**{name: theta + h})
+        lo = model.with_params(**{name: theta - h})
+        fd_logpdf = (hi.logpdf(xs) - lo.logpdf(xs)) / (2.0 * h)
+        fd_cdf = (hi.cdf(xs) - lo.cdf(xs)) / (2.0 * h)
+        np.testing.assert_allclose(model.score_logpdf(xs)[:, j], fd_logpdf, atol=1e-5, err_msg=f"{fam}:{name}")
+        np.testing.assert_allclose(model.score_cdf(xs)[:, j], fd_cdf, atol=1e-6, err_msg=f"{fam}:{name}")
+
+
+def _richardson_hessian(model, fn, x):
+    """Upper-triangle second parameter derivatives of fn(model, x), by central
+    differences of fn itself at steps h, h/2 and h/4, extrapolated twice."""
+    names = model.active
+    base = [model.value(n) for n in names]
+    # relative steps, kept well inside (0, 1) for the mixture weight
+    steps = [min(1e-2 * (abs(v) or 1.0), (1.0 - v) / 8.0 if n == "pi" else np.inf) for n, v in zip(names, base)]
+
+    def at(shift):
+        moved = {n: v + shift.get(j, 0.0) * steps[j] for j, (n, v) in enumerate(zip(names, base))}
+        return np.asarray(fn(model.with_params(**moved), x))
+
+    def central(j, k, s):
+        if j == k:
+            return (at({j: s}) - 2.0 * at({}) + at({j: -s})) / (s * steps[j]) ** 2
+        return (at({j: s, k: s}) - at({j: s, k: -s}) - at({j: -s, k: s}) + at({j: -s, k: -s})) / (
+            4.0 * s * s * steps[j] * steps[k]
+        )
+
+    def extrapolated(j, k):
+        d1, d2, d4 = (central(j, k, s) for s in (1.0, 0.5, 0.25))
+        r1, r2 = (4.0 * d2 - d1) / 3.0, (4.0 * d4 - d2) / 3.0
+        return (16.0 * r2 - r1) / 15.0
+
+    rows, cols = np.triu_indices(len(names))
+    return np.stack([extrapolated(j, k) for j, k in zip(rows, cols)], axis=-1)
+
+
+HESSIAN_CASES = [(f, {}) for f in family_names() if f != "uniform"] + [
+    ("gamma", {"shape": 0.5}),
+    ("exp_mixture", {"pi": 0.999, "h": 0.01}),
+]
+
+
+@pytest.mark.parametrize("fam,params", HESSIAN_CASES, ids=[_model_id(f, p) for f, p in HESSIAN_CASES])
+def test_second_derivatives_match_difference_oracle(fam, params):
+    model = _free(fam, **params)
+    x = np.asarray(model.quantile(np.linspace(0.03, 0.97, 15)))
+    d_cdf, d2_logf, d2_cdf = model.second_derivatives(x)
+    np.testing.assert_array_equal(d_cdf, model.score_cdf(x))
+    for got, fn in ((d2_logf, Model.logpdf), (d2_cdf, Model.cdf)):
+        want = _richardson_hessian(model, fn, x)
+        assert got.shape == want.shape == (x.size, model.p * (model.p + 1) // 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7 * np.max(np.abs(want)), err_msg=fn.__name__)
+
+
 @pytest.mark.parametrize("fam", family_names())
 def test_pdf_is_cdf_derivative(fam):
     model = make_model(fam)

@@ -8,6 +8,7 @@ from scipy import stats
 from prosinfo import (
     DellClutterConfig,
     DesignError,
+    Model,
     SamplingError,
     SetPlan,
     UnbalancedDesign,
@@ -227,10 +228,49 @@ def test_sample_to_csv_round_trips(fam):
 def test_block_draws_follow_block_law():
     model = make_model("uniform")
     rng = substream(SEED, 0)
-    x, u = block_draws(model, 6, ((1, 2, 3), (4, 5, 6)), np.array([0.0, 1.0]), rng, 5_000)
+    x, u, t = block_draws(model, 6, ((1, 2, 3), (4, 5, 6)), np.array([0.0, 1.0]), rng, 5_000)
     assert set(np.unique(u)) <= {4, 5, 6}
     # order-statistic means are u/(S+1), so the block average is (4+5+6)/21
     assert abs(x.mean() - 15.0 / 21.0) < 0.01
+
+
+@pytest.mark.parametrize(
+    "model",
+    (make_model("normal"), make_model("logistic"), make_model("extreme_value"), make_model("gamma", shape=0.5),
+     make_model("exp_mixture", pi=0.999, h=0.01)),
+    ids=Model.label,
+)
+def test_block_draws_return_the_quantile_of_each_draw(model):
+    blocks = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))
+    x, u, t = block_draws(model, 12, blocks, [0.2, 0.5, 0.3], substream(SEED, 1), 4_000)
+    assert x.shape == u.shape == t.shape == (4_000,)
+    assert np.max(np.abs(np.asarray(model.cdf(x)) - t)) <= 1e-12
+
+
+def test_block_draws_rank_follows_the_coefficient_row():
+    from prosinfo.densities import rank_coefficients
+
+    blocks, row = ((1, 2), (3, 4, 5, 6, 7), (8, 9, 10, 11, 12)), [0.25, 0.15, 0.6]
+    _, u, _ = block_draws(make_model("exponential"), 12, blocks, row, substream(SEED, 2), 24_000)
+    counts = np.bincount(u, minlength=13)[1:]
+    expected = 24_000 * rank_coefficients(12, blocks, row) / 12
+    assert stats.chisquare(counts, expected).pvalue > 1e-3
+
+
+def test_block_draws_never_step_past_the_last_rank():
+    # a row that sums to just under 1 must not let the top uniform fall beyond the cumulative weight
+    class TopOfRange:
+        def random(self, n):
+            return np.full(n, np.nextafter(1.0, 0.0))
+
+        def beta(self, a, b):
+            return substream(SEED, 3).beta(a, b)
+
+    model = make_model("normal")
+    blocks = ((1, 2, 3), (4, 5, 6))
+    for row, top in (([0.5, 0.5 - 1e-16], 6), ([1.0 - 1e-16, 0.0], 3)):
+        x, u, t = block_draws(model, 6, blocks, np.array(row), TopOfRange(), 50)
+        assert np.all(u == top) and np.all(np.isfinite(x))
 
 
 def test_dell_clutter_config_validation():
