@@ -24,13 +24,12 @@ import dataclasses
 import typing as tp
 
 import numpy as np
-import scipy.special as sps
 
 from . import numerics
 from .densities import bernstein_series, rank_coefficients
 from .designs import Design, make_balanced_design
 from .numerics import QuadratureSpec
-from .models import Model
+from .models import Model, _xlogx
 
 __all__ = [
     "EntropyError",
@@ -150,7 +149,7 @@ def shannon(
     set_size, subsets = _resolve(kind, n, set_size)
 
     def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return -(w * model.logpdf(model.quantile(t)) + sps.xlogy(w, w))
+        return -(w * model.logpdf(model.quantile(t)) + _xlogx(w))
 
     values = _quantile_integrals(_report_coefficients(set_size, subsets), term, spec)
     return _report(model, kind, n, set_size, values)
@@ -201,7 +200,7 @@ def kl_pros_srs(model: Model, design: Design, spec: QuadratureSpec | None = None
     if not design.is_balanced:
         raise EntropyError("KL information is defined here for balanced designs")
     coef = _coefficients(design.set_size, design.subsets)
-    return float(np.sum(_quantile_integrals(coef, lambda t, w: sps.xlogy(w, w), spec)))
+    return float(np.sum(_quantile_integrals(coef, lambda t, w: _xlogx(w), spec)))
 
 
 def kl_likelihood_chain(
@@ -231,7 +230,7 @@ def kl_likelihood_chain(
 
     def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = model.quantile(t)
-        return sps.xlogy(w, w) + w * (model.logpdf(x) - model.logpdf(x + delta))
+        return _xlogx(w) + w * (model.logpdf(x) - model.logpdf(x + delta))
 
     k = _quantile_integrals(_report_coefficients(S, design.subsets), term, spec)
     return float(n * k[0]), float(np.sum(k[1 : n + 1])), float(np.sum(k[n + 1 :]) / design.m)

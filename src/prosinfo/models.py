@@ -10,6 +10,9 @@ through z = (x - loc)/scale; the mixture states its own.  All formulas are
 analytic, and so is every per-observation Fisher matrix but the exponential
 mixture's, which is obtained by quadrature of the score outer product.
 
+The special functions are numpy code but the gamma family's, which import
+scipy.special when a gamma model is first evaluated.
+
 Conventions: the extreme-value family is the Gumbel minimum, F(z) = 1 - exp(-e^z);
 the exponential mixture fixes the baseline rate at 1 and is parameterized by
 (pi, h), density pi*h*exp(-h*x) + (1-pi)*exp(-x).
@@ -22,7 +25,6 @@ import math
 import typing as tp
 
 import numpy as np
-import scipy.special as sps
 
 from . import numerics
 
@@ -232,6 +234,97 @@ def fisher_srs_unit(model: Model, spec: numerics.QuadratureSpec | None = None) -
     return numerics.InfoMatrix(numerics.integrate_gram(scores, model.p, spec))
 
 
+# -- special functions in numpy: importing scipy.special takes about 0.3 s ------
+
+# Wichura's AS241, PPND16 (Applied Statistics 37, 1988): numerator and
+# denominator coefficients, highest degree first, of |u - 1/2| <= 0.425, then of
+# r = sqrt(-log min(u, 1 - u)) - 1.6 for r <= 5 and r - 5 above
+_AS241 = (
+    ((2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4, 4.5921953931549871457e4,
+      1.3731693765509461125e4, 1.9715909503065514427e3, 1.3314166789178437745e2, 3.3871328727963666080e0),
+     (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4, 2.1213794301586595867e4,
+      5.3941960214247511077e3, 6.8718700749205790830e2, 4.2313330701600911252e1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1, 1.27045825245236838258e0,
+      3.64784832476320460504e0, 5.76949722146069140550e0, 4.63033784615654529590e0, 1.42343711074968357734e0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2, 1.48103976427480074590e-1,
+      6.89767334985100004550e-1, 1.67638483018380384940e0, 2.05319162663775882187e0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3, 2.65321895265761230930e-2,
+      2.96560571828504891230e-1, 1.78482653991729133580e0, 5.46378491116411436990e0, 6.65790464350110377720e0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5, 7.86869131145613259100e-4,
+      1.48753612908506148525e-2, 1.36929880922735805310e-1, 5.99832206555887937690e-1, 1.0)),
+)
+# Cephes ndtr.c (Moshier): erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
+# erfc(x) = e^{-x^2} P(x) / Q(x) for 1 <= x < 8, e^{-x^2} R(x) / S(x) above
+_CEPHES_ERF = (
+    ((9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4),
+     (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+      4.92673942608635921086e4)),
+    ((2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2),
+     (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)),
+    ((5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0),
+     (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198e0, 3.36907645100081516050e0)),
+)
+_SQRTH = math.sqrt(0.5)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantile for u in (0, 1), by AS241."""
+    u = np.asarray(u, dtype=float)
+    q = u - 0.5
+    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
+    tail = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
+    return np.where(np.abs(q) <= 0.425, q * _rational(_AS241[0], 0.180625 - q * q), np.copysign(tail, q))
+
+
+def _rational(coefs: tuple[tuple[float, ...], ...], v: np.ndarray) -> np.ndarray:
+    """P(v) / Q(v) for coefs = (P, Q), each highest degree first, by Horner's rule."""
+    num, den = np.full_like(v, coefs[0][0]), np.full_like(v, coefs[1][0])
+    for y, c in zip((num, den), coefs):
+        for ci in c[1:]:
+            y *= v
+            y += ci
+    return num / den
+
+
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal cdf, as Cephes ndtr: with x = z sqrt(1/2), 1/2 + erf(x)/2 for |x| < sqrt(1/2),
+    else erfc(|x|)/2 reflected for x > 0."""
+    x = np.asarray(z, dtype=float) * _SQRTH
+    a = np.minimum(np.abs(x), 30.0)  # erfc(a) rounds to 0 from 27.3 on; the cap keeps P/Q finite
+    erf = a * _rational(_CEPHES_ERF[0], a * a)
+    with np.errstate(under="ignore"):
+        erfc = np.exp(-a * a) * np.where(a < 8.0, _rational(_CEPHES_ERF[1], a), _rational(_CEPHES_ERF[2], a))
+    erfc = np.where(a < 1.0, 1.0 - erf, erfc)
+    return np.where(a < _SQRTH, 0.5 + 0.5 * np.copysign(erf, x), np.where(x > 0.0, 1.0 - 0.5 * erfc, 0.5 * erfc))
+
+
+def _expit(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + e^-z), from e^-|z| so that both tails keep relative precision."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _xlogx(w: np.ndarray) -> np.ndarray:
+    """w log w, with its limit 0 at w = 0."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(w == 0.0, 0.0, w * np.log(w))
+
+
+def _scipy_special() -> tp.Any:
+    """scipy.special, imported on first use: only the gamma family needs it."""
+    import scipy.special
+
+    return scipy.special
+
+
 # -- family definitions ----------------------------------------------------
 
 
@@ -375,7 +468,7 @@ def _mixture_quantile(c, u):
         xt = x[todo]
         F = _mixture_cdf(c, xt)
         log_sf = np.where(F < 0.5, np.log1p(-F), np.log(_mixture_sf(c, xt)))
-        hazard = 1.0 + (h - 1.0) * sps.expit(math.log(pi / (1.0 - pi)) + (1.0 - h) * xt)
+        hazard = 1.0 + (h - 1.0) * _expit(math.log(pi / (1.0 - pi)) + (1.0 - h) * xt)
         residual = log_sf - target[todo]
         step = residual / hazard
         x[todo] = xt + step
@@ -414,9 +507,9 @@ _FAMILIES: dict[str, _Family] = {
         _Standard(
             "mu", "sigma",
             pdf=lambda c, z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
-            cdf=lambda c, z: sps.ndtr(z),
-            sf=lambda c, z: sps.ndtr(-z),
-            quantile=lambda c, u: sps.ndtri(u),
+            cdf=lambda c, z: _ndtr(z),
+            sf=lambda c, z: _ndtr(-z),
+            quantile=lambda c, u: _ndtri(u),
             psi=lambda c, z: -z,
             dpsi=lambda c, z: -1.0,
         ),
@@ -442,8 +535,8 @@ _FAMILIES: dict[str, _Family] = {
         _Standard(
             "mu", "sigma",
             pdf=_logistic_pdf0,
-            cdf=lambda c, z: sps.expit(z),
-            sf=lambda c, z: sps.expit(-z),
+            cdf=lambda c, z: _expit(z),
+            sf=lambda c, z: _expit(-z),
             quantile=lambda c, u: np.log(u) - np.log1p(-u),
             psi=lambda c, z: -np.tanh(0.5 * z),
             dpsi=lambda c, z: -2.0 * _logistic_pdf0(c, z),
@@ -473,9 +566,9 @@ _FAMILIES: dict[str, _Family] = {
         _Standard(
             None, "sigma",
             pdf=lambda c, z: np.exp((c["shape"] - 1.0) * np.log(z) - z - math.lgamma(c["shape"])),
-            cdf=lambda c, z: sps.gammainc(c["shape"], z),
-            sf=lambda c, z: sps.gammaincc(c["shape"], z),
-            quantile=lambda c, u: sps.gammaincinv(c["shape"], u),
+            cdf=lambda c, z: _scipy_special().gammainc(c["shape"], z),
+            sf=lambda c, z: _scipy_special().gammaincc(c["shape"], z),
+            quantile=lambda c, u: _scipy_special().gammaincinv(c["shape"], u),
             psi=lambda c, z: (c["shape"] - 1.0) / z - 1.0,
             dpsi=lambda c, z: -(c["shape"] - 1.0) / (z * z),
         ),
@@ -487,7 +580,7 @@ _FAMILIES: dict[str, _Family] = {
         var=lambda c: c["shape"] * c["sigma"] ** 2,
         fisher_unit=lambda c: np.array(
             [
-                [float(sps.polygamma(1, c["shape"])), 1.0 / c["sigma"]],
+                [float(_scipy_special().polygamma(1, c["shape"])), 1.0 / c["sigma"]],
                 [1.0 / c["sigma"], c["shape"] / c["sigma"] ** 2],
             ]
         ),

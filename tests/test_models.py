@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from prosinfo import (
     Model,
@@ -10,6 +15,7 @@ from prosinfo import (
     fisher_srs_unit,
     make_model,
 )
+from prosinfo.models import _expit, _ndtr, _ndtri, _xlogx
 
 U_GRID = np.linspace(0.04, 0.96, 20)
 
@@ -412,3 +418,76 @@ def test_evaluate_broadcasts_over_arrays():
     pdf, cdf = model.pdf(xs), model.cdf(xs)
     assert pdf.shape == xs.shape
     np.testing.assert_allclose(cdf, model.cdf(xs))
+
+
+# -- the numpy special functions against scipy.special -------------------------
+
+TINY = np.finfo(float).tiny
+
+
+def test_ndtri_matches_scipy_in_both_tails():
+    lower = np.logspace(-300, math.log10(0.5), 6001)
+    upper = 1.0 - np.logspace(-16, math.log10(0.5), 6001)
+    for u in (lower, upper):
+        np.testing.assert_allclose(_ndtri(u), sps.ndtri(u), rtol=1e-14, atol=0.0)
+    assert _ndtri(0.5) == 0.0
+
+
+def test_ndtr_matches_scipy_down_to_its_underflow():
+    z = np.linspace(-38.0, 8.3, 40001)
+    got, want = _ndtr(z), sps.ndtr(z)
+    normal = want >= TINY
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-14, atol=0.0)
+    # from z = -37.7 on scipy's erfc flushes e^{-x^2} to 0; the value is subnormal
+    assert np.all((got[~normal] >= 0.0) & (got[~normal] < TINY))
+    np.testing.assert_array_equal(_ndtr(np.array([-np.inf, -1e300, 1e300, np.inf])), [0.0, 0.0, 1.0, 1.0])
+
+
+def test_expit_keeps_relative_precision_in_both_tails():
+    z = np.linspace(-745.0, 40.0, 40001)
+    got, want = _expit(z), sps.expit(z)
+    normal = want >= TINY
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-15, atol=0.0)
+    # below z = -709.8 scipy's e^{-z} overflows to a result of 0; the value is e^z
+    assert np.all((got[~normal] > 0.0) & (got[~normal] < TINY))
+
+
+def test_xlogx_matches_xlogy():
+    w = np.concatenate([[0.0], np.logspace(-320, 0, 2001), np.linspace(0.0, 1.0, 2001)])
+    # numpy's vectorised log may differ from the C library's by one ulp
+    np.testing.assert_array_max_ulp(_xlogx(w), sps.xlogy(w, w), maxulp=2)
+    assert _xlogx(0.0) == 0.0
+
+
+def test_scipy_special_is_imported_only_by_a_gamma_evaluation(tmp_path):
+    # importing scipy.special took half of the package's start-up time, and
+    # only the gamma family needs it
+    import prosinfo
+
+    src = os.path.dirname(os.path.dirname(prosinfo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = f"""
+import json, sys
+import prosinfo as P, prosinfo.cli
+
+def loaded():
+    return "scipy.special" in sys.modules
+
+states = [loaded()]
+normal, logistic, design = P.make_model("normal"), P.make_model("logistic"), P.make_balanced_design(6, 2)
+P.fi_pros_marginal(normal, design)
+P.fi_pros_complete(normal, 2, 6, method="mc", reps=2000)
+P.shannon(logistic, "pros", 2, 6)
+P.renyi(logistic, 0.5, "pros", 2, 6)
+P.fisher_srs(P.make_model("exp_mixture"), 3)
+P.cli.main(["sample", "--set-size", "6", "--subsets", "2", "--output", {str(tmp_path / "s.csv")!r}])
+gamma = P.make_model("gamma")
+states.append(loaded())
+fi = P.fisher_srs(gamma, 3).as_array()
+states.append(loaded())
+print(json.dumps({{"states": states, "fi": fi.tolist()}}))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(out.stdout)
+    assert got["states"] == [False, False, True]
+    assert got["fi"] == fisher_srs_unit(make_model("gamma")).scaled(3).as_array().tolist()

@@ -1,0 +1,78 @@
+"""Invariants the paper implies, checked by quadrature on generated cases."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prosinfo import (
+    fi_pros_marginal,
+    fisher_srs,
+    make_balanced_design,
+    make_model,
+    make_symmetric_alpha,
+    relative_efficiencies,
+    shannon,
+)
+
+# the location-scale families with regular Fisher information; gamma keeps its shape fixed
+FAMILIES = ("normal", "logistic", "exponential", "extreme_value", "gamma")
+SET_SIZES = (4, 6, 8, 12)
+PROBABILITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _re1(model, set_size, n, p):
+    fi = fi_pros_marginal(model, make_balanced_design(set_size, n), make_symmetric_alpha(n, p))
+    return relative_efficiencies(fi, fisher_srs(model, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FAMILIES), st.sampled_from(SET_SIZES), PROBABILITIES)
+def test_two_subsets_efficiency_is_symmetric_in_misplacement(fam, set_size, p):
+    # alpha(1 - p) is alpha(p) with its two subsets swapped
+    model = make_model(fam)
+    np.testing.assert_allclose(_re1(model, set_size, 2, p), _re1(model, set_size, 2, 1.0 - p), rtol=1e-10)
+
+
+@st.composite
+def _set_size_and_subsets(draw):
+    set_size = draw(st.sampled_from(SET_SIZES))
+    return set_size, draw(st.sampled_from([n for n in range(2, set_size + 1) if set_size % n == 0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FAMILIES), _set_size_and_subsets())
+def test_random_subsetting_is_worth_nothing(fam, case):
+    # at p = 1/n every unit is equally likely in every subset, so g_r = 1
+    set_size, n = case
+    np.testing.assert_allclose(_re1(make_model(fam), set_size, n, 1.0 / n), 1.0, rtol=1e-10)
+
+
+def _scaled(fam, sigma, shift):
+    # the location moves with the scale, so z = (x - loc) / scale keeps its precision
+    model = make_model(fam)
+    loc = {"mu": shift * sigma} if "mu" in model.param_names else {}
+    return make_model(fam, sigma=sigma, **loc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    _set_size_and_subsets(),
+    PROBABILITIES,
+    st.floats(-2.0, 2.0),
+    st.floats(-3.0, 3.0),
+)
+def test_information_and_entropy_are_scale_equivariant(fam, case, p, log10_sigma, shift):
+    set_size, n = case
+    sigma = 10.0**log10_sigma
+    design, alpha = make_balanced_design(set_size, n), make_symmetric_alpha(n, p)
+    unit, model = make_model(fam), _scaled(fam, sigma, shift)
+    want = fi_pros_marginal(unit, design, alpha).matrix.as_array()
+    got = fi_pros_marginal(model, design, alpha).matrix.as_array() * sigma**2
+    # the (mu, sigma) entry of a symmetric parent is 0, so the scale is the largest entry
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    h1, shift_h = shannon(unit, "pros", n, set_size).total, n * math.log(sigma)
+    got_h = shannon(model, "pros", n, set_size).total
+    np.testing.assert_allclose(got_h, h1 + shift_h, rtol=0.0, atol=1e-10 * (abs(h1) + abs(shift_h)))
