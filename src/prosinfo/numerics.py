@@ -9,16 +9,20 @@ adds one level of new nodes per step, and stops when successive levels agree,
 or raises at MAX_LEVEL = 10.  Expectations are evaluated on
 the quantile-transformed domain so endpoint-singular integrands such as
 1/(F(1-F)) become 1/(u(1-u)); integrate_gram builds every Fisher-information
-matrix on it as a weighted score outer product.  Monte Carlo means are
-bit-reproducible for a fixed seed; their `workers` count is advisory, as a
-thread pool gained little on the mostly GIL-bound chunks.
+matrix on it as a weighted score outer product.  Monte Carlo means run their
+fixed-size chunks on up to `workers` forked processes and are bit-identical
+for a fixed seed at every worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
+import os
+import pickle
+import threading
 import typing as tp
 
 import numpy as np
@@ -36,32 +40,41 @@ MAX_LEVEL = 10
 
 
 class NumericsError(Exception):
-    """Base class for numerical failures (quadrature or Monte Carlo)."""
+    """Base class for numerical failures; subclasses keep their constructor arguments in args to pickle."""
 
 
 class QuadratureNonConvergence(NumericsError):
     """Adaptive quadrature stopped before reaching the requested tolerance."""
 
     def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(f"{message} (best estimate {estimate!r}, error bound {error_bound!r})")
+        super().__init__(message, estimate, error_bound)
         self.estimate = estimate
         self.error_bound = error_bound
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (best estimate {self.estimate!r}, error bound {self.error_bound!r})"
 
 
 class IntegrandEvaluationError(NumericsError):
     """The integrand returned a non-finite value at a known abscissa u (a quantile, or x on the x-scale)."""
 
     def __init__(self, message: str, u: float):
-        super().__init__(f"{message} at u={u!r}")
+        super().__init__(message, u)
         self.u = u
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} at u={self.u!r}"
 
 
 class ReplicateError(NumericsError):
     """A Monte Carlo replicate produced a non-finite value."""
 
     def __init__(self, message: str, index: int):
-        super().__init__(f"{message} (replicate {index})")
+        super().__init__(message, index)
         self.index = index
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (replicate {self.index})"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -361,6 +374,50 @@ def _moments_of(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return n, mean, m2
 
 
+def _forked_chunks(
+    chunk: tp.Callable[[int], tuple[int, np.ndarray, np.ndarray]], n_chunks: int, k: int
+) -> dict[int, tuple[int, np.ndarray, np.ndarray]]:
+    """Moments of chunks 0..n_chunks-1, process j of k evaluating chunks j, j+k, ... in index order.
+
+    Each of the k-1 forked children pickles the moments of its chunks before its
+    first failing one down a pipe and leaves by os._exit; the parent also stops
+    at its own first failure, so a failed chunk is reported by its absence.
+    Every child is killed and reaped on the way out, also when the parent raises.
+    """
+    import signal
+
+    readers: dict[int, tp.BinaryIO] = {}  # child pid -> read end of its pipe
+    parts: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+    try:
+        for j in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with contextlib.suppress(Exception):
+                        for idx in range(j, n_chunks, k):
+                            parts[idx] = chunk(idx)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(parts, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            readers[pid] = open(r, "rb")
+        with contextlib.suppress(Exception):
+            for idx in range(0, n_chunks, k):
+                parts[idx] = chunk(idx)
+        for reader in readers.values():
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # a child that died sent nothing
+                parts.update(pickle.load(reader))
+    finally:
+        for pid, reader in readers.items():
+            reader.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return parts
+
+
 def mc_mean_batches(
     batch_fn: tp.Callable[[np.random.Generator, int], np.ndarray],
     reps: int,
@@ -369,14 +426,20 @@ def mc_mean_batches(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mean and standard error of batch_fn(rng, count) -> (count, d) arrays over reps replicates.
 
-    One substream per fixed-size chunk keyed by (seed, chunk index); chunks run
-    on the calling thread and merge in index order.  workers is advisory and
-    never changes a result.  Returns (means, standard errors, reps), shape (d,).
+    One substream per CHUNK_SIZE chunk keyed by (seed, chunk index).  Chunks run on
+    k = min(workers, chunks, usable CPUs) processes when k > 1, os.fork exists and
+    no other Python thread is alive (forking while one holds a lock can deadlock
+    the child); chunks no process delivered are evaluated here, so a failing
+    chunk raises as at workers=1.  Moments merge in index order, so the result is
+    bit-identical at every worker count.  Returns (means, standard errors, reps).
     """
     if reps < 2:
         raise ValueError("mc_mean_batches needs reps >= 2")
+    if workers < 1:
+        raise ValueError("mc_mean_batches needs workers >= 1")
 
-    def chunk(idx: int, lo: int, hi: int) -> np.ndarray:
+    def chunk(idx: int) -> tuple[int, np.ndarray, np.ndarray]:
+        lo, hi = idx * CHUNK_SIZE, min((idx + 1) * CHUNK_SIZE, reps)
         values = np.asarray(batch_fn(substream(seed, idx), hi - lo), dtype=float)
         if values.ndim == 1:
             values = values[:, None]
@@ -387,9 +450,13 @@ def mc_mean_batches(
             raise ReplicateError(
                 "batch replicate returned a non-finite value", index=lo + int(np.argmax(bad))
             )
-        return values
+        return _moments_of(values)
 
-    ranges = [(lo, min(lo + CHUNK_SIZE, reps)) for lo in range(0, reps, CHUNK_SIZE)]
-    parts = [_moments_of(chunk(idx, lo, hi)) for idx, (lo, hi) in enumerate(ranges)]
-    n, mean, m2 = functools.reduce(_merge_moments, parts)
+    n_chunks = -(-reps // CHUNK_SIZE)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = min(workers, n_chunks, cpus)
+    forked = k > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    parts = _forked_chunks(chunk, n_chunks, k) if forked else {}
+    moments = [parts[idx] if idx in parts else chunk(idx) for idx in range(n_chunks)]
+    n, mean, m2 = functools.reduce(_merge_moments, moments)
     return mean, np.sqrt(m2 / (n - 1) / n), reps

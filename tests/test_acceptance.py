@@ -16,6 +16,7 @@ average of its order statistics.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -331,7 +332,7 @@ def test_criterion_9_worker_count_reproducibility(capsys):
     model = make_model("normal")
     design = make_balanced_design(6, 2)
     pairs = []
-    for workers in (1, 7):
+    for workers in (1, 2, 3, 7):
         c = fi_pros_complete(model, 2, 6, method="mc", reps=20_000, seed=DEFAULT_SEED,
                              workers=workers)
         m = fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.8), method="mc",
@@ -342,12 +343,15 @@ def test_criterion_9_worker_count_reproducibility(capsys):
         lem = verify_lemma_identity(model, design, lambda x: x, reps=20_000,
                                     seed=DEFAULT_SEED, workers=workers)
         pairs.append((c, m, u, lem))
-    for a, b in zip(pairs[0][:3], pairs[1][:3]):
-        assert np.array_equal(a.matrix.as_array(), b.matrix.as_array())
-        assert np.array_equal(np.asarray(a.std_errors), np.asarray(b.std_errors))
-    la, lb = pairs[0][3], pairs[1][3]
-    assert (la.lambda0.value, la.lambda0.std_error) == (lb.lambda0.value, lb.lambda0.std_error)
-    assert (la.lambda1.value, la.lambda1.std_error) == (lb.lambda1.value, lb.lambda1.std_error)
+    for other in pairs[1:]:
+        for a, b in zip(pairs[0][:3], other[:3]):
+            assert np.array_equal(a.matrix.as_array(), b.matrix.as_array())
+            assert np.array_equal(np.asarray(a.std_errors), np.asarray(b.std_errors))
+        la, lb = pairs[0][3], other[3]
+        assert (la.lambda0.value, la.lambda0.std_error) == (lb.lambda0.value, lb.lambda0.std_error)
+        assert (la.lambda1.value, la.lambda1.std_error) == (lb.lambda1.value, lb.lambda1.std_error)
+    with pytest.raises(ChildProcessError):  # every forked worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
     # the command line inherits the same guarantee, byte for byte
     from prosinfo.cli import main

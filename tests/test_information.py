@@ -323,6 +323,21 @@ def test_lemma_identity_smoke():
     assert check.lambda0.replications == 8_000
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_mc_routes_reject_workers_below_one(workers):
+    model = make_model("normal")
+    design = make_balanced_design(6, 2)
+    calls = [
+        lambda: fi_pros_complete(model, 2, 6, method="mc", reps=5000, workers=workers),
+        lambda: fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.8), method="mc", reps=5000, workers=workers),
+        lambda: fi_unbalanced(model, UnbalancedDesign.from_design(design), method="mc", reps=5000, workers=workers),
+        lambda: verify_lemma_identity(model, design, lambda x: x, reps=5000, workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="workers >= 1"):
+            call()
+
+
 # -- Monte Carlo by the chain rule ----------------------------------------------
 
 

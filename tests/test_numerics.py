@@ -1,13 +1,16 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from prosinfo import make_model
 from prosinfo.numerics import (
+    CHUNK_SIZE,
     DEFAULT_SEED,
     InfoMatrix,
     IntegrandEvaluationError,
@@ -372,7 +375,24 @@ def test_mc_mean_standard_normal_clt():
     np.testing.assert_allclose(ses[0], 1.0 / math.sqrt(reps), rtol=0.05)
 
 
-def test_mc_mean_batches_matches_manual_merge():
+@pytest.fixture
+def three_cpus(monkeypatch):
+    # lets mc_mean_batches fork up to three processes on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _by_chunk(seed, n_chunks, fn):
+    """A batch function calling fn(chunk index, count), the index read off the chunk's substream."""
+    first = {substream(seed, idx).random(): idx for idx in range(n_chunks)}
+    return lambda rng, count: fn(first[rng.random()], count)
+
+
+def test_mc_mean_batches_matches_manual_merge(three_cpus):
     def batch(rng, count):
         z = rng.standard_normal(count)
         return np.column_stack([z, z * z])
@@ -381,9 +401,64 @@ def test_mc_mean_batches_matches_manual_merge():
     assert reps == 20_000
     assert abs(means[0]) <= 4.0 * ses[0]
     assert abs(means[1] - 1.0) <= 4.0 * ses[1]
-    m1, s1, _ = mc_mean_batches(batch, reps=20_000, seed=3, workers=5)
-    np.testing.assert_array_equal(means, m1)
-    np.testing.assert_array_equal(ses, s1)
+    for workers in (2, 3, 5):
+        m1, s1, _ = mc_mean_batches(batch, reps=20_000, seed=3, workers=workers)
+        np.testing.assert_array_equal(means, m1)
+        np.testing.assert_array_equal(ses, s1)
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad_chunks", [(5, 8), (4, 7)])
+def test_mc_mean_batches_raises_the_lowest_bad_replicate_at_every_worker_count(three_cpus, bad_chunks):
+    # at workers=2 the parent owns chunk 8 of (5, 8) and chunk 4 of (4, 7)
+    def fn(idx, count):
+        return np.where((np.arange(count) == 9) & (idx in bad_chunks), np.nan, 1.0)
+
+    batch = _by_chunk(7, 12, fn)
+    for workers in (1, 2, 3):
+        with pytest.raises(ReplicateError) as err:
+            mc_mean_batches(batch, reps=12 * CHUNK_SIZE, seed=7, workers=workers)
+        assert err.value.index == bad_chunks[0] * CHUNK_SIZE + 9
+        _assert_no_child_left()
+
+
+def test_mc_mean_batches_forks_only_without_other_threads(three_cpus):
+    def batch(rng, count):
+        return np.column_stack([rng.standard_normal(count), np.full(count, float(os.getpid()))])
+
+    reps = 6 * CHUNK_SIZE
+    serial, serial_se, _ = mc_mean_batches(batch, reps=reps, seed=5)
+    assert serial[1] == os.getpid()
+    forked, forked_se, _ = mc_mean_batches(batch, reps=reps, seed=5, workers=2)
+    assert forked[1] != os.getpid()  # a child evaluated some chunks
+    assert (forked[0], forked_se[0]) == (serial[0], serial_se[0])
+    _assert_no_child_left()
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        threaded, threaded_se, _ = mc_mean_batches(batch, reps=reps, seed=5, workers=2)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    np.testing.assert_array_equal(threaded, serial)
+    np.testing.assert_array_equal(threaded_se, serial_se)
+
+
+def test_numerics_errors_survive_pickling():
+    for err, attrs in [
+        (ReplicateError("bad", index=5), {"index": 5}),
+        (QuadratureNonConvergence("stalled", 1.5, 2e-3), {"estimate": 1.5, "error_bound": 2e-3}),
+        (IntegrandEvaluationError("not finite", u=0.25), {"u": 0.25}),
+    ]:
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err)
+        assert {name: getattr(back, name) for name in attrs} == attrs
+    assert str(ReplicateError("bad", index=5)) == "bad (replicate 5)"
+    assert str(IntegrandEvaluationError("not finite", u=0.25)) == "not finite at u=0.25"
 
 
 def test_mc_mean_batches_validates_batches():

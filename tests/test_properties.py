@@ -76,3 +76,19 @@ def test_information_and_entropy_are_scale_equivariant(fam, case, p, log10_sigma
     h1, shift_h = shannon(unit, "pros", n, set_size).total, n * math.log(sigma)
     got_h = shannon(model, "pros", n, set_size).total
     np.testing.assert_allclose(got_h, h1 + shift_h, rtol=0.0, atol=1e-10 * (abs(h1) + abs(shift_h)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(("normal", "logistic", "exponential", "gamma")),
+    st.sampled_from(((6, 2), (12, 3))),
+    st.floats(0.5, 1.0),
+)
+def test_marginal_information_by_monte_carlo_agrees_with_quadrature(fam, case, p):
+    set_size, n = case
+    model = make_model(fam)
+    design, alpha = make_balanced_design(set_size, n), make_symmetric_alpha(n, p)
+    want = np.diag(fi_pros_marginal(model, design, alpha).matrix.as_array())
+    mc = fi_pros_marginal(model, design, alpha, method="mc", reps=20_000, workers=2)
+    got, se = np.diag(mc.matrix.as_array()), np.diag(np.asarray(mc.std_errors))
+    assert np.all(np.abs(got - want) <= 5.0 * se), (got, want, se)
