@@ -384,7 +384,7 @@ def _forked_chunks(
     at its own first failure, so a failed chunk is reported by its absence.
     Every child is killed and reaped on the way out, also when the parent raises.
     """
-    import signal
+    import signal  # on first use, so that `import prosinfo` does not load it
 
     readers: dict[int, tp.BinaryIO] = {}  # child pid -> read end of its pipe
     parts: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}

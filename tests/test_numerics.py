@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -445,6 +446,22 @@ def test_mc_mean_batches_forks_only_without_other_threads(three_cpus):
     assert not thread.is_alive()
     np.testing.assert_array_equal(threaded, serial)
     np.testing.assert_array_equal(threaded_se, serial_se)
+
+
+def test_mc_mean_batches_kills_children_when_interrupted(three_cpus):
+    parent = os.getpid()
+
+    def batch(rng, count):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30.0)  # a child still busy when the parent leaves
+        return np.zeros(count)
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        mc_mean_batches(batch, reps=4 * CHUNK_SIZE, seed=1, workers=2)
+    assert time.perf_counter() - start < 10.0
+    _assert_no_child_left()
 
 
 def test_numerics_errors_survive_pickling():
