@@ -79,13 +79,6 @@ def _entries(obj: tp.Any) -> np.ndarray:
     return np.atleast_2d(np.asarray(obj, dtype=float))
 
 
-def _matrix_from_tri(p: int, tri: np.ndarray) -> np.ndarray:
-    out = np.zeros((p, p))
-    rows, cols = np.triu_indices(p)
-    out[rows, cols] = out[cols, rows] = tri
-    return out
-
-
 # -- quadrature route ----------------------------------------------------------
 
 
@@ -93,7 +86,7 @@ def fisher_srs(model: Model, count: int, spec: numerics.QuadratureSpec | None = 
     """Information of `count` i.i.d. observations."""
     if count < 1:
         raise InformationError(f"count must be >= 1, got {count}")
-    return model.fisher_srs_unit(spec).scaled(count)
+    return numerics.InfoMatrix(model.fisher_srs_unit(spec).entries * count)
 
 
 def k_matrix(
@@ -129,7 +122,7 @@ def h_matrix(
     p = model.p
     if set_size == n:
         return numerics.InfoMatrix(np.zeros((p, p)))
-    return k_matrix(model, n, set_size, spec).scaled((set_size - n) / (set_size - 1))
+    return numerics.InfoMatrix(k_matrix(model, n, set_size, spec).entries * ((set_size - n) / (set_size - 1)))
 
 
 def fi_pros_complete(
@@ -154,13 +147,8 @@ def fi_pros_complete(
         raise InformationError(f"cycles must be >= 1, got {cycles}")
     label = f"PROS(n={n}, S={set_size}, N={cycles}) complete"
     if method == "quadrature":
-        per_cycle = model.fisher_srs_unit(spec).scaled(n) + k_matrix(model, n, set_size, spec)
-        return FIResult(
-            matrix=per_cycle.scaled(cycles),
-            method="quadrature",
-            design_label=label,
-            model_label=model.label(),
-        )
+        per_cycle = model.fisher_srs_unit(spec).entries * n + k_matrix(model, n, set_size, spec).entries
+        return _quadrature_fi(model, per_cycle * cycles, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
     try:
@@ -210,14 +198,9 @@ def fi_pros_marginal(
         g, gd, _ = densities.bernstein_series(coefs, u)
         return (gd / g)[..., None] * model.score_cdf(model.quantile(u)), g
 
-    gain = numerics.InfoMatrix(numerics.integrate_gram(tilted_cdf_scores, model.p, spec))
-    per_cycle = model.fisher_srs_unit(spec).scaled(design.n) + gain
-    return FIResult(
-        matrix=per_cycle.scaled(design.cycles),
-        method="quadrature",
-        design_label=label,
-        model_label=model.label(),
-    )
+    gain = numerics.integrate_gram(tilted_cdf_scores, model.p, spec)
+    per_cycle = model.fisher_srs_unit(spec).entries * design.n + gain
+    return _quadrature_fi(model, per_cycle * design.cycles, label)
 
 
 def fi_unbalanced(
@@ -257,12 +240,7 @@ def fi_unbalanced(
             return model.score_logpdf(x) + (gd / g)[..., None] * model.score_cdf(x), g
 
         total = numerics.integrate_gram(set_scores, model.p, spec)
-        return FIResult(
-            matrix=numerics.InfoMatrix(total * ud.replications),
-            method="quadrature",
-            design_label=label,
-            model_label=model.label(),
-        )
+        return _quadrature_fi(model, total * ud.replications, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
 
@@ -275,6 +253,11 @@ def fi_unbalanced(
         return total
 
     return _mc_fi(model, batch, reps, seed, workers, ud.replications, label)
+
+
+def _quadrature_fi(model: Model, entries: np.ndarray, label: str) -> FIResult:
+    """FIResult of a quadrature route: the one InfoMatrix built from its summed entries."""
+    return FIResult(numerics.InfoMatrix(entries), "quadrature", design_label=label, model_label=model.label())
 
 
 # -- Monte Carlo machinery ------------------------------------------------------
@@ -295,7 +278,7 @@ def _neg_hessian(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
     the upper-triangle entries, shape (len(x), p(p+1)/2).
     """
     d_cdf, d2_logf, d2_cdf = model.second_derivatives(x)
-    rows, cols = zip(*((i, j) for i in range(model.p) for j in range(i, model.p)))  # np.triu_indices order
+    rows, cols = numerics.TRIU[model.p]
     return -(d2_logf + a[:, None] * d2_cdf + (b[:, None] * d_cdf[:, rows]) * d_cdf[:, cols])
 
 
@@ -310,8 +293,8 @@ def _mc_fi(
 ) -> FIResult:
     means, ses, n_done = numerics.mc_mean_batches(batch, reps, seed, workers)
     p = model.p
-    matrix = numerics.InfoMatrix(_matrix_from_tri(p, means) * multiplier)
-    std_errors = _matrix_from_tri(p, ses) * multiplier
+    matrix = numerics.InfoMatrix(numerics.from_triu(p, means) * multiplier)
+    std_errors = numerics.from_triu(p, ses) * multiplier
     return FIResult(
         matrix=matrix,
         method="mc",

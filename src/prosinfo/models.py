@@ -171,10 +171,10 @@ class Model:
         """(dF, d^2 log f, d^2 F) in the active parameters, from one evaluation at x.
 
         dF is stacked on the last axis like score_cdf; the second derivatives
-        hold the p(p+1)/2 upper-triangle entries in np.triu_indices order.
+        hold the p(p+1)/2 upper-triangle entries in numerics.TRIU order.
         """
         _, d_cdf, d2_logf, d2_cdf = self._partials(x, True)
-        pairs = [frozenset((a, b)) for i, a in enumerate(self.active) for b in self.active[i:]]
+        pairs = [frozenset((self.active[i], self.active[j])) for i, j in zip(*numerics.TRIU[self.p])]
         shape = np.shape(x)
         return _columns(d_cdf, self.active, shape), _columns(d2_logf, pairs, shape), _columns(d2_cdf, pairs, shape)
 

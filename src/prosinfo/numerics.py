@@ -6,12 +6,12 @@ over finite or infinite limits that integrates all rows of a vector integrand
 together.  Its level loop runs in numpy over node tables built once at import
 (the scheme of Bailey, Jeyabalan & Li, 2005): it sums levels 0..MIN_LEVEL = 4,
 adds one level of new nodes per step, and stops when successive levels agree,
-or raises at MAX_LEVEL = 10.  Expectations are evaluated on
-the quantile-transformed domain so endpoint-singular integrands such as
-1/(F(1-F)) become 1/(u(1-u)); integrate_gram builds every Fisher-information
-matrix on it as a weighted score outer product.  Monte Carlo means run their
-fixed-size chunks on up to `workers` forked processes and are bit-identical
-for a fixed seed at every worker count.
+or raises at MAX_LEVEL = 10; its first stop test, at level MIN_LEVEL + 1, costs
+one integrand call.  Expectations are evaluated on the quantile-transformed
+domain so endpoint-singular integrands such as 1/(F(1-F)) become 1/(u(1-u));
+integrate_gram builds every Fisher-information matrix on it as a weighted score
+outer product.  Monte Carlo means run their fixed-size chunks on up to `workers`
+forked processes and are bit-identical for a fixed seed at every worker count.
 """
 
 from __future__ import annotations
@@ -75,6 +75,18 @@ class ReplicateError(NumericsError):
 
     def __str__(self) -> str:
         return f"{self.args[0]} (replicate {self.index})"
+
+
+# Rows and columns of a p x p upper triangle, row by row: every packed symmetric matrix's order.
+TRIU = {p: np.triu_indices(p) for p in (1, 2, 3)}
+
+
+def from_triu(p: int, tri: np.ndarray) -> np.ndarray:
+    """The symmetric p x p matrix whose upper triangle, in TRIU order, is tri."""
+    rows, cols = TRIU[p]
+    out = np.zeros((p, p))
+    out[rows, cols] = out[cols, rows] = tri
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,6 +226,7 @@ def _level_tables() -> list[tuple[float, np.ndarray, np.ndarray]]:
 
 
 _LEVELS = _level_tables()
+_CALLS = [_LEVELS[:2]] + [[table] for table in _LEVELS[2:]]  # the tables of each fn call in integrate
 
 
 def _abscissae(xc: np.ndarray, w: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,15 +264,18 @@ def integrate(
 
     fn maps a 1-d array x to an array of shape (k, len(x)).  One tanh-sinh pass
     integrates every row: it sums all nodes of levels 0..MIN_LEVEL, then each
-    later level L halves the previous sum and adds its new nodes, one fn call
-    per level, and stops when no row moved from the previous level by more than
-    max(atol, rtol * max |integral|).  The tolerance is shared because a row
-    that is zero by symmetry never meets one relative to itself.  The change
-    between levels bounds the coarser level's error, so the finer level returned
-    lies well inside the tolerance.  Returns shape (k,).
+    later level L halves the previous sum and adds its new nodes, and stops when
+    no row moved from the previous level by more than
+    max(atol, rtol * max |integral|).  No test can pass before level
+    MIN_LEVEL + 1, so fn gets the nodes of levels 0..MIN_LEVEL + 1 in one call,
+    in level order, and each later level's in one more.  The tolerance is shared
+    because a row that is zero by symmetry never meets one relative to itself.
+    The change between levels bounds the coarser level's error, so the finer
+    level returned lies well inside the tolerance.  Returns shape (k,).
 
     :raises QuadratureNonConvergence: MAX_LEVEL did not reach the tolerance.
-    :raises IntegrandEvaluationError: fn returned a non-finite value at a node of positive weight.
+    :raises IntegrandEvaluationError: fn returned a non-finite value at a node of positive weight,
+        the first one in level order.
     """
     spec = spec or QuadratureSpec()
     sign = 1.0
@@ -267,20 +283,23 @@ def integrate(
         a, b, sign = b, a, -1.0
     previous: np.ndarray | None = None
     change = math.inf
-    for h, xc, w in _LEVELS:
-        x, wx = _abscissae(xc, w, a, b)
+    for tables in _CALLS:
+        nodes = [_abscissae(xc, w, a, b) for _, xc, w in tables]
+        x = np.concatenate([level_x for level_x, _ in nodes])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = np.asarray(fn(x), dtype=float)
         bad = ~np.all(np.isfinite(values), axis=0)
         if np.any(bad):
             raise IntegrandEvaluationError("integrand is not finite", u=float(x[np.argmax(bad)]))
-        total = values @ wx * h
-        if previous is not None:
-            total += previous / 2
-            change = float(np.max(np.abs(total - previous)))
-            if change <= max(spec.atol, spec.rtol * float(np.max(np.abs(total)))):
-                return sign * total
-        previous = total
+        for (h, _, _), (level_x, wx) in zip(tables, nodes):
+            total = values[:, : level_x.size] @ wx * h
+            values = values[:, level_x.size :]
+            if previous is not None:
+                total += previous / 2
+                change = float(np.max(np.abs(total - previous)))
+                if change <= max(spec.atol, spec.rtol * float(np.max(np.abs(total)))):
+                    return sign * total
+            previous = total
     raise QuadratureNonConvergence("quadrature did not converge", float(np.max(np.abs(previous))), change)
 
 
@@ -310,16 +329,14 @@ def integrate_gram(
     :raises IntegrandEvaluationError: a term with positive weight is not finite.
     """
     spec = spec or QuadratureSpec()
-    rows, cols = np.triu_indices(p)
+    rows, cols = TRIU[p]
 
     def entries(u: np.ndarray) -> np.ndarray:
         v, w = (np.asarray(a, dtype=float) for a in fn(u))
         terms = np.where(w[..., None] > 0.0, w[..., None] * v[..., rows] * v[..., cols], 0.0)
         return terms.sum(axis=0).T
 
-    out = np.zeros((p, p))
-    out[rows, cols] = out[cols, rows] = integrate(entries, spec.endpoint_clip, 1.0 - spec.endpoint_clip, spec)
-    return out
+    return from_triu(p, integrate(entries, spec.endpoint_clip, 1.0 - spec.endpoint_clip, spec))
 
 
 def integrate_expectation(

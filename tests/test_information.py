@@ -3,8 +3,10 @@ import pytest
 
 from prosinfo import (
     DesignError,
+    InfoMatrix,
     InformationError,
     UnbalancedDesign,
+    densities,
     fi_pros_complete,
     fi_pros_marginal,
     fi_unbalanced,
@@ -21,6 +23,7 @@ from prosinfo import (
     uniform_alpha,
     verify_lemma_identity,
 )
+from prosinfo.numerics import integrate_gram
 
 SEED = 4511
 
@@ -32,6 +35,37 @@ def test_fisher_srs_scales_with_count():
     np.testing.assert_allclose(fisher_srs(model, 7).as_array(), 7.0 * one, atol=1e-9)
     with pytest.raises(InformationError):
         fisher_srs(model, 0)
+
+
+@pytest.mark.parametrize("family", ("normal", "gamma", "exp_mixture"))
+def test_quadrature_routes_match_chained_info_matrix_arithmetic(family):
+    # each route sums plain arrays into one InfoMatrix: the same bits as the InfoMatrix chains it replaced
+    model = make_model(family)
+    n, S, cycles, alpha = 3, 12, 7, make_symmetric_alpha(3, 0.7)
+    design = make_balanced_design(S, n, cycles)
+    coefs = np.stack([
+        densities.rank_coefficients(S, sp.partition, row)
+        for sp, row in UnbalancedDesign.from_design(design).measured_rows({1: alpha})
+    ])
+
+    def cdf_scores(u):
+        return model.score_cdf(model.quantile(u))[None], (1.0 / (u * (1.0 - u)))[None]
+
+    def tilted_cdf_scores(u):
+        g, gd, _ = densities.bernstein_series(coefs, u)
+        return (gd / g)[..., None] * model.score_cdf(model.quantile(u)), g
+
+    unit = model.fisher_srs_unit()
+    k = InfoMatrix(n * (S - 1) * integrate_gram(cdf_scores, model.p))
+    gain = InfoMatrix(integrate_gram(tilted_cdf_scores, model.p))
+    for got, want in (
+        (fisher_srs(model, 7), unit.scaled(7)),
+        (k_matrix(model, n, S), k),
+        (h_matrix(model, n, S), k.scaled((S - n) / (S - 1))),
+        (fi_pros_complete(model, n, S, cycles).matrix, (unit.scaled(n) + k).scaled(cycles)),
+        (fi_pros_marginal(model, design, alpha).matrix, (unit.scaled(n) + gain).scaled(cycles)),
+    ):
+        assert got.entries.tobytes() == want.entries.tobytes()
 
 
 def test_k_matrix_trivial_set_is_zero():

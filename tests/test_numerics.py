@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from prosinfo import make_model
+from prosinfo import make_model, numerics
 from prosinfo.numerics import (
     CHUNK_SIZE,
     DEFAULT_SEED,
@@ -165,6 +165,67 @@ def test_integrate_reports_abscissa_on_an_infinite_limit():
     with pytest.raises(IntegrandEvaluationError) as err:
         integrate(nan_beyond_ten, 0.0, math.inf)
     assert 10.0 < err.value.u < math.inf
+
+
+def _level_by_level(fn, a, b, spec=QuadratureSpec()):
+    """integrate's sums with one fn call per table of numerics._LEVELS; returns (integrals, tables used)."""
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
+    previous = None
+    for used, (h, xc, w) in enumerate(numerics._LEVELS, start=1):
+        x, wx = numerics._abscissae(xc, w, a, b)
+        total = np.asarray(fn(x), dtype=float) @ wx * h
+        if previous is not None:
+            total += previous / 2
+            if np.max(np.abs(total - previous)) <= max(spec.atol, spec.rtol * np.max(np.abs(total))):
+                return sign * total, used
+        previous = total
+    raise AssertionError("the oracle did not converge")
+
+
+_LEVEL_CASES = (
+    # (a, b, rows of fn, tables of numerics._LEVELS the stop rule needs)
+    (0.0, 2.0, lambda x: [x * x, np.exp(x)], 2),
+    (0.0, 1.0, lambda x: [np.sin(60.0 * x) ** 2, np.cos(x)], 3),
+    (1.0, 0.0, lambda x: [np.sin(150.0 * x) ** 2, x], 4),
+    (-1.0, 1.0, lambda x: [1.0 / (1e-4 + x * x), x**3], 7),
+    (0.0, math.inf, lambda x: [np.exp(-x), x * np.exp(-x)], 2),
+    (-math.inf, 1.0, lambda x: [np.exp(x) * np.sin(3.0 * x) ** 2, np.exp(2.0 * x)], 4),
+    (-math.inf, math.inf, lambda x: [np.exp(-x * x / 2.0), 1.0 / (1.0 + x * x)], 2),
+    (-math.inf, math.inf, lambda x: [np.exp(-x * x) * np.cos(8.0 * x), np.exp(-x * x)], 3),
+)
+
+
+@pytest.mark.parametrize("a,b,rows,tables", _LEVEL_CASES)
+def test_integrate_fuses_the_first_stop_test_into_one_call(a, b, rows, tables):
+    calls = []
+
+    def fn(x):
+        calls.append(x.size)
+        return np.stack(rows(x))
+
+    want, used = _level_by_level(lambda x: np.stack(rows(x)), a, b)
+    assert used == tables
+    got = integrate(fn, a, b)
+    assert got.tobytes() == want.tobytes()
+    # levels 0..MIN_LEVEL and MIN_LEVEL + 1 share the first call; each later level costs one more
+    sizes = [numerics._abscissae(xc, w, *sorted((a, b)))[0].size for _, xc, w in numerics._LEVELS[:tables]]
+    assert calls == [sizes[0] + sizes[1]] + sizes[2:]
+
+
+def test_integrate_reports_the_first_bad_node_in_level_order():
+    coarse = numerics._abscissae(*numerics._LEVELS[0][1:], 0.0, 1.0)[0]
+    fine = numerics._abscissae(*numerics._LEVELS[1][1:], 0.0, 1.0)[0]
+
+    def nan_at(*nodes):
+        return lambda x: np.where(np.isin(x, nodes), np.nan, 1.0)[None]
+
+    # only level-5 nodes bad; two of them; a level-5 node and a coarse node that fn receives first
+    for bad, first in (([fine[7]], fine[7]), ([fine[-1], fine[3]], fine[3]), ([fine[0], coarse[-1]], coarse[-1])):
+        with pytest.raises(IntegrandEvaluationError) as err:
+            integrate(nan_at(*bad), 0.0, 1.0)
+        assert err.value.u == first
 
 
 def test_import_leaves_scipy_integrate_unloaded():
