@@ -6,13 +6,14 @@ Each report is one vector integral (numerics.integrate) with one row per
 weight: the parent (w = 1), every measured subset and, for the lower bound,
 each of the S ranks of an RSS with set size S.
 
-* Shannon entropy and KL information run on the clipped quantile scale
-  t in (eps, 1-eps), with the parent log-density log f(Q(t)).
+* Shannon entropy and KL information run on the quantile scale over the open
+  interval t in (0, 1), with the parent log-density log f(Q(t)).
 * Renyi entropy runs on the x-scale, ∫ f(x)^α w(F(x))^α dx over the support,
-  split at the median.  The quantile-scale clip would drop tail mass of f^α
-  that matters at small α.  Above the median w is evaluated from the survival
-  function s = 1 - F(x), as b_u(t) = b_{S+1-u}(1-t), so it keeps its precision
-  where F(x) rounds to 1.  An order whose integral does not converge raises
+  split at the median.  On the quantile scale t cannot resolve the upper tail
+  beyond 1 - 1.1e-16, where f^α still holds mass of order 1 at small α such
+  as 0.03.  Above the median w is evaluated from the survival function
+  s = 1 - F(x), as b_u(t) = b_{S+1-u}(1-t), so it keeps its precision where
+  F(x) rounds to 1.  An order whose integral does not converge raises
   numerics.NumericsError instead of returning a truncated value.
 
 Entropies are reported in nats.  Subsetting is assumed perfect here.
@@ -104,9 +105,8 @@ def _report_coefficients(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) 
 def _quantile_integrals(
     coef: np.ndarray, term: tp.Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec | None
 ) -> np.ndarray:
-    """∫ term(t, w(t)) dt over the clipped quantile domain, one value per weight row w."""
-    eps = (spec or QuadratureSpec()).endpoint_clip
-    return numerics.integrate(lambda t: term(t, bernstein_series(coef, t)[0]), eps, 1.0 - eps, spec)
+    """∫ term(t, w(t)) dt over the quantile domain (0, 1), one value per weight row w."""
+    return numerics.integrate(lambda t: term(t, bernstein_series(coef, t)[0]), 0.0, 1.0, spec)
 
 
 def _label(kind: str, n: int, set_size: int) -> str:
@@ -165,9 +165,10 @@ def renyi(
 ) -> EntropyReport:
     """Renyi entropy of order alpha; only 0 < alpha < 1 is defined here.
 
-    Each block contributes (1/(1-α))·log ∫ f(x)^α w_r(F(x))^α dx.  Orders
-    above 1 are outside the supported range for subset densities and are
-    rejected.
+    Each block contributes (1/(1-α))·log ∫ f(x)^α w_r(F(x))^α dx, on the
+    x-scale: t = F(x) rounds to 1 in the upper tail, whose share of f^α grows
+    as α falls.  Orders above 1 are outside the supported range for subset
+    densities and are rejected.
 
     :raises numerics.NumericsError: the integral did not converge, as happens
         at very small orders on an unbounded support.

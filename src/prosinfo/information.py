@@ -2,7 +2,7 @@
 
 Two computation routes are provided for every design.  The quadrature route
 uses one information kernel, numerics.integrate_gram: every Fisher quantity is
-a quantile-domain integral of a weighted score outer product
+an integral over the open quantile domain of a weighted score outer product
 
     int_0^1 sum_b w_b(t) v_b(t) v_b(t)^T dt,
 
@@ -10,16 +10,15 @@ and the routes differ only in the scores v and weights w they hand it:
 
     I_srs      v = d log f                          w = 1
     K / n(S-1) v = dF                               w = 1 / (t (1-t))
-    marginal   v = (g_r' / g_r) dF, one term per r  w = g_r
     unbalanced v = d log f + (gamma' / gamma) dF    w = gamma, one term per set
 
-Complete-data PROS information is n I_srs + K; the marginal information of a
-balanced design with misplacement weights g_r adds the kernel to n I_srs; an
-unbalanced design integrates each set's full score directly.  The Monte Carlo
-route estimates -E[d^2 log L / dtheta^2] at simulated draws and reports a
-standard error per matrix entry; it is the check the quadrature identities are
-tested against.  A draw's log likelihood is log f(x) + log w(F(x)), so by the
-chain rule its Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T.
+Complete-data PROS information is n I_srs + K; measurements-only information
+integrates each set's full score, for balanced designs (fi_pros_marginal) and
+unbalanced ones (fi_unbalanced) alike.  The Monte Carlo route estimates
+-E[d^2 log L / dtheta^2] at simulated draws and reports a standard error per
+matrix entry; it is the check the quadrature identities are tested against.
+A draw's log likelihood is log f(x) + log w(F(x)), so by the chain rule its
+Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T.
 Each draw is evaluated once, on the quantile scale: sampling.block_draws
 returns t = F(x) along with x; w and its t-derivatives come from t (in closed
 form for a known latent rank, by densities.bernstein_series for a misplacement
@@ -178,29 +177,16 @@ def fi_pros_marginal(
 ) -> FIResult:
     """Measurements-only information of a balanced design under misplacement alpha.
 
-    Per cycle this is n I_srs + sum_r E[(d g_r)(d g_r)^T / g_r]; perfect
-    subsetting is the identity alpha.  The decomposition requires the balanced
-    property sum_r g_r = n; unbalanced partitions go through fi_unbalanced.
+    Per cycle this is n I_srs + sum_r E[(d g_r)(d g_r)^T / g_r], with perfect
+    subsetting the identity alpha; it is computed on every method as the
+    one-cycle case of fi_unbalanced, whose score outer product is exact for
+    any partition.  Unbalanced partitions go through fi_unbalanced itself.
     """
     require_fi_regular(model)
     if not design.is_balanced:
         raise InformationError("design is unbalanced; use fi_unbalanced")
-    ud = UnbalancedDesign.from_design(design)
-    rows = ud.measured_rows({1: alpha})
-    label = f"{design.label()} marginal"
-    if method != "quadrature":
-        # the Monte Carlo route needs no decomposition: it is the unbalanced one
-        fi = fi_unbalanced(model, ud, {1: alpha}, method, reps, seed, workers, spec)
-        return dataclasses.replace(fi, design_label=label)
-    coefs = np.stack([densities.rank_coefficients(design.set_size, sp.partition, row) for sp, row in rows])
-
-    def tilted_cdf_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g, gd, _ = densities.bernstein_series(coefs, u)
-        return (gd / g)[..., None] * model.score_cdf(model.quantile(u)), g
-
-    gain = numerics.integrate_gram(tilted_cdf_scores, model.p, spec)
-    per_cycle = model.fisher_srs_unit(spec).entries * design.n + gain
-    return _quadrature_fi(model, per_cycle * design.cycles, label)
+    fi = fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}, method, reps, seed, workers, spec)
+    return dataclasses.replace(fi, design_label=f"{design.label()} marginal")
 
 
 def fi_unbalanced(
@@ -224,8 +210,7 @@ def fi_unbalanced(
 
     summed over all sets and cycles: the information kernel with
     v = d log f + (gamma'/gamma) dF and w = gamma.  This is exact for any
-    partition; for balanced partitions it coincides with the fi_pros_marginal
-    decomposition.
+    partition; fi_pros_marginal is its balanced one-cycle case.
     """
     require_fi_regular(model)
     label = f"{ud.label()} marginal"
@@ -400,12 +385,11 @@ def verify_lemma_identity(
     """
     n, S = design.n, design.set_size
     rows = UnbalancedDesign.from_design(design).measured_rows()
-    eps = (spec or numerics.QuadratureSpec()).endpoint_clip
 
     def g_of_quantile(u: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.asarray(G(model.quantile(u)), dtype=float), u.shape)[None]
 
-    reference = n * (S - 1) * float(numerics.integrate(g_of_quantile, eps, 1.0 - eps, spec)[0])
+    reference = n * (S - 1) * float(numerics.integrate(g_of_quantile, 0.0, 1.0, spec)[0])
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         t0 = np.zeros(count)

@@ -6,8 +6,9 @@ d log f(x;theta)/d theta, and the second derivatives of both, which the Monte
 Carlo Hessians use.  The location-scale families (all but the exponential
 mixture; gamma with its shape fixed) state only their standard density f0,
 psi = (log f0)' and psi', and every derivative follows by the chain rule
-through z = (x - loc)/scale; the mixture states its own.  All formulas are
-analytic, and so is every per-observation Fisher matrix but the exponential
+through z = (x - loc)/scale; the mixture states its own, and so does gamma,
+whose chain rule is written out so that it holds down to z = 0.  All formulas
+are analytic, and so is every per-observation Fisher matrix but the exponential
 mixture's, which is obtained by quadrature of the score outer product.
 
 The special functions are numpy code but the gamma family's, which import
@@ -367,7 +368,8 @@ class _Standard:
 
     pdf, cdf and sf are f0, F0 and 1 - F0 of z, quantile is F0^{-1}, psi is
     (log f0)' and dpsi is psi'; each takes the parameter dict first, for a
-    fixed shape.  loc is None for a scale family, whose location is 0.
+    fixed shape.  loc is None for a scale family, whose location is 0; psi and
+    dpsi are None for a family that states its own partials.
     """
 
     loc: str | None
@@ -376,8 +378,8 @@ class _Standard:
     cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     quantile: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    psi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    dpsi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    psi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray] | None = None
+    dpsi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray] | None = None
 
     def z(self, c: dict[str, float], x: np.ndarray) -> np.ndarray:
         return (x - (c[self.loc] if self.loc else 0.0)) / c[self.scale]
@@ -502,6 +504,22 @@ def _mixture_partials(c, x, second):
     return d_logf, d_cdf, d2_logf, d2_cdf
 
 
+def _gamma_partials(c, x, second):
+    # the chain rule with z psi(z) = shape - 1 - z, z^2 psi'(z) = 1 - shape and
+    # z f0(z) = z^shape e^-z / Gamma(shape) in closed form: formed as products they overflow, lose z^2
+    # to underflow or are 0 * inf below z of about 1.5e-154, which the quantile reaches below t of
+    # about 1e-77 at shape 0.5 (it is 0.0 below t of about 1e-162)
+    k, s = c["shape"], c["sigma"]
+    z = x / s
+    with np.errstate(divide="ignore"):
+        zf0 = np.exp(k * np.log(z) - z - math.lgamma(k))
+    d_logf, d_cdf = {"sigma": (z - k) / s}, {"sigma": -zf0 / s}
+    if not second:
+        return d_logf, d_cdf, {}, {}
+    ss = frozenset(("sigma",))
+    return d_logf, d_cdf, {ss: (k - 2.0 * z) / s**2}, {ss: zf0 * (k + 1.0 - z) / s**2}
+
+
 _FAMILIES: dict[str, _Family] = {
     "normal": _location_scale(
         _Standard(
@@ -569,9 +587,8 @@ _FAMILIES: dict[str, _Family] = {
             cdf=lambda c, z: _scipy_special().gammainc(c["shape"], z),
             sf=lambda c, z: _scipy_special().gammaincc(c["shape"], z),
             quantile=lambda c, u: _scipy_special().gammaincinv(c["shape"], u),
-            psi=lambda c, z: (c["shape"] - 1.0) / z - 1.0,
-            dpsi=lambda c, z: -(c["shape"] - 1.0) / (z * z),
         ),
+        partials=_gamma_partials,
         param_names=("shape", "sigma"),
         defaults={"shape": 2.0, "sigma": 1.0},
         never_active=("shape",),

@@ -7,11 +7,12 @@ together.  Its level loop runs in numpy over node tables built once at import
 (the scheme of Bailey, Jeyabalan & Li, 2005): it sums levels 0..MIN_LEVEL = 4,
 adds one level of new nodes per step, and stops when successive levels agree,
 or raises at MAX_LEVEL = 10; its first stop test, at level MIN_LEVEL + 1, costs
-one integrand call.  Expectations are evaluated on the quantile-transformed
-domain so endpoint-singular integrands such as 1/(F(1-F)) become 1/(u(1-u));
-integrate_gram builds every Fisher-information matrix on it as a weighted score
-outer product.  Monte Carlo means run their fixed-size chunks on up to `workers`
-forked processes and are bit-identical for a fixed seed at every worker count.
+one integrand call.  Expectations are evaluated on the quantile scale, over the
+open interval (0, 1), so endpoint-singular integrands such as 1/(F(1-F)) become
+1/(u(1-u)); integrate_gram builds every Fisher-information matrix on it as a
+weighted score outer product.  Monte Carlo means run their fixed-size chunks on
+up to `workers` forked processes and are bit-identical for a fixed seed at every
+worker count.
 """
 
 from __future__ import annotations
@@ -91,27 +92,22 @@ def from_triu(p: int, tri: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances of the tanh-sinh rule in integrate, and the quantile-domain clip.
+    """Tolerances of the tanh-sinh rule in integrate.
 
-    The rule's levels run from the constant MIN_LEVEL to the constant MAX_LEVEL.
+    The rule's levels run from the constant MIN_LEVEL to the constant MAX_LEVEL;
+    quantile-domain integrals run over the open interval (0, 1).
 
     :param rtol: Relative tolerance on the change between successive levels,
         shared by every row of one integrate pass.
     :param atol: Absolute tolerance on that change.
-    :param endpoint_clip: Half-width epsilon of the clipped quantile domain
-        (eps, 1-eps) of integrate_gram and integrate_unit_interval; integrals
-        on the x-scale use the support's own limits.
     """
 
     rtol: float = 1e-8
     atol: float = 1e-12
-    endpoint_clip: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("quadrature tolerances must be positive")
-        if not (0.0 < self.endpoint_clip <= 1e-6):
-            raise ValueError("endpoint_clip must lie in (0, 1e-6]")
 
 
 class InfoMatrix:
@@ -304,13 +300,12 @@ def integrate(
 
 
 def integrate_unit_interval(fn: tp.Callable[[float], float], spec: QuadratureSpec | None = None) -> float:
-    """Integrate the scalar function fn over the clipped unit interval (eps, 1-eps)."""
-    spec = spec or QuadratureSpec()
+    """Integrate the scalar function fn over the open unit interval (0, 1)."""
 
     def row(u: np.ndarray) -> list[list[float]]:
         return [[fn(float(v)) for v in u]]
 
-    return float(integrate(row, spec.endpoint_clip, 1.0 - spec.endpoint_clip, spec)[0])
+    return float(integrate(row, 0.0, 1.0, spec)[0])
 
 
 def integrate_gram(
@@ -318,7 +313,7 @@ def integrate_gram(
     p: int,
     spec: QuadratureSpec | None = None,
 ) -> np.ndarray:
-    """The p x p matrix int sum_b w_b(u) v_b(u) v_b(u)^T du over (eps, 1-eps).
+    """The p x p matrix int sum_b w_b(u) v_b(u) v_b(u)^T du over the open interval (0, 1).
 
     fn maps a 1-d array u to (v, w) of shapes (k, len(u), p) and (k, len(u));
     a term whose weight is not positive contributes nothing, so v may be
@@ -328,7 +323,6 @@ def integrate_gram(
     :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
     :raises IntegrandEvaluationError: a term with positive weight is not finite.
     """
-    spec = spec or QuadratureSpec()
     rows, cols = TRIU[p]
 
     def entries(u: np.ndarray) -> np.ndarray:
@@ -336,7 +330,7 @@ def integrate_gram(
         terms = np.where(w[..., None] > 0.0, w[..., None] * v[..., rows] * v[..., cols], 0.0)
         return terms.sum(axis=0).T
 
-    return from_triu(p, integrate(entries, spec.endpoint_clip, 1.0 - spec.endpoint_clip, spec))
+    return from_triu(p, integrate(entries, 0.0, 1.0, spec))
 
 
 def integrate_expectation(

@@ -198,6 +198,30 @@ def test_second_derivatives_match_difference_oracle(fam, params):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-7 * np.max(np.abs(want)), err_msg=fn.__name__)
 
 
+def test_gamma_derivatives_hold_where_the_quantile_underflows():
+    # at shape 0.5 the quantile is 0.0 below t of about 1e-162 and subnormal just above it; up to t of
+    # about 1e-77 it lies below z = 1.5e-154, where the square of z underflows
+    model = make_model("gamma", shape=0.5, sigma=2.0)
+    assert model.quantile(1e-170) == 0.0 and 0.0 < model.quantile(3e-158) < np.finfo(float).tiny
+    # the limits at x = 0: d log f = -shape / sigma, dF = 0, d^2 log f = shape / sigma^2, d^2 F = 0
+    np.testing.assert_array_equal(np.concatenate((model.score_logpdf(0.0), *model.second_derivatives(0.0))),
+                                  [-0.25, 0.0, 0.125, 0.0])
+    # at 0 and at a subnormal x they are those at x = 1e-300, where dF and d^2 F are about 2e-151
+    near = (model.score_logpdf(1e-300), *model.second_derivatives(1e-300))
+    for x in (0.0, model.quantile(3e-158)):
+        derivatives = (model.score_logpdf(x), *model.second_derivatives(x))
+        for got, want, atol in zip(derivatives, near, (0.0, 1e-150, 0.0, 1e-150)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=atol)
+    # a z of 1e-200 keeps its precision under a change of scale, so differences give an oracle
+    x, h = np.array([2e-200]), 1e-6
+    for got, fn in ((model.score_logpdf(x), Model.logpdf), (model.score_cdf(x), Model.cdf)):
+        fd = (fn(model.with_params(sigma=2.0 + h), x) - fn(model.with_params(sigma=2.0 - h), x)) / (2.0 * h)
+        np.testing.assert_allclose(got[:, 0], fd, rtol=1e-6, err_msg=fn.__name__)
+    _, d2_logf, d2_cdf = model.second_derivatives(x)
+    for got, fn in ((d2_logf, Model.logpdf), (d2_cdf, Model.cdf)):
+        np.testing.assert_allclose(got, _richardson_hessian(model, fn, x), rtol=1e-7, err_msg=fn.__name__)
+
+
 @pytest.mark.parametrize("fam", family_names())
 def test_pdf_is_cdf_derivative(fam):
     model = make_model(fam)

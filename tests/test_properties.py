@@ -91,4 +91,6 @@ def test_marginal_information_by_monte_carlo_agrees_with_quadrature(fam, case, p
     want = np.diag(fi_pros_marginal(model, design, alpha).matrix.as_array())
     mc = fi_pros_marginal(model, design, alpha, method="mc", reps=20_000, workers=2)
     got, se = np.diag(mc.matrix.as_array()), np.diag(np.asarray(mc.std_errors))
-    assert np.all(np.abs(got - want) <= 5.0 * se), (got, want, se)
+    # where every replicate is the same constant (normal location at (6, 2), p = 1/2) se is 0, and the
+    # two routes may then differ only by round-off, hence the floor
+    assert np.all(np.abs(got - want) <= 5.0 * se + 1e-12 * np.abs(want)), (got, want, se)
