@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import os
 import sys
@@ -25,7 +26,6 @@ from .designs import (
     Design,
     DesignError,
     MisplacementMatrix,
-    SetPlan,
     UnbalancedDesign,
     make_balanced_design,
     make_symmetric_alpha,
@@ -52,20 +52,8 @@ _FIXED12_ROWS = ((6, 2, 6), (6, 3, 4), (12, 2, 6), (12, 3, 4), (12, 4, 3), (12, 
 _FIXED6_DC_ROWS = tuple(r for r in _FIXED6_ROWS if r != (6, 6, 1))
 
 _UNBALANCED_PARTITIONS = (
-    "1-5|6",
-    "1-4|5-6",
-    "1-3|4-6",
-    "1-2|3-6",
-    "1|2-6",
-    "1|2|3-6",
-    "1|2-3|4-6",
-    "1|2-4|5-6",
-    "1|2-5|6",
-    "1-2|3-5|6",
-    "1-2|3-4|5-6",
-    "1-3|4|5-6",
-    "1-3|4-5|6",
-    "1-4|5|6",
+    "1-5|6", "1-4|5-6", "1-3|4-6", "1-2|3-6", "1|2-6", "1|2|3-6", "1|2-3|4-6",
+    "1|2-4|5-6", "1|2-5|6", "1-2|3-5|6", "1-2|3-4|5-6", "1-3|4|5-6", "1-3|4-5|6", "1-4|5|6",
 )
 
 _MIXTURE_ROWS = ((0.3, 1.0 / 3.0), (0.3, 1.0 / 9.0), (0.9, 1.0 / 3.0), (0.9, 1.0 / 9.0))
@@ -168,28 +156,21 @@ def _table2_cells(cfg: RunConfig) -> list[TableCell]:
         ("logistic scale", "logistic", ("sigma",), {}, False),
         ("extreme_value location", "extreme_value", ("mu",), {}, False),
         ("extreme_value scale", "extreme_value", ("sigma",), {}, True),
-        ("gamma(shape=2) scale", "gamma", ("sigma",), {"shape": 2.0}, False),
-        ("gamma(shape=3) scale", "gamma", ("sigma",), {"shape": 3.0}, False),
-        ("gamma(shape=4) scale", "gamma", ("sigma",), {"shape": 4.0}, False),
-        ("gamma(shape=10) scale", "gamma", ("sigma",), {"shape": 10.0}, False),
+        *((f"gamma(shape={k}) scale", "gamma", ("sigma",), {"shape": float(k)}, False) for k in (2, 3, 4, 10)),
     ]
-    joint_rows = [
-        ("normal location+scale", "normal"),
-        ("logistic location+scale", "logistic"),
-        ("extreme_value location+scale", "extreme_value"),
-    ]
+    joint_rows = [(f"{fam} location+scale", fam) for fam in ("normal", "logistic", "extreme_value")]
+
+    def re2(model: Model) -> float:
+        return _rel(information.fi_pros_complete(model, 2, 6).matrix, information.fi_pros_complete(model, 2, 2).matrix)
+
     cells: list[TableCell] = []
     for label, fam, active, params, raw in single_rows:
         model = make_model(fam, active=active, **params)
         unit = float(model.fisher_srs_unit()[0, 0])
         gain = float(information.k_matrix(model, 1, 2)[0, 0])
         slope = gain if raw else gain / unit
-        re2 = _rel(
-            information.fi_pros_complete(model, 2, 6).matrix,
-            information.fi_pros_complete(model, 2, 2).matrix,
-        )
         cells.append(TableCell(label, "re1_lin", slope, 0.0, "quadrature"))
-        cells.append(TableCell(label, "re2(S=6,n=2)", re2, 0.0, "quadrature"))
+        cells.append(TableCell(label, "re2(S=6,n=2)", re2(model), 0.0, "quadrature"))
     for label, fam in joint_rows:
         model = make_model(fam)
         unit = model.fisher_srs_unit()
@@ -202,181 +183,131 @@ def _table2_cells(cfg: RunConfig) -> list[TableCell]:
             raise information.InformationError(
                 f"{label}: efficiency is not quadratic in S-1 ({check} vs {re1_at[4]})"
             )
-        re2 = _rel(
-            information.fi_pros_complete(model, 2, 6).matrix,
-            information.fi_pros_complete(model, 2, 2).matrix,
-        )
         cells.append(TableCell(label, "re1_lin", lin, 0.0, "quadrature"))
         cells.append(TableCell(label, "re1_quad", quad, 0.0, "quadrature"))
-        cells.append(TableCell(label, "re2(S=6,n=2)", re2, 0.0, "quadrature"))
-    return cells
-
-
-def _imperfect_grid_cells(set_size: int) -> list[TableCell]:
-    """Symmetric-misplacement efficiencies against same-size SRS and RSS."""
-    cells: list[TableCell] = []
-    for fam in ("normal", "exponential", "logistic"):
-        model = make_model(fam)
-        for n in (2, 3):
-            design = make_balanced_design(set_size, n)
-            rss = rss_design(n)
-            srs = information.fisher_srs(model, n)
-            re1_cells: list[TableCell] = []
-            re2_cells: list[TableCell] = []
-            for p in P_GRID:
-                alpha = make_symmetric_alpha(n, p)
-                num = information.fi_pros_marginal(model, design, alpha).matrix
-                den = information.fi_pros_marginal(model, rss, alpha).matrix
-                col = f"p={p:.1f}"
-                re1_cells.append(TableCell(f"{fam} n={n} RE1", col, _rel(num, srs), 0.0, "quadrature"))
-                re2_cells.append(TableCell(f"{fam} n={n} RE2", col, _rel(num, den), 0.0, "quadrature"))
-            cells.extend(re1_cells)
-            cells.extend(re2_cells)
+        cells.append(TableCell(label, "re2(S=6,n=2)", re2(model), 0.0, "quadrature"))
     return cells
 
 
 _DC_METHOD = f"dellclutter({DC_REPS})+quadrature"
 
 
+def _symmetric_alpha(model: Model, design: Design, p: float, seed: int) -> MisplacementMatrix:
+    return make_symmetric_alpha(design.n, p)
+
+
 def _dc_alpha(model: Model, design: Design, rho: float, seed: int) -> MisplacementMatrix:
     return sampling.estimate_dell_clutter_alpha(model, design, DellClutterConfig(rho, DC_REPS, seed))
 
 
-def _table5_cells(cfg: RunConfig) -> list[TableCell]:
-    """Ranking-error (concomitant rho) efficiencies against same-size SRS and RSS."""
-    model_rows: list[tuple[str, Model]] = [
-        (fam, make_model(fam)) for fam in ("normal", "exponential", "logistic")
-    ]
-    for pi, h in _MIXTURE_ROWS:
-        model_rows.append(
-            (f"exp_mixture(pi={pi:g},h={h:.4g})", make_model("exp_mixture", pi=pi, h=h))
-        )
+class _Grid(tp.NamedTuple):
+    """A table's misplacement levels, the source of each level's matrix, and its labels."""
+
+    levels: tuple[float, ...]
+    alpha: tp.Callable[[Model, Design, float, int], MisplacementMatrix]
+    column: str  # format of one level's column label
+    method: str
+
+
+_P_COLUMNS = _Grid(P_GRID, _symmetric_alpha, "p={:.1f}", "quadrature")
+_RHO_COLUMNS = _Grid(RHO_GRID, _dc_alpha, "rho={:.2f}", _DC_METHOD)
+# the same sources back `--alpha symmetric:p` and `--alpha dellclutter:rho`
+_ALPHA_SOURCES = {"symmetric": _symmetric_alpha, "dellclutter": _dc_alpha}
+
+
+def _level_info(model: Model, design: Design, level: float, grid: _Grid, seed: int) -> numerics.InfoMatrix:
+    """Information of a design at one level: the fi_unbalanced call fi_pros_marginal makes."""
+    alpha = grid.alpha(model, design, level, seed)
+    return information.fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}).matrix
+
+
+def _cached_rss_info(grid: _Grid, seed: int) -> tp.Callable[[Model, int, float], numerics.InfoMatrix]:
+    """Information of RSS(n), computed once per (model, n, level)."""
+    return functools.cache(lambda model, n, level: _level_info(model, rss_design(n), level, grid, seed))
+
+
+# row label, model, and the (column prefix, design) pairs of the row, which share one n
+_Row = tuple[str, Model, tuple[tuple[str, Design], ...]]
+
+
+def _efficiency_cells(rows: tp.Sequence[_Row], grid: _Grid, seed: int) -> list[TableCell]:
+    """RE1 against SRS(n) and RE2 against RSS(n) at every level; a row's RE1 cells come first."""
+    rss = _cached_rss_info(grid, seed)
     cells: list[TableCell] = []
-    for base, model in model_rows:
-        rss_fi: dict[tuple[int, float], numerics.InfoMatrix] = {}
-        for n in (2, 3):
-            srs = information.fisher_srs(model, n)
-            rss = rss_design(n)
-            re1_cells: list[TableCell] = []
-            re2_cells: list[TableCell] = []
-            for S in (6, 12):
-                design = make_balanced_design(S, n)
-                for rho in RHO_GRID:
-                    key = (n, rho)
-                    if key not in rss_fi:
-                        a_rss = _dc_alpha(model, rss, rho, cfg.seed)
-                        rss_fi[key] = information.fi_pros_marginal(model, rss, a_rss).matrix
-                    a = _dc_alpha(model, design, rho, cfg.seed)
-                    num = information.fi_pros_marginal(model, design, a).matrix
-                    col = f"S={S} rho={rho:.2f}"
-                    re1_cells.append(
-                        TableCell(f"{base} n={n} RE1", col, _rel(num, srs), 0.0, _DC_METHOD)
-                    )
-                    re2_cells.append(
-                        TableCell(f"{base} n={n} RE2", col, _rel(num, rss_fi[key]), 0.0, _DC_METHOD)
-                    )
-            cells.extend(re1_cells)
-            cells.extend(re2_cells)
+    for label, model, designs in rows:
+        n = designs[0][1].n
+        srs = information.fisher_srs(model, n)
+        re1: list[TableCell] = []
+        re2: list[TableCell] = []
+        for prefix, design in designs:
+            for level in grid.levels:
+                num = _level_info(model, design, level, grid, seed)
+                col = prefix + grid.column.format(level)
+                re1.append(TableCell(f"{label} RE1", col, _rel(num, srs), 0.0, grid.method))
+                re2.append(TableCell(f"{label} RE2", col, _rel(num, rss(model, n, level)), 0.0, grid.method))
+        cells += re1 + re2
     return cells
 
 
-def _table6_cells(cfg: RunConfig) -> list[TableCell]:
-    """Ranking-error RE2 of replicated PROS against RSS of a fixed set size."""
+def _fixed_rss_cells(
+    comparisons: tp.Sequence[tuple[int, tp.Sequence[tuple[int, int, int]]]], grid: _Grid, seed: int
+) -> list[TableCell]:
+    """RE2 of PROS(S, n) over N cycles against RSS of a fixed set size, per family and level."""
+    rss = _cached_rss_info(grid, seed)
     cells: list[TableCell] = []
-    for fam in ("normal", "exponential", "logistic"):
-        model = make_model(fam)
-        for fixed, rows in ((6, _FIXED6_DC_ROWS), (12, _FIXED12_ROWS)):
-            rss_fixed = make_balanced_design(fixed, fixed)
-            den_cache: dict[float, numerics.InfoMatrix] = {}
+    for fam, model in _family_models():
+        for fixed, rows in comparisons:
             for S, n, N in rows:
                 design = make_balanced_design(S, n, cycles=N)
-                for rho in RHO_GRID:
-                    if rho not in den_cache:
-                        a_rss = _dc_alpha(model, rss_fixed, rho, cfg.seed)
-                        den_cache[rho] = information.fi_pros_marginal(model, rss_fixed, a_rss).matrix
-                    a = _dc_alpha(model, make_balanced_design(S, n), rho, cfg.seed)
-                    num = information.fi_pros_marginal(model, design, a).matrix
-                    cells.append(
-                        TableCell(
-                            f"{fam} S={S} n={n} N={N} vs RSS({fixed})",
-                            f"rho={rho:.2f}",
-                            _rel(num, den_cache[rho]),
-                            0.0,
-                            _DC_METHOD,
-                        )
-                    )
+                label = f"{fam} S={S} n={n} N={N} vs RSS({fixed})"
+                for level in grid.levels:
+                    re2 = _rel(_level_info(model, design, level, grid, seed), rss(model, fixed, level))
+                    cells.append(TableCell(label, grid.column.format(level), re2, 0.0, grid.method))
     return cells
 
 
-def _fixed_rss_grid_cells(fixed: int, rows: tp.Sequence[tuple[int, int, int]]) -> list[TableCell]:
-    """Symmetric-misplacement RE2 of replicated PROS against RSS of a fixed set size."""
-    cells: list[TableCell] = []
-    for fam in ("normal", "exponential", "logistic"):
-        model = make_model(fam)
-        rss_fixed = make_balanced_design(fixed, fixed)
-        den_cache: dict[float, numerics.InfoMatrix] = {}
-        for S, n, N in rows:
-            design = make_balanced_design(S, n, cycles=N)
-            for p in P_GRID:
-                if p not in den_cache:
-                    den_cache[p] = information.fi_pros_marginal(
-                        model, rss_fixed, make_symmetric_alpha(fixed, p)
-                    ).matrix
-                num = information.fi_pros_marginal(model, design, make_symmetric_alpha(n, p)).matrix
-                cells.append(
-                    TableCell(
-                        f"{fam} S={S} n={n} N={N} vs RSS({fixed})",
-                        f"p={p:.1f}",
-                        _rel(num, den_cache[p]),
-                        0.0,
-                        "quadrature",
-                    )
-                )
-    return cells
+def _same_size_rows(models: tp.Sequence[tuple[str, Model]], set_sizes: tp.Sequence[int]) -> list[_Row]:
+    """PROS(S, n) for n = 2, 3; a column names S only when the row spans several."""
+    named = len(set_sizes) > 1
+    return [
+        (f"{base} n={n}", model, tuple((f"S={S} " if named else "", make_balanced_design(S, n)) for S in set_sizes))
+        for base, model in models
+        for n in (2, 3)
+    ]
 
 
-def _table10_cells(cfg: RunConfig) -> list[TableCell]:
-    """Ranking-error efficiencies of single-partition unbalanced designs, normal parent."""
+def _family_models() -> list[tuple[str, Model]]:
+    return [(fam, make_model(fam)) for fam in ("normal", "exponential", "logistic")]
+
+
+def _mixture_models() -> list[tuple[str, Model]]:
+    return [(f"exp_mixture(pi={pi:g},h={h:.4g})", make_model("exp_mixture", pi=pi, h=h)) for pi, h in _MIXTURE_ROWS]
+
+
+def _partition_rows() -> list[_Row]:
+    """Single-partition unbalanced designs of set size 6, normal parent."""
     model = make_model("normal")
-    cells: list[TableCell] = []
-    rss_fi: dict[tuple[int, float], numerics.InfoMatrix] = {}
-    for text in _UNBALANCED_PARTITIONS:
-        blocks = _parse_partition(text)
-        n = len(blocks)
-        ud = UnbalancedDesign(
-            set_size=6, sets=tuple(SetPlan(1, blocks, r) for r in range(1, n + 1))
-        )
-        srs = information.fisher_srs(model, n)
-        re1_cells: list[TableCell] = []
-        re2_cells: list[TableCell] = []
-        for rho in RHO_GRID:
-            key = (n, rho)
-            if key not in rss_fi:
-                a_rss = _dc_alpha(model, rss_design(n), rho, cfg.seed)
-                rss_fi[key] = information.fi_pros_marginal(model, rss_design(n), a_rss).matrix
-            a = sampling.estimate_alpha_for_partition(
-                model, 6, blocks, DellClutterConfig(rho, DC_REPS, cfg.seed)
-            )
-            num = information.fi_unbalanced(model, ud, {1: a}).matrix
-            col = f"rho={rho:.2f}"
-            re1_cells.append(TableCell(f"{text} RE1", col, _rel(num, srs), 0.0, _DC_METHOD))
-            re2_cells.append(TableCell(f"{text} RE2", col, _rel(num, rss_fi[key]), 0.0, _DC_METHOD))
-        cells.extend(re1_cells)
-        cells.extend(re2_cells)
-    return cells
+    return [(text, model, (("", Design(6, _parse_partition(text))),)) for text in _UNBALANCED_PARTITIONS]
 
 
 def run_table(table_id: int, cfg: RunConfig) -> list[TableCell]:
-    """Cells of one benchmark table, in the printed row/column order."""
+    """Cells of one benchmark table, in the printed row/column order.
+
+    Tables 5, 6 and 10 calibrate each misplacement matrix from DC_REPS
+    simulated judgment sets at cfg.seed; the others use quadrature only.
+    """
+    seed = cfg.seed
     builders: dict[int, tp.Callable[[], list[TableCell]]] = {
         2: lambda: _table2_cells(cfg),
-        3: lambda: _imperfect_grid_cells(6),
-        4: lambda: _imperfect_grid_cells(12),
-        5: lambda: _table5_cells(cfg),
-        6: lambda: _table6_cells(cfg),
-        7: lambda: _fixed_rss_grid_cells(6, _FIXED6_ROWS),
-        8: lambda: _fixed_rss_grid_cells(12, _FIXED12_ROWS),
-        10: lambda: _table10_cells(cfg),
+        3: lambda: _efficiency_cells(_same_size_rows(_family_models(), (6,)), _P_COLUMNS, seed),
+        4: lambda: _efficiency_cells(_same_size_rows(_family_models(), (12,)), _P_COLUMNS, seed),
+        5: lambda: _efficiency_cells(
+            _same_size_rows(_family_models() + _mixture_models(), (6, 12)), _RHO_COLUMNS, seed
+        ),
+        6: lambda: _fixed_rss_cells(((6, _FIXED6_DC_ROWS), (12, _FIXED12_ROWS)), _RHO_COLUMNS, seed),
+        7: lambda: _fixed_rss_cells(((6, _FIXED6_ROWS),), _P_COLUMNS, seed),
+        8: lambda: _fixed_rss_cells(((12, _FIXED12_ROWS),), _P_COLUMNS, seed),
+        10: lambda: _efficiency_cells(_partition_rows(), _RHO_COLUMNS, seed),
     }
     if table_id not in builders:
         raise CLIError(f"unknown table id {table_id}; valid ids are {', '.join(map(str, TABLE_IDS))}")
@@ -393,7 +324,7 @@ def _build_model(cfg: RunConfig) -> Model:
 def _parse_alpha_spec(text: str) -> tuple[str, float | str | None]:
     if text == "perfect":
         return "perfect", None
-    for prefix in ("symmetric", "dellclutter"):
+    for prefix in _ALPHA_SOURCES:
         if text.startswith(prefix + ":"):
             raw = text[len(prefix) + 1 :]
             try:
@@ -412,10 +343,8 @@ def _alpha_for_design(cfg: RunConfig, model: Model, design: Design) -> Misplacem
     kind, value = _parse_alpha_spec(cfg.alpha)
     if kind == "perfect":
         return None
-    if kind == "symmetric":
-        return make_symmetric_alpha(design.n, tp.cast(float, value))
-    if kind == "dellclutter":
-        return _dc_alpha(model, design, tp.cast(float, value), cfg.seed)
+    if kind in _ALPHA_SOURCES:
+        return _ALPHA_SOURCES[kind](model, design, tp.cast(float, value), cfg.seed)
     return parse_misplacement_csv(tp.cast(str, value))
 
 
@@ -435,10 +364,17 @@ def _alphas_for_unbalanced(
     return {i: matrix for i in ud.cycle_ids}
 
 
-def _require_balanced_args(cfg: RunConfig) -> tuple[int, int]:
+def _balanced_design(cfg: RunConfig) -> Design:
     if cfg.set_size is None or cfg.subsets is None:
         raise CLIError("--set-size and --subsets are required (or pass --design-file)")
-    return cfg.set_size, cfg.subsets
+    return make_balanced_design(cfg.set_size, cfg.subsets, cycles=cfg.cycles)
+
+
+def _design_from_file(cfg: RunConfig) -> UnbalancedDesign:
+    """The --design-file design over --cycles replications; the file fixes S and every partition."""
+    if cfg.set_size is not None or cfg.subsets is not None:
+        raise CLIError("--design-file sets the set size and subsets; drop --set-size and --subsets")
+    return dataclasses.replace(parse_design_file(tp.cast(str, cfg.design_file)), replications=cfg.cycles)
 
 
 def _report_lines(pairs: tp.Sequence[tuple[str, str]], fmt: str) -> str:
@@ -466,14 +402,21 @@ def _fi_entry_pairs(fi: information.FIResult, names: tp.Sequence[str]) -> list[t
     return pairs
 
 
+def _rss_report_info(cfg: RunConfig, model: Model, n: int, cycles: int = 1) -> numerics.InfoMatrix:
+    """Information of RSS(n) under the run's --alpha, the denominator of the reported re2."""
+    rss = rss_design(n, cycles)
+    return information.fi_pros_marginal(model, rss, _alpha_for_design(cfg, model, rss)).matrix
+
+
 def _run_fisher(cfg: RunConfig) -> str:
     model = _build_model(cfg)
     common = dict(method=cfg.method, reps=cfg.reps, seed=cfg.seed, workers=cfg.workers)
     if cfg.mode == "unbalanced" or cfg.design_file is not None:
         if cfg.design_file is None:
             raise CLIError("unbalanced mode needs --design-file")
-        ud = parse_design_file(cfg.design_file)
-        ud = dataclasses.replace(ud, replications=cfg.cycles)
+        if cfg.mode == "complete":
+            raise CLIError("complete mode needs --set-size and --subsets, not --design-file")
+        ud = _design_from_file(cfg)
         alphas = _alphas_for_unbalanced(cfg, model, ud)
         fi = information.fi_unbalanced(model, ud, alphas, **common)
         count = ud.K * ud.replications
@@ -481,29 +424,19 @@ def _run_fisher(cfg: RunConfig) -> str:
         re2 = None
         if len(block_counts) == 1:
             n = block_counts.pop()
-            rss = rss_design(n)
-            a_rss = _alpha_for_design(cfg, model, rss)
-            re2 = _rel(
-                fi.matrix.scaled(n / count),
-                information.fi_pros_marginal(model, rss, a_rss).matrix,
-            )
+            re2 = _rel(fi.matrix.scaled(n / count), _rss_report_info(cfg, model, n))
     else:
-        set_size, n = _require_balanced_args(cfg)
-        design = make_balanced_design(set_size, n, cycles=cfg.cycles)
+        design = _balanced_design(cfg)
+        n = design.n
         count = n * cfg.cycles
         if cfg.mode == "complete":
             if cfg.alpha != "perfect":
                 raise CLIError("complete mode assumes perfect subsetting; drop --alpha")
-            fi = information.fi_pros_complete(model, n, set_size, cfg.cycles, **common)
-            re2 = _rel(
-                fi.matrix, information.fi_pros_complete(model, n, n, cfg.cycles).matrix
-            )
+            fi = information.fi_pros_complete(model, n, design.set_size, cfg.cycles, **common)
+            re2 = _rel(fi.matrix, information.fi_pros_complete(model, n, n, cfg.cycles).matrix)
         elif cfg.mode == "marginal":
-            alpha = _alpha_for_design(cfg, model, design)
-            fi = information.fi_pros_marginal(model, design, alpha, **common)
-            rss = rss_design(n, cycles=cfg.cycles)
-            a_rss = _alpha_for_design(cfg, model, rss)
-            re2 = _rel(fi.matrix, information.fi_pros_marginal(model, rss, a_rss).matrix)
+            fi = information.fi_pros_marginal(model, design, _alpha_for_design(cfg, model, design), **common)
+            re2 = _rel(fi.matrix, _rss_report_info(cfg, model, n, cfg.cycles))
         else:
             raise CLIError(f"--mode must be complete, marginal, or unbalanced, got {cfg.mode!r}")
     re1 = _rel(fi.matrix, information.fisher_srs(model, count))
@@ -517,10 +450,15 @@ def _run_fisher(cfg: RunConfig) -> str:
 
 
 def _run_entropy(cfg: RunConfig) -> str:
+    if cfg.design_file is not None:
+        raise CLIError("entropy takes --set-size and --subsets, not --design-file")
+    if cfg.cycles != 1:
+        raise CLIError("entropy reports one cycle; drop --cycles")
+    if cfg.measure == "kl" and cfg.kind != "pros":
+        raise CLIError("kl always compares pros with srs; drop --kind")
     model = _build_model(cfg)
     if cfg.measure == "kl":
-        set_size, n = _require_balanced_args(cfg)
-        design = make_balanced_design(set_size, n)
+        design = _balanced_design(cfg)
         value = entropy_lib.kl_pros_srs(model, design)
         return _report_lines(
             [("model", model.label()), ("design", design.label()), ("kl(pros,srs)", _fixed(value))],
@@ -537,25 +475,19 @@ def _run_entropy(cfg: RunConfig) -> str:
         raise CLIError(f"--measure must be shannon, renyi, or kl, got {cfg.measure!r}")
     pairs = [("model", report.model_label), ("design", report.design_label), ("measure", cfg.measure)]
     pairs += [(f"subset {i}", _fixed(h)) for i, h in enumerate(report.per_subset, start=1)]
-    pairs += [
-        ("total", _fixed(report.total)),
-        ("lower_bound", _fixed(report.lower_bound)),
-        ("upper_bound", _fixed(report.upper_bound)),
-    ]
+    pairs += [(name, _fixed(getattr(report, name))) for name in ("total", "lower_bound", "upper_bound")]
     return _report_lines(pairs, cfg.fmt)
 
 
 def _run_sample(cfg: RunConfig) -> str:
     model = _build_model(cfg)
     if cfg.design_file is not None:
-        ud = parse_design_file(cfg.design_file)
-        ud = dataclasses.replace(ud, replications=cfg.cycles)
+        ud = _design_from_file(cfg)
         alphas = _alphas_for_unbalanced(cfg, model, ud)
-        return sampling.sample_to_csv(sampling.draw_unbalanced_pros(model, ud, alphas, cfg.seed))
-    set_size, n = _require_balanced_args(cfg)
-    design = make_balanced_design(set_size, n, cycles=cfg.cycles)
-    alpha = _alpha_for_design(cfg, model, design)
-    return sampling.sample_to_csv(sampling.draw_pros(model, design, alpha, cfg.seed))
+    else:
+        design = _balanced_design(cfg)
+        ud, alphas = UnbalancedDesign.from_design(design), {1: _alpha_for_design(cfg, model, design)}
+    return sampling.sample_to_csv(sampling.draw_unbalanced_pros(model, ud, alphas, cfg.seed))
 
 
 def run_custom(cfg: RunConfig) -> str:

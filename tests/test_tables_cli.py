@@ -22,10 +22,12 @@ DATA = Path(__file__).parent / "data"
 # -- published-table goldens --------------------------------------------------
 
 
-def test_table2_matches_golden_bytes():
-    cells = run_table(2, RunConfig(subcommand="table"))
+@pytest.mark.parametrize("table_id", (2, 3, 4, 5, 6, 7, 8, 10))
+def test_table_matches_golden_bytes(table_id):
+    # tables 5, 6 and 10 calibrate their misplacement matrices at the default seed
+    cells = run_table(table_id, RunConfig(subcommand="table"))
     got = cells_to_csv(cells)
-    want = (DATA / "table2_golden.csv").read_text()
+    want = (DATA / f"table{table_id}_golden.csv").read_text()
     assert got == want
 
 
@@ -267,6 +269,8 @@ def test_cli_table_unknown_id(capsys):
 
 def test_cli_bad_params_exit_code(capsys, tmp_path):
     base = ["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2"]
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1;1-4|5-6;1\n1;1-4|5-6;2\n")
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("reps = abc\n")
     bad_format = tmp_path / "format.cfg"
@@ -292,6 +296,15 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
     for argv in (
         ["entropy", "--kind", "srs", "--set-size", "-3", "--subsets", "5"],
         ["sample", "--set-size", "6", "--subsets", "0"],
+        # a design file fixes the set size and the subsets, and has no complete-data report
+        ["fisher", "--design-file", str(plan), "--mode", "complete"],
+        ["fisher", "--design-file", str(plan), "--set-size", "6"],
+        ["fisher", "--design-file", str(plan), "--subsets", "2"],
+        ["sample", "--design-file", str(plan), "--set-size", "6", "--subsets", "2"],
+        # entropy reports one balanced cycle, and kl always compares pros with srs
+        ["entropy", "--set-size", "6", "--subsets", "2", "--cycles", "5"],
+        ["entropy", "--design-file", str(plan)],
+        ["entropy", "--measure", "kl", "--kind", "srs", "--set-size", "6", "--subsets", "2"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
