@@ -11,9 +11,10 @@ misplacement replaces w by an alpha-weighted mixture of the per-block weights.
 Every such weight is one row of rank coefficients, w = sum_u c_u b_u
 (rank_coefficients), and bernstein_series evaluates any stack of rows with its
 first two t-derivatives on the quantile domain t in [0,1], where the weights
-are distribution-free.  The *_pdf operations are thin compositions of one row
-with a model's f and F.  Binomial coefficients go through lgamma so set sizes
-up to 64 evaluate without overflow.
+are distribution-free, from one table of powers t^j and (1-t)^j per call: every
+factor lies in [0, 1], so nothing overflows and a weight below the double range
+underflows to 0.  The *_pdf operations are thin compositions of one row with a
+model's f and F.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ Blocks = tp.Sequence[tp.Sequence[int]]
 
 class DensityError(ValueError):
     """Invalid rank, index, or evaluation point for a design-induced density."""
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def rank_coefficients(set_size: int, blocks: Blocks, alpha_row: np.ndarray) -> np.ndarray:
@@ -61,38 +58,40 @@ def bernstein_series(coef: np.ndarray, t: FloatArray) -> tuple[np.ndarray, ...]:
     coef holds rank coefficients c_1..c_S on its last axis (see
     rank_coefficients); leading axes are independent series, and each result
     has shape coef.shape[:-1] + t.shape.  The k-th derivative is the degree
-    S-1-k series of the k-th differences of c, times (S-1)!/(S-1-k)!.  Only the
-    window [lo, hi] of coefficients non-zero in some row is summed, by Horner's
-    rule in t/(1-t) after factoring out t^lo (1-t)^(m-lo) for t <= 1/2, and in
-    (1-t)/t after t^hi (1-t)^(m-hi) above: the cost is linear in the window,
-    nothing overflows, and a weight below the double range underflows to 0.
+    m = S-1-k series of the k-th differences of c, times (S-1)!/m!: one matrix
+    product of (Delta^k c)_j C(m, j) with t^j (1-t)^(m-j) over the window lo..hi
+    of coefficients non-zero in some row.  All three share one table of powers
+    t^j and (1-t)^j, built up to the highest exponent a window needs by O(log S)
+    in-place multiplies per block of at most 2^15 / (2S) points.  As 0^0 = 1,
+    t = 0 and 1 are exact; a weight below the double range underflows to 0.
     """
     c = np.asarray(coef, dtype=float)
-    ta = np.asarray(t, dtype=float)
-    flat = ta.ravel()
+    flat = np.ravel(np.asarray(t, dtype=float))
+    a = c.reshape(-1, c.shape[-1])
+    out = np.zeros((3, a.shape[0], flat.size))
     windows = []
     for k in range(3):
-        a = np.diff(c, n=k, axis=-1) * math.perm(c.shape[-1] - 1, k)
-        live = np.flatnonzero(np.any(a != 0.0, axis=tuple(range(a.ndim - 1))))
+        live = np.flatnonzero(a.any(axis=0))
         if live.size:
-            m, lo, hi = a.shape[-1] - 1, int(live[0]), int(live[-1])
-            binom = np.exp([_log_comb(m, j) for j in range(lo, hi + 1)])
-            windows.append((k, m, lo, hi, (a[..., lo : hi + 1] * binom)[..., None]))
-    out = np.zeros((3,) + c.shape[:-1] + flat.shape)
-    low = flat <= 0.5
-    with np.errstate(divide="ignore"):
-        for mask, is_low in ((low, True), (~low, False)):
-            tm = flat[mask]
-            ratio = tm / (1.0 - tm) if is_low else (1.0 - tm) / tm
-            log_t, log_1mt = np.log(tm), np.log1p(-tm)
-            for k, m, lo, hi, coef_w in windows:
-                lead = lo if is_low else hi
-                acc = 0.0
-                for j in range(hi - lo, -1, -1) if is_low else range(hi - lo + 1):
-                    acc = acc * ratio + coef_w[..., j, :]
-                expo = (lead * log_t if lead else 0.0) + ((m - lead) * log_1mt if m > lead else 0.0)
-                out[k][..., mask] = acc * np.exp(expo)
-    return tuple(out.reshape((3,) + c.shape[:-1] + ta.shape))
+            m, lo, hi = a.shape[1] - 1, int(live[0]), int(live[-1])
+            scale = [float(math.perm(c.shape[-1] - 1, k) * math.comb(m, j)) for j in range(lo, hi + 1)]
+            windows.append((k, m, lo, hi, a[:, lo : hi + 1] * scale))
+        a = a[:, 1:] - a[:, :-1]
+    top = max([max(hi, m - lo, 1) for _, m, lo, hi, _ in windows], default=1)
+    # memory for a table of 2^15 doubles is reused; a 4 MB one (S = 64, 4096 draws) page-faults per call
+    step = max(2**15 // (2 * top + 2), 1)
+    for first in range(0, flat.size if windows else 0, step):
+        block = flat[first : first + step]
+        powers = np.empty((top + 1, 2, block.size))  # powers[j] = (t^j, (1-t)^j)
+        powers[0], powers[1], n = 1.0, (block, 1.0 - block), 1
+        while n < top:  # rows n+1..2n are rows 1..n times row n
+            np.multiply(powers[1 : min(n, top - n) + 1], powers[n], out=powers[n + 1 : min(2 * n, top) + 1])
+            n *= 2
+        for k, m, lo, hi, coef_w in windows:
+            # row j - lo is t^j (1-t)^(m-j): the (1-t) exponents run down from m - lo
+            basis = powers[lo : hi + 1, 0] * powers[m - lo : m - hi - 1 if m > hi else None : -1, 1]
+            out[k, :, first : first + step] = coef_w @ basis
+    return tuple(out.reshape((3,) + c.shape[:-1] + np.shape(t)))
 
 
 def block_weight(set_size: int, ranks: tp.Sequence[int], t: FloatArray) -> FloatArray:
@@ -198,7 +197,7 @@ def latent_conditional(model: Model, design: Design, r: int, x: float) -> np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         log_t, log_1mt = np.log(model.cdf(x)), np.log(model.sf(x))
         log_w = (
-            np.array([_log_comb(big_n, int(j)) for j in k])
+            np.log([float(math.comb(big_n, int(j))) for j in k])
             + np.where(k > 0, k * log_t, 0.0)
             + np.where(k < big_n, (big_n - k) * log_1mt, 0.0)
         )

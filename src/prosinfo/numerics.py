@@ -10,9 +10,9 @@ or raises at MAX_LEVEL = 10; its first stop test, at level MIN_LEVEL + 1, costs
 one integrand call.  Expectations are evaluated on the quantile scale, over the
 open interval (0, 1), so endpoint-singular integrands such as 1/(F(1-F)) become
 1/(u(1-u)); integrate_gram builds every Fisher-information matrix on it as a
-weighted score outer product.  Monte Carlo means run their fixed-size chunks on
-up to `workers` forked processes and are bit-identical for a fixed seed at every
-worker count.
+weighted score outer product, on nodes of (0, 1) also built once at import.
+Monte Carlo means run their fixed-size chunks on up to `workers` forked
+processes and are bit-identical for a fixed seed at every worker count.
 """
 
 from __future__ import annotations
@@ -221,12 +221,8 @@ def _level_tables() -> list[tuple[float, np.ndarray, np.ndarray]]:
     return [(levels[MIN_LEVEL][0], xc, w)] + levels[MIN_LEVEL + 1 :]
 
 
-_LEVELS = _level_tables()
-_CALLS = [_LEVELS[:2]] + [[table] for table in _LEVELS[2:]]  # the tables of each fn call in integrate
-
-
 def _abscissae(xc: np.ndarray, w: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Table nodes 1 - xc and -1 + xc of weight w, mapped to (a, b) for a <= b.
+    """Table nodes 1 - xc and -1 + xc of weight w, mapped to (a, b) for a <= b, as read-only arrays.
 
     Infinite limits substitute x = 1/t - 1 + a on (0, 1) for b = inf, its reflection
     for a = -inf, and t/(1 - t^2) on (-1, 1) for both.  Nodes that round onto a limit
@@ -247,7 +243,14 @@ def _abscissae(xc: np.ndarray, w: np.ndarray, a: float, b: float) -> tuple[np.nd
         else:
             x = t
     keep = (lo < t) & (t < hi) & np.isfinite(x) & (0.0 < wt) & (wt < math.inf)
-    return x[keep], wt[keep]
+    x, wt = x[keep], wt[keep]
+    x.flags.writeable = wt.flags.writeable = False
+    return x, wt
+
+
+_LEVELS = _level_tables()
+_CALLS = [_LEVELS[:2]] + [[table] for table in _LEVELS[2:]]  # the tables of each fn call in integrate
+_UNIT_CALLS = [[_abscissae(xc, w, 0.0, 1.0) for _, xc, w in tables] for tables in _CALLS]  # their (0, 1) nodes
 
 
 def integrate(
@@ -258,16 +261,16 @@ def integrate(
 ) -> np.ndarray:
     """The integrals over (a, b) of every row of fn; either limit may be infinite.
 
-    fn maps a 1-d array x to an array of shape (k, len(x)).  One tanh-sinh pass
-    integrates every row: it sums all nodes of levels 0..MIN_LEVEL, then each
-    later level L halves the previous sum and adds its new nodes, and stops when
-    no row moved from the previous level by more than
-    max(atol, rtol * max |integral|).  No test can pass before level
-    MIN_LEVEL + 1, so fn gets the nodes of levels 0..MIN_LEVEL + 1 in one call,
-    in level order, and each later level's in one more.  The tolerance is shared
-    because a row that is zero by symmetry never meets one relative to itself.
-    The change between levels bounds the coarser level's error, so the finer
-    level returned lies well inside the tolerance.  Returns shape (k,).
+    fn maps a 1-d array x to an array of shape (k, len(x)), and over (0, 1) x
+    holds nodes built at import.  One tanh-sinh pass integrates every row: it
+    sums all nodes of levels 0..MIN_LEVEL, then each later level L halves the
+    previous sum and adds its new nodes, and stops when no row moved from the
+    previous level by more than max(atol, rtol * max |integral|).  No test can
+    pass before level MIN_LEVEL + 1, so fn gets the nodes of levels
+    0..MIN_LEVEL + 1 in one call, in level order, and each later level's in one
+    more.  The tolerance is shared because a row that is zero by symmetry never
+    meets one relative to itself.  The change between levels bounds the coarser
+    level's error, so the finer level returned is well within it.  Returns shape (k,).
 
     :raises QuadratureNonConvergence: MAX_LEVEL did not reach the tolerance.
     :raises IntegrandEvaluationError: fn returned a non-finite value at a node of positive weight,
@@ -279,8 +282,8 @@ def integrate(
         a, b, sign = b, a, -1.0
     previous: np.ndarray | None = None
     change = math.inf
-    for tables in _CALLS:
-        nodes = [_abscissae(xc, w, a, b) for _, xc, w in tables]
+    for tables, unit_nodes in zip(_CALLS, _UNIT_CALLS):
+        nodes = unit_nodes if (a, b) == (0.0, 1.0) else [_abscissae(xc, w, a, b) for _, xc, w in tables]
         x = np.concatenate([level_x for level_x, _ in nodes])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = np.asarray(fn(x), dtype=float)

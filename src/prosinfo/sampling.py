@@ -205,8 +205,7 @@ def estimate_alpha_for_partition(
 
     block_of = np.empty(set_size, dtype=int)
     for idx, b in enumerate(blocks):
-        for u in b:
-            block_of[u - 1] = idx
+        block_of[np.asarray(b) - 1] = idx
 
     x = np.asarray(model.quantile(rng.random((cfg.reps, set_size))))
     # each set is standardized by its own sample moments; the per-set scale
@@ -217,12 +216,11 @@ def estimate_alpha_for_partition(
         w = z
     else:
         w = cfg.rho * z + np.sqrt(1.0 - cfg.rho**2) * rng.standard_normal(x.shape)
-    # rank of each unit within its own set, 0-based
-    rank_x = np.argsort(np.argsort(x, axis=1), axis=1)
-    rank_w = np.argsort(np.argsort(w, axis=1), axis=1)
-
-    counts = np.zeros((n, n))
-    np.add.at(counts, (block_of[rank_w.ravel()], block_of[rank_x.ravel()]), 1.0)
+    # true rank within its own set (0-based) of the unit perceived at each rank
+    rank_x = np.empty(x.shape, dtype=np.intp)
+    np.put_along_axis(rank_x, np.argsort(x, axis=1), np.arange(set_size), axis=1)
+    true_rank = np.take_along_axis(rank_x, np.argsort(w, axis=1), axis=1)
+    counts = np.bincount((n * block_of + block_of[true_rank]).ravel(), minlength=n * n).reshape(n, n)
     sizes = np.array([len(b) for b in blocks], dtype=float)
     a = counts / (cfg.reps * sizes[:, None])
     a = _sinkhorn((a + a.T) / 2.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +411,55 @@ def test_bernstein_series_stacks_rows_and_keeps_shape():
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     with pytest.raises(DensityError):
         rank_coefficients(12, design.subsets, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("S,blocks,row", list(_series_cases()))
+def test_bernstein_series_endpoints_are_the_end_coefficients(S, blocks, row):
+    # w, w' and w'' at t = 0 are c_1, (S-1)(c_2 - c_1) and (S-1)(S-2)(c_3 - 2c_2 + c_1); mirrored at t = 1
+    coef = rank_coefficients(S, blocks, row)
+    tol = 1e-15 * S * S * np.max(np.abs(coef))
+    for t, c in ((0.0, coef), (1.0, coef[::-1])):
+        w, w1, w2 = bernstein_series(coef, t)
+        sign = 1.0 if t == 0.0 else -1.0
+        assert w == c[0]
+        assert w1 == (sign * (S - 1) * (c[1] - c[0]) if S > 1 else 0.0)
+        if S > 2:
+            np.testing.assert_allclose(w2, (S - 1) * (S - 2) * (c[2] - 2 * c[1] + c[0]), rtol=0, atol=tol)
+        else:
+            assert w2 == 0.0
+
+
+@pytest.mark.parametrize("S,blocks,row", [case for case in _series_cases() if case[0] in (1, 2, 6, 12, 64)])
+def test_bernstein_series_at_the_ends_of_the_double_range(S, blocks, row):
+    # the smallest subnormal, a deep tail and the largest double below 1: finite, silent, and on the oracle
+    t = np.array([5e-324, 1e-300, 1 - 2.0**-53])
+    coef = rank_coefficients(S, blocks, row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, w1, w2 = bernstein_series(coef, t)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))
+    ref, ref1 = _beta_weight(S, coef, t), _beta_weight_dt(S, coef, t)
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-300)
+    scale = S * max(np.max(np.abs(ref)), np.max(np.abs(ref1)))
+    np.testing.assert_allclose(w1, ref1, rtol=1e-10, atol=1e-12 * scale)
+
+
+def test_bernstein_series_keeps_the_shape_of_many_stacked_points():
+    # 4096 points at S = 64 span several blocks of the power table
+    S = 64
+    design = make_balanced_design(S, 4)
+    coefs = np.stack(
+        [[rank_coefficients(S, design.subsets, make_symmetric_alpha(4, p).row(r)) for r in (1, 2, 3)] for p in (1.0, 0.6)]
+    )
+    t = np.random.default_rng(5).beta(2.0, 3.0, size=(64, 64))
+    results = bernstein_series(coefs, t)
+    for got in results:
+        assert got.shape == coefs.shape[:-1] + t.shape == (2, 3, 64, 64)
+    for i in range(2):
+        for r in range(3):
+            for got, want in zip(results, bernstein_series(coefs[i, r], t.ravel())):
+                np.testing.assert_allclose(got[i, r].ravel(), want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+    np.testing.assert_allclose(results[0][0, 0], _beta_weight(S, coefs[0, 0], t), rtol=1e-12, atol=1e-300)
 
 
 @st.composite

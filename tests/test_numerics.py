@@ -167,7 +167,7 @@ def test_integrate_reports_abscissa_on_an_infinite_limit():
     assert 10.0 < err.value.u < math.inf
 
 
-def _level_by_level(fn, a, b, spec=QuadratureSpec()):
+def _reference_sums(fn, a, b, spec=QuadratureSpec()):
     """integrate's sums with one fn call per table of numerics._LEVELS; returns (integrals, tables used)."""
     sign = 1.0
     if b < a:
@@ -205,13 +205,39 @@ def test_integrate_fuses_the_first_stop_test_into_one_call(a, b, rows, tables):
         calls.append(x.size)
         return np.stack(rows(x))
 
-    want, used = _level_by_level(lambda x: np.stack(rows(x)), a, b)
+    want, used = _reference_sums(lambda x: np.stack(rows(x)), a, b)
     assert used == tables
     got = integrate(fn, a, b)
     assert got.tobytes() == want.tobytes()
     # levels 0..MIN_LEVEL and MIN_LEVEL + 1 share the first call; each later level costs one more
     sizes = [numerics._abscissae(xc, w, *sorted((a, b)))[0].size for _, xc, w in numerics._LEVELS[:tables]]
     assert calls == [sizes[0] + sizes[1]] + sizes[2:]
+
+
+def test_unit_interval_nodes_are_built_once_and_read_only():
+    for tables, unit_nodes in zip(numerics._CALLS, numerics._UNIT_CALLS):
+        assert len(unit_nodes) == len(tables)
+        for (_, xc, w), (x, wx) in zip(tables, unit_nodes):
+            want_x, want_w = numerics._abscissae(xc, w, 0.0, 1.0)
+            assert x.tobytes() == want_x.tobytes() and wx.tobytes() == want_w.tobytes()
+            for arr in (x, wx):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
+
+
+def test_unit_interval_integrals_use_the_import_time_nodes(monkeypatch):
+    def rows(x):
+        return np.stack([np.sin(150.0 * x) ** 2, np.log(x) * np.log1p(-x), x])
+
+    want, used = _reference_sums(rows, 0.0, 1.0)
+    assert used > 2  # the integral runs past the first fn call
+
+    def no_map(*args):
+        raise AssertionError("a (0, 1) integral mapped its nodes again")
+
+    monkeypatch.setattr(numerics, "_abscissae", no_map)
+    assert integrate(rows, 0.0, 1.0).tobytes() == want.tobytes()
+    assert integrate(rows, 1.0, 0.0).tobytes() == (-want).tobytes()
 
 
 def test_integrate_reports_the_first_bad_node_in_level_order():

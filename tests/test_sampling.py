@@ -24,6 +24,7 @@ from prosinfo import (
     make_model,
     make_symmetric_alpha,
     sample_to_csv,
+    sampling,
     srs_design,
     substream,
     uniform_alpha,
@@ -325,6 +326,37 @@ def test_estimate_alpha_for_partition_unbalanced_blocks():
     assert a.n == 2
     validate_misplacement(a.entries)
     assert a.entries[0, 0] > 0.8  # a big bottom block is easy to judge
+
+
+def _add_at_alpha(model, set_size, blocks, cfg):
+    """estimate_alpha_for_partition with the tally by four argsorts and np.add.at, as an oracle."""
+    n = len(blocks)
+    block_of = np.empty(set_size, dtype=int)
+    for idx, b in enumerate(blocks):
+        block_of[np.asarray(b) - 1] = idx
+    rng = substream(cfg.seed)
+    x = np.asarray(model.quantile(rng.random((cfg.reps, set_size))))
+    z = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
+    w = z if cfg.rho == 1.0 else cfg.rho * z + np.sqrt(1.0 - cfg.rho**2) * rng.standard_normal(x.shape)
+    rank_x = np.argsort(np.argsort(x, axis=1), axis=1)
+    rank_w = np.argsort(np.argsort(w, axis=1), axis=1)
+    counts = np.zeros((n, n))
+    np.add.at(counts, (block_of[rank_w.ravel()], block_of[rank_x.ravel()]), 1.0)
+    a = counts / (cfg.reps * np.array([len(b) for b in blocks], dtype=float)[:, None])
+    return sampling._sinkhorn((a + a.T) / 2.0)
+
+
+@pytest.mark.parametrize("set_size", (6, 12, 24))
+def test_dell_clutter_tally_matches_the_add_at_tally(set_size):
+    # the counts are integers, so the bincount tally must give the same matrices bit for bit
+    model = make_model("logistic")
+    balanced = make_balanced_design(set_size, 3).subsets
+    unbalanced = ((1,), tuple(range(2, set_size)), (set_size,))
+    for blocks in (balanced, unbalanced):
+        for rho in (0.0, 0.5, 0.9, 1.0):
+            cfg = DellClutterConfig(rho, 1_500, SEED + set_size)
+            got = estimate_alpha_for_partition(model, set_size, blocks, cfg).entries
+            assert np.array_equal(got, _add_at_alpha(model, set_size, blocks, cfg))
 
 
 def test_estimate_unbalanced_alphas_per_cycle():
