@@ -2,8 +2,9 @@
 
 `prosinfo table ID` regenerates one of the published relative-efficiency
 tables; `fisher`, `entropy`, and `sample` expose the underlying computations
-directly.  Exit codes: 0 success, 2 validation error, 3 numeric
-non-convergence.
+directly.  Each subcommand declares only the flags it can read, and refuses a
+flag that the rest of the request leaves unread.  Exit codes: 0 success, 2
+validation error, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -372,8 +373,6 @@ def _balanced_design(cfg: RunConfig) -> Design:
 
 def _design_from_file(cfg: RunConfig) -> UnbalancedDesign:
     """The --design-file design over --cycles replications; the file fixes S and every partition."""
-    if cfg.set_size is not None or cfg.subsets is not None:
-        raise CLIError("--design-file sets the set size and subsets; drop --set-size and --subsets")
     return dataclasses.replace(parse_design_file(tp.cast(str, cfg.design_file)), replications=cfg.cycles)
 
 
@@ -411,11 +410,9 @@ def _rss_report_info(cfg: RunConfig, model: Model, n: int, cycles: int = 1) -> n
 def _run_fisher(cfg: RunConfig) -> str:
     model = _build_model(cfg)
     common = dict(method=cfg.method, reps=cfg.reps, seed=cfg.seed, workers=cfg.workers)
-    if cfg.mode == "unbalanced" or cfg.design_file is not None:
+    if cfg.mode == "unbalanced" or (cfg.mode == "marginal" and cfg.design_file is not None):
         if cfg.design_file is None:
             raise CLIError("unbalanced mode needs --design-file")
-        if cfg.mode == "complete":
-            raise CLIError("complete mode needs --set-size and --subsets, not --design-file")
         ud = _design_from_file(cfg)
         alphas = _alphas_for_unbalanced(cfg, model, ud)
         fi = information.fi_unbalanced(model, ud, alphas, **common)
@@ -430,8 +427,6 @@ def _run_fisher(cfg: RunConfig) -> str:
         n = design.n
         count = n * cfg.cycles
         if cfg.mode == "complete":
-            if cfg.alpha != "perfect":
-                raise CLIError("complete mode assumes perfect subsetting; drop --alpha")
             fi = information.fi_pros_complete(model, n, design.set_size, cfg.cycles, **common)
             re2 = _rel(fi.matrix, information.fi_pros_complete(model, n, n, cfg.cycles).matrix)
         elif cfg.mode == "marginal":
@@ -441,29 +436,19 @@ def _run_fisher(cfg: RunConfig) -> str:
             raise CLIError(f"--mode must be complete, marginal, or unbalanced, got {cfg.mode!r}")
     re1 = _rel(fi.matrix, information.fisher_srs(model, count))
     pairs = [("model", model.label()), ("design", fi.design_label), ("method", fi.method)]
-    pairs += _fi_entry_pairs(fi, model.active)
-    pairs.append(("det", _fixed(fi.det())))
-    pairs.append(("re1", _fixed(re1)))
+    pairs += _fi_entry_pairs(fi, model.active) + [("det", _fixed(fi.det())), ("re1", _fixed(re1))]
     if re2 is not None:
         pairs.append(("re2", _fixed(re2)))
     return _report_lines(pairs, cfg.fmt)
 
 
 def _run_entropy(cfg: RunConfig) -> str:
-    if cfg.design_file is not None:
-        raise CLIError("entropy takes --set-size and --subsets, not --design-file")
-    if cfg.cycles != 1:
-        raise CLIError("entropy reports one cycle; drop --cycles")
-    if cfg.measure == "kl" and cfg.kind != "pros":
-        raise CLIError("kl always compares pros with srs; drop --kind")
     model = _build_model(cfg)
     if cfg.measure == "kl":
         design = _balanced_design(cfg)
         value = entropy_lib.kl_pros_srs(model, design)
-        return _report_lines(
-            [("model", model.label()), ("design", design.label()), ("kl(pros,srs)", _fixed(value))],
-            cfg.fmt,
-        )
+        pairs = [("model", model.label()), ("design", design.label()), ("kl(pros,srs)", _fixed(value))]
+        return _report_lines(pairs, cfg.fmt)
     n = cfg.subsets if cfg.subsets is not None else 1
     if cfg.measure == "shannon":
         report = entropy_lib.shannon(model, cfg.kind, n, cfg.set_size)
@@ -492,19 +477,16 @@ def _run_sample(cfg: RunConfig) -> str:
 
 def run_custom(cfg: RunConfig) -> str:
     """Dispatch a non-table subcommand and return its rendered output."""
-    if cfg.subcommand == "fisher":
-        return _run_fisher(cfg)
-    if cfg.subcommand == "entropy":
-        return _run_entropy(cfg)
-    if cfg.subcommand == "sample":
-        return _run_sample(cfg)
-    raise CLIError(f"unknown subcommand {cfg.subcommand!r}")
+    runners = {"fisher": _run_fisher, "entropy": _run_entropy, "sample": _run_sample}
+    if cfg.subcommand not in runners:
+        raise CLIError(f"unknown subcommand {cfg.subcommand!r}")
+    return runners[cfg.subcommand](cfg)
 
 
 # -- argument parsing ------------------------------------------------------------
 
 
-def _parse_params(text: str | None) -> tuple[tuple[str, float], ...]:
+def _parse_params(text: str) -> tuple[tuple[str, float], ...]:
     if not text:
         return ()
     out: list[tuple[str, float]] = []
@@ -523,128 +505,142 @@ def _parse_params(text: str | None) -> tuple[tuple[str, float], ...]:
 def _load_config_file(path: str) -> dict[str, str]:
     allowed = {"reps", "seed", "method", "workers", "format", "output"}
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CLIError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in allowed:
-                raise CLIError(f"{path}:{lineno}: unknown key {key!r}; allowed: {sorted(allowed)}")
-            out[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise CLIError(f"{path}: {e}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CLIError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise CLIError(f"{path}:{lineno}: unknown key {key!r}; allowed: {sorted(allowed)}")
+        out[key] = value.strip()
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error in one stderr line."""
+
+    def error(self, message: str) -> tp.NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
+# add_argument keywords of every flag; a flag not given takes its RunConfig field's default
+_FLAGS: dict[str, dict[str, tp.Any]] = {
+    "--config": dict(help="key=value file of reps, seed, method, workers, format, output; unread keys ignored"),
+    "--output": dict(help="write here instead of stdout"),
+    **{flag: dict(type=int) for flag in ("--seed", "--reps", "--set-size", "--subsets", "--cycles")},
+    "--workers": dict(type=int, help="forked Monte Carlo workers, capped by chunks and CPUs; same bytes at any count"),
+    "--method": dict(choices=("quadrature", "mc")),
+    "--family": dict(choices=family_names()),
+    "--params": dict(help="comma-separated name=value pairs"),
+    "--active": dict(help="comma-separated parameter names"),
+    "--design-file": {},
+    "--mode": dict(choices=("complete", "marginal", "unbalanced")),
+    "--alpha": dict(help="perfect | symmetric:p | dellclutter:rho | file"),
+    "--measure": dict(choices=("shannon", "renyi", "kl")),
+    "--order": dict(type=float, help="Renyi order in (0, 1)"),
+    "--kind": dict(choices=("srs", "rss", "pros")),
+}
+
+_MODEL_DESIGN = ("--family", "--params", "--set-size", "--subsets")
+# subcommand: (help, its --format choices with the default first, the flags it reads besides --config and --output)
+_SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "table": ("regenerate a benchmark table", ("csv", "md"), ("--seed",)),
+    "fisher": ("Fisher information report", ("text", "csv", "md"), ("--seed", "--method", "--reps", "--workers",
+               *_MODEL_DESIGN, "--active", "--cycles", "--design-file", "--mode", "--alpha")),
+    "entropy": ("entropy / KL report", ("text", "csv", "md"), (*_MODEL_DESIGN, "--measure", "--order", "--kind")),
+    "sample": ("draw a sample as CSV", (), ("--seed", *_MODEL_DESIGN, "--cycles", "--design-file", "--alpha")),
+}
+
+# flags a subcommand declares but reads only under some settings:
+# (subcommands, flags, whether the resolved settings leave them unread, when that is)
+_UNREAD = (
+    (("fisher",), ("alpha", "design_file"), lambda s: s.mode == "complete", "under --mode complete"),
+    (("fisher",), ("reps", "workers"), lambda s: s.method != "mc", "without --method mc"),
+    (("fisher",), ("seed",), lambda s: s.method != "mc" and not s.alpha.startswith("dellclutter:"),
+     "without --method mc or --alpha dellclutter:rho"),
+    (("fisher", "sample"), ("set_size", "subsets"), lambda s: s.design_file is not None, "with --design-file"),
+    (("entropy",), ("kind",), lambda s: s.measure == "kl", "under --measure kl"),
+    (("entropy",), ("order",), lambda s: s.measure != "renyi", "without --measure renyi"),
+    (("entropy",), ("set_size",), lambda s: s.kind == "srs", "under --kind srs"),
+    (("table",), ("seed",), lambda s: s.table_id not in (5, 6, 10), "outside tables 5, 6 and 10"),
+)
+
+
+def _declared(subcommand: str) -> dict[str, dict[str, tp.Any]]:
+    """add_argument keywords of every flag the subcommand declares."""
+    _, formats, flags = _SUBCOMMANDS[subcommand]
+    declared = {flag: _FLAGS[flag] for flag in ("--config", "--output", *flags)}
+    if formats:
+        declared["--format"] = dict(dest="fmt", choices=formats, help=f"default {formats[0]}")
+    return declared
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file mirroring the flags below")
-    common.add_argument("--format", choices=("csv", "md", "text"), default=None)
-    common.add_argument("--output", default=None, help="write here instead of stdout")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--reps", type=int, default=None)
-    common.add_argument("--method", choices=("quadrature", "mc"), default=None)
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="forked Monte Carlo processes, capped by chunks and usable CPUs; bit-identical at every count",
-    )
-
-    model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--family", default="normal", choices=family_names())
-    model_flags.add_argument("--params", default=None, help="comma-separated name=value pairs")
-    model_flags.add_argument("--active", default=None, help="comma-separated parameter names")
-
-    design_flags = argparse.ArgumentParser(add_help=False)
-    design_flags.add_argument("--set-size", type=int, default=None)
-    design_flags.add_argument("--subsets", type=int, default=None)
-    design_flags.add_argument("--cycles", type=int, default=1)
-    design_flags.add_argument("--design-file", default=None)
-
-    parser = argparse.ArgumentParser(
-        prog="prosinfo",
-        description="Fisher information, entropy, and efficiency tables for rank-based sampling designs.",
-    )
+    description = "Fisher information, entropy, and efficiency tables for rank-based sampling designs."
+    parser = _Parser(prog="prosinfo", description=description)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    table = sub.add_parser("table", parents=[common], help="regenerate a benchmark table")
-    table.add_argument("table_id", type=int)
-
-    fisher = sub.add_parser(
-        "fisher", parents=[common, model_flags, design_flags], help="Fisher information report"
-    )
-    fisher.add_argument("--mode", choices=("complete", "marginal", "unbalanced"), default="marginal")
-    fisher.add_argument("--alpha", default="perfect", help="perfect | symmetric:p | dellclutter:rho | file")
-
-    ent = sub.add_parser(
-        "entropy", parents=[common, model_flags, design_flags], help="entropy / KL report"
-    )
-    ent.add_argument("--measure", choices=("shannon", "renyi", "kl"), default="shannon")
-    ent.add_argument("--order", type=float, default=None, help="Renyi order in (0, 1)")
-    ent.add_argument("--kind", choices=("srs", "rss", "pros"), default="pros")
-
-    samp = sub.add_parser(
-        "sample", parents=[common, model_flags, design_flags], help="draw a sample as CSV"
-    )
-    samp.add_argument("--alpha", default="perfect", help="perfect | symmetric:p | dellclutter:rho | file")
+    for name, (text, _, _) in _SUBCOMMANDS.items():
+        # SUPPRESS: the namespace holds exactly the flags given
+        command = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        if name == "table":
+            command.add_argument("table_id", type=int)
+        for flag, spec in _declared(name).items():
+            command.add_argument(flag, **spec)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    conf = _load_config_file(args.config) if args.config else {}
+    """RunConfig from the flags given, over the --config keys the subcommand reads, over PROSINFO_SEED.
 
-    def pick(flag: tp.Any, key: str, fallback: tp.Any, cast: tp.Callable[[str], tp.Any]) -> tp.Any:
-        if flag is not None:
-            return flag
-        if key in conf:
-            try:
-                return cast(conf[key])
-            except ValueError:
-                raise CLIError(f"{args.config}: {key} = {conf[key]!r} is not a valid {cast.__name__}") from None
-        return fallback
-
+    A flag given where the resolved settings leave it unread is refused.
+    """
+    given = dict(vars(args))
+    subcommand, table_id = given.pop("subcommand"), given.pop("table_id", None)
+    declared = _declared(subcommand)
     env_seed = os.environ.get("PROSINFO_SEED")
-    try:
-        seed_fallback = int(env_seed) if env_seed else numerics.DEFAULT_SEED
-    except ValueError:
-        raise CLIError(f"PROSINFO_SEED={env_seed!r} is not an integer") from None
-    reps = pick(args.reps, "reps", information.DEFAULT_REPS, int)
-    seed = pick(args.seed, "seed", seed_fallback, int)
-    workers = pick(args.workers, "workers", 1, int)
-    set_size, subsets = getattr(args, "set_size", None), getattr(args, "subsets", None)
-    for name, value, least in (
-        ("reps", reps, 2), ("seed", seed, 0), ("workers", workers, 1), ("set-size", set_size, 1), ("subsets", subsets, 1)
-    ):
-        if value is not None and value < least:
-            raise CLIError(f"{name} must be at least {least}, got {value}")
-    fmt = pick(args.format, "format", "csv" if args.subcommand in ("table", "sample") else "text", str)
-    if fmt not in ("csv", "md", "text"):
-        raise CLIError(f"format must be csv, md or text, got {fmt!r}")
-    active = tuple(s.strip() for s in args.active.split(",")) if getattr(args, "active", None) else None
-    return RunConfig(
-        subcommand=args.subcommand,
-        family=getattr(args, "family", "normal"),
-        params=_parse_params(getattr(args, "params", None)),
-        active=active,
-        set_size=set_size,
-        subsets=subsets,
-        cycles=getattr(args, "cycles", 1),
-        design_file=getattr(args, "design_file", None),
-        alpha=getattr(args, "alpha", "perfect"),
-        mode=getattr(args, "mode", "marginal"),
-        measure=getattr(args, "measure", "shannon"),
-        order=getattr(args, "order", None),
-        kind=getattr(args, "kind", "pros"),
-        method=pick(args.method, "method", "quadrature", str),
-        reps=reps,
-        seed=seed,
-        workers=workers,
-        fmt=fmt,
-        output=pick(args.output, "output", None, str),
-    )
+    sources = [("PROSINFO_SEED", {"seed": env_seed} if env_seed else {})]
+    if "config" in given:
+        sources.append((given["config"], _load_config_file(given.pop("config"))))
+    settings: dict[str, tp.Any] = {}
+    for source, entries in sources:
+        for key, raw in entries.items():
+            spec = declared.get("--" + key)
+            if spec is None:
+                continue  # a shared key this subcommand does not read
+            cast = spec.get("type", str)
+            try:
+                value = cast(raw)
+            except ValueError:
+                raise CLIError(f"{source}: {key} = {raw!r} is not a valid {cast.__name__}") from None
+            if value not in spec.get("choices", (value,)):
+                raise CLIError(f"{source}: {key} must be one of {', '.join(spec['choices'])}, got {raw!r}")
+            settings[spec.get("dest", key)] = value
+    settings.update(given)
+    if "params" in settings:
+        settings["params"] = _parse_params(settings["params"])
+    if "active" in settings:
+        settings["active"] = tuple(s.strip() for s in settings["active"].split(",")) if settings["active"] else None
+    for name, least in (("reps", 2), ("seed", 0), ("workers", 1), ("set_size", 1), ("subsets", 1)):
+        if settings.get(name, least) < least:
+            raise CLIError(f"{name.replace('_', '-')} must be at least {least}, got {settings[name]}")
+    formats = _SUBCOMMANDS[subcommand][1]
+    if formats:
+        settings.setdefault("fmt", formats[0])
+    cfg = RunConfig(subcommand=subcommand, **settings)
+    resolved = argparse.Namespace(**vars(cfg), table_id=table_id)
+    for subcommands, flags, unread, when in _UNREAD:
+        for flag in flags:
+            if subcommand in subcommands and flag in given and unread(resolved):
+                raise CLIError(f"{subcommand} does not read --{flag.replace('_', '-')} {when}")
+    return cfg
 
 
 def _write(text: str, cfg: RunConfig) -> None:
@@ -656,8 +652,7 @@ def _write(text: str, cfg: RunConfig) -> None:
 
 
 def main(argv: tp.Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         if cfg.subcommand == "table":

@@ -368,24 +368,26 @@ def parse_design_file(path: str) -> UnbalancedDesign:
     """
     plans: list[SetPlan] = []
     set_size = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(";")
-            if len(parts) != 3:
-                raise DesignError(
-                    f"{path}:{lineno}: expected `cycle;partition;measured`, got {line!r}"
-                )
-            try:
-                cycle = int(parts[0])
-                partition = _parse_partition(parts[1])
-                measured = int(parts[2])
-            except ValueError as e:
-                raise DesignError(f"{path}:{lineno}: {e}") from e
-            plans.append(SetPlan(cycle=cycle, partition=partition, measured=measured))
-            set_size = max(set_size, max(max(b) for b in partition))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise DesignError(f"{path}: {e}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(";")
+        if len(parts) != 3:
+            raise DesignError(f"{path}:{lineno}: expected `cycle;partition;measured`, got {line!r}")
+        try:
+            cycle = int(parts[0])
+            partition = _parse_partition(parts[1])
+            measured = int(parts[2])
+        except ValueError as e:
+            raise DesignError(f"{path}:{lineno}: {e}") from e
+        plans.append(SetPlan(cycle=cycle, partition=partition, measured=measured))
+        set_size = max(set_size, max(max(b) for b in partition))
     if not plans:
         raise DesignError(f"{path}: no sets defined")
     return UnbalancedDesign(set_size=set_size, sets=tuple(plans))

@@ -102,7 +102,10 @@ def draw_unbalanced_pros(
     rows = ud.measured_rows(alphas)
     columns = []
     for sp, row in rows:
-        x, u, _t = block_draws(model, ud.set_size, sp.partition, row, rng, ud.replications)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, u, _t = block_draws(model, ud.set_size, sp.partition, row, rng, ud.replications)
+        if not np.all(np.isfinite(x)):
+            raise SamplingError(f"{model.label()} gave a non-finite draw in cycle {sp.cycle}")
         columns.append((x, u, np.searchsorted([b[0] for b in sp.partition], u, side="right")))
     values, ranks, source = (np.stack(c, axis=1).ravel() for c in zip(*columns))
     cycle = np.array([sp.cycle for sp, _ in rows])

@@ -203,6 +203,13 @@ def test_draw_unbalanced_rejects_a_matrix_for_a_missing_cycle():
         draw_unbalanced_pros(make_model("normal"), ud, {2: make_symmetric_alpha(2, 0.6)})
 
 
+def test_draw_unbalanced_refuses_a_non_finite_draw():
+    # sigma = 1e308 sends every draw beyond about 1.8 standard deviations to -inf or inf
+    ud = UnbalancedDesign.from_design(make_balanced_design(6, 2, cycles=20))
+    with pytest.raises(SamplingError, match="non-finite draw"):
+        draw_unbalanced_pros(make_model("normal", sigma=1e308), ud, seed=SEED)
+
+
 def test_sample_to_csv_layout():
     sample = draw_pros(make_model("normal"), make_balanced_design(2, 2, cycles=2), seed=7)
     text = sample_to_csv(sample)

@@ -1,4 +1,7 @@
 import os
+import re
+import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +17,20 @@ from prosinfo import (
     make_symmetric_alpha,
     relative_efficiencies,
 )
-from prosinfo.cli import CLIError, RunConfig, cells_to_csv, cells_to_markdown, main, run_custom, run_table
+from prosinfo.cli import (
+    CLIError,
+    RunConfig,
+    _build_parser,
+    _resolve,
+    cells_to_csv,
+    cells_to_markdown,
+    main,
+    run_custom,
+    run_table,
+)
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 # -- published-table goldens --------------------------------------------------
@@ -267,6 +281,23 @@ def test_cli_table_unknown_id(capsys):
     assert "valid ids" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """main's exit code, also where the argument parser exits."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def _assert_one_line_refusal(argv, capsys, flag=None):
+    assert _exit_code(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (argv, captured.err)
+    if flag is not None:
+        assert flag in captured.err, (argv, captured.err)
+
+
 def test_cli_bad_params_exit_code(capsys, tmp_path):
     base = ["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2"]
     plan = tmp_path / "plan.txt"
@@ -275,6 +306,8 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
     bad_cfg.write_text("reps = abc\n")
     bad_format = tmp_path / "format.cfg"
     bad_format.write_text("format = xml\n")
+    not_utf8 = tmp_path / "utf16.txt"
+    not_utf8.write_bytes(b"\xff\xfe1;1-4|5-6;1\n")
     for extra in (
         ["--params", "sigma"],
         ["--params", "sigma=abc"],
@@ -289,6 +322,7 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["--set-size", "0"],
         ["--subsets", "-1"],
         ["--active", "mu,mu"],
+        ["--config", str(not_utf8)],
     ):
         assert main(base + extra) == 2, extra
         err = capsys.readouterr().err
@@ -305,10 +339,10 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["entropy", "--set-size", "6", "--subsets", "2", "--cycles", "5"],
         ["entropy", "--design-file", str(plan)],
         ["entropy", "--measure", "kl", "--kind", "srs", "--set-size", "6", "--subsets", "2"],
+        # a file that is not UTF-8 text
+        ["fisher", "--design-file", str(not_utf8)],
     ):
-        assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        _assert_one_line_refusal(argv, capsys)
 
 
 def test_cli_wrong_size_matrix_gives_one_message(capsys, tmp_path):
@@ -379,3 +413,177 @@ def test_cli_model_errors_exit_code():
 def test_run_custom_rejects_unknown_subcommand():
     with pytest.raises(CLIError):
         run_custom(RunConfig(subcommand="plot"))
+
+
+# -- which flags each request reads ---------------------------------------------
+
+_D = ["--set-size", "6", "--subsets", "2"]
+_FISHER = ["fisher", "--family", "normal", *_D]
+_COMPLETE = [*_FISHER, "--mode", "complete"]
+_ENTROPY = ["entropy", "--family", "normal", *_D]
+_KL = [*_ENTROPY, "--measure", "kl"]
+_SRS = ["entropy", "--kind", "srs", "--subsets", "2"]
+_SAMPLE = ["sample", "--family", "normal", *_D]
+
+# (request, flags it does not read, the flag the one-line refusal names); PLAN is a design file
+_UNREAD_CASES = (
+    # table: --seed only for the calibrated tables 5, 6 and 10, --format csv|md, no Monte Carlo or model flags
+    *((["table", tid], ["--seed", "9"], "--seed") for tid in ("2", "3", "4", "7", "8")),
+    (["table", "3"], ["--method", "mc", "--reps", "100"], "--method"),
+    (["table", "3"], ["--workers", "2"], "--workers"),
+    (["table", "3"], ["--format", "text"], "--format"),
+    (["table", "5"], ["--family", "normal"], "--family"),
+    (["table", "10"], ["--alpha", "symmetric:0.8"], "--alpha"),
+    # fisher under quadrature: no --reps, --workers, and --seed only for --alpha dellclutter:rho
+    (_FISHER, ["--reps", "100", "--workers", "3", "--seed", "5"], "--reps"),
+    (_FISHER, ["--reps", "100"], "--reps"),
+    (_FISHER, ["--workers", "3"], "--workers"),
+    (_FISHER, ["--seed", "5"], "--seed"),
+    ([*_FISHER, "--alpha", "symmetric:0.8"], ["--seed", "5"], "--seed"),
+    (_FISHER, ["--measure", "kl"], "--measure"),
+    (_FISHER, ["--order", "0.5"], "--order"),
+    (_FISHER, ["--kind", "srs"], "--kind"),
+    # fisher --mode complete assumes perfect ranking of a balanced design
+    (_COMPLETE, ["--alpha", "perfect"], "--alpha"),
+    ([*_COMPLETE, "--method", "mc"], ["--alpha", "symmetric:0.8"], "--alpha"),
+    (_COMPLETE, ["--design-file", "PLAN"], "--design-file"),
+    (_COMPLETE, ["--seed", "5"], "--seed"),
+    # a design file fixes the set size and the subsets
+    (["fisher", "--design-file", "PLAN"], ["--set-size", "6"], "--set-size"),
+    (["fisher", "--design-file", "PLAN", "--mode", "unbalanced"], ["--subsets", "2"], "--subsets"),
+    (["fisher", "--design-file", "PLAN", "--alpha", "symmetric:0.8"], ["--seed", "5"], "--seed"),
+    (["sample", "--design-file", "PLAN"], ["--set-size", "6"], "--set-size"),
+    (["sample", "--design-file", "PLAN"], ["--subsets", "2"], "--subsets"),
+    # entropy: one balanced cycle, no Monte Carlo, no misplacement; --order only for renyi
+    (_ENTROPY, ["--order", "0.5"], "--order"),
+    (_ENTROPY, ["--active", "mu"], "--active"),
+    (_ENTROPY, ["--method", "mc", "--reps", "50"], "--method"),
+    (_ENTROPY, ["--workers", "2"], "--workers"),
+    (_ENTROPY, ["--seed", "5"], "--seed"),
+    (_ENTROPY, ["--cycles", "5"], "--cycles"),
+    (_ENTROPY, ["--design-file", "PLAN"], "--design-file"),
+    (_ENTROPY, ["--alpha", "perfect"], "--alpha"),
+    (_ENTROPY, ["--mode", "complete"], "--mode"),
+    (_KL, ["--order", "0.5"], "--order"),
+    (_KL, ["--kind", "pros"], "--kind"),
+    (_KL, ["--kind", "rss"], "--kind"),
+    (_SRS, ["--set-size", "6"], "--set-size"),
+    ([*_SRS, "--measure", "renyi", "--order", "0.5"], ["--set-size", "6"], "--set-size"),
+    # sample: always CSV, no Monte Carlo, every model parameter drawn
+    (_SAMPLE, ["--format", "md"], "--format"),
+    (_SAMPLE, ["--method", "mc", "--reps", "5", "--workers", "3"], "--method"),
+    (_SAMPLE, ["--active", "mu"], "--active"),
+    (_SAMPLE, ["--mode", "complete"], "--mode"),
+    (_SAMPLE, ["--measure", "kl"], "--measure"),
+    (_SAMPLE, ["--kind", "srs"], "--kind"),
+)
+
+# requests that read every flag they give, including each flag the table above refuses elsewhere
+_READ_CASES = (
+    *(["table", tid, "--seed", "9", "--format", "md"] for tid in ("5", "6", "10")),
+    [*_FISHER, "--method", "mc", "--reps", "100", "--workers", "2", "--seed", "5"],
+    [*_FISHER, "--alpha", "dellclutter:0.9", "--seed", "5", "--cycles", "2", "--active", "mu"],
+    [*_COMPLETE, "--method", "mc", "--reps", "100", "--seed", "5"],
+    ["fisher", "--design-file", "PLAN", "--mode", "unbalanced", "--alpha", "dellclutter:0.9", "--seed", "5"],
+    [*_ENTROPY, "--measure", "renyi", "--order", "0.5", "--kind", "pros", "--format", "md"],
+    ["entropy", "--kind", "rss", "--subsets", "3", "--set-size", "3"],
+    [*_SRS, "--measure", "renyi", "--order", "0.5"],
+    [*_SAMPLE, "--alpha", "symmetric:0.8", "--cycles", "2", "--seed", "5"],
+    ["sample", "--design-file", "PLAN", "--cycles", "2", "--seed", "5", "--output", "out.csv"],
+)
+
+
+def _with_plan(argv, plan):
+    return [str(plan) if a == "PLAN" else a for a in argv]
+
+
+def test_cli_refuses_each_flag_the_request_does_not_read(capsys, tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1;1-4|5-6;1\n1;1-4|5-6;2\n")
+    for request, extra, flag in _UNREAD_CASES:
+        # the request alone is accepted, so the refusal is the flag's
+        _resolve(_build_parser().parse_args(_with_plan(request, plan)))
+        _assert_one_line_refusal(_with_plan(request + extra, plan), capsys, flag)
+
+
+def test_cli_accepts_each_flag_where_it_is_read(tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1;1-4|5-6;1\n1;1-4|5-6;2\n")
+    for argv in _READ_CASES:
+        _resolve(_build_parser().parse_args(_with_plan(argv, plan)))
+
+
+def test_cli_shared_config_keys_and_seed_are_ignored_where_unread(tmp_path, capsys, monkeypatch):
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("reps = 100\nseed = 5\nmethod = quadrature\nworkers = 2\nformat = csv\n")
+    monkeypatch.setenv("PROSINFO_SEED", "3")
+    for argv in (["table", "2"], _FISHER, _ENTROPY, [*_SAMPLE, "--cycles", "1"]):
+        assert main(argv + ["--config", str(shared)]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+    # a key read with a value its flag would refuse is refused in one line
+    text = tmp_path / "text.cfg"
+    text.write_text("format = text\n")
+    _assert_one_line_refusal(["table", "2", "--config", str(text)], capsys, "format")
+
+
+def test_cli_parse_errors_take_one_line(capsys):
+    for argv in (
+        ["fisher", "--set-size", "six"],
+        ["fisher", "--family", "weibull"],
+        ["table"],
+        ["table", "3", "--family", "normal"],
+        ["plot"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (argv, captured.err)
+
+
+def test_cli_help_lists_only_the_flags_read(capsys):
+    common = {"--config", "--output"}
+    model_design = {"--family", "--params", "--set-size", "--subsets"}
+    reads = {
+        "table": common | {"--format", "--seed"},
+        "fisher": common | model_design | {"--format", "--seed", "--method", "--reps", "--workers", "--active",
+                                           "--cycles", "--design-file", "--mode", "--alpha"},
+        "entropy": common | model_design | {"--format", "--measure", "--order", "--kind"},
+        "sample": common | model_design | {"--seed", "--cycles", "--design-file", "--alpha"},
+    }
+    for subcommand, flags in reads.items():
+        with pytest.raises(SystemExit) as err:
+            main([subcommand, "--help"])
+        assert err.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"} == flags, subcommand
+
+
+def _readme_command_line():
+    """The prosinfo lines of README's command-line block, and its design-file example."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands, rest = section.split("```sh\n", 1)[1].split("```", 1)
+    design = rest.split("```\n", 1)[1].split("```", 1)[0]
+    lines = commands.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("prosinfo ")], design
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    commands, design = _readme_command_line()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PROSINFO_SEED", raising=False)
+    (tmp_path / "design.txt").write_text(design)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
+def test_cli_sample_refuses_non_finite_draws(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sample", *_D, "--cycles", "2", "--params", "sigma=1e308"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "non-finite" in captured.err
