@@ -367,7 +367,8 @@ def _alphas_for_unbalanced(
 
 def _balanced_design(cfg: RunConfig) -> Design:
     if cfg.set_size is None or cfg.subsets is None:
-        raise CLIError("--set-size and --subsets are required (or pass --design-file)")
+        hint = " (or pass --design-file)" if "--design-file" in _SUBCOMMANDS[cfg.subcommand][2] else ""
+        raise CLIError("--set-size and --subsets are required" + hint)
     return make_balanced_design(cfg.set_size, cfg.subsets, cycles=cfg.cycles)
 
 

@@ -11,8 +11,9 @@ misplacement replaces w by an alpha-weighted mixture of the per-block weights.
 Every such weight is one row of rank coefficients, w = sum_u c_u b_u
 (rank_coefficients), and bernstein_series evaluates any stack of rows with its
 first two t-derivatives on the quantile domain t in [0,1], where the weights
-are distribution-free, from one table of powers t^j and (1-t)^j per call: every
-factor lies in [0, 1], so nothing overflows and a weight below the double range
+are distribution-free, from the bases t^j (1-t)^(m-j): one table of powers per
+block of points, or per quadrature node set, whose bases are kept.  Every factor
+lies in [0, 1], so nothing overflows and a weight below the double range
 underflows to 0.  The *_pdf operations are thin compositions of one row with a
 model's f and F.
 """
@@ -24,6 +25,7 @@ import typing as tp
 
 import numpy as np
 
+from . import numerics
 from .designs import Design, MisplacementMatrix, UnbalancedDesign
 from .models import Model
 
@@ -35,20 +37,24 @@ class DensityError(ValueError):
     """Invalid rank, index, or evaluation point for a design-induced density."""
 
 
-def rank_coefficients(set_size: int, blocks: Blocks, alpha_row: np.ndarray) -> np.ndarray:
+def rank_coefficients(set_size: int, blocks: Blocks, alpha_row: tp.Any) -> np.ndarray:
     """Coefficients c_u = sum_h alpha_row[h] (S/m_h) 1[u in blocks[h]] of the weight sum_u c_u b_u.
+
+    alpha_row may stack rows on leading axes: one coefficient row per alpha row.
 
     :raises DensityError: the row length differs from the block count, or a
         rank lies outside 1..set_size.
     """
-    if len(alpha_row) != len(blocks):
-        raise DensityError(f"misplacement row has {len(alpha_row)} entries for {len(blocks)} blocks")
-    c = np.zeros(set_size)
-    for a_h, ranks in zip(alpha_row, blocks):
-        for u in ranks:
-            if not 1 <= u <= set_size:
-                raise DensityError(f"rank must lie in 1..{set_size}, got {u}")
-        c[np.asarray(ranks) - 1] += a_h * set_size / len(ranks)
+    a = np.asarray(alpha_row, dtype=float)
+    if a.shape[-1] != len(blocks):
+        raise DensityError(f"misplacement row has {a.shape[-1]} entries for {len(blocks)} blocks")
+    ranks = [u for block in blocks for u in block]
+    bad = [u for u in ranks if not 1 <= u <= set_size]
+    if bad:
+        raise DensityError(f"rank must lie in 1..{set_size}, got {bad[0]}")
+    per_block = (a * set_size / [len(block) for block in blocks]).T
+    c = np.zeros(a.shape[:-1] + (set_size,))
+    np.add.at(c.T, np.array(ranks, dtype=int) - 1, per_block[[h for h, block in enumerate(blocks) for _ in block]])
     return c
 
 
@@ -62,8 +68,9 @@ def bernstein_series(coef: np.ndarray, t: FloatArray) -> tuple[np.ndarray, ...]:
     product of (Delta^k c)_j C(m, j) with t^j (1-t)^(m-j) over the window lo..hi
     of coefficients non-zero in some row.  All three share one table of powers
     t^j and (1-t)^j, built up to the highest exponent a window needs by O(log S)
-    in-place multiplies per block of at most 2^15 / (2S) points.  As 0^0 = 1,
-    t = 0 and 1 are exact; a weight below the double range underflows to 0.
+    in-place multiplies per block of at most 2^15 / (2S) points; at integrate's
+    (0, 1) nodes a block's bases are built once (numerics.node_memo).  As
+    0^0 = 1, t = 0 and 1 are exact; a weight below the double range underflows to 0.
     """
     c = np.asarray(coef, dtype=float)
     flat = np.ravel(np.asarray(t, dtype=float))
@@ -73,25 +80,31 @@ def bernstein_series(coef: np.ndarray, t: FloatArray) -> tuple[np.ndarray, ...]:
     for k in range(3):
         live = np.flatnonzero(a.any(axis=0))
         if live.size:
-            m, lo, hi = a.shape[1] - 1, int(live[0]), int(live[-1])
-            scale = [float(math.perm(c.shape[-1] - 1, k) * math.comb(m, j)) for j in range(lo, hi + 1)]
-            windows.append((k, m, lo, hi, a[:, lo : hi + 1] * scale))
+            m, lo, hi, perm = a.shape[1] - 1, int(live[0]), int(live[-1]), math.perm(c.shape[-1] - 1, k)
+            scale = [float(perm * math.comb(m, j)) for j in range(lo, hi + 1)]
+            windows.append((k, (m, lo, hi), a[:, lo : hi + 1] * scale))
         a = a[:, 1:] - a[:, :-1]
-    top = max([max(hi, m - lo, 1) for _, m, lo, hi, _ in windows], default=1)
+    spans = tuple(span for _, span, _ in windows)
+    top = max([max(hi, m - lo, 1) for m, lo, hi in spans], default=1)
     # memory for a table of 2^15 doubles is reused; a 4 MB one (S = 64, 4096 draws) page-faults per call
     step = max(2**15 // (2 * top + 2), 1)
     for first in range(0, flat.size if windows else 0, step):
         block = flat[first : first + step]
-        powers = np.empty((top + 1, 2, block.size))  # powers[j] = (t^j, (1-t)^j)
-        powers[0], powers[1], n = 1.0, (block, 1.0 - block), 1
-        while n < top:  # rows n+1..2n are rows 1..n times row n
-            np.multiply(powers[1 : min(n, top - n) + 1], powers[n], out=powers[n + 1 : min(2 * n, top) + 1])
-            n *= 2
-        for k, m, lo, hi, coef_w in windows:
-            # row j - lo is t^j (1-t)^(m-j): the (1-t) exponents run down from m - lo
-            basis = powers[lo : hi + 1, 0] * powers[m - lo : m - hi - 1 if m > hi else None : -1, 1]
+        bases = numerics.node_memo(("bernstein", spans, first), t, lambda _: _bases(block, spans, top))
+        for (k, _, coef_w), basis in zip(windows, bases):
             out[k, :, first : first + step] = coef_w @ basis
     return tuple(out.reshape((3,) + c.shape[:-1] + np.shape(t)))
+
+
+def _bases(block: np.ndarray, spans: tp.Sequence[tuple[int, int, int]], top: int) -> tuple[np.ndarray, ...]:
+    """Rows t^j (1-t)^(m-j), j = lo..hi, of each (m, lo, hi) in spans at block, from one table of powers up to top."""
+    powers = np.empty((top + 1, 2, block.size))  # powers[j] = (t^j, (1-t)^j)
+    powers[0], powers[1], n = 1.0, (block, 1.0 - block), 1
+    while n < top:  # rows n+1..2n are rows 1..n times row n
+        np.multiply(powers[1 : min(n, top - n) + 1], powers[n], out=powers[n + 1 : min(2 * n, top) + 1])
+        n *= 2
+    # the (1-t) exponents run down from m - lo
+    return tuple(powers[lo : hi + 1, 0] * powers[m - hi : m - lo + 1, 1][::-1] for m, lo, hi in spans)
 
 
 def block_weight(set_size: int, ranks: tp.Sequence[int], t: FloatArray) -> FloatArray:

@@ -1,16 +1,16 @@
 """Fisher information of rank-ordered designs and relative efficiencies.
 
 Two computation routes are provided for every design.  The quadrature route
-uses one information kernel, numerics.integrate_gram: every Fisher quantity is
-an integral over the open quantile domain of a weighted score outer product
+runs every Fisher quantity through one information kernel,
+models.score_information, the weighted score outer product
 
-    int_0^1 sum_b w_b(t) v_b(t) v_b(t)^T dt,
+    int_0^1 sum_b w_b(t) v_b(t) v_b(t)^T dt,   v = alpha d log f + beta dF,
 
-and the routes differ only in the scores v and weights w they hand it:
+over the open quantile domain; the routes differ only in (alpha, beta, w):
 
-    I_srs      v = d log f                          w = 1
-    K / n(S-1) v = dF                               w = 1 / (t (1-t))
-    unbalanced v = d log f + (gamma' / gamma) dF    w = gamma, one term per set
+    I_srs      alpha = 1                      w = 1
+    K / n(S-1) beta = 1                       w = 1 / (t (1-t))
+    unbalanced alpha = 1, beta = gamma'/gamma w = gamma, one term per set
 
 Complete-data PROS information is n I_srs + K; measurements-only information
 integrates each set's full score, for balanced designs (fi_pros_marginal) and
@@ -18,12 +18,9 @@ unbalanced ones (fi_unbalanced) alike.  The Monte Carlo route estimates
 -E[d^2 log L / dtheta^2] at simulated draws and reports a standard error per
 matrix entry; it is the check the quadrature identities are tested against.
 A draw's log likelihood is log f(x) + log w(F(x)), so by the chain rule its
-Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T.
-Each draw is evaluated once, on the quantile scale: sampling.block_draws
-returns t = F(x) along with x; w and its t-derivatives come from t (in closed
-form for a known latent rank, by densities.bernstein_series for a misplacement
-mixture), and every parameter derivative is analytic
-(Model.second_derivatives).
+Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T, with w and
+its t-derivatives at the t = F(x) that sampling.block_draws returns with x (in
+closed form for a known latent rank, by densities.bernstein_series otherwise).
 
 Relative efficiencies are determinant ratios: RE1 compares against SRS of the
 same size, RE2 against an RSS benchmark.
@@ -32,13 +29,14 @@ same size, RE2 against an RSS benchmark.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing as tp
 
 import numpy as np
 
 from . import densities, numerics, sampling
 from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign, make_balanced_design
-from .models import Model, require_fi_regular
+from .models import Model, require_fi_regular, score_information, unit_entries
 
 DEFAULT_REPS = 50_000
 
@@ -85,28 +83,20 @@ def fisher_srs(model: Model, count: int, spec: numerics.QuadratureSpec | None = 
     """Information of `count` i.i.d. observations."""
     if count < 1:
         raise InformationError(f"count must be >= 1, got {count}")
-    return numerics.InfoMatrix(model.fisher_srs_unit(spec).entries * count)
+    return numerics.InfoMatrix(unit_entries(model, spec) * count)
 
 
 def k_matrix(
     model: Model, n: int, set_size: int, spec: numerics.QuadratureSpec | None = None
 ) -> numerics.InfoMatrix:
-    """Information gain of one perfect PROS cycle over n i.i.d. observations.
-
-    n (S-1) E[(dF)(dF)^T / (F(1-F))]: the information kernel with v = dF and,
-    on the quantile domain, w = 1/(t(1-t)).
-    """
+    """Information gain n (S-1) E[(dF)(dF)^T / (F(1-F))] of one perfect PROS cycle over n i.i.d. observations."""
     require_fi_regular(model)
     if set_size < 1 or n < 1:
         raise InformationError("n and set_size must be >= 1")
-    p = model.p
     if set_size == 1:
-        return numerics.InfoMatrix(np.zeros((p, p)))
-
-    def cdf_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return model.score_cdf(model.quantile(u))[None], (1.0 / (u * (1.0 - u)))[None]
-
-    return numerics.InfoMatrix(n * (set_size - 1) * numerics.integrate_gram(cdf_scores, p, spec))
+        return numerics.InfoMatrix(np.zeros((model.p, model.p)))
+    gain = score_information(model, lambda u: (None, 1.0, (1.0 / (u * (1.0 - u)))[None]), spec)
+    return numerics.InfoMatrix(n * (set_size - 1) * gain)
 
 
 def h_matrix(
@@ -146,7 +136,7 @@ def fi_pros_complete(
         raise InformationError(f"cycles must be >= 1, got {cycles}")
     label = f"PROS(n={n}, S={set_size}, N={cycles}) complete"
     if method == "quadrature":
-        per_cycle = model.fisher_srs_unit(spec).entries * n + k_matrix(model, n, set_size, spec).entries
+        per_cycle = unit_entries(model, spec) * n + k_matrix(model, n, set_size, spec).entries
         return _quadrature_fi(model, per_cycle * cycles, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
@@ -154,15 +144,8 @@ def fi_pros_complete(
         rows = UnbalancedDesign.from_design(make_balanced_design(set_size, n)).measured_rows()
     except DesignError as e:
         raise InformationError(str(e)) from e
-
-    def batch(rng: np.random.Generator, count: int) -> np.ndarray:
-        total = 0.0
-        for sp, row in rows:
-            x, u, t = sampling.block_draws(model, set_size, sp.partition, row, rng, count)
-            total = total + _neg_hessian(model, x, *_rank_logw_dt(set_size, u, t))
-        return total
-
-    return _mc_fi(model, batch, reps, seed, workers, cycles, label)
+    return _mc_fi(model, set_size, rows, lambda _, u, t: _rank_logw_dt(set_size, u, t),
+                  reps, seed, workers, cycles, label)
 
 
 def fi_pros_marginal(
@@ -202,42 +185,33 @@ def fi_unbalanced(
     """Measurements-only information of an unbalanced design.
 
     Each measurement's marginal density is f(x) gamma(F(x)) with gamma the
-    alpha-mixed block weight of its judgment set, so its information is the
-    integral of the score outer product
-
-        int_0^1 s(t) s(t)^T gamma(t) dt,
-        s(t) = d log f + (gamma'(t) / gamma(t)) dF,
-
-    summed over all sets and cycles: the information kernel with
-    v = d log f + (gamma'/gamma) dF and w = gamma.  This is exact for any
-    partition; fi_pros_marginal is its balanced one-cycle case.
+    alpha-mixed block weight of its judgment set, so its information is
+    int_0^1 s s^T gamma dt with score s = d log f + (gamma'/gamma) dF, summed
+    over all sets and cycles.  This is exact for any partition;
+    fi_pros_marginal is its balanced one-cycle case.
     """
     require_fi_regular(model)
     label = f"{ud.label()} marginal"
     rows = ud.measured_rows(alphas)
-    coefs = np.stack([densities.rank_coefficients(ud.set_size, sp.partition, row) for sp, row in rows])
+    groups = itertools.groupby(rows, key=lambda sp_row: sp_row[0].partition)  # runs of sets with one partition
+    coefs = np.concatenate([densities.rank_coefficients(ud.set_size, part, [r for _, r in g]) for part, g in groups])
 
     if method == "quadrature":
 
-        def set_scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def set_coefficients(u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
             g, gd, _ = densities.bernstein_series(coefs, u)
-            x = model.quantile(u)
-            return model.score_logpdf(x) + (gd / g)[..., None] * model.score_cdf(x), g
+            return 1.0, gd / g, g
 
-        total = numerics.integrate_gram(set_scores, model.p, spec)
+        total = score_information(model, set_coefficients, spec)
         return _quadrature_fi(model, total * ud.replications, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
 
-    def batch(rng: np.random.Generator, count: int) -> np.ndarray:
-        total = 0.0
-        for (sp, row), c in zip(rows, coefs):
-            x, _u, t = sampling.block_draws(model, ud.set_size, sp.partition, row, rng, count)
-            w, w1, w2 = densities.bernstein_series(c, t)
-            total = total + _neg_hessian(model, x, w1 / w, w2 / w - (w1 / w) ** 2)
-        return total
+    def logw_dt(i: int, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w, w1, w2 = densities.bernstein_series(coefs[i], t)
+        return w1 / w, w2 / w - (w1 / w) ** 2
 
-    return _mc_fi(model, batch, reps, seed, workers, ud.replications, label)
+    return _mc_fi(model, ud.set_size, rows, logw_dt, reps, seed, workers, ud.replications, label)
 
 
 def _quadrature_fi(model: Model, entries: np.ndarray, label: str) -> FIResult:
@@ -268,26 +242,21 @@ def _neg_hessian(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
 
 
 def _mc_fi(
-    model: Model,
-    batch: tp.Callable[[np.random.Generator, int], np.ndarray],
-    reps: int,
-    seed: int,
-    workers: int,
-    multiplier: int,
-    label: str,
+    model: Model, set_size: int, rows: tp.Sequence[tuple[tp.Any, np.ndarray]], logw_dt: tp.Callable[..., tuple],
+    reps: int, seed: int, workers: int, multiplier: int, label: str,
 ) -> FIResult:
+    """multiplier x the mean -Hessian of one draw per set of rows; logw_dt(i, u, t) is set i's (log w)', (log w)''."""
+
+    def batch(rng: np.random.Generator, count: int) -> np.ndarray:
+        total = 0.0
+        for i, (sp, row) in enumerate(rows):
+            x, u, t = sampling.block_draws(model, set_size, sp.partition, row, rng, count)
+            total = total + _neg_hessian(model, x, *logw_dt(i, u, t))
+        return total
+
     means, ses, n_done = numerics.mc_mean_batches(batch, reps, seed, workers)
-    p = model.p
-    matrix = numerics.InfoMatrix(numerics.from_triu(p, means) * multiplier)
-    std_errors = numerics.from_triu(p, ses) * multiplier
-    return FIResult(
-        matrix=matrix,
-        method="mc",
-        std_errors=std_errors,
-        replications=n_done,
-        design_label=label,
-        model_label=model.label(),
-    )
+    matrix = numerics.InfoMatrix(numerics.from_triu(model.p, means) * multiplier)
+    return FIResult(matrix, "mc", numerics.from_triu(model.p, ses) * multiplier, n_done, label, model.label())
 
 
 # -- efficiency and special designs ---------------------------------------------
@@ -341,13 +310,8 @@ def regression_fi(
     a_const = float(unit[0, 0])
     b_const = float(unit[1, 1])
 
-    def density_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = std.quantile(u)
-        f = std.pdf(z)
-        return np.stack([f, z * f], axis=-1)[None], (1.0 / u)[None]
-
-    # C = int f^2/u and D = int z^2 f^2/u are the diagonal of one kernel
-    cd = numerics.integrate_gram(density_terms, 2, spec)
+    # C = int f^2/u and D = int z^2 f^2/u are the diagonal of the kernel with v = dF = -(f, z f), w = 1/u
+    cd = score_information(std, lambda u: (None, 1.0, (1.0 / u)[None]), spec)
     c_const, d_const = float(cd[0, 0]), float(cd[1, 1])
 
     sigma = noise_model.value("sigma")

@@ -160,6 +160,14 @@ class Model:
     def _partials(self, x: FloatArray, second: bool) -> tuple[dict, ...]:
         return _family(self.family).partials(self._ctx(), np.asarray(x, dtype=float), second)
 
+    def quantile_scores(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, d log f, dF) at x = F^{-1}(u) from one evaluation, kept per model at integrate's (0, 1) nodes."""
+        return numerics.node_memo(self, u, self._quantile_scores)
+
+    def _quantile_scores(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x = self.quantile(u)
+        return (x, *(_columns(d, self.active, np.shape(x)) for d in self._partials(x, False)[:2]))
+
     def score_cdf(self, x: FloatArray) -> np.ndarray:
         """d F(x;theta) / d theta_j for the active parameters, stacked on the last axis."""
         return _columns(self._partials(x, False)[1], self.active, np.shape(x))
@@ -214,25 +222,40 @@ def require_fi_regular(model: Model) -> None:
 
 
 def fisher_srs_unit(model: Model, spec: numerics.QuadratureSpec | None = None) -> numerics.InfoMatrix:
-    """Per-observation Fisher information over the active parameters.
+    """Per-observation Fisher information over the active parameters (see unit_entries)."""
+    return numerics.InfoMatrix(unit_entries(model, spec))
 
-    Closed forms for every family but exp_mixture, whose matrix is the
-    quadrature of E[(d log f)(d log f)^T].
+
+def unit_entries(model: Model, spec: numerics.QuadratureSpec | None = None) -> np.ndarray:
+    """The entries of fisher_srs_unit: closed forms but for exp_mixture's, the kernel with v = d log f, w = 1.
 
     :raises ModelError: the family has no regular Fisher information (uniform).
     :raises numerics.NumericsError: the quadrature failed to converge.
     """
     require_fi_regular(model)
-    fam = _family(model.family)
-    closed = fam.fisher_unit(dict(zip(model.param_names, model.params)))
+    closed = _family(model.family).fisher_unit(model._ctx())
     if closed is not None:
         idx = [model.param_names.index(n) for n in model.active]
-        return numerics.InfoMatrix(np.asarray(closed)[np.ix_(idx, idx)])
+        return np.asarray(closed)[np.ix_(idx, idx)]
+    return score_information(model, lambda u: (1.0, None, np.ones((1, u.size))), spec)
 
-    def scores(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return model.score_logpdf(model.quantile(u))[None], np.ones((1, u.size))
 
-    return numerics.InfoMatrix(numerics.integrate_gram(scores, model.p, spec))
+def score_information(
+    model: Model, coefficients: tp.Callable[[np.ndarray], tuple], spec: numerics.QuadratureSpec | None = None
+) -> np.ndarray:
+    """The information kernel int_0^1 sum_b w_b v_b v_b^T du, v_b = alpha_b d log f + beta_b dF at F^{-1}(u).
+
+    coefficients maps u to (alpha, beta, w), each broadcastable to (k, len(u)),
+    one term b per row; a None alpha or beta drops its score.
+    """
+
+    def terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, d_logf, d_cdf = model.quantile_scores(u)
+        alpha, beta, w = coefficients(u)
+        v = [np.asarray(c)[..., None] * d for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
+        return sum(v[1:], v[0]), w
+
+    return numerics.integrate_gram(terms, model.p, spec)
 
 
 # -- special functions in numpy: importing scipy.special takes about 0.3 s ------
@@ -409,8 +432,8 @@ class _Standard:
         d2_logf, d2_cdf = {}, {}
         for (i, j), bij in b.items():
             aa = a[i] * a[j]
-            d2_logf[frozenset((i, j))] = (dpsi * aa + psi * bij + (i == j == self.scale)) / s**2
-            d2_cdf[frozenset((i, j))] = f0 * (psi * aa + bij) / s**2
+            d2_logf[frozenset((i, j))] = (dpsi * aa + psi * bij + (i == j == self.scale)) / (s * s)
+            d2_cdf[frozenset((i, j))] = f0 * (psi * aa + bij) / (s * s)
         return d_logf, d_cdf, d2_logf, d2_cdf
 
 
@@ -517,7 +540,7 @@ def _gamma_partials(c, x, second):
     if not second:
         return d_logf, d_cdf, {}, {}
     ss = frozenset(("sigma",))
-    return d_logf, d_cdf, {ss: (k - 2.0 * z) / s**2}, {ss: zf0 * (k + 1.0 - z) / s**2}
+    return d_logf, d_cdf, {ss: (k - 2.0 * z) / (s * s)}, {ss: zf0 * (k + 1.0 - z) / (s * s)}
 
 
 _FAMILIES: dict[str, _Family] = {

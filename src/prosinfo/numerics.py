@@ -9,8 +9,9 @@ adds one level of new nodes per step, and stops when successive levels agree,
 or raises at MAX_LEVEL = 10; its first stop test, at level MIN_LEVEL + 1, costs
 one integrand call.  Expectations are evaluated on the quantile scale, over the
 open interval (0, 1), so endpoint-singular integrands such as 1/(F(1-F)) become
-1/(u(1-u)); integrate_gram builds every Fisher-information matrix on it as a
-weighted score outer product, on nodes of (0, 1) also built once at import.
+1/(u(1-u)); integrate_gram integrates weighted outer products on it.  Over
+(0, 1) every integrand call gets one of a few node arrays built at import, so
+node_memo can keep what callers build from them (model scores, Bernstein bases).
 Monte Carlo means run their fixed-size chunks on up to `workers` forked
 processes and are bit-identical for a fixed seed at every worker count.
 """
@@ -126,12 +127,13 @@ class InfoMatrix:
         p = a.shape[0]
         if not 1 <= p <= 3:
             raise ValueError(f"InfoMatrix dimension must be 1..3, got {p}")
-        if not np.all(np.isfinite(a)):
+        largest = np.abs(a).max()  # nan or inf for a non-finite entry
+        if not largest < math.inf:
             raise ValueError("InfoMatrix entries must be finite")
-        scale = max(float(np.max(np.abs(a))), 1.0)
-        if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+        tol = 1e-12 * max(largest, 1.0)
+        if np.abs(a - a.T).max() > tol:
             raise ValueError("InfoMatrix entries are not symmetric")
-        if np.min(np.diag(a)) < -1e-12 * scale:
+        if a.diagonal().min() < -tol:
             raise ValueError("InfoMatrix diagonal entries must be non-negative")
         sym = (a + a.T) / 2.0
         sym.flags.writeable = False
@@ -251,6 +253,34 @@ def _abscissae(xc: np.ndarray, w: np.ndarray, a: float, b: float) -> tuple[np.nd
 _LEVELS = _level_tables()
 _CALLS = [_LEVELS[:2]] + [[table] for table in _LEVELS[2:]]  # the tables of each fn call in integrate
 _UNIT_CALLS = [[_abscissae(xc, w, 0.0, 1.0) for _, xc, w in tables] for tables in _CALLS]  # their (0, 1) nodes
+_UNIT_X = [np.concatenate([x for x, _ in nodes]) for nodes in _UNIT_CALLS]  # the x of each call over (0, 1)
+for _x in _UNIT_X:
+    _x.flags.writeable = False
+_UNIT_INDEX = {id(x): i for i, x in enumerate(_UNIT_X)}  # unique ids: the arrays live as long as the module
+
+MEMO_ENTRIES = 64  # bound on the entries node_memo keeps; the largest holds a few hundred kB
+_memo: dict[tuple[tp.Hashable, int], tp.Any] = {}
+_memo_lock = threading.RLock()  # reentrant: a build may itself read the memo
+
+
+def node_memo(key: tp.Hashable, u: np.ndarray, build: tp.Callable[[np.ndarray], tp.Any]) -> tp.Any:
+    """build(u), a tuple of arrays, kept read-only under key when u is one of the x integrate passes over (0, 1).
+
+    key must fix build(u) at each such x.  Any other u (draws, other limits) goes straight to build.
+    """
+    index = _UNIT_INDEX.get(id(u))
+    if index is None:
+        return build(u)
+    with _memo_lock:  # held while building, so that no build runs twice
+        value = _memo.pop((key, index), None)
+        if value is None:
+            value = build(u)
+            for a in value:
+                a.flags.writeable = False
+        _memo[key, index] = value  # the most recently used comes last
+        while len(_memo) > MEMO_ENTRIES:
+            del _memo[next(iter(_memo))]
+    return value
 
 
 def integrate(
@@ -282,21 +312,23 @@ def integrate(
         a, b, sign = b, a, -1.0
     previous: np.ndarray | None = None
     change = math.inf
-    for tables, unit_nodes in zip(_CALLS, _UNIT_CALLS):
-        nodes = unit_nodes if (a, b) == (0.0, 1.0) else [_abscissae(xc, w, a, b) for _, xc, w in tables]
-        x = np.concatenate([level_x for level_x, _ in nodes])
+    unit = (a, b) == (0.0, 1.0)
+    for tables, unit_nodes, unit_x in zip(_CALLS, _UNIT_CALLS, _UNIT_X):
+        nodes = unit_nodes if unit else [_abscissae(xc, w, a, b) for _, xc, w in tables]
+        x = unit_x if unit else np.concatenate([level_x for level_x, _ in nodes])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = np.asarray(fn(x), dtype=float)
-        bad = ~np.all(np.isfinite(values), axis=0)
-        if np.any(bad):
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = ~finite.all(axis=0)
             raise IntegrandEvaluationError("integrand is not finite", u=float(x[np.argmax(bad)]))
         for (h, _, _), (level_x, wx) in zip(tables, nodes):
             total = values[:, : level_x.size] @ wx * h
             values = values[:, level_x.size :]
             if previous is not None:
                 total += previous / 2
-                change = float(np.max(np.abs(total - previous)))
-                if change <= max(spec.atol, spec.rtol * float(np.max(np.abs(total)))):
+                change = float(np.abs(total - previous).max())
+                if change <= max(spec.atol, spec.rtol * float(np.abs(total).max())):
                     return sign * total
             previous = total
     raise QuadratureNonConvergence("quadrature did not converge", float(np.max(np.abs(previous))), change)
@@ -318,9 +350,9 @@ def integrate_gram(
 ) -> np.ndarray:
     """The p x p matrix int sum_b w_b(u) v_b(u) v_b(u)^T du over the open interval (0, 1).
 
-    fn maps a 1-d array u to (v, w) of shapes (k, len(u), p) and (k, len(u));
-    a term whose weight is not positive contributes nothing, so v may be
-    non-finite there.  The p(p+1)/2 distinct entries are the rows of one
+    fn maps a 1-d array u to (v, w), broadcastable to shapes (k, len(u), p) and
+    (k, len(u)); a term whose weight is not positive contributes nothing, so v
+    may be non-finite there.  The p(p+1)/2 distinct entries are the rows of one
     integrate pass, under its shared tolerance.
 
     :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
@@ -454,7 +486,8 @@ def mc_mean_batches(
 
     def chunk(idx: int) -> tuple[int, np.ndarray, np.ndarray]:
         lo, hi = idx * CHUNK_SIZE, min((idx + 1) * CHUNK_SIZE, reps)
-        values = np.asarray(batch_fn(substream(seed, idx), hi - lo), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite replicate raises below
+            values = np.asarray(batch_fn(substream(seed, idx), hi - lo), dtype=float)
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != hi - lo:

@@ -210,11 +210,14 @@ def estimate_alpha_for_partition(
     for idx, b in enumerate(blocks):
         block_of[np.asarray(b) - 1] = idx
 
-    x = np.asarray(model.quantile(rng.random((cfg.reps, set_size))))
     # each set is standardized by its own sample moments; the per-set scale
     # modulates the effective perception noise and is what reproduces the
     # published efficiency curves (analytic moments run systematically low)
-    z = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.asarray(model.quantile(rng.random((cfg.reps, set_size))))
+        z = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
+    if not np.all(np.isfinite(z)):
+        raise SamplingError(f"Dell-Clutter ranking: {model.label()} gave a set of non-finite standardized values")
     if cfg.rho == 1.0:
         w = z
     else:

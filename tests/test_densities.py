@@ -485,3 +485,40 @@ def test_densities_match_beta_oracle(case):
     ranks = np.asarray(design.subset(n))
     dens = beta.pdf(t[3], ranks, S + 1 - ranks)
     np.testing.assert_allclose(latent_conditional(model, design, n, float(x[3])), dens / dens.sum(), rtol=1e-10)
+
+
+def test_rank_coefficients_stacked_rows_match_the_per_rank_loop():
+    def loop(set_size, blocks, row):
+        c = np.zeros(set_size)
+        for a_h, ranks in zip(row, blocks):
+            for u in ranks:
+                c[u - 1] += a_h * set_size / len(ranks)
+        return c
+
+    rng = np.random.default_rng(3)
+    for set_size, blocks in ((6, ((1, 2), (3, 4, 5, 6))), (12, make_balanced_design(12, 4).subsets),
+                             (6, ((1,), (2, 3, 4, 5), (6,))), (5, ((3,),))):
+        rows = rng.dirichlet(np.ones(len(blocks)), size=(2, 3))
+        got = rank_coefficients(set_size, blocks, rows)
+        assert got.shape == (2, 3, set_size)
+        for idx in np.ndindex(2, 3):
+            assert got[idx].tobytes() == loop(set_size, blocks, rows[idx]).tobytes()
+            assert rank_coefficients(set_size, blocks, rows[idx]).tobytes() == got[idx].tobytes()
+
+
+def test_bernstein_series_kept_at_quadrature_nodes_matches_a_fresh_evaluation():
+    # one memo entry per block of points: S = 64 splits every node array into blocks of 256 points
+    from prosinfo import numerics
+
+    numerics._memo.clear()
+    rng = np.random.default_rng(8)
+    for set_size in (3, 12, 64):
+        coef = rng.random((2, set_size))
+        coef[:, :2] = 0.0  # a window that starts past rank 1
+        for node in numerics._UNIT_X:
+            for _ in range(2):  # the second call reads the kept bases
+                kept = bernstein_series(coef, node)
+                fresh = bernstein_series(coef, node.copy())
+                assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
+    assert numerics._memo
+    numerics._memo.clear()

@@ -574,3 +574,63 @@ def test_mc_batches_use_the_drawn_quantile_and_analytic_hessians(monkeypatch):
     check = verify_lemma_identity(model, make_balanced_design(6, 2), lambda x: np.exp(-x * x), reps=20_000, seed=SEED)
     for side in (check.lambda0, check.lambda1):
         assert abs(side.value - check.reference) <= 5.0 * side.std_error
+
+
+def _memo_routes():
+    """One result per quadrature route that reads node_memo, as raw bytes."""
+    from prosinfo import entropy, numerics
+    from prosinfo.designs import SetPlan
+
+    normal, mixture = make_model("logistic", mu=0.5, sigma=2.0), make_model("exp_mixture", pi=0.3, h=4.0)
+    ud = UnbalancedDesign(6, (SetPlan(1, ((1, 2), (3, 4, 5, 6)), 1), SetPlan(1, ((1, 2), (3, 4, 5, 6)), 2),
+                              SetPlan(2, ((1,), (2, 3, 4, 5), (6,)), 3), SetPlan(2, ((1, 2, 3), (4,), (5, 6)), 1)))
+    alphas = {1: make_symmetric_alpha(2, 0.8), 2: make_symmetric_alpha(3, 0.6)}
+    report = entropy.shannon(mixture, "pros", 3, 12)
+    return [
+        np.asarray(fi_unbalanced(normal, ud, alphas).matrix).tobytes(),
+        np.asarray(fi_pros_marginal(mixture, make_balanced_design(12, 4), make_symmetric_alpha(4, 0.7)).matrix).tobytes(),
+        np.asarray(k_matrix(normal, 2, 6)).tobytes(),
+        np.asarray(k_matrix(mixture, 3, 12)).tobytes(),
+        np.asarray(numerics.InfoMatrix(mixture.fisher_srs_unit())).tobytes(),
+        repr(report).encode(),
+    ]
+
+
+def test_memo_empty_filled_and_bypassed_give_identical_bits(monkeypatch):
+    from prosinfo import numerics
+
+    numerics._memo.clear()
+    empty = _memo_routes()
+    assert numerics._memo  # the routes filled it
+    filled = _memo_routes()
+    monkeypatch.setattr(numerics, "_UNIT_INDEX", {})  # every build runs again, outside the memo
+    numerics._memo.clear()
+    bypassed = _memo_routes()
+    assert not numerics._memo
+    assert empty == filled == bypassed
+
+
+def test_models_differing_in_a_parameter_or_active_keep_their_own_scores():
+    from prosinfo import numerics
+
+    numerics._memo.clear()
+    node = numerics._UNIT_X[0]
+    models = [make_model("normal"), make_model("normal", mu=1e-12), make_model("normal", active=("sigma",)),
+              make_model("logistic")]
+    tables = [m.quantile_scores(node) for m in models]
+    assert len(numerics._memo) == len(models)
+    for model, table in zip(models, tables):
+        assert model.quantile_scores(node) is table
+        fresh = model.quantile_scores(node.copy())  # not a node array: built outside the memo
+        assert [a.tobytes() for a in table] == [a.tobytes() for a in fresh]
+        assert table[1].shape == (node.size, model.p)
+
+
+def test_monte_carlo_draws_never_enter_the_memo():
+    from prosinfo import numerics
+
+    numerics._memo.clear()
+    model, alpha = make_model("normal"), make_symmetric_alpha(2, 0.8)
+    fi_pros_marginal(model, make_balanced_design(6, 2), alpha, method="mc", reps=500, seed=SEED)
+    fi_pros_complete(model, 2, 6, method="mc", reps=500, seed=SEED)
+    assert not numerics._memo

@@ -566,3 +566,60 @@ def test_mc_mean_batches_validates_batches():
     assert err.value.index == 5
     with pytest.raises(ValueError):
         mc_mean_batches(lambda rng, count: np.zeros(count), reps=1, seed=1)
+
+
+@pytest.fixture
+def empty_memo():
+    numerics._memo.clear()
+    yield numerics._memo
+    numerics._memo.clear()
+
+
+def test_unit_interval_calls_get_the_same_read_only_node_arrays(empty_memo):
+    seen = []
+
+    def rows(x):
+        seen.append(x)
+        return np.stack([np.sin(150.0 * x) ** 2, x])
+
+    integrate(rows, 0.0, 1.0)
+    first = list(seen)
+    seen.clear()
+    integrate(rows, 1.0, 0.0)
+    assert len(first) > 1 and len(seen) == len(first)
+    for x, again, joined in zip(first, seen, numerics._UNIT_X):
+        assert x is again is joined and not x.flags.writeable
+
+
+def test_node_memo_keeps_builds_at_unit_nodes_only(empty_memo):
+    calls = []
+
+    def build(u):
+        calls.append(u.size)
+        return (u * 2.0, u + 1.0)
+
+    node = numerics._UNIT_X[0]
+    kept = numerics.node_memo("k", node, build)
+    assert numerics.node_memo("k", node, build) is kept and len(calls) == 1
+    assert all(not a.flags.writeable for a in kept)
+    assert numerics.node_memo("other", node, build) is not kept and len(calls) == 2
+    # a copy of the nodes, Monte Carlo draws and the nodes of other limits are built every time
+    others = [node.copy(), substream(1).random(node.size)]
+    integrate(lambda x: others.append(x) or x[None], 0.0, 2.0)
+    integrate(lambda x: others.append(x) or np.exp(-x)[None], 0.0, math.inf)
+    for u in others:
+        before = len(calls)
+        assert numerics.node_memo("k", u, build)[0].tobytes() == (u * 2.0).tobytes()
+        assert len(calls) == before + 1
+    assert set(empty_memo) == {("k", 0), ("other", 0)}
+
+
+def test_node_memo_never_holds_more_than_its_bound(empty_memo):
+    node = numerics._UNIT_X[1]
+    for key in range(numerics.MEMO_ENTRIES + 20):
+        numerics.node_memo(key, node, lambda u: (u,))
+        numerics.node_memo(0, node, lambda u: (u,))  # key 0 stays the most recently used
+        assert len(empty_memo) <= numerics.MEMO_ENTRIES
+    assert len(empty_memo) == numerics.MEMO_ENTRIES
+    kept = {key for key, _ in empty_memo}
+    assert 0 in kept and numerics.MEMO_ENTRIES + 19 in kept and 1 not in kept

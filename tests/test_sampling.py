@@ -379,3 +379,12 @@ def test_estimate_unbalanced_alphas_per_cycle():
     )
     with pytest.raises(SamplingError):
         estimate_unbalanced_alphas(model, mixed, DellClutterConfig(0.9, 500, SEED))
+
+
+def test_dell_clutter_refuses_non_finite_standardized_values():
+    # x.std overflows at this scale, so every perception would be NaN and the tally meaningless
+    model = make_model("normal", sigma=1e308)
+    with pytest.raises(SamplingError, match="standardized values"):
+        estimate_alpha_for_partition(model, 6, ((1, 2, 3), (4, 5, 6)), DellClutterConfig(0.5, 200, SEED))
+    with pytest.raises(SamplingError, match="standardized values"):
+        estimate_dell_clutter_alpha(model, make_balanced_design(6, 2), DellClutterConfig(0.9, 200, SEED))

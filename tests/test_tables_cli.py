@@ -341,8 +341,17 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["entropy", "--measure", "kl", "--kind", "srs", "--set-size", "6", "--subsets", "2"],
         # a file that is not UTF-8 text
         ["fisher", "--design-file", str(not_utf8)],
+        # Dell-Clutter ranking of a scale whose standardized values overflow
+        ["sample", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e308", "--alpha", "dellclutter:0.5"],
+        ["fisher", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e308", "--alpha", "dellclutter:0.5"],
     ):
         _assert_one_line_refusal(argv, capsys)
+    # Monte Carlo replicates that overflow are a numeric failure, reported in one line without a warning
+    for extra in (["--method", "mc", "--reps", "100"], ["--mode", "complete", "--method", "mc", "--reps", "100"]):
+        assert main(base + ["--params", "sigma=1e308"] + extra) == 3, extra
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, (extra, captured.err)
+        assert captured.err.startswith("error: batch replicate returned a non-finite value"), captured.err
 
 
 def test_cli_wrong_size_matrix_gives_one_message(capsys, tmp_path):
@@ -587,3 +596,14 @@ def test_cli_sample_refuses_non_finite_draws(capsys):
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert "non-finite" in captured.err
+
+
+def test_cli_names_the_design_file_only_where_it_is_read(capsys):
+    # entropy declares no --design-file, so its refusal must not suggest one
+    for argv, hint in ((["entropy", "--measure", "kl"], False), (["entropy", "--measure", "kl", "--set-size", "6"], False),
+                       (["fisher", "--set-size", "6"], True), (["sample"], True)):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, (argv, captured.err)
+        assert captured.err.startswith("error: --set-size and --subsets are required"), captured.err
+        assert ("--design-file" in captured.err) == hint, (argv, captured.err)
