@@ -525,9 +525,11 @@ def test_marginal_mc_at_set_size_64(family, params, p):
     assert dev.max() <= 5.0, (dev, quad, mc.matrix.as_array())
 
 
-def test_mc_of_gamma_with_a_small_shape_agrees_with_quadrature():
-    # at shape 0.01 about 3% of draws lie below z = 1.5e-154, where the chain rule's products overflow
-    model = make_model("gamma", shape=0.01)
+@pytest.mark.parametrize("shape", (0.01, 1.0, 2.0, 10.0))
+def test_mc_of_gamma_with_a_small_shape_agrees_with_quadrature(shape):
+    # at shape 0.01 about 3% of draws lie below z = 1.5e-154, where the chain rule's products overflow;
+    # the shapes lie on both sides of the cut below which the quantile is gammaincinv alone
+    model = make_model("gamma", shape=shape)
     quad = fi_pros_complete(model, 2, 6).matrix.as_array()
     mc = fi_pros_complete(model, 2, 6, method="mc", reps=20_000, seed=SEED)
     assert np.abs(mc.matrix.as_array() - quad).max() <= 5.0 * np.asarray(mc.std_errors).max()

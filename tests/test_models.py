@@ -15,7 +15,7 @@ from prosinfo import (
     fisher_srs_unit,
     make_model,
 )
-from prosinfo.models import _expit, _ndtr, _ndtri, _xlogx
+from prosinfo.models import _GAMMA_TABLE_SHAPES, _expit, _gamma_halley, _ndtr, _ndtri, _xlogx
 
 U_GRID = np.linspace(0.04, 0.96, 20)
 
@@ -86,10 +86,20 @@ def test_quantile_inverts_cdf(fam):
 
 
 def test_quantile_rejects_boundary():
-    model = make_model("normal")
-    for u in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ModelError):
-            model.quantile(u)
+    for model in default_models():
+        for u in (0.0, 1.0, -0.1, 1.1, np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ModelError):
+                model.quantile(u)
+
+
+@pytest.mark.parametrize("fam", family_names())
+def test_nan_gives_nan_on_the_distribution_surface(fam):
+    model = make_model(fam)
+    x = np.array([model.quantile(0.3), np.nan, model.quantile(0.7)])
+    for fn in (model.pdf, model.cdf, model.sf, model.logpdf):
+        got = fn(x)
+        assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]])), fn.__name__
+        assert math.isnan(fn(np.nan)), fn.__name__
 
 
 def test_score_cdf_normal_values():
@@ -442,6 +452,66 @@ def test_evaluate_broadcasts_over_arrays():
     pdf, cdf = model.pdf(xs), model.cdf(xs)
     assert pdf.shape == xs.shape
     np.testing.assert_allclose(cdf, model.cdf(xs))
+
+
+# -- the gamma quantile: a table start and one certified Halley step ----------
+
+GAMMA_SHAPES = (0.01, 0.5, 1.0, 2.0, 10.0, 100.0, 1e4)
+# the complementary oracle below is itself up to 3.2e-15 (14 ulps) off the root
+# that a 40-digit mpmath solve gives (shape 1, t = 1e-16), so agreement with it
+# is judged to this many ulps beyond gammaincinv's own
+ORACLE_ULPS = 16
+
+
+def _gamma_points() -> np.ndarray:
+    """Uniform draws, then Beta(u, S + 1 - u) draws at S = 12, then log-spaced tails in t and 1 - t."""
+    rng = np.random.default_rng(19)
+    ranks = rng.integers(1, 13, 4096)
+    return np.concatenate(
+        (rng.random(4096), rng.beta(ranks, 13 - ranks), np.logspace(-300, -1, 300), 1.0 - np.logspace(-16, -1, 151))
+    )
+
+
+def _relative_error(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):  # both are 0.0 where the quantile underflows
+        return np.where(got == want, 0.0, np.abs(got / want - 1.0))
+
+
+@pytest.mark.parametrize("shape", GAMMA_SHAPES)
+def test_gamma_quantile_is_as_accurate_as_gammaincinv(shape):
+    t = _gamma_points()
+    # 1 - t is exact above 1/2, so the upper half inverts the complement
+    oracle = np.where(t <= 0.5, sps.gammaincinv(shape, t), sps.gammainccinv(shape, 1.0 - t))
+    got = make_model("gamma", shape=shape, sigma=1.0).quantile(t)
+    reference = _relative_error(sps.gammaincinv(shape, t), oracle).max()
+    err = _relative_error(got, oracle)
+    assert err.max() <= reference + ORACLE_ULPS * np.finfo(float).eps, (t[np.argmax(err)], err.max(), reference)
+
+
+@pytest.mark.parametrize("shape", GAMMA_SHAPES)
+def test_gamma_quantile_falls_back_to_gammaincinv_bit_for_bit(shape):
+    t = _gamma_points()
+    got = make_model("gamma", shape=shape).quantile(t)
+    if not _GAMMA_TABLE_SHAPES[0] <= shape <= _GAMMA_TABLE_SHAPES[1]:
+        np.testing.assert_array_equal(got, sps.gammaincinv(shape, t))
+        return
+    z, certified = _gamma_halley(shape, t)
+    np.testing.assert_array_equal(got[certified], z[certified])
+    np.testing.assert_array_equal(got[~certified], sps.gammaincinv(shape, t[~certified]))
+    # every draw is certified; no point below the table's end (t of about 4.2e-18) is
+    assert certified[: 2 * 4096].all()
+    assert not certified[t < 4.2e-18].any() and certified[t > 4.3e-18].all()
+
+
+def test_gamma_quantile_keeps_the_shape_of_its_argument():
+    u = np.random.default_rng(5).random((7, 12))  # Dell-Clutter passes (reps, S) arrays
+    for shape in (0.5, 2.0):
+        model = make_model("gamma", shape=shape)
+        for t in (0.3, 1e-300):  # a certified step, and a point outside the table
+            assert type(model.quantile(t)) is float and model.quantile(t) == model.quantile(np.array([t]))[0]
+        got = model.quantile(u)
+        assert got.shape == u.shape
+        np.testing.assert_array_equal(got.ravel(), model.quantile(u.ravel()))
 
 
 # -- the numpy special functions against scipy.special -------------------------
