@@ -229,18 +229,6 @@ def _rank_logw_dt(set_size: int, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarr
     return (k - big_n * t) / tt, -(k * (1.0 - t) ** 2 + (big_n - k) * t * t) / (tt * tt)
 
 
-def _neg_hessian(model: Model, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """-(d^2/dtheta^2) of log f(x; theta) + log w(F(x; theta)) at each draw, by the chain rule.
-
-    a and b are the first two t-derivatives of log w at t = F(x; theta); the
-    Hessian is d^2 log f + a d^2 F + b dF dF^T, every term analytic.  Returns
-    the upper-triangle entries, shape (len(x), p(p+1)/2).
-    """
-    d_cdf, d2_logf, d2_cdf = model.second_derivatives(x)
-    rows, cols = numerics.TRIU[model.p]
-    return -(d2_logf + a[:, None] * d2_cdf + (b[:, None] * d_cdf[:, rows]) * d_cdf[:, cols])
-
-
 def _mc_fi(
     model: Model, set_size: int, rows: tp.Sequence[tuple[tp.Any, np.ndarray]], logw_dt: tp.Callable[..., tuple],
     reps: int, seed: int, workers: int, multiplier: int, label: str,
@@ -251,7 +239,7 @@ def _mc_fi(
         total = 0.0
         for i, (sp, row) in enumerate(rows):
             x, u, t = sampling.block_draws(model, set_size, sp.partition, row, rng, count)
-            total = total + _neg_hessian(model, x, *logw_dt(i, u, t))
+            total = total + model.neg_hessian(x, *logw_dt(i, u, t))
         return total
 
     means, ses, n_done = numerics.mc_mean_batches(batch, reps, seed, workers)

@@ -2,14 +2,14 @@
 
 Each family exposes pdf/cdf/quantile plus the parameter derivatives the
 information calculations need: d F(x;theta)/d theta (the score of the cdf),
-d log f(x;theta)/d theta, and the second derivatives of both, which the Monte
-Carlo Hessians use.  The location-scale families (all but the exponential
-mixture; gamma with its shape fixed) state only their standard density f0,
-psi = (log f0)' and psi', and every derivative follows by the chain rule
-through z = (x - loc)/scale; the mixture states its own, and so does gamma,
-whose chain rule is written out so that it holds down to z = 0.  All formulas
-are analytic, and so is every per-observation Fisher matrix but the exponential
-mixture's, which is obtained by quadrature of the score outer product.
+d log f(x;theta)/d theta, and the Monte Carlo route's closed-form -Hessian of
+log f(x) + log w(F(x)) given (log w)' and (log w)''.  The location-scale families
+(all but the exponential mixture; gamma with its shape fixed) state only their
+standard density f0, psi = (log f0)' and psi', and every derivative follows by
+the chain rule through z = (x - loc)/scale; the mixture states its own, and so
+does gamma, whose chain rule is written out so that it holds down to z = 0.  All
+formulas are analytic, and so is every per-observation Fisher matrix but the
+exponential mixture's, which is obtained by quadrature of the score outer product.
 
 The special functions are numpy code but the gamma family's, which import
 scipy.special when a gamma model is first evaluated.  The gamma quantile starts
@@ -45,11 +45,13 @@ _NEWTON_STEPS = 50
 # and closer at larger shapes (1e-8 at 10, 9e-11 at 1e5).
 _GAMMA_S_LO, _GAMMA_S_STEP, _GAMMA_NODES = -40.0, 0.125, 641
 GAMMA_TABLE_ENTRIES = 16  # bound on the shapes whose gamma quantile table is kept
-# Shapes served by the table.  Below 0.8 scipy's gammaincc is so slow that the
-# table path took 0.75-1.6 times gammaincinv's time.  Above 1e5 scipy's gammainc
-# itself loses accuracy, and a step certified on it lands up to 3.9e-14 (shape
-# 1e6) from gammaincinv's root, against one ulp up to shape 3e5.
-_GAMMA_TABLE_SHAPES = (0.8, 1e5)
+# The largest gamma shape accepted: the largest decade at which the quantile lies within 1e-9 relative of
+# a 40-digit mpmath root at t = 1e-6, 1e-3, 1/2, 1 - 1e-3 and 1 - 1e-6 (6.6e-17 at most).  At 1e6, where
+# scipy's gammainc and gammaincinv lose accuracy, it is 1.4e-9 off at t = 1e-6.
+GAMMA_MAX_SHAPE = 1e5
+# Shapes served by the table.  Below 0.8 scipy's gammaincc is so slow that the table path took 0.75-1.6
+# times gammaincinv's time.
+_GAMMA_TABLE_SHAPES = (0.8, GAMMA_MAX_SHAPE)
 # A Halley step gains about three times the digits it starts with, so a step of
 # at most this share of z leaves an error far below rounding
 _HALLEY_CERTIFIED = 1e-6
@@ -175,8 +177,8 @@ class Model:
         out = _family(self.family).quantile(self._ctx(), ua)
         return np.asarray(out) if np.ndim(u) else float(out)
 
-    def _partials(self, x: FloatArray, second: bool) -> tuple[dict, ...]:
-        return _family(self.family).partials(self._ctx(), np.asarray(x, dtype=float), second)
+    def _partials(self, x: FloatArray) -> tuple[dict, dict]:
+        return _family(self.family).partials(self._ctx(), np.asarray(x, dtype=float))
 
     def quantile_scores(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, d log f, dF) at x = F^{-1}(u) from one evaluation, kept per model at integrate's (0, 1) nodes."""
@@ -184,26 +186,29 @@ class Model:
 
     def _quantile_scores(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = self.quantile(u)
-        return (x, *(_columns(d, self.active, np.shape(x)) for d in self._partials(x, False)[:2]))
+        return (x, *(_columns(d, self.active, np.shape(x)) for d in self._partials(x)))
 
     def score_cdf(self, x: FloatArray) -> np.ndarray:
         """d F(x;theta) / d theta_j for the active parameters, stacked on the last axis."""
-        return _columns(self._partials(x, False)[1], self.active, np.shape(x))
+        return _columns(self._partials(x)[1], self.active, np.shape(x))
 
     def score_logpdf(self, x: FloatArray) -> np.ndarray:
         """d log f(x;theta) / d theta_j for the active parameters, stacked on the last axis."""
-        return _columns(self._partials(x, False)[0], self.active, np.shape(x))
+        return _columns(self._partials(x)[0], self.active, np.shape(x))
 
-    def second_derivatives(self, x: FloatArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dF, d^2 log f, d^2 F) in the active parameters, from one evaluation at x.
+    def neg_hessian(self, x: FloatArray, a: FloatArray, b: FloatArray) -> np.ndarray:
+        """-(d^2 / dtheta^2) of log f(x) + log w(F(x)) in the active parameters, a = (log w)' and b = (log w)''.
 
-        dF is stacked on the last axis like score_cdf; the second derivatives
-        hold the p(p+1)/2 upper-triangle entries in numerics.TRIU order.
+        a and b are taken at t = F(x) and broadcast against x; the p(p+1)/2
+        upper-triangle entries are stacked on the last axis in numerics.TRIU order.
         """
-        _, d_cdf, d2_logf, d2_cdf = self._partials(x, True)
-        pairs = [frozenset((self.active[i], self.active[j])) for i, j in zip(*numerics.TRIU[self.p])]
-        shape = np.shape(x)
-        return _columns(d_cdf, self.active, shape), _columns(d2_logf, pairs, shape), _columns(d2_cdf, pairs, shape)
+        fam = _family(self.family)
+        entries = fam.neg_hessian(self._ctx(), np.asarray(x, dtype=float), a, b)
+        # the family's entries are the upper triangle over the parameters that may be active, in TRIU order
+        free = [n for n in fam.param_names if n not in fam.never_active]
+        pos, tri = [free.index(n) for n in self.active], list(zip(*numerics.TRIU[len(free)]))
+        picked = (tri.index(tuple(sorted((pos[i], pos[j])))) for i, j in zip(*numerics.TRIU[self.p]))
+        return np.stack([entries[k] for k in picked], axis=-1)
 
     def mean(self) -> float:
         return _family(self.family).mean(self._ctx())
@@ -382,9 +387,11 @@ class _Family:
     cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     quantile: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    # (c, x, second) -> (d log f, dF, d^2 log f, d^2 F): first derivatives keyed by parameter name,
-    # second ones by the frozenset of the two names and empty unless second
-    partials: tp.Callable[[dict[str, float], np.ndarray, bool], tuple[dict, ...]]
+    # (c, x) -> (d log f, dF), each keyed by parameter name
+    partials: tp.Callable[[dict[str, float], np.ndarray], tuple[dict, dict]]
+    # (c, x, a, b) -> the -Hessian of log f(x) + log w(F(x)) for a = (log w)', b = (log w)'': its
+    # upper-triangle entries over the parameters that may be active, in numerics.TRIU order
+    neg_hessian: tp.Callable[[dict[str, float], np.ndarray, FloatArray, FloatArray], tuple[np.ndarray, ...]]
     mean: tp.Callable[[dict[str, float]], float]
     var: tp.Callable[[dict[str, float]], float]
     fisher_unit: tp.Callable[[dict[str, float]], np.ndarray | None]
@@ -425,34 +432,26 @@ class _Standard:
     def z(self, c: dict[str, float], x: np.ndarray) -> np.ndarray:
         return (x - (c[self.loc] if self.loc else 0.0)) / c[self.scale]
 
-    def partials(self, c: dict[str, float], x: np.ndarray, second: bool) -> tuple[dict, ...]:
-        """Chain rule through z, with log f = log f0(z) - log s and F = F0(z).
-
-        With a = 1 for loc and a = z for s, dz/dtheta_i = -a_i / s, and
-        d^2 z / dtheta_i dtheta_j = b_ij / s^2 with b = 0 in (loc, loc), 1 in
-        (loc, s) and 2z in (s, s); so d_i log f = -(psi a_i + [i = s]) / s,
-        d_i F = -f0 a_i / s, d_ij log f = (psi' a_i a_j + psi b_ij + [i = j = s]) / s^2
-        and d_ij F = f0 (psi a_i a_j + b_ij) / s^2.
-        """
+    def partials(self, c: dict[str, float], x: np.ndarray) -> tuple[dict, dict]:
+        """Chain rule through z, with log f = log f0(z) - log s, F = F0(z) and dz/dtheta_i = -v_i / s for v = 1
+        at loc and z at s: d_i log f = -(psi v_i + [i = s]) / s and d_i F = -f0 v_i / s."""
         s = c[self.scale]
         z = self.z(c, x)
         f0, psi = self.pdf(c, z), self.psi(c, z)
-        a = {self.scale: z}
-        b = {(self.scale, self.scale): 2.0 * z}
-        if self.loc:
-            a[self.loc] = 1.0
-            b[self.loc, self.loc], b[self.loc, self.scale] = 0.0, 1.0
-        d_logf = {n: -(psi * v + (n == self.scale)) / s for n, v in a.items()}
-        d_cdf = {n: -f0 * v / s for n, v in a.items()}
-        if not second:
-            return d_logf, d_cdf, {}, {}
-        dpsi = self.dpsi(c, z)
-        d2_logf, d2_cdf = {}, {}
-        for (i, j), bij in b.items():
-            aa = a[i] * a[j]
-            d2_logf[frozenset((i, j))] = (dpsi * aa + psi * bij + (i == j == self.scale)) / (s * s)
-            d2_cdf[frozenset((i, j))] = f0 * (psi * aa + bij) / (s * s)
-        return d_logf, d_cdf, d2_logf, d2_cdf
+        v = {self.loc: 1.0, self.scale: z} if self.loc else {self.scale: z}
+        return {n: -(psi * vn + (n == self.scale)) / s for n, vn in v.items()}, {n: -f0 * vn / s for n, vn in v.items()}
+
+    def neg_hessian(self, c: dict[str, float], x: np.ndarray, a: FloatArray, b: FloatArray) -> tuple[np.ndarray, ...]:
+        """(loc, loc), (loc, s), (s, s), or (s, s) alone without loc.  The Hessian of log f(x) + log w(F(x))
+        is (P v_i v_j + Q u_ij + [i = j = s]) / s^2, with v of partials, u_ij = s^2 d^2 z / dtheta_i dtheta_j
+        = 0, 1, 2z in those entries, P = psi' + a psi f0 + b f0^2 and Q = psi + a f0."""
+        s2 = c[self.scale] * c[self.scale]  # a Python float overflows to inf here, where ** would raise
+        z = self.z(c, x)
+        f0, psi = self.pdf(c, z), self.psi(c, z)
+        q = psi + a * f0
+        p = self.dpsi(c, z) + a * psi * f0 + b * f0 * f0
+        ss = -(p * z * z + 2.0 * q * z + 1.0) / s2
+        return (-p / s2, -(p * z + q) / s2, ss) if self.loc else (ss,)
 
 
 def _location_scale(std: _Standard, **fields: tp.Any) -> _Family:
@@ -472,6 +471,7 @@ def _location_scale(std: _Standard, **fields: tp.Any) -> _Family:
         sf=lambda c, x: std.sf(c, std.z(c, x)),
         quantile=lambda c, u: (c[std.loc] if std.loc else 0.0) + c[std.scale] * std.quantile(c, u),
         partials=std.partials,
+        neg_hessian=std.neg_hessian,
     )
     return _Family(**{**base, **fields})
 
@@ -525,24 +525,21 @@ def _mixture_quantile(c, u):
     return x.reshape(np.shape(u)) if np.ndim(u) else float(x[0])
 
 
-def _mixture_partials(c, x, second):
-    # with a = e^{-hx}, b = e^{-x}: f = pi h a + (1 - pi) b and F = 1 - pi a - (1 - pi) b
+def _mixture_partials(c, x):
+    # with e = e^{-hx}: f = pi h e + (1 - pi) e^{-x} and F = 1 - pi e - (1 - pi) e^{-x}
     pi, h = c["pi"], c["h"]
-    a, b = np.exp(-h * x), np.exp(-x)
-    f = pi * h * a + (1.0 - pi) * b
-    d_logf = {"pi": (h * a - b) / f, "h": pi * a * (1.0 - h * x) / f}
-    d_cdf = {"pi": b - a, "h": pi * x * a}
-    if not second:
-        return d_logf, d_cdf, {}, {}
-    pp, ph, hh = frozenset(("pi",)), frozenset(("pi", "h")), frozenset(("h",))
-    # d^2 log f = f_ij / f - (d_i log f)(d_j log f), and f_{pi pi} = 0
-    d2_logf = {
-        pp: -d_logf["pi"] ** 2,
-        ph: a * (1.0 - h * x) / f - d_logf["pi"] * d_logf["h"],
-        hh: pi * a * x * (h * x - 2.0) / f - d_logf["h"] ** 2,
-    }
-    d2_cdf = {pp: np.zeros_like(x), ph: x * a, hh: -pi * x * x * a}
-    return d_logf, d_cdf, d2_logf, d2_cdf
+    e, e1, f = np.exp(-h * x), np.exp(-x), _mixture_pdf(c, x)
+    return {"pi": (h * e - e1) / f, "h": pi * e * (1.0 - h * x) / f}, {"pi": e1 - e, "h": pi * x * e}
+
+
+def _mixture_neg_hessian(c, x, a, b):
+    # -(d^2 log f + a d^2 F + b dF dF^T), with d^2 log f = f_ij / f - (d_i log f)(d_j log f), f_{pi pi} = 0,
+    # and d^2 F = 0 in (pi, pi), x e in (pi, h) and -pi x^2 e in (h, h)
+    pi, h = c["pi"], c["h"]
+    e, f = np.exp(-h * x), _mixture_pdf(c, x)
+    (lp, lh), (fp, fh) = (d.values() for d in _mixture_partials(c, x))
+    return (lp * lp - b * fp * fp, lp * lh - e * (1.0 - h * x) / f - a * x * e - b * fp * fh,
+            lh * lh - pi * e * x * (h * x - 2.0) / f + a * pi * x * x * e - b * fh * fh)
 
 
 def _gamma_quantile(k: float, t: np.ndarray) -> np.ndarray:
@@ -604,20 +601,26 @@ def _gamma_table(k: float) -> np.ndarray:
     return coef
 
 
-def _gamma_partials(c, x, second):
+def _gamma_terms(c, x):
     # the chain rule with z psi(z) = shape - 1 - z, z^2 psi'(z) = 1 - shape and
     # z f0(z) = z^shape e^-z / Gamma(shape) in closed form: formed as products they overflow, lose z^2
     # to underflow or are 0 * inf below z of about 1.5e-154, which the quantile reaches below t of
     # about 1e-77 at shape 0.5 (it is 0.0 below t of about 1e-162)
-    k, s = c["shape"], c["sigma"]
-    z = x / s
+    k = c["shape"]
+    z = x / c["sigma"]
     with np.errstate(divide="ignore"):
-        zf0 = np.exp(k * np.log(z) - z - math.lgamma(k))
-    d_logf, d_cdf = {"sigma": (z - k) / s}, {"sigma": -zf0 / s}
-    if not second:
-        return d_logf, d_cdf, {}, {}
-    ss = frozenset(("sigma",))
-    return d_logf, d_cdf, {ss: (k - 2.0 * z) / (s * s)}, {ss: zf0 * (k + 1.0 - z) / (s * s)}
+        return k, z, np.exp(k * np.log(z) - z - math.lgamma(k))
+
+
+def _gamma_partials(c, x):
+    k, z, zf0 = _gamma_terms(c, x)
+    return {"sigma": (z - k) / c["sigma"]}, {"sigma": -zf0 / c["sigma"]}
+
+
+def _gamma_neg_hessian(c, x, a, b):
+    # the location-free (s, s) entry -(P z^2 + 2 Q z + 1) / s^2 with the closed forms above
+    k, z, zf0 = _gamma_terms(c, x)
+    return (-(k - 2.0 * z + a * zf0 * (k + 1.0 - z) + b * zf0 * zf0) / (c["sigma"] * c["sigma"]),)
 
 
 _FAMILIES: dict[str, _Family] = {
@@ -689,10 +692,11 @@ _FAMILIES: dict[str, _Family] = {
             quantile=lambda c, u: _gamma_quantile(c["shape"], u),
         ),
         partials=_gamma_partials,
+        neg_hessian=_gamma_neg_hessian,
         param_names=("shape", "sigma"),
         defaults={"shape": 2.0, "sigma": 1.0},
         never_active=("shape",),
-        validate=lambda c: _require_positive(c, "shape", "sigma"),
+        validate=lambda c: _validate_gamma(c),
         mean=lambda c: c["shape"] * c["sigma"],
         var=lambda c: c["shape"] * c["sigma"] ** 2,
         fisher_unit=lambda c: np.array(
@@ -730,11 +734,18 @@ _FAMILIES: dict[str, _Family] = {
         sf=_mixture_sf,
         quantile=_mixture_quantile,
         partials=_mixture_partials,
+        neg_hessian=_mixture_neg_hessian,
         mean=lambda c: c["pi"] / c["h"] + (1.0 - c["pi"]),
         var=lambda c: 2.0 * c["pi"] / c["h"] ** 2 + 2.0 * (1.0 - c["pi"]) - (c["pi"] / c["h"] + 1.0 - c["pi"]) ** 2,
         fisher_unit=lambda c: None,
     ),
 }
+
+
+def _validate_gamma(c: dict[str, float]) -> None:
+    _require_positive(c, "shape", "sigma")
+    if c["shape"] > GAMMA_MAX_SHAPE:
+        raise ModelError(f"gamma shape {c['shape']!r} is above {GAMMA_MAX_SHAPE:g}, the largest with a verified quantile")
 
 
 def _validate_mixture(c: dict[str, float]) -> None:

@@ -466,6 +466,8 @@ ORACLE_MODELS = (
     ("extreme_value", {}),
     ("gamma", {"shape": 2.0, "sigma": 1.5}),
     ("exp_mixture", {}),
+    ("normal", {"active": ("sigma",)}),
+    ("logistic", {"active": ("mu",)}),
 )
 
 
@@ -483,13 +485,13 @@ def test_chain_rule_hessian_matches_difference_oracle(family, params, S, weights
     design = make_balanced_design(S, 3)
     if weights == "complete":
         u = 1 + np.arange(t.size) % S
-        got = information._neg_hessian(model, x, *information._rank_logw_dt(S, u, model.cdf(x)))
+        got = model.neg_hessian(x, *information._rank_logw_dt(S, u, model.cdf(x)))
         want = _oracle_neg_hessian(model, x, lambda F: stats.binom.logpmf(u - 1, S - 1, F))
     else:
         row = (identity_alpha(3) if weights == "perfect" else make_symmetric_alpha(3, 0.8)).row(2)
         coef = densities.rank_coefficients(S, design.subsets, row)
         w, w1, w2 = densities.bernstein_series(coef, model.cdf(x))
-        got = information._neg_hessian(model, x, w1 / w, w2 / w - (w1 / w) ** 2)
+        got = model.neg_hessian(x, w1 / w, w2 / w - (w1 / w) ** 2)
 
         def log_weight(F):
             terms = [

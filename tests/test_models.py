@@ -15,7 +15,7 @@ from prosinfo import (
     fisher_srs_unit,
     make_model,
 )
-from prosinfo.models import _GAMMA_TABLE_SHAPES, _expit, _gamma_halley, _ndtr, _ndtri, _xlogx
+from prosinfo.models import GAMMA_MAX_SHAPE, _GAMMA_TABLE_SHAPES, _expit, _gamma_halley, _ndtr, _ndtri, _xlogx
 
 U_GRID = np.linspace(0.04, 0.96, 20)
 
@@ -196,12 +196,22 @@ HESSIAN_CASES = [(f, {}) for f in family_names() if f != "uniform"] + [
 ]
 
 
+def _second_derivatives(model, x, a=1.0):
+    """(d^2 log f, d^2 F) from the -Hessian H(x, a, b) of log f(x) + log w(F(x)), which is linear in
+    a = (log w)' and b = (log w)'': d^2 log f is -H(x, 0, 0) and d^2 F is (H(x, 0, 0) - H(x, a, 0)) / a."""
+    h00 = model.neg_hessian(x, 0.0, 0.0)
+    return -h00, (h00 - model.neg_hessian(x, a, 0.0)) / a
+
+
 @pytest.mark.parametrize("fam,params", HESSIAN_CASES, ids=[_model_id(f, p) for f, p in HESSIAN_CASES])
 def test_second_derivatives_match_difference_oracle(fam, params):
     model = _free(fam, **params)
     x = np.asarray(model.quantile(np.linspace(0.03, 0.97, 15)))
-    d_cdf, d2_logf, d2_cdf = model.second_derivatives(x)
-    np.testing.assert_array_equal(d_cdf, model.score_cdf(x))
+    d2_logf, d2_cdf = _second_derivatives(model, x)
+    # the b term is dF dF^T, with dF the score of the cdf
+    d_cdf, (rows, cols) = model.score_cdf(x), np.triu_indices(model.p)
+    np.testing.assert_allclose(-d2_logf - model.neg_hessian(x, 0.0, 1.0), d_cdf[:, rows] * d_cdf[:, cols],
+                               rtol=0, atol=1e-13 * np.max(np.abs(d2_logf)))
     for got, fn in ((d2_logf, Model.logpdf), (d2_cdf, Model.cdf)):
         want = _richardson_hessian(model, fn, x)
         assert got.shape == want.shape == (x.size, model.p * (model.p + 1) // 2)
@@ -213,22 +223,23 @@ def test_gamma_derivatives_hold_where_the_quantile_underflows():
     # about 1e-77 it lies below z = 1.5e-154, where the square of z underflows
     model = make_model("gamma", shape=0.5, sigma=2.0)
     assert model.quantile(1e-170) == 0.0 and 0.0 < model.quantile(3e-158) < np.finfo(float).tiny
+    # d^2 F is far below the rounding of d^2 log f there, so it is read from the kernel at a large a
+    def derivatives(x):
+        return (model.score_logpdf(x), model.score_cdf(x), *_second_derivatives(model, x, a=1e150))
+
     # the limits at x = 0: d log f = -shape / sigma, dF = 0, d^2 log f = shape / sigma^2, d^2 F = 0
-    np.testing.assert_array_equal(np.concatenate((model.score_logpdf(0.0), *model.second_derivatives(0.0))),
-                                  [-0.25, 0.0, 0.125, 0.0])
+    np.testing.assert_array_equal(np.concatenate(derivatives(0.0)), [-0.25, 0.0, 0.125, 0.0])
     # at 0 and at a subnormal x they are those at x = 1e-300, where dF and d^2 F are about 2e-151
-    near = (model.score_logpdf(1e-300), *model.second_derivatives(1e-300))
+    near = derivatives(1e-300)
     for x in (0.0, model.quantile(3e-158)):
-        derivatives = (model.score_logpdf(x), *model.second_derivatives(x))
-        for got, want, atol in zip(derivatives, near, (0.0, 1e-150, 0.0, 1e-150)):
+        for got, want, atol in zip(derivatives(x), near, (0.0, 1e-150, 0.0, 1e-150)):
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=atol)
     # a z of 1e-200 keeps its precision under a change of scale, so differences give an oracle
     x, h = np.array([2e-200]), 1e-6
     for got, fn in ((model.score_logpdf(x), Model.logpdf), (model.score_cdf(x), Model.cdf)):
         fd = (fn(model.with_params(sigma=2.0 + h), x) - fn(model.with_params(sigma=2.0 - h), x)) / (2.0 * h)
         np.testing.assert_allclose(got[:, 0], fd, rtol=1e-6, err_msg=fn.__name__)
-    _, d2_logf, d2_cdf = model.second_derivatives(x)
-    for got, fn in ((d2_logf, Model.logpdf), (d2_cdf, Model.cdf)):
+    for got, fn in zip(_second_derivatives(model, x, a=1e150), (Model.logpdf, Model.cdf)):
         np.testing.assert_allclose(got, _richardson_hessian(model, fn, x), rtol=1e-7, err_msg=fn.__name__)
 
 
@@ -501,6 +512,28 @@ def test_gamma_quantile_falls_back_to_gammaincinv_bit_for_bit(shape):
     # every draw is certified; no point below the table's end (t of about 4.2e-18) is
     assert certified[: 2 * 4096].all()
     assert not certified[t < 4.2e-18].any() and certified[t > 4.3e-18].all()
+
+
+def test_gamma_shape_is_refused_above_its_verified_bound():
+    mpmath = pytest.importorskip("mpmath")
+    for shape in (10.0 * GAMMA_MAX_SHAPE, 1e8):
+        with pytest.raises(ModelError, match="is above 100000, the largest with a verified quantile"):
+            make_model("gamma", shape=shape)
+        with pytest.raises(ModelError, match="is above 100000"):
+            make_model("gamma").with_params(shape=shape)
+    # at the bound the quantile lies within 1e-9 of a 40-digit root of P(k, z) = t, at the t it is given
+    model = make_model("gamma", shape=GAMMA_MAX_SHAPE)
+    with mpmath.workdps(40):
+        k = mpmath.mpf(GAMMA_MAX_SHAPE)
+        for t in (1e-6, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-6):
+            # the series P(k, z) = z^k e^-z / Gamma(k + 1) 1F1(1; k + 1; z), summed to full precision
+            def residual(z):
+                return mpmath.exp(k * mpmath.log(z) - z - mpmath.loggamma(k + 1)) * mpmath.hyp1f1(
+                    1, k + 1, z, maxterms=10**6) - t
+
+            got = model.quantile(t)
+            root = mpmath.findroot(residual, mpmath.mpf(got), tol=mpmath.mpf(10) ** -35)
+            assert abs(got / root - 1) <= 1e-9, (t, got, root)
 
 
 def test_gamma_quantile_keeps_the_shape_of_its_argument():

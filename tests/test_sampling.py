@@ -9,6 +9,7 @@ from prosinfo import (
     DellClutterConfig,
     DesignError,
     Model,
+    ProsSample,
     SamplingError,
     SetPlan,
     UnbalancedDesign,
@@ -19,6 +20,7 @@ from prosinfo import (
     estimate_alpha_for_partition,
     estimate_dell_clutter_alpha,
     estimate_unbalanced_alphas,
+    family_names,
     identity_alpha,
     make_balanced_design,
     make_model,
@@ -231,6 +233,35 @@ def test_sample_to_csv_round_trips(fam):
         np.testing.assert_array_equal(np.array(cols[3], dtype=float), sample.values)
         for got, want in zip(cols[:3] + cols[4:], (sample.cycle, sample.set_index, sample.target_subset, sample.true_rank)):
             assert [int(v) for v in got] == want.tolist()
+
+
+def _per_row_csv(sample):
+    """The writer's earlier form, one f-string per row: the oracle of its bytes."""
+    columns = (sample.cycle, sample.set_index, sample.target_subset, sample.values, sample.true_rank)
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return "cycle,set,subset,value,true_position\n" + "".join(f"{c},{s},{d},{v:.17g},{u}\n" for c, s, d, v, u in rows)
+
+
+def _hand_built(values, index):
+    n = len(values)
+    return ProsSample(values=np.asarray(values), cycle=np.asarray(index)[:n], set_index=np.arange(n) + 1,
+                      target_subset=np.asarray(index)[::-1][:n], source_subset=np.ones(n, dtype=int),
+                      true_rank=np.arange(n)[::-1] + 10**17)
+
+
+def test_sample_to_csv_matches_per_row_oracle():
+    design = make_balanced_design(12, 3, cycles=40)
+    samples = [draw_pros(make_model(fam), design, make_symmetric_alpha(3, 0.7), seed=3) for fam in family_names()]
+    samples.append(draw_pros(make_model("exp_mixture", pi=0.999, h=0.01), design, seed=4))  # a tail reaching 1e3
+    edge = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 3.0, -42.0, 1e16, 1e17,
+            123456789012345678.0, 0.1, 1e-5, 1e-4, 2.0**-1074 * 3, 1.0 / 3.0, np.inf, -np.inf, np.nan]
+    float_index = np.array([1.0, 2.5, -0.0, 1e16, 1e17, 3.0] * 4)
+    int_index = np.arange(len(edge), dtype=np.int32) * 7 - 20
+    samples += [_hand_built(edge, int_index), _hand_built(edge[:len(float_index)], float_index),
+                _hand_built(np.array([-0.0, 1.5, 3.4e38, 1e-45], dtype=np.float32), int_index), _hand_built([2.5], [7]),
+                _hand_built(np.arange(4), [1.0, 2.0, 3.0, 4.0])]
+    for sample in samples:
+        assert sample_to_csv(sample) == _per_row_csv(sample)
 
 
 def test_block_draws_follow_block_law():

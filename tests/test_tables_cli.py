@@ -268,6 +268,14 @@ def test_cli_sample_csv(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_sample_matches_golden_bytes(capsys):
+    # the golden pins the CSV writer and the sampler's random stream together
+    rc = main(["sample", "--family", "gamma", "--set-size", "12", "--subsets", "3", "--cycles", "300",
+               "--alpha", "symmetric:0.8", "--seed", "42"])
+    assert rc == 0
+    assert capsys.readouterr().out == (DATA / "sample_golden.csv").read_text()
+
+
 def test_cli_table_output_file(tmp_path):
     out_path = tmp_path / "t2.csv"
     rc = main(["table", "2", "--output", str(out_path)])
@@ -344,6 +352,8 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         # Dell-Clutter ranking of a scale whose standardized values overflow
         ["sample", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e308", "--alpha", "dellclutter:0.5"],
         ["fisher", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e308", "--alpha", "dellclutter:0.5"],
+        # a gamma shape above the one its quantile is verified at
+        ["sample", "--family", "gamma", "--set-size", "6", "--subsets", "2", "--params", "shape=1e8"],
     ):
         _assert_one_line_refusal(argv, capsys)
     # Monte Carlo replicates that overflow are a numeric failure, reported in one line without a warning
