@@ -63,6 +63,7 @@ from .sampling import (
     draw_srs,
     draw_unbalanced_pros,
     estimate_alpha_for_partition,
+    estimate_alphas,
     estimate_dell_clutter_alpha,
     estimate_unbalanced_alphas,
     sample_to_csv,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import io
 import os
 import sys
@@ -193,38 +192,41 @@ def _table2_cells(cfg: RunConfig) -> list[TableCell]:
 _DC_METHOD = f"dellclutter({DC_REPS})+quadrature"
 
 
-def _symmetric_alpha(model: Model, design: Design, p: float, seed: int) -> MisplacementMatrix:
-    return make_symmetric_alpha(design.n, p)
-
-
-def _dc_alpha(model: Model, design: Design, rho: float, seed: int) -> MisplacementMatrix:
-    return sampling.estimate_dell_clutter_alpha(model, design, DellClutterConfig(rho, DC_REPS, seed))
-
-
 class _Grid(tp.NamedTuple):
-    """A table's misplacement levels, the source of each level's matrix, and its labels."""
+    """A table's misplacement levels, their labels, and the method that names their source."""
 
     levels: tuple[float, ...]
-    alpha: tp.Callable[[Model, Design, float, int], MisplacementMatrix]
     column: str  # format of one level's column label
-    method: str
+    method: str  # _DC_METHOD for calibrated rho levels, else quadrature under symmetric p levels
+
+    def alphas(
+        self, model: Model, set_size: int, partitions: list[tuple[tuple[int, ...], ...]], seed: int
+    ) -> list[list[MisplacementMatrix]]:
+        """The matrix of partitions[i] at levels[j] as [i][j]; calibrated levels share one draw of sets."""
+        if self.method == _DC_METHOD:
+            return sampling.estimate_alphas(model, set_size, partitions, self.levels, DC_REPS, seed)
+        return [[make_symmetric_alpha(len(partition), p) for p in self.levels] for partition in partitions]
 
 
-_P_COLUMNS = _Grid(P_GRID, _symmetric_alpha, "p={:.1f}", "quadrature")
-_RHO_COLUMNS = _Grid(RHO_GRID, _dc_alpha, "rho={:.2f}", _DC_METHOD)
-# the same sources back `--alpha symmetric:p` and `--alpha dellclutter:rho`
-_ALPHA_SOURCES = {"symmetric": _symmetric_alpha, "dellclutter": _dc_alpha}
+_P_COLUMNS = _Grid(P_GRID, "p={:.1f}", "quadrature")
+_RHO_COLUMNS = _Grid(RHO_GRID, "rho={:.2f}", _DC_METHOD)
+_Info = dict[tuple[Model, Design, float], numerics.InfoMatrix]
 
 
-def _level_info(model: Model, design: Design, level: float, grid: _Grid, seed: int) -> numerics.InfoMatrix:
-    """Information of a design at one level: the fi_unbalanced call fi_pros_marginal makes."""
-    alpha = grid.alpha(model, design, level, seed)
-    return information.fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}).matrix
-
-
-def _cached_rss_info(grid: _Grid, seed: int) -> tp.Callable[[Model, int, float], numerics.InfoMatrix]:
-    """Information of RSS(n), computed once per (model, n, level)."""
-    return functools.cache(lambda model, n, level: _level_info(model, rss_design(n), level, grid, seed))
+def _level_infos(pairs: tp.Iterable[tuple[Model, Design]], grid: _Grid, seed: int) -> _Info:
+    """Information of each (model, design) at every level, from one alphas call per (model, S)."""
+    groups: dict[tuple[Model, int], dict[Design, None]] = {}  # the distinct designs of each (model, S), in order
+    for model, design in pairs:
+        groups.setdefault((model, design.set_size), {})[design] = None
+    info: _Info = {}
+    for (model, set_size), designs in groups.items():
+        alphas = grid.alphas(model, set_size, [d.subsets for d in designs], seed)
+        for design, row in zip(designs, alphas):
+            ud = UnbalancedDesign.from_design(design)
+            for level, alpha in zip(grid.levels, row):
+                # the fi_unbalanced call fi_pros_marginal makes
+                info[model, design, level] = information.fi_unbalanced(model, ud, {1: alpha}).matrix
+    return info
 
 
 # row label, model, and the (column prefix, design) pairs of the row, which share one n
@@ -233,19 +235,20 @@ _Row = tuple[str, Model, tuple[tuple[str, Design], ...]]
 
 def _efficiency_cells(rows: tp.Sequence[_Row], grid: _Grid, seed: int) -> list[TableCell]:
     """RE1 against SRS(n) and RE2 against RSS(n) at every level; a row's RE1 cells come first."""
-    rss = _cached_rss_info(grid, seed)
+    pairs = [(model, design) for _, model, designs in rows for _, design in designs]
+    info = _level_infos(pairs + [(model, rss_design(design.n)) for model, design in pairs], grid, seed)
     cells: list[TableCell] = []
     for label, model, designs in rows:
         n = designs[0][1].n
-        srs = information.fisher_srs(model, n)
+        srs, rss = information.fisher_srs(model, n), rss_design(n)
         re1: list[TableCell] = []
         re2: list[TableCell] = []
         for prefix, design in designs:
             for level in grid.levels:
-                num = _level_info(model, design, level, grid, seed)
+                num = info[model, design, level]
                 col = prefix + grid.column.format(level)
                 re1.append(TableCell(f"{label} RE1", col, _rel(num, srs), 0.0, grid.method))
-                re2.append(TableCell(f"{label} RE2", col, _rel(num, rss(model, n, level)), 0.0, grid.method))
+                re2.append(TableCell(f"{label} RE2", col, _rel(num, info[model, rss, level]), 0.0, grid.method))
         cells += re1 + re2
     return cells
 
@@ -254,17 +257,18 @@ def _fixed_rss_cells(
     comparisons: tp.Sequence[tuple[int, tp.Sequence[tuple[int, int, int]]]], grid: _Grid, seed: int
 ) -> list[TableCell]:
     """RE2 of PROS(S, n) over N cycles against RSS of a fixed set size, per family and level."""
-    rss = _cached_rss_info(grid, seed)
-    cells: list[TableCell] = []
-    for fam, model in _family_models():
-        for fixed, rows in comparisons:
-            for S, n, N in rows:
-                design = make_balanced_design(S, n, cycles=N)
-                label = f"{fam} S={S} n={n} N={N} vs RSS({fixed})"
-                for level in grid.levels:
-                    re2 = _rel(_level_info(model, design, level, grid, seed), rss(model, fixed, level))
-                    cells.append(TableCell(label, grid.column.format(level), re2, 0.0, grid.method))
-    return cells
+    rows = [
+        (f"{fam} S={S} n={n} N={N} vs RSS({fixed})", model, make_balanced_design(S, n, cycles=N), rss_design(fixed))
+        for fam, model in _family_models()
+        for fixed, sizes in comparisons
+        for S, n, N in sizes
+    ]
+    info = _level_infos([(model, d) for _, model, design, rss in rows for d in (design, rss)], grid, seed)
+    return [
+        TableCell(label, grid.column.format(level), _rel(info[m, d, level], info[m, rss, level]), 0.0, grid.method)
+        for label, m, d, rss in rows
+        for level in grid.levels
+    ]
 
 
 def _same_size_rows(models: tp.Sequence[tuple[str, Model]], set_sizes: tp.Sequence[int]) -> list[_Row]:
@@ -294,8 +298,8 @@ def _partition_rows() -> list[_Row]:
 def run_table(table_id: int, cfg: RunConfig) -> list[TableCell]:
     """Cells of one benchmark table, in the printed row/column order.
 
-    Tables 5, 6 and 10 calibrate each misplacement matrix from DC_REPS
-    simulated judgment sets at cfg.seed; the others use quadrature only.
+    Tables 5, 6 and 10 calibrate their misplacement matrices from one draw of
+    DC_REPS judgment sets per (model, S) at cfg.seed; the others use quadrature only.
     """
     seed = cfg.seed
     builders: dict[int, tp.Callable[[], list[TableCell]]] = {
@@ -325,7 +329,7 @@ def _build_model(cfg: RunConfig) -> Model:
 def _parse_alpha_spec(text: str) -> tuple[str, float | str | None]:
     if text == "perfect":
         return "perfect", None
-    for prefix in _ALPHA_SOURCES:
+    for prefix in ("symmetric", "dellclutter"):
         if text.startswith(prefix + ":"):
             raw = text[len(prefix) + 1 :]
             try:
@@ -340,21 +344,15 @@ def _parse_alpha_spec(text: str) -> tuple[str, float | str | None]:
     )
 
 
-def _alpha_for_design(cfg: RunConfig, model: Model, design: Design) -> MisplacementMatrix | None:
+def _alphas(cfg: RunConfig, model: Model, ud: UnbalancedDesign) -> dict[int, MisplacementMatrix]:
+    """Per-cycle misplacement matrices of --alpha; none under perfect ranking.
+
+    A Dell-Clutter matrix of cycle i is calibrated at --seed + i - 1, so a
+    one-cycle design file gets the matrix of the balanced request.
+    """
     kind, value = _parse_alpha_spec(cfg.alpha)
     if kind == "perfect":
-        return None
-    if kind in _ALPHA_SOURCES:
-        return _ALPHA_SOURCES[kind](model, design, tp.cast(float, value), cfg.seed)
-    return parse_misplacement_csv(tp.cast(str, value))
-
-
-def _alphas_for_unbalanced(
-    cfg: RunConfig, model: Model, ud: UnbalancedDesign
-) -> dict[int, MisplacementMatrix] | None:
-    kind, value = _parse_alpha_spec(cfg.alpha)
-    if kind == "perfect":
-        return None
+        return {}
     if kind == "symmetric":
         return {i: make_symmetric_alpha(ud.n_subsets(i), tp.cast(float, value)) for i in ud.cycle_ids}
     if kind == "dellclutter":
@@ -404,8 +402,8 @@ def _fi_entry_pairs(fi: information.FIResult, names: tp.Sequence[str]) -> list[t
 
 def _rss_report_info(cfg: RunConfig, model: Model, n: int, cycles: int = 1) -> numerics.InfoMatrix:
     """Information of RSS(n) under the run's --alpha, the denominator of the reported re2."""
-    rss = rss_design(n, cycles)
-    return information.fi_pros_marginal(model, rss, _alpha_for_design(cfg, model, rss)).matrix
+    rss = UnbalancedDesign.from_design(rss_design(n, cycles))
+    return information.fi_unbalanced(model, rss, _alphas(cfg, model, rss)).matrix
 
 
 def _run_fisher(cfg: RunConfig) -> str:
@@ -415,8 +413,7 @@ def _run_fisher(cfg: RunConfig) -> str:
         if cfg.design_file is None:
             raise CLIError("unbalanced mode needs --design-file")
         ud = _design_from_file(cfg)
-        alphas = _alphas_for_unbalanced(cfg, model, ud)
-        fi = information.fi_unbalanced(model, ud, alphas, **common)
+        fi = information.fi_unbalanced(model, ud, _alphas(cfg, model, ud), **common)
         count = ud.K * ud.replications
         block_counts = {ud.n_subsets(i) for i in ud.cycle_ids}
         re2 = None
@@ -431,7 +428,8 @@ def _run_fisher(cfg: RunConfig) -> str:
             fi = information.fi_pros_complete(model, n, design.set_size, cfg.cycles, **common)
             re2 = _rel(fi.matrix, information.fi_pros_complete(model, n, n, cfg.cycles).matrix)
         elif cfg.mode == "marginal":
-            fi = information.fi_pros_marginal(model, design, _alpha_for_design(cfg, model, design), **common)
+            alpha = _alphas(cfg, model, UnbalancedDesign.from_design(design)).get(1)
+            fi = information.fi_pros_marginal(model, design, alpha, **common)
             re2 = _rel(fi.matrix, _rss_report_info(cfg, model, n, cfg.cycles))
         else:
             raise CLIError(f"--mode must be complete, marginal, or unbalanced, got {cfg.mode!r}")
@@ -467,13 +465,8 @@ def _run_entropy(cfg: RunConfig) -> str:
 
 def _run_sample(cfg: RunConfig) -> str:
     model = _build_model(cfg)
-    if cfg.design_file is not None:
-        ud = _design_from_file(cfg)
-        alphas = _alphas_for_unbalanced(cfg, model, ud)
-    else:
-        design = _balanced_design(cfg)
-        ud, alphas = UnbalancedDesign.from_design(design), {1: _alpha_for_design(cfg, model, design)}
-    return sampling.sample_to_csv(sampling.draw_unbalanced_pros(model, ud, alphas, cfg.seed))
+    ud = _design_from_file(cfg) if cfg.design_file is not None else UnbalancedDesign.from_design(_balanced_design(cfg))
+    return sampling.sample_to_csv(sampling.draw_unbalanced_pros(model, ud, _alphas(cfg, model, ud), cfg.seed))
 
 
 def run_custom(cfg: RunConfig) -> str:

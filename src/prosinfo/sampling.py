@@ -13,8 +13,8 @@ information estimators and the latent-rank diagnostics consume.
 
 Ranking quality is modeled on the Dell and Clutter concomitant scheme: the
 ranker perceives W = rho * Z + sqrt(1 - rho^2) * eps instead of the
-standardized response Z, and the induced block-confusion probabilities are
-tallied by simulation.
+standardized response Z.  estimate_alphas tallies the induced block confusion
+of every requested partition at every rho from one simulated draw of sets.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import typing as tp
 import numpy as np
 
 from . import densities, numerics
-from .designs import Design, MisplacementMatrix, UnbalancedDesign, identity_alpha
+from .designs import Design, MisplacementMatrix, UnbalancedDesign, _check_partition, identity_alpha
 from .models import Model
 
 
@@ -194,72 +194,76 @@ def _sinkhorn(a: np.ndarray, iterations: int = 100, tol: float = 1e-10) -> np.nd
     return a
 
 
-def estimate_alpha_for_partition(
-    model: Model,
-    set_size: int,
-    blocks: tp.Sequence[tp.Sequence[int]],
-    cfg: DellClutterConfig,
-) -> MisplacementMatrix:
-    """Tally Dell-Clutter block confusion for an arbitrary consecutive partition."""
-    n = len(blocks)
-    if n == 1:
-        return identity_alpha(1)
-    rng = numerics.substream(cfg.seed)
+def estimate_alphas(
+    model: Model, set_size: int, partitions: tp.Sequence[tp.Sequence[tp.Sequence[int]]], rhos: tp.Sequence[float],
+    reps: int, seed: int,
+) -> list[list[MisplacementMatrix]]:
+    """Dell-Clutter matrices out[i][j] of partitions[i] at rhos[j], all tallied from one draw of reps sets at seed.
 
-    block_of = np.empty(set_size, dtype=int)
-    for idx, b in enumerate(blocks):
-        block_of[np.asarray(b) - 1] = idx
+    Every simulated unit contributes one (perceived block, true block) count; the counts are row-normalized,
+    symmetrized with their transpose and projected to doubly stochastic form, and rho = 1 gives the identity.
+    Each rho sorts the perceptions once for every partition, so an entry equals a call with its pair alone.
+
+    :raises DesignError: a partition is not consecutive blocks covering 1..set_size.
+    """
+    for blocks in partitions:
+        _check_partition(set_size, blocks)
+    for rho in rhos:
+        DellClutterConfig(rho, reps, seed)  # refuses rho outside [0, 1] and reps < 1
+    if all(len(blocks) == 1 for blocks in partitions):
+        return [[identity_alpha(1)] * len(rhos) for _ in partitions]
+    rng = numerics.substream(seed)
 
     # each set is standardized by its own sample moments; the per-set scale
     # modulates the effective perception noise and is what reproduces the
     # published efficiency curves (analytic moments run systematically low)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.asarray(model.quantile(rng.random((cfg.reps, set_size))))
+        x = np.asarray(model.quantile(rng.random((reps, set_size))))
         z = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
     if not np.all(np.isfinite(z)):
         raise SamplingError(f"Dell-Clutter ranking: {model.label()} gave a set of non-finite standardized values")
-    if cfg.rho == 1.0:
-        w = z
-    else:
-        w = cfg.rho * z + np.sqrt(1.0 - cfg.rho**2) * rng.standard_normal(x.shape)
-    # true rank within its own set (0-based) of the unit perceived at each rank
+    noise = rng.standard_normal(x.shape) if any(rho < 1.0 for rho in rhos) else None
+    # true rank within its own set (0-based) of each unit
     rank_x = np.empty(x.shape, dtype=np.intp)
     np.put_along_axis(rank_x, np.argsort(x, axis=1), np.arange(set_size), axis=1)
-    true_rank = np.take_along_axis(rank_x, np.argsort(w, axis=1), axis=1)
-    counts = np.bincount((n * block_of + block_of[true_rank]).ravel(), minlength=n * n).reshape(n, n)
-    sizes = np.array([len(b) for b in blocks], dtype=float)
-    a = counts / (cfg.reps * sizes[:, None])
-    a = _sinkhorn((a + a.T) / 2.0)
-    return MisplacementMatrix(a)
+    out: list[list[MisplacementMatrix]] = [[] for _ in partitions]
+    for rho in rhos:
+        w = z if rho == 1.0 else rho * z + np.sqrt(1.0 - rho**2) * noise
+        true_rank = np.take_along_axis(rank_x, np.argsort(w, axis=1), axis=1)
+        # pairs[p, q]: units perceived at rank p whose true rank is q; integers, so block sums are exact
+        pairs = np.bincount((set_size * np.arange(set_size) + true_rank).ravel(), minlength=set_size**2)
+        pairs = pairs.reshape(set_size, set_size)
+        for blocks, row in zip(partitions, out):
+            starts = [block[0] - 1 for block in blocks]
+            counts = np.add.reduceat(np.add.reduceat(pairs, starts, axis=0), starts, axis=1)
+            a = counts / (reps * np.array([len(block) for block in blocks], dtype=float)[:, None])
+            row.append(MisplacementMatrix(_sinkhorn((a + a.T) / 2.0)))
+    return out
+
+
+def estimate_alpha_for_partition(
+    model: Model, set_size: int, blocks: tp.Sequence[tp.Sequence[int]], cfg: DellClutterConfig
+) -> MisplacementMatrix:
+    """Dell-Clutter block confusion of an arbitrary consecutive partition: estimate_alphas of one pair."""
+    return estimate_alphas(model, set_size, [blocks], [cfg.rho], cfg.reps, cfg.seed)[0][0]
 
 
 def estimate_dell_clutter_alpha(
     model: Model, design: Design, cfg: DellClutterConfig
 ) -> MisplacementMatrix:
-    """Misplacement matrix induced by rho-quality ranking on the design's partition.
-
-    Every simulated unit contributes one (perceived block, true block) tally;
-    the count matrix is row-normalized, symmetrized with its transpose, and
-    projected to doubly stochastic form.  rho = 1 returns the exact identity.
-    """
+    """Misplacement matrix induced by rho-quality ranking on the design's partition (see estimate_alphas)."""
     return estimate_alpha_for_partition(model, design.set_size, design.subsets, cfg)
 
 
 def estimate_unbalanced_alphas(
     model: Model, ud: UnbalancedDesign, cfg: DellClutterConfig
 ) -> dict[int, MisplacementMatrix]:
-    """Per-cycle misplacement matrices; sets of a cycle must share their partition."""
+    """Per-cycle misplacement matrices, cycle i calibrated at cfg.seed + i - 1; a cycle's sets share one partition."""
     out: dict[int, MisplacementMatrix] = {}
     for i in ud.cycle_ids:
-        plans = ud.sets_in_cycle(i)
-        first = plans[0].partition
-        for sp in plans[1:]:
-            if sp.partition != first:
-                raise SamplingError(
-                    f"cycle {i} mixes partitions; per-cycle ranking-error estimation "
-                    "needs one shared partition"
-                )
-        out[i] = estimate_alpha_for_partition(
-            model, ud.set_size, first, dataclasses.replace(cfg, seed=cfg.seed + i)
-        )
+        partitions = {sp.partition for sp in ud.sets_in_cycle(i)}
+        if len(partitions) > 1:
+            raise SamplingError(f"cycle {i} mixes partitions; Dell-Clutter calibration needs one per cycle")
+        cycle_cfg = dataclasses.replace(cfg, seed=cfg.seed + i - 1)
+        out[i] = estimate_alpha_for_partition(model, ud.set_size, partitions.pop(), cycle_cfg)
     return out

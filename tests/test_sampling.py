@@ -18,6 +18,7 @@ from prosinfo import (
     draw_srs,
     draw_unbalanced_pros,
     estimate_alpha_for_partition,
+    estimate_alphas,
     estimate_dell_clutter_alpha,
     estimate_unbalanced_alphas,
     family_names,
@@ -386,15 +387,38 @@ def _add_at_alpha(model, set_size, blocks, cfg):
 
 @pytest.mark.parametrize("set_size", (6, 12, 24))
 def test_dell_clutter_tally_matches_the_add_at_tally(set_size):
-    # the counts are integers, so the bincount tally must give the same matrices bit for bit
+    # the counts are integers, so the block sums of one batched draw must give every
+    # (partition, rho) matrix of a call with that pair alone, bit for bit
     model = make_model("logistic")
-    balanced = make_balanced_design(set_size, 3).subsets
-    unbalanced = ((1,), tuple(range(2, set_size)), (set_size,))
-    for blocks in (balanced, unbalanced):
-        for rho in (0.0, 0.5, 0.9, 1.0):
+    partitions = (
+        make_balanced_design(set_size, 3).subsets,
+        ((1,), tuple(range(2, set_size)), (set_size,)),
+        (tuple(range(1, set_size + 1)),),
+    )
+    rhos = (0.9, 0.0, 1.0, 0.5)
+    batched = estimate_alphas(model, set_size, partitions, rhos, 1_500, SEED + set_size)
+    for blocks, row in zip(partitions, batched, strict=True):
+        for rho, got in zip(rhos, row, strict=True):
             cfg = DellClutterConfig(rho, 1_500, SEED + set_size)
-            got = estimate_alpha_for_partition(model, set_size, blocks, cfg).entries
-            assert np.array_equal(got, _add_at_alpha(model, set_size, blocks, cfg))
+            assert np.array_equal(got.entries, _add_at_alpha(model, set_size, blocks, cfg))
+            assert np.array_equal(got.entries, estimate_alpha_for_partition(model, set_size, blocks, cfg).entries)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    (((0, 1, 2), (3, 4, 5)), ((1, 2, 3), (3, 4, 5, 6)), ((1, 2), (4, 5, 6))),
+    ids=("rank-0", "overlapping", "gap"),
+)
+def test_dell_clutter_refuses_blocks_that_do_not_partition_the_ranks(blocks):
+    with pytest.raises(DesignError, match="consecutive rank blocks"):
+        estimate_alpha_for_partition(make_model("normal"), 6, blocks, DellClutterConfig(0.9, 200, SEED))
+
+
+def test_dell_clutter_one_cycle_design_matches_its_balanced_design():
+    # one seeding rule: cycle i of an unbalanced design is calibrated at seed + i - 1
+    model, design, cfg = make_model("exponential"), make_balanced_design(6, 3), DellClutterConfig(0.75, 1_000, SEED)
+    per_cycle = estimate_unbalanced_alphas(model, UnbalancedDesign.from_design(design), cfg)
+    assert np.array_equal(per_cycle[1].entries, estimate_dell_clutter_alpha(model, design, cfg).entries)
 
 
 def test_estimate_unbalanced_alphas_per_cycle():

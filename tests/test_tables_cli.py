@@ -214,6 +214,19 @@ def test_cli_fisher_unbalanced_design_file(tmp_path, capsys):
     assert "re1" in out
 
 
+def test_cli_one_cycle_design_file_matches_the_balanced_request(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1;1-3|4-6;1\n1;1-3|4-6;2\n")
+    common = ["fisher", "--family", "normal", "--alpha", "dellclutter:0.9", "--seed", "5"]
+    reports = []
+    for design in (["--design-file", str(plan)], ["--set-size", "6", "--subsets", "2"]):
+        assert main(common + design) == 0
+        lines = capsys.readouterr().out.splitlines()
+        reports.append([line for line in lines if line.startswith(("fi[", "det ", "re1 ", "re2 "))])
+    assert len(reports[0]) == 6
+    assert reports[0] == reports[1]
+
+
 def test_cli_entropy_uniform(capsys):
     rc = main(["entropy", "--family", "uniform", "--measure", "shannon", "--kind", "pros",
                "--subsets", "2", "--set-size", "2"])
