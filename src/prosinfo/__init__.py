@@ -15,7 +15,6 @@ from .numerics import (
     MCEstimate,
     NumericsError,
     QuadratureNonConvergence,
-    QuadratureSpec,
     det_small,
     integrate,
     integrate_expectation,
@@ -45,13 +44,9 @@ from .densities import (
     DensityError,
     bernstein_series,
     block_weight,
-    g_factor,
-    imperfect_subset_pdf,
+    density,
     latent_conditional,
-    order_stat_pdf,
     rank_coefficients,
-    subset_pdf,
-    unbalanced_subset_pdf,
     unbalanced_weight,
 )
 from .sampling import (

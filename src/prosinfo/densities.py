@@ -12,9 +12,10 @@ Every such weight is one row of rank coefficients, w = sum_u c_u b_u
 (rank_coefficients), and bernstein_series evaluates any stack of rows with its
 first two t-derivatives on the quantile domain t in [0,1], where the weights
 are distribution-free, from the bases t^j (1-t)^(m-j): one table of powers per
-block of points, or per quadrature node set, whose bases are kept.  Every factor
-lies in [0, 1], so nothing overflows and a weight below the double range
-underflows to 0.  The *_pdf operations are thin compositions of one row with a
+block of points, or per quadrature node set, whose bases are kept; the node sets
+are fixed at import, as the levels and tolerances of numerics.integrate are
+constants.  Every factor lies in [0, 1], so nothing overflows and a weight
+below the double range underflows to 0.  density composes one row with a
 model's f and F.
 """
 
@@ -121,44 +122,15 @@ def _weight(coef: np.ndarray, t: FloatArray) -> FloatArray:
 # -- model-facing densities --------------------------------------------------
 
 
-def _density(model: Model, coef: np.ndarray, x: FloatArray) -> FloatArray:
-    """f(x) w(F(x)) of one coefficient row; a scalar x gives a float."""
+def density(model: Model, coef: np.ndarray, x: FloatArray) -> FloatArray:
+    """f(x) w(F(x)) of one coefficient row; a scalar x gives a float.
+
+    The row rank_coefficients(S, ((u,),), [1.0]) gives the density of the u-th
+    order statistic, rank_coefficients(S, (block,), [1.0]) that of a unit judged
+    perfectly into block, and rank_coefficients(S, partition, alpha_row) that of
+    a unit judged under misplacement.
+    """
     return model.pdf(x) * _weight(coef, model.cdf(x))
-
-
-def order_stat_pdf(model: Model, u: int, set_size: int, x: FloatArray) -> FloatArray:
-    """Density of the u-th order statistic of a size-S sample from the model.
-
-    :raises DensityError: rank outside 1..set_size.
-    """
-    return _density(model, rank_coefficients(set_size, ((u,),), [1.0]), x)
-
-
-def subset_pdf(model: Model, design: Design, r: int, x: FloatArray) -> FloatArray:
-    """Marginal density of a measurement judged (perfectly) into subset r.
-
-    Equal to the average of the order-statistic densities with ranks in d_r.
-    """
-    return _density(model, rank_coefficients(design.set_size, (design.subset(r),), [1.0]), x)
-
-
-def g_factor(
-    model: Model, design: Design, alpha: MisplacementMatrix, r: int, x: FloatArray
-) -> FloatArray:
-    """Density tilt g_r(x) with f_[d_r] = f * g_r under misplacement alpha.
-
-    :raises DesignError: alpha dimension differs from the number of subsets.
-    """
-    ud = UnbalancedDesign.from_design(design)
-    return _weight(_unbalanced_coefficients(ud, 1, r, alpha), model.cdf(x))
-
-
-def imperfect_subset_pdf(
-    model: Model, design: Design, alpha: MisplacementMatrix, r: int, x: FloatArray
-) -> FloatArray:
-    """f_[d_r](x) = f(x) g_r(x): marginal density of a unit judged into subset r."""
-    ud = UnbalancedDesign.from_design(design)
-    return _density(model, _unbalanced_coefficients(ud, 1, r, alpha), x)
 
 
 def _unbalanced_coefficients(ud: UnbalancedDesign, i: int, r: int, alpha_i: MisplacementMatrix) -> np.ndarray:
@@ -178,18 +150,6 @@ def unbalanced_weight(
     (S/m_h)-weighted block densities of the same set's partition.
     """
     return _weight(_unbalanced_coefficients(ud, i, r, alpha_i), t)
-
-
-def unbalanced_subset_pdf(
-    model: Model,
-    ud: UnbalancedDesign,
-    r: int,
-    i: int,
-    alpha_i: MisplacementMatrix,
-    x: FloatArray,
-) -> FloatArray:
-    """Marginal density of the measurement from set r of cycle i under alpha_i."""
-    return _density(model, _unbalanced_coefficients(ud, i, r, alpha_i), x)
 
 
 def latent_conditional(model: Model, design: Design, r: int, x: float) -> np.ndarray:

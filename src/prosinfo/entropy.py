@@ -11,10 +11,12 @@ each of the S ranks of an RSS with set size S.
 * Renyi entropy runs on the x-scale, ∫ f(x)^α w(F(x))^α dx over the support,
   split at the median.  On the quantile scale t cannot resolve the upper tail
   beyond 1 - 1.1e-16, where f^α still holds mass of order 1 at small α such
-  as 0.03.  Above the median w is evaluated from the survival function
-  s = 1 - F(x), as b_u(t) = b_{S+1-u}(1-t), so it keeps its precision where
-  F(x) rounds to 1.  An order whose integral does not converge raises
-  numerics.NumericsError instead of returning a truncated value.
+  as 0.03.  The integral runs over y = x / s, with s the interquartile range,
+  so the nodes resolve a parent of any scale; being a pure scaling, it keeps
+  the relative precision of a limit at 0.  Above the median w is evaluated
+  from the survival function 1 - F(x), as b_u(t) = b_{S+1-u}(1-t), so it keeps
+  its precision where F(x) rounds to 1.  An order whose integral does not
+  converge raises numerics.NumericsError instead of returning a truncated value.
 
 Entropies are reported in nats.  Subsetting is assumed perfect here.
 """
@@ -22,6 +24,7 @@ Entropies are reported in nats.  Subsetting is assumed perfect here.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as tp
 
 import numpy as np
@@ -29,7 +32,6 @@ import numpy as np
 from . import numerics
 from .densities import bernstein_series, rank_coefficients
 from .designs import Design, make_balanced_design
-from .numerics import QuadratureSpec
 from .models import Model, _xlogx
 
 __all__ = [
@@ -93,7 +95,7 @@ def _resolve(kind: str, n: int, set_size: int | None) -> tuple[int, tuple[tuple[
 
 def _coefficients(set_size: int, blocks: tp.Sequence[tp.Sequence[int]]) -> np.ndarray:
     """One row of Bernstein coefficients per block, so that w_r(t) = (S/m_r) sum_{u in block} b_u(t)."""
-    return np.array([rank_coefficients(set_size, (ranks,), [1.0]) for ranks in blocks])
+    return rank_coefficients(set_size, blocks, np.eye(len(blocks)))
 
 
 def _report_coefficients(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> np.ndarray:
@@ -102,11 +104,9 @@ def _report_coefficients(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) 
     return _coefficients(set_size, (every,) + tuple(subsets) + tuple((v,) for v in every))
 
 
-def _quantile_integrals(
-    coef: np.ndarray, term: tp.Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec | None
-) -> np.ndarray:
+def _quantile_integrals(coef: np.ndarray, term: tp.Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """∫ term(t, w(t)) dt over the quantile domain (0, 1), one value per weight row w."""
-    return numerics.integrate(lambda t: term(t, bernstein_series(coef, t)[0]), 0.0, 1.0, spec)
+    return numerics.integrate(lambda t: term(t, bernstein_series(coef, t)[0]), 0.0, 1.0)
 
 
 def _label(kind: str, n: int, set_size: int) -> str:
@@ -138,7 +138,6 @@ def shannon(
     kind: str = "pros",
     n: int = 1,
     set_size: int | None = None,
-    spec: QuadratureSpec | None = None,
 ) -> EntropyReport:
     """Shannon entropy of an SRS/RSS/PROS sample of n measurements.
 
@@ -151,7 +150,7 @@ def shannon(
     def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
         return -(w * model.logpdf(model.quantile(t)) + _xlogx(w))
 
-    values = _quantile_integrals(_report_coefficients(set_size, subsets), term, spec)
+    values = _quantile_integrals(_report_coefficients(set_size, subsets), term)
     return _report(model, kind, n, set_size, values)
 
 
@@ -161,17 +160,18 @@ def renyi(
     kind: str = "pros",
     n: int = 1,
     set_size: int | None = None,
-    spec: QuadratureSpec | None = None,
 ) -> EntropyReport:
     """Renyi entropy of order alpha; only 0 < alpha < 1 is defined here.
 
     Each block contributes (1/(1-α))·log ∫ f(x)^α w_r(F(x))^α dx, on the
     x-scale: t = F(x) rounds to 1 in the upper tail, whose share of f^α grows
-    as α falls.  Orders above 1 are outside the supported range for subset
-    densities and are rejected.
+    as α falls.  It is s ∫ f(sy)^α w_r(F(sy))^α dy with s the interquartile
+    range, so the result is scale-equivariant at any scale.  Orders above 1
+    are outside the supported range for subset densities and are rejected.
 
     :raises numerics.NumericsError: the integral did not converge, as happens
         at very small orders on an unbounded support.
+    :raises EntropyError: the quartiles round to one x, or lie farther apart than the largest double.
     """
     if not 0.0 < alpha < 1.0:
         raise EntropyError(
@@ -180,19 +180,24 @@ def renyi(
     set_size, subsets = _resolve(kind, n, set_size)
     coef = _report_coefficients(set_size, subsets)
     lo, hi = model.support()
-    median = float(model.quantile(0.5))
+    s = float(model.quantile(0.75)) - float(model.quantile(0.25))
+    if not 0.0 < s < math.inf:
+        raise EntropyError(f"the quartiles of {model.label()} do not span a positive finite width in double precision")
+    median = float(model.quantile(0.5)) / s
 
-    def below(x: np.ndarray) -> np.ndarray:
+    def below(y: np.ndarray) -> np.ndarray:
+        x = s * y
         return model.pdf(x) ** alpha * bernstein_series(coef, model.cdf(x))[0] ** alpha
 
-    def above(x: np.ndarray) -> np.ndarray:
+    def above(y: np.ndarray) -> np.ndarray:
+        x = s * y
         return model.pdf(x) ** alpha * bernstein_series(coef[:, ::-1], model.sf(x))[0] ** alpha
 
-    mass = numerics.integrate(below, lo, median, spec) + numerics.integrate(above, median, hi, spec)
+    mass = s * (numerics.integrate(below, lo / s, median) + numerics.integrate(above, median, hi / s))
     return _report(model, kind, n, set_size, np.log(mass) / (1.0 - alpha))
 
 
-def kl_pros_srs(model: Model, design: Design, spec: QuadratureSpec | None = None) -> float:
+def kl_pros_srs(model: Model, design: Design) -> float:
     """KL information K(L_pros, L_srs) = Σ_r ∫ w_r(t)·log w_r(t) dt.
 
     The parent density cancels from the log ratio, so the value depends on
@@ -201,14 +206,13 @@ def kl_pros_srs(model: Model, design: Design, spec: QuadratureSpec | None = None
     if not design.is_balanced:
         raise EntropyError("KL information is defined here for balanced designs")
     coef = _coefficients(design.set_size, design.subsets)
-    return float(np.sum(_quantile_integrals(coef, lambda t, w: _xlogx(w), spec)))
+    return float(np.sum(_quantile_integrals(coef, lambda t, w: _xlogx(w))))
 
 
 def kl_likelihood_chain(
     model: Model,
     design: Design,
     shift: float = 0.5,
-    spec: QuadratureSpec | None = None,
 ) -> tuple[float, float, float]:
     """KL of SRS/PROS/RSS* likelihoods against a shifted parent density.
 
@@ -233,5 +237,5 @@ def kl_likelihood_chain(
         x = model.quantile(t)
         return _xlogx(w) + w * (model.logpdf(x) - model.logpdf(x + delta))
 
-    k = _quantile_integrals(_report_coefficients(S, design.subsets), term, spec)
+    k = _quantile_integrals(_report_coefficients(S, design.subsets), term)
     return float(n * k[0]), float(np.sum(k[1 : n + 1])), float(np.sum(k[n + 1 :]) / design.m)

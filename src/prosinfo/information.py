@@ -79,29 +79,25 @@ def _entries(obj: tp.Any) -> np.ndarray:
 # -- quadrature route ----------------------------------------------------------
 
 
-def fisher_srs(model: Model, count: int, spec: numerics.QuadratureSpec | None = None) -> numerics.InfoMatrix:
+def fisher_srs(model: Model, count: int) -> numerics.InfoMatrix:
     """Information of `count` i.i.d. observations."""
     if count < 1:
         raise InformationError(f"count must be >= 1, got {count}")
-    return numerics.InfoMatrix(unit_entries(model, spec) * count)
+    return numerics.InfoMatrix(unit_entries(model) * count)
 
 
-def k_matrix(
-    model: Model, n: int, set_size: int, spec: numerics.QuadratureSpec | None = None
-) -> numerics.InfoMatrix:
+def k_matrix(model: Model, n: int, set_size: int) -> numerics.InfoMatrix:
     """Information gain n (S-1) E[(dF)(dF)^T / (F(1-F))] of one perfect PROS cycle over n i.i.d. observations."""
     require_fi_regular(model)
     if set_size < 1 or n < 1:
         raise InformationError("n and set_size must be >= 1")
     if set_size == 1:
         return numerics.InfoMatrix(np.zeros((model.p, model.p)))
-    gain = score_information(model, lambda u: (None, 1.0, (1.0 / (u * (1.0 - u)))[None]), spec)
+    gain = score_information(model, lambda u: (None, 1.0, (1.0 / (u * (1.0 - u)))[None]))
     return numerics.InfoMatrix(n * (set_size - 1) * gain)
 
 
-def h_matrix(
-    model: Model, n: int, set_size: int, spec: numerics.QuadratureSpec | None = None
-) -> numerics.InfoMatrix:
+def h_matrix(model: Model, n: int, set_size: int) -> numerics.InfoMatrix:
     """Information gain of one PROS cycle over one RSS cycle with n measurements.
 
     Equals k_matrix scaled by (S-n)/(S-1); zero when S = n.
@@ -111,7 +107,7 @@ def h_matrix(
     p = model.p
     if set_size == n:
         return numerics.InfoMatrix(np.zeros((p, p)))
-    return numerics.InfoMatrix(k_matrix(model, n, set_size, spec).entries * ((set_size - n) / (set_size - 1)))
+    return numerics.InfoMatrix(k_matrix(model, n, set_size).entries * ((set_size - n) / (set_size - 1)))
 
 
 def fi_pros_complete(
@@ -123,7 +119,6 @@ def fi_pros_complete(
     reps: int = DEFAULT_REPS,
     seed: int = numerics.DEFAULT_SEED,
     workers: int = 1,
-    spec: numerics.QuadratureSpec | None = None,
 ) -> FIResult:
     """Complete-data information of PROS(n, S) with N cycles: N (n I_srs + K).
 
@@ -136,7 +131,7 @@ def fi_pros_complete(
         raise InformationError(f"cycles must be >= 1, got {cycles}")
     label = f"PROS(n={n}, S={set_size}, N={cycles}) complete"
     if method == "quadrature":
-        per_cycle = unit_entries(model, spec) * n + k_matrix(model, n, set_size, spec).entries
+        per_cycle = unit_entries(model) * n + k_matrix(model, n, set_size).entries
         return _quadrature_fi(model, per_cycle * cycles, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
@@ -156,7 +151,6 @@ def fi_pros_marginal(
     reps: int = DEFAULT_REPS,
     seed: int = numerics.DEFAULT_SEED,
     workers: int = 1,
-    spec: numerics.QuadratureSpec | None = None,
 ) -> FIResult:
     """Measurements-only information of a balanced design under misplacement alpha.
 
@@ -168,7 +162,7 @@ def fi_pros_marginal(
     require_fi_regular(model)
     if not design.is_balanced:
         raise InformationError("design is unbalanced; use fi_unbalanced")
-    fi = fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}, method, reps, seed, workers, spec)
+    fi = fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}, method, reps, seed, workers)
     return dataclasses.replace(fi, design_label=f"{design.label()} marginal")
 
 
@@ -180,7 +174,6 @@ def fi_unbalanced(
     reps: int = DEFAULT_REPS,
     seed: int = numerics.DEFAULT_SEED,
     workers: int = 1,
-    spec: numerics.QuadratureSpec | None = None,
 ) -> FIResult:
     """Measurements-only information of an unbalanced design.
 
@@ -202,7 +195,7 @@ def fi_unbalanced(
             g, gd, _ = densities.bernstein_series(coefs, u)
             return 1.0, gd / g, g
 
-        total = score_information(model, set_coefficients, spec)
+        total = score_information(model, set_coefficients)
         return _quadrature_fi(model, total * ud.replications, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
@@ -269,7 +262,6 @@ def regression_fi(
     covariates: tp.Sequence[float],
     n: int,
     set_size: int,
-    spec: numerics.QuadratureSpec | None = None,
 ) -> tuple[numerics.InfoMatrix, numerics.InfoMatrix]:
     """SRS information and rank-design gain for straight-line regression.
 
@@ -294,12 +286,12 @@ def regression_fi(
     if np.max(np.abs(np.asarray(std.pdf(zs)) - np.asarray(std.pdf(-zs)))) > 1e-10:
         raise InformationError(f"noise family {noise_model.family!r} is not symmetric about 0")
 
-    unit = std.fisher_srs_unit(spec)
+    unit = std.fisher_srs_unit()
     a_const = float(unit[0, 0])
     b_const = float(unit[1, 1])
 
     # C = int f^2/u and D = int z^2 f^2/u are the diagonal of the kernel with v = dF = -(f, z f), w = 1/u
-    cd = score_information(std, lambda u: (None, 1.0, (1.0 / u)[None]), spec)
+    cd = score_information(std, lambda u: (None, 1.0, (1.0 / u)[None]))
     c_const, d_const = float(cd[0, 0]), float(cd[1, 1])
 
     sigma = noise_model.value("sigma")
@@ -328,7 +320,6 @@ def verify_lemma_identity(
     reps: int = DEFAULT_REPS,
     seed: int = numerics.DEFAULT_SEED,
     workers: int = 1,
-    spec: numerics.QuadratureSpec | None = None,
 ) -> LemmaCheck:
     """Estimate E[sum_r phi_{u_r}(lambda) G(Y_r) / (lambda + (1-2 lambda) F(Y_r))].
 
@@ -341,7 +332,7 @@ def verify_lemma_identity(
     def g_of_quantile(u: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.asarray(G(model.quantile(u)), dtype=float), u.shape)[None]
 
-    reference = n * (S - 1) * float(numerics.integrate(g_of_quantile, 0.0, 1.0, spec)[0])
+    reference = n * (S - 1) * float(numerics.integrate(g_of_quantile, 0.0, 1.0)[0])
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         t0 = np.zeros(count)

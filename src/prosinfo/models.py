@@ -219,8 +219,8 @@ class Model:
     def std(self) -> float:
         return math.sqrt(self.var())
 
-    def fisher_srs_unit(self, spec: numerics.QuadratureSpec | None = None) -> numerics.InfoMatrix:
-        return fisher_srs_unit(self, spec)
+    def fisher_srs_unit(self) -> numerics.InfoMatrix:
+        return fisher_srs_unit(self)
 
 
 def make_model(family: str, active: tp.Sequence[str] | None = None, **params: float) -> Model:
@@ -244,28 +244,30 @@ def require_fi_regular(model: Model) -> None:
         )
 
 
-def fisher_srs_unit(model: Model, spec: numerics.QuadratureSpec | None = None) -> numerics.InfoMatrix:
+def fisher_srs_unit(model: Model) -> numerics.InfoMatrix:
     """Per-observation Fisher information over the active parameters (see unit_entries)."""
-    return numerics.InfoMatrix(unit_entries(model, spec))
+    return numerics.InfoMatrix(unit_entries(model))
 
 
-def unit_entries(model: Model, spec: numerics.QuadratureSpec | None = None) -> np.ndarray:
+def unit_entries(model: Model) -> np.ndarray:
     """The entries of fisher_srs_unit: closed forms but for exp_mixture's, the kernel with v = d log f, w = 1.
 
-    :raises ModelError: the family has no regular Fisher information (uniform).
+    :raises ModelError: the family has no regular Fisher information (uniform),
+        or its closed form lies outside the double range (a scale whose square overflows or underflows).
     :raises numerics.NumericsError: the quadrature failed to converge.
     """
     require_fi_regular(model)
-    closed = _family(model.family).fisher_unit(model._ctx())
+    with np.errstate(divide="ignore", over="ignore"):
+        closed = _family(model.family).fisher_unit(model._ctx())
     if closed is not None:
+        if not np.isfinite(closed).all():
+            raise ModelError(f"the Fisher information of {model.label()} lies outside the double range")
         idx = [model.param_names.index(n) for n in model.active]
         return np.asarray(closed)[np.ix_(idx, idx)]
-    return score_information(model, lambda u: (1.0, None, np.ones((1, u.size))), spec)
+    return score_information(model, lambda u: (1.0, None, np.ones((1, u.size))))
 
 
-def score_information(
-    model: Model, coefficients: tp.Callable[[np.ndarray], tuple], spec: numerics.QuadratureSpec | None = None
-) -> np.ndarray:
+def score_information(model: Model, coefficients: tp.Callable[[np.ndarray], tuple]) -> np.ndarray:
     """The information kernel int_0^1 sum_b w_b v_b v_b^T du, v_b = alpha_b d log f + beta_b dF at F^{-1}(u).
 
     coefficients maps u to (alpha, beta, w), each broadcastable to (k, len(u)),
@@ -278,7 +280,7 @@ def score_information(
         v = [np.asarray(c)[..., None] * d for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
         return sum(v[1:], v[0]), w
 
-    return numerics.integrate_gram(terms, model.p, spec)
+    return numerics.integrate_gram(terms, model.p)
 
 
 # -- special functions in numpy: importing scipy.special takes about 0.3 s ------
@@ -404,6 +406,11 @@ def _columns(partials: dict, keys: tp.Sequence, shape: tuple[int, ...]) -> np.nd
     return out
 
 
+def _sq(v: float) -> float:
+    """v * v: a Python float overflows to inf here, where v ** 2 raises OverflowError."""
+    return v * v
+
+
 def _require_positive(ctx: dict[str, float], *names: str) -> None:
     for n in names:
         if not ctx[n] > 0.0:
@@ -445,7 +452,7 @@ class _Standard:
         """(loc, loc), (loc, s), (s, s), or (s, s) alone without loc.  The Hessian of log f(x) + log w(F(x))
         is (P v_i v_j + Q u_ij + [i = j = s]) / s^2, with v of partials, u_ij = s^2 d^2 z / dtheta_i dtheta_j
         = 0, 1, 2z in those entries, P = psi' + a psi f0 + b f0^2 and Q = psi + a f0."""
-        s2 = c[self.scale] * c[self.scale]  # a Python float overflows to inf here, where ** would raise
+        s2 = _sq(c[self.scale])
         z = self.z(c, x)
         f0, psi = self.pdf(c, z), self.psi(c, z)
         q = psi + a * f0
@@ -620,7 +627,7 @@ def _gamma_partials(c, x):
 def _gamma_neg_hessian(c, x, a, b):
     # the location-free (s, s) entry -(P z^2 + 2 Q z + 1) / s^2 with the closed forms above
     k, z, zf0 = _gamma_terms(c, x)
-    return (-(k - 2.0 * z + a * zf0 * (k + 1.0 - z) + b * zf0 * zf0) / (c["sigma"] * c["sigma"]),)
+    return (-(k - 2.0 * z + a * zf0 * (k + 1.0 - z) + b * zf0 * zf0) / _sq(c["sigma"]),)
 
 
 _FAMILIES: dict[str, _Family] = {
@@ -635,8 +642,8 @@ _FAMILIES: dict[str, _Family] = {
             dpsi=lambda c, z: -1.0,
         ),
         mean=lambda c: c["mu"],
-        var=lambda c: c["sigma"] ** 2,
-        fisher_unit=lambda c: np.diag([1.0, 2.0]) / c["sigma"] ** 2,
+        var=lambda c: _sq(c["sigma"]),
+        fisher_unit=lambda c: np.diag([1.0, 2.0]) / _sq(c["sigma"]),
     ),
     "exponential": _location_scale(
         _Standard(
@@ -649,8 +656,8 @@ _FAMILIES: dict[str, _Family] = {
             dpsi=lambda c, z: 0.0,
         ),
         mean=lambda c: c["sigma"],
-        var=lambda c: c["sigma"] ** 2,
-        fisher_unit=lambda c: np.array([[1.0 / c["sigma"] ** 2]]),
+        var=lambda c: _sq(c["sigma"]),
+        fisher_unit=lambda c: np.array([[1.0]]) / _sq(c["sigma"]),
     ),
     "logistic": _location_scale(
         _Standard(
@@ -663,8 +670,8 @@ _FAMILIES: dict[str, _Family] = {
             dpsi=lambda c, z: -2.0 * _logistic_pdf0(c, z),
         ),
         mean=lambda c: c["mu"],
-        var=lambda c: (math.pi * c["sigma"]) ** 2 / 3.0,
-        fisher_unit=lambda c: np.diag([1.0 / 3.0, (math.pi**2 + 3.0) / 9.0]) / c["sigma"] ** 2,
+        var=lambda c: _sq(math.pi * c["sigma"]) / 3.0,
+        fisher_unit=lambda c: np.diag([1.0 / 3.0, (math.pi**2 + 3.0) / 9.0]) / _sq(c["sigma"]),
     ),
     "extreme_value": _location_scale(
         _Standard(
@@ -677,11 +684,11 @@ _FAMILIES: dict[str, _Family] = {
             dpsi=lambda c, z: -np.exp(z),
         ),
         mean=lambda c: c["mu"] - _EULER_GAMMA * c["sigma"],
-        var=lambda c: (math.pi * c["sigma"]) ** 2 / 6.0,
+        var=lambda c: _sq(math.pi * c["sigma"]) / 6.0,
         fisher_unit=lambda c: np.array(
             [[1.0, 1.0 - _EULER_GAMMA], [1.0 - _EULER_GAMMA, (1.0 - _EULER_GAMMA) ** 2 + math.pi**2 / 6.0]]
         )
-        / c["sigma"] ** 2,
+        / _sq(c["sigma"]),
     ),
     "gamma": _location_scale(
         _Standard(
@@ -698,13 +705,9 @@ _FAMILIES: dict[str, _Family] = {
         never_active=("shape",),
         validate=lambda c: _validate_gamma(c),
         mean=lambda c: c["shape"] * c["sigma"],
-        var=lambda c: c["shape"] * c["sigma"] ** 2,
-        fisher_unit=lambda c: np.array(
-            [
-                [float(_scipy_special().polygamma(1, c["shape"])), 1.0 / c["sigma"]],
-                [1.0 / c["sigma"], c["shape"] / c["sigma"] ** 2],
-            ]
-        ),
+        var=lambda c: c["shape"] * _sq(c["sigma"]),
+        fisher_unit=lambda c: np.array([[float(_scipy_special().polygamma(1, c["shape"])), 1.0], [1.0, c["shape"]]])
+        / np.array([[1.0, c["sigma"]], [c["sigma"], _sq(c["sigma"])]]),
     ),
     "uniform": _location_scale(
         _Standard(
@@ -719,7 +722,7 @@ _FAMILIES: dict[str, _Family] = {
         default_active=("loc",),
         support=lambda c: (c["loc"], c["loc"] + c["scale"]),
         mean=lambda c: c["loc"] + c["scale"] / 2.0,
-        var=lambda c: c["scale"] ** 2 / 12.0,
+        var=lambda c: _sq(c["scale"]) / 12.0,
         fisher_unit=lambda c: None,
     ),
     "exp_mixture": _Family(

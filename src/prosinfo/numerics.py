@@ -5,9 +5,10 @@ goes through integrate, one vectorised tanh-sinh pass (Takahasi & Mori, 1974)
 over finite or infinite limits that integrates all rows of a vector integrand
 together.  Its level loop runs in numpy over node tables built once at import
 (the scheme of Bailey, Jeyabalan & Li, 2005): it sums levels 0..MIN_LEVEL = 4,
-adds one level of new nodes per step, and stops when successive levels agree,
-or raises at MAX_LEVEL = 10; its first stop test, at level MIN_LEVEL + 1, costs
-one integrand call.  Expectations are evaluated on the quantile scale, over the
+adds one level of new nodes per step, and stops when successive levels agree
+to within the constant tolerances RTOL = 1e-8 and ATOL = 1e-12, or raises at
+MAX_LEVEL = 10; its first stop test, at level MIN_LEVEL + 1, costs one
+integrand call.  Expectations are evaluated on the quantile scale, over the
 open interval (0, 1), so endpoint-singular integrands such as 1/(F(1-F)) become
 1/(u(1-u)); integrate_gram integrates weighted outer products on it.  Over
 (0, 1) every integrand call gets one of a few node arrays built at import, so
@@ -39,6 +40,11 @@ CHUNK_SIZE = 4096
 # keeps two coarse grids that both miss a sharp peak from agreeing.
 MIN_LEVEL = 4
 MAX_LEVEL = 10
+# Relative and absolute tolerances on the change between successive levels,
+# shared by every row of one integrate pass.  Results depend on these values,
+# so they are constants, not knobs.
+RTOL = 1e-8
+ATOL = 1e-12
 
 
 class NumericsError(Exception):
@@ -89,26 +95,6 @@ def from_triu(p: int, tri: np.ndarray) -> np.ndarray:
     out = np.zeros((p, p))
     out[rows, cols] = out[cols, rows] = tri
     return out
-
-
-@dataclasses.dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances of the tanh-sinh rule in integrate.
-
-    The rule's levels run from the constant MIN_LEVEL to the constant MAX_LEVEL;
-    quantile-domain integrals run over the open interval (0, 1).
-
-    :param rtol: Relative tolerance on the change between successive levels,
-        shared by every row of one integrate pass.
-    :param atol: Absolute tolerance on that change.
-    """
-
-    rtol: float = 1e-8
-    atol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("quadrature tolerances must be positive")
 
 
 class InfoMatrix:
@@ -287,7 +273,6 @@ def integrate(
     fn: tp.Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    spec: QuadratureSpec | None = None,
 ) -> np.ndarray:
     """The integrals over (a, b) of every row of fn; either limit may be infinite.
 
@@ -295,7 +280,7 @@ def integrate(
     holds nodes built at import.  One tanh-sinh pass integrates every row: it
     sums all nodes of levels 0..MIN_LEVEL, then each later level L halves the
     previous sum and adds its new nodes, and stops when no row moved from the
-    previous level by more than max(atol, rtol * max |integral|).  No test can
+    previous level by more than max(ATOL, RTOL * max |integral|).  No test can
     pass before level MIN_LEVEL + 1, so fn gets the nodes of levels
     0..MIN_LEVEL + 1 in one call, in level order, and each later level's in one
     more.  The tolerance is shared because a row that is zero by symmetry never
@@ -306,7 +291,6 @@ def integrate(
     :raises IntegrandEvaluationError: fn returned a non-finite value at a node of positive weight,
         the first one in level order.
     """
-    spec = spec or QuadratureSpec()
     sign = 1.0
     if b < a:
         a, b, sign = b, a, -1.0
@@ -328,26 +312,22 @@ def integrate(
             if previous is not None:
                 total += previous / 2
                 change = float(np.abs(total - previous).max())
-                if change <= max(spec.atol, spec.rtol * float(np.abs(total).max())):
+                if change <= max(ATOL, RTOL * float(np.abs(total).max())):
                     return sign * total
             previous = total
     raise QuadratureNonConvergence("quadrature did not converge", float(np.max(np.abs(previous))), change)
 
 
-def integrate_unit_interval(fn: tp.Callable[[float], float], spec: QuadratureSpec | None = None) -> float:
+def integrate_unit_interval(fn: tp.Callable[[float], float]) -> float:
     """Integrate the scalar function fn over the open unit interval (0, 1)."""
 
     def row(u: np.ndarray) -> list[list[float]]:
         return [[fn(float(v)) for v in u]]
 
-    return float(integrate(row, 0.0, 1.0, spec)[0])
+    return float(integrate(row, 0.0, 1.0)[0])
 
 
-def integrate_gram(
-    fn: tp.Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    p: int,
-    spec: QuadratureSpec | None = None,
-) -> np.ndarray:
+def integrate_gram(fn: tp.Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], p: int) -> np.ndarray:
     """The p x p matrix int sum_b w_b(u) v_b(u) v_b(u)^T du over the open interval (0, 1).
 
     fn maps a 1-d array u to (v, w), broadcastable to shapes (k, len(u), p) and
@@ -365,21 +345,17 @@ def integrate_gram(
         terms = np.where(w[..., None] > 0.0, w[..., None] * v[..., rows] * v[..., cols], 0.0)
         return terms.sum(axis=0).T
 
-    return from_triu(p, integrate(entries, 0.0, 1.0, spec))
+    return from_triu(p, integrate(entries, 0.0, 1.0))
 
 
-def integrate_expectation(
-    model: tp.Any,
-    integrand: tp.Callable[[float], float],
-    spec: QuadratureSpec | None = None,
-) -> float:
+def integrate_expectation(model: tp.Any, integrand: tp.Callable[[float], float]) -> float:
     """E[integrand(X)] for X ~ model, as the quantile-domain integral of integrand(F^{-1}(u)).
 
     The u-substitution makes endpoint singularities of terms like 1/(F(1-F))
     explicit as 1/(u(1-u)) and keeps all evaluation points inside the open
     support.
     """
-    return integrate_unit_interval(lambda u: integrand(float(model.quantile(u))), spec)
+    return integrate_unit_interval(lambda u: integrand(float(model.quantile(u))))
 
 
 def det_small(m: tp.Any) -> float:

@@ -15,24 +15,40 @@ from prosinfo import (
     UnbalancedDesign,
     bernstein_series,
     block_weight,
+    density,
     family_names,
-    g_factor,
     identity_alpha,
-    imperfect_subset_pdf,
     integrate_unit_interval,
     latent_conditional,
     make_balanced_design,
     make_model,
     make_symmetric_alpha,
-    order_stat_pdf,
     rank_coefficients,
-    subset_pdf,
-    unbalanced_subset_pdf,
     unbalanced_weight,
     uniform_alpha,
 )
 
 T_GRID = np.linspace(0.02, 0.98, 25)
+
+
+def _order_stat_pdf(model, u, S, x):
+    """Density of the u-th order statistic of a size-S sample."""
+    return density(model, rank_coefficients(S, ((u,),), [1.0]), x)
+
+
+def _subset_pdf(model, design, r, x):
+    """Density of a unit judged perfectly into subset r."""
+    return density(model, rank_coefficients(design.set_size, (design.subset(r),), [1.0]), x)
+
+
+def _imperfect_coefficients(design, alpha, r):
+    """Coefficients of the weight of a unit judged into subset r under misplacement alpha."""
+    return rank_coefficients(design.set_size, design.subsets, alpha.row(r))
+
+
+def _g_factor(model, design, alpha, r, x):
+    """Density tilt g_r(x) = w_r(F(x)) with f_[d_r] = f g_r under misplacement alpha."""
+    return bernstein_series(_imperfect_coefficients(design, alpha, r), model.cdf(x))[0]
 
 
 def _basis(S, u, t):
@@ -77,7 +93,7 @@ def test_bernstein_rank_bounds():
     with pytest.raises(DensityError):
         block_weight(6, (0, 1), 0.5)
     with pytest.raises(DensityError):
-        order_stat_pdf(make_model("normal"), 0, 3, 0.5)
+        _order_stat_pdf(make_model("normal"), 0, 3, 0.5)
 
 
 def test_bernstein_many_matches_scalar_elementwise():
@@ -114,13 +130,13 @@ def test_block_weight_normalizes():
 
 def test_order_stat_pdf_values():
     uniform = make_model("uniform")
-    np.testing.assert_allclose(order_stat_pdf(uniform, 2, 3, 0.5), 1.5)
+    np.testing.assert_allclose(_order_stat_pdf(uniform, 2, 3, 0.5), 1.5)
     xs = np.linspace(0.05, 0.95, 9)
-    np.testing.assert_allclose(order_stat_pdf(uniform, 1, 1, xs), uniform.pdf(xs))
+    np.testing.assert_allclose(_order_stat_pdf(uniform, 1, 1, xs), uniform.pdf(xs))
     normal = make_model("normal")
-    np.testing.assert_allclose(order_stat_pdf(normal, 1, 2, 0.0), 0.398942, atol=1e-6)
+    np.testing.assert_allclose(_order_stat_pdf(normal, 1, 2, 0.0), 0.398942, atol=1e-6)
     with pytest.raises(DensityError):
-        order_stat_pdf(uniform, 4, 3, 0.5)
+        _order_stat_pdf(uniform, 4, 3, 0.5)
 
 
 def test_subset_pdf_reduces_to_parent_for_srs():
@@ -128,14 +144,14 @@ def test_subset_pdf_reduces_to_parent_for_srs():
 
     model = make_model("logistic")
     xs = np.linspace(-4.0, 4.0, 15)
-    np.testing.assert_allclose(subset_pdf(model, srs_design(), 1, xs), model.pdf(xs))
+    np.testing.assert_allclose(_subset_pdf(model, srs_design(), 1, xs), model.pdf(xs))
 
 
 def test_subset_pdf_uniform_halves():
     design = make_balanced_design(2, 2)
     model = make_model("uniform")
-    np.testing.assert_allclose(subset_pdf(model, design, 1, 0.25), 1.5)
-    np.testing.assert_allclose(subset_pdf(model, design, 2, 0.25), 0.5)
+    np.testing.assert_allclose(_subset_pdf(model, design, 1, 0.25), 1.5)
+    np.testing.assert_allclose(_subset_pdf(model, design, 2, 0.25), 0.5)
 
 
 @pytest.mark.parametrize("fam", ("uniform", "normal", "exponential"))
@@ -144,7 +160,7 @@ def test_subset_pdf_mixture_recovers_parent(fam, S, n):
     model = make_model(fam)
     design = make_balanced_design(S, n)
     xs = np.array([model.quantile(u) for u in np.linspace(0.02, 0.98, 50)])
-    mix = sum(subset_pdf(model, design, r, xs) for r in range(1, n + 1)) / n
+    mix = sum(_subset_pdf(model, design, r, xs) for r in range(1, n + 1)) / n
     np.testing.assert_allclose(mix, model.pdf(xs), atol=1e-10)
 
 
@@ -165,14 +181,14 @@ def test_g_factor_uniform_alpha_is_flat():
     xs = np.linspace(-3.0, 3.0, 21)
     for r in (1, 2, 3):
         np.testing.assert_allclose(
-            g_factor(model, design, uniform_alpha(3), r, xs), np.ones_like(xs), atol=1e-12
+            _g_factor(model, design, uniform_alpha(3), r, xs), np.ones_like(xs), atol=1e-12
         )
 
 
 def test_g_factor_identity_at_median():
     design = make_balanced_design(2, 2)
     model = make_model("uniform")
-    np.testing.assert_allclose(g_factor(model, design, identity_alpha(2), 1, 0.5), 1.0)
+    np.testing.assert_allclose(_g_factor(model, design, identity_alpha(2), 1, 0.5), 1.0)
 
 
 @pytest.mark.parametrize("p", (0.0, 0.3, 0.7, 1.0))
@@ -181,7 +197,7 @@ def test_g_factors_sum_to_subset_count(p):
     alpha = make_symmetric_alpha(3, p)
     model = make_model("logistic")
     xs = np.linspace(-5.0, 5.0, 21)
-    total = sum(g_factor(model, design, alpha, r, xs) for r in (1, 2, 3))
+    total = sum(_g_factor(model, design, alpha, r, xs) for r in (1, 2, 3))
     np.testing.assert_allclose(total, np.full_like(xs, 3.0), atol=1e-10)
 
 
@@ -190,14 +206,16 @@ def test_imperfect_mixture_recovers_parent():
     alpha = make_symmetric_alpha(2, 0.65)
     model = make_model("exponential")
     xs = np.array([model.quantile(u) for u in np.linspace(0.02, 0.98, 50)])
-    total = sum(imperfect_subset_pdf(model, design, alpha, r, xs) for r in (1, 2))
+    total = sum(density(model, _imperfect_coefficients(design, alpha, r), xs) for r in (1, 2))
     np.testing.assert_allclose(total, 2.0 * model.pdf(xs), atol=1e-10)
 
 
 def test_g_factor_dimension_mismatch():
     design = make_balanced_design(6, 2)
     with pytest.raises(DesignError):
-        g_factor(make_model("normal"), design, identity_alpha(3), 1, 0.0)
+        unbalanced_weight(UnbalancedDesign.from_design(design), 1, 1, identity_alpha(3), 0.5)
+    with pytest.raises(DensityError):
+        _g_factor(make_model("normal"), design, identity_alpha(3), 1, 0.0)
 
 
 def _table9_style_design():
@@ -219,13 +237,11 @@ def test_unbalanced_pdf_uniform_values():
     ud = _table9_style_design()
     uniform = make_model("uniform")
     # measured block {3,4,5,6}: (1/4) sum of the four upper order statistics
-    np.testing.assert_allclose(
-        unbalanced_subset_pdf(uniform, ud, 2, 2, identity_alpha(2), 0.5), 1.21875
-    )
+    np.testing.assert_allclose(uniform.pdf(0.5) * unbalanced_weight(ud, 2, 2, identity_alpha(2), 0.5), 1.21875)
+    np.testing.assert_allclose(density(uniform, rank_coefficients(6, ((3, 4, 5, 6),), [1.0]), 0.5), 1.21875)
     # measured block {1,2}: (1/2)(f_(1:6) + f_(2:6)) at the median
-    np.testing.assert_allclose(
-        unbalanced_subset_pdf(uniform, ud, 1, 2, identity_alpha(2), 0.5), 0.5625
-    )
+    np.testing.assert_allclose(uniform.pdf(0.5) * unbalanced_weight(ud, 2, 1, identity_alpha(2), 0.5), 0.5625)
+    np.testing.assert_allclose(density(uniform, rank_coefficients(6, ((1, 2),), [1.0]), 0.5), 0.5625)
 
 
 def test_unbalanced_weights_mix_to_parent():
@@ -249,19 +265,18 @@ def test_unbalanced_matches_balanced_machinery():
     xs = np.array([model.quantile(u) for u in np.linspace(0.03, 0.97, 20)])
     for r in (1, 2):
         np.testing.assert_allclose(
-            unbalanced_subset_pdf(model, ud, r, 1, alpha, xs),
-            imperfect_subset_pdf(model, design, alpha, r, xs),
+            model.pdf(xs) * unbalanced_weight(ud, 1, r, alpha, model.cdf(xs)),
+            density(model, _imperfect_coefficients(design, alpha, r), xs),
             atol=1e-10,
         )
 
 
 def test_unbalanced_index_validation():
     ud = _table9_style_design()
-    uniform = make_model("uniform")
     with pytest.raises(DensityError):
         unbalanced_weight(ud, 2, 3, identity_alpha(2), 0.5)
     with pytest.raises(DesignError):
-        unbalanced_subset_pdf(uniform, ud, 1, 2, identity_alpha(3), 0.5)
+        unbalanced_weight(ud, 2, 1, identity_alpha(3), 0.5)
 
 
 def test_latent_conditional_values():
@@ -331,7 +346,7 @@ def test_large_set_sizes_stay_finite():
     assert np.all(np.isfinite(w))
     design = make_balanced_design(64, 2)
     model = make_model("normal")
-    assert np.isfinite(subset_pdf(model, design, 1, 0.5))
+    assert np.isfinite(_subset_pdf(model, design, 1, 0.5))
 
 
 def test_alpha_weight_row_length_mismatch():
@@ -345,12 +360,10 @@ def test_scalar_points_give_floats():
     alpha = make_symmetric_alpha(2, 0.7)
     ud = UnbalancedDesign.from_design(design)
     for value in (
-        order_stat_pdf(model, 2, 6, 0.3),
-        subset_pdf(model, design, 1, 0.3),
-        g_factor(model, design, alpha, 1, 0.3),
-        imperfect_subset_pdf(model, design, alpha, 1, 0.3),
+        _order_stat_pdf(model, 2, 6, 0.3),
+        _subset_pdf(model, design, 1, 0.3),
+        density(model, _imperfect_coefficients(design, alpha, 1), 0.3),
         unbalanced_weight(ud, 1, 1, alpha, 0.3),
-        unbalanced_subset_pdf(model, ud, 1, 1, alpha, 0.3),
         block_weight(6, (1, 2, 3), 0.3),
     ):
         assert type(value) is float
@@ -479,8 +492,8 @@ def test_densities_match_beta_oracle(case):
     x = np.asarray(model.quantile(np.linspace(0.05, 0.95, 7)))
     f, t = model.pdf(x), model.cdf(x)
     for u in {1, (S + 1) // 2, S}:
-        np.testing.assert_allclose(order_stat_pdf(model, u, S, x), f * beta.pdf(t, u, S + 1 - u), rtol=1e-10)
-    mix = sum(imperfect_subset_pdf(model, design, alpha, r, x) for r in range(1, n + 1)) / n
+        np.testing.assert_allclose(_order_stat_pdf(model, u, S, x), f * beta.pdf(t, u, S + 1 - u), rtol=1e-10)
+    mix = sum(density(model, _imperfect_coefficients(design, alpha, r), x) for r in range(1, n + 1)) / n
     np.testing.assert_allclose(mix, f, rtol=1e-10)
     ranks = np.asarray(design.subset(n))
     dens = beta.pdf(t[3], ranks, S + 1 - ranks)

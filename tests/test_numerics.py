@@ -17,7 +17,6 @@ from prosinfo.numerics import (
     IntegrandEvaluationError,
     MCEstimate,
     QuadratureNonConvergence,
-    QuadratureSpec,
     ReplicateError,
     det_small,
     integrate,
@@ -27,14 +26,6 @@ from prosinfo.numerics import (
     mc_mean_batches,
     substream,
 )
-
-
-def test_quadrature_spec_validation():
-    QuadratureSpec()  # defaults are valid
-    with pytest.raises(ValueError):
-        QuadratureSpec(rtol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(atol=-1e-12)
 
 
 def test_integrate_constant_is_one():
@@ -64,13 +55,13 @@ def test_integrate_rejects_non_finite_integrand():
 
 
 def test_integrate_reports_non_convergence():
-    # 1000 periods outrun the finest tanh-sinh level at a 1e-13 tolerance
+    # 1000 periods outrun the finest tanh-sinh level at the 1e-8 tolerance
     def fast_oscillation(u):
         return np.sin(2000.0 * math.pi * u)[None] ** 2
 
-    spec = QuadratureSpec(rtol=1e-13, atol=1e-15)
+    assert (numerics.RTOL, numerics.ATOL) == (1e-8, 1e-12)
     with pytest.raises(QuadratureNonConvergence) as err:
-        integrate(fast_oscillation, 0.0, 1.0, spec)
+        integrate(fast_oscillation, 0.0, 1.0)
     assert math.isfinite(err.value.estimate)
     assert err.value.error_bound > 0.0
 
@@ -84,11 +75,10 @@ def test_integrate_infinite_limits_vector(a, b, scale):
     np.testing.assert_allclose(got, [scale * math.sqrt(math.pi), scale * math.pi], rtol=1e-12)
 
 
-def _scipy_tanhsinh(fn, a, b, spec=None):
+def _scipy_tanhsinh(fn, a, b):
     """integrate's stop rule on scipy's own tanh-sinh driver, as an independent oracle."""
     from scipy.integrate import tanhsinh
 
-    spec = spec or QuadratureSpec()
     lo, hi = sorted((a, b))
     probe = next(v for v in (0.5 * (lo + hi), lo + 1.0, hi - 1.0, 0.0) if math.isfinite(v))
     k = np.asarray(fn(np.array([probe]))).shape[0]
@@ -99,7 +89,7 @@ def _scipy_tanhsinh(fn, a, b, spec=None):
             return
         if previous:
             change = np.max(np.abs(res.integral - previous[-1]))
-            if change <= max(spec.atol, spec.rtol * np.max(np.abs(res.integral))):
+            if change <= max(numerics.ATOL, numerics.RTOL * np.max(np.abs(res.integral))):
                 raise StopIteration
         previous.append(np.array(res.integral))
 
@@ -167,7 +157,7 @@ def test_integrate_reports_abscissa_on_an_infinite_limit():
     assert 10.0 < err.value.u < math.inf
 
 
-def _reference_sums(fn, a, b, spec=QuadratureSpec()):
+def _reference_sums(fn, a, b):
     """integrate's sums with one fn call per table of numerics._LEVELS; returns (integrals, tables used)."""
     sign = 1.0
     if b < a:
@@ -178,7 +168,7 @@ def _reference_sums(fn, a, b, spec=QuadratureSpec()):
         total = np.asarray(fn(x), dtype=float) @ wx * h
         if previous is not None:
             total += previous / 2
-            if np.max(np.abs(total - previous)) <= max(spec.atol, spec.rtol * np.max(np.abs(total))):
+            if np.max(np.abs(total - previous)) <= max(numerics.ATOL, numerics.RTOL * np.max(np.abs(total))):
                 return sign * total, used
         previous = total
     raise AssertionError("the oracle did not converge")

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prosinfo import (
@@ -13,6 +13,7 @@ from prosinfo import (
     make_model,
     make_symmetric_alpha,
     relative_efficiencies,
+    renyi,
     shannon,
 )
 
@@ -56,6 +57,14 @@ def _scaled(fam, sigma, shift):
     return make_model(fam, sigma=sigma, **loc)
 
 
+def _at_extreme_scales(test):
+    # scales far outside the drawn range, where quadrature nodes placed for unit width would see nothing
+    for fam in FAMILIES:
+        for log10_sigma in (-100.0, 100.0):
+            test = example(fam, (6, 2), 0.7, log10_sigma, 0.5, 0.5)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(FAMILIES),
@@ -63,8 +72,10 @@ def _scaled(fam, sigma, shift):
     PROBABILITIES,
     st.floats(-2.0, 2.0),
     st.floats(-3.0, 3.0),
+    st.sampled_from((0.3, 0.5, 0.8)),
 )
-def test_information_and_entropy_are_scale_equivariant(fam, case, p, log10_sigma, shift):
+@_at_extreme_scales
+def test_information_and_entropy_are_scale_equivariant(fam, case, p, log10_sigma, shift, order):
     set_size, n = case
     sigma = 10.0**log10_sigma
     design, alpha = make_balanced_design(set_size, n), make_symmetric_alpha(n, p)
@@ -76,6 +87,8 @@ def test_information_and_entropy_are_scale_equivariant(fam, case, p, log10_sigma
     h1, shift_h = shannon(unit, "pros", n, set_size).total, n * math.log(sigma)
     got_h = shannon(model, "pros", n, set_size).total
     np.testing.assert_allclose(got_h, h1 + shift_h, rtol=0.0, atol=1e-10 * (abs(h1) + abs(shift_h)))
+    r1, got_r = (renyi(m, order, "pros", n, set_size).total for m in (unit, model))
+    np.testing.assert_allclose(got_r, r1 + shift_h, rtol=0.0, atol=1e-10 * (abs(r1) + abs(shift_h)))
 
 
 @settings(max_examples=20, deadline=None)

@@ -367,6 +367,15 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["fisher", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e308", "--alpha", "dellclutter:0.5"],
         # a gamma shape above the one its quantile is verified at
         ["sample", "--family", "gamma", "--set-size", "6", "--subsets", "2", "--params", "shape=1e8"],
+        # scales whose square leaves the double range
+        base + ["--params", "sigma=1e160", "--mode", "complete"],
+        ["fisher", "--family", "exponential", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e-300",
+         "--mode", "complete"],
+        ["fisher", "--family", "extreme_value", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e200",
+         "--mode", "complete", "--method", "mc", "--reps", "100"],
+        # a scale so far below its location that the quartiles round to one x
+        ["entropy", "--set-size", "6", "--subsets", "2", "--params", "mu=1,sigma=1e-20", "--measure", "renyi",
+         "--order", "0.5"],
     ):
         _assert_one_line_refusal(argv, capsys)
     # Monte Carlo replicates that overflow are a numeric failure, reported in one line without a warning
