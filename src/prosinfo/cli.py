@@ -173,16 +173,13 @@ def _table2_cells(cfg: RunConfig) -> list[TableCell]:
         cells.append(TableCell(label, "re2(S=6,n=2)", re2(model), 0.0, "quadrature"))
     for label, fam in joint_rows:
         model = make_model(fam)
-        unit = model.fisher_srs_unit()
-        gain = information.k_matrix(model, 1, 2)
-        re1_at = {s: _rel(unit + gain.scaled(s - 1), unit) for s in (2, 3, 4)}
-        quad = (re1_at[3] + 1.0 - 2.0 * re1_at[2]) / 2.0
-        lin = re1_at[2] - 1.0 - quad
-        check = 1.0 + 3.0 * lin + 9.0 * quad
-        if abs(check - re1_at[4]) > 1e-6 * max(1.0, abs(re1_at[4])):
-            raise information.InformationError(
-                f"{label}: efficiency is not quadratic in S-1 ({check} vs {re1_at[4]})"
-            )
+        unit, gain = model.fisher_srs_unit(), information.k_matrix(model, 1, 2)
+        (i00, i01), (_, i11) = unit.entries
+        (k00, k01), (_, k11) = gain.entries
+        # det(I + cK) / det I = 1 + c (I00 K11 + I11 K00 - 2 I01 K01) / det I + c^2 det K / det I
+        det_unit = numerics.det_small(unit)
+        lin = (i00 * k11 + i11 * k00 - 2.0 * i01 * k01) / det_unit
+        quad = numerics.det_small(gain) / det_unit
         cells.append(TableCell(label, "re1_lin", lin, 0.0, "quadrature"))
         cells.append(TableCell(label, "re1_quad", quad, 0.0, "quadrature"))
         cells.append(TableCell(label, "re2(S=6,n=2)", re2(model), 0.0, "quadrature"))

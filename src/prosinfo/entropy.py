@@ -6,17 +6,19 @@ Each report is one vector integral (numerics.integrate) with one row per
 weight: the parent (w = 1), every measured subset and, for the lower bound,
 each of the S ranks of an RSS with set size S.
 
+Every integral runs on the parent's standard member (Model.standard): an
+entropy at scale s is the member's plus log s, row by row, and KL information
+does not depend on location or scale, so no location or scale costs precision.
+
 * Shannon entropy and KL information run on the quantile scale over the open
   interval t in (0, 1), with the parent log-density log f(Q(t)).
 * Renyi entropy runs on the x-scale, ∫ f(x)^α w(F(x))^α dx over the support,
   split at the median.  On the quantile scale t cannot resolve the upper tail
   beyond 1 - 1.1e-16, where f^α still holds mass of order 1 at small α such
-  as 0.03.  The integral runs over y = x / s, with s the interquartile range,
-  so the nodes resolve a parent of any scale; being a pure scaling, it keeps
-  the relative precision of a limit at 0.  Above the median w is evaluated
-  from the survival function 1 - F(x), as b_u(t) = b_{S+1-u}(1-t), so it keeps
-  its precision where F(x) rounds to 1.  An order whose integral does not
-  converge raises numerics.NumericsError instead of returning a truncated value.
+  as 0.03.  Above the median w is evaluated from the survival function
+  1 - F(x), as b_u(t) = b_{S+1-u}(1-t), so it keeps its precision where F(x)
+  rounds to 1.  An order whose integral does not converge raises
+  numerics.NumericsError instead of returning a truncated value.
 
 Entropies are reported in nats.  Subsetting is assumed perfect here.
 """
@@ -133,12 +135,7 @@ def _report(model: Model, kind: str, n: int, set_size: int, values: np.ndarray) 
     return EntropyReport(kind, total, per, lower, upper, model.label(), _label(kind, n, set_size))
 
 
-def shannon(
-    model: Model,
-    kind: str = "pros",
-    n: int = 1,
-    set_size: int | None = None,
-) -> EntropyReport:
+def shannon(model: Model, kind: str = "pros", n: int = 1, set_size: int | None = None) -> EntropyReport:
     """Shannon entropy of an SRS/RSS/PROS sample of n measurements.
 
     SRS returns n·H(f).  RSS (set size n, every rank measured once) and
@@ -146,55 +143,42 @@ def shannon(
     -∫ w_r(t)·[log f(Q(t)) + log w_r(t)] dt of their subset densities f·w_r.
     """
     set_size, subsets = _resolve(kind, n, set_size)
+    std, scale = model.standard()
 
     def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return -(w * model.logpdf(model.quantile(t)) + _xlogx(w))
+        return -(w * std.logpdf(std.quantile(t)) + _xlogx(w))
 
     values = _quantile_integrals(_report_coefficients(set_size, subsets), term)
-    return _report(model, kind, n, set_size, values)
+    return _report(model, kind, n, set_size, values + math.log(scale))
 
 
-def renyi(
-    model: Model,
-    alpha: float,
-    kind: str = "pros",
-    n: int = 1,
-    set_size: int | None = None,
-) -> EntropyReport:
+def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: int | None = None) -> EntropyReport:
     """Renyi entropy of order alpha; only 0 < alpha < 1 is defined here.
 
     Each block contributes (1/(1-α))·log ∫ f(x)^α w_r(F(x))^α dx, on the
-    x-scale: t = F(x) rounds to 1 in the upper tail, whose share of f^α grows
-    as α falls.  It is s ∫ f(sy)^α w_r(F(sy))^α dy with s the interquartile
-    range, so the result is scale-equivariant at any scale.  Orders above 1
-    are outside the supported range for subset densities and are rejected.
+    x-scale of the standard member: t = F(x) rounds to 1 in the upper tail,
+    whose share of f^α grows as α falls.  Orders above 1 are outside the
+    supported range for subset densities and are rejected.
 
     :raises numerics.NumericsError: the integral did not converge, as happens
         at very small orders on an unbounded support.
-    :raises EntropyError: the quartiles round to one x, or lie farther apart than the largest double.
     """
     if not 0.0 < alpha < 1.0:
-        raise EntropyError(
-            f"Renyi order must satisfy 0 < alpha < 1 (alpha > 1 unsupported), got {alpha!r}"
-        )
+        raise EntropyError(f"Renyi order must satisfy 0 < alpha < 1 (alpha > 1 unsupported), got {alpha!r}")
     set_size, subsets = _resolve(kind, n, set_size)
     coef = _report_coefficients(set_size, subsets)
-    lo, hi = model.support()
-    s = float(model.quantile(0.75)) - float(model.quantile(0.25))
-    if not 0.0 < s < math.inf:
-        raise EntropyError(f"the quartiles of {model.label()} do not span a positive finite width in double precision")
-    median = float(model.quantile(0.5)) / s
+    std, scale = model.standard()
+    lo, hi = std.support()
+    median = float(std.quantile(0.5))
 
-    def below(y: np.ndarray) -> np.ndarray:
-        x = s * y
-        return model.pdf(x) ** alpha * bernstein_series(coef, model.cdf(x))[0] ** alpha
+    def below(x: np.ndarray) -> np.ndarray:
+        return std.pdf(x) ** alpha * bernstein_series(coef, std.cdf(x))[0] ** alpha
 
-    def above(y: np.ndarray) -> np.ndarray:
-        x = s * y
-        return model.pdf(x) ** alpha * bernstein_series(coef[:, ::-1], model.sf(x))[0] ** alpha
+    def above(x: np.ndarray) -> np.ndarray:
+        return std.pdf(x) ** alpha * bernstein_series(coef[:, ::-1], std.sf(x))[0] ** alpha
 
-    mass = s * (numerics.integrate(below, lo / s, median) + numerics.integrate(above, median, hi / s))
-    return _report(model, kind, n, set_size, np.log(mass) / (1.0 - alpha))
+    mass = numerics.integrate(below, lo, median) + numerics.integrate(above, median, hi)
+    return _report(model, kind, n, set_size, np.log(mass) / (1.0 - alpha) + math.log(scale))
 
 
 def kl_pros_srs(model: Model, design: Design) -> float:
@@ -209,11 +193,7 @@ def kl_pros_srs(model: Model, design: Design) -> float:
     return float(np.sum(_quantile_integrals(coef, lambda t, w: _xlogx(w))))
 
 
-def kl_likelihood_chain(
-    model: Model,
-    design: Design,
-    shift: float = 0.5,
-) -> tuple[float, float, float]:
+def kl_likelihood_chain(model: Model, design: Design, shift: float = 0.5) -> tuple[float, float, float]:
     """KL of SRS/PROS/RSS* likelihoods against a shifted parent density.
 
     The second density is g(x) = f(x + shift·σ), whose support contains the
@@ -224,14 +204,13 @@ def kl_likelihood_chain(
     """
     if not design.is_balanced:
         raise EntropyError("the likelihood chain is defined for balanced designs")
+    model = model.standard()[0]
     delta = shift * model.std()
     S, n = design.set_size, design.n
 
     probe = np.linspace(1e-6, 1.0 - 1e-6, 257)
     if np.any(np.asarray(model.pdf(np.asarray(model.quantile(probe)) + delta)) <= 0.0):
-        raise EntropyError(
-            "KL divergence is infinite: the shifted density vanishes on the parent support"
-        )
+        raise EntropyError("KL divergence is infinite: the shifted density vanishes on the parent support")
 
     def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = model.quantile(t)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import densities, numerics, sampling
 from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign, make_balanced_design
-from .models import Model, require_fi_regular, score_information, unit_entries
+from .models import Model, from_standard, require_fi_regular, score_information, unit_entries
 
 DEFAULT_REPS = 50_000
 
@@ -226,18 +226,25 @@ def _mc_fi(
     model: Model, set_size: int, rows: tp.Sequence[tuple[tp.Any, np.ndarray]], logw_dt: tp.Callable[..., tuple],
     reps: int, seed: int, workers: int, multiplier: int, label: str,
 ) -> FIResult:
-    """multiplier x the mean -Hessian of one draw per set of rows; logw_dt(i, u, t) is set i's (log w)', (log w)''."""
+    """multiplier x the mean -Hessian of one draw per set of rows; logw_dt(i, u, t) is set i's (log w)', (log w)''.
+
+    Runs on the standard member; a negative diagonal entry (too few replicates) raises numerics.NumericsError.
+    """
+    std, scale = model.standard()
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         total = 0.0
         for i, (sp, row) in enumerate(rows):
-            x, u, t = sampling.block_draws(model, set_size, sp.partition, row, rng, count)
-            total = total + model.neg_hessian(x, *logw_dt(i, u, t))
+            x, u, t = sampling.block_draws(std, set_size, sp.partition, row, rng, count)
+            total = total + std.neg_hessian(x, *logw_dt(i, u, t))
         return total
 
     means, ses, n_done = numerics.mc_mean_batches(batch, reps, seed, workers)
-    matrix = numerics.InfoMatrix(numerics.from_triu(model.p, means) * multiplier)
-    return FIResult(matrix, "mc", numerics.from_triu(model.p, ses) * multiplier, n_done, label, model.label())
+    info, errors = (numerics.from_triu(model.p, v) * multiplier for v in (means, ses))
+    if np.diagonal(info).min() < 0.0:
+        raise numerics.NumericsError(f"the Monte Carlo information has a negative diagonal entry at {n_done} replicates")
+    info, errors = from_standard(model, scale, np.stack([info, errors]))
+    return FIResult(numerics.InfoMatrix(info), "mc", errors, n_done, label, model.label())
 
 
 # -- efficiency and special designs ---------------------------------------------
@@ -281,26 +288,20 @@ def regression_fi(
             f"noise family {noise_model.family!r} is not location-scale; "
             "regression supports symmetric location-scale noise"
         )
-    std = Model(noise_model.family, (0.0, 1.0), ("mu", "sigma"))
+    noise = dataclasses.replace(noise_model, active=("mu", "sigma"))  # the noise parameters of theta, in order
+    std = noise.standard()[0]
     zs = np.linspace(0.1, 4.0, 14)
     if np.max(np.abs(np.asarray(std.pdf(zs)) - np.asarray(std.pdf(-zs)))) > 1e-10:
         raise InformationError(f"noise family {noise_model.family!r} is not symmetric about 0")
 
-    unit = std.fisher_srs_unit()
-    a_const = float(unit[0, 0])
-    b_const = float(unit[1, 1])
-
+    a_const, b_const = np.diagonal(unit_entries(noise))
     # C = int f^2/u and D = int z^2 f^2/u are the diagonal of the kernel with v = dF = -(f, z f), w = 1/u
-    cd = score_information(std, lambda u: (None, 1.0, (1.0 / u)[None]))
-    c_const, d_const = float(cd[0, 0]), float(cd[1, 1])
+    c_const, d_const = np.diagonal(score_information(noise, lambda u: (None, 1.0, (1.0 / u)[None])))
 
-    sigma = noise_model.value("sigma")
     k = x.size
     sx2 = float(np.mean(x * x))
-    srs = numerics.InfoMatrix(np.diag([a_const, sx2 * a_const, b_const]) * (n * k / sigma**2))
-    gain = numerics.InfoMatrix(
-        np.diag([c_const, sx2 * c_const, d_const]) * (2.0 * k * n * (set_size - 1) / sigma**2)
-    )
+    srs = numerics.InfoMatrix(np.diag([a_const, sx2 * a_const, b_const]) * (n * k))
+    gain = numerics.InfoMatrix(np.diag([c_const, sx2 * c_const, d_const]) * (2.0 * k * n * (set_size - 1)))
     return srs, gain
 
 

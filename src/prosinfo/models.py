@@ -10,6 +10,7 @@ the chain rule through z = (x - loc)/scale; the mixture states its own, and so
 does gamma, whose chain rule is written out so that it holds down to z = 0.  All
 formulas are analytic, and so is every per-observation Fisher matrix but the
 exponential mixture's, which is obtained by quadrature of the score outer product.
+Information runs on the standard member, Model.standard; from_standard maps it back.
 
 The special functions are numpy code but the gamma family's, which import
 scipy.special when a gamma model is first evaluated.  The gamma quantile starts
@@ -117,6 +118,14 @@ class Model:
                 raise ModelError(f"family {self.family!r} has no parameter {name!r}")
             values[name] = float(v)
         return Model(self.family, tuple(values[n] for n in self.param_names), self.active)
+
+    def standard(self) -> tuple["Model", float]:
+        """(the member at location 0 and scale 1 of this shape, the scale); self where that is this model."""
+        c, fam = self._ctx(), _family(self.family)
+        unit = {n: float(n == fam.scale) for n in (fam.loc, fam.scale) if n}
+        if unit.items() <= c.items():
+            return self, 1.0
+        return Model(self.family, tuple({**c, **unit}.values()), self.active), c[fam.scale]
 
     def label(self) -> str:
         inner = ", ".join(f"{n}={v:g}" for n, v in zip(self.param_names, self.params))
@@ -250,37 +259,48 @@ def fisher_srs_unit(model: Model) -> numerics.InfoMatrix:
 
 
 def unit_entries(model: Model) -> np.ndarray:
-    """The entries of fisher_srs_unit: closed forms but for exp_mixture's, the kernel with v = d log f, w = 1.
+    """The entries of fisher_srs_unit: the standard member's closed form (exp_mixture's: the kernel, v = d log f, w = 1).
 
     :raises ModelError: the family has no regular Fisher information (uniform),
-        or its closed form lies outside the double range (a scale whose square overflows or underflows).
+        or the information lies outside the double range.
     :raises numerics.NumericsError: the quadrature failed to converge.
     """
     require_fi_regular(model)
-    with np.errstate(divide="ignore", over="ignore"):
-        closed = _family(model.family).fisher_unit(model._ctx())
-    if closed is not None:
-        if not np.isfinite(closed).all():
-            raise ModelError(f"the Fisher information of {model.label()} lies outside the double range")
-        idx = [model.param_names.index(n) for n in model.active]
-        return np.asarray(closed)[np.ix_(idx, idx)]
-    return score_information(model, lambda u: (1.0, None, np.ones((1, u.size))))
+    std, scale = model.standard()
+    closed = _family(model.family).fisher_unit(std._ctx())
+    if closed is None:
+        return score_information(model, lambda u: (1.0, None, np.ones((1, u.size))))
+    idx = [model.param_names.index(n) for n in model.active]
+    return from_standard(model, scale, np.asarray(closed)[np.ix_(idx, idx)])
+
+
+def from_standard(model: Model, scale: float, entries: np.ndarray) -> np.ndarray:
+    """Information entries of model's standard member mapped back to model: each score is the member's over the
+    scale, so the entries are over scale^2.
+
+    :raises ModelError: the largest mapped entry overflows or falls below the smallest normal double.
+    """
+    inv, largest = (1.0 / scale) * (1.0 / scale), float(np.abs(entries).max())
+    if largest and not np.finfo(float).tiny <= largest * inv < math.inf:
+        raise ModelError(f"the Fisher information of {model.label()} lies outside the double range")
+    return entries * inv
 
 
 def score_information(model: Model, coefficients: tp.Callable[[np.ndarray], tuple]) -> np.ndarray:
     """The information kernel int_0^1 sum_b w_b v_b v_b^T du, v_b = alpha_b d log f + beta_b dF at F^{-1}(u).
 
     coefficients maps u to (alpha, beta, w), each broadcastable to (k, len(u)),
-    one term b per row; a None alpha or beta drops its score.
+    one term b per row; a None alpha or beta drops its score.  It runs on the standard member.
     """
+    std, scale = model.standard()
 
     def terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, d_logf, d_cdf = model.quantile_scores(u)
+        _, d_logf, d_cdf = std.quantile_scores(u)
         alpha, beta, w = coefficients(u)
         v = [np.asarray(c)[..., None] * d for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
         return sum(v[1:], v[0]), w
 
-    return numerics.integrate_gram(terms, model.p)
+    return from_standard(model, scale, numerics.integrate_gram(terms, model.p))
 
 
 # -- special functions in numpy: importing scipy.special takes about 0.3 s ------
@@ -396,7 +416,9 @@ class _Family:
     neg_hessian: tp.Callable[[dict[str, float], np.ndarray, FloatArray, FloatArray], tuple[np.ndarray, ...]]
     mean: tp.Callable[[dict[str, float]], float]
     var: tp.Callable[[dict[str, float]], float]
-    fisher_unit: tp.Callable[[dict[str, float]], np.ndarray | None]
+    fisher_unit: tp.Callable[[dict[str, float]], np.ndarray | None]  # at location 0 and scale 1
+    loc: str | None = None  # names of the location and scale parameters, None where the family has none
+    scale: str | None = None
 
 
 def _columns(partials: dict, keys: tp.Sequence, shape: tuple[int, ...]) -> np.ndarray:
@@ -479,6 +501,8 @@ def _location_scale(std: _Standard, **fields: tp.Any) -> _Family:
         quantile=lambda c, u: (c[std.loc] if std.loc else 0.0) + c[std.scale] * std.quantile(c, u),
         partials=std.partials,
         neg_hessian=std.neg_hessian,
+        loc=std.loc,
+        scale=std.scale,
     )
     return _Family(**{**base, **fields})
 
@@ -643,7 +667,7 @@ _FAMILIES: dict[str, _Family] = {
         ),
         mean=lambda c: c["mu"],
         var=lambda c: _sq(c["sigma"]),
-        fisher_unit=lambda c: np.diag([1.0, 2.0]) / _sq(c["sigma"]),
+        fisher_unit=lambda c: np.diag([1.0, 2.0]),
     ),
     "exponential": _location_scale(
         _Standard(
@@ -657,7 +681,7 @@ _FAMILIES: dict[str, _Family] = {
         ),
         mean=lambda c: c["sigma"],
         var=lambda c: _sq(c["sigma"]),
-        fisher_unit=lambda c: np.array([[1.0]]) / _sq(c["sigma"]),
+        fisher_unit=lambda c: np.array([[1.0]]),
     ),
     "logistic": _location_scale(
         _Standard(
@@ -671,7 +695,7 @@ _FAMILIES: dict[str, _Family] = {
         ),
         mean=lambda c: c["mu"],
         var=lambda c: _sq(math.pi * c["sigma"]) / 3.0,
-        fisher_unit=lambda c: np.diag([1.0 / 3.0, (math.pi**2 + 3.0) / 9.0]) / _sq(c["sigma"]),
+        fisher_unit=lambda c: np.diag([1.0 / 3.0, (math.pi**2 + 3.0) / 9.0]),
     ),
     "extreme_value": _location_scale(
         _Standard(
@@ -687,8 +711,7 @@ _FAMILIES: dict[str, _Family] = {
         var=lambda c: _sq(math.pi * c["sigma"]) / 6.0,
         fisher_unit=lambda c: np.array(
             [[1.0, 1.0 - _EULER_GAMMA], [1.0 - _EULER_GAMMA, (1.0 - _EULER_GAMMA) ** 2 + math.pi**2 / 6.0]]
-        )
-        / _sq(c["sigma"]),
+        ),
     ),
     "gamma": _location_scale(
         _Standard(
@@ -706,8 +729,7 @@ _FAMILIES: dict[str, _Family] = {
         validate=lambda c: _validate_gamma(c),
         mean=lambda c: c["shape"] * c["sigma"],
         var=lambda c: c["shape"] * _sq(c["sigma"]),
-        fisher_unit=lambda c: np.array([[float(_scipy_special().polygamma(1, c["shape"])), 1.0], [1.0, c["shape"]]])
-        / np.array([[1.0, c["sigma"]], [c["sigma"], _sq(c["sigma"])]]),
+        fisher_unit=lambda c: np.array([[float(_scipy_special().polygamma(1, c["shape"])), 1.0], [1.0, c["shape"]]]),
     ),
     "uniform": _location_scale(
         _Standard(
@@ -739,7 +761,8 @@ _FAMILIES: dict[str, _Family] = {
         partials=_mixture_partials,
         neg_hessian=_mixture_neg_hessian,
         mean=lambda c: c["pi"] / c["h"] + (1.0 - c["pi"]),
-        var=lambda c: 2.0 * c["pi"] / c["h"] ** 2 + 2.0 * (1.0 - c["pi"]) - (c["pi"] / c["h"] + 1.0 - c["pi"]) ** 2,
+        # pi (2 - pi) / h^2 - 2 pi (1 - pi) / h + 1 - pi^2, never forming h^2 (it overflows or underflows) or inf - inf
+        var=lambda c: c["pi"] * ((2.0 - c["pi"]) / c["h"] / c["h"] - 2.0 * (1.0 - c["pi"]) / c["h"]) + 1.0 - _sq(c["pi"]),
         fisher_unit=lambda c: None,
     ),
 }

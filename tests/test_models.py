@@ -446,6 +446,32 @@ def test_gamma_defaults_and_activity():
 def test_exp_mixture_moments():
     model = make_model("exp_mixture", pi=0.3, h=1.0 / 3.0)
     np.testing.assert_allclose(model.mean(), 0.3 * 3.0 + 0.7 * 1.0, rtol=1e-9)
+    # E[X^2] - E[X]^2 with E[X^2] = 2 pi / h^2 + 2 (1 - pi)
+    np.testing.assert_allclose(model.var(), 2.0 * 0.3 * 9.0 + 2.0 * 0.7 - (0.3 * 3.0 + 0.7) ** 2, rtol=1e-12)
+    # h^2 overflows or underflows at these rates; the variance does neither where its limit is finite
+    np.testing.assert_allclose(make_model("exp_mixture", pi=0.5, h=1e200).std(), math.sqrt(0.75), rtol=1e-15)
+    assert make_model("exp_mixture", pi=0.5, h=1e-200).std() == math.inf
+
+
+def test_standard_member_keeps_shape_and_active_set(monkeypatch):
+    from prosinfo import Model
+
+    monkeypatch.setattr(Model, "with_params", None)  # standard() builds its member directly
+    for model in (make_model("normal"), make_model("gamma", shape=3.0), make_model("exp_mixture", pi=0.3, h=4.0)):
+        assert model.standard()[0] is model and model.standard()[1] == 1.0
+    std, scale = make_model("gamma", active=("sigma",), shape=3.0, sigma=1e-20).standard()
+    assert (std, scale) == (make_model("gamma", shape=3.0), 1e-20)
+    std, scale = make_model("logistic", active=("sigma",), mu=1e6, sigma=2.0).standard()
+    assert (std, scale) == (make_model("logistic", active=("sigma",)), 2.0)
+    assert make_model("uniform", loc=-3.0, scale=0.5).standard() == (make_model("uniform"), 0.5)
+
+
+def test_unit_information_outside_the_double_range_is_refused():
+    # 2 / sigma^2 overflows at 1e-154 although 1 / sigma^2 does not; at 1e160 it is below the normal doubles
+    for sigma in (1e-300, 1e-154, 1e160, 1e300):
+        with pytest.raises(ModelError, match="outside the double range"):
+            fisher_srs_unit(make_model("normal", sigma=sigma))
+    np.testing.assert_allclose(fisher_srs_unit(make_model("normal", sigma=1e-150)).as_array(), np.diag([1e300, 2e300]))
 
 
 def test_extreme_value_is_min_oriented():

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prosinfo import (
+    fi_pros_complete,
     fi_pros_marginal,
     fisher_srs,
+    kl_likelihood_chain,
     make_balanced_design,
     make_model,
     make_symmetric_alpha,
@@ -50,18 +52,23 @@ def test_random_subsetting_is_worth_nothing(fam, case):
     np.testing.assert_allclose(_re1(make_model(fam), set_size, n, 1.0 / n), 1.0, rtol=1e-10)
 
 
-def _scaled(fam, sigma, shift):
-    # the location moves with the scale, so z = (x - loc) / scale keeps its precision
+def _scaled(fam, sigma, loc):
     model = make_model(fam)
-    loc = {"mu": shift * sigma} if "mu" in model.param_names else {}
-    return make_model(fam, sigma=sigma, **loc)
+    return make_model(fam, sigma=sigma, **({"mu": loc} if "mu" in model.param_names else {}))
 
 
 def _at_extreme_scales(test):
-    # scales far outside the drawn range, where quadrature nodes placed for unit width would see nothing
+    # scales far outside the drawn range, where quadrature nodes placed for unit width would see nothing,
+    # and locations so far above the scale that x = loc + scale z cannot resolve z
     for fam in FAMILIES:
         for log10_sigma in (-100.0, 100.0):
             test = example(fam, (6, 2), 0.7, log10_sigma, 0.5, 0.5)(test)
+    for fam in ("normal", "logistic", "extreme_value"):
+        for loc, log10_sigma in ((1.0, -20.0), (1e6, -12.0)):
+            test = example(fam, (6, 2), 0.7, log10_sigma, loc, 0.5)(test)
+    for fam in ("exponential", "gamma"):
+        for log10_sigma in (-20.0, 20.0):
+            test = example(fam, (6, 2), 0.7, log10_sigma, 0.0, 0.5)(test)
     return test
 
 
@@ -71,24 +78,33 @@ def _at_extreme_scales(test):
     _set_size_and_subsets(),
     PROBABILITIES,
     st.floats(-2.0, 2.0),
-    st.floats(-3.0, 3.0),
+    st.floats(-1e6, 1e6),
     st.sampled_from((0.3, 0.5, 0.8)),
 )
 @_at_extreme_scales
-def test_information_and_entropy_are_scale_equivariant(fam, case, p, log10_sigma, shift, order):
+def test_information_and_entropy_are_scale_equivariant(fam, case, p, log10_sigma, loc, order):
+    # the location is drawn apart from the scale, so it may dwarf it
     set_size, n = case
     sigma = 10.0**log10_sigma
     design, alpha = make_balanced_design(set_size, n), make_symmetric_alpha(n, p)
-    unit, model = make_model(fam), _scaled(fam, sigma, shift)
-    want = fi_pros_marginal(unit, design, alpha).matrix.as_array()
-    got = fi_pros_marginal(model, design, alpha).matrix.as_array() * sigma**2
-    # the (mu, sigma) entry of a symmetric parent is 0, so the scale is the largest entry
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
-    h1, shift_h = shannon(unit, "pros", n, set_size).total, n * math.log(sigma)
-    got_h = shannon(model, "pros", n, set_size).total
-    np.testing.assert_allclose(got_h, h1 + shift_h, rtol=0.0, atol=1e-10 * (abs(h1) + abs(shift_h)))
-    r1, got_r = (renyi(m, order, "pros", n, set_size).total for m in (unit, model))
-    np.testing.assert_allclose(got_r, r1 + shift_h, rtol=0.0, atol=1e-10 * (abs(r1) + abs(shift_h)))
+    unit, model = make_model(fam), _scaled(fam, sigma, loc)
+    for route in (
+        lambda m: fi_pros_marginal(m, design, alpha),
+        lambda m: fi_pros_complete(m, n, set_size),
+        lambda m: fi_pros_marginal(m, design, alpha, method="mc", reps=1000, seed=7),
+    ):
+        want = route(unit).matrix.as_array()
+        got = route(model).matrix.as_array() * sigma**2
+        # the (mu, sigma) entry of a symmetric parent is 0, so the tolerance is relative to the largest entry
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    log_sigma = math.log(sigma)
+    for report in (lambda m: shannon(m, "pros", n, set_size), lambda m: renyi(m, order, "pros", n, set_size)):
+        want_h, got_h = report(unit), report(model)
+        rows = [(got_h.total, want_h.total + n * log_sigma)]
+        rows += [(g, w + log_sigma) for g, w in zip(got_h.per_subset, want_h.per_subset, strict=True)]
+        for g, w in rows:
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * (abs(w) + n * abs(log_sigma)))
+    np.testing.assert_allclose(kl_likelihood_chain(model, design), kl_likelihood_chain(unit, design), rtol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

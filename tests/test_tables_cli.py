@@ -367,23 +367,53 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["fisher", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e308", "--alpha", "dellclutter:0.5"],
         # a gamma shape above the one its quantile is verified at
         ["sample", "--family", "gamma", "--set-size", "6", "--subsets", "2", "--params", "shape=1e8"],
-        # scales whose square leaves the double range
+        # scales whose squared inverse leaves the double range
         base + ["--params", "sigma=1e160", "--mode", "complete"],
         ["fisher", "--family", "exponential", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e-300",
          "--mode", "complete"],
         ["fisher", "--family", "extreme_value", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e200",
          "--mode", "complete", "--method", "mc", "--reps", "100"],
-        # a scale so far below its location that the quartiles round to one x
-        ["entropy", "--set-size", "6", "--subsets", "2", "--params", "mu=1,sigma=1e-20", "--measure", "renyi",
-         "--order", "0.5"],
     ):
         _assert_one_line_refusal(argv, capsys)
-    # Monte Carlo replicates that overflow are a numeric failure, reported in one line without a warning
-    for extra in (["--method", "mc", "--reps", "100"], ["--mode", "complete", "--method", "mc", "--reps", "100"]):
-        assert main(base + ["--params", "sigma=1e308"] + extra) == 3, extra
+    # Monte Carlo runs on the standard member, so no replicate overflows at a huge scale: the mapped-back
+    # information is refused as out of range (2); too few replicates for a non-negative diagonal are a
+    # numeric failure (3); each in one line without a warning
+    for extra, code, message in (
+        (["--params", "sigma=1e308", "--method", "mc", "--reps", "100"], 2, "lies outside the double range"),
+        (["--params", "sigma=1e308", "--mode", "complete", "--method", "mc", "--reps", "100"], 2,
+         "lies outside the double range"),
+        (["--method", "mc", "--reps", "2", "--seed", "11", "--alpha", "symmetric:0.5"], 3, "negative diagonal"),
+        (["--family", "logistic", "--method", "mc", "--reps", "3", "--seed", "4", "--alpha", "symmetric:0.5"], 3,
+         "negative diagonal"),
+        (["--family", "extreme_value", "--method", "mc", "--reps", "3", "--seed", "4", "--alpha", "symmetric:0.5"],
+         3, "negative diagonal"),
+    ):
+        assert main(base + extra) == code, extra
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, (extra, captured.err)
-        assert captured.err.startswith("error: batch replicate returned a non-finite value"), captured.err
+        assert captured.err.startswith("error: ") and message in captured.err, (extra, captured.err)
+
+
+@pytest.mark.parametrize("mu,sigma", (("1", "1e-20"), ("1e6", "1e-12"), ("1e5", "1e-12")))
+def test_cli_location_far_above_the_scale_reports_location_zero(capsys, mu, sigma):
+    # every information and entropy route runs on the standard member, so a location that x = mu + sigma z
+    # cannot resolve z against reports exactly what location 0 reports
+    pros = ["--set-size", "6", "--subsets", "2"]
+    for argv in (
+        ["fisher", *pros, "--alpha", "symmetric:0.8"],
+        ["fisher", *pros, "--alpha", "symmetric:0.8", "--method", "mc", "--reps", "4096"],
+        ["fisher", *pros, "--mode", "complete"],
+        ["fisher", "--family", "logistic", *pros, "--alpha", "symmetric:0.8"],
+        ["entropy", *pros],
+        ["entropy", *pros, "--measure", "renyi", "--order", "0.5"],
+    ):
+        reports = []
+        for loc in (mu, "0"):
+            assert main(argv + ["--params", f"mu={loc},sigma={sigma}"]) == 0, (argv, loc)
+            captured = capsys.readouterr()
+            assert captured.err == "", (argv, captured.err)
+            reports.append([line for line in captured.out.splitlines() if not line.startswith("model = ")])
+        assert reports[0] == reports[1], (argv, reports)
 
 
 def test_cli_wrong_size_matrix_gives_one_message(capsys, tmp_path):
