@@ -15,6 +15,7 @@ import dataclasses
 import io
 import os
 import sys
+import threading
 import typing as tp
 
 import numpy as np
@@ -44,6 +45,7 @@ TABLE_IDS = (2, 3, 4, 5, 6, 7, 8, 10)
 P_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 RHO_GRID = (0.25, 0.50, 0.75, 0.90, 1.00)
 DC_REPS = 5000  # stage-1 judgment sets per misplacement-matrix estimate
+REPORT_MEMO_BYTES = 4 << 20  # bound on the characters of the reports run_custom keeps (ASCII, so bytes)
 
 # (S, n, N) rows of the fixed-set-size comparisons, as printed
 _FIXED6_ROWS = ((4, 2, 3), (6, 2, 3), (6, 3, 2), (6, 6, 1), (8, 2, 3), (12, 2, 3), (12, 3, 2), (12, 6, 1))
@@ -466,12 +468,78 @@ def _run_sample(cfg: RunConfig) -> str:
     return sampling.sample_to_csv(sampling.draw_unbalanced_pros(model, ud, _alphas(cfg, model, ud), cfg.seed))
 
 
+class _ReportMemo:
+    """Rendered reports by request; past REPORT_MEMO_BYTES characters the least recently used go first.
+
+    The lock guards the dict alone and is never held while a report is
+    computed, so concurrent requests run side by side and a forked Monte
+    Carlo child never inherits it held.
+    """
+
+    def __init__(self) -> None:
+        self.texts: dict[tp.Hashable, str] = {}  # the most recently used comes last
+        self.chars = 0
+        self.lock = threading.Lock()
+
+    def get(self, key: tp.Hashable) -> str | None:
+        with self.lock:
+            text = self.texts.pop(key, None)
+            if text is not None:
+                self.texts[key] = text
+        return text
+
+    def put(self, key: tp.Hashable, text: str) -> None:
+        if len(text) > REPORT_MEMO_BYTES:
+            return
+        with self.lock:
+            self.chars += len(text) - len(self.texts.pop(key, ""))
+            self.texts[key] = text
+            while self.chars > REPORT_MEMO_BYTES:
+                self.chars -= len(self.texts.pop(next(iter(self.texts))))
+
+
+_REPORTS = _ReportMemo()
+
+
+def _file_bytes(path: str | None) -> bytes | None:
+    """The file's bytes; None when there is no such file to read."""
+    if path is None:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None  # the request itself reports the file, if it reads it
+
+
+def _read_files(cfg: RunConfig) -> tuple[bytes | None, bytes | None]:
+    """Bytes of the files the request can read: --design-file and an --alpha file."""
+    try:
+        kind, value = _parse_alpha_spec(cfg.alpha)
+    except CLIError:  # refused by the request that reads --alpha
+        kind, value = "invalid", None
+    return _file_bytes(cfg.design_file), _file_bytes(tp.cast(str, value) if kind == "file" else None)
+
+
 def run_custom(cfg: RunConfig) -> str:
-    """Dispatch a non-table subcommand and return its rendered output."""
+    """Dispatch a non-table subcommand and return its rendered output.
+
+    A request repeated with the same bytes in every file it reads returns the
+    report kept from its first run; a request that raised kept nothing, nor
+    one whose files changed while it ran.
+    """
     runners = {"fisher": _run_fisher, "entropy": _run_entropy, "sample": _run_sample}
     if cfg.subcommand not in runners:
         raise CLIError(f"unknown subcommand {cfg.subcommand!r}")
-    return runners[cfg.subcommand](cfg)
+    # the key is the repr, so values that compare equal but print apart (-0.0 and 0.0) stay apart
+    files = _read_files(cfg)
+    key = (repr(cfg), files)
+    text = _REPORTS.get(key)
+    if text is None:
+        text = runners[cfg.subcommand](cfg)
+        if _read_files(cfg) == files:  # else a file changed while the request ran, so the key may not fit
+            _REPORTS.put(key, text)
+    return text
 
 
 # -- argument parsing ------------------------------------------------------------

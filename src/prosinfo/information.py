@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import typing as tp
 
 import numpy as np
@@ -67,7 +68,11 @@ class FIResult:
         return self.matrix.p
 
     def det(self) -> float:
-        return numerics.det_small(self.matrix)
+        """:raises InformationError: the determinant overflows the double range."""
+        det = numerics.det_small(self.matrix)
+        if not math.isfinite(det):
+            raise InformationError("the determinant of the information matrix overflows the double range")
+        return det
 
 
 def _entries(obj: tp.Any) -> np.ndarray:
@@ -253,15 +258,24 @@ def _mc_fi(
 def relative_efficiencies(fi_a: tp.Any, fi_b: tp.Any) -> float:
     """Determinant ratio det(fi_a) / det(fi_b).
 
+    Both matrices are first scaled by the one power of two that brings fi_b's
+    largest entry into [1/2, 1).  The scaling is exact and cancels in the
+    ratio, so the ratio does not depend on how large or small the parameters'
+    scale makes the information.
+
     :raises InformationError: dimension mismatch or a singular denominator.
+    :raises OverflowError: an entry of fi_a exceeds fi_b's largest by more
+        than the double range.
     """
     a, b = _entries(fi_a), _entries(fi_b)
     if a.shape != b.shape:
         raise InformationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    det_b = numerics.det_small(b)
+    rows_a, rows_b = a.tolist(), b.tolist()
+    exponent = -math.frexp(max(abs(x) for row in rows_b for x in row))[1]
+    det_b = numerics.det_small([[math.ldexp(x, exponent) for x in row] for row in rows_b])
     if not abs(det_b) > 1e-300:
         raise InformationError("denominator information matrix is singular")
-    return numerics.det_small(a) / det_b
+    return numerics.det_small([[math.ldexp(x, exponent) for x in row] for row in rows_a]) / det_b
 
 
 def regression_fi(

@@ -531,8 +531,10 @@ def _mixture_quantile(c, u):
     # Newton's method on log S(x) = log(1 - u) from x = 0.  log S is convex and
     # decreasing, so the iterates rise to the root without overshooting.  log S
     # comes from F below the median and from S above it, so both tails keep
-    # their relative precision; its slope is minus the hazard, 1 + (h - 1) q with
-    # q = pi e^{-hx} / S the first component's share of the survival.
+    # their relative precision; its slope is minus the hazard, (1 - q) + h q with
+    # q = pi e^{-hx} / S = expit(z) the first component's share of the survival,
+    # z = logit(pi) + (1 - h) x.  1 - q is taken as expit(-z), so h is not lost
+    # where q rounds to 1.
     pi, h = c["pi"], c["h"]
     ua = np.asarray(u, dtype=float).ravel()
     target = np.log1p(-ua)
@@ -542,7 +544,8 @@ def _mixture_quantile(c, u):
         xt = x[todo]
         F = _mixture_cdf(c, xt)
         log_sf = np.where(F < 0.5, np.log1p(-F), np.log(_mixture_sf(c, xt)))
-        hazard = 1.0 + (h - 1.0) * _expit(math.log(pi / (1.0 - pi)) + (1.0 - h) * xt)
+        z = math.log(pi / (1.0 - pi)) + (1.0 - h) * xt
+        hazard = _expit(-z) + h * _expit(z)
         residual = log_sf - target[todo]
         step = residual / hazard
         x[todo] = xt + step

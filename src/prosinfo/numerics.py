@@ -359,20 +359,25 @@ def integrate_expectation(model: tp.Any, integrand: tp.Callable[[float], float])
 
 
 def det_small(m: tp.Any) -> float:
-    """Closed-form determinant for p in {1, 2, 3}."""
+    """Closed-form determinant for p in {1, 2, 3}.
+
+    The arithmetic runs on Python floats, so a determinant beyond the double
+    range comes back as inf or nan without a warning.
+    """
     a = np.asarray(m, dtype=float)
     a = np.atleast_2d(a)
     p = a.shape[0]
     if a.shape != (p, p) or p not in (1, 2, 3):
         raise ValueError(f"det_small handles square matrices of dimension 1..3, got shape {a.shape}")
+    r = a.tolist()
     if p == 1:
-        return float(a[0, 0])
+        return r[0][0]
     if p == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    return (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
     )
 
 

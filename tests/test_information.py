@@ -234,6 +234,21 @@ def test_marginal_information_is_scale_equivariant(fam, set_size, n, p):
         assert np.max(np.abs(got - scaled[1])) <= 1e-8 * np.max(np.abs(scaled[1])), (fam, scaled)
 
 
+@pytest.mark.parametrize("sigma", (1e-150, 1e-100, 1e100, 1e150))
+def test_relative_efficiency_is_free_of_the_scale(sigma):
+    # the determinants of (6, 2) information leave the double range beyond |log10 sigma| of about 77
+    design, alpha = make_balanced_design(6, 2), make_symmetric_alpha(2, 0.8)
+    rss = rss_design(2)
+
+    def efficiencies(model):
+        fi = fi_pros_marginal(model, design, alpha)
+        return (relative_efficiencies(fi, fisher_srs(model, 2)),
+                relative_efficiencies(fi, fi_pros_marginal(model, rss, alpha)))
+
+    np.testing.assert_allclose(efficiencies(make_model("normal", sigma=sigma)), efficiencies(make_model("normal")),
+                               rtol=1e-13)
+
+
 def test_marginal_rejects_unbalanced_designs():
     from prosinfo import Design
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def test_exp_mixture_quantile_inverts_cdf_to_ulps(pi, h):
     ulps = np.abs(cdf - u) / np.spacing(u)
     assert ulps.max() <= 4.0, (u[np.argmax(ulps)], ulps.max())
     assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
+
+
+def test_exp_mixture_quantile_keeps_a_tiny_h():
+    # the hazard (1 - q) + h q keeps h where the first component's share q rounds to 1
+    pi, h = 0.5, 1e-200
+    model = make_model("exp_mixture", pi=pi, h=h)
+    u = np.array([1e-6, 0.5, 1.0 - 1e-6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = model.quantile(u)
+    np.testing.assert_allclose(model.cdf(x[:2]), u[:2], rtol=1e-13)
+    # far in the tail the second component is gone, S(x) = pi e^{-hx}
+    np.testing.assert_allclose(x[2], (math.log(pi) - math.log1p(-u[2])) / h, rtol=1e-13)
 
 
 def test_quantile_exponential_median():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import shlex
@@ -9,6 +10,7 @@ import pytest
 
 from prosinfo import (
     DellClutterConfig,
+    InformationError,
     estimate_dell_clutter_alpha,
     fi_pros_marginal,
     fisher_srs,
@@ -17,6 +19,7 @@ from prosinfo import (
     make_symmetric_alpha,
     relative_efficiencies,
 )
+from prosinfo import cli, sampling
 from prosinfo.cli import (
     CLIError,
     RunConfig,
@@ -31,6 +34,12 @@ from prosinfo.cli import (
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+
+
+@pytest.fixture(autouse=True)
+def empty_report_memo(monkeypatch):
+    """Each test starts from an empty run_custom memo, so no test is served a report another one ran."""
+    monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
 
 
 # -- published-table goldens --------------------------------------------------
@@ -382,6 +391,7 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         (["--params", "sigma=1e308", "--method", "mc", "--reps", "100"], 2, "lies outside the double range"),
         (["--params", "sigma=1e308", "--mode", "complete", "--method", "mc", "--reps", "100"], 2,
          "lies outside the double range"),
+        (["--params", "sigma=1e-100"], 2, "determinant of the information matrix overflows"),
         (["--method", "mc", "--reps", "2", "--seed", "11", "--alpha", "symmetric:0.5"], 3, "negative diagonal"),
         (["--family", "logistic", "--method", "mc", "--reps", "3", "--seed", "4", "--alpha", "symmetric:0.5"], 3,
          "negative diagonal"),
@@ -414,6 +424,31 @@ def test_cli_location_far_above_the_scale_reports_location_zero(capsys, mu, sigm
             assert captured.err == "", (argv, captured.err)
             reports.append([line for line in captured.out.splitlines() if not line.startswith("model = ")])
         assert reports[0] == reports[1], (argv, reports)
+
+
+def test_cli_relative_efficiency_does_not_depend_on_the_scale(capsys):
+    # at sigma = 1e100 the determinants underflow; the ratio of the scaled matrices does not
+    argv = ["fisher", "--set-size", "6", "--subsets", "2", "--alpha", "symmetric:0.8"]
+    reports = []
+    for sigma in ("1e100", "1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--params", f"sigma={sigma}"]) == 0, sigma
+        captured = capsys.readouterr()
+        assert captured.err == "", captured.err
+        reports.append([line for line in captured.out.splitlines() if line.startswith("re")])
+    assert reports[0] == reports[1] == ["re1 = 1.335794", "re2 = 1.140752"]
+
+
+def test_cli_sample_exp_mixture_with_a_tiny_h(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sample", "--family", "exp_mixture", "--params", "h=1e-200", "--set-size", "6",
+                   "--subsets", "2", "--cycles", "200"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    values = np.array([line.split(",")[3] for line in captured.out.splitlines()[1:]], dtype=float)
+    assert len(values) == 400 and np.all(np.isfinite(values)) and np.all(values > 0.0)
 
 
 def test_cli_wrong_size_matrix_gives_one_message(capsys, tmp_path):
@@ -484,6 +519,180 @@ def test_cli_model_errors_exit_code():
 def test_run_custom_rejects_unknown_subcommand():
     with pytest.raises(CLIError):
         run_custom(RunConfig(subcommand="plot"))
+
+
+# -- the report memo ------------------------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_custom_serves_an_exact_repeat_without_the_library(monkeypatch):
+    writes = _counting(monkeypatch, sampling, "sample_to_csv")
+    calibrations = _counting(monkeypatch, sampling, "estimate_alphas")
+    cfg = RunConfig(subcommand="sample", set_size=6, subsets=2, cycles=20, alpha="dellclutter:0.9", seed=3)
+    first = run_custom(cfg)
+    assert (len(writes), len(calibrations)) == (1, 1)
+    assert run_custom(RunConfig(subcommand="sample", set_size=6, subsets=2, cycles=20, alpha="dellclutter:0.9",
+                                seed=3)) is first
+    assert (len(writes), len(calibrations)) == (1, 1)
+    # any other field is another request
+    assert run_custom(dataclasses.replace(cfg, seed=4)) != first
+    assert (len(writes), len(calibrations)) == (2, 2)
+    fisher = RunConfig(subcommand="fisher", set_size=6, subsets=2, alpha="dellclutter:0.9", fmt="text")
+    assert run_custom(fisher) == run_custom(fisher)
+    assert len(calibrations) == 4  # the PROS(6, 2) and the RSS(2) matrices, once
+
+
+def test_run_custom_rereads_the_files_it_reads(tmp_path):
+    design, alpha = tmp_path / "design.txt", tmp_path / "alpha.csv"
+    design.write_text("1;1-3|4-6;1\n1;1-3|4-6;2\n")
+    alpha.write_text("0.9,0.1\n0.1,0.9\n")
+    cfg = RunConfig(subcommand="fisher", family="exponential", design_file=str(design), alpha=str(alpha), fmt="text")
+    first = run_custom(cfg)
+    alpha.write_text("0.7,0.3\n0.3,0.7\n")
+    second = run_custom(cfg)
+    assert second != first
+    design.write_text("1;1-2|3-6;1\n1;1-2|3-6;2\n")
+    third = run_custom(cfg)
+    assert third not in (first, second)
+    sample = RunConfig(subcommand="sample", design_file=str(design), alpha=str(alpha), cycles=5)
+    before = run_custom(sample)
+    design.write_text("1;1-2|3-6;1\n1;1-2|3-6;2\n2;1-3|4-6;1\n2;1-3|4-6;2\n")
+    assert run_custom(sample) != before
+    # the original files give the original report again
+    design.write_text("1;1-3|4-6;1\n1;1-3|4-6;2\n")
+    alpha.write_text("0.9,0.1\n0.1,0.9\n")
+    assert run_custom(cfg) is first
+
+
+def test_run_custom_keeps_no_report_whose_files_changed_while_it_ran(tmp_path, monkeypatch):
+    design, alpha = tmp_path / "design.txt", tmp_path / "alpha.csv"
+    design.write_text("1;1-3|4-6;1\n1;1-3|4-6;2\n")
+    alpha.write_text("0.9,0.1\n0.1,0.9\n")
+    cfg = RunConfig(subcommand="sample", design_file=str(design), alpha=str(alpha), cycles=5)
+    first = run_custom(cfg)
+    run_sample = cli._run_sample
+
+    def write_then_run(path, text):
+        """A runner that rewrites a file after the request is keyed and before the runner reads it."""
+        def runner(cfg):
+            path.write_text(text)
+            return run_sample(cfg)
+        return runner
+
+    for path, text in ((alpha, "0.7,0.3\n0.3,0.7\n"), (design, "1;1-2|3-6;1\n1;1-2|3-6;2\n")):
+        original = path.read_text()
+        monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
+        monkeypatch.setattr(cli, "_run_sample", write_then_run(path, text))
+        assert run_custom(cfg) != first
+        assert cli._REPORTS.texts == {}
+        monkeypatch.setattr(cli, "_run_sample", run_sample)
+        path.write_text(original)
+        assert run_custom(cfg) == first
+    # an --alpha file made while the request runs: once it is gone again, the request is refused again
+    late = dataclasses.replace(cfg, alpha=str(tmp_path / "late.csv"))
+    monkeypatch.setattr(cli, "_run_sample", write_then_run(tmp_path / "late.csv", alpha.read_text()))
+    assert run_custom(late) == first
+    monkeypatch.setattr(cli, "_run_sample", run_sample)
+    (tmp_path / "late.csv").unlink()
+    with pytest.raises(CLIError):
+        run_custom(late)
+
+
+def test_run_custom_keeps_no_failed_request():
+    for cfg in (
+        RunConfig(subcommand="fisher", set_size=6, subsets=2, params=(("sigma", 1e-100),)),
+        RunConfig(subcommand="entropy", set_size=6, subsets=2, measure="renyi"),
+        RunConfig(subcommand="sample", design_file="no-such-design.txt"),
+    ):
+        for _ in range(2):
+            with pytest.raises((InformationError, CLIError, OSError)):
+                run_custom(cfg)
+    assert cli._REPORTS.texts == {} and cli._REPORTS.chars == 0
+
+
+def test_report_memo_stays_within_its_bound(monkeypatch):
+    cfgs = [RunConfig(subcommand="entropy", family=fam, set_size=6, subsets=2, fmt="text")
+            for fam in ("normal", "logistic", "exponential", "extreme_value")]
+    keys = [repr(cfg) for cfg in cfgs]
+    sizes = [len(run_custom(cfg)) for cfg in cfgs]
+    bound = sizes[0] + sizes[1] + sizes[2] - 1  # room for two of the first three reports, not three
+    monkeypatch.setattr(cli, "REPORT_MEMO_BYTES", bound)
+    memo = cli._ReportMemo()
+    monkeypatch.setattr(cli, "_REPORTS", memo)
+    kept = []
+    for cfg in cfgs + cfgs[2:0:-1]:
+        run_custom(cfg)
+        assert memo.chars == sum(map(len, memo.texts.values())) <= bound
+        kept.append([keys.index(key[0]) for key in memo.texts])
+    # least recently used first out; a hit moves a report to the back
+    assert kept == [[0], [0, 1], [1, 2], [2, 3], [3, 2], [2, 1]]
+    big = RunConfig(subcommand="sample", set_size=6, subsets=2, cycles=200)
+    text = run_custom(big)
+    assert len(text) > bound
+    assert [keys.index(key[0]) for key in memo.texts] == [2, 1]
+    assert run_custom(big) == text and run_custom(big) is not text
+
+
+_D_FILE = str(Path(__file__).parent.parent / "perfbench" / "data" / "unbalanced_design.txt")
+_MEMO_CASES = (
+    RunConfig(subcommand="fisher", family="gamma", set_size=6, subsets=2, mode="complete", fmt="csv"),
+    RunConfig(subcommand="fisher", set_size=6, subsets=2, alpha="symmetric:0.8", fmt="csv"),
+    RunConfig(subcommand="fisher", family="exponential", set_size=6, subsets=3, alpha="dellclutter:0.75", fmt="csv"),
+    RunConfig(subcommand="fisher", family="exponential", mode="unbalanced", design_file=_D_FILE,
+              alpha="dellclutter:0.9", fmt="csv"),
+    RunConfig(subcommand="fisher", set_size=6, subsets=2, alpha="symmetric:0.8", method="mc", reps=4096, workers=2,
+              fmt="csv"),
+    RunConfig(subcommand="entropy", family="exponential", subsets=3, kind="rss", fmt="csv"),
+    RunConfig(subcommand="entropy", family="exp_mixture", set_size=6, subsets=2, measure="renyi", order=0.5,
+              fmt="csv"),
+    RunConfig(subcommand="entropy", family="logistic", set_size=6, subsets=3, measure="kl", fmt="csv"),
+    RunConfig(subcommand="sample", family="exp_mixture", set_size=6, subsets=2, cycles=200),
+    RunConfig(subcommand="sample", family="logistic", set_size=12, subsets=3, cycles=100, alpha="symmetric:0.8"),
+    RunConfig(subcommand="sample", family="gamma", set_size=6, subsets=2, cycles=100, alpha="dellclutter:0.75"),
+    RunConfig(subcommand="sample", family="exponential", design_file=_D_FILE, cycles=50, alpha="symmetric:0.9"),
+)
+
+
+@pytest.mark.parametrize("cfg", _MEMO_CASES, ids=lambda cfg: f"{cfg.subcommand}-{cfg.family}-{cfg.alpha}-{cfg.method}")
+def test_memo_hit_prints_the_bytes_of_a_fresh_run(cfg, monkeypatch):
+    first = run_custom(cfg)
+    assert run_custom(cfg) is first
+    monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
+    assert run_custom(cfg) == first
+
+
+def test_memo_keeps_apart_requests_that_compare_equal_but_print_apart(monkeypatch):
+    zero, minus_zero = (RunConfig(subcommand="entropy", set_size=6, subsets=2, params=(("mu", mu),))
+                        for mu in (0.0, -0.0))
+    assert zero == minus_zero
+    fresh = []
+    for cfg in (zero, minus_zero):
+        monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
+        fresh.append(run_custom(cfg))
+    assert fresh[0] != fresh[1]
+    assert [run_custom(zero), run_custom(minus_zero)] == fresh
+
+
+def test_memo_hit_with_an_alpha_file_prints_the_bytes_of_a_fresh_run(tmp_path, monkeypatch):
+    alpha = tmp_path / "alpha.csv"
+    alpha.write_text("0.8,0.2\n0.2,0.8\n")
+    for sub in ("fisher", "sample"):
+        cfg = RunConfig(subcommand=sub, set_size=6, subsets=2, cycles=50, alpha=str(alpha))
+        first = run_custom(cfg)
+        assert run_custom(cfg) is first
+        monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
+        assert run_custom(cfg) == first
 
 
 # -- which flags each request reads ---------------------------------------------
