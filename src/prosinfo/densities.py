@@ -59,8 +59,8 @@ def rank_coefficients(set_size: int, blocks: Blocks, alpha_row: tp.Any) -> np.nd
     return c
 
 
-def bernstein_series(coef: np.ndarray, t: FloatArray) -> tuple[np.ndarray, ...]:
-    """w(t) = sum_u coef[..., u-1] b_u(t) and its first two t-derivatives.
+def bernstein_series(coef: np.ndarray, t: FloatArray, s: FloatArray | None = None) -> tuple[np.ndarray, ...]:
+    """w(t) = sum_u coef[..., u-1] b_u(t) and its first two t-derivatives; s is 1 - t, or 1.0 - t where not given.
 
     coef holds rank coefficients c_1..c_S on its last axis (see
     rank_coefficients); leading axes are independent series, and each result
@@ -68,13 +68,14 @@ def bernstein_series(coef: np.ndarray, t: FloatArray) -> tuple[np.ndarray, ...]:
     m = S-1-k series of the k-th differences of c, times (S-1)!/m!: one matrix
     product of (Delta^k c)_j C(m, j) with t^j (1-t)^(m-j) over the window lo..hi
     of coefficients non-zero in some row.  All three share one table of powers
-    t^j and (1-t)^j, built up to the highest exponent a window needs by O(log S)
+    t^j and s^j, built up to the highest exponent a window needs by O(log S)
     in-place multiplies per block of at most 2^15 / (2S) points; at integrate's
-    (0, 1) nodes a block's bases are built once (numerics.node_memo).  As
+    nodes (t, s) a block's bases are built once (numerics.node_memo).  As
     0^0 = 1, t = 0 and 1 are exact; a weight below the double range underflows to 0.
     """
     c = np.asarray(coef, dtype=float)
     flat = np.ravel(np.asarray(t, dtype=float))
+    flat_s = None if s is None else np.ravel(np.asarray(s, dtype=float))
     a = c.reshape(-1, c.shape[-1])
     out = np.zeros((3, a.shape[0], flat.size))
     windows = []
@@ -91,20 +92,24 @@ def bernstein_series(coef: np.ndarray, t: FloatArray) -> tuple[np.ndarray, ...]:
     step = max(2**15 // (2 * top + 2), 1)
     for first in range(0, flat.size if windows else 0, step):
         block = flat[first : first + step]
-        bases = numerics.node_memo(("bernstein", spans, first), t, lambda _: _bases(block, spans, top))
+        if flat_s is None:
+            bases = _bases(block, 1.0 - block, spans, top)
+        else:  # kept only where s is given, so that a node array's bases come from its exact complement
+            s_block = flat_s[first : first + step]
+            bases = numerics.node_memo(("bernstein", spans, first), t, lambda _: _bases(block, s_block, spans, top))
         for (k, _, coef_w), basis in zip(windows, bases):
             out[k, :, first : first + step] = coef_w @ basis
     return tuple(out.reshape((3,) + c.shape[:-1] + np.shape(t)))
 
 
-def _bases(block: np.ndarray, spans: tp.Sequence[tuple[int, int, int]], top: int) -> tuple[np.ndarray, ...]:
-    """Rows t^j (1-t)^(m-j), j = lo..hi, of each (m, lo, hi) in spans at block, from one table of powers up to top."""
-    powers = np.empty((top + 1, 2, block.size))  # powers[j] = (t^j, (1-t)^j)
-    powers[0], powers[1], n = 1.0, (block, 1.0 - block), 1
+def _bases(t: np.ndarray, s: np.ndarray, spans: tp.Sequence[tuple[int, int, int]], top: int) -> tuple[np.ndarray, ...]:
+    """Rows t^j s^(m-j), j = lo..hi, of each (m, lo, hi) in spans at t, s = 1 - t, from one table of powers to top."""
+    powers = np.empty((top + 1, 2, t.size))  # powers[j] = (t^j, s^j)
+    powers[0], powers[1], n = 1.0, (t, s), 1
     while n < top:  # rows n+1..2n are rows 1..n times row n
         np.multiply(powers[1 : min(n, top - n) + 1], powers[n], out=powers[n + 1 : min(2 * n, top) + 1])
         n *= 2
-    # the (1-t) exponents run down from m - lo
+    # the s exponents run down from m - lo
     return tuple(powers[lo : hi + 1, 0] * powers[m - hi : m - lo + 1, 1][::-1] for m, lo, hi in spans)
 
 

@@ -10,15 +10,17 @@ Every integral runs on the parent's standard member (Model.standard): an
 entropy at scale s is the member's plus log s, row by row, and KL information
 does not depend on location or scale, so no location or scale costs precision.
 
-* Shannon entropy and KL information run on the quantile scale over the open
-  interval t in (0, 1), with the parent log-density log f(Q(t)).
-* Renyi entropy runs on the x-scale, ∫ f(x)^α w(F(x))^α dx over the support,
-  split at the median.  On the quantile scale t cannot resolve the upper tail
-  beyond 1 - 1.1e-16, where f^α still holds mass of order 1 at small α such
-  as 0.03.  Above the median w is evaluated from the survival function
-  1 - F(x), as b_u(t) = b_{S+1-u}(1-t), so it keeps its precision where F(x)
-  rounds to 1.  An order whose integral does not converge raises
-  numerics.NumericsError instead of returning a truncated value.
+Every integral runs on the quantile scale over the open interval t in (0, 1),
+with the parent quantile Q(t, s) and the weight w(t, s) read from t and its
+exact complement s = 1 - t.  So the upper tail resolves to s of about 4e-308,
+as the lower does to t, also where t rounds to 1:
+
+* Shannon entropy and KL information integrate with the parent log-density
+  log f(Q(t)).
+* Renyi entropy integrates ∫ f(x)^α w(F(x))^α dx = ∫ f(Q(t))^(α-1) w(t)^α dt,
+  whose tails hold mass of order 1 at small α such as 0.03.  An order whose
+  integral does not converge raises numerics.NumericsError instead of
+  returning a truncated value.
 
 Entropies are reported in nats.  Subsetting is assumed perfect here.
 """
@@ -106,9 +108,9 @@ def _report_coefficients(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) 
     return _coefficients(set_size, (every,) + tuple(subsets) + tuple((v,) for v in every))
 
 
-def _quantile_integrals(coef: np.ndarray, term: tp.Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """∫ term(t, w(t)) dt over the quantile domain (0, 1), one value per weight row w."""
-    return numerics.integrate(lambda t: term(t, bernstein_series(coef, t)[0]), 0.0, 1.0)
+def _quantile_integrals(coef: np.ndarray, term: tp.Callable[..., np.ndarray]) -> np.ndarray:
+    """∫ term(t, s, w(t)) dt over the quantile domain (0, 1), s = 1 - t, one value per weight row w."""
+    return numerics.integrate(lambda t, s: term(t, s, bernstein_series(coef, t, s)[0]))
 
 
 def _label(kind: str, n: int, set_size: int) -> str:
@@ -145,8 +147,8 @@ def shannon(model: Model, kind: str = "pros", n: int = 1, set_size: int | None =
     set_size, subsets = _resolve(kind, n, set_size)
     std, scale = model.standard()
 
-    def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return -(w * std.logpdf(std.quantile(t)) + _xlogx(w))
+    def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return -(w * std.logpdf(std.quantile(t, s)) + _xlogx(w))
 
     values = _quantile_integrals(_report_coefficients(set_size, subsets), term)
     return _report(model, kind, n, set_size, values + math.log(scale))
@@ -155,10 +157,10 @@ def shannon(model: Model, kind: str = "pros", n: int = 1, set_size: int | None =
 def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: int | None = None) -> EntropyReport:
     """Renyi entropy of order alpha; only 0 < alpha < 1 is defined here.
 
-    Each block contributes (1/(1-α))·log ∫ f(x)^α w_r(F(x))^α dx, on the
-    x-scale of the standard member: t = F(x) rounds to 1 in the upper tail,
-    whose share of f^α grows as α falls.  Orders above 1 are outside the
-    supported range for subset densities and are rejected.
+    Each block contributes (1/(1-α))·log ∫ f(Q(t))^(α-1) w_r(t)^α dt, the
+    integral of f^α w_r(F)^α over the standard member's support on the
+    quantile scale.  Orders above 1 are outside the supported range for subset
+    densities and are rejected.
 
     :raises numerics.NumericsError: the integral did not converge, as happens
         at very small orders on an unbounded support.
@@ -166,18 +168,15 @@ def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: 
     if not 0.0 < alpha < 1.0:
         raise EntropyError(f"Renyi order must satisfy 0 < alpha < 1 (alpha > 1 unsupported), got {alpha!r}")
     set_size, subsets = _resolve(kind, n, set_size)
-    coef = _report_coefficients(set_size, subsets)
     std, scale = model.standard()
-    lo, hi = std.support()
-    median = float(std.quantile(0.5))
 
-    def below(x: np.ndarray) -> np.ndarray:
-        return std.pdf(x) ** alpha * bernstein_series(coef, std.cdf(x))[0] ** alpha
+    def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # the density is 0 at a quantile where its formula is not finite: a support end where f diverges, as
+        # where the gamma quantile below shape 1 underflows to 0, and f^(α-1) tends to 0 there
+        f = std.pdf(std.quantile(t, s))
+        return np.where(f > 0.0, f ** (alpha - 1.0), 0.0) * w**alpha
 
-    def above(x: np.ndarray) -> np.ndarray:
-        return std.pdf(x) ** alpha * bernstein_series(coef[:, ::-1], std.sf(x))[0] ** alpha
-
-    mass = numerics.integrate(below, lo, median) + numerics.integrate(above, median, hi)
+    mass = _quantile_integrals(_report_coefficients(set_size, subsets), term)
     return _report(model, kind, n, set_size, np.log(mass) / (1.0 - alpha) + math.log(scale))
 
 
@@ -190,7 +189,7 @@ def kl_pros_srs(model: Model, design: Design) -> float:
     if not design.is_balanced:
         raise EntropyError("KL information is defined here for balanced designs")
     coef = _coefficients(design.set_size, design.subsets)
-    return float(np.sum(_quantile_integrals(coef, lambda t, w: _xlogx(w))))
+    return float(np.sum(_quantile_integrals(coef, lambda t, s, w: _xlogx(w))))
 
 
 def kl_likelihood_chain(model: Model, design: Design, shift: float = 0.5) -> tuple[float, float, float]:
@@ -212,8 +211,8 @@ def kl_likelihood_chain(model: Model, design: Design, shift: float = 0.5) -> tup
     if np.any(np.asarray(model.pdf(np.asarray(model.quantile(probe)) + delta)) <= 0.0):
         raise EntropyError("KL divergence is infinite: the shifted density vanishes on the parent support")
 
-    def term(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        x = model.quantile(t)
+    def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+        x = model.quantile(t, s)
         return _xlogx(w) + w * (model.logpdf(x) - model.logpdf(x + delta))
 
     k = _quantile_integrals(_report_coefficients(S, design.subsets), term)

@@ -9,7 +9,7 @@ models.score_information, the weighted score outer product
 over the open quantile domain; the routes differ only in (alpha, beta, w):
 
     I_srs      alpha = 1                      w = 1
-    K / n(S-1) beta = 1                       w = 1 / (t (1-t))
+    K / n(S-1) beta = 1                       w = 1 / (t s),  s = 1 - t
     unbalanced alpha = 1, beta = gamma'/gamma w = gamma, one term per set
 
 Complete-data PROS information is n I_srs + K; measurements-only information
@@ -98,7 +98,7 @@ def k_matrix(model: Model, n: int, set_size: int) -> numerics.InfoMatrix:
         raise InformationError("n and set_size must be >= 1")
     if set_size == 1:
         return numerics.InfoMatrix(np.zeros((model.p, model.p)))
-    gain = score_information(model, lambda u: (None, 1.0, (1.0 / (u * (1.0 - u)))[None]))
+    gain = score_information(model, lambda t, s: (None, 1.0, (1.0 / (t * s))[None]))
     return numerics.InfoMatrix(n * (set_size - 1) * gain)
 
 
@@ -196,8 +196,8 @@ def fi_unbalanced(
 
     if method == "quadrature":
 
-        def set_coefficients(u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-            g, gd, _ = densities.bernstein_series(coefs, u)
+        def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+            g, gd, _ = densities.bernstein_series(coefs, t, s)
             return 1.0, gd / g, g
 
         total = score_information(model, set_coefficients)
@@ -310,7 +310,7 @@ def regression_fi(
 
     a_const, b_const = np.diagonal(unit_entries(noise))
     # C = int f^2/u and D = int z^2 f^2/u are the diagonal of the kernel with v = dF = -(f, z f), w = 1/u
-    c_const, d_const = np.diagonal(score_information(noise, lambda u: (None, 1.0, (1.0 / u)[None])))
+    c_const, d_const = np.diagonal(score_information(noise, lambda t, s: (None, 1.0, (1.0 / t)[None])))
 
     k = x.size
     sx2 = float(np.mean(x * x))
@@ -344,10 +344,10 @@ def verify_lemma_identity(
     n, S = design.n, design.set_size
     rows = UnbalancedDesign.from_design(design).measured_rows()
 
-    def g_of_quantile(u: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(G(model.quantile(u)), dtype=float), u.shape)[None]
+    def g_of_quantile(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(G(model.quantile(t, s)), dtype=float), t.shape)[None]
 
-    reference = n * (S - 1) * float(numerics.integrate(g_of_quantile, 0.0, 1.0)[0])
+    reference = n * (S - 1) * float(numerics.integrate(g_of_quantile)[0])
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         t0 = np.zeros(count)

@@ -15,8 +15,9 @@ Information runs on the standard member, Model.standard; from_standard maps it b
 The special functions are numpy code but the gamma family's, which import
 scipy.special when a gamma model is first evaluated.  The gamma quantile starts
 from a per-shape table and takes one certified Halley step on gammainc
-(gammaincc in the upper half), falling back to gammaincinv where the step is
-not certified.
+(gammaincc in the upper half), falling back to gammaincinv (gammainccinv in
+the upper half) where the step is not certified.  Every quantile reads its
+upper half from s = 1 - t, which a caller may pass exactly where t rounds to 1.
 
 Conventions: the extreme-value family is the Gumbel minimum, F(z) = 1 - exp(-e^z);
 the exponential mixture fixes the baseline rate at 1 and is parameterized by
@@ -41,7 +42,7 @@ _EULER_GAMMA = 0.5772156649015328606
 # the cap only guards against a step that rounding keeps alive.
 _NEWTON_STEPS = 50
 
-# The gamma quantile's table: log z at s = log t - log(1 - t) on [-40, 40] in
+# The gamma quantile's table: log z at the logit log t - log(1 - t) on [-40, 40] in
 # steps of 1/8.  Its cubic Hermite pieces start within 4.7e-8 of z at shape 0.8,
 # and closer at larger shapes (1e-8 at 10, 9e-11 at 1e5).
 _GAMMA_S_LO, _GAMMA_S_STEP, _GAMMA_NODES = -40.0, 0.125, 641
@@ -179,23 +180,26 @@ class Model:
         out = np.log(np.maximum(self.pdf(xa), np.finfo(float).tiny))
         return out if np.ndim(x) else float(out)
 
-    def quantile(self, u: FloatArray) -> FloatArray:
+    def quantile(self, u: FloatArray, s: FloatArray | None = None) -> FloatArray:
+        """F^{-1}(u), the upper half read from s = 1 - u: exact where given, so that u may round to 1, else 1.0 - u."""
         ua = np.asarray(u, dtype=float)
-        if np.any(~((ua > 0.0) & (ua < 1.0))):
+        sa = None if s is None else np.asarray(s, dtype=float)
+        if np.any(~((ua > 0.0) & ((ua < 1.0) if sa is None else (sa > 0.0)))):
             raise ModelError("quantile argument must lie strictly inside (0, 1)")
-        out = _family(self.family).quantile(self._ctx(), ua)
+        out = _family(self.family).quantile(self._ctx(), ua, sa)
         return np.asarray(out) if np.ndim(u) else float(out)
 
     def _partials(self, x: FloatArray) -> tuple[dict, dict]:
         return _family(self.family).partials(self._ctx(), np.asarray(x, dtype=float))
 
-    def quantile_scores(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, d log f, dF) at x = F^{-1}(u) from one evaluation, kept per model at integrate's (0, 1) nodes."""
-        return numerics.node_memo(self, u, self._quantile_scores)
+    def quantile_scores(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, d log f, dF) at x = F^{-1}(t), s = 1 - t, from one evaluation, kept per model at integrate's nodes."""
 
-    def _quantile_scores(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = self.quantile(u)
-        return (x, *(_columns(d, self.active, np.shape(x)) for d in self._partials(x)))
+        def build(_: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            x = self.quantile(t, s)
+            return (x, *(_columns(d, self.active, np.shape(x)) for d in self._partials(x)))
+
+        return numerics.node_memo(self, t, build)
 
     def score_cdf(self, x: FloatArray) -> np.ndarray:
         """d F(x;theta) / d theta_j for the active parameters, stacked on the last axis."""
@@ -269,7 +273,7 @@ def unit_entries(model: Model) -> np.ndarray:
     std, scale = model.standard()
     closed = _family(model.family).fisher_unit(std._ctx())
     if closed is None:
-        return score_information(model, lambda u: (1.0, None, np.ones((1, u.size))))
+        return score_information(model, lambda t, s: (1.0, None, np.ones((1, t.size))))
     idx = [model.param_names.index(n) for n in model.active]
     return from_standard(model, scale, np.asarray(closed)[np.ix_(idx, idx)])
 
@@ -286,17 +290,18 @@ def from_standard(model: Model, scale: float, entries: np.ndarray) -> np.ndarray
     return entries * inv
 
 
-def score_information(model: Model, coefficients: tp.Callable[[np.ndarray], tuple]) -> np.ndarray:
-    """The information kernel int_0^1 sum_b w_b v_b v_b^T du, v_b = alpha_b d log f + beta_b dF at F^{-1}(u).
+def score_information(model: Model, coefficients: tp.Callable[[np.ndarray, np.ndarray], tuple]) -> np.ndarray:
+    """The information kernel int_0^1 sum_b w_b v_b v_b^T dt, v_b = alpha_b d log f + beta_b dF at F^{-1}(t).
 
-    coefficients maps u to (alpha, beta, w), each broadcastable to (k, len(u)),
-    one term b per row; a None alpha or beta drops its score.  It runs on the standard member.
+    coefficients maps integrate's nodes (t, s = 1 - t) to (alpha, beta, w), each
+    broadcastable to (k, len(t)), one term b per row; a None alpha or beta drops
+    its score.  It runs on the standard member.
     """
     std, scale = model.standard()
 
-    def terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, d_logf, d_cdf = std.quantile_scores(u)
-        alpha, beta, w = coefficients(u)
+    def terms(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, d_logf, d_cdf = std.quantile_scores(t, s)
+        alpha, beta, w = coefficients(t, s)
         v = [np.asarray(c)[..., None] * d for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
         return sum(v[1:], v[0]), w
 
@@ -342,11 +347,11 @@ _CEPHES_ERF = (
 _SQRTH = math.sqrt(0.5)
 
 
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """Standard normal quantile for u in (0, 1), by AS241."""
+def _ndtri(u: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """Standard normal quantile for u in (0, 1), by AS241: its tails read min(u, s), s = 1 - u (1.0 - u if None)."""
     u = np.asarray(u, dtype=float)
     q = u - 0.5
-    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
+    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u if s is None else s)))
     tail = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
     return np.where(np.abs(q) <= 0.425, q * _rational(_AS241[0], 0.180625 - q * q), np.copysign(tail, q))
 
@@ -380,6 +385,17 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
+def _log1m(t: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """log(1 - t): log1p(-t), but log(s) above t = 1/2 where s = 1 - t is given, as t may have rounded to 1 there.
+
+    Without s, 1 - t is exact above 1/2 and log1p(-t) takes the place of log(1 - t), with the same bits.
+    """
+    if s is None:
+        return np.log1p(-t)
+    with np.errstate(divide="ignore"):  # log1p(-1) where t rounded to 1, in the branch not taken
+        return np.where(t <= 0.5, np.log1p(-t), np.log(s))
+
+
 def _xlogx(w: np.ndarray) -> np.ndarray:
     """w log w, with its limit 0 at w = 0."""
     w = np.asarray(w, dtype=float)
@@ -408,7 +424,7 @@ class _Family:
     pdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    quantile: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    quantile: tp.Callable[[dict[str, float], np.ndarray, np.ndarray | None], np.ndarray]  # (c, t, 1 - t or None) -> x
     # (c, x) -> (d log f, dF), each keyed by parameter name
     partials: tp.Callable[[dict[str, float], np.ndarray], tuple[dict, dict]]
     # (c, x, a, b) -> the -Hessian of log f(x) + log w(F(x)) for a = (log w)', b = (log w)'': its
@@ -443,8 +459,8 @@ def _require_positive(ctx: dict[str, float], *names: str) -> None:
 class _Standard:
     """A location-scale family stated through its standard variable z = (x - loc) / scale.
 
-    pdf, cdf and sf are f0, F0 and 1 - F0 of z, quantile is F0^{-1}, psi is
-    (log f0)' and dpsi is psi'; each takes the parameter dict first, for a
+    pdf, cdf and sf are f0, F0 and 1 - F0 of z, quantile is F0^{-1} of (t, s = 1 - t or None),
+    psi is (log f0)' and dpsi is psi'; each takes the parameter dict first, for a
     fixed shape.  loc is None for a scale family, whose location is 0; psi and
     dpsi are None for a family that states its own partials.
     """
@@ -454,7 +470,7 @@ class _Standard:
     pdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    quantile: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
+    quantile: tp.Callable[[dict[str, float], np.ndarray, np.ndarray | None], np.ndarray]
     psi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray] | None = None
     dpsi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray] | None = None
 
@@ -498,7 +514,7 @@ def _location_scale(std: _Standard, **fields: tp.Any) -> _Family:
         pdf=lambda c, x: std.pdf(c, std.z(c, x)) / c[std.scale],
         cdf=lambda c, x: std.cdf(c, std.z(c, x)),
         sf=lambda c, x: std.sf(c, std.z(c, x)),
-        quantile=lambda c, u: (c[std.loc] if std.loc else 0.0) + c[std.scale] * std.quantile(c, u),
+        quantile=lambda c, t, s: (c[std.loc] if std.loc else 0.0) + c[std.scale] * std.quantile(c, t, s),
         partials=std.partials,
         neg_hessian=std.neg_hessian,
         loc=std.loc,
@@ -527,7 +543,7 @@ def _mixture_sf(c, x):
     return c["pi"] * np.exp(-c["h"] * x) + (1.0 - c["pi"]) * np.exp(-x)
 
 
-def _mixture_quantile(c, u):
+def _mixture_quantile(c, u, s):
     # Newton's method on log S(x) = log(1 - u) from x = 0.  log S is convex and
     # decreasing, so the iterates rise to the root without overshooting.  log S
     # comes from F below the median and from S above it, so both tails keep
@@ -536,10 +552,9 @@ def _mixture_quantile(c, u):
     # z = logit(pi) + (1 - h) x.  1 - q is taken as expit(-z), so h is not lost
     # where q rounds to 1.
     pi, h = c["pi"], c["h"]
-    ua = np.asarray(u, dtype=float).ravel()
-    target = np.log1p(-ua)
-    x = np.zeros_like(ua)
-    todo = np.arange(ua.size)
+    target = np.ravel(_log1m(u, s))
+    x = np.zeros_like(target)
+    todo = np.arange(target.size)
     for _ in range(_NEWTON_STEPS):
         xt = x[todo]
         F = _mixture_cdf(c, xt)
@@ -576,29 +591,34 @@ def _mixture_neg_hessian(c, x, a, b):
             lh * lh - pi * e * x * (h * x - 2.0) / f + a * pi * x * x * e - b * fh * fh)
 
 
-def _gamma_quantile(k: float, t: np.ndarray) -> np.ndarray:
-    """gammaincinv(k, t): one Halley step from the table start where it is certified, gammaincinv elsewhere."""
+def _gamma_quantile(k: float, t: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """The z with P(k, z) = t, s = 1 - t: one Halley step from the table start where it is certified, elsewhere
+    gammaincinv(k, t) up to t = 1/2 and gammainccinv(k, s) above."""
     special = _scipy_special()
-    if not _GAMMA_TABLE_SHAPES[0] <= k <= _GAMMA_TABLE_SHAPES[1]:
-        return special.gammaincinv(k, t)
     t1 = np.atleast_1d(t)  # numpy returns scalars, not arrays, from 0-d arithmetic
-    z, certified = _gamma_halley(k, t1)
+    s1 = 1.0 - t1 if s is None else np.atleast_1d(s)
+    if _GAMMA_TABLE_SHAPES[0] <= k <= _GAMMA_TABLE_SHAPES[1]:
+        z, certified = _gamma_halley(k, t1, s1)
+    else:
+        z, certified = np.empty_like(t1), np.zeros(t1.shape, dtype=bool)
     if not certified.all():
-        z[~certified] = special.gammaincinv(k, t1[~certified])
+        lower, upper = ~certified & (t1 <= 0.5), ~certified & (t1 > 0.5)
+        z[lower] = special.gammaincinv(k, t1[lower])
+        z[upper] = special.gammainccinv(k, s1[upper])
     return z.reshape(np.shape(t))
 
 
-def _gamma_halley(k: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z1, certified): one Halley step on P(k, z) = t from the table start z0, and where it may stand.
+def _gamma_halley(k: float, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z1, certified): one Halley step on P(k, z) = t, s = 1 - t, from the table start z0, and where it may stand.
 
-    The residual is P(z0) - t for t <= 1/2, and (1 - t) - Q(z0) above, where
-    1 - t is exact, so the upper tail keeps its relative precision.  A step is
-    certified for t inside the table with |z1 - z0| <= _HALLEY_CERTIFIED z0.
-    There, at the shapes the table serves, z0 is finite and at least 1e-22.
+    The residual is P(z0) - t for t <= 1/2, and s - Q(z0) above, so the upper
+    tail keeps its relative precision.  A step is certified for t inside the
+    table with |z1 - z0| <= _HALLEY_CERTIFIED z0.  There, at the shapes the
+    table serves, z0 is finite and at least 1e-22.
     """
     special = _scipy_special()
     coef = _gamma_table(k)
-    x = (np.log(t / (1.0 - t)) - _GAMMA_S_LO) / _GAMMA_S_STEP
+    x = (np.log(t / s) - _GAMMA_S_LO) / _GAMMA_S_STEP
     inside = (x >= 0.0) & (x <= _GAMMA_NODES - 1)
     x = np.clip(x, 0.0, _GAMMA_NODES - 1)
     i = np.minimum(x.astype(np.intp), _GAMMA_NODES - 2)
@@ -609,7 +629,7 @@ def _gamma_halley(k: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     upper = ~lower
     residual = np.empty_like(z)
     residual[lower] = special.gammainc(k, z[lower]) - t[lower]
-    residual[upper] = (1.0 - t[upper]) - special.gammaincc(k, z[upper])
+    residual[upper] = s[upper] - special.gammaincc(k, z[upper])
     # Newton's step r / f0 and Halley's correction through f0' / f0 = (k - 1) / z - 1
     newton = residual / np.exp((k - 1.0) * log_z - z - math.lgamma(k))
     z1 = z - newton / (1.0 - 0.5 * newton * ((k - 1.0) / z - 1.0))
@@ -664,7 +684,7 @@ _FAMILIES: dict[str, _Family] = {
             pdf=lambda c, z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
             cdf=lambda c, z: _ndtr(z),
             sf=lambda c, z: _ndtr(-z),
-            quantile=lambda c, u: _ndtri(u),
+            quantile=lambda c, t, s: _ndtri(t, s),
             psi=lambda c, z: -z,
             dpsi=lambda c, z: -1.0,
         ),
@@ -678,7 +698,7 @@ _FAMILIES: dict[str, _Family] = {
             pdf=lambda c, z: np.exp(-z),
             cdf=lambda c, z: -np.expm1(-z),
             sf=lambda c, z: np.exp(-z),
-            quantile=lambda c, u: -np.log1p(-u),
+            quantile=lambda c, t, s: -_log1m(t, s),
             psi=lambda c, z: -1.0,
             dpsi=lambda c, z: 0.0,
         ),
@@ -692,7 +712,7 @@ _FAMILIES: dict[str, _Family] = {
             pdf=_logistic_pdf0,
             cdf=lambda c, z: _expit(z),
             sf=lambda c, z: _expit(-z),
-            quantile=lambda c, u: np.log(u) - np.log1p(-u),
+            quantile=lambda c, t, s: np.log(t) - _log1m(t, s),
             psi=lambda c, z: -np.tanh(0.5 * z),
             dpsi=lambda c, z: -2.0 * _logistic_pdf0(c, z),
         ),
@@ -706,7 +726,7 @@ _FAMILIES: dict[str, _Family] = {
             pdf=lambda c, z: np.exp(z - np.exp(z)),
             cdf=lambda c, z: -np.expm1(-np.exp(z)),
             sf=lambda c, z: np.exp(-np.exp(z)),
-            quantile=lambda c, u: np.log(-np.log1p(-u)),
+            quantile=lambda c, t, s: np.log(-_log1m(t, s)),
             psi=lambda c, z: 1.0 - np.exp(z),
             dpsi=lambda c, z: -np.exp(z),
         ),
@@ -722,7 +742,7 @@ _FAMILIES: dict[str, _Family] = {
             pdf=lambda c, z: np.exp((c["shape"] - 1.0) * np.log(z) - z - math.lgamma(c["shape"])),
             cdf=lambda c, z: _scipy_special().gammainc(c["shape"], z),
             sf=lambda c, z: _scipy_special().gammaincc(c["shape"], z),
-            quantile=lambda c, u: _gamma_quantile(c["shape"], u),
+            quantile=lambda c, t, s: _gamma_quantile(c["shape"], t, s),
         ),
         partials=_gamma_partials,
         neg_hessian=_gamma_neg_hessian,
@@ -732,7 +752,8 @@ _FAMILIES: dict[str, _Family] = {
         validate=lambda c: _validate_gamma(c),
         mean=lambda c: c["shape"] * c["sigma"],
         var=lambda c: c["shape"] * _sq(c["sigma"]),
-        fisher_unit=lambda c: np.array([[float(_scipy_special().polygamma(1, c["shape"])), 1.0], [1.0, c["shape"]]]),
+        # the shape is never active, so unit_entries never selects its entry, which is left unevaluated
+        fisher_unit=lambda c: np.array([[math.nan, 1.0], [1.0, c["shape"]]]),
     ),
     "uniform": _location_scale(
         _Standard(
@@ -740,7 +761,7 @@ _FAMILIES: dict[str, _Family] = {
             pdf=lambda c, z: np.ones_like(z),
             cdf=lambda c, z: z,
             sf=lambda c, z: 1.0 - z,
-            quantile=lambda c, u: u,
+            quantile=lambda c, t, s: t,
             psi=lambda c, z: 0.0,
             dpsi=lambda c, z: 0.0,
         ),

@@ -2,17 +2,19 @@
 
 Everything here is plumbing shared by the statistical modules.  Every integral
 goes through integrate, one vectorised tanh-sinh pass (Takahasi & Mori, 1974)
-over finite or infinite limits that integrates all rows of a vector integrand
+over the open interval (0, 1) that integrates all rows of a vector integrand
 together.  Its level loop runs in numpy over node tables built once at import
 (the scheme of Bailey, Jeyabalan & Li, 2005): it sums levels 0..MIN_LEVEL = 4,
 adds one level of new nodes per step, and stops when successive levels agree
 to within the constant tolerances RTOL = 1e-8 and ATOL = 1e-12, or raises at
 MAX_LEVEL = 10; its first stop test, at level MIN_LEVEL + 1, costs one
-integrand call.  Expectations are evaluated on the quantile scale, over the
-open interval (0, 1), so endpoint-singular integrands such as 1/(F(1-F)) become
-1/(u(1-u)); integrate_gram integrates weighted outer products on it.  Over
-(0, 1) every integrand call gets one of a few node arrays built at import, so
-node_memo can keep what callers build from them (model scores, Bernstein bases).
+integrand call.  The integrand gets each node t with its exact complement
+s = 1 - t, so both ends of (0, 1) resolve to about 4e-308 and an integrand
+singular at 1 is treated as one singular at 0.  Expectations are evaluated on
+the quantile scale, so endpoint-singular integrands such as 1/(F(1-F)) become
+1/(t s); integrate_gram integrates weighted outer products on it.  Every
+integrand call gets one of a few node arrays built at import, so node_memo can
+keep what callers build from them (model scores, Bernstein bases).
 Monte Carlo means run their fixed-size chunks on up to `workers` forked
 processes and are bit-identical for a fixed seed at every worker count.
 """
@@ -64,7 +66,7 @@ class QuadratureNonConvergence(NumericsError):
 
 
 class IntegrandEvaluationError(NumericsError):
-    """The integrand returned a non-finite value at a known abscissa u (a quantile, or x on the x-scale)."""
+    """The integrand returned a non-finite value at a known node u of (0, 1), a quantile-domain t."""
 
     def __init__(self, message: str, u: float):
         super().__init__(message, u)
@@ -142,12 +144,6 @@ class InfoMatrix:
     def __getitem__(self, idx):
         return self._entries[idx]
 
-    def __add__(self, other: "InfoMatrix") -> "InfoMatrix":
-        return InfoMatrix(self._entries + np.asarray(other))
-
-    def __sub__(self, other: "InfoMatrix") -> "InfoMatrix":
-        return InfoMatrix(self._entries - np.asarray(other))
-
     def scaled(self, c: float) -> "InfoMatrix":
         return InfoMatrix(self._entries * float(c))
 
@@ -209,58 +205,40 @@ def _level_tables() -> list[tuple[float, np.ndarray, np.ndarray]]:
     return [(levels[MIN_LEVEL][0], xc, w)] + levels[MIN_LEVEL + 1 :]
 
 
-def _abscissae(xc: np.ndarray, w: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Table nodes 1 - xc and -1 + xc of weight w, mapped to (a, b) for a <= b, as read-only arrays.
-
-    Infinite limits substitute x = 1/t - 1 + a on (0, 1) for b = inf, its reflection
-    for a = -inf, and t/(1 - t^2) on (-1, 1) for both.  Nodes that round onto a limit
-    of t, or whose x or weight is not finite, are dropped.
-    """
-    finite_a, finite_b = math.isfinite(a), math.isfinite(b)
-    lo, hi = (a, b) if finite_a and finite_b else (0.0, 1.0) if finite_a or finite_b else (-1.0, 1.0)
-    half = (hi - lo) / 2
-    t = np.concatenate((hi - half * xc, lo + half * xc))
-    wt = np.concatenate((w, w)) * half
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not (finite_a or finite_b):
-            x, wt = t / (1.0 - t * t), wt * (1.0 + t * t) / (1.0 - t * t) ** 2
-        elif not finite_b:
-            x, wt = 1.0 / t - 1.0 + a, wt / t / t
-        elif not finite_a:
-            x, wt = b + 1.0 - 1.0 / t, wt / t / t
-        else:
-            x = t
-    keep = (lo < t) & (t < hi) & np.isfinite(x) & (0.0 < wt) & (wt < math.inf)
-    x, wt = x[keep], wt[keep]
-    x.flags.writeable = wt.flags.writeable = False
-    return x, wt
+def _unit_nodes(xc: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, s = 1 - t, weight) of table nodes xc, w over (0, 1): the upper half first, at t = 1 - xc/2, then the
+    lower half at t = xc/2.  xc/2 is exact, so the lower half's t and the upper half's s are exact, and so is
+    every node's distance to its end, also where t or s rounds to 1."""
+    half = xc / 2
+    return np.concatenate((1.0 - half, half)), np.concatenate((half, 1.0 - half)), np.concatenate((w, w)) / 2
 
 
 _LEVELS = _level_tables()
 _CALLS = [_LEVELS[:2]] + [[table] for table in _LEVELS[2:]]  # the tables of each fn call in integrate
-_UNIT_CALLS = [[_abscissae(xc, w, 0.0, 1.0) for _, xc, w in tables] for tables in _CALLS]  # their (0, 1) nodes
-_UNIT_X = [np.concatenate([x for x, _ in nodes]) for nodes in _UNIT_CALLS]  # the x of each call over (0, 1)
-for _x in _UNIT_X:
-    _x.flags.writeable = False
-_UNIT_INDEX = {id(x): i for i, x in enumerate(_UNIT_X)}  # unique ids: the arrays live as long as the module
+_NODES = [[_unit_nodes(xc, w) for _, xc, w in tables] for tables in _CALLS]  # their (t, s, weight)
+_T, _S = ([np.concatenate([nodes[i] for nodes in call]) for call in _NODES] for i in (0, 1))  # (t, s) per call
+for _a in (*_T, *_S, *(a for call in _NODES for nodes in call for a in nodes)):
+    _a.flags.writeable = False
+_UNIT_INDEX = {id(t): i for i, t in enumerate(_T)}  # unique ids: the arrays live as long as the module
 
 MEMO_ENTRIES = 64  # bound on the entries node_memo keeps; the largest holds a few hundred kB
 _memo: dict[tuple[tp.Hashable, int], tp.Any] = {}
 _memo_lock = threading.RLock()  # reentrant: a build may itself read the memo
 
 
-def node_memo(key: tp.Hashable, u: np.ndarray, build: tp.Callable[[np.ndarray], tp.Any]) -> tp.Any:
-    """build(u), a tuple of arrays, kept read-only under key when u is one of the x integrate passes over (0, 1).
+def node_memo(key: tp.Hashable, t: np.ndarray, build: tp.Callable[[np.ndarray], tp.Any]) -> tp.Any:
+    """build(t), a tuple of arrays, kept read-only under key when t is one of the node arrays t integrate passes.
 
-    key must fix build(u) at each such x.  Any other u (draws, other limits) goes straight to build.
+    key must fix build(t) at each such t; a build may also read the complement s that integrate passed with t,
+    since s is fixed by t.  Any other t (draws, a copy) goes straight to build.
     """
-    index = _UNIT_INDEX.get(id(u))
+    index = _UNIT_INDEX.get(id(t))
     if index is None:
-        return build(u)
+        return build(t)
     with _memo_lock:  # held while building, so that no build runs twice
         value = _memo.pop((key, index), None)
         if value is None:
-            value = build(u)
+            value = build(t)
             for a in value:
                 a.flags.writeable = False
         _memo[key, index] = value  # the most recently used comes last
@@ -269,83 +247,79 @@ def node_memo(key: tp.Hashable, u: np.ndarray, build: tp.Callable[[np.ndarray], 
     return value
 
 
-def integrate(
-    fn: tp.Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-) -> np.ndarray:
-    """The integrals over (a, b) of every row of fn; either limit may be infinite.
+def integrate(fn: tp.Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """The integrals over (0, 1) of every row of fn(t, s), where s = 1 - t.
 
-    fn maps a 1-d array x to an array of shape (k, len(x)), and over (0, 1) x
-    holds nodes built at import.  One tanh-sinh pass integrates every row: it
-    sums all nodes of levels 0..MIN_LEVEL, then each later level L halves the
-    previous sum and adds its new nodes, and stops when no row moved from the
-    previous level by more than max(ATOL, RTOL * max |integral|).  No test can
-    pass before level MIN_LEVEL + 1, so fn gets the nodes of levels
-    0..MIN_LEVEL + 1 in one call, in level order, and each later level's in one
-    more.  The tolerance is shared because a row that is zero by symmetry never
-    meets one relative to itself.  The change between levels bounds the coarser
-    level's error, so the finer level returned is well within it.  Returns shape (k,).
+    fn maps node arrays t and s, built at import, to an array of shape
+    (k, len(t)).  s is the exact complement: each half of the rule reads its
+    end's distance from t near 0 and from s near 1, so the upper end keeps
+    nodes down to s of about 4e-308, as the lower does, though t rounds to 1
+    there.  One tanh-sinh pass integrates every row: it sums all nodes of
+    levels 0..MIN_LEVEL, then each later level L halves the previous sum and
+    adds its new nodes, and stops when no row moved from the previous level by
+    more than max(ATOL, RTOL * max |integral|).  No test can pass before level
+    MIN_LEVEL + 1, so fn gets the nodes of levels 0..MIN_LEVEL + 1 in one call,
+    in level order, and each later level's in one more.  The tolerance is
+    shared because a row that is zero by symmetry never meets one relative to
+    itself.  The change between levels bounds the coarser level's error, so
+    the finer level returned is well within it.  Returns shape (k,).
 
     :raises QuadratureNonConvergence: MAX_LEVEL did not reach the tolerance.
-    :raises IntegrandEvaluationError: fn returned a non-finite value at a node of positive weight,
-        the first one in level order.
+    :raises IntegrandEvaluationError: fn returned a non-finite value, at the first such node in level order.
     """
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
     previous: np.ndarray | None = None
     change = math.inf
-    unit = (a, b) == (0.0, 1.0)
-    for tables, unit_nodes, unit_x in zip(_CALLS, _UNIT_CALLS, _UNIT_X):
-        nodes = unit_nodes if unit else [_abscissae(xc, w, a, b) for _, xc, w in tables]
-        x = unit_x if unit else np.concatenate([level_x for level_x, _ in nodes])
+    for tables, nodes, t, s in zip(_CALLS, _NODES, _T, _S):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = np.asarray(fn(x), dtype=float)
+            values = np.asarray(fn(t, s), dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
             bad = ~finite.all(axis=0)
-            raise IntegrandEvaluationError("integrand is not finite", u=float(x[np.argmax(bad)]))
-        for (h, _, _), (level_x, wx) in zip(tables, nodes):
-            total = values[:, : level_x.size] @ wx * h
-            values = values[:, level_x.size :]
+            raise IntegrandEvaluationError("integrand is not finite", u=float(t[np.argmax(bad)]))
+        for (h, _, _), (level_t, _, wt) in zip(tables, nodes):
+            total = values[:, : level_t.size] @ wt * h
+            values = values[:, level_t.size :]
             if previous is not None:
                 total += previous / 2
                 change = float(np.abs(total - previous).max())
                 if change <= max(ATOL, RTOL * float(np.abs(total).max())):
-                    return sign * total
+                    return total
             previous = total
     raise QuadratureNonConvergence("quadrature did not converge", float(np.max(np.abs(previous))), change)
 
 
+# integrate_unit_interval and integrate_expectation serve only the benchmark and the tests; ROADMAP item 8
+# deletes them once the benchmark calls integrate itself.
+
+
 def integrate_unit_interval(fn: tp.Callable[[float], float]) -> float:
-    """Integrate the scalar function fn over the open unit interval (0, 1)."""
+    """Integrate the scalar function fn(u) over the open unit interval (0, 1); a node whose t rounds onto 1 adds 0."""
 
-    def row(u: np.ndarray) -> list[list[float]]:
-        return [[fn(float(v)) for v in u]]
+    def row(t: np.ndarray, s: np.ndarray) -> list[list[float]]:
+        return [[fn(float(v)) if v < 1.0 else 0.0 for v in t]]
 
-    return float(integrate(row, 0.0, 1.0)[0])
+    return float(integrate(row)[0])
 
 
-def integrate_gram(fn: tp.Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], p: int) -> np.ndarray:
-    """The p x p matrix int sum_b w_b(u) v_b(u) v_b(u)^T du over the open interval (0, 1).
+def integrate_gram(fn: tp.Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], p: int) -> np.ndarray:
+    """The p x p matrix int sum_b w_b(t) v_b(t) v_b(t)^T dt over the open interval (0, 1).
 
-    fn maps a 1-d array u to (v, w), broadcastable to shapes (k, len(u), p) and
-    (k, len(u)); a term whose weight is not positive contributes nothing, so v
-    may be non-finite there.  The p(p+1)/2 distinct entries are the rows of one
-    integrate pass, under its shared tolerance.
+    fn maps the node arrays (t, s = 1 - t) of integrate to (v, w), broadcastable
+    to shapes (k, len(t), p) and (k, len(t)); a term whose weight is not
+    positive contributes nothing, so v may be non-finite there.  The p(p+1)/2
+    distinct entries are the rows of one integrate pass, under its shared tolerance.
 
     :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
     :raises IntegrandEvaluationError: a term with positive weight is not finite.
     """
     rows, cols = TRIU[p]
 
-    def entries(u: np.ndarray) -> np.ndarray:
-        v, w = (np.asarray(a, dtype=float) for a in fn(u))
+    def entries(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        v, w = (np.asarray(a, dtype=float) for a in fn(t, s))
         terms = np.where(w[..., None] > 0.0, w[..., None] * v[..., rows] * v[..., cols], 0.0)
         return terms.sum(axis=0).T
 
-    return from_triu(p, integrate(entries, 0.0, 1.0))
+    return from_triu(p, integrate(entries))
 
 
 def integrate_expectation(model: tp.Any, integrand: tp.Callable[[float], float]) -> float:

@@ -102,11 +102,9 @@ def test_criterion_1_efficiency_constants():
 def test_criterion_2_information_decompositions(fam, n, S):
     model = make_model(fam)
     whole = fi_pros_complete(model, n, S).matrix.as_array()
-    srs_plus_k = (fisher_srs(model, n) + k_matrix(model, n, S)).as_array()
+    srs_plus_k = fisher_srs(model, n).as_array() + k_matrix(model, n, S).as_array()
     np.testing.assert_allclose(whole, srs_plus_k, atol=1e-8)
-    rss_plus_h = (
-        fi_pros_complete(model, n, n).matrix + h_matrix(model, n, S)
-    ).as_array()
+    rss_plus_h = fi_pros_complete(model, n, n).matrix.as_array() + h_matrix(model, n, S).as_array()
     np.testing.assert_allclose(whole, rss_plus_h, atol=1e-8)
     mc = fi_pros_complete(model, n, S, method="mc", reps=REPS, seed=DEFAULT_SEED)
     dev = np.abs(mc.matrix.as_array() - whole) / np.asarray(mc.std_errors)
@@ -274,7 +272,7 @@ def test_criterion_7_regression_closed_form():
     x = np.array([-1.0, 0.0, 1.0])
     for S in (2, 3, 4, 5, 6):
         srs, gain = regression_fi(noise, x, 1, S)
-        got = relative_efficiencies(srs + gain, srs)
+        got = relative_efficiencies(srs.as_array() + gain.as_array(), srs)
         want = (1.0 + 0.4805 * (S - 1)) ** 2 * (1.0 + 0.1350 * (S - 1))
         assert abs(got - want) <= 0.005 * want, (S, got, want)
     _ok("criterion 7: PASS — regression efficiency matches "

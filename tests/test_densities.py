@@ -528,10 +528,10 @@ def test_bernstein_series_kept_at_quadrature_nodes_matches_a_fresh_evaluation():
     for set_size in (3, 12, 64):
         coef = rng.random((2, set_size))
         coef[:, :2] = 0.0  # a window that starts past rank 1
-        for node in numerics._UNIT_X:
+        for node, comp in zip(numerics._T, numerics._S):
             for _ in range(2):  # the second call reads the kept bases
-                kept = bernstein_series(coef, node)
-                fresh = bernstein_series(coef, node.copy())
+                kept = bernstein_series(coef, node, comp)
+                fresh = bernstein_series(coef, node.copy(), comp)
                 assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
     assert numerics._memo
     numerics._memo.clear()

@@ -232,6 +232,17 @@ def test_shannon_parent_matches_closed_form(fam, s):
     np.testing.assert_allclose(got, _shannon_closed_form(fam, s), rtol=1e-8, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", (0.01, 0.1, 0.5))
+@pytest.mark.parametrize("a", (0.3, 0.5, 0.9))
+def test_renyi_gamma_below_shape_one_matches_closed_form(shape, a):
+    # f diverges at 0, where the quantile underflows below t of about 1e-162 at shape 0.5 (1e-3 at 0.01):
+    # f^(a-1) tends to 0 there; int f^a = Gamma(a(k-1)+1) / (Gamma(k)^a a^(a(k-1)+1))
+    c = a * (shape - 1.0) + 1.0
+    want = (sps.gammaln(c) - c * math.log(a) - a * sps.gammaln(shape)) / (1.0 - a)
+    got = renyi(make_model("gamma", shape=shape), a, kind="srs", n=1).total
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES)
 def test_renyi_refuses_orders_it_cannot_certify(fam):
     if fam == "uniform":  # a bounded support stays exact
@@ -250,3 +261,56 @@ def test_renyi_small_orders_keep_the_sandwich(fam, a):
     report = renyi(make_model(fam), a, kind="pros", n=3, set_size=24)
     assert report.lower_bound <= report.total <= report.upper_bound
 
+
+
+def _gamma_parent():
+    k = GAMMA_SHAPE
+    return (lambda x: math.exp((k - 1.0) * math.log(x) - x - math.lgamma(k)) if x > 0.0 else 0.0,
+            lambda x: sps.gammainc(k, x), lambda x: sps.gammaincc(k, x), 0.0, sps.gammaincinv(k, 0.5))
+
+
+_X_SCALE_PARENTS = {
+    # family -> (f, F, 1 - F, lower end of the support, median) of its standard member, in scalar closed forms
+    "normal": (lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi), lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)),
+               lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)), -math.inf, 0.0),
+    "logistic": (lambda x: math.exp(-abs(x)) / (1.0 + math.exp(-abs(x))) ** 2, lambda x: sps.expit(x),
+                 lambda x: sps.expit(-x), -math.inf, 0.0),
+    # e^x is capped where f, 1 - F and F - 1 have long underflowed to 0
+    "extreme_value": (lambda x: math.exp(x - math.exp(min(x, 700.0))), lambda x: -math.expm1(-math.exp(min(x, 700.0))),
+                      lambda x: math.exp(-math.exp(min(x, 700.0))), -math.inf, math.log(math.log(2.0))),
+    "exponential": (lambda x: math.exp(-x), lambda x: -math.expm1(-x), lambda x: math.exp(-x), 0.0, math.log(2.0)),
+    "gamma": _gamma_parent(),
+    # the default (pi, h) = (1/2, 1/2): 1 - F = (e^(-x/2) + e^(-x)) / 2, 1/2 at e^(-x/2) = (sqrt 5 - 1) / 2
+    "exp_mixture": (lambda x: 0.25 * math.exp(-0.5 * x) + 0.5 * math.exp(-x),
+                    lambda x: -0.5 * (math.expm1(-0.5 * x) + math.expm1(-x)),
+                    lambda x: 0.5 * (math.exp(-0.5 * x) + math.exp(-x)), 0.0, -2.0 * math.log((math.sqrt(5.0) - 1.0) / 2.0)),
+}
+
+
+def _x_scale_renyi(fam, a, n, set_size):
+    """Per-subset Renyi entropies of PROS(n, S) by scipy quad on the x-scale: int f^a w_r(F)^a dx over the
+    support, split at the median, with b_u(F) = C(S-1, u-1) F^(u-1) (1-F)^(S-u) from the survival function."""
+    from scipy import integrate
+
+    pdf, cdf, sf, lo, median = _X_SCALE_PARENTS[fam]
+    out = []
+    for block in make_balanced_design(set_size, n).subsets:
+        coef = [(u - 1, set_size - u, set_size / len(block) * math.comb(set_size - 1, u - 1)) for u in block]
+
+        def integrand(x, coef=coef):
+            f, t, s = pdf(x), cdf(x), sf(x)
+            return (f * sum(c * t**i * s**j for i, j, c in coef)) ** a if f > 0.0 else 0.0
+
+        mass = sum(integrate.quad(integrand, x0, x1, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                   for x0, x1 in ((lo, median), (median, math.inf)))
+        out.append(math.log(mass) / (1.0 - a))
+    return out
+
+
+@pytest.mark.parametrize("fam", tuple(_X_SCALE_PARENTS))
+@pytest.mark.parametrize("set_size,n", ((6, 2), (12, 3), (24, 4)))
+def test_renyi_pros_matches_an_x_scale_quad_oracle(fam, set_size, n):
+    # the quantile-scale integral against scipy's adaptive quadrature of the x-scale form it replaced
+    for a in (0.1, 0.3, 0.5, 0.8):
+        got = renyi(make_model(fam), a, kind="pros", n=n, set_size=set_size).per_subset
+        np.testing.assert_allclose(got, _x_scale_renyi(fam, a, n, set_size), rtol=1e-10, atol=1e-12, err_msg=str(a))

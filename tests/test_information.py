@@ -44,8 +44,8 @@ def test_quadrature_routes_match_chained_info_matrix_arithmetic(family):
     n, S, cycles, alpha = 3, 12, 7, make_symmetric_alpha(3, 0.7)
     design = make_balanced_design(S, n, cycles)
 
-    def cdf_scores(u):
-        return model.score_cdf(model.quantile(u))[None], (1.0 / (u * (1.0 - u)))[None]
+    def cdf_scores(t, s):
+        return model.score_cdf(model.quantile(t, s))[None], (1.0 / (t * s))[None]
 
     unit = model.fisher_srs_unit()
     k = InfoMatrix(n * (S - 1) * integrate_gram(cdf_scores, model.p))
@@ -53,7 +53,7 @@ def test_quadrature_routes_match_chained_info_matrix_arithmetic(family):
         (fisher_srs(model, 7), unit.scaled(7)),
         (k_matrix(model, n, S), k),
         (h_matrix(model, n, S), k.scaled((S - n) / (S - 1))),
-        (fi_pros_complete(model, n, S, cycles).matrix, (unit.scaled(n) + k).scaled(cycles)),
+        (fi_pros_complete(model, n, S, cycles).matrix, InfoMatrix(unit.scaled(n).entries + k.entries).scaled(cycles)),
         (
             fi_pros_marginal(model, design, alpha).matrix,
             fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}).matrix,
@@ -114,7 +114,7 @@ def test_complete_decomposes_into_srs_plus_k():
     for fam in ("normal", "exponential"):
         model = make_model(fam)
         whole = fi_pros_complete(model, 2, 6).matrix.as_array()
-        parts = (fisher_srs(model, 2) + k_matrix(model, 2, 6)).as_array()
+        parts = fisher_srs(model, 2).as_array() + k_matrix(model, 2, 6).as_array()
         np.testing.assert_allclose(whole, parts, atol=1e-10)
 
 
@@ -299,9 +299,9 @@ def test_marginal_information_matches_srs_plus_gain_decomposition(family, S, n):
         rows = ud.measured_rows({1: alpha})
         coefs = np.stack([densities.rank_coefficients(S, sp.partition, row) for sp, row in rows])
 
-        def tilted_cdf_scores(u):
-            g, gd, _ = densities.bernstein_series(coefs, u)
-            return (gd / g)[..., None] * model.score_cdf(model.quantile(u)), g
+        def tilted_cdf_scores(t, s):
+            g, gd, _ = densities.bernstein_series(coefs, t, s)
+            return (gd / g)[..., None] * model.score_cdf(model.quantile(t, s)), g
 
         want = n * unit + (0.0 if p == 1.0 / n else integrate_gram(tilted_cdf_scores, model.p))
         got = fi_unbalanced(model, ud, {1: alpha}).matrix.as_array()
@@ -352,11 +352,11 @@ def test_regression_gain_normal_doubles_information():
     noise = make_model("normal")
     x = np.array([-1.0, 0.0, 1.0])
     srs, gain = regression_fi(noise, x, 1, 2)
-    re1 = relative_efficiencies(srs + gain, srs)
+    re1 = relative_efficiencies(srs.as_array() + gain.as_array(), srs)
     np.testing.assert_allclose(re1, 2.4877, atol=5e-3)
     trivial_srs, trivial_gain = regression_fi(noise, x, 1, 1)
     np.testing.assert_allclose(
-        relative_efficiencies(trivial_srs + trivial_gain, trivial_srs), 1.0, atol=1e-12
+        relative_efficiencies(trivial_srs.as_array() + trivial_gain.as_array(), trivial_srs), 1.0, atol=1e-12
     )
 
 
@@ -365,8 +365,8 @@ def test_regression_efficiency_ignores_covariate_spread():
     a = regression_fi(noise, np.array([-1.0, 0.0, 1.0]), 2, 4)
     b = regression_fi(noise, np.array([-5.0, -1.0, 2.0, 4.0]), 2, 4)
     np.testing.assert_allclose(
-        relative_efficiencies(a[0] + a[1], a[0]),
-        relative_efficiencies(b[0] + b[1], b[0]),
+        relative_efficiencies(a[0].as_array() + a[1].as_array(), a[0]),
+        relative_efficiencies(b[0].as_array() + b[1].as_array(), b[0]),
         rtol=1e-10,
     )
 
@@ -633,14 +633,14 @@ def test_models_differing_in_a_parameter_or_active_keep_their_own_scores():
     from prosinfo import numerics
 
     numerics._memo.clear()
-    node = numerics._UNIT_X[0]
+    node, comp = numerics._T[0], numerics._S[0]
     models = [make_model("normal"), make_model("normal", mu=1e-12), make_model("normal", active=("sigma",)),
               make_model("logistic")]
-    tables = [m.quantile_scores(node) for m in models]
+    tables = [m.quantile_scores(node, comp) for m in models]
     assert len(numerics._memo) == len(models)
     for model, table in zip(models, tables):
-        assert model.quantile_scores(node) is table
-        fresh = model.quantile_scores(node.copy())  # not a node array: built outside the memo
+        assert model.quantile_scores(node, comp) is table
+        fresh = model.quantile_scores(node.copy(), comp)  # not a node array: built outside the memo
         assert [a.tobytes() for a in table] == [a.tobytes() for a in fresh]
         assert table[1].shape == (node.size, model.p)
 

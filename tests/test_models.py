@@ -543,12 +543,14 @@ def test_gamma_quantile_is_as_accurate_as_gammaincinv(shape):
 def test_gamma_quantile_falls_back_to_gammaincinv_bit_for_bit(shape):
     t = _gamma_points()
     got = make_model("gamma", shape=shape).quantile(t)
+    # above 1/2 the fallback inverts the complement 1 - t, which is exact there
+    fallback = np.where(t <= 0.5, sps.gammaincinv(shape, t), sps.gammainccinv(shape, 1.0 - t))
     if not _GAMMA_TABLE_SHAPES[0] <= shape <= _GAMMA_TABLE_SHAPES[1]:
-        np.testing.assert_array_equal(got, sps.gammaincinv(shape, t))
+        np.testing.assert_array_equal(got, fallback)
         return
-    z, certified = _gamma_halley(shape, t)
+    z, certified = _gamma_halley(shape, t, 1.0 - t)
     np.testing.assert_array_equal(got[certified], z[certified])
-    np.testing.assert_array_equal(got[~certified], sps.gammaincinv(shape, t[~certified]))
+    np.testing.assert_array_equal(got[~certified], fallback[~certified])
     # every draw is certified; no point below the table's end (t of about 4.2e-18) is
     assert certified[: 2 * 4096].all()
     assert not certified[t < 4.2e-18].any() and certified[t > 4.3e-18].all()
@@ -596,8 +598,11 @@ def test_ndtri_matches_scipy_in_both_tails():
     lower = np.logspace(-300, math.log10(0.5), 6001)
     upper = 1.0 - np.logspace(-16, math.log10(0.5), 6001)
     for u in (lower, upper):
-        np.testing.assert_allclose(_ndtri(u), sps.ndtri(u), rtol=1e-14, atol=0.0)
-    assert _ndtri(0.5) == 0.0
+        np.testing.assert_allclose(_ndtri(u, 1.0 - u), sps.ndtri(u), rtol=1e-14, atol=0.0)
+    assert _ndtri(0.5, 0.5) == 0.0
+    # the tails read min(u, s): from the exact complement the upper mirrors the lower, also where u rounds to 1
+    tail = lower[lower < 0.075]
+    np.testing.assert_array_equal(_ndtri(1.0 - tail, tail), -_ndtri(tail, 1.0 - tail))
 
 
 def test_ndtr_matches_scipy_down_to_its_underflow():
@@ -649,8 +654,9 @@ P.renyi(logistic, 0.5, "pros", 2, 6)
 P.fisher_srs(P.make_model("exp_mixture"), 3)
 P.cli.main(["sample", "--set-size", "6", "--subsets", "2", "--output", {str(tmp_path / "s.csv")!r}])
 gamma = P.make_model("gamma")
+fi = P.fisher_srs(gamma, 3).as_array()  # a closed form
 states.append(loaded())
-fi = P.fisher_srs(gamma, 3).as_array()
+gamma.quantile(0.5)
 states.append(loaded())
 print(json.dumps({{"states": states, "fi": fi.tolist()}}))
 """

@@ -56,14 +56,41 @@ def test_integrate_rejects_non_finite_integrand():
 
 def test_integrate_reports_non_convergence():
     # 1000 periods outrun the finest tanh-sinh level at the 1e-8 tolerance
-    def fast_oscillation(u):
-        return np.sin(2000.0 * math.pi * u)[None] ** 2
+    def fast_oscillation(t, s):
+        return np.sin(2000.0 * math.pi * t)[None] ** 2
 
     assert (numerics.RTOL, numerics.ATOL) == (1e-8, 1e-12)
     with pytest.raises(QuadratureNonConvergence) as err:
-        integrate(fast_oscillation, 0.0, 1.0)
+        integrate(fast_oscillation)
     assert math.isfinite(err.value.estimate)
     assert err.value.error_bound > 0.0
+
+
+@pytest.mark.parametrize("a", (0.1, 0.3, 0.5, 0.9))
+def test_integrate_power_singularities_at_both_ends(a):
+    # t^(a-1) and its mirror (1-t)^(a-1), read from the exact complement s, are alike to the rule
+    got = integrate(lambda t, s: np.stack([t ** (a - 1.0), s ** (a - 1.0)]))
+    np.testing.assert_allclose(got, [1.0 / a, 1.0 / a], rtol=1e-12, atol=0.0)
+
+
+def _on_unit_interval(a, b, rows):
+    """fn(t, s) whose integral over (0, 1) is that of rows(x) over (a, b): x = a + (b - a) t for finite limits,
+    read from s above t = 1/2, x = 1/t - 1 + a for b = inf, its reflection for a = -inf, and
+    y/(1 - y^2) at y = t - s, 1 - y^2 = 4 t s, for both.  A node whose x or Jacobian overflows adds 0."""
+
+    def fn(t, s):
+        if math.isfinite(a) and math.isfinite(b):
+            x, jac = np.where(t <= 0.5, a + (b - a) * t, b - (b - a) * s), b - a
+        elif math.isfinite(a):
+            x, jac = 1.0 / t - 1.0 + a, 1.0 / (t * t)
+        elif math.isfinite(b):
+            x, jac = b + 1.0 - 1.0 / t, 1.0 / (t * t)
+        else:
+            y, ts = t - s, 4.0 * t * s
+            x, jac = y / ts, 2.0 * (1.0 + y * y) / (ts * ts)
+        return np.where(np.isfinite(x) & np.isfinite(jac), np.stack(rows(x)) * jac, 0.0)
+
+    return fn
 
 
 @pytest.mark.parametrize(
@@ -71,17 +98,15 @@ def test_integrate_reports_non_convergence():
 )
 def test_integrate_infinite_limits_vector(a, b, scale):
     # a Gaussian and an algebraic tail share one pass
-    got = integrate(lambda x: np.stack([np.exp(-x * x), 1.0 / (1.0 + x * x)]), a, b)
+    got = integrate(_on_unit_interval(a, b, lambda x: [np.exp(-x * x), 1.0 / (1.0 + x * x)]))
     np.testing.assert_allclose(got, [scale * math.sqrt(math.pi), scale * math.pi], rtol=1e-12)
 
 
-def _scipy_tanhsinh(fn, a, b):
-    """integrate's stop rule on scipy's own tanh-sinh driver, as an independent oracle."""
+def _scipy_tanhsinh(fn):
+    """integrate's stop rule on scipy's own tanh-sinh driver over (0, 1), as an independent oracle."""
     from scipy.integrate import tanhsinh
 
-    lo, hi = sorted((a, b))
-    probe = next(v for v in (0.5 * (lo + hi), lo + 1.0, hi - 1.0, 0.0) if math.isfinite(v))
-    k = np.asarray(fn(np.array([probe]))).shape[0]
+    k = np.asarray(fn(np.array([0.5]), np.array([0.5]))).shape[0]
     previous = []
 
     def stop_when_levels_agree(res):
@@ -94,21 +119,22 @@ def _scipy_tanhsinh(fn, a, b):
         previous.append(np.array(res.integral))
 
     def integrand(x):
-        # a node that rounds onto a limit contributes nothing, as in integrate
-        inside = (lo < x[0]) & (x[0] < hi)
+        # scipy passes no complement: a node that rounds onto 1 contributes nothing
+        inside = x[0] < 1.0
         values = np.zeros(x.shape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values[:, inside] = np.asarray(fn(x[0][inside]), dtype=float).reshape(k, -1)
+            t = x[0][inside]
+            values[:, inside] = np.asarray(fn(t, 1.0 - t), dtype=float).reshape(k, -1)
         return values
 
-    res = tanhsinh(integrand, np.full(k, float(a)), float(b), atol=0.0, rtol=0.0, minlevel=4,
+    res = tanhsinh(integrand, np.zeros(k), 1.0, atol=0.0, rtol=0.0, minlevel=4,
                    preserve_shape=True, callback=stop_when_levels_agree)
     assert np.all(res.status == -4), res.status
     return res.integral
 
 
 _CLOSED_FORMS = (
-    # (a, b, rows of fn, their integrals)
+    # (a, b, rows of fn, their integrals over (a, b))
     (0.0, 2.0, lambda x: [np.sqrt(x), np.exp(x)], [2.0 / 3.0 * 2.0**1.5, math.expm1(2.0)]),
     (-1.0, 3.0, lambda x: [x**3, 1.0 / (1.0 + x * x)], [20.0, math.atan(3.0) + math.pi / 4.0]),
     (1.0, math.inf, lambda x: [np.exp(-x), x**-2.0], [math.exp(-1.0), 1.0]),
@@ -120,15 +146,14 @@ _CLOSED_FORMS = (
 
 
 @pytest.mark.parametrize("a,b,rows,want", _CLOSED_FORMS)
-@pytest.mark.parametrize("reverse", (False, True))
-def test_integrate_matches_scipy_tanhsinh(a, b, rows, want, reverse):
-    def fn(x):
-        return np.stack(rows(x))
-
-    if reverse:
-        a, b, want = b, a, [-w for w in want]
-    got = integrate(fn, a, b)
-    np.testing.assert_allclose(got, _scipy_tanhsinh(fn, a, b), rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize("mirror", (False, True))
+def test_integrate_matches_scipy_tanhsinh(a, b, rows, want, mirror):
+    # the (0, 1) form of each closed form, and its mirror image t -> 1 - t, which puts the other end's tail at 1
+    fn = _on_unit_interval(a, b, rows)
+    if mirror:
+        fn = (lambda f: lambda t, s: f(s, t))(fn)
+    got = integrate(fn)
+    np.testing.assert_allclose(got, _scipy_tanhsinh(fn), rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -150,26 +175,27 @@ def test_information_matches_scipy_tanhsinh_at_set_size_64(monkeypatch):
 
 def test_integrate_reports_abscissa_on_an_infinite_limit():
     def nan_beyond_ten(x):
-        return np.where(x > 10.0, np.nan, np.exp(-x))[None]
+        return [np.where(x > 10.0, np.nan, np.exp(-x))]
 
     with pytest.raises(IntegrandEvaluationError) as err:
-        integrate(nan_beyond_ten, 0.0, math.inf)
-    assert 10.0 < err.value.u < math.inf
+        integrate(_on_unit_interval(0.0, math.inf, nan_beyond_ten))
+    # the node reported is the t of an x beyond 10 on x = 1/t - 1
+    assert 0.0 < err.value.u < 1.0 / 11.0
 
 
-def _reference_sums(fn, a, b):
+def _reference_sums(fn):
     """integrate's sums with one fn call per table of numerics._LEVELS; returns (integrals, tables used)."""
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
     previous = None
     for used, (h, xc, w) in enumerate(numerics._LEVELS, start=1):
-        x, wx = numerics._abscissae(xc, w, a, b)
-        total = np.asarray(fn(x), dtype=float) @ wx * h
+        half = xc / 2
+        t, s = np.concatenate((1.0 - half, half)), np.concatenate((half, 1.0 - half))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = np.asarray(fn(t, s), dtype=float)
+        total = values @ (np.concatenate((w, w)) / 2) * h
         if previous is not None:
             total += previous / 2
             if np.max(np.abs(total - previous)) <= max(numerics.ATOL, numerics.RTOL * np.max(np.abs(total))):
-                return sign * total, used
+                return total, used
         previous = total
     raise AssertionError("the oracle did not converge")
 
@@ -190,57 +216,70 @@ _LEVEL_CASES = (
 @pytest.mark.parametrize("a,b,rows,tables", _LEVEL_CASES)
 def test_integrate_fuses_the_first_stop_test_into_one_call(a, b, rows, tables):
     calls = []
+    unit = _on_unit_interval(a, b, rows)
 
-    def fn(x):
-        calls.append(x.size)
-        return np.stack(rows(x))
+    def fn(t, s):
+        calls.append(t.size)
+        return unit(t, s)
 
-    want, used = _reference_sums(lambda x: np.stack(rows(x)), a, b)
+    want, used = _reference_sums(unit)
     assert used == tables
-    got = integrate(fn, a, b)
+    got = integrate(fn)
     assert got.tobytes() == want.tobytes()
-    # levels 0..MIN_LEVEL and MIN_LEVEL + 1 share the first call; each later level costs one more
-    sizes = [numerics._abscissae(xc, w, *sorted((a, b)))[0].size for _, xc, w in numerics._LEVELS[:tables]]
+    # levels 0..MIN_LEVEL and MIN_LEVEL + 1 share the first call; each later level costs one more, and every
+    # node of a table is kept, also where t rounds to 1
+    sizes = [2 * xc.size for _, xc, _ in numerics._LEVELS[:tables]]
     assert calls == [sizes[0] + sizes[1]] + sizes[2:]
 
 
 def test_unit_interval_nodes_are_built_once_and_read_only():
-    for tables, unit_nodes in zip(numerics._CALLS, numerics._UNIT_CALLS):
-        assert len(unit_nodes) == len(tables)
-        for (_, xc, w), (x, wx) in zip(tables, unit_nodes):
-            want_x, want_w = numerics._abscissae(xc, w, 0.0, 1.0)
-            assert x.tobytes() == want_x.tobytes() and wx.tobytes() == want_w.tobytes()
-            for arr in (x, wx):
+    for tables, nodes, t, s in zip(numerics._CALLS, numerics._NODES, numerics._T, numerics._S):
+        assert len(nodes) == len(tables)
+        for (_, xc, w), (level_t, level_s, wt) in zip(tables, nodes):
+            n = xc.size
+            # the lower half's t and the upper half's s are xc / 2 exactly; the other is its complement
+            assert level_t[n:].tobytes() == level_s[:n].tobytes() == (xc / 2).tobytes()
+            assert level_t[:n].tobytes() == level_s[n:].tobytes() == (1.0 - xc / 2).tobytes()
+            assert wt.tobytes() == (np.concatenate((w, w)) / 2).tobytes()
+            for arr in (level_t, level_s, wt):
                 with pytest.raises(ValueError):
                     arr[0] = 0.5
+        assert t.tobytes() == np.concatenate([level_t for level_t, _, _ in nodes]).tobytes()
+        assert s.tobytes() == np.concatenate([level_s for _, level_s, _ in nodes]).tobytes()
+        for arr in (t, s):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+    # both ends reach below 1e-307, and the upper end's nodes are there although their t rounded to 1
+    last = numerics._NODES[0][0]
+    assert last[0].min() < 1e-307 and last[1].min() < 1e-307 and (last[0] == 1.0).sum() > 0
 
 
-def test_unit_interval_integrals_use_the_import_time_nodes(monkeypatch):
-    def rows(x):
-        return np.stack([np.sin(150.0 * x) ** 2, np.log(x) * np.log1p(-x), x])
+def test_unit_interval_integrals_use_the_import_time_nodes():
+    seen = []
 
-    want, used = _reference_sums(rows, 0.0, 1.0)
+    def rows(t, s):
+        seen.append((t, s))
+        return np.stack([np.sin(150.0 * t) ** 2, np.log(t) * np.log(s), t])
+
+    want, used = _reference_sums(rows)
     assert used > 2  # the integral runs past the first fn call
-
-    def no_map(*args):
-        raise AssertionError("a (0, 1) integral mapped its nodes again")
-
-    monkeypatch.setattr(numerics, "_abscissae", no_map)
-    assert integrate(rows, 0.0, 1.0).tobytes() == want.tobytes()
-    assert integrate(rows, 1.0, 0.0).tobytes() == (-want).tobytes()
+    seen.clear()
+    got = integrate(rows)
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got[1:], [2.0 - math.pi**2 / 6.0, 0.5], rtol=1e-12)
+    assert all(t is numerics._T[i] and s is numerics._S[i] for i, (t, s) in enumerate(seen))
 
 
 def test_integrate_reports_the_first_bad_node_in_level_order():
-    coarse = numerics._abscissae(*numerics._LEVELS[0][1:], 0.0, 1.0)[0]
-    fine = numerics._abscissae(*numerics._LEVELS[1][1:], 0.0, 1.0)[0]
+    coarse, fine = (numerics._NODES[0][i][0] for i in (0, 1))
 
     def nan_at(*nodes):
-        return lambda x: np.where(np.isin(x, nodes), np.nan, 1.0)[None]
+        return lambda t, s: np.where(np.isin(t, nodes), np.nan, 1.0)[None]
 
     # only level-5 nodes bad; two of them; a level-5 node and a coarse node that fn receives first
     for bad, first in (([fine[7]], fine[7]), ([fine[-1], fine[3]], fine[3]), ([fine[0], coarse[-1]], coarse[-1])):
         with pytest.raises(IntegrandEvaluationError) as err:
-            integrate(nan_at(*bad), 0.0, 1.0)
+            integrate(nan_at(*bad))
         assert err.value.u == first
 
 
@@ -299,21 +338,21 @@ def test_quantile_domain_weight_normalizes_for_every_family():
         np.testing.assert_allclose(got, 1.0, atol=1e-9, err_msg=fam)
 
 
-def _unit_weight(u):
-    return np.ones((1, u.size))
+def _unit_weight(t):
+    return np.ones((1, t.size))
 
 
 def test_integrate_gram_closed_forms():
     from scipy.special import zeta
 
     normal = make_model("normal")
-    unit = integrate_gram(lambda u: (normal.score_logpdf(normal.quantile(u))[None], _unit_weight(u)), 2)
+    unit = integrate_gram(lambda t, s: (normal.score_logpdf(normal.quantile(t, s))[None], _unit_weight(t)), 2)
     # over the open interval no tail of the scale information is lost
     np.testing.assert_allclose(unit, np.diag([1.0, 2.0]), rtol=1e-12, atol=1e-12)
     expo = make_model("exponential")
 
-    def cdf_scores(u):
-        return expo.score_cdf(expo.quantile(u))[None], (1.0 / (u * (1.0 - u)))[None]
+    def cdf_scores(t, s):
+        return expo.score_cdf(expo.quantile(t, s))[None], (1.0 / (t * s))[None]
 
     got = integrate_gram(cdf_scores, 1)
     np.testing.assert_allclose(got, [[0.4041]], atol=1e-4)
@@ -321,33 +360,33 @@ def test_integrate_gram_closed_forms():
 
 
 def test_integrate_gram_sums_weighted_terms():
-    # two terms: v = (1, u) with w = 1 and v = (u, 0) with w = 2
-    def fn(u):
-        v = np.stack([np.stack([np.ones_like(u), u], axis=-1), np.stack([u, 0.0 * u], axis=-1)])
-        return v, np.stack([np.ones_like(u), np.full_like(u, 2.0)])
+    # two terms: v = (1, t) with w = 1 and v = (t, 0) with w = 2
+    def fn(t, s):
+        v = np.stack([np.stack([np.ones_like(t), t], axis=-1), np.stack([t, 0.0 * t], axis=-1)])
+        return v, np.stack([np.ones_like(t), np.full_like(t, 2.0)])
 
     np.testing.assert_allclose(integrate_gram(fn, 2), [[1.0 + 2.0 / 3.0, 0.5], [0.5, 1.0 / 3.0]], rtol=1e-10)
 
 
 def test_integrate_gram_rejects_non_finite_integrand():
-    def fn(u):
-        return np.where(u > 0.5, np.nan, 1.0)[None, :, None], _unit_weight(u)
+    def fn(t, s):
+        return np.where(t > 0.5, np.nan, 1.0)[None, :, None], _unit_weight(t)
 
     with pytest.raises(IntegrandEvaluationError) as err:
         integrate_gram(fn, 1)
     assert err.value.u > 0.5
 
-    def zero_weight_nan(u):
+    def zero_weight_nan(t, s):
         # a term whose weight vanishes contributes nothing, finite or not
-        v = np.stack([np.ones_like(u), np.full_like(u, np.nan)])[..., None]
-        return v, np.stack([np.ones_like(u), np.zeros_like(u)])
+        v = np.stack([np.ones_like(t), np.full_like(t, np.nan)])[..., None]
+        return v, np.stack([np.ones_like(t), np.zeros_like(t)])
 
     np.testing.assert_allclose(integrate_gram(zero_weight_nan, 1), [[1.0]], rtol=1e-10)
 
 
 def test_integrate_gram_reports_non_convergence():
-    def fast_oscillation(u):
-        return np.sin(2e4 * u)[None, :, None], _unit_weight(u)
+    def fast_oscillation(t, s):
+        return np.sin(2e4 * t)[None, :, None], _unit_weight(t)
 
     with pytest.raises(QuadratureNonConvergence) as err:
         integrate_gram(fast_oscillation, 1)
@@ -356,7 +395,7 @@ def test_integrate_gram_reports_non_convergence():
 
 
 def test_integrate_gram_zero_integrand_converges():
-    got = integrate_gram(lambda u: (np.zeros((1, u.size, 3)), _unit_weight(u)), 3)
+    got = integrate_gram(lambda t, s: (np.zeros((1, t.size, 3)), _unit_weight(t)), 3)
     np.testing.assert_array_equal(got, np.zeros((3, 3)))
 
 
@@ -403,10 +442,8 @@ def test_info_matrix_validation():
 
 def test_info_matrix_arithmetic():
     a = InfoMatrix(np.diag([1.0, 2.0]))
-    b = InfoMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    np.testing.assert_allclose((a + b).as_array(), [[2.0, 0.5], [0.5, 3.0]])
     np.testing.assert_allclose((a.scaled(3.0)).as_array(), np.diag([3.0, 6.0]))
-    np.testing.assert_allclose(((a + b) - b).as_array(), a.as_array())
+    np.testing.assert_allclose(np.asarray(a) + InfoMatrix([[1.0, 0.5], [0.5, 1.0]]), [[2.0, 0.5], [0.5, 3.0]])
     assert a.p == 2
     assert a[0, 0] == 1.0
     out = a.as_array()
@@ -568,17 +605,18 @@ def empty_memo():
 def test_unit_interval_calls_get_the_same_read_only_node_arrays(empty_memo):
     seen = []
 
-    def rows(x):
-        seen.append(x)
-        return np.stack([np.sin(150.0 * x) ** 2, x])
+    def rows(t, s):
+        seen.append((t, s))
+        return np.stack([np.sin(150.0 * t) ** 2, s])
 
-    integrate(rows, 0.0, 1.0)
+    integrate(rows)
     first = list(seen)
     seen.clear()
-    integrate(rows, 1.0, 0.0)
+    integrate(rows)
     assert len(first) > 1 and len(seen) == len(first)
-    for x, again, joined in zip(first, seen, numerics._UNIT_X):
-        assert x is again is joined and not x.flags.writeable
+    for (t, s), (t_again, s_again), joined_t, joined_s in zip(first, seen, numerics._T, numerics._S):
+        assert t is t_again is joined_t and s is s_again is joined_s
+        assert not t.flags.writeable and not s.flags.writeable
 
 
 def test_node_memo_keeps_builds_at_unit_nodes_only(empty_memo):
@@ -588,15 +626,13 @@ def test_node_memo_keeps_builds_at_unit_nodes_only(empty_memo):
         calls.append(u.size)
         return (u * 2.0, u + 1.0)
 
-    node = numerics._UNIT_X[0]
+    node = numerics._T[0]
     kept = numerics.node_memo("k", node, build)
     assert numerics.node_memo("k", node, build) is kept and len(calls) == 1
     assert all(not a.flags.writeable for a in kept)
     assert numerics.node_memo("other", node, build) is not kept and len(calls) == 2
-    # a copy of the nodes, Monte Carlo draws and the nodes of other limits are built every time
-    others = [node.copy(), substream(1).random(node.size)]
-    integrate(lambda x: others.append(x) or x[None], 0.0, 2.0)
-    integrate(lambda x: others.append(x) or np.exp(-x)[None], 0.0, math.inf)
+    # a copy of the nodes, Monte Carlo draws and the complements s, which key nothing, are built every time
+    others = [node.copy(), substream(1).random(node.size), *numerics._S]
     for u in others:
         before = len(calls)
         assert numerics.node_memo("k", u, build)[0].tobytes() == (u * 2.0).tobytes()
@@ -605,7 +641,7 @@ def test_node_memo_keeps_builds_at_unit_nodes_only(empty_memo):
 
 
 def test_node_memo_never_holds_more_than_its_bound(empty_memo):
-    node = numerics._UNIT_X[1]
+    node = numerics._T[1]
     for key in range(numerics.MEMO_ENTRIES + 20):
         numerics.node_memo(key, node, lambda u: (u,))
         numerics.node_memo(0, node, lambda u: (u,))  # key 0 stays the most recently used
