@@ -36,8 +36,6 @@ from .designs import (
     parse_design_file,
     parse_misplacement_csv,
     rss_design,
-    srs_design,
-    uniform_alpha,
     validate_misplacement,
 )
 from .densities import (

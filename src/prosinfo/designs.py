@@ -101,10 +101,6 @@ def make_balanced_design(set_size: int, n: int, cycles: int = 1) -> Design:
     return Design(set_size=set_size, subsets=blocks, cycles=cycles)
 
 
-def srs_design(cycles: int = 1) -> Design:
-    return make_balanced_design(1, 1, cycles)
-
-
 def rss_design(n: int, cycles: int = 1) -> Design:
     return make_balanced_design(n, n, cycles)
 
@@ -187,13 +183,6 @@ def identity_alpha(n: int) -> MisplacementMatrix:
     if n < 1:
         raise DesignError("dimension must be >= 1")
     return MisplacementMatrix(np.eye(n))
-
-
-def uniform_alpha(n: int) -> MisplacementMatrix:
-    """Completely random subsetting: every entry 1/n."""
-    if n < 1:
-        raise DesignError("dimension must be >= 1")
-    return MisplacementMatrix(np.full((n, n), 1.0 / n))
 
 
 def make_symmetric_alpha(n: int, p: float) -> MisplacementMatrix:

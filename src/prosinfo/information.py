@@ -290,8 +290,10 @@ def regression_fi(
     noise Z; theta = (b0, b1, sigma).  Returns (I_srs, K); both are diagonal
     when the covariates are centered, which is required.
 
+    :raises ModelError: the noise family has no regular Fisher information (uniform).
     :raises InformationError: uncentered covariates or an unsupported noise family.
     """
+    require_fi_regular(noise_model)
     x = np.asarray(list(covariates), dtype=float)
     if x.size < 1:
         raise InformationError("at least one covariate is needed")

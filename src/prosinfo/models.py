@@ -3,14 +3,15 @@
 Each family exposes pdf/cdf/quantile plus the parameter derivatives the
 information calculations need: d F(x;theta)/d theta (the score of the cdf),
 d log f(x;theta)/d theta, and the Monte Carlo route's closed-form -Hessian of
-log f(x) + log w(F(x)) given (log w)' and (log w)''.  The location-scale families
-(all but the exponential mixture; gamma with its shape fixed) state only their
-standard density f0, psi = (log f0)' and psi', and every derivative follows by
-the chain rule through z = (x - loc)/scale; the mixture states its own, and so
-does gamma, whose chain rule is written out so that it holds down to z = 0.  All
-formulas are analytic, and so is every per-observation Fisher matrix but the
-exponential mixture's, which is obtained by quadrature of the score outer product.
-Information runs on the standard member, Model.standard; from_standard maps it back.
+log f(x) + log w(F(x)) given (log w)' and (log w)''.  Every family is stated
+once, at its standard member (location 0, scale 1, the shape as given), and
+Model alone maps it to x = loc + scale z.  A location-scale family states f0,
+psi = (log f0)' and psi', and its derivatives follow by the chain rule; the
+exponential mixture states its own, and so does gamma, whose chain rule is
+written out so that it holds down to z = 0.  All formulas are analytic, and so
+is every per-observation Fisher matrix but the exponential mixture's, which is
+obtained by quadrature of the score outer product.  Information runs on the
+standard member, Model.standard; from_standard maps it back.
 
 The special functions are numpy code but the gamma family's, which import
 scipy.special when a gamma model is first evaluated.  The gamma quantile starts
@@ -98,7 +99,9 @@ class Model:
                 raise ModelError(f"unknown parameter {name!r} for family {self.family!r}")
             if name in fam.never_active:
                 raise ModelError(f"parameter {name!r} of family {self.family!r} is fixed by design")
-        fam.validate(dict(zip(fam.param_names, self.params)))
+        _, c, _, scale = self._frame()
+        fam.validate(c)
+        _require_positive(fam.scale, scale)
 
     # -- parameter access -------------------------------------------------
 
@@ -122,11 +125,11 @@ class Model:
 
     def standard(self) -> tuple["Model", float]:
         """(the member at location 0 and scale 1 of this shape, the scale); self where that is this model."""
-        c, fam = self._ctx(), _family(self.family)
-        unit = {n: float(n == fam.scale) for n in (fam.loc, fam.scale) if n}
-        if unit.items() <= c.items():
+        fam, c, loc, scale = self._frame()
+        if loc == 0.0 and scale == 1.0:
             return self, 1.0
-        return Model(self.family, tuple({**c, **unit}.values()), self.active), c[fam.scale]
+        unit = {fam.loc: 0.0, fam.scale: 1.0}
+        return Model(self.family, tuple(unit.get(n, v) for n, v in c.items()), self.active), scale
 
     def label(self) -> str:
         inner = ", ".join(f"{n}={v:g}" for n, v in zip(self.param_names, self.params))
@@ -136,15 +139,19 @@ class Model:
     def p(self) -> int:
         return len(self.active)
 
-    # -- distribution surface ---------------------------------------------
+    # -- distribution surface: the family's standard member, mapped by x = loc + scale z ----------
 
-    def _ctx(self) -> dict[str, float]:
-        return dict(zip(self.param_names, self.params))
+    def _frame(self) -> tuple["_Family", dict[str, float], float, float]:
+        """(family, parameters by name, loc, scale): the one place loc and scale are read, 0 and 1 if absent."""
+        fam, c = _family(self.family), dict(zip(self.param_names, self.params))
+        return fam, c, c[fam.loc] if fam.loc else 0.0, c[fam.scale] if fam.scale else 1.0
 
     def support(self) -> tuple[float, float]:
-        return _family(self.family).support(self._ctx())
+        fam, _, loc, scale = self._frame()
+        return loc + scale * fam.support[0], loc + scale * fam.support[1]
 
     def pdf(self, x: FloatArray) -> FloatArray:
+        fam, c, loc, scale = self._frame()
         lo, hi = self.support()
         xa = np.asarray(x, dtype=float)
         inside = (xa >= lo) & (xa <= hi)
@@ -153,7 +160,7 @@ class Model:
             # closed interval so support endpoints get their boundary density;
             # families whose formula diverges there are clamped to 0, not NaN
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.asarray(_family(self.family).pdf(self._ctx(), xa[inside]))
+                vals = np.asarray(fam.pdf(c, (xa[inside] - loc) / scale) / scale)
             out[inside] = np.where(np.isfinite(vals), vals, 0.0)
         return out if np.ndim(x) else float(out)
 
@@ -165,6 +172,7 @@ class Model:
         return self._clamped(_family(self.family).sf, 1.0, x)
 
     def _clamped(self, fn: tp.Callable, below: float, x: FloatArray) -> FloatArray:
+        _, c, loc, scale = self._frame()
         lo, hi = self.support()
         xa = np.asarray(x, dtype=float)
         out = np.full_like(xa, np.nan)  # a NaN x is neither below, inside nor above
@@ -172,7 +180,7 @@ class Model:
         out[xa <= lo] = below
         out[xa >= hi] = 1.0 - below
         if np.any(inside):
-            out[inside] = np.clip(fn(self._ctx(), xa[inside]), 0.0, 1.0)
+            out[inside] = np.clip(fn(c, (xa[inside] - loc) / scale), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
     def logpdf(self, x: FloatArray) -> FloatArray:
@@ -186,28 +194,32 @@ class Model:
         sa = None if s is None else np.asarray(s, dtype=float)
         if np.any(~((ua > 0.0) & ((ua < 1.0) if sa is None else (sa > 0.0)))):
             raise ModelError("quantile argument must lie strictly inside (0, 1)")
-        out = _family(self.family).quantile(self._ctx(), ua, sa)
+        fam, c, loc, scale = self._frame()
+        out = loc + scale * fam.quantile(c, ua, sa)
         return np.asarray(out) if np.ndim(u) else float(out)
 
-    def _partials(self, x: FloatArray) -> tuple[dict, dict]:
-        return _family(self.family).partials(self._ctx(), np.asarray(x, dtype=float))
+    def _scores(self, x: FloatArray) -> tuple[np.ndarray, np.ndarray]:
+        """(d log f, dF) for the active parameters, each stacked on the last axis."""
+        fam, c, loc, scale = self._frame()
+        xa = np.asarray(x, dtype=float)
+        return tuple(_columns(d, self.active, xa.shape) / scale for d in fam.standard_partials(c, (xa - loc) / scale))
 
     def quantile_scores(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, d log f, dF) at x = F^{-1}(t), s = 1 - t, from one evaluation, kept per model at integrate's nodes."""
 
         def build(_: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             x = self.quantile(t, s)
-            return (x, *(_columns(d, self.active, np.shape(x)) for d in self._partials(x)))
+            return (x, *self._scores(x))
 
         return numerics.node_memo(self, t, build)
 
     def score_cdf(self, x: FloatArray) -> np.ndarray:
         """d F(x;theta) / d theta_j for the active parameters, stacked on the last axis."""
-        return _columns(self._partials(x)[1], self.active, np.shape(x))
+        return self._scores(x)[1]
 
     def score_logpdf(self, x: FloatArray) -> np.ndarray:
         """d log f(x;theta) / d theta_j for the active parameters, stacked on the last axis."""
-        return _columns(self._partials(x)[0], self.active, np.shape(x))
+        return self._scores(x)[0]
 
     def neg_hessian(self, x: FloatArray, a: FloatArray, b: FloatArray) -> np.ndarray:
         """-(d^2 / dtheta^2) of log f(x) + log w(F(x)) in the active parameters, a = (log w)' and b = (log w)''.
@@ -215,19 +227,20 @@ class Model:
         a and b are taken at t = F(x) and broadcast against x; the p(p+1)/2
         upper-triangle entries are stacked on the last axis in numerics.TRIU order.
         """
-        fam = _family(self.family)
-        entries = fam.neg_hessian(self._ctx(), np.asarray(x, dtype=float), a, b)
+        fam, c, loc, scale = self._frame()
+        entries = fam.standard_neg_hessian(c, (np.asarray(x, dtype=float) - loc) / scale, a, b)
         # the family's entries are the upper triangle over the parameters that may be active, in TRIU order
-        free = [n for n in fam.param_names if n not in fam.never_active]
-        pos, tri = [free.index(n) for n in self.active], list(zip(*numerics.TRIU[len(free)]))
+        pos, tri = [fam.free.index(n) for n in self.active], list(zip(*numerics.TRIU[len(fam.free)]))
         picked = (tri.index(tuple(sorted((pos[i], pos[j])))) for i, j in zip(*numerics.TRIU[self.p]))
-        return np.stack([entries[k] for k in picked], axis=-1)
+        return np.stack([entries[k] for k in picked], axis=-1) / _sq(scale)
 
     def mean(self) -> float:
-        return _family(self.family).mean(self._ctx())
+        fam, c, loc, scale = self._frame()
+        return loc + scale * fam.mean(c)
 
     def var(self) -> float:
-        return _family(self.family).var(self._ctx())
+        fam, c, _, scale = self._frame()
+        return _sq(scale) * fam.var(c)
 
     def std(self) -> float:
         return math.sqrt(self.var())
@@ -244,7 +257,7 @@ def make_model(family: str, active: tp.Sequence[str] | None = None, **params: fl
         if name not in values:
             raise ModelError(f"unknown parameter {name!r} for family {family!r}")
         values[name] = float(v)
-    chosen = tuple(active) if active is not None else fam.default_active
+    chosen = tuple(active) if active is not None else fam.default_active or fam.free
     return Model(family, tuple(values[n] for n in fam.param_names), chosen)
 
 
@@ -270,8 +283,8 @@ def unit_entries(model: Model) -> np.ndarray:
     :raises numerics.NumericsError: the quadrature failed to converge.
     """
     require_fi_regular(model)
-    std, scale = model.standard()
-    closed = _family(model.family).fisher_unit(std._ctx())
+    fam, c, _, scale = model._frame()
+    closed = fam.fisher_unit(c)  # the standard member's, which depends on the shape alone
     if closed is None:
         return score_information(model, lambda t, s: (1.0, None, np.ones((1, t.size))))
     idx = [model.param_names.index(n) for n in model.active]
@@ -415,26 +428,71 @@ def _scipy_special() -> tp.Any:
 
 @dataclasses.dataclass(frozen=True)
 class _Family:
-    param_names: tuple[str, ...]
-    defaults: dict[str, float]
-    default_active: tuple[str, ...]
-    never_active: tuple[str, ...]
-    validate: tp.Callable[[dict[str, float]], None]
-    support: tp.Callable[[dict[str, float]], tuple[float, float]]
+    """A family stated once, at its standard member: location 0, scale 1 and the shape as given.
+
+    Model alone maps the standard variable z to x = loc + scale z.  Each callable takes the parameters by name
+    first and reads only the shape: pdf, cdf and sf are f0, F0 and 1 - F0 of z, quantile is F0^{-1} of
+    (t, s = 1 - t or None), and mean, var and fisher_unit (over every parameter; None where quadrature gives
+    it) are the standard member's.  loc and scale name those parameters, None where the family has none.
+    psi = (log f0)' and dpsi = psi' give partials and neg_hessian by the chain rule, where not stated.
+    """
+
+    loc: str | None
+    scale: str | None
     pdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    quantile: tp.Callable[[dict[str, float], np.ndarray, np.ndarray | None], np.ndarray]  # (c, t, 1 - t or None) -> x
-    # (c, x) -> (d log f, dF), each keyed by parameter name
-    partials: tp.Callable[[dict[str, float], np.ndarray], tuple[dict, dict]]
-    # (c, x, a, b) -> the -Hessian of log f(x) + log w(F(x)) for a = (log w)', b = (log w)'': its
-    # upper-triangle entries over the parameters that may be active, in numerics.TRIU order
-    neg_hessian: tp.Callable[[dict[str, float], np.ndarray, FloatArray, FloatArray], tuple[np.ndarray, ...]]
+    quantile: tp.Callable[[dict[str, float], np.ndarray, np.ndarray | None], np.ndarray]
     mean: tp.Callable[[dict[str, float]], float]
     var: tp.Callable[[dict[str, float]], float]
-    fisher_unit: tp.Callable[[dict[str, float]], np.ndarray | None]  # at location 0 and scale 1
-    loc: str | None = None  # names of the location and scale parameters, None where the family has none
-    scale: str | None = None
+    fisher_unit: tp.Callable[[dict[str, float]], np.ndarray | None]
+    psi: tp.Callable[[dict[str, float], np.ndarray], FloatArray] | None = None
+    dpsi: tp.Callable[[dict[str, float], np.ndarray], FloatArray] | None = None
+    # (c, z) -> (d log f, dF) times the scale, each keyed by parameter name
+    partials: tp.Callable[[dict[str, float], np.ndarray], tuple[dict, dict]] | None = None
+    # (c, z, a, b) -> the -Hessian of log f(x) + log w(F(x)) times the scale squared, for a = (log w)', b = (log w)'':
+    # its upper-triangle entries over the parameters that may be active, in numerics.TRIU order
+    neg_hessian: tp.Callable[[dict[str, float], np.ndarray, FloatArray, FloatArray], tuple] | None = None
+    shapes: dict[str, float] = dataclasses.field(default_factory=dict)  # shape parameters and their defaults
+    support: tuple[float, float] = (-math.inf, math.inf)
+    default_active: tuple[str, ...] | None = None  # every free parameter where None
+    never_active: tuple[str, ...] = ()
+    validate: tp.Callable[[dict[str, float]], None] = lambda c: None  # the checks of the shape
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return (*self.shapes, *(n for n in (self.loc, self.scale) if n))
+
+    @property
+    def free(self) -> tuple[str, ...]:  # the parameters that may be active
+        return tuple(n for n in self.param_names if n not in self.never_active)
+
+    @property
+    def defaults(self) -> dict[str, float]:
+        return {**self.shapes, **{n: float(n == self.scale) for n in (self.loc, self.scale) if n}}
+
+    def standard_partials(self, c: dict[str, float], z: np.ndarray) -> tuple[dict, dict]:
+        """The family's partials, else the chain rule through z = (x - loc) / scale: with log f = log f0(z) - log
+        scale, F = F0(z) and dz/dtheta_i = -v_i / scale for v = 1 at loc and z at scale, scale d_i log f =
+        -(psi v_i + [i = scale]) and scale d_i F = -f0 v_i."""
+        if self.partials:
+            return self.partials(c, z)
+        f0, psi = self.pdf(c, z), self.psi(c, z)
+        v = {self.loc: 1.0, self.scale: z} if self.loc else {self.scale: z}
+        return {n: -(psi * vn + (n == self.scale)) for n, vn in v.items()}, {n: -f0 * vn for n, vn in v.items()}
+
+    def standard_neg_hessian(self, c: dict[str, float], z: np.ndarray, a: FloatArray, b: FloatArray) -> tuple:
+        """The family's -Hessian, else (loc, loc), (loc, scale), (scale, scale), or (scale, scale) alone without
+        loc.  With v of standard_partials, the Hessian of log f(x) + log w(F(x)) times scale^2 is
+        P v_i v_j + Q u_ij + [i = j = scale], u_ij = scale^2 d^2 z / dtheta_i dtheta_j = 0, 1, 2z in those
+        entries, P = psi' + a psi f0 + b f0^2 and Q = psi + a f0."""
+        if self.neg_hessian:
+            return self.neg_hessian(c, z, a, b)
+        f0, psi = self.pdf(c, z), self.psi(c, z)
+        q = psi + a * f0
+        p = self.dpsi(c, z) + a * psi * f0 + b * f0 * f0
+        ss = -(p * z * z + 2.0 * q * z + 1.0)
+        return (-p, -(p * z + q), ss) if self.loc else (ss,)
 
 
 def _columns(partials: dict, keys: tp.Sequence, shape: tuple[int, ...]) -> np.ndarray:
@@ -449,78 +507,9 @@ def _sq(v: float) -> float:
     return v * v
 
 
-def _require_positive(ctx: dict[str, float], *names: str) -> None:
-    for n in names:
-        if not ctx[n] > 0.0:
-            raise ModelError(f"parameter {n!r} must be strictly positive, got {ctx[n]!r}")
-
-
-@dataclasses.dataclass(frozen=True)
-class _Standard:
-    """A location-scale family stated through its standard variable z = (x - loc) / scale.
-
-    pdf, cdf and sf are f0, F0 and 1 - F0 of z, quantile is F0^{-1} of (t, s = 1 - t or None),
-    psi is (log f0)' and dpsi is psi'; each takes the parameter dict first, for a
-    fixed shape.  loc is None for a scale family, whose location is 0; psi and
-    dpsi are None for a family that states its own partials.
-    """
-
-    loc: str | None
-    scale: str
-    pdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    quantile: tp.Callable[[dict[str, float], np.ndarray, np.ndarray | None], np.ndarray]
-    psi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray] | None = None
-    dpsi: tp.Callable[[dict[str, float], np.ndarray], np.ndarray] | None = None
-
-    def z(self, c: dict[str, float], x: np.ndarray) -> np.ndarray:
-        return (x - (c[self.loc] if self.loc else 0.0)) / c[self.scale]
-
-    def partials(self, c: dict[str, float], x: np.ndarray) -> tuple[dict, dict]:
-        """Chain rule through z, with log f = log f0(z) - log s, F = F0(z) and dz/dtheta_i = -v_i / s for v = 1
-        at loc and z at s: d_i log f = -(psi v_i + [i = s]) / s and d_i F = -f0 v_i / s."""
-        s = c[self.scale]
-        z = self.z(c, x)
-        f0, psi = self.pdf(c, z), self.psi(c, z)
-        v = {self.loc: 1.0, self.scale: z} if self.loc else {self.scale: z}
-        return {n: -(psi * vn + (n == self.scale)) / s for n, vn in v.items()}, {n: -f0 * vn / s for n, vn in v.items()}
-
-    def neg_hessian(self, c: dict[str, float], x: np.ndarray, a: FloatArray, b: FloatArray) -> tuple[np.ndarray, ...]:
-        """(loc, loc), (loc, s), (s, s), or (s, s) alone without loc.  The Hessian of log f(x) + log w(F(x))
-        is (P v_i v_j + Q u_ij + [i = j = s]) / s^2, with v of partials, u_ij = s^2 d^2 z / dtheta_i dtheta_j
-        = 0, 1, 2z in those entries, P = psi' + a psi f0 + b f0^2 and Q = psi + a f0."""
-        s2 = _sq(c[self.scale])
-        z = self.z(c, x)
-        f0, psi = self.pdf(c, z), self.psi(c, z)
-        q = psi + a * f0
-        p = self.dpsi(c, z) + a * psi * f0 + b * f0 * f0
-        ss = -(p * z * z + 2.0 * q * z + 1.0) / s2
-        return (-p / s2, -(p * z + q) / s2, ss) if self.loc else (ss,)
-
-
-def _location_scale(std: _Standard, **fields: tp.Any) -> _Family:
-    """The family of std; fields override the defaults of a location-scale family
-    (every parameter active, loc 0, scale 1 and positive, support the real line or,
-    without loc, (0, inf))."""
-    names = (std.loc, std.scale) if std.loc else (std.scale,)
-    base = dict(
-        param_names=names,
-        defaults={n: float(n == std.scale) for n in names},
-        default_active=names,
-        never_active=(),
-        validate=lambda c: _require_positive(c, std.scale),
-        support=lambda c: (-math.inf if std.loc else 0.0, math.inf),
-        pdf=lambda c, x: std.pdf(c, std.z(c, x)) / c[std.scale],
-        cdf=lambda c, x: std.cdf(c, std.z(c, x)),
-        sf=lambda c, x: std.sf(c, std.z(c, x)),
-        quantile=lambda c, t, s: (c[std.loc] if std.loc else 0.0) + c[std.scale] * std.quantile(c, t, s),
-        partials=std.partials,
-        neg_hessian=std.neg_hessian,
-        loc=std.loc,
-        scale=std.scale,
-    )
-    return _Family(**{**base, **fields})
+def _require_positive(name: str | None, value: float) -> None:
+    if not value > 0.0:
+        raise ModelError(f"parameter {name!r} must be strictly positive, got {value!r}")
 
 
 def _logistic_pdf0(c, z):
@@ -655,129 +644,115 @@ def _gamma_table(k: float) -> np.ndarray:
     return coef
 
 
-def _gamma_terms(c, x):
+def _gamma_terms(c, z):
     # the chain rule with z psi(z) = shape - 1 - z, z^2 psi'(z) = 1 - shape and
     # z f0(z) = z^shape e^-z / Gamma(shape) in closed form: formed as products they overflow, lose z^2
     # to underflow or are 0 * inf below z of about 1.5e-154, which the quantile reaches below t of
     # about 1e-77 at shape 0.5 (it is 0.0 below t of about 1e-162)
     k = c["shape"]
-    z = x / c["sigma"]
     with np.errstate(divide="ignore"):
-        return k, z, np.exp(k * np.log(z) - z - math.lgamma(k))
+        return k, np.exp(k * np.log(z) - z - math.lgamma(k))
 
 
-def _gamma_partials(c, x):
-    k, z, zf0 = _gamma_terms(c, x)
-    return {"sigma": (z - k) / c["sigma"]}, {"sigma": -zf0 / c["sigma"]}
+def _gamma_partials(c, z):
+    k, zf0 = _gamma_terms(c, z)
+    return {"sigma": z - k}, {"sigma": -zf0}
 
 
-def _gamma_neg_hessian(c, x, a, b):
-    # the location-free (s, s) entry -(P z^2 + 2 Q z + 1) / s^2 with the closed forms above
-    k, z, zf0 = _gamma_terms(c, x)
-    return (-(k - 2.0 * z + a * zf0 * (k + 1.0 - z) + b * zf0 * zf0) / _sq(c["sigma"]),)
+def _gamma_neg_hessian(c, z, a, b):
+    # the location-free (scale, scale) entry -(P z^2 + 2 Q z + 1) with the closed forms above
+    k, zf0 = _gamma_terms(c, z)
+    return (-(k - 2.0 * z + a * zf0 * (k + 1.0 - z) + b * zf0 * zf0),)
 
 
 _FAMILIES: dict[str, _Family] = {
-    "normal": _location_scale(
-        _Standard(
-            "mu", "sigma",
-            pdf=lambda c, z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
-            cdf=lambda c, z: _ndtr(z),
-            sf=lambda c, z: _ndtr(-z),
-            quantile=lambda c, t, s: _ndtri(t, s),
-            psi=lambda c, z: -z,
-            dpsi=lambda c, z: -1.0,
-        ),
-        mean=lambda c: c["mu"],
-        var=lambda c: _sq(c["sigma"]),
+    "normal": _Family(
+        "mu", "sigma",
+        pdf=lambda c, z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
+        cdf=lambda c, z: _ndtr(z),
+        sf=lambda c, z: _ndtr(-z),
+        quantile=lambda c, t, s: _ndtri(t, s),
+        psi=lambda c, z: -z,
+        dpsi=lambda c, z: -1.0,
+        mean=lambda c: 0.0,
+        var=lambda c: 1.0,
         fisher_unit=lambda c: np.diag([1.0, 2.0]),
     ),
-    "exponential": _location_scale(
-        _Standard(
-            None, "sigma",
-            pdf=lambda c, z: np.exp(-z),
-            cdf=lambda c, z: -np.expm1(-z),
-            sf=lambda c, z: np.exp(-z),
-            quantile=lambda c, t, s: -_log1m(t, s),
-            psi=lambda c, z: -1.0,
-            dpsi=lambda c, z: 0.0,
-        ),
-        mean=lambda c: c["sigma"],
-        var=lambda c: _sq(c["sigma"]),
+    "exponential": _Family(
+        None, "sigma",
+        support=(0.0, math.inf),
+        pdf=lambda c, z: np.exp(-z),
+        cdf=lambda c, z: -np.expm1(-z),
+        sf=lambda c, z: np.exp(-z),
+        quantile=lambda c, t, s: -_log1m(t, s),
+        psi=lambda c, z: -1.0,
+        dpsi=lambda c, z: 0.0,
+        mean=lambda c: 1.0,
+        var=lambda c: 1.0,
         fisher_unit=lambda c: np.array([[1.0]]),
     ),
-    "logistic": _location_scale(
-        _Standard(
-            "mu", "sigma",
-            pdf=_logistic_pdf0,
-            cdf=lambda c, z: _expit(z),
-            sf=lambda c, z: _expit(-z),
-            quantile=lambda c, t, s: np.log(t) - _log1m(t, s),
-            psi=lambda c, z: -np.tanh(0.5 * z),
-            dpsi=lambda c, z: -2.0 * _logistic_pdf0(c, z),
-        ),
-        mean=lambda c: c["mu"],
-        var=lambda c: _sq(math.pi * c["sigma"]) / 3.0,
+    "logistic": _Family(
+        "mu", "sigma",
+        pdf=_logistic_pdf0,
+        cdf=lambda c, z: _expit(z),
+        sf=lambda c, z: _expit(-z),
+        quantile=lambda c, t, s: np.log(t) - _log1m(t, s),
+        psi=lambda c, z: -np.tanh(0.5 * z),
+        dpsi=lambda c, z: -2.0 * _logistic_pdf0(c, z),
+        mean=lambda c: 0.0,
+        var=lambda c: _sq(math.pi) / 3.0,
         fisher_unit=lambda c: np.diag([1.0 / 3.0, (math.pi**2 + 3.0) / 9.0]),
     ),
-    "extreme_value": _location_scale(
-        _Standard(
-            "mu", "sigma",
-            pdf=lambda c, z: np.exp(z - np.exp(z)),
-            cdf=lambda c, z: -np.expm1(-np.exp(z)),
-            sf=lambda c, z: np.exp(-np.exp(z)),
-            quantile=lambda c, t, s: np.log(-_log1m(t, s)),
-            psi=lambda c, z: 1.0 - np.exp(z),
-            dpsi=lambda c, z: -np.exp(z),
-        ),
-        mean=lambda c: c["mu"] - _EULER_GAMMA * c["sigma"],
-        var=lambda c: _sq(math.pi * c["sigma"]) / 6.0,
+    "extreme_value": _Family(
+        "mu", "sigma",
+        pdf=lambda c, z: np.exp(z - np.exp(z)),
+        cdf=lambda c, z: -np.expm1(-np.exp(z)),
+        sf=lambda c, z: np.exp(-np.exp(z)),
+        quantile=lambda c, t, s: np.log(-_log1m(t, s)),
+        psi=lambda c, z: 1.0 - np.exp(z),
+        dpsi=lambda c, z: -np.exp(z),
+        mean=lambda c: -_EULER_GAMMA,
+        var=lambda c: _sq(math.pi) / 6.0,
         fisher_unit=lambda c: np.array(
             [[1.0, 1.0 - _EULER_GAMMA], [1.0 - _EULER_GAMMA, (1.0 - _EULER_GAMMA) ** 2 + math.pi**2 / 6.0]]
         ),
     ),
-    "gamma": _location_scale(
-        _Standard(
-            None, "sigma",
-            pdf=lambda c, z: np.exp((c["shape"] - 1.0) * np.log(z) - z - math.lgamma(c["shape"])),
-            cdf=lambda c, z: _scipy_special().gammainc(c["shape"], z),
-            sf=lambda c, z: _scipy_special().gammaincc(c["shape"], z),
-            quantile=lambda c, t, s: _gamma_quantile(c["shape"], t, s),
-        ),
-        partials=_gamma_partials,
-        neg_hessian=_gamma_neg_hessian,
-        param_names=("shape", "sigma"),
-        defaults={"shape": 2.0, "sigma": 1.0},
+    "gamma": _Family(
+        None, "sigma",
+        shapes={"shape": 2.0},
         never_active=("shape",),
         validate=lambda c: _validate_gamma(c),
-        mean=lambda c: c["shape"] * c["sigma"],
-        var=lambda c: c["shape"] * _sq(c["sigma"]),
+        support=(0.0, math.inf),
+        pdf=lambda c, z: np.exp((c["shape"] - 1.0) * np.log(z) - z - math.lgamma(c["shape"])),
+        cdf=lambda c, z: _scipy_special().gammainc(c["shape"], z),
+        sf=lambda c, z: _scipy_special().gammaincc(c["shape"], z),
+        quantile=lambda c, t, s: _gamma_quantile(c["shape"], t, s),
+        partials=_gamma_partials,
+        neg_hessian=_gamma_neg_hessian,
+        mean=lambda c: c["shape"],
+        var=lambda c: c["shape"],
         # the shape is never active, so unit_entries never selects its entry, which is left unevaluated
         fisher_unit=lambda c: np.array([[math.nan, 1.0], [1.0, c["shape"]]]),
     ),
-    "uniform": _location_scale(
-        _Standard(
-            "loc", "scale",
-            pdf=lambda c, z: np.ones_like(z),
-            cdf=lambda c, z: z,
-            sf=lambda c, z: 1.0 - z,
-            quantile=lambda c, t, s: t,
-            psi=lambda c, z: 0.0,
-            dpsi=lambda c, z: 0.0,
-        ),
+    "uniform": _Family(
+        "loc", "scale",
         default_active=("loc",),
-        support=lambda c: (c["loc"], c["loc"] + c["scale"]),
-        mean=lambda c: c["loc"] + c["scale"] / 2.0,
-        var=lambda c: _sq(c["scale"]) / 12.0,
+        support=(0.0, 1.0),
+        pdf=lambda c, z: np.ones_like(z),
+        cdf=lambda c, z: z,
+        sf=lambda c, z: 1.0 - z,
+        quantile=lambda c, t, s: t,
+        psi=lambda c, z: 0.0,
+        dpsi=lambda c, z: 0.0,
+        mean=lambda c: 0.5,
+        var=lambda c: 1.0 / 12.0,
         fisher_unit=lambda c: None,
     ),
     "exp_mixture": _Family(
-        param_names=("pi", "h"),
-        defaults={"pi": 0.5, "h": 0.5},
-        default_active=("pi", "h"),
-        never_active=(),
+        None, None,
+        shapes={"pi": 0.5, "h": 0.5},
         validate=lambda c: _validate_mixture(c),
-        support=lambda c: (0.0, math.inf),
+        support=(0.0, math.inf),
         pdf=_mixture_pdf,
         cdf=_mixture_cdf,
         sf=_mixture_sf,
@@ -793,7 +768,7 @@ _FAMILIES: dict[str, _Family] = {
 
 
 def _validate_gamma(c: dict[str, float]) -> None:
-    _require_positive(c, "shape", "sigma")
+    _require_positive("shape", c["shape"])
     if c["shape"] > GAMMA_MAX_SHAPE:
         raise ModelError(f"gamma shape {c['shape']!r} is above {GAMMA_MAX_SHAPE:g}, the largest with a verified quantile")
 
@@ -801,7 +776,7 @@ def _validate_gamma(c: dict[str, float]) -> None:
 def _validate_mixture(c: dict[str, float]) -> None:
     if not 0.0 < c["pi"] < 1.0:
         raise ModelError(f"mixture weight pi must lie in (0, 1), got {c['pi']!r}")
-    _require_positive(c, "h")
+    _require_positive("h", c["h"])
 
 
 def _family(name: str) -> _Family:

@@ -216,9 +216,12 @@ def estimate_alphas(
 
     # each set is standardized by its own sample moments; the per-set scale
     # modulates the effective perception noise and is what reproduces the
-    # published efficiency curves (analytic moments run systematically low)
+    # published efficiency curves (analytic moments run systematically low).
+    # Location and scale cancel in that standardization, and the ranks are the
+    # same on either scale, so the sets are drawn on the standard member, whose
+    # values keep their precision where mu dwarfs sigma.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.asarray(model.quantile(rng.random((reps, set_size))))
+        x = np.asarray(model.standard()[0].quantile(rng.random((reps, set_size))))
         z = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
     if not np.all(np.isfinite(z)):
         raise SamplingError(f"Dell-Clutter ranking: {model.label()} gave a set of non-finite standardized values")

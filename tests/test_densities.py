@@ -11,6 +11,7 @@ from scipy.stats import beta
 from prosinfo import (
     DensityError,
     DesignError,
+    MisplacementMatrix,
     SetPlan,
     UnbalancedDesign,
     bernstein_series,
@@ -25,7 +26,6 @@ from prosinfo import (
     make_symmetric_alpha,
     rank_coefficients,
     unbalanced_weight,
-    uniform_alpha,
 )
 
 T_GRID = np.linspace(0.02, 0.98, 25)
@@ -140,11 +140,9 @@ def test_order_stat_pdf_values():
 
 
 def test_subset_pdf_reduces_to_parent_for_srs():
-    from prosinfo import srs_design
-
     model = make_model("logistic")
     xs = np.linspace(-4.0, 4.0, 15)
-    np.testing.assert_allclose(_subset_pdf(model, srs_design(), 1, xs), model.pdf(xs))
+    np.testing.assert_allclose(_subset_pdf(model, make_balanced_design(1, 1), 1, xs), model.pdf(xs))
 
 
 def test_subset_pdf_uniform_halves():
@@ -181,7 +179,7 @@ def test_g_factor_uniform_alpha_is_flat():
     xs = np.linspace(-3.0, 3.0, 21)
     for r in (1, 2, 3):
         np.testing.assert_allclose(
-            _g_factor(model, design, uniform_alpha(3), r, xs), np.ones_like(xs), atol=1e-12
+            _g_factor(model, design, MisplacementMatrix(np.full((3, 3), 1 / 3)), r, xs), np.ones_like(xs), atol=1e-12
         )
 
 
@@ -280,10 +278,10 @@ def test_unbalanced_index_validation():
 
 
 def test_latent_conditional_values():
-    from prosinfo import Design, srs_design
+    from prosinfo import Design
 
     model = make_model("uniform")
-    np.testing.assert_allclose(latent_conditional(model, srs_design(), 1, 0.3), [1.0])
+    np.testing.assert_allclose(latent_conditional(model, make_balanced_design(1, 1), 1, 0.3), [1.0])
     both = Design(2, ((1, 2),))
     np.testing.assert_allclose(latent_conditional(model, both, 1, 0.5), [0.5, 0.5])
     np.testing.assert_allclose(latent_conditional(model, both, 1, 0.25), [0.75, 0.25])

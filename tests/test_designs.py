@@ -4,6 +4,7 @@ import pytest
 from prosinfo import (
     Design,
     DesignError,
+    MisplacementMatrix,
     SetPlan,
     UnbalancedDesign,
     identity_alpha,
@@ -12,8 +13,6 @@ from prosinfo import (
     parse_design_file,
     parse_misplacement_csv,
     rss_design,
-    srs_design,
-    uniform_alpha,
     validate_misplacement,
 )
 
@@ -28,8 +27,7 @@ def test_balanced_design_six_two():
 
 
 def test_srs_and_rss_special_cases():
-    assert srs_design().subsets == ((1,),)
-    assert srs_design(cycles=4).cycles == 4
+    assert make_balanced_design(1, 1, cycles=4).cycles == 4
     rss = rss_design(3)
     assert rss.subsets == ((1,), (2,), (3,))
     assert rss.set_size == 3
@@ -102,8 +100,8 @@ def test_symmetric_alpha_always_doubly_stochastic(n, p):
 
 def test_identity_and_uniform_alpha():
     assert identity_alpha(3).is_identity
-    assert not uniform_alpha(3).is_identity
-    np.testing.assert_allclose(uniform_alpha(4).entries, np.full((4, 4), 0.25))
+    assert not MisplacementMatrix(np.full((3, 3), 1 / 3)).is_identity
+    np.testing.assert_allclose(MisplacementMatrix(np.full((4, 4), 1 / 4)).entries, np.full((4, 4), 0.25))
     a = identity_alpha(2)
     np.testing.assert_allclose(a.row(1), [1.0, 0.0])
     np.testing.assert_allclose(a.row(2), [0.0, 1.0])
@@ -112,7 +110,7 @@ def test_identity_and_uniform_alpha():
 
 
 def test_alpha_entries_are_read_only():
-    a = uniform_alpha(2)
+    a = MisplacementMatrix(np.full((2, 2), 1 / 2))
     with pytest.raises(ValueError):
         a.entries[0, 0] = 0.9
 

@@ -5,6 +5,7 @@ from prosinfo import (
     DesignError,
     InfoMatrix,
     InformationError,
+    MisplacementMatrix,
     UnbalancedDesign,
     densities,
     fi_pros_complete,
@@ -20,7 +21,6 @@ from prosinfo import (
     regression_fi,
     relative_efficiencies,
     rss_design,
-    uniform_alpha,
     verify_lemma_identity,
 )
 from prosinfo.numerics import integrate_gram
@@ -174,7 +174,7 @@ def test_rss_to_srs_ratio_normal():
 def test_marginal_uniform_alpha_carries_no_ranking_information():
     model = make_model("normal")
     design = make_balanced_design(6, 2)
-    fi = fi_pros_marginal(model, design, uniform_alpha(2))
+    fi = fi_pros_marginal(model, design, MisplacementMatrix(np.full((2, 2), 1 / 2)))
     np.testing.assert_allclose(
         relative_efficiencies(fi, fisher_srs(model, 2)), 1.0, atol=1e-9
     )
@@ -415,7 +415,8 @@ def test_uniform_family_is_rejected_by_every_route():
     model = make_model("uniform")
     design = make_balanced_design(6, 2)
     ud = UnbalancedDesign.from_design(design)
-    calls = [lambda: k_matrix(model, 2, 6), lambda: fisher_srs(model, 2)]
+    calls = [lambda: k_matrix(model, 2, 6), lambda: fisher_srs(model, 2),
+             lambda: regression_fi(model, [-1.0, 1.0], 2, 3)]
     for method in ("quadrature", "mc"):
         opts = dict(method=method, reps=2000, seed=SEED)
         calls += [

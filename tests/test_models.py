@@ -161,13 +161,24 @@ def _free(fam, **params):
     return make_model(fam, active=tuple(n for n in names if n != "shape"), **params)
 
 
-@pytest.mark.parametrize("fam", family_names())
-def test_scores_match_finite_difference_for_every_free_parameter(fam):
-    model = _free(fam)
-    h = 1e-6
+# members away from location 0 and scale 1, where the map x = loc + scale z that Model applies is not the identity
+NON_STANDARD = [
+    ("normal", {"mu": 2.0, "sigma": 3.0}),
+    ("logistic", {"mu": -1.0, "sigma": 0.5}),
+    ("extreme_value", {"mu": 0.3, "sigma": 1.7}),
+    ("exponential", {"sigma": 3.0}),
+    ("gamma", {"shape": 2.5, "sigma": 1.3}),
+]
+SCORE_CASES = [(f, {}) for f in family_names()] + NON_STANDARD + [("uniform", {"loc": -1.0, "scale": 2.5})]
+
+
+@pytest.mark.parametrize("fam,params", SCORE_CASES, ids=[_model_id(f, p) for f, p in SCORE_CASES])
+def test_scores_match_finite_difference_for_every_free_parameter(fam, params):
+    model = _free(fam, **params)
     xs = np.asarray(model.quantile(U_GRID))
     for j, name in enumerate(model.active):
         theta = model.value(name)
+        h = 1e-6 * (abs(theta) or 1.0)
         hi = model.with_params(**{name: theta + h})
         lo = model.with_params(**{name: theta - h})
         fd_logpdf = (hi.logpdf(xs) - lo.logpdf(xs)) / (2.0 * h)
@@ -207,7 +218,7 @@ def _richardson_hessian(model, fn, x):
 HESSIAN_CASES = [(f, {}) for f in family_names() if f != "uniform"] + [
     ("gamma", {"shape": 0.5}),
     ("exp_mixture", {"pi": 0.999, "h": 0.01}),
-]
+] + NON_STANDARD
 
 
 def _second_derivatives(model, x, a=1.0):

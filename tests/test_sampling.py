@@ -8,6 +8,7 @@ from scipy import stats
 from prosinfo import (
     DellClutterConfig,
     DesignError,
+    MisplacementMatrix,
     Model,
     ProsSample,
     SamplingError,
@@ -28,9 +29,7 @@ from prosinfo import (
     make_symmetric_alpha,
     sample_to_csv,
     sampling,
-    srs_design,
     substream,
-    uniform_alpha,
     validate_misplacement,
 )
 
@@ -49,7 +48,7 @@ def test_draw_srs_basics():
 
 
 def test_draw_pros_trivial_design_is_srs():
-    sample = draw_pros(make_model("uniform"), srs_design(cycles=10_000), seed=SEED)
+    sample = draw_pros(make_model("uniform"), make_balanced_design(1, 1, cycles=10_000), seed=SEED)
     assert stats.kstest(sample.values, "uniform").pvalue > 0.01
     np.testing.assert_array_equal(sample.true_rank, np.ones(10_000))
     np.testing.assert_array_equal(sample.target_subset, np.ones(10_000))
@@ -88,7 +87,7 @@ def test_draw_pros_perfect_ranking_keeps_blocks():
 def test_draw_pros_uniform_alpha_looks_like_srs():
     design = make_balanced_design(6, 2, cycles=10_000)
     model = make_model("normal")
-    sample = draw_pros(model, design, alpha=uniform_alpha(2), seed=SEED)
+    sample = draw_pros(model, design, alpha=MisplacementMatrix(np.full((2, 2), 1 / 2)), seed=SEED)
     sub = sample.values[sample.target_subset == 1]
     assert stats.kstest(sub, model.cdf).pvalue > 0.01
 
@@ -437,8 +436,9 @@ def test_estimate_unbalanced_alphas_per_cycle():
 
 
 def test_dell_clutter_refuses_non_finite_standardized_values():
-    # x.std overflows at this scale, so every perception would be NaN and the tally meaningless
-    model = make_model("normal", sigma=1e308)
+    # every draw of this shape's standard member is 0, so each set's sample SD is 0, every perception would be
+    # NaN and the tally meaningless
+    model = make_model("gamma", shape=1e-300)
     with pytest.raises(SamplingError, match="standardized values"):
         estimate_alpha_for_partition(model, 6, ((1, 2, 3), (4, 5, 6)), DellClutterConfig(0.5, 200, SEED))
     with pytest.raises(SamplingError, match="standardized values"):

@@ -371,8 +371,10 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["entropy", "--measure", "kl", "--kind", "srs", "--set-size", "6", "--subsets", "2"],
         # a file that is not UTF-8 text
         ["fisher", "--design-file", str(not_utf8)],
-        # Dell-Clutter ranking of a scale whose standardized values overflow
-        ["sample", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e308", "--alpha", "dellclutter:0.5"],
+        # Dell-Clutter ranking of a shape whose standard member draws only zeros, so no set can be standardized
+        ["sample", "--family", "gamma", "--set-size", "6", "--subsets", "2", "--params", "shape=1e-300", "--alpha",
+         "dellclutter:0.5"],
+        # information whose squared inverse scale leaves the double range
         ["fisher", "--set-size", "6", "--subsets", "2", "--params", "sigma=1e308", "--alpha", "dellclutter:0.5"],
         # a gamma shape above the one its quantile is verified at
         ["sample", "--family", "gamma", "--set-size", "6", "--subsets", "2", "--params", "shape=1e8"],
@@ -406,12 +408,13 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("mu,sigma", (("1", "1e-20"), ("1e6", "1e-12"), ("1e5", "1e-12")))
 def test_cli_location_far_above_the_scale_reports_location_zero(capsys, mu, sigma):
-    # every information and entropy route runs on the standard member, so a location that x = mu + sigma z
-    # cannot resolve z against reports exactly what location 0 reports
+    # every information and entropy route and the Dell-Clutter calibration run on the standard member, so a
+    # location that x = mu + sigma z cannot resolve z against reports exactly what location 0 reports
     pros = ["--set-size", "6", "--subsets", "2"]
     for argv in (
         ["fisher", *pros, "--alpha", "symmetric:0.8"],
         ["fisher", *pros, "--alpha", "symmetric:0.8", "--method", "mc", "--reps", "4096"],
+        ["fisher", *pros, "--alpha", "dellclutter:0.75"],
         ["fisher", *pros, "--mode", "complete"],
         ["fisher", "--family", "logistic", *pros, "--alpha", "symmetric:0.8"],
         ["entropy", *pros],
