@@ -16,7 +16,10 @@ the quantile scale, so endpoint-singular integrands such as 1/(F(1-F)) become
 integrand call gets one of a few node arrays built at import, so node_memo can
 keep what callers build from them (model scores, Bernstein bases).
 Monte Carlo means run their fixed-size chunks on up to `workers` forked
-processes and are bit-identical for a fixed seed at every worker count.
+processes and are bit-identical for a fixed seed at every worker count.  A
+process runs its chunks in passes, one batch_fn call each, whose stream splits
+every draw across the chunks' substreams; so a batch function draws only arrays
+of the pass's length, and a replicate's value depends on its own draws alone.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ DEFAULT_SEED = 20240101
 # Fixed batch granularity of the Monte Carlo reduction.  Results depend on this
 # value, so it is a constant, not a knob.
 CHUNK_SIZE = 4096
+# Bound on the chunks one batch_fn call evaluates, which bounds its memory at any reps; results do not depend on it.
+PASS_CHUNKS = 16
 
 # Levels of the tanh-sinh rule in integrate; comparing levels 4 and 5 first
 # keeps two coarse grids that both miss a sharp peak from agreeing.
@@ -368,17 +373,31 @@ def _merge_moments(
     return n, mean, m2
 
 
-def _moments_of(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    n = values.shape[0]
-    mean = values.mean(axis=0)
-    m2 = ((values - mean) ** 2).sum(axis=0)
-    return n, mean, m2
+class _PassStream:
+    """The random stream of a pass over chunks idxs: each draw of length count is split across their substreams."""
+
+    def __init__(self, seed: int, idxs: tp.Sequence[int], count: int):
+        self.count, self._rngs = count, [substream(seed, idx) for idx in idxs]
+        self.cuts = list(range(CHUNK_SIZE, count, CHUNK_SIZE))  # only the last chunk of all is short, and comes last
+
+    def _split(self, count: int, *params: np.ndarray) -> list[tuple]:
+        if count != self.count:
+            raise ValueError(f"a Monte Carlo pass draws arrays of length {self.count}, not {count}")
+        return list(zip(self._rngs, np.diff([0, *self.cuts, count]), *(np.split(p, self.cuts) for p in params)))
+
+    def random(self, count: int) -> np.ndarray:
+        return np.concatenate([rng.random(n) for rng, n in self._split(count)])
+
+    def standard_normal(self, count: int) -> np.ndarray:
+        return np.concatenate([rng.standard_normal(n) for rng, n in self._split(count)])
+
+    def beta(self, a: tp.Any, b: tp.Any) -> np.ndarray:
+        a, b = np.broadcast_arrays(a, b)
+        return np.concatenate([rng.beta(ai, bi) for rng, _, ai, bi in self._split(len(a), a, b)])
 
 
-def _forked_chunks(
-    chunk: tp.Callable[[int], tuple[int, np.ndarray, np.ndarray]], n_chunks: int, k: int
-) -> dict[int, tuple[int, np.ndarray, np.ndarray]]:
-    """Moments of chunks 0..n_chunks-1, process j of k evaluating chunks j, j+k, ... in index order.
+def _forked_chunks(evaluate: tp.Callable[[range, dict], None], n_chunks: int, k: int) -> dict[int, tuple]:
+    """Moments of chunks 0..n_chunks-1, process j of k evaluating chunks j, j+k, ... by evaluate(chunks, parts).
 
     Each of the k-1 forked children pickles the moments of its chunks before its
     first failing one down a pipe and leaves by os._exit; the parent also stops
@@ -396,8 +415,7 @@ def _forked_chunks(
             if pid == 0:
                 try:
                     with contextlib.suppress(Exception):
-                        for idx in range(j, n_chunks, k):
-                            parts[idx] = chunk(idx)
+                        evaluate(range(j, n_chunks, k), parts)
                     with open(w, "wb") as pipe:
                         pickle.dump(parts, pipe)
                 finally:
@@ -405,8 +423,7 @@ def _forked_chunks(
             os.close(w)
             readers[pid] = open(r, "rb")
         with contextlib.suppress(Exception):
-            for idx in range(0, n_chunks, k):
-                parts[idx] = chunk(idx)
+            evaluate(range(0, n_chunks, k), parts)
         for reader in readers.values():
             with contextlib.suppress(EOFError, pickle.UnpicklingError):  # a child that died sent nothing
                 parts.update(pickle.load(reader))
@@ -420,7 +437,7 @@ def _forked_chunks(
 
 
 def mc_mean_batches(
-    batch_fn: tp.Callable[[np.random.Generator, int], np.ndarray],
+    batch_fn: tp.Callable[[tp.Any, int], np.ndarray],
     reps: int,
     seed: int,
     workers: int = 1,
@@ -431,34 +448,52 @@ def mc_mean_batches(
     k = min(workers, chunks, usable CPUs) processes when k > 1, os.fork exists and
     no other Python thread is alive (forking while one holds a lock can deadlock
     the child); chunks no process delivered are evaluated here, so a failing
-    chunk raises as at workers=1.  Moments merge in index order, so the result is
-    bit-identical at every worker count.  Returns (means, standard errors, reps).
+    chunk raises as at workers=1.  A process evaluates its chunks in passes of
+    up to PASS_CHUNKS, in index order: one batch_fn call whose rng splits each
+    random(count), standard_normal(count) or beta(a, b) draw across the chunks'
+    substreams, so every chunk draws what it draws alone.  batch_fn must draw
+    only length-count arrays, and a replicate's value may depend on its own
+    draws alone.  A pass that fails is evaluated again chunk by chunk.  Moments
+    merge in index order, so the result is bit-identical at every worker count.
+    Returns (means, standard errors, reps).
     """
     if reps < 2:
         raise ValueError("mc_mean_batches needs reps >= 2")
     if workers < 1:
         raise ValueError("mc_mean_batches needs workers >= 1")
 
-    def chunk(idx: int) -> tuple[int, np.ndarray, np.ndarray]:
-        lo, hi = idx * CHUNK_SIZE, min((idx + 1) * CHUNK_SIZE, reps)
+    def run_pass(idxs: tp.Sequence[int]) -> dict[int, tuple]:
+        stream = _PassStream(seed, idxs, sum(min(CHUNK_SIZE, reps - idx * CHUNK_SIZE) for idx in idxs))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite replicate raises below
-            values = np.asarray(batch_fn(substream(seed, idx), hi - lo), dtype=float)
+            values = np.asarray(batch_fn(stream, stream.count), dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        if values.shape[0] != hi - lo:
+        if values.shape[0] != stream.count:
             raise ValueError("batch_fn returned a wrong-length batch")
-        bad = ~np.all(np.isfinite(values), axis=1)
-        if np.any(bad):
-            raise ReplicateError(
-                "batch replicate returned a non-finite value", index=lo + int(np.argmax(bad))
-            )
-        return _moments_of(values)
+        parts = {}  # each chunk's moments reduce contiguous rows of one (d, count) copy
+        for idx, chunk in zip(idxs, np.split(np.ascontiguousarray(values.T), stream.cuts, axis=1)):
+            bad = ~np.all(np.isfinite(chunk), axis=0)
+            if np.any(bad):
+                index = idx * CHUNK_SIZE + int(np.argmax(bad))
+                raise ReplicateError("batch replicate returned a non-finite value", index=index)
+            mean = chunk.mean(axis=1)
+            parts[idx] = chunk.shape[1], mean, ((chunk - mean[:, None]) ** 2).sum(axis=1)
+        return parts
+
+    def evaluate(idxs: tp.Sequence[int], parts: dict) -> None:
+        for first in range(0, len(idxs), PASS_CHUNKS):
+            group = idxs[first : first + PASS_CHUNKS]
+            try:
+                parts.update(run_pass(group))
+            except Exception:
+                for idx in group:  # so that the lowest failing chunk raises, whatever shares its pass
+                    parts.update(run_pass([idx]))
 
     n_chunks = -(-reps // CHUNK_SIZE)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     k = min(workers, n_chunks, cpus)
     forked = k > 1 and hasattr(os, "fork") and threading.active_count() == 1
-    parts = _forked_chunks(chunk, n_chunks, k) if forked else {}
-    moments = [parts[idx] if idx in parts else chunk(idx) for idx in range(n_chunks)]
-    n, mean, m2 = functools.reduce(_merge_moments, moments)
+    parts = _forked_chunks(evaluate, n_chunks, k) if forked else {}
+    evaluate([idx for idx in range(n_chunks) if idx not in parts], parts)
+    n, mean, m2 = functools.reduce(_merge_moments, [parts[idx] for idx in range(n_chunks)])
     return mean, np.sqrt(m2 / (n - 1) / n), reps

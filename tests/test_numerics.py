@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pickle
@@ -493,9 +494,15 @@ def _assert_no_child_left():
 
 
 def _by_chunk(seed, n_chunks, fn):
-    """A batch function calling fn(chunk index, count), the index read off the chunk's substream."""
+    """A batch function calling fn(chunk index, count) for each chunk of its pass, found from the chunk's first draw."""
     first = {substream(seed, idx).random(): idx for idx in range(n_chunks)}
-    return lambda rng, count: fn(first[rng.random()], count)
+
+    def batch(rng, count):
+        draws = rng.random(count)
+        starts = [i for i, d in enumerate(draws) if d in first] + [count]
+        return np.concatenate([fn(first[draws[lo]], hi - lo) for lo, hi in zip(starts, starts[1:])])
+
+    return batch
 
 
 def test_mc_mean_batches_matches_manual_merge(three_cpus):
@@ -526,6 +533,52 @@ def test_mc_mean_batches_raises_the_lowest_bad_replicate_at_every_worker_count(t
             mc_mean_batches(batch, reps=12 * CHUNK_SIZE, seed=7, workers=workers)
         assert err.value.index == bad_chunks[0] * CHUNK_SIZE + 9
         _assert_no_child_left()
+
+
+def _chan_merge_of_lone_chunks(batch, reps, seed):
+    """(means, standard errors) of every chunk evaluated alone from its own substream, merged in index order."""
+    moments = []
+    for idx in range(-(-reps // CHUNK_SIZE)):
+        values = np.ascontiguousarray(batch(substream(seed, idx), min(CHUNK_SIZE, reps - idx * CHUNK_SIZE)).T)
+        mean = values.mean(axis=1)
+        moments.append((values.shape[1], mean, ((values - mean[:, None]) ** 2).sum(axis=1)))
+    n, mean, m2 = functools.reduce(numerics._merge_moments, moments)
+    return mean, np.sqrt(m2 / (n - 1) / n)
+
+
+def test_mc_mean_batches_passes_equal_chunks_evaluated_alone(three_cpus):
+    # each row reads its own uniform, normal and beta draws, which the pass splits across the chunks' substreams
+    def batch(rng, count):
+        u, z = rng.random(count), rng.standard_normal(count)
+        return np.column_stack([u, z * u, rng.beta(1.0 + 3.0 * u, 2.0)])
+
+    reps = (numerics.PASS_CHUNKS + 2) * CHUNK_SIZE + 77
+    want = _chan_merge_of_lone_chunks(batch, reps, 13)
+    for workers in (1, 2, 3):
+        means, ses, _ = mc_mean_batches(batch, reps=reps, seed=13, workers=workers)
+        np.testing.assert_array_equal(means, want[0])
+        np.testing.assert_array_equal(ses, want[1])
+        _assert_no_child_left()
+
+
+def test_mc_mean_batches_never_passes_more_than_its_cap():
+    counts = []
+
+    def spy(rng, count):
+        counts.append(count)
+        return rng.random(count)
+
+    reps = (numerics.PASS_CHUNKS + 2) * CHUNK_SIZE + 77
+    mc_mean_batches(spy, reps=reps, seed=1)
+    assert max(counts) == numerics.PASS_CHUNKS * CHUNK_SIZE
+    assert sum(counts) == reps
+
+
+def test_mc_mean_batches_refuses_a_draw_of_another_length():
+    with pytest.raises(ValueError, match="length"):
+        mc_mean_batches(lambda rng, count: rng.random(count - 1), reps=2 * CHUNK_SIZE, seed=1)
+    with pytest.raises(ValueError, match="length"):
+        mc_mean_batches(lambda rng, count: rng.beta(np.ones(count + 1), 2.0)[:count], reps=100, seed=1)
 
 
 def test_mc_mean_batches_forks_only_without_other_threads(three_cpus):

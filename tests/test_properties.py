@@ -3,17 +3,23 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prosinfo import (
+    SetPlan,
+    UnbalancedDesign,
+    densities,
     fi_pros_complete,
     fi_pros_marginal,
+    fi_unbalanced,
     fisher_srs,
     kl_likelihood_chain,
     make_balanced_design,
     make_model,
     make_symmetric_alpha,
+    numerics,
     relative_efficiencies,
     renyi,
     shannon,
@@ -123,3 +129,50 @@ def test_marginal_information_by_monte_carlo_agrees_with_quadrature(fam, case, p
     # where every replicate is the same constant (normal location at (6, 2), p = 1/2) se is 0, and the
     # two routes may then differ only by round-off, hence the floor
     assert np.all(np.abs(got - want) <= 5.0 * se + 1e-12 * np.abs(want)), (got, want, se)
+
+
+# families with their shapes, each with its default location 0 and scale 1
+INFO_FAMILIES = (
+    ("normal", {}), ("logistic", {}), ("extreme_value", {}), ("exponential", {}), ("gamma", {"shape": 0.5}),
+    ("gamma", {"shape": 2.0}), ("exp_mixture", {"pi": 0.5, "h": 0.5}), ("exp_mixture", {"pi": 0.999, "h": 0.01}),
+)
+# an unbalanced partition of each set size into n blocks
+PARTITIONS = {6: ((1, 2), (3, 4, 5, 6)), 24: (tuple(range(1, 5)), tuple(range(5, 15)), tuple(range(15, 25))),
+              64: (tuple(range(1, 9)), tuple(range(9, 33)), tuple(range(33, 41)), tuple(range(41, 65)))}
+
+
+def _hessian_form(model, coefs):
+    """-int_0^1 sum_b gamma_b H_b dt, H_b the Hessian of log f + log gamma_b at F^{-1}(t), gamma_b = sum_u coefs[b] b_u.
+
+    A term contributes nothing where its weight lies below the square root of the smallest normal double, near
+    an end of (0, 1): there (log gamma_b)'^2 may overflow, while gamma_b H_b is negligible.
+    """
+
+    def entries(t, s):
+        g, g1, g2 = densities.bernstein_series(coefs, t, s)
+        a = g1 / g
+        h = model.neg_hessian(model.quantile(t, s), a, g2 / g - a * a)
+        return np.where(g[..., None] > np.sqrt(np.finfo(float).tiny), g[..., None] * h, 0.0).sum(axis=0).T
+
+    return numerics.from_triu(model.p, numerics.integrate(entries))
+
+
+@pytest.mark.parametrize("fam, shape", INFO_FAMILIES)
+@pytest.mark.parametrize("set_size, n", ((6, 2), (24, 3), (64, 4)))
+@pytest.mark.parametrize("route", ("perfect", "symmetric", "partition", "complete"))
+def test_information_equality_holds_on_every_route(fam, shape, set_size, n, route):
+    # the score form int s s^T gamma dt of each quadrature route equals the Hessian form -int H gamma dt that
+    # the Monte Carlo route samples, H from Model.neg_hessian
+    model = make_model(fam, **shape)
+    if route == "complete":
+        want = fi_pros_complete(model, n, set_size).matrix.as_array()
+        coefs = n * np.eye(set_size)  # each rank u with weight (S/m) b_u, m = S/n
+    else:
+        partition = PARTITIONS[set_size] if route == "partition" else make_balanced_design(set_size, n).subsets
+        ud = UnbalancedDesign(set_size, tuple(SetPlan(1, partition, r) for r in range(1, n + 1)))
+        alphas = {1: None if route == "perfect" else make_symmetric_alpha(n, 0.8)}
+        want = fi_unbalanced(model, ud, alphas).matrix.as_array()
+        rows = ud.measured_rows(alphas)
+        coefs = np.array([densities.rank_coefficients(set_size, sp.partition, row) for sp, row in rows])
+    got = _hessian_form(model, coefs)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
