@@ -21,7 +21,7 @@ import typing as tp
 import numpy as np
 
 from . import entropy as entropy_lib
-from . import information, numerics, sampling
+from . import designs, information, numerics, sampling
 from .information import InformationError
 from .designs import (
     Design,
@@ -30,8 +30,6 @@ from .designs import (
     UnbalancedDesign,
     make_balanced_design,
     make_symmetric_alpha,
-    parse_design_file,
-    parse_misplacement_csv,
     rss_design,
     _parse_partition,
 )
@@ -44,7 +42,7 @@ __all__ = ["RunConfig", "TableCell", "run_table", "run_custom", "cells_to_csv", 
 TABLE_IDS = (2, 3, 4, 5, 6, 7, 8, 10)
 P_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 RHO_GRID = (0.25, 0.50, 0.75, 0.90, 1.00)
-DC_REPS = 5000  # stage-1 judgment sets per misplacement-matrix estimate
+DC_TABLES = (5, 6, 10)  # the tables whose columns are Dell-Clutter rho levels, calibrated at --seed
 REPORT_MEMO_BYTES = 4 << 20  # bound on the characters of the reports run_custom keeps (ASCII, so bytes)
 
 # (S, n, N) rows of the fixed-set-size comparisons, as printed
@@ -141,7 +139,7 @@ def _rel(num: tp.Any, den: tp.Any) -> float:
     return information.relative_efficiencies(num, den)
 
 
-def _table2_cells(cfg: RunConfig) -> list[TableCell]:
+def _table2_cells() -> list[TableCell]:
     """Leading coefficients of the complete-data efficiency formulas.
 
     Single-parameter rows report the per-unit gain over the unit information
@@ -188,7 +186,7 @@ def _table2_cells(cfg: RunConfig) -> list[TableCell]:
     return cells
 
 
-_DC_METHOD = f"dellclutter({DC_REPS})+quadrature"
+_DC_METHOD = f"dellclutter({sampling.DC_REPS})+quadrature"
 
 
 class _Grid(tp.NamedTuple):
@@ -203,7 +201,7 @@ class _Grid(tp.NamedTuple):
     ) -> list[list[MisplacementMatrix]]:
         """The matrix of partitions[i] at levels[j] as [i][j]; calibrated levels share one draw of sets."""
         if self.method == _DC_METHOD:
-            return sampling.estimate_alphas(model, set_size, partitions, self.levels, DC_REPS, seed)
+            return sampling.estimate_alphas(model, set_size, partitions, self.levels, sampling.DC_REPS, seed)
         return [[make_symmetric_alpha(len(partition), p) for p in self.levels] for partition in partitions]
 
 
@@ -297,21 +295,20 @@ def _partition_rows() -> list[_Row]:
 def run_table(table_id: int, cfg: RunConfig) -> list[TableCell]:
     """Cells of one benchmark table, in the printed row/column order.
 
-    Tables 5, 6 and 10 calibrate their misplacement matrices from one draw of
-    DC_REPS judgment sets per (model, S) at cfg.seed; the others use quadrature only.
+    The DC_TABLES calibrate their misplacement matrices from one draw of
+    sampling.DC_REPS judgment sets per (model, S) at cfg.seed; the others use quadrature only.
     """
     seed = cfg.seed
+    grid = _RHO_COLUMNS if table_id in DC_TABLES else _P_COLUMNS
     builders: dict[int, tp.Callable[[], list[TableCell]]] = {
-        2: lambda: _table2_cells(cfg),
-        3: lambda: _efficiency_cells(_same_size_rows(_family_models(), (6,)), _P_COLUMNS, seed),
-        4: lambda: _efficiency_cells(_same_size_rows(_family_models(), (12,)), _P_COLUMNS, seed),
-        5: lambda: _efficiency_cells(
-            _same_size_rows(_family_models() + _mixture_models(), (6, 12)), _RHO_COLUMNS, seed
-        ),
-        6: lambda: _fixed_rss_cells(((6, _FIXED6_DC_ROWS), (12, _FIXED12_ROWS)), _RHO_COLUMNS, seed),
-        7: lambda: _fixed_rss_cells(((6, _FIXED6_ROWS),), _P_COLUMNS, seed),
-        8: lambda: _fixed_rss_cells(((12, _FIXED12_ROWS),), _P_COLUMNS, seed),
-        10: lambda: _efficiency_cells(_partition_rows(), _RHO_COLUMNS, seed),
+        2: _table2_cells,
+        3: lambda: _efficiency_cells(_same_size_rows(_family_models(), (6,)), grid, seed),
+        4: lambda: _efficiency_cells(_same_size_rows(_family_models(), (12,)), grid, seed),
+        5: lambda: _efficiency_cells(_same_size_rows(_family_models() + _mixture_models(), (6, 12)), grid, seed),
+        6: lambda: _fixed_rss_cells(((6, _FIXED6_DC_ROWS), (12, _FIXED12_ROWS)), grid, seed),
+        7: lambda: _fixed_rss_cells(((6, _FIXED6_ROWS),), grid, seed),
+        8: lambda: _fixed_rss_cells(((12, _FIXED12_ROWS),), grid, seed),
+        10: lambda: _efficiency_cells(_partition_rows(), grid, seed),
     }
     if table_id not in builders:
         raise CLIError(f"unknown table id {table_id}; valid ids are {', '.join(map(str, TABLE_IDS))}")
@@ -338,28 +335,30 @@ def _parse_alpha_spec(text: str) -> tuple[str, float | str | None]:
             return prefix, value
     if os.path.exists(text):
         return "file", text
-    raise CLIError(
-        f"--alpha must be perfect, symmetric:p, dellclutter:rho, or an existing file; got {text!r}"
-    )
+    raise CLIError(f"--alpha must be perfect, symmetric:p, dellclutter:rho, or an existing file; got {text!r}")
 
 
-def _alphas(cfg: RunConfig, model: Model, ud: UnbalancedDesign) -> dict[int, MisplacementMatrix]:
+class _Inputs(tp.NamedTuple):
+    """What a request reads beyond its settings, parsed by run_custom from one read of each file."""
+
+    alpha: tuple[str, float | MisplacementMatrix | None]  # the --alpha kind and its level, or the file's matrix
+    design: UnbalancedDesign | None  # the --design-file design over --cycles replications
+
+
+def _alphas(cfg: RunConfig, inputs: _Inputs, model: Model, ud: UnbalancedDesign) -> dict[int, MisplacementMatrix]:
     """Per-cycle misplacement matrices of --alpha; none under perfect ranking.
 
     A Dell-Clutter matrix of cycle i is calibrated at --seed + i - 1, so a
     one-cycle design file gets the matrix of the balanced request.
     """
-    kind, value = _parse_alpha_spec(cfg.alpha)
+    kind, value = inputs.alpha
     if kind == "perfect":
         return {}
     if kind == "symmetric":
         return {i: make_symmetric_alpha(ud.n_subsets(i), tp.cast(float, value)) for i in ud.cycle_ids}
     if kind == "dellclutter":
-        return sampling.estimate_unbalanced_alphas(
-            model, ud, DellClutterConfig(tp.cast(float, value), DC_REPS, cfg.seed)
-        )
-    matrix = parse_misplacement_csv(tp.cast(str, value))
-    return {i: matrix for i in ud.cycle_ids}
+        return sampling.estimate_unbalanced_alphas(model, ud, DellClutterConfig(tp.cast(float, value), seed=cfg.seed))
+    return {i: tp.cast(MisplacementMatrix, value) for i in ud.cycle_ids}
 
 
 def _balanced_design(cfg: RunConfig) -> Design:
@@ -367,11 +366,6 @@ def _balanced_design(cfg: RunConfig) -> Design:
         hint = " (or pass --design-file)" if "--design-file" in _SUBCOMMANDS[cfg.subcommand][2] else ""
         raise CLIError("--set-size and --subsets are required" + hint)
     return make_balanced_design(cfg.set_size, cfg.subsets, cycles=cfg.cycles)
-
-
-def _design_from_file(cfg: RunConfig) -> UnbalancedDesign:
-    """The --design-file design over --cycles replications; the file fixes S and every partition."""
-    return dataclasses.replace(parse_design_file(tp.cast(str, cfg.design_file)), replications=cfg.cycles)
 
 
 def _report_lines(pairs: tp.Sequence[tuple[str, str]], fmt: str) -> str:
@@ -399,26 +393,26 @@ def _fi_entry_pairs(fi: information.FIResult, names: tp.Sequence[str]) -> list[t
     return pairs
 
 
-def _rss_report_info(cfg: RunConfig, model: Model, n: int, cycles: int = 1) -> numerics.InfoMatrix:
+def _rss_report_info(cfg: RunConfig, inputs: _Inputs, model: Model, n: int, cycles: int = 1) -> numerics.InfoMatrix:
     """Information of RSS(n) under the run's --alpha, the denominator of the reported re2."""
     rss = UnbalancedDesign.from_design(rss_design(n, cycles))
-    return information.fi_unbalanced(model, rss, _alphas(cfg, model, rss)).matrix
+    return information.fi_unbalanced(model, rss, _alphas(cfg, inputs, model, rss)).matrix
 
 
-def _run_fisher(cfg: RunConfig) -> str:
+def _run_fisher(cfg: RunConfig, inputs: _Inputs) -> str:
     model = _build_model(cfg)
     common = dict(method=cfg.method, reps=cfg.reps, seed=cfg.seed, workers=cfg.workers)
-    if cfg.mode == "unbalanced" or (cfg.mode == "marginal" and cfg.design_file is not None):
-        if cfg.design_file is None:
+    ud = inputs.design
+    if cfg.mode == "unbalanced" or (cfg.mode == "marginal" and ud is not None):
+        if ud is None:
             raise CLIError("unbalanced mode needs --design-file")
-        ud = _design_from_file(cfg)
-        fi = information.fi_unbalanced(model, ud, _alphas(cfg, model, ud), **common)
+        fi = information.fi_unbalanced(model, ud, _alphas(cfg, inputs, model, ud), **common)
         count = ud.K * ud.replications
         block_counts = {ud.n_subsets(i) for i in ud.cycle_ids}
         re2 = None
         if len(block_counts) == 1:
             n = block_counts.pop()
-            re2 = _rel(fi.matrix.scaled(n / count), _rss_report_info(cfg, model, n))
+            re2 = _rel(fi.matrix.scaled(n / count), _rss_report_info(cfg, inputs, model, n))
     else:
         design = _balanced_design(cfg)
         n = design.n
@@ -427,9 +421,9 @@ def _run_fisher(cfg: RunConfig) -> str:
             fi = information.fi_pros_complete(model, n, design.set_size, cfg.cycles, **common)
             re2 = _rel(fi.matrix, information.fi_pros_complete(model, n, n, cfg.cycles).matrix)
         elif cfg.mode == "marginal":
-            alpha = _alphas(cfg, model, UnbalancedDesign.from_design(design)).get(1)
+            alpha = _alphas(cfg, inputs, model, UnbalancedDesign.from_design(design)).get(1)
             fi = information.fi_pros_marginal(model, design, alpha, **common)
-            re2 = _rel(fi.matrix, _rss_report_info(cfg, model, n, cfg.cycles))
+            re2 = _rel(fi.matrix, _rss_report_info(cfg, inputs, model, n, cfg.cycles))
         else:
             raise CLIError(f"--mode must be complete, marginal, or unbalanced, got {cfg.mode!r}")
     re1 = _rel(fi.matrix, information.fisher_srs(model, count))
@@ -440,7 +434,7 @@ def _run_fisher(cfg: RunConfig) -> str:
     return _report_lines(pairs, cfg.fmt)
 
 
-def _run_entropy(cfg: RunConfig) -> str:
+def _run_entropy(cfg: RunConfig, inputs: _Inputs) -> str:
     model = _build_model(cfg)
     if cfg.measure == "kl":
         design = _balanced_design(cfg)
@@ -462,10 +456,10 @@ def _run_entropy(cfg: RunConfig) -> str:
     return _report_lines(pairs, cfg.fmt)
 
 
-def _run_sample(cfg: RunConfig) -> str:
+def _run_sample(cfg: RunConfig, inputs: _Inputs) -> str:
     model = _build_model(cfg)
-    ud = _design_from_file(cfg) if cfg.design_file is not None else UnbalancedDesign.from_design(_balanced_design(cfg))
-    return sampling.sample_to_csv(sampling.draw_unbalanced_pros(model, ud, _alphas(cfg, model, ud), cfg.seed))
+    ud = inputs.design or UnbalancedDesign.from_design(_balanced_design(cfg))
+    return sampling.sample_to_csv(sampling.draw_unbalanced_pros(model, ud, _alphas(cfg, inputs, model, ud), cfg.seed))
 
 
 class _ReportMemo:
@@ -501,44 +495,31 @@ class _ReportMemo:
 _REPORTS = _ReportMemo()
 
 
-def _file_bytes(path: str | None) -> bytes | None:
-    """The file's bytes; None when there is no such file to read."""
-    if path is None:
-        return None
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError:
-        return None  # the request itself reports the file, if it reads it
-
-
-def _read_files(cfg: RunConfig) -> tuple[bytes | None, bytes | None]:
-    """Bytes of the files the request can read: --design-file and an --alpha file."""
-    try:
-        kind, value = _parse_alpha_spec(cfg.alpha)
-    except CLIError:  # refused by the request that reads --alpha
-        kind, value = "invalid", None
-    return _file_bytes(cfg.design_file), _file_bytes(tp.cast(str, value) if kind == "file" else None)
-
-
 def run_custom(cfg: RunConfig) -> str:
     """Dispatch a non-table subcommand and return its rendered output.
 
-    A request repeated with the same bytes in every file it reads returns the
-    report kept from its first run; a request that raised kept nothing, nor
-    one whose files changed while it ran.
+    Only here are the request's files read, an --alpha file and --design-file, each once.  A request
+    repeated with the same settings and the same lines in its files returns the report kept from its first
+    run and parses nothing; else the lines are parsed once, before the runner starts, into the record it
+    computes from.  A request that raised kept nothing.
     """
     runners = {"fisher": _run_fisher, "entropy": _run_entropy, "sample": _run_sample}
     if cfg.subcommand not in runners:
         raise CLIError(f"unknown subcommand {cfg.subcommand!r}")
-    # the key is the repr, so values that compare equal but print apart (-0.0 and 0.0) stay apart
-    files = _read_files(cfg)
-    key = (repr(cfg), files)
+    kind, value = _parse_alpha_spec(cfg.alpha)
+    paths = (tp.cast(str, value) if kind == "file" else None, cfg.design_file)
+    alpha_lines, design_lines = (None if path is None else designs._read_lines(path) for path in paths)
+    # the settings' repr keeps apart values that compare equal but print apart (-0.0 and 0.0)
+    key = (repr(cfg), alpha_lines, design_lines)
     text = _REPORTS.get(key)
     if text is None:
-        text = runners[cfg.subcommand](cfg)
-        if _read_files(cfg) == files:  # else a file changed while the request ran, so the key may not fit
-            _REPORTS.put(key, text)
+        if alpha_lines is not None:
+            value = designs._misplacement_from_lines(paths[0], alpha_lines)
+        design = None if design_lines is None else designs._design_from_lines(cfg.design_file, design_lines)
+        # the file fixes S and every partition, and --cycles replicates it
+        inputs = _Inputs((kind, value), design and dataclasses.replace(design, replications=cfg.cycles))
+        text = runners[cfg.subcommand](cfg, inputs)
+        _REPORTS.put(key, text)
     return text
 
 
@@ -629,7 +610,7 @@ _UNREAD = (
     (("entropy",), ("kind",), lambda s: s.measure == "kl", "under --measure kl"),
     (("entropy",), ("order",), lambda s: s.measure != "renyi", "without --measure renyi"),
     (("entropy",), ("set_size",), lambda s: s.kind == "srs", "under --kind srs"),
-    (("table",), ("seed",), lambda s: s.table_id not in (5, 6, 10), "outside tables 5, 6 and 10"),
+    (("table",), ("seed",), lambda s: s.table_id not in DC_TABLES, "outside tables {}, {} and {}".format(*DC_TABLES)),
 )
 
 

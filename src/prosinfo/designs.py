@@ -323,11 +323,27 @@ class UnbalancedDesign:
 # -- file formats --------------------------------------------------------------
 
 
+def _read_lines(path: str) -> tuple[str, ...]:
+    """The lines of a UTF-8 text file; the `_*_from_lines` parsers read them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return tuple(fh)
+    except UnicodeDecodeError as e:
+        raise DesignError(f"{path}: {e}") from None
+
+
 def parse_misplacement_csv(path: str) -> MisplacementMatrix:
     """Read an n x n misplacement matrix from a comma-separated text file."""
+    return _misplacement_from_lines(path, _read_lines(path))
+
+
+def _misplacement_from_lines(path: str, lines: tp.Sequence[str]) -> MisplacementMatrix:
+    """The matrix in the comma-separated lines read from path; `#` starts a comment."""
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise DesignError(f"{path}: no misplacement matrix entries")
     try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2)
-    except Exception as e:
+        a = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as e:
         raise DesignError(f"cannot read misplacement matrix from {path!r}: {e}") from e
     return MisplacementMatrix(a)
 
@@ -355,13 +371,13 @@ def parse_design_file(path: str) -> UnbalancedDesign:
     Partitions use `1-3|4-5|6` syntax.  Blank lines and lines starting with
     `#` are skipped.  The set size is the largest rank mentioned.
     """
+    return _design_from_lines(path, _read_lines(path))
+
+
+def _design_from_lines(path: str, lines: tp.Sequence[str]) -> UnbalancedDesign:
+    """The unbalanced design in the lines read from path (see parse_design_file)."""
     plans: list[SetPlan] = []
     set_size = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as e:
-        raise DesignError(f"{path}: {e}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

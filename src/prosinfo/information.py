@@ -132,18 +132,17 @@ def fi_pros_complete(
     of the complete-data log likelihood.
     """
     require_fi_regular(model)
-    if cycles < 1:
-        raise InformationError(f"cycles must be >= 1, got {cycles}")
-    label = f"PROS(n={n}, S={set_size}, N={cycles}) complete"
+    try:
+        design = make_balanced_design(set_size, n, cycles)
+    except DesignError as e:
+        raise InformationError(str(e)) from e
+    label = f"{design.label()} complete"
     if method == "quadrature":
         per_cycle = unit_entries(model) * n + k_matrix(model, n, set_size).entries
         return _quadrature_fi(model, per_cycle * cycles, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
-    try:
-        rows = UnbalancedDesign.from_design(make_balanced_design(set_size, n)).measured_rows()
-    except DesignError as e:
-        raise InformationError(str(e)) from e
+    rows = UnbalancedDesign.from_design(design).measured_rows()
     return _mc_fi(model, set_size, rows, lambda _, u, t: _rank_logw_dt(set_size, u, t),
                   reps, seed, workers, cycles, label)
 

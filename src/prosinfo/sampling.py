@@ -28,6 +28,8 @@ from . import densities, numerics
 from .designs import Design, MisplacementMatrix, UnbalancedDesign, _check_partition, identity_alpha
 from .models import Model
 
+DC_REPS = 5000  # simulated judgment sets per Dell-Clutter estimate, unless a request names its own
+
 
 class SamplingError(ValueError):
     """Inconsistent sampling request."""
@@ -168,7 +170,7 @@ class DellClutterConfig:
     """
 
     rho: float
-    reps: int = 5000
+    reps: int = DC_REPS
     seed: int = numerics.DEFAULT_SEED
 
     def __post_init__(self) -> None:

@@ -248,3 +248,6 @@ def test_parse_misplacement_csv(tmp_path):
     path.write_text("0.8,x\n0.2,0.8\n")
     with pytest.raises(DesignError):
         parse_misplacement_csv(path)
+    path.write_text("# no entries\n")
+    with pytest.raises(DesignError, match="no misplacement matrix entries"):
+        parse_misplacement_csv(path)

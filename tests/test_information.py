@@ -273,6 +273,14 @@ def test_unknown_method_rejected():
         fi_pros_complete(make_model("normal"), 2, 6, method="bootstrap")
 
 
+@pytest.mark.parametrize("method", ("quadrature", "mc"))
+@pytest.mark.parametrize("n, set_size", ((4, 6), (6, 2), (5, 12)))
+def test_complete_information_refuses_a_design_that_cannot_exist(n, set_size, method):
+    # n blocks of equal size cannot partition S ranks unless n divides S
+    with pytest.raises(InformationError, match=f"n={n} does not divide set_size={set_size}"):
+        fi_pros_complete(make_model("normal"), n, set_size, method=method, reps=100)
+
+
 def test_unbalanced_balanced_case_matches_marginal():
     model = make_model("normal")
     design = make_balanced_design(6, 2)

@@ -1,6 +1,11 @@
 """Invariants the paper implies, checked by quadrature on generated cases."""
 
+import contextlib
+import io
 import math
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prosinfo import (
+    MisplacementMatrix,
     SetPlan,
     UnbalancedDesign,
     densities,
     fi_pros_complete,
     fi_pros_marginal,
+    family_names,
     fi_unbalanced,
     fisher_srs,
     kl_likelihood_chain,
@@ -24,6 +31,8 @@ from prosinfo import (
     renyi,
     shannon,
 )
+from prosinfo import cli
+from prosinfo.cli import main
 
 # the location-scale families with regular Fisher information; gamma keeps its shape fixed
 FAMILIES = ("normal", "logistic", "exponential", "extreme_value", "gamma")
@@ -176,3 +185,108 @@ def test_information_equality_holds_on_every_route(fam, shape, set_size, n, rout
         coefs = np.array([densities.rank_coefficients(set_size, sp.partition, row) for sp, row in rows])
     got = _hessian_form(model, coefs)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+
+
+@st.composite
+def _partition_alpha_pair(draw):
+    """A partition of S in {6, 12} into two to four blocks, and a symmetric doubly stochastic alpha for it."""
+    set_size = draw(st.sampled_from((6, 12)))
+    cuts = sorted(draw(st.sets(st.integers(1, set_size - 1), min_size=1, max_size=3)))
+    edges = [0, *cuts, set_size]
+    partition = tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(edges, edges[1:]))
+    n = len(partition)
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0.1))
+    mixed = sum(w * np.eye(n)[draw(st.permutations(range(n)))] for w in weights) / sum(weights)
+    return set_size, partition, (mixed + mixed.T) / 2.0
+
+
+def _reflected(set_size, partition):
+    """The partition of the reflected ranks u -> S + 1 - u, its blocks in increasing order."""
+    return tuple(tuple(set_size + 1 - u for u in reversed(block)) for block in reversed(partition))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("normal", "logistic")), _partition_alpha_pair())
+def test_reflecting_the_partition_and_alpha_mirrors_the_information(fam, case):
+    # x -> -x maps rank u to S + 1 - u and block r to n + 1 - r, so a symmetric parent keeps the mu-mu and
+    # sigma-sigma entries and flips the sign of mu-sigma
+    set_size, partition, alpha = case
+    model = make_model(fam)
+    infos = []
+    for part, a in ((partition, alpha), (_reflected(set_size, partition), alpha[::-1, ::-1])):
+        ud = UnbalancedDesign(set_size, tuple(SetPlan(1, part, r) for r in range(1, len(part) + 1)))
+        infos.append(fi_unbalanced(model, ud, {1: MisplacementMatrix(a)}).matrix.as_array())
+    want, got = infos
+    np.testing.assert_allclose(np.diag(got), np.diag(want), rtol=1e-10)
+    np.testing.assert_allclose(got[0, 1], -want[0, 1], rtol=0.0, atol=1e-10 * np.abs(want).max())
+
+
+# in-range values of each parameter; a request may swap one for a value outside its range
+_PARAM_VALUES = {"mu": ("0", "1", "-1e6"), "loc": ("0", "5"), "sigma": ("1", "1e-3", "1e3"), "scale": ("1", "2"),
+                 "shape": ("0.5", "2", "30"), "pi": ("0.1", "0.5", "0.999"), "h": ("1e-3", "0.01", "0.5", "3")}
+_BAD_NUMBERS = st.sampled_from(("0", "-1", "-0", "1e308", "1e-300", "nan", "inf", "x"))
+
+
+def _value(draw, good, bad=_BAD_NUMBERS):
+    """A drawn in-range value, or now and then one outside its range."""
+    return draw(bad if draw(st.integers(0, 7)) == 0 else good)
+
+
+def _flag_value(draw, argv, flag, good):
+    return [*argv, flag, _value(draw, good)]
+
+
+@st.composite
+def _cli_request(draw):
+    """argv of a fisher, entropy or sample request, mostly well formed, with bad or unread values mixed in."""
+    sub = draw(st.sampled_from(("fisher", "entropy", "sample")))
+    fam = draw(st.sampled_from(family_names()))
+    argv = [sub, "--family", fam]
+    names = draw(st.lists(st.sampled_from(make_model(fam).param_names), unique=True))
+    if names:
+        values = [_value(draw, st.sampled_from(_PARAM_VALUES[name])) for name in names]
+        argv += ["--params", ",".join(f"{name}={value}" for name, value in zip(names, values))]
+    set_size, n = draw(st.sampled_from(((2, 2), (4, 2), (6, 2), (6, 3), (12, 3), (12, 4), (6, 4), (0, 1))))
+    kind = draw(st.sampled_from(("pros", "rss", "srs"))) if sub == "entropy" else "pros"
+    argv += ["--subsets", str(n)] + ([] if kind == "srs" else ["--set-size", str(set_size)])
+    if sub == "entropy":
+        measure = draw(st.sampled_from(("shannon", "renyi", "kl")))
+        argv += ["--measure", measure] + ([] if measure == "kl" else ["--kind", kind])
+        if measure == "renyi":
+            argv = _flag_value(draw, argv, "--order", st.sampled_from(("0.5", "0.1", "0.9")))
+    else:
+        alphas = st.sampled_from(("perfect", "symmetric:0.8", "symmetric:0.5", "dellclutter:0.75", "dellclutter:1"))
+        alpha = _value(draw, alphas, st.sampled_from(("symmetric:1.5", "dellclutter:-1", "no-such-file.csv")))
+        mode = draw(st.sampled_from(("marginal", "marginal", "complete"))) if sub == "fisher" else "marginal"
+        argv += ["--alpha", alpha] if mode == "marginal" else ["--mode", "complete"]
+        mc = sub == "fisher" and draw(st.booleans())
+        if mc:
+            argv += ["--method", "mc", "--workers", draw(st.sampled_from(("1", "2")))]
+            argv = _flag_value(draw, argv, "--reps", st.sampled_from(("2", "3", "5", "64")))
+        if sub == "sample" or mc or alpha.startswith("dellclutter:"):
+            argv = _flag_value(draw, argv, "--seed", st.sampled_from(("0", "3")))
+        argv = _flag_value(draw, argv, "--cycles", st.sampled_from(("1", "2", "5")))
+    if draw(st.integers(0, 9)) == 0:  # a flag the request declares but may not read
+        argv += draw(st.sampled_from((["--seed", "1"], ["--reps", "10"], ["--order", "0.5"], ["--kind", "rss"])))
+    return argv
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_request())
+def test_every_cli_request_exits_cleanly(argv):
+    # the memo is emptied so that every request runs, and every warning counts as output on stderr
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), mock.patch.object(cli, "_REPORTS", cli._ReportMemo()):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses a value that is not among a flag's choices or types
+            code = e.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert len(err.getvalue().splitlines()) == (code != 0), (argv, err.getvalue())
+    assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())

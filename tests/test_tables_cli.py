@@ -19,7 +19,7 @@ from prosinfo import (
     make_symmetric_alpha,
     relative_efficiencies,
 )
-from prosinfo import cli, sampling
+from prosinfo import cli, designs, sampling
 from prosinfo.cli import (
     CLIError,
     RunConfig,
@@ -466,6 +466,17 @@ def test_cli_wrong_size_matrix_gives_one_message(capsys, tmp_path):
         assert capsys.readouterr().err == "error: misplacement matrix is 3x3, cycle 1 has 2 subsets\n", argv
 
 
+def test_cli_alpha_file_without_entries_gives_one_message(capsys, tmp_path):
+    # numpy's loadtxt warns on a file without data, which would print lines of its own before the error
+    matrix = tmp_path / "alpha.csv"
+    for text in ("", "# no entries yet\n\n"):
+        matrix.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fisher", "--set-size", "6", "--subsets", "2", "--alpha", str(matrix)]) == 2
+        assert capsys.readouterr().err == f"error: {matrix}: no misplacement matrix entries\n"
+
+
 def test_cli_uniform_fisher_is_rejected_by_both_methods(capsys):
     base = ["fisher", "--family", "uniform", "--set-size", "6", "--subsets", "2"]
     mc = ["--method", "mc", "--reps", "100"]
@@ -578,7 +589,7 @@ def test_run_custom_rereads_the_files_it_reads(tmp_path):
     assert run_custom(cfg) is first
 
 
-def test_run_custom_keeps_no_report_whose_files_changed_while_it_ran(tmp_path, monkeypatch):
+def test_run_custom_reports_the_files_as_read_before_it_ran(tmp_path, monkeypatch):
     design, alpha = tmp_path / "design.txt", tmp_path / "alpha.csv"
     design.write_text("1;1-3|4-6;1\n1;1-3|4-6;2\n")
     alpha.write_text("0.9,0.1\n0.1,0.9\n")
@@ -587,29 +598,57 @@ def test_run_custom_keeps_no_report_whose_files_changed_while_it_ran(tmp_path, m
     run_sample = cli._run_sample
 
     def write_then_run(path, text):
-        """A runner that rewrites a file after the request is keyed and before the runner reads it."""
-        def runner(cfg):
+        """A runner that rewrites a file after the request has read it."""
+        def runner(cfg, inputs):
             path.write_text(text)
-            return run_sample(cfg)
+            return run_sample(cfg, inputs)
         return runner
 
     for path, text in ((alpha, "0.7,0.3\n0.3,0.7\n"), (design, "1;1-2|3-6;1\n1;1-2|3-6;2\n")):
         original = path.read_text()
         monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
         monkeypatch.setattr(cli, "_run_sample", write_then_run(path, text))
-        assert run_custom(cfg) != first
-        assert cli._REPORTS.texts == {}
-        monkeypatch.setattr(cli, "_run_sample", run_sample)
-        path.write_text(original)
+        # the rewrite came after the read: the report, and the one kept, are of the original content
         assert run_custom(cfg) == first
-    # an --alpha file made while the request runs: once it is gone again, the request is refused again
+        assert list(cli._REPORTS.texts.values()) == [first]
+        monkeypatch.setattr(cli, "_run_sample", run_sample)
+        # the next request reads the new content, and is what a fresh run of that content prints
+        changed = run_custom(cfg)
+        assert changed != first
+        monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
+        assert run_custom(cfg) == changed
+        path.write_text(original)
+    # an --alpha path that does not exist is refused before any runner starts, so no runner can make it
     late = dataclasses.replace(cfg, alpha=str(tmp_path / "late.csv"))
     monkeypatch.setattr(cli, "_run_sample", write_then_run(tmp_path / "late.csv", alpha.read_text()))
-    assert run_custom(late) == first
-    monkeypatch.setattr(cli, "_run_sample", run_sample)
-    (tmp_path / "late.csv").unlink()
-    with pytest.raises(CLIError):
-        run_custom(late)
+    for _ in range(2):
+        with pytest.raises(CLIError, match="or an existing file"):
+            run_custom(late)
+    assert not (tmp_path / "late.csv").exists()
+
+
+def test_run_custom_reads_each_file_once_and_parses_only_what_it_runs(tmp_path, monkeypatch):
+    design, alpha = tmp_path / "design.txt", tmp_path / "alpha.csv"
+    design.write_text("1;1-3|4-6;1\n1;1-3|4-6;2\n")
+    alpha.write_text("0.9,0.1\n0.1,0.9\n")
+    reads = []
+    read_lines = designs._read_lines
+    monkeypatch.setattr(designs, "_read_lines", lambda path: reads.append(path) or read_lines(path))
+    parsers = (designs, "_design_from_lines"), (designs, "_misplacement_from_lines"), (cli, "_parse_alpha_spec")
+    calls = {name: _counting(monkeypatch, module, name) for module, name in (*parsers, (cli, "_run_fisher"))}
+    # a design file with an --alpha file, and a balanced request whose re2 denominator reads the same file
+    unbalanced = RunConfig(subcommand="fisher", family="exponential", design_file=str(design), alpha=str(alpha))
+    balanced = RunConfig(subcommand="fisher", set_size=6, subsets=2, cycles=3, alpha=str(alpha))
+    for cfg, files, designs_parsed in ((unbalanced, [str(alpha), str(design)], 1), (balanced, [str(alpha)], 0)):
+        for ran in (1, 0):  # a fresh run, then a memo hit, which parses nothing and runs no runner
+            reads.clear()
+            before = {name: len(c) for name, c in calls.items()}
+            text = run_custom(cfg)
+            assert reads == files
+            counts = {name: len(c) - before[name] for name, c in calls.items()}
+            assert counts == {"_design_from_lines": ran * designs_parsed, "_misplacement_from_lines": ran,
+                              "_parse_alpha_spec": 1, "_run_fisher": ran}
+        assert "re2" in text
 
 
 def test_run_custom_keeps_no_failed_request():
