@@ -234,7 +234,7 @@ def _mc_fi(
 
     Runs on the standard member; a negative diagonal entry (too few replicates) raises numerics.NumericsError.
     """
-    std, scale = model.standard()
+    std = model.standard()[0]
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         total = 0.0
@@ -247,7 +247,7 @@ def _mc_fi(
     info, errors = (numerics.from_triu(model.p, v) * multiplier for v in (means, ses))
     if np.diagonal(info).min() < 0.0:
         raise numerics.NumericsError(f"the Monte Carlo information has a negative diagonal entry at {n_done} replicates")
-    info, errors = from_standard(model, scale, np.stack([info, errors]))
+    info, errors = from_standard(model, np.stack([info, errors]))
     return FIResult(numerics.InfoMatrix(info), "mc", errors, n_done, label, model.label())
 
 

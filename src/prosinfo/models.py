@@ -4,14 +4,14 @@ Each family exposes pdf/cdf/quantile plus the parameter derivatives the
 information calculations need: d F(x;theta)/d theta (the score of the cdf),
 d log f(x;theta)/d theta, and the Monte Carlo route's closed-form -Hessian of
 log f(x) + log w(F(x)) given (log w)' and (log w)''.  Every family is stated
-once, at its standard member (location 0, scale 1, the shape as given), and
-Model alone maps it to x = loc + scale z.  A location-scale family states f0,
-psi = (log f0)' and psi', and its derivatives follow by the chain rule; the
-exponential mixture states its own, and so does gamma, whose chain rule is
-written out so that it holds down to z = 0.  All formulas are analytic, and so
-is every per-observation Fisher matrix but the exponential mixture's, which is
-obtained by quadrature of the score outer product.  Information runs on the
-standard member, Model.standard; from_standard maps it back.
+once, at its standard member (location 0, scale 1, the shape as given) and over
+its free parameters; Model alone maps it to x = loc + scale z and picks the
+active parameters.  A location-scale family states f0, psi = (log f0)' and psi',
+and its derivatives follow by the chain rule; the exponential mixture states its
+own, and so does gamma, whose chain rule is written out so that it holds down to
+z = 0.  All formulas are analytic, and so is every per-observation Fisher matrix
+but the exponential mixture's, which comes by quadrature of the score outer
+product.  Information runs on Model.standard, and from_standard maps it back.
 
 The special functions are numpy code but the gamma family's, which import
 scipy.special when a gamma model is first evaluated.  The gamma quantile starts
@@ -198,11 +198,17 @@ class Model:
         out = loc + scale * fam.quantile(c, ua, sa)
         return np.asarray(out) if np.ndim(u) else float(out)
 
+    def _positions(self) -> list[int]:
+        """Where each active parameter sits in the family's free parameters, over which it states every derivative."""
+        free = _family(self.family).free
+        return [free.index(n) for n in self.active]
+
     def _scores(self, x: FloatArray) -> tuple[np.ndarray, np.ndarray]:
         """(d log f, dF) for the active parameters, each stacked on the last axis."""
         fam, c, loc, scale = self._frame()
-        xa = np.asarray(x, dtype=float)
-        return tuple(_columns(d, self.active, xa.shape) / scale for d in fam.standard_partials(c, (xa - loc) / scale))
+        xa, pos = np.asarray(x, dtype=float), self._positions()
+        partials = fam.standard_partials(c, (xa - loc) / scale)
+        return tuple(np.stack([np.broadcast_to(d[i], xa.shape) for i in pos], axis=-1) / scale for d in partials)
 
     def quantile_scores(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, d log f, dF) at x = F^{-1}(t), s = 1 - t, from one evaluation, kept per model at integrate's nodes."""
@@ -229,8 +235,7 @@ class Model:
         """
         fam, c, loc, scale = self._frame()
         entries = fam.standard_neg_hessian(c, (np.asarray(x, dtype=float) - loc) / scale, a, b)
-        # the family's entries are the upper triangle over the parameters that may be active, in TRIU order
-        pos, tri = [fam.free.index(n) for n in self.active], list(zip(*numerics.TRIU[len(fam.free)]))
+        pos, tri = self._positions(), list(zip(*numerics.TRIU[len(fam.free)]))
         picked = (tri.index(tuple(sorted((pos[i], pos[j])))) for i, j in zip(*numerics.TRIU[self.p]))
         return np.stack([entries[k] for k in picked], axis=-1) / _sq(scale)
 
@@ -283,20 +288,21 @@ def unit_entries(model: Model) -> np.ndarray:
     :raises numerics.NumericsError: the quadrature failed to converge.
     """
     require_fi_regular(model)
-    fam, c, _, scale = model._frame()
+    fam, c, _, _ = model._frame()
     closed = fam.fisher_unit(c)  # the standard member's, which depends on the shape alone
     if closed is None:
         return score_information(model, lambda t, s: (1.0, None, np.ones((1, t.size))))
-    idx = [model.param_names.index(n) for n in model.active]
-    return from_standard(model, scale, np.asarray(closed)[np.ix_(idx, idx)])
+    pos = model._positions()
+    return from_standard(model, np.asarray(closed)[np.ix_(pos, pos)])
 
 
-def from_standard(model: Model, scale: float, entries: np.ndarray) -> np.ndarray:
-    """Information entries of model's standard member mapped back to model: each score is the member's over the
-    scale, so the entries are over scale^2.
+def from_standard(model: Model, entries: np.ndarray) -> np.ndarray:
+    """Information entries of model's standard member mapped back to model: each score is the member's over
+    model's scale, so the entries are over its square.
 
     :raises ModelError: the largest mapped entry overflows or falls below the smallest normal double.
     """
+    scale = model._frame()[3]
     inv, largest = (1.0 / scale) * (1.0 / scale), float(np.abs(entries).max())
     if largest and not np.finfo(float).tiny <= largest * inv < math.inf:
         raise ModelError(f"the Fisher information of {model.label()} lies outside the double range")
@@ -310,7 +316,7 @@ def score_information(model: Model, coefficients: tp.Callable[[np.ndarray, np.nd
     broadcastable to (k, len(t)), one term b per row; a None alpha or beta drops
     its score.  It runs on the standard member.
     """
-    std, scale = model.standard()
+    std = model.standard()[0]
 
     def terms(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, d_logf, d_cdf = std.quantile_scores(t, s)
@@ -318,7 +324,7 @@ def score_information(model: Model, coefficients: tp.Callable[[np.ndarray, np.nd
         v = [np.asarray(c)[..., None] * d for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
         return sum(v[1:], v[0]), w
 
-    return from_standard(model, scale, numerics.integrate_gram(terms, model.p))
+    return from_standard(model, numerics.integrate_gram(terms, model.p))
 
 
 # -- special functions in numpy: importing scipy.special takes about 0.3 s ------
@@ -430,11 +436,12 @@ def _scipy_special() -> tp.Any:
 class _Family:
     """A family stated once, at its standard member: location 0, scale 1 and the shape as given.
 
-    Model alone maps the standard variable z to x = loc + scale z.  Each callable takes the parameters by name
-    first and reads only the shape: pdf, cdf and sf are f0, F0 and 1 - F0 of z, quantile is F0^{-1} of
-    (t, s = 1 - t or None), and mean, var and fisher_unit (over every parameter; None where quadrature gives
-    it) are the standard member's.  loc and scale name those parameters, None where the family has none.
-    psi = (log f0)' and dpsi = psi' give partials and neg_hessian by the chain rule, where not stated.
+    Model alone maps the standard variable z to x = loc + scale z, and picks the active parameters.  Each callable
+    takes the parameters by name first and reads only the shape: pdf, cdf and sf are f0, F0 and 1 - F0 of z,
+    quantile is F0^{-1} of (t, s = 1 - t or None), and mean, var and fisher_unit (None where quadrature gives it)
+    are the standard member's.  loc and scale name those parameters, None where the family has none.  Every
+    derivative runs over free, the parameters that may be active, in param_names order: the shapes, then loc, then
+    scale.  psi = (log f0)' and dpsi = psi' give partials and neg_hessian by the chain rule, where not stated.
     """
 
     loc: str | None
@@ -448,10 +455,9 @@ class _Family:
     fisher_unit: tp.Callable[[dict[str, float]], np.ndarray | None]
     psi: tp.Callable[[dict[str, float], np.ndarray], FloatArray] | None = None
     dpsi: tp.Callable[[dict[str, float], np.ndarray], FloatArray] | None = None
-    # (c, z) -> (d log f, dF) times the scale, each keyed by parameter name
-    partials: tp.Callable[[dict[str, float], np.ndarray], tuple[dict, dict]] | None = None
-    # (c, z, a, b) -> the -Hessian of log f(x) + log w(F(x)) times the scale squared, for a = (log w)', b = (log w)'':
-    # its upper-triangle entries over the parameters that may be active, in numerics.TRIU order
+    # (c, z) -> (d log f, dF) times the scale, each one entry per free parameter
+    partials: tp.Callable[[dict[str, float], np.ndarray], tuple[tuple, tuple]] | None = None
+    # (c, z, a, b) -> the upper triangle, in numerics.TRIU order, of Model.neg_hessian's -Hessian times the scale squared
     neg_hessian: tp.Callable[[dict[str, float], np.ndarray, FloatArray, FloatArray], tuple] | None = None
     shapes: dict[str, float] = dataclasses.field(default_factory=dict)  # shape parameters and their defaults
     support: tuple[float, float] = (-math.inf, math.inf)
@@ -471,15 +477,15 @@ class _Family:
     def defaults(self) -> dict[str, float]:
         return {**self.shapes, **{n: float(n == self.scale) for n in (self.loc, self.scale) if n}}
 
-    def standard_partials(self, c: dict[str, float], z: np.ndarray) -> tuple[dict, dict]:
+    def standard_partials(self, c: dict[str, float], z: np.ndarray) -> tuple[tuple, tuple]:
         """The family's partials, else the chain rule through z = (x - loc) / scale: with log f = log f0(z) - log
         scale, F = F0(z) and dz/dtheta_i = -v_i / scale for v = 1 at loc and z at scale, scale d_i log f =
         -(psi v_i + [i = scale]) and scale d_i F = -f0 v_i."""
         if self.partials:
             return self.partials(c, z)
         f0, psi = self.pdf(c, z), self.psi(c, z)
-        v = {self.loc: 1.0, self.scale: z} if self.loc else {self.scale: z}
-        return {n: -(psi * vn + (n == self.scale)) for n, vn in v.items()}, {n: -f0 * vn for n, vn in v.items()}
+        v = (1.0, z) if self.loc else (z,)
+        return tuple(-(psi * vi + (i == len(v) - 1)) for i, vi in enumerate(v)), tuple(-f0 * vi for vi in v)
 
     def standard_neg_hessian(self, c: dict[str, float], z: np.ndarray, a: FloatArray, b: FloatArray) -> tuple:
         """The family's -Hessian, else (loc, loc), (loc, scale), (scale, scale), or (scale, scale) alone without
@@ -493,13 +499,6 @@ class _Family:
         p = self.dpsi(c, z) + a * psi * f0 + b * f0 * f0
         ss = -(p * z * z + 2.0 * q * z + 1.0)
         return (-p, -(p * z + q), ss) if self.loc else (ss,)
-
-
-def _columns(partials: dict, keys: tp.Sequence, shape: tuple[int, ...]) -> np.ndarray:
-    out = np.empty(shape + (len(keys),))
-    for j, k in enumerate(keys):
-        out[..., j] = partials[k]
-    return out
 
 
 def _sq(v: float) -> float:
@@ -535,11 +534,11 @@ def _mixture_sf(c, x):
 def _mixture_quantile(c, u, s):
     # Newton's method on log S(x) = log(1 - u) from x = 0.  log S is convex and
     # decreasing, so the iterates rise to the root without overshooting.  log S
-    # comes from F below the median and from S above it, so both tails keep
-    # their relative precision; its slope is minus the hazard, (1 - q) + h q with
-    # q = pi e^{-hx} / S = expit(z) the first component's share of the survival,
-    # z = logit(pi) + (1 - h) x.  1 - q is taken as expit(-z), so h is not lost
-    # where q rounds to 1.
+    # comes from F below the median and from S above it, where F may round to 1
+    # (the minimum keeps it from log1p), so both tails keep their relative
+    # precision; its slope is minus the hazard, (1 - q) + h q with q = pi e^{-hx}
+    # / S = expit(z) the first component's share of the survival, z = logit(pi)
+    # + (1 - h) x.  1 - q is taken as expit(-z), so h is not lost where q rounds to 1.
     pi, h = c["pi"], c["h"]
     target = np.ravel(_log1m(u, s))
     x = np.zeros_like(target)
@@ -547,7 +546,7 @@ def _mixture_quantile(c, u, s):
     for _ in range(_NEWTON_STEPS):
         xt = x[todo]
         F = _mixture_cdf(c, xt)
-        log_sf = np.where(F < 0.5, np.log1p(-F), np.log(_mixture_sf(c, xt)))
+        log_sf = np.where(F < 0.5, np.log1p(-np.minimum(F, 0.5)), np.log(_mixture_sf(c, xt)))
         z = math.log(pi / (1.0 - pi)) + (1.0 - h) * xt
         hazard = _expit(-z) + h * _expit(z)
         residual = log_sf - target[todo]
@@ -567,7 +566,7 @@ def _mixture_partials(c, x):
     # with e = e^{-hx}: f = pi h e + (1 - pi) e^{-x} and F = 1 - pi e - (1 - pi) e^{-x}
     pi, h = c["pi"], c["h"]
     e, e1, f = np.exp(-h * x), np.exp(-x), _mixture_pdf(c, x)
-    return {"pi": (h * e - e1) / f, "h": pi * e * (1.0 - h * x) / f}, {"pi": e1 - e, "h": pi * x * e}
+    return ((h * e - e1) / f, pi * e * (1.0 - h * x) / f), (e1 - e, pi * x * e)
 
 
 def _mixture_neg_hessian(c, x, a, b):
@@ -575,7 +574,7 @@ def _mixture_neg_hessian(c, x, a, b):
     # and d^2 F = 0 in (pi, pi), x e in (pi, h) and -pi x^2 e in (h, h)
     pi, h = c["pi"], c["h"]
     e, f = np.exp(-h * x), _mixture_pdf(c, x)
-    (lp, lh), (fp, fh) = (d.values() for d in _mixture_partials(c, x))
+    (lp, lh), (fp, fh) = _mixture_partials(c, x)
     return (lp * lp - b * fp * fp, lp * lh - e * (1.0 - h * x) / f - a * x * e - b * fp * fh,
             lh * lh - pi * e * x * (h * x - 2.0) / f + a * pi * x * x * e - b * fh * fh)
 
@@ -607,7 +606,8 @@ def _gamma_halley(k: float, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, n
     """
     special = _scipy_special()
     coef = _gamma_table(k)
-    x = (np.log(t / s) - _GAMMA_S_LO) / _GAMMA_S_STEP
+    with np.errstate(over="ignore"):  # t / s is inf where s is subnormal, which lies beyond the table
+        x = (np.log(t / s) - _GAMMA_S_LO) / _GAMMA_S_STEP
     inside = (x >= 0.0) & (x <= _GAMMA_NODES - 1)
     x = np.clip(x, 0.0, _GAMMA_NODES - 1)
     i = np.minimum(x.astype(np.intp), _GAMMA_NODES - 2)
@@ -656,7 +656,7 @@ def _gamma_terms(c, z):
 
 def _gamma_partials(c, z):
     k, zf0 = _gamma_terms(c, z)
-    return {"sigma": z - k}, {"sigma": -zf0}
+    return (z - k,), (-zf0,)
 
 
 def _gamma_neg_hessian(c, z, a, b):
@@ -731,8 +731,7 @@ _FAMILIES: dict[str, _Family] = {
         neg_hessian=_gamma_neg_hessian,
         mean=lambda c: c["shape"],
         var=lambda c: c["shape"],
-        # the shape is never active, so unit_entries never selects its entry, which is left unevaluated
-        fisher_unit=lambda c: np.array([[math.nan, 1.0], [1.0, c["shape"]]]),
+        fisher_unit=lambda c: np.array([[c["shape"]]]),
     ),
     "uniform": _Family(
         "loc", "scale",

@@ -23,6 +23,7 @@ from prosinfo import (
     rss_design,
     verify_lemma_identity,
 )
+from prosinfo.models import unit_entries
 from prosinfo.numerics import integrate_gram
 
 SEED = 4511
@@ -266,6 +267,48 @@ def test_marginal_mc_agrees_with_quadrature():
     mc = fi_pros_marginal(model, design, alpha, method="mc", reps=20_000, seed=SEED)
     dev = np.abs(mc.matrix.as_array() - quad) / np.asarray(mc.std_errors)
     assert dev.max() <= 3.0
+
+
+# members with two free parameters, away from location 0 and scale 1 where they have them
+TWO_PARAMETER = [
+    ("normal", {"mu": 2.0, "sigma": 3.0}),
+    ("logistic", {}),
+    ("extreme_value", {"mu": 0.3, "sigma": 1.7}),
+    ("exp_mixture", {"pi": 0.3, "h": 0.4}),
+]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fam,params", TWO_PARAMETER, ids=[f for f, _ in TWO_PARAMETER])
+def test_reordering_or_subsetting_the_active_parameters_permutes_every_route(fam, params):
+    full = make_model(fam, **params)
+    x = np.asarray(full.quantile(np.linspace(0.02, 0.98, 9)))
+    a, b = np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 1.0, 9)
+    design, alpha = make_balanced_design(6, 2), make_symmetric_alpha(2, 0.8)
+
+    def routes(model):
+        rows, cols = np.triu_indices(model.p)
+        hessian = np.zeros((x.size, model.p, model.p))
+        hessian[:, rows, cols] = hessian[:, cols, rows] = model.neg_hessian(x, a, b)
+        mc = fi_pros_marginal(model, design, alpha, method="mc", reps=2000, seed=SEED)
+        exact = [unit_entries(model), fi_pros_marginal(model, design, alpha).matrix.as_array()]
+        return [model.score_cdf(x), model.score_logpdf(x), hessian, mc.matrix.as_array(), mc.std_errors], exact
+
+    bitwise, exact = routes(full)
+    for active in ((full.active[1], full.active[0]), full.active[:1], full.active[1:]):
+        idx = [full.active.index(n) for n in active]
+        got_bitwise, got_exact = routes(make_model(fam, active=active, **params))
+        want = [bitwise[0][:, idx], bitwise[1][:, idx], bitwise[2][:, idx][:, :, idx]]
+        want += [np.asarray(m)[np.ix_(idx, idx)] for m in bitwise[3:]]
+        for k, (g, w) in enumerate(zip(got_bitwise, want, strict=True)):
+            assert _same_bits(g, w), (active, k)
+        for g, w in zip(got_exact, exact, strict=True):
+            w = w[np.ix_(idx, idx)]
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14 * np.abs(w).max(), err_msg=str(active))
 
 
 def test_unknown_method_rejected():

@@ -107,6 +107,20 @@ def test_quantile_rejects_boundary():
 
 
 @pytest.mark.parametrize("fam", family_names())
+@pytest.mark.parametrize("s", (1e-20, 1e-300, 5e-324))
+def test_quantile_reads_the_exact_complement_where_t_rounds_to_one(fam, s):
+    # t = 1 - s rounds to 1.0, and no branch of a quantile, taken or not, may warn on it
+    model = make_model(fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = model.quantile(1.0, s)
+        pair = model.quantile(np.array([0.5, 1.0]), np.array([0.5, s]))
+    assert math.isfinite(x) and x >= model.quantile(1.0 - 1e-3) and pair[1] == x
+    if fam != "uniform" and s >= np.finfo(float).tiny:  # uniform's quantile there is its support end 1.0
+        np.testing.assert_allclose(model.sf(x), s, rtol=1e-12)
+
+
+@pytest.mark.parametrize("fam", family_names())
 def test_nan_gives_nan_on_the_distribution_surface(fam):
     model = make_model(fam)
     x = np.array([model.quantile(0.3), np.nan, model.quantile(0.7)])

@@ -140,6 +140,52 @@ def test_marginal_information_by_monte_carlo_agrees_with_quadrature(fam, case, p
     assert np.all(np.abs(got - want) <= 5.0 * se + 1e-12 * np.abs(want)), (got, want, se)
 
 
+# a member of each family with regular Fisher information, at location 0 and scale 1, shapes drawn
+_MEMBERS = st.one_of(
+    st.tuples(st.sampled_from(("normal", "logistic", "exponential", "extreme_value")), st.just({})),
+    st.builds(lambda k: ("gamma", {"shape": k}), st.floats(0.5, 50.0)),
+    st.builds(lambda pi, h: ("exp_mixture", {"pi": pi, "h": h}), st.floats(0.05, 0.95), st.floats(0.1, 10.0)),
+)
+
+
+def _rounding(*values):
+    return 1e-12 * max(abs(v) for v in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MEMBERS | st.just(("uniform", {})), _set_size_and_subsets())
+def test_pros_entropy_lies_between_its_bounds(member, case):
+    # (1/m) H(RSS of all S ranks) <= H(PROS(n, S)) <= n H(f); at n = S both sides of the lower bound are the
+    # RSS's own entropy
+    (fam, params), (set_size, n) = member, case
+    report = shannon(make_model(fam, **params), "pros", n, set_size)
+    slack = _rounding(report.lower_bound, report.total, report.upper_bound)
+    assert report.lower_bound - slack <= report.total <= report.upper_bound + slack, report
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MEMBERS, _set_size_and_subsets(), st.floats(0.1, 2.0))
+def test_kl_chain_is_ordered(member, case, shift):
+    # K_srs <= K_pros <= K_rss*/m; at n = S the PROS design is the RSS and the last two agree
+    (fam, params), (set_size, n) = member, case
+    k_srs, k_pros, k_rss = kl_likelihood_chain(make_model(fam, **params), make_balanced_design(set_size, n), shift)
+    slack = _rounding(k_srs, k_pros, k_rss)
+    assert k_srs - slack <= k_pros <= k_rss + slack, (k_srs, k_pros, k_rss)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MEMBERS, st.integers(1, 4), st.data())
+def test_determinant_of_the_information_does_not_fall_as_the_set_grows(member, n, data):
+    # under perfect ranking, for fixed n.  The matrix itself is not monotone in the Loewner order: the
+    # sigma-sigma entry of normal PROS(2, S) falls from 4.616 at S = 4 to 4.405 at S = 24.  At n = 1 the
+    # design is an SRS for every S, so the determinants agree to rounding
+    fam, params = member
+    small, large = sorted(data.draw(st.lists(st.integers(1, 24 // n), min_size=2, max_size=2, unique=True)))
+    model = make_model(fam, **params)
+    det_small, det_large = (fi_pros_marginal(model, make_balanced_design(k * n, n)).det() for k in (small, large))
+    assert det_large >= det_small - _rounding(det_small), (small * n, large * n, det_small, det_large)
+
+
 # families with their shapes, each with its default location 0 and scale 1
 INFO_FAMILIES = (
     ("normal", {}), ("logistic", {}), ("extreme_value", {}), ("exponential", {}), ("gamma", {"shape": 0.5}),
