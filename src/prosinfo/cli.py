@@ -466,8 +466,7 @@ class _ReportMemo:
     """Rendered reports by request; past REPORT_MEMO_BYTES characters the least recently used go first.
 
     The lock guards the dict alone and is never held while a report is
-    computed, so concurrent requests run side by side and a forked Monte
-    Carlo child never inherits it held.
+    computed, so concurrent requests run side by side.
     """
 
     def __init__(self) -> None:
@@ -576,7 +575,7 @@ _FLAGS: dict[str, dict[str, tp.Any]] = {
     "--config": dict(help="key=value file of reps, seed, method, workers, format, output; unread keys ignored"),
     "--output": dict(help="write here instead of stdout"),
     **{flag: dict(type=int) for flag in ("--seed", "--reps", "--set-size", "--subsets", "--cycles")},
-    "--workers": dict(type=int, help="forked Monte Carlo workers, capped by chunks and CPUs; same bytes at any count"),
+    "--workers": dict(type=int, help="Monte Carlo worker threads, capped by chunks and CPUs; same bytes at any count"),
     "--method": dict(choices=("quadrature", "mc")),
     "--family": dict(choices=family_names()),
     "--params": dict(help="comma-separated name=value pairs"),

@@ -70,7 +70,7 @@ def bernstein_series(coef: np.ndarray, t: FloatArray, s: FloatArray | None = Non
     of coefficients non-zero in some row.  All three share one table of powers
     t^j and s^j, built up to the highest exponent a window needs by O(log S)
     in-place multiplies per block of points.  A block holds the largest power of
-    two of points at most 2^15 / (2S) and numerics.CHUNK_SIZE, so a Monte Carlo
+    two of points at most 2^17 / (2S) and numerics.CHUNK_SIZE, so a Monte Carlo
     chunk's values do not depend on which chunks share its pass; at integrate's
     nodes (t, s) a block's bases are built once (numerics.node_memo).  As
     0^0 = 1, t = 0 and 1 are exact; a weight below the double range underflows to 0.
@@ -90,8 +90,9 @@ def bernstein_series(coef: np.ndarray, t: FloatArray, s: FloatArray | None = Non
         a = a[:, 1:] - a[:, :-1]
     spans = tuple(span for _, span, _ in windows)
     top = max([max(hi, m - lo, 1) for m, lo, hi in spans], default=1)
-    # memory for a table of 2^15 doubles is reused; a 4 MB one (S = 64, 4096 draws) page-faults per call
-    step = 2 ** (min(max(2**15 // (2 * top + 2), 1), numerics.CHUNK_SIZE).bit_length() - 1)
+    # a table of up to 2^17 doubles keeps the numpy calls per point few; a 4 MB one (S = 64, 4096 draws)
+    # page-faults per call
+    step = 2 ** (min(max(2**17 // (2 * top + 2), 1), numerics.CHUNK_SIZE).bit_length() - 1)
     for first in range(0, flat.size if windows else 0, step):
         block = flat[first : first + step]
         if flat_s is None:

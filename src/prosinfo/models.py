@@ -369,10 +369,15 @@ _SQRTH = math.sqrt(0.5)
 def _ndtri(u: np.ndarray, s: np.ndarray | None) -> np.ndarray:
     """Standard normal quantile for u in (0, 1), by AS241: its tails read min(u, s), s = 1 - u (1.0 - u if None)."""
     u = np.asarray(u, dtype=float)
-    q = u - 0.5
-    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u if s is None else s)))
-    tail = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
-    return np.where(np.abs(q) <= 0.425, q * _rational(_AS241[0], 0.180625 - q * q), np.copysign(tail, q))
+    q = np.ravel(u - 0.5)
+    out = q * _rational(_AS241[0], 0.180625 - q * q)
+    tails = np.flatnonzero(np.abs(q) > 0.425)  # the tail forms only where they are taken
+    if tails.size:
+        near = np.ravel(u)[tails]
+        r = np.sqrt(-np.log(np.minimum(near, 1.0 - near if s is None else np.ravel(s)[tails])))
+        tail = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
+        out[tails] = np.copysign(tail, q[tails])
+    return out.reshape(u.shape)
 
 
 def _rational(coefs: tuple[tuple[float, ...], ...], v: np.ndarray) -> np.ndarray:
@@ -614,11 +619,12 @@ def _gamma_halley(k: float, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, n
     f = x - i
     log_z = coef[0][i] + f * (coef[1][i] + f * (coef[2][i] + f * coef[3][i]))
     z = np.exp(log_z)
-    lower = t <= 0.5
-    upper = ~lower
     residual = np.empty_like(z)
-    residual[lower] = special.gammainc(k, z[lower]) - t[lower]
-    residual[upper] = s[upper] - special.gammaincc(k, z[upper])
+    flat_t, flat_s, flat_z, flat_r = np.ravel(t), np.ravel(s), z.ravel(), residual.reshape(-1)
+    below = flat_t <= 0.5
+    lower, upper = np.flatnonzero(below), np.flatnonzero(~below)
+    flat_r[lower] = special.gammainc(k, flat_z[lower]) - flat_t[lower]
+    flat_r[upper] = flat_s[upper] - special.gammaincc(k, flat_z[upper])
     # Newton's step r / f0 and Halley's correction through f0' / f0 = (k - 1) / z - 1
     newton = residual / np.exp((k - 1.0) * log_z - z - math.lgamma(k))
     z1 = z - newton / (1.0 - 0.5 * newton * ((k - 1.0) / z - 1.0))

@@ -15,21 +15,22 @@ the quantile scale, so endpoint-singular integrands such as 1/(F(1-F)) become
 1/(t s); integrate_gram integrates weighted outer products on it.  Every
 integrand call gets one of a few node arrays built at import, so node_memo can
 keep what callers build from them (model scores, Bernstein bases).
-Monte Carlo means run their fixed-size chunks on up to `workers` forked
-processes and are bit-identical for a fixed seed at every worker count.  A
-process runs its chunks in passes, one batch_fn call each, whose stream splits
-every draw across the chunks' substreams; so a batch function draws only arrays
-of the pass's length, and a replicate's value depends on its own draws alone.
+Monte Carlo means run their fixed-size chunks on the calling thread and up to
+`workers` - 1 threads joined before the call returns, and are bit-identical for
+a fixed seed at every worker count.  A worker runs its chunks in passes, one
+batch_fn call each, whose stream splits every draw across the chunks'
+substreams; so a batch function draws only arrays of the pass's length, and a
+replicate's value depends on its own draws alone.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import functools
 import math
 import os
-import pickle
 import threading
 import typing as tp
 
@@ -55,7 +56,7 @@ ATOL = 1e-12
 
 
 class NumericsError(Exception):
-    """Base class for numerical failures; subclasses keep their constructor arguments in args to pickle."""
+    """Base class for numerical failures; subclasses keep their constructor arguments in args, so copies rebuild them."""
 
 
 class QuadratureNonConvergence(NumericsError):
@@ -396,44 +397,36 @@ class _PassStream:
         return np.concatenate([rng.beta(ai, bi) for rng, _, ai, bi in self._split(len(a), a, b)])
 
 
-def _forked_chunks(evaluate: tp.Callable[[range, dict], None], n_chunks: int, k: int) -> dict[int, tuple]:
-    """Moments of chunks 0..n_chunks-1, process j of k evaluating chunks j, j+k, ... by evaluate(chunks, parts).
+def _threaded_chunks(evaluate: tp.Callable[..., None], n_chunks: int, k: int) -> dict[int, tuple]:
+    """Moments of chunks 0..n_chunks-1, worker j of k evaluating chunks j, j+k, ... by evaluate(chunks, parts, stop).
 
-    Each of the k-1 forked children pickles the moments of its chunks before its
-    first failing one down a pipe and leaves by os._exit; the parent also stops
-    at its own first failure, so a failed chunk is reported by its absence.
-    Every child is killed and reaped on the way out, also when the parent raises.
+    The caller is worker 0; the k-1 others are threads started here, each in a
+    copy of the caller's context (numpy's error state included), and joined
+    before this returns or raises.  A worker stops at its first failing chunk,
+    so a failed chunk is reported by its absence.  When the caller leaves by an
+    exception, stop is set and the threads end after the pass they are in.
     """
-    import signal  # on first use, so that `import prosinfo` does not load it
+    stop = threading.Event()
+    shares: list[dict[int, tuple]] = [{} for _ in range(k)]
 
-    readers: dict[int, tp.BinaryIO] = {}  # child pid -> read end of its pipe
-    parts: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+    def work(j: int) -> None:
+        with contextlib.suppress(Exception):
+            evaluate(range(j, n_chunks, k), shares[j], stop)
+
+    threads: list[threading.Thread] = []
     try:
         for j in range(1, k):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    with contextlib.suppress(Exception):
-                        evaluate(range(j, n_chunks, k), parts)
-                    with open(w, "wb") as pipe:
-                        pickle.dump(parts, pipe)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            readers[pid] = open(r, "rb")
-        with contextlib.suppress(Exception):
-            evaluate(range(0, n_chunks, k), parts)
-        for reader in readers.values():
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # a child that died sent nothing
-                parts.update(pickle.load(reader))
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, j), name=f"mc-worker-{j}")
+            thread.start()
+            threads.append(thread)
+        work(0)
+    except BaseException:  # an interrupt, or a thread that could not start
+        stop.set()
+        raise
     finally:
-        for pid, reader in readers.items():
-            reader.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return parts
+        for thread in threads:
+            thread.join()
+    return {idx: part for share in shares for idx, part in share.items()}
 
 
 def mc_mean_batches(
@@ -445,16 +438,17 @@ def mc_mean_batches(
     """Mean and standard error of batch_fn(rng, count) -> (count, d) arrays over reps replicates.
 
     One substream per CHUNK_SIZE chunk keyed by (seed, chunk index).  Chunks run on
-    k = min(workers, chunks, usable CPUs) processes when k > 1, os.fork exists and
-    no other Python thread is alive (forking while one holds a lock can deadlock
-    the child); chunks no process delivered are evaluated here, so a failing
-    chunk raises as at workers=1.  A process evaluates its chunks in passes of
-    up to PASS_CHUNKS, in index order: one batch_fn call whose rng splits each
-    random(count), standard_normal(count) or beta(a, b) draw across the chunks'
-    substreams, so every chunk draws what it draws alone.  batch_fn must draw
-    only length-count arrays, and a replicate's value may depend on its own
-    draws alone.  A pass that fails is evaluated again chunk by chunk.  Moments
-    merge in index order, so the result is bit-identical at every worker count.
+    k = min(workers, chunks, usable CPUs) workers: the calling thread and k-1
+    threads joined before this returns or raises, so batch_fn must be safe to
+    call from two threads at once.  Chunks no worker delivered are evaluated
+    here, so a failing chunk raises as at workers=1.  A worker evaluates its
+    chunks in passes of up to PASS_CHUNKS, in index order: one batch_fn call
+    whose rng splits each random(count), standard_normal(count) or beta(a, b)
+    draw across the chunks' substreams, so every chunk draws what it draws
+    alone.  batch_fn must draw only length-count arrays, and a replicate's
+    value may depend on its own draws alone.  A pass that fails is evaluated
+    again chunk by chunk.  Moments merge in index order, so the result is
+    bit-identical at every worker count.
     Returns (means, standard errors, reps).
     """
     if reps < 2:
@@ -480,8 +474,10 @@ def mc_mean_batches(
             parts[idx] = chunk.shape[1], mean, ((chunk - mean[:, None]) ** 2).sum(axis=1)
         return parts
 
-    def evaluate(idxs: tp.Sequence[int], parts: dict) -> None:
+    def evaluate(idxs: tp.Sequence[int], parts: dict, stop: threading.Event | None = None) -> None:
         for first in range(0, len(idxs), PASS_CHUNKS):
+            if stop is not None and stop.is_set():
+                return
             group = idxs[first : first + PASS_CHUNKS]
             try:
                 parts.update(run_pass(group))
@@ -492,8 +488,7 @@ def mc_mean_batches(
     n_chunks = -(-reps // CHUNK_SIZE)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     k = min(workers, n_chunks, cpus)
-    forked = k > 1 and hasattr(os, "fork") and threading.active_count() == 1
-    parts = _forked_chunks(evaluate, n_chunks, k) if forked else {}
+    parts = _threaded_chunks(evaluate, n_chunks, k) if k > 1 else {}
     evaluate([idx for idx in range(n_chunks) if idx not in parts], parts)
     n, mean, m2 = functools.reduce(_merge_moments, [parts[idx] for idx in range(n_chunks)])
     return mean, np.sqrt(m2 / (n - 1) / n), reps

@@ -154,8 +154,12 @@ def block_draws(
     sort-based procedure.
     """
     cum = np.cumsum(densities.rank_coefficients(set_size, blocks, alpha_row))
-    u = 1 + np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
-    t = rng.beta(u, set_size + 1 - u)
+    x = rng.random(count) * cum[-1]
+    u = np.ones(count, dtype=np.intp)  # 1 + the boundaries at or below x: searchsorted's side="right", in S passes
+    for edge in cum:
+        u += edge <= x
+    rank = u.astype(float)  # rng.beta would convert an integer array, to the same draws, at more cost
+    t = rng.beta(rank, set_size + 1.0 - rank)
     return np.asarray(model.quantile(t)), u, t
 
 

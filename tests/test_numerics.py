@@ -484,13 +484,12 @@ def test_mc_mean_standard_normal_clt():
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    # lets mc_mean_batches fork up to three processes on any host
+    # lets mc_mean_batches run up to three workers on any host
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _assert_no_worker_left():
+    assert [t.name for t in threading.enumerate() if t.name.startswith("mc-worker")] == []
 
 
 def _by_chunk(seed, n_chunks, fn):
@@ -518,7 +517,7 @@ def test_mc_mean_batches_matches_manual_merge(three_cpus):
         m1, s1, _ = mc_mean_batches(batch, reps=20_000, seed=3, workers=workers)
         np.testing.assert_array_equal(means, m1)
         np.testing.assert_array_equal(ses, s1)
-        _assert_no_child_left()
+        _assert_no_worker_left()
 
 
 @pytest.mark.parametrize("bad_chunks", [(5, 8), (4, 7)])
@@ -532,7 +531,7 @@ def test_mc_mean_batches_raises_the_lowest_bad_replicate_at_every_worker_count(t
         with pytest.raises(ReplicateError) as err:
             mc_mean_batches(batch, reps=12 * CHUNK_SIZE, seed=7, workers=workers)
         assert err.value.index == bad_chunks[0] * CHUNK_SIZE + 9
-        _assert_no_child_left()
+        _assert_no_worker_left()
 
 
 def _chan_merge_of_lone_chunks(batch, reps, seed):
@@ -558,7 +557,7 @@ def test_mc_mean_batches_passes_equal_chunks_evaluated_alone(three_cpus):
         means, ses, _ = mc_mean_batches(batch, reps=reps, seed=13, workers=workers)
         np.testing.assert_array_equal(means, want[0])
         np.testing.assert_array_equal(ses, want[1])
-        _assert_no_child_left()
+        _assert_no_worker_left()
 
 
 def test_mc_mean_batches_never_passes_more_than_its_cap():
@@ -581,45 +580,96 @@ def test_mc_mean_batches_refuses_a_draw_of_another_length():
         mc_mean_batches(lambda rng, count: rng.beta(np.ones(count + 1), 2.0)[:count], reps=100, seed=1)
 
 
-def test_mc_mean_batches_forks_only_without_other_threads(three_cpus):
+def test_mc_mean_batches_runs_workers_beside_other_threads(three_cpus):
+    threads = set()
+
     def batch(rng, count):
-        return np.column_stack([rng.standard_normal(count), np.full(count, float(os.getpid()))])
+        threads.add(threading.get_ident())
+        return rng.standard_normal(count)
 
     reps = 6 * CHUNK_SIZE
     serial, serial_se, _ = mc_mean_batches(batch, reps=reps, seed=5)
-    assert serial[1] == os.getpid()
-    forked, forked_se, _ = mc_mean_batches(batch, reps=reps, seed=5, workers=2)
-    assert forked[1] != os.getpid()  # a child evaluated some chunks
-    assert (forked[0], forked_se[0]) == (serial[0], serial_se[0])
-    _assert_no_child_left()
-
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        threaded, threaded_se, _ = mc_mean_batches(batch, reps=reps, seed=5, workers=2)
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
+    assert threads == {threading.get_ident()}
+    threaded, threaded_se, _ = mc_mean_batches(batch, reps=reps, seed=5, workers=2)
+    assert len(threads) == 2  # a worker thread evaluated some chunks
     np.testing.assert_array_equal(threaded, serial)
     np.testing.assert_array_equal(threaded_se, serial_se)
+    _assert_no_worker_left()
+
+    # another thread alive does not keep the call on the calling thread
+    release = threading.Event()
+    bystander = threading.Thread(target=release.wait)
+    bystander.start()
+    threads.clear()
+    try:
+        beside, beside_se, _ = mc_mean_batches(batch, reps=reps, seed=5, workers=2)
+    finally:
+        release.set()
+        bystander.join(timeout=10)
+    assert not bystander.is_alive()
+    assert len(threads - {threading.get_ident()}) == 1
+    np.testing.assert_array_equal(beside, serial)
+    np.testing.assert_array_equal(beside_se, serial_se)
+    _assert_no_worker_left()
 
 
-def test_mc_mean_batches_kills_children_when_interrupted(three_cpus):
-    parent = os.getpid()
+def test_mc_mean_batches_joins_workers_when_interrupted(three_cpus, monkeypatch):
+    monkeypatch.setattr(numerics, "PASS_CHUNKS", 1)
+    worker_busy = threading.Event()
+    worker_passes = []
 
     def batch(rng, count):
-        if os.getpid() == parent:
+        if threading.current_thread() is threading.main_thread():
+            assert worker_busy.wait(timeout=10)
             raise KeyboardInterrupt
-        time.sleep(30.0)  # a child still busy when the parent leaves
+        worker_passes.append(count)
+        worker_busy.set()
+        time.sleep(0.2)  # a worker still in its pass when the caller leaves
         return np.zeros(count)
 
-    start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        mc_mean_batches(batch, reps=4 * CHUNK_SIZE, seed=1, workers=2)
-    assert time.perf_counter() - start < 10.0
-    _assert_no_child_left()
+        mc_mean_batches(batch, reps=8 * CHUNK_SIZE, seed=1, workers=2)
+    _assert_no_worker_left()
+    assert worker_passes == [CHUNK_SIZE]  # the worker ends after its pass, not after its 4 chunks
+
+
+def test_mc_mean_batches_two_callers_at_once_match_serial(three_cpus):
+    lock, drawn = threading.Lock(), []
+
+    def batch(rng, count):
+        with lock:
+            drawn.append(count)
+        u = rng.random(count)
+        return np.column_stack([u, rng.beta(1.0 + 3.0 * u, 2.0), rng.standard_normal(count)])
+
+    reps = 5 * CHUNK_SIZE + 123
+    want = mc_mean_batches(batch, reps=reps, seed=17)
+    drawn.clear()
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def caller(i):
+        start.wait(timeout=10)
+        results[i] = mc_mean_batches(batch, reps=reps, seed=17, workers=3)
+
+    # six threads on any host, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    for means, ses, n in results:
+        np.testing.assert_array_equal(means, want[0])
+        np.testing.assert_array_equal(ses, want[1])
+        assert n == reps
+    assert sum(drawn) == 2 * reps  # no worker's chunks were lost and evaluated again
+    _assert_no_worker_left()
 
 
 def test_numerics_errors_survive_pickling():
