@@ -14,9 +14,10 @@ first two t-derivatives on the quantile domain t in [0,1], where the weights
 are distribution-free, from the bases t^j (1-t)^(m-j): one table of powers per
 block of points, or per quadrature node set, whose bases are kept; the node sets
 are fixed at import, as the levels and tolerances of numerics.integrate are
-constants.  Every factor lies in [0, 1], so nothing overflows and a weight
-below the double range underflows to 0.  density composes one row with a
-model's f and F.
+constants, and the Fisher routes keep there each partition's per-block weights,
+which they mix by alpha (information._block_weights).  Every factor lies in
+[0, 1], so nothing overflows and a weight below the double range underflows to
+0.  density composes one row with a model's f and F.
 """
 
 from __future__ import annotations

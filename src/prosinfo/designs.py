@@ -212,22 +212,21 @@ class SetPlan:
     :param partition: ordered consecutive-block partition of {1..S}.
     :param measured: 1-based index of the block this set's measurement is
         judged to come from.
+    :param built: partition is already int tuples (Design, parse_design_file) and is kept as it is.
     """
 
     cycle: int
     partition: tuple[tuple[int, ...], ...]
     measured: int
+    built: dataclasses.InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, built: bool) -> None:
         if self.cycle < 1:
             raise DesignError(f"cycle must be >= 1, got {self.cycle}")
-        object.__setattr__(
-            self, "partition", tuple(tuple(int(u) for u in block) for block in self.partition)
-        )
+        if not built:
+            object.__setattr__(self, "partition", tuple(tuple(int(u) for u in block) for block in self.partition))
         if not 1 <= self.measured <= len(self.partition):
-            raise DesignError(
-                f"measured subset {self.measured} out of range 1..{len(self.partition)}"
-            )
+            raise DesignError(f"measured subset {self.measured} out of range 1..{len(self.partition)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,9 +249,10 @@ class UnbalancedDesign:
         if not self.sets:
             raise DesignError("an unbalanced design needs at least one set")
         object.__setattr__(self, "sets", tuple(self.sets))
+        for partition in dict.fromkeys(sp.partition for sp in self.sets):  # each distinct partition once
+            _check_partition(self.set_size, partition)
         counts: dict[int, int] = {}
         for sp in self.sets:
-            _check_partition(self.set_size, sp.partition)
             n_i = counts.setdefault(sp.cycle, len(sp.partition))
             if n_i != len(sp.partition):
                 raise DesignError(
@@ -313,10 +313,7 @@ class UnbalancedDesign:
     @classmethod
     def from_design(cls, design: Design) -> "UnbalancedDesign":
         """View a shared-partition design as the equivalent unbalanced one."""
-        plans = tuple(
-            SetPlan(cycle=1, partition=design.subsets, measured=r)
-            for r in range(1, design.n + 1)
-        )
+        plans = tuple(SetPlan(1, design.subsets, r, built=True) for r in range(1, design.n + 1))
         return cls(set_size=design.set_size, sets=plans, replications=design.cycles)
 
 
@@ -377,6 +374,7 @@ def parse_design_file(path: str) -> UnbalancedDesign:
 def _design_from_lines(path: str, lines: tp.Sequence[str]) -> UnbalancedDesign:
     """The unbalanced design in the lines read from path (see parse_design_file)."""
     plans: list[SetPlan] = []
+    partitions: dict[str, tuple[tuple[int, ...], ...]] = {}  # each distinct partition text, parsed once
     set_size = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -387,11 +385,11 @@ def _design_from_lines(path: str, lines: tp.Sequence[str]) -> UnbalancedDesign:
             raise DesignError(f"{path}:{lineno}: expected `cycle;partition;measured`, got {line!r}")
         try:
             cycle = int(parts[0])
-            partition = _parse_partition(parts[1])
+            partition = partitions.get(parts[1]) or partitions.setdefault(parts[1], _parse_partition(parts[1]))
             measured = int(parts[2])
         except ValueError as e:
             raise DesignError(f"{path}:{lineno}: {e}") from e
-        plans.append(SetPlan(cycle=cycle, partition=partition, measured=measured))
+        plans.append(SetPlan(cycle=cycle, partition=partition, measured=measured, built=True))
         set_size = max(set_size, max(max(b) for b in partition))
     if not plans:
         raise DesignError(f"{path}: no sets defined")

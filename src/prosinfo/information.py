@@ -191,24 +191,35 @@ def fi_unbalanced(
     label = f"{ud.label()} marginal"
     rows = ud.measured_rows(alphas)
     groups = itertools.groupby(rows, key=lambda sp_row: sp_row[0].partition)  # runs of sets with one partition
-    coefs = np.concatenate([densities.rank_coefficients(ud.set_size, part, [r for _, r in g]) for part, g in groups])
+    runs = [(part, np.array([r for _, r in g])) for part, g in groups]
 
     if method == "quadrature":
 
         def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-            g, gd, _ = densities.bernstein_series(coefs, t, s)
+            g, gd = np.concatenate([a @ _block_weights(ud.set_size, part, t, s) for part, a in runs], axis=1)
             return 1.0, gd / g, g
 
         total = score_information(model, set_coefficients)
         return _quadrature_fi(model, total * ud.replications, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
+    coefs = np.concatenate([densities.rank_coefficients(ud.set_size, part, a) for part, a in runs])
 
     def logw_dt(i: int, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, w1, w2 = densities.bernstein_series(coefs[i], t)
         return w1 / w, w2 / w - (w1 / w) ** 2
 
     return _mc_fi(model, ud.set_size, rows, logw_dt, reps, seed, workers, ud.replications, label)
+
+
+def _block_weights(set_size: int, partition: tuple[tuple[int, ...], ...], t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(W, W') at integrate's nodes: row h of W is block h's weight (S/m_h) sum_{u in B_h} b_u, kept per partition."""
+
+    def build(_: np.ndarray) -> tuple[np.ndarray]:
+        coef = densities.rank_coefficients(set_size, partition, np.eye(len(partition)))
+        return (np.stack(densities.bernstein_series(coef, t, s)[:2]),)
+
+    return numerics.node_memo(("blocks", set_size, partition), t, build)[0]
 
 
 def _quadrature_fi(model: Model, entries: np.ndarray, label: str) -> FIResult:

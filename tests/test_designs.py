@@ -251,3 +251,50 @@ def test_parse_misplacement_csv(tmp_path):
     path.write_text("# no entries\n")
     with pytest.raises(DesignError, match="no misplacement matrix entries"):
         parse_misplacement_csv(path)
+
+
+def test_each_distinct_partition_is_parsed_and_checked_once(tmp_path, monkeypatch):
+    from prosinfo import designs
+
+    calls = {"_parse_partition": 0, "_check_partition": 0}
+    for name in calls:
+        real = getattr(designs, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(designs, name, counted)
+    path = tmp_path / "plan.txt"
+    path.write_text("1;1-2|3-6;1\n1;1-2|3-6;2\n2;1|2-5|6;1\n2;1|2-5|6;2\n2;1|2-5|6;3\n")
+    ud = parse_design_file(path)
+    assert calls == {"_parse_partition": 2, "_check_partition": 2}
+    assert ud.sets[0].partition is ud.sets[1].partition and ud.sets[2].partition is ud.sets[4].partition
+    design = make_balanced_design(12, 3)
+    calls.update(_check_partition=0)
+    from_design = UnbalancedDesign.from_design(design)
+    assert calls["_check_partition"] == 1  # the unbalanced view of the three sets checks their one partition
+    assert all(sp.partition is design.subsets for sp in from_design.sets)
+
+
+def test_set_plan_builds_a_partition_given_in_other_types():
+    plan = SetPlan(np.int64(1), [[np.int64(1), 2.0], (3,)], 1)
+    assert plan.partition == ((1, 2), (3,))
+    assert all(type(u) is int for block in plan.partition for u in block)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("1;1-3|5-6;1\n", "subsets must be consecutive rank blocks partitioning 1..6, got ((1, 2, 3), (5, 6))"),
+    ("1;1-2|3-6;1\n1;1-3|3-6;2\n",
+     "subsets must be consecutive rank blocks partitioning 1..6, got ((1, 2, 3), (3, 4, 5, 6))"),
+    ("1;1-2|3-6;1\n1;1|2-5|6;2\n", "cycle 1 mixes partitions with 2 and 3 subsets"),
+    ("1;1-2|3-x;1\n", "plan.txt:1: invalid literal for int() with base 10: 'x'"),
+    ("1;1-2|6-3;1\n", "plan.txt:1: descending block '6-3' in partition '1-2|6-3'"),
+    ("1;1-2|3-6;1\n1;1-2||3-6;2\n", "plan.txt:2: empty block in partition '1-2||3-6'"),
+])
+def test_design_file_errors_keep_their_messages(tmp_path, lines, message):
+    path = tmp_path / "plan.txt"
+    path.write_text(lines)
+    with pytest.raises(DesignError) as info:
+        parse_design_file(str(path))
+    assert str(info.value).endswith(message)

@@ -705,3 +705,66 @@ def test_monte_carlo_draws_never_enter_the_memo():
     fi_pros_marginal(model, make_balanced_design(6, 2), alpha, method="mc", reps=500, seed=SEED)
     fi_pros_complete(model, 2, 6, method="mc", reps=500, seed=SEED)
     assert not numerics._memo
+
+
+def test_a_second_alpha_on_a_partition_reads_its_block_weight_tables(monkeypatch):
+    from prosinfo import numerics
+
+    numerics._memo.clear()
+    model, design, calls = make_model("logistic"), make_balanced_design(12, 3), []
+    series = densities.bernstein_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(densities, "bernstein_series", counted)
+    fi_pros_marginal(model, design, make_symmetric_alpha(3, 0.8))
+    assert calls  # the first call on the partition builds its tables
+    calls.clear()
+    fi_pros_marginal(model, design, make_symmetric_alpha(3, 0.3))
+    fi_pros_marginal(model, design)
+    assert not calls
+
+
+def _table_cases():
+    """(S, partition, alpha rows): perfect, symmetric and uniform (p = 1/n) rows on each partition."""
+    partitions = [(S, make_balanced_design(S, n).subsets) for S, n in
+                  ((1, 1), (2, 2), (6, 2), (6, 3), (12, 3), (12, 4), (24, 4), (64, 4))]
+    partitions += [(6, ((1, 2), (3, 4, 5, 6))), (6, ((1,), (2, 3, 4, 5), (6,)))]  # the design-file partitions
+    for S, part in partitions:
+        n = len(part)
+        alphas = [np.eye(n)] + ([make_symmetric_alpha(n, 0.8).entries, np.full((n, n), 1.0 / n)] if n > 1 else [])
+        yield from ((S, part, a) for a in alphas)
+
+
+@pytest.mark.parametrize("S, partition, alpha", list(_table_cases()))
+def test_mixed_block_weight_tables_match_the_bernstein_series_of_the_mixed_rows(S, partition, alpha):
+    from prosinfo import information, numerics
+
+    for t, s in zip(numerics._T, numerics._S):
+        g, gd = alpha @ information._block_weights(S, partition, t, s)
+        want, want_d, _ = densities.bernstein_series(densities.rank_coefficients(S, partition, alpha), t, s)
+        assert np.all(np.abs(g - want) <= 1e-14 * want)  # also 0 where the series underflows to 0
+        live = want > 0.0
+        ratio, want_ratio = gd[live] / g[live], want_d[live] / want[live]
+        assert np.all(np.abs(ratio - want_ratio) <= 1e-14 * np.maximum(np.abs(want_ratio), 1.0))
+
+
+def test_unbalanced_information_from_tables_matches_one_series_of_all_sets():
+    from prosinfo.designs import SetPlan
+    from prosinfo.models import score_information
+
+    ud = UnbalancedDesign(6, (SetPlan(1, ((1, 2), (3, 4, 5, 6)), 1), SetPlan(1, ((1, 2), (3, 4, 5, 6)), 2),
+                              SetPlan(2, ((1,), (2, 3, 4, 5), (6,)), 3), SetPlan(2, ((1,), (2, 3, 4, 5), (6,)), 1)))
+    alphas = {1: make_symmetric_alpha(2, 0.8), 2: make_symmetric_alpha(3, 0.6)}
+    model = make_model("logistic", mu=0.5, sigma=2.0)
+    rows = ud.measured_rows(alphas)
+    coefs = np.concatenate([densities.rank_coefficients(6, sp.partition, [row]) for sp, row in rows])
+
+    def series(t, s):
+        g, gd, _ = densities.bernstein_series(coefs, t, s)
+        return 1.0, gd / g, g
+
+    want = score_information(model, series)
+    np.testing.assert_allclose(fi_unbalanced(model, ud, alphas).matrix.as_array(), want, rtol=1e-13, atol=0.0)
