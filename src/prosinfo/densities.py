@@ -12,12 +12,11 @@ Every such weight is one row of rank coefficients, w = sum_u c_u b_u
 (rank_coefficients), and bernstein_series evaluates any stack of rows with its
 first two t-derivatives on the quantile domain t in [0,1], where the weights
 are distribution-free, from the bases t^j (1-t)^(m-j): one table of powers per
-block of points, or per quadrature node set, whose bases are kept; the node sets
-are fixed at import, as the levels and tolerances of numerics.integrate are
-constants, and the Fisher routes keep there each partition's per-block weights,
-which they mix by alpha (information._block_weights).  Every factor lies in
-[0, 1], so nothing overflows and a weight below the double range underflows to
-0.  density composes one row with a model's f and F.
+block of points, or per quadrature node set, whose bases are kept, as are the
+partitions' block weights (information._block_weights); the node sets are fixed
+at import, as the levels and tolerances of numerics.integrate are constants.
+Every factor lies in [0, 1], so nothing overflows and a weight below the double
+range underflows to 0.  density composes one row with a model's f and F.
 """
 
 from __future__ import annotations

@@ -212,21 +212,22 @@ class SetPlan:
     :param partition: ordered consecutive-block partition of {1..S}.
     :param measured: 1-based index of the block this set's measurement is
         judged to come from.
-    :param built: partition is already int tuples (Design, parse_design_file) and is kept as it is.
     """
 
     cycle: int
     partition: tuple[tuple[int, ...], ...]
     measured: int
-    built: dataclasses.InitVar[bool] = False
 
-    def __post_init__(self, built: bool) -> None:
+    def __post_init__(self) -> None:
         if self.cycle < 1:
             raise DesignError(f"cycle must be >= 1, got {self.cycle}")
-        if not built:
-            object.__setattr__(self, "partition", tuple(tuple(int(u) for u in block) for block in self.partition))
+        object.__setattr__(
+            self, "partition", tuple(tuple(int(u) for u in block) for block in self.partition)
+        )
         if not 1 <= self.measured <= len(self.partition):
-            raise DesignError(f"measured subset {self.measured} out of range 1..{len(self.partition)}")
+            raise DesignError(
+                f"measured subset {self.measured} out of range 1..{len(self.partition)}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,7 +314,10 @@ class UnbalancedDesign:
     @classmethod
     def from_design(cls, design: Design) -> "UnbalancedDesign":
         """View a shared-partition design as the equivalent unbalanced one."""
-        plans = tuple(SetPlan(1, design.subsets, r, built=True) for r in range(1, design.n + 1))
+        plans = tuple(
+            SetPlan(cycle=1, partition=design.subsets, measured=r)
+            for r in range(1, design.n + 1)
+        )
         return cls(set_size=design.set_size, sets=plans, replications=design.cycles)
 
 
@@ -375,7 +379,6 @@ def _design_from_lines(path: str, lines: tp.Sequence[str]) -> UnbalancedDesign:
     """The unbalanced design in the lines read from path (see parse_design_file)."""
     plans: list[SetPlan] = []
     partitions: dict[str, tuple[tuple[int, ...], ...]] = {}  # each distinct partition text, parsed once
-    set_size = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -389,8 +392,8 @@ def _design_from_lines(path: str, lines: tp.Sequence[str]) -> UnbalancedDesign:
             measured = int(parts[2])
         except ValueError as e:
             raise DesignError(f"{path}:{lineno}: {e}") from e
-        plans.append(SetPlan(cycle=cycle, partition=partition, measured=measured, built=True))
-        set_size = max(set_size, max(max(b) for b in partition))
+        plans.append(SetPlan(cycle=cycle, partition=partition, measured=measured))
     if not plans:
         raise DesignError(f"{path}: no sets defined")
+    set_size = max(max(map(max, partition)) for partition in partitions.values())
     return UnbalancedDesign(set_size=set_size, sets=tuple(plans))

@@ -269,12 +269,12 @@ def test_each_distinct_partition_is_parsed_and_checked_once(tmp_path, monkeypatc
     path.write_text("1;1-2|3-6;1\n1;1-2|3-6;2\n2;1|2-5|6;1\n2;1|2-5|6;2\n2;1|2-5|6;3\n")
     ud = parse_design_file(path)
     assert calls == {"_parse_partition": 2, "_check_partition": 2}
-    assert ud.sets[0].partition is ud.sets[1].partition and ud.sets[2].partition is ud.sets[4].partition
+    assert ud.sets[0].partition == ud.sets[1].partition == ((1, 2), (3, 4, 5, 6))
     design = make_balanced_design(12, 3)
     calls.update(_check_partition=0)
     from_design = UnbalancedDesign.from_design(design)
     assert calls["_check_partition"] == 1  # the unbalanced view of the three sets checks their one partition
-    assert all(sp.partition is design.subsets for sp in from_design.sets)
+    assert all(sp.partition == design.subsets for sp in from_design.sets)
 
 
 def test_set_plan_builds_a_partition_given_in_other_types():
