@@ -12,10 +12,10 @@ Every such weight is one row of rank coefficients, w = sum_u c_u b_u
 (rank_coefficients), and bernstein_series evaluates any stack of rows with its
 first two t-derivatives on the quantile domain t in [0,1], where the weights
 are distribution-free, from the bases t^j (1-t)^(m-j): one table of powers per
-block of points, or per quadrature node set, whose bases are kept, as are the
-partitions' block weights (information._block_weights); the node sets are fixed
-at import, as the levels and tolerances of numerics.integrate are constants.
-Every factor lies in [0, 1], so nothing overflows and a weight below the double
+block of points, and keeps nothing.  block_table keeps each partition's block
+weights at integrate's node arrays, fixed at import as its levels and
+tolerances are constants, for the Fisher and entropy routes alike.  Every
+factor lies in [0, 1], so nothing overflows and a weight below the double
 range underflows to 0.  density composes one row with a model's f and F.
 """
 
@@ -71,13 +71,12 @@ def bernstein_series(coef: np.ndarray, t: FloatArray, s: FloatArray | None = Non
     t^j and s^j, built up to the highest exponent a window needs by O(log S)
     in-place multiplies per block of points.  A block holds the largest power of
     two of points at most 2^17 / (2S) and numerics.CHUNK_SIZE, so a Monte Carlo
-    chunk's values do not depend on which chunks share its pass; at integrate's
-    nodes (t, s) a block's bases are built once (numerics.node_memo).  As
-    0^0 = 1, t = 0 and 1 are exact; a weight below the double range underflows to 0.
+    chunk's values do not depend on which chunks share its pass.  As 0^0 = 1,
+    t = 0 and 1 are exact; a weight below the double range underflows to 0.
     """
     c = np.asarray(coef, dtype=float)
     flat = np.ravel(np.asarray(t, dtype=float))
-    flat_s = None if s is None else np.ravel(np.asarray(s, dtype=float))
+    flat_s = 1.0 - flat if s is None else np.ravel(np.asarray(s, dtype=float))
     a = c.reshape(-1, c.shape[-1])
     out = np.zeros((3, a.shape[0], flat.size))
     windows = []
@@ -94,12 +93,7 @@ def bernstein_series(coef: np.ndarray, t: FloatArray, s: FloatArray | None = Non
     # page-faults per call
     step = 2 ** (min(max(2**17 // (2 * top + 2), 1), numerics.CHUNK_SIZE).bit_length() - 1)
     for first in range(0, flat.size if windows else 0, step):
-        block = flat[first : first + step]
-        if flat_s is None:
-            bases = _bases(block, 1.0 - block, spans, top)
-        else:  # kept only where s is given, so that a node array's bases come from its exact complement
-            s_block = flat_s[first : first + step]
-            bases = numerics.node_memo(("bernstein", spans, first), t, lambda _: _bases(block, s_block, spans, top))
+        bases = _bases(flat[first : first + step], flat_s[first : first + step], spans, top)
         for (k, _, coef_w), basis in zip(windows, bases):
             out[k, :, first : first + step] = coef_w @ basis
     return tuple(out.reshape((3,) + c.shape[:-1] + np.shape(t)))
@@ -114,6 +108,19 @@ def _bases(t: np.ndarray, s: np.ndarray, spans: tp.Sequence[tuple[int, int, int]
         n *= 2
     # the s exponents run down from m - lo
     return tuple(powers[lo : hi + 1, 0] * powers[m - hi : m - lo + 1, 1][::-1] for m, lo, hi in spans)
+
+
+def block_table(set_size: int, partition: tuple[tuple[int, ...], ...], t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(W, W') at t, s = 1 - t: row h of W is block h's weight (S/m_h) sum_{u in B_h} b_u and W' its t-derivative.
+
+    At integrate's node arrays the table is built once per (S, partition) and kept (numerics.node_memo).
+    """
+
+    def build(_: np.ndarray) -> tuple[np.ndarray]:
+        coef = rank_coefficients(set_size, partition, np.eye(len(partition)))
+        return (np.stack(bernstein_series(coef, t, s)[:2]),)
+
+    return numerics.node_memo(("blocks", set_size, partition), t, build)[0]
 
 
 def block_weight(set_size: int, ranks: tp.Sequence[int], t: FloatArray) -> FloatArray:

@@ -1,10 +1,10 @@
 """Shannon/Renyi entropy and KL information of SRS, RSS, and PROS samples.
 
 A subset density factors as f(x)·w_r(F(x)), where the block weight w_r is a
-Bernstein series in t = F(x) (densities.rank_coefficients, bernstein_series).
-Each report is one vector integral (numerics.integrate) with one row per
-weight: the parent (w = 1), every measured subset and, for the lower bound,
-each of the S ranks of an RSS with set size S.
+Bernstein series in t = F(x).  Each report is one vector integral
+(numerics.integrate) with one row per weight: the parent (w = 1 exactly), every
+measured subset and, for the lower bound, each of the S ranks of an RSS with
+set size S, as rows of the tables the Fisher routes read (densities.block_table).
 
 Every integral runs on the parent's standard member (Model.standard): an
 entropy at scale s is the member's plus log s, row by row, and KL information
@@ -33,8 +33,7 @@ import typing as tp
 
 import numpy as np
 
-from . import numerics
-from .densities import bernstein_series, rank_coefficients
+from . import densities, numerics
 from .designs import Design, make_balanced_design
 from .models import Model, _xlogx
 
@@ -97,20 +96,15 @@ def _resolve(kind: str, n: int, set_size: int | None) -> tuple[int, tuple[tuple[
     return set_size, design.subsets
 
 
-def _coefficients(set_size: int, blocks: tp.Sequence[tp.Sequence[int]]) -> np.ndarray:
-    """One row of Bernstein coefficients per block, so that w_r(t) = (S/m_r) sum_{u in block} b_u(t)."""
-    return rank_coefficients(set_size, blocks, np.eye(len(blocks)))
+def _quantile_integrals(set_size: int, subsets: tp.Sequence[tuple[int, ...]], term: tp.Callable) -> np.ndarray:
+    """∫ term(t, s, w(t)) dt over (0, 1), s = 1 - t, per weight row w: the parent, each subset, then each RSS rank."""
+    singletons = tuple((u,) for u in range(1, set_size + 1))
 
+    def rows(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        tables = (densities.block_table(set_size, blocks, t, s)[0] for blocks in (subsets, singletons))
+        return term(t, s, np.concatenate((np.ones((1, t.size)), *tables)))
 
-def _report_coefficients(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> np.ndarray:
-    """Weight rows of one report: the parent (all S ranks, so w = 1), each subset, then each RSS rank."""
-    every = tuple(range(1, set_size + 1))
-    return _coefficients(set_size, (every,) + tuple(subsets) + tuple((v,) for v in every))
-
-
-def _quantile_integrals(coef: np.ndarray, term: tp.Callable[..., np.ndarray]) -> np.ndarray:
-    """∫ term(t, s, w(t)) dt over the quantile domain (0, 1), s = 1 - t, one value per weight row w."""
-    return numerics.integrate(lambda t, s: term(t, s, bernstein_series(coef, t, s)[0]))
+    return numerics.integrate(rows)
 
 
 def _label(kind: str, n: int, set_size: int) -> str:
@@ -122,7 +116,7 @@ def _label(kind: str, n: int, set_size: int) -> str:
 
 
 def _report(model: Model, kind: str, n: int, set_size: int, values: np.ndarray) -> EntropyReport:
-    """Assemble a report from one entropy per row of _report_coefficients.
+    """Assemble a report from one entropy per row of _quantile_integrals.
 
     Sandwich: (1/m)·H_S(rss with all S ranks) <= total <= n·H(f).
     """
@@ -150,7 +144,7 @@ def shannon(model: Model, kind: str = "pros", n: int = 1, set_size: int | None =
     def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         return -(w * std.logpdf(std.quantile(t, s)) + _xlogx(w))
 
-    values = _quantile_integrals(_report_coefficients(set_size, subsets), term)
+    values = _quantile_integrals(set_size, subsets, term)
     return _report(model, kind, n, set_size, values + math.log(scale))
 
 
@@ -176,7 +170,7 @@ def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: 
         f = std.pdf(std.quantile(t, s))
         return np.where(f > 0.0, f ** (alpha - 1.0), 0.0) * w**alpha
 
-    mass = _quantile_integrals(_report_coefficients(set_size, subsets), term)
+    mass = _quantile_integrals(set_size, subsets, term)
     return _report(model, kind, n, set_size, np.log(mass) / (1.0 - alpha) + math.log(scale))
 
 
@@ -188,8 +182,8 @@ def kl_pros_srs(model: Model, design: Design) -> float:
     """
     if not design.is_balanced:
         raise EntropyError("KL information is defined here for balanced designs")
-    coef = _coefficients(design.set_size, design.subsets)
-    return float(np.sum(_quantile_integrals(coef, lambda t, s, w: _xlogx(w))))
+    blocks = numerics.integrate(lambda t, s: _xlogx(densities.block_table(design.set_size, design.subsets, t, s)[0]))
+    return float(np.sum(blocks))
 
 
 def kl_likelihood_chain(model: Model, design: Design, shift: float = 0.5) -> tuple[float, float, float]:
@@ -215,5 +209,5 @@ def kl_likelihood_chain(model: Model, design: Design, shift: float = 0.5) -> tup
         x = model.quantile(t, s)
         return _xlogx(w) + w * (model.logpdf(x) - model.logpdf(x + delta))
 
-    k = _quantile_integrals(_report_coefficients(S, design.subsets), term)
+    k = _quantile_integrals(S, design.subsets, term)
     return float(n * k[0]), float(np.sum(k[1 : n + 1])), float(np.sum(k[n + 1 :]) / design.m)

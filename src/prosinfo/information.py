@@ -14,9 +14,11 @@ over the open quantile domain; the routes differ only in (alpha, beta, w):
 
 Complete-data PROS information is n I_srs + K; measurements-only information
 integrates each set's full score, for balanced designs (fi_pros_marginal) and
-unbalanced ones (fi_unbalanced) alike.  The Monte Carlo route estimates
--E[d^2 log L / dtheta^2] at simulated draws and reports a standard error per
-matrix entry; it is the check the quadrature identities are tested against.
+unbalanced ones (fi_unbalanced) alike, each set's gamma being its misplacement
+row times its partition's block weights (densities.block_table).  The Monte
+Carlo route estimates -E[d^2 log L / dtheta^2] at simulated draws and reports a
+standard error per matrix entry; it is the check the quadrature identities are
+tested against.
 A draw's log likelihood is log f(x) + log w(F(x)), so by the chain rule its
 Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T, with w and
 its t-derivatives at the t = F(x) that sampling.block_draws returns with x (in
@@ -196,7 +198,7 @@ def fi_unbalanced(
     if method == "quadrature":
 
         def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-            g, gd = np.concatenate([a @ _block_weights(ud.set_size, part, t, s) for part, a in runs], axis=1)
+            g, gd = np.concatenate([a @ densities.block_table(ud.set_size, part, t, s) for part, a in runs], axis=1)
             return 1.0, gd / g, g
 
         total = score_information(model, set_coefficients)
@@ -210,16 +212,6 @@ def fi_unbalanced(
         return w1 / w, w2 / w - (w1 / w) ** 2
 
     return _mc_fi(model, ud.set_size, rows, logw_dt, reps, seed, workers, ud.replications, label)
-
-
-def _block_weights(set_size: int, partition: tuple[tuple[int, ...], ...], t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(W, W') at integrate's nodes: row h of W is block h's weight (S/m_h) sum_{u in B_h} b_u, kept per partition."""
-
-    def build(_: np.ndarray) -> tuple[np.ndarray]:
-        coef = densities.rank_coefficients(set_size, partition, np.eye(len(partition)))
-        return (np.stack(densities.bernstein_series(coef, t, s)[:2]),)
-
-    return numerics.node_memo(("blocks", set_size, partition), t, build)[0]
 
 
 def _quadrature_fi(model: Model, entries: np.ndarray, label: str) -> FIResult:

@@ -14,7 +14,8 @@ singular at 1 is treated as one singular at 0.  Expectations are evaluated on
 the quantile scale, so endpoint-singular integrands such as 1/(F(1-F)) become
 1/(t s); integrate_gram integrates weighted outer products on it.  Every
 integrand call gets one of a few node arrays built at import, so node_memo can
-keep what callers build from them (scores, Bernstein bases, block weights).
+keep what callers build from them: a model's quantile scores and a partition's
+block weight table.
 Monte Carlo means run their fixed-size chunks on the calling thread and up to
 `workers` - 1 threads joined before the call returns, and are bit-identical for
 a fixed seed at every worker count.  A worker runs its chunks in passes, one

@@ -515,21 +515,3 @@ def test_rank_coefficients_stacked_rows_match_the_per_rank_loop():
         for idx in np.ndindex(2, 3):
             assert got[idx].tobytes() == loop(set_size, blocks, rows[idx]).tobytes()
             assert rank_coefficients(set_size, blocks, rows[idx]).tobytes() == got[idx].tobytes()
-
-
-def test_bernstein_series_kept_at_quadrature_nodes_matches_a_fresh_evaluation():
-    # one memo entry per block of points: S = 64 splits every node array into blocks of 256 points
-    from prosinfo import numerics
-
-    numerics._memo.clear()
-    rng = np.random.default_rng(8)
-    for set_size in (3, 12, 64):
-        coef = rng.random((2, set_size))
-        coef[:, :2] = 0.0  # a window that starts past rank 1
-        for node, comp in zip(numerics._T, numerics._S):
-            for _ in range(2):  # the second call reads the kept bases
-                kept = bernstein_series(coef, node, comp)
-                fresh = bernstein_series(coef, node.copy(), comp)
-                assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
-    assert numerics._memo
-    numerics._memo.clear()

@@ -205,6 +205,17 @@ def test_kl_chain_exponential_exact():
     np.testing.assert_allclose(hi, rss / 3.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("S, n", [(6, 2), (12, 3), (12, 4), (24, 3), (64, 4)])
+def test_values_read_from_the_parent_row_are_exact(S, n):
+    # the parent row is w = 1 exactly, not a Bernstein series summing to 1 within rounding
+    uniform = make_model("uniform")
+    assert shannon(uniform, "pros", n, S).upper_bound == 0.0
+    assert renyi(uniform, 0.5, "pros", n, S).upper_bound == 0.0
+    # log f(x) - log f(x + 1/2) integrates to 1/8 per measurement for the standard normal
+    k_srs = kl_likelihood_chain(make_model("normal"), make_balanced_design(S, n))[0]
+    assert abs(k_srs - n / 8) <= math.ulp(n / 8)
+
+
 def test_kl_chain_uniform_diverges():
     with pytest.raises(EntropyError):
         kl_likelihood_chain(make_model("uniform"), make_balanced_design(6, 2))

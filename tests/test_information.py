@@ -727,6 +727,38 @@ def test_a_second_alpha_on_a_partition_reads_its_block_weight_tables(monkeypatch
     assert not calls
 
 
+def test_fisher_and_entropy_routes_share_one_block_weight_table(monkeypatch):
+    # the balanced designs' partitions and the singletons of S = 6, from the Fisher routes first
+    from prosinfo import entropy, numerics
+    from prosinfo.designs import SetPlan
+    from prosinfo.models import Model
+
+    numerics._memo.clear()
+    model, design, built = make_model("logistic"), make_balanced_design(6, 2), {"fisher": set(), "entropy": set()}
+    series, route = densities.bernstein_series, ["fisher"]
+
+    def counted(coef, t, s=None):
+        built[route[0]].add((np.asarray(coef).tobytes(), numerics._UNIT_INDEX.get(id(t))))
+        return series(coef, t, s)
+
+    monkeypatch.setattr(densities, "bernstein_series", counted)
+    fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.8))
+    fi_pros_marginal(model, make_balanced_design(6, 6))  # the singleton partition
+    ud = UnbalancedDesign(6, (SetPlan(1, ((1, 2), (3, 4, 5, 6)), 1), SetPlan(1, ((1, 2), (3, 4, 5, 6)), 2),
+                              SetPlan(2, ((1,), (2, 3, 4, 5), (6,)), 3), SetPlan(2, ((1,), (2, 3, 4, 5), (6,)), 1)))
+    fi_unbalanced(model, ud, {1: make_symmetric_alpha(2, 0.8), 2: make_symmetric_alpha(3, 0.6)})
+    assert built["fisher"]
+    route[0] = "entropy"
+    entropy.shannon(model, "pros", 2, 6)
+    entropy.renyi(model, 0.5, "pros", 2, 6)
+    entropy.kl_likelihood_chain(model, design)
+    assert not built["entropy"] & built["fisher"]  # no table the Fisher routes built is built again
+    for key, _ in numerics._memo:
+        assert isinstance(key, Model) or (key[:2] == ("blocks", 6) and len(key) == 3)
+    partitions = {key[2] for key, _ in numerics._memo if not isinstance(key, Model)}
+    assert partitions == {design.subsets, make_balanced_design(6, 6).subsets, *(sp.partition for sp in ud.sets)}
+
+
 def _table_cases():
     """(S, partition, alpha rows): perfect, symmetric and uniform (p = 1/n) rows on each partition."""
     partitions = [(S, make_balanced_design(S, n).subsets) for S, n in
@@ -740,10 +772,10 @@ def _table_cases():
 
 @pytest.mark.parametrize("S, partition, alpha", list(_table_cases()))
 def test_mixed_block_weight_tables_match_the_bernstein_series_of_the_mixed_rows(S, partition, alpha):
-    from prosinfo import information, numerics
+    from prosinfo import numerics
 
     for t, s in zip(numerics._T, numerics._S):
-        g, gd = alpha @ information._block_weights(S, partition, t, s)
+        g, gd = alpha @ densities.block_table(S, partition, t, s)
         want, want_d, _ = densities.bernstein_series(densities.rank_coefficients(S, partition, alpha), t, s)
         assert np.all(np.abs(g - want) <= 1e-14 * want)  # also 0 where the series underflows to 0
         live = want > 0.0
