@@ -11,6 +11,7 @@ block h; they must be doubly stochastic.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as tp
 
 import numpy as np
@@ -30,9 +31,7 @@ def _check_partition(set_size: int, subsets: tuple[tuple[int, ...], ...]) -> Non
             raise DesignError("empty subset in partition")
         flat.extend(block)
     if flat != list(range(1, set_size + 1)):
-        raise DesignError(
-            f"subsets must be consecutive rank blocks partitioning 1..{set_size}, got {subsets!r}"
-        )
+        raise DesignError(f"subsets must be consecutive rank blocks partitioning 1..{set_size}, got {subsets!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,9 +52,7 @@ class Design:
             raise DesignError(f"set_size must be >= 1, got {self.set_size}")
         if self.cycles < 1:
             raise DesignError(f"cycles must be >= 1, got {self.cycles}")
-        object.__setattr__(
-            self, "subsets", tuple(tuple(int(u) for u in block) for block in self.subsets)
-        )
+        object.__setattr__(self, "subsets", tuple(tuple(int(u) for u in block) for block in self.subsets))
         _check_partition(self.set_size, self.subsets)
 
     @property
@@ -117,21 +114,16 @@ def validate_misplacement(entries: tp.Any) -> np.ndarray:
     a = np.atleast_2d(np.asarray(entries, dtype=float))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DesignError(f"misplacement matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    flat = a.ravel().tolist()  # Python floats: at a design's few subsets, cheaper than numpy's per-call cost
+    if not all(map(math.isfinite, flat)):
         raise DesignError("misplacement matrix entries must be finite")
-    if np.min(a) < 0.0:
-        r, h = np.unravel_index(int(np.argmin(a)), a.shape)
+    if min(flat) < 0.0:
+        r, h = divmod(flat.index(min(flat)), a.shape[1])
         raise DesignError(f"misplacement entry ({r}, {h}) is negative: {a[r, h]!r}")
-    rows = a.sum(axis=1)
-    bad = np.abs(rows - 1.0) > 1e-9
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise DesignError(f"row {r} sums {rows[r]:.10g}, expected 1 (doubly stochastic)")
-    cols = a.sum(axis=0)
-    bad = np.abs(cols - 1.0) > 1e-9
-    if np.any(bad):
-        h = int(np.argmax(bad))
-        raise DesignError(f"column {h} sums {cols[h]:.10g}, expected 1 (doubly stochastic)")
+    for name, sums in (("row", a.sum(axis=1)), ("column", a.sum(axis=0))):
+        for i, total in enumerate(sums.tolist()):
+            if abs(total - 1.0) > 1e-9:
+                raise DesignError(f"{name} {i} sums {total:.10g}, expected 1 (doubly stochastic)")
     return a
 
 
@@ -139,8 +131,8 @@ class MisplacementMatrix:
     """Doubly stochastic n x n matrix of subsetting-error probabilities.
 
     Entry [r, h] is the probability that a unit placed into subset r by the
-    ranker truly belongs to subset h (both 0-based here; the design-facing
-    helpers take 1-based subset indices).
+    ranker truly belongs to subset h (both 0-based here; row and the design
+    routes take 1-based subset indices).
     """
 
     __slots__ = ("_entries",)
@@ -200,6 +192,17 @@ def make_symmetric_alpha(n: int, p: float) -> MisplacementMatrix:
     return MisplacementMatrix(a)
 
 
+def alpha_entries(alpha: MisplacementMatrix | None, n: int, cycle: int = 1) -> np.ndarray:
+    """The entries of a cycle's n x n misplacement matrix, whose row r - 1 is that of judged subset r; the identity
+    where alpha is None (perfect ranking).
+    :raises DesignError: alpha is not n x n."""
+    if alpha is None:
+        return np.eye(n)
+    if alpha.n != n:
+        raise DesignError(f"misplacement matrix is {alpha.n}x{alpha.n}, cycle {cycle} has {n} subsets")
+    return alpha.entries
+
+
 # -- unbalanced designs -------------------------------------------------------
 
 
@@ -221,13 +224,9 @@ class SetPlan:
     def __post_init__(self) -> None:
         if self.cycle < 1:
             raise DesignError(f"cycle must be >= 1, got {self.cycle}")
-        object.__setattr__(
-            self, "partition", tuple(tuple(int(u) for u in block) for block in self.partition)
-        )
+        object.__setattr__(self, "partition", tuple(tuple(int(u) for u in block) for block in self.partition))
         if not 1 <= self.measured <= len(self.partition):
-            raise DesignError(
-                f"measured subset {self.measured} out of range 1..{len(self.partition)}"
-            )
+            raise DesignError(f"measured subset {self.measured} out of range 1..{len(self.partition)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,9 +255,7 @@ class UnbalancedDesign:
         for sp in self.sets:
             n_i = counts.setdefault(sp.cycle, len(sp.partition))
             if n_i != len(sp.partition):
-                raise DesignError(
-                    f"cycle {sp.cycle} mixes partitions with {n_i} and {len(sp.partition)} subsets"
-                )
+                raise DesignError(f"cycle {sp.cycle} mixes partitions with {n_i} and {len(sp.partition)} subsets")
         ids = sorted(counts)
         if ids != list(range(1, len(ids) + 1)):
             raise DesignError(f"cycle identifiers must be contiguous from 1, got {ids}")
@@ -297,16 +294,8 @@ class UnbalancedDesign:
         stray = sorted(set(alphas) - set(self.cycle_ids))
         if stray:
             raise DesignError(f"misplacement matrix given for cycle {stray[0]}, which the design lacks")
-        out: list[tuple[SetPlan, np.ndarray]] = []
-        for i in self.cycle_ids:
-            plans = self.sets_in_cycle(i)
-            n = len(plans[0].partition)
-            alpha = alphas.get(i)
-            alpha = identity_alpha(n) if alpha is None else alpha
-            if alpha.n != n:
-                raise DesignError(f"misplacement matrix is {alpha.n}x{alpha.n}, cycle {i} has {n} subsets")
-            out.extend((sp, alpha.row(sp.measured)) for sp in plans)
-        return tuple(out)
+        entries = {i: alpha_entries(alphas.get(i), self.n_subsets(i), i) for i in self.cycle_ids}
+        return tuple((sp, entries[i][sp.measured - 1]) for i in self.cycle_ids for sp in self.sets_in_cycle(i))
 
     def label(self) -> str:
         return f"UPROS(K={self.K}, S={self.set_size}, N={self.replications})"
@@ -314,10 +303,7 @@ class UnbalancedDesign:
     @classmethod
     def from_design(cls, design: Design) -> "UnbalancedDesign":
         """View a shared-partition design as the equivalent unbalanced one."""
-        plans = tuple(
-            SetPlan(cycle=1, partition=design.subsets, measured=r)
-            for r in range(1, design.n + 1)
-        )
+        plans = tuple(SetPlan(cycle=1, partition=design.subsets, measured=r) for r in range(1, design.n + 1))
         return cls(set_size=design.set_size, sets=plans, replications=design.cycles)
 
 

@@ -97,11 +97,13 @@ def _resolve(kind: str, n: int, set_size: int | None) -> tuple[int, tuple[tuple[
 
 
 def _quantile_integrals(set_size: int, subsets: tp.Sequence[tuple[int, ...]], term: tp.Callable) -> np.ndarray:
-    """∫ term(t, s, w(t)) dt over (0, 1), s = 1 - t, per weight row w: the parent, each subset, then each RSS rank."""
+    """∫ term(t, s, w(t)) dt over (0, 1), s = 1 - t, per weight row w: the parent, each subset, then each RSS rank.
+    At S = 1 every row is exactly 1, as the parent's, and read as such rather than from a table."""
     singletons = tuple((u,) for u in range(1, set_size + 1))
 
     def rows(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        tables = (densities.block_table(set_size, blocks, t, s)[0] for blocks in (subsets, singletons))
+        tables = (densities.block_table(set_size, blocks, t, s)[0] if set_size > 1 else np.ones((len(blocks), t.size))
+                  for blocks in (subsets, singletons))
         return term(t, s, np.concatenate((np.ones((1, t.size)), *tables)))
 
     return numerics.integrate(rows)

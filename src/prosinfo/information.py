@@ -13,12 +13,13 @@ over the open quantile domain; the routes differ only in (alpha, beta, w):
     unbalanced alpha = 1, beta = gamma'/gamma w = gamma, one term per set
 
 Complete-data PROS information is n I_srs + K; measurements-only information
-integrates each set's full score, for balanced designs (fi_pros_marginal) and
-unbalanced ones (fi_unbalanced) alike, each set's gamma being its misplacement
-row times its partition's block weights (densities.block_table).  The Monte
-Carlo route estimates -E[d^2 log L / dtheta^2] at simulated draws and reports a
-standard error per matrix entry; it is the check the quadrature identities are
-tested against.
+integrates each set's full score, each set's gamma being its misplacement row
+times its partition's block weights (densities.block_table), in one helper that
+fi_unbalanced and fi_pros_marginal both call: a balanced design's sets are one
+run of one partition, with no UnbalancedDesign built.  The Monte Carlo route
+estimates -E[d^2 log L / dtheta^2] at simulated draws and reports a standard
+error per matrix entry; it is the check the quadrature identities are tested
+against.
 A draw's log likelihood is log f(x) + log w(F(x)), so by the chain rule its
 Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T, with w and
 its t-derivatives at the t = F(x) that sampling.block_draws returns with x (in
@@ -38,7 +39,7 @@ import typing as tp
 import numpy as np
 
 from . import densities, numerics, sampling
-from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign, make_balanced_design
+from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign, alpha_entries, make_balanced_design
 from .models import Model, from_standard, require_fi_regular, score_information, unit_entries
 
 DEFAULT_REPS = 50_000
@@ -79,7 +80,9 @@ class FIResult:
 
 def _entries(obj: tp.Any) -> np.ndarray:
     if isinstance(obj, FIResult):
-        return obj.matrix.as_array()
+        obj = obj.matrix
+    if isinstance(obj, numerics.InfoMatrix):
+        return obj.entries
     return np.atleast_2d(np.asarray(obj, dtype=float))
 
 
@@ -161,15 +164,20 @@ def fi_pros_marginal(
     """Measurements-only information of a balanced design under misplacement alpha.
 
     Per cycle this is n I_srs + sum_r E[(d g_r)(d g_r)^T / g_r], with perfect
-    subsetting the identity alpha; it is computed on every method as the
-    one-cycle case of fi_unbalanced, whose score outer product is exact for
-    any partition.  Unbalanced partitions go through fi_unbalanced itself.
+    subsetting the identity alpha: the one-cycle case of fi_unbalanced, whose
+    score outer product is exact for any partition, by quadrature on its kernel
+    (the design's sets are one run) and by mc through it.  Unbalanced partitions
+    go through fi_unbalanced itself.
     """
     require_fi_regular(model)
     if not design.is_balanced:
         raise InformationError("design is unbalanced; use fi_unbalanced")
+    label = f"{design.label()} marginal"
+    if method == "quadrature":
+        runs = [(design.subsets, alpha_entries(alpha, design.n))]
+        return _quadrature_fi(model, _set_information(model, design.set_size, runs) * design.cycles, label)
     fi = fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}, method, reps, seed, workers)
-    return dataclasses.replace(fi, design_label=f"{design.label()} marginal")
+    return dataclasses.replace(fi, design_label=label)
 
 
 def fi_unbalanced(
@@ -196,13 +204,7 @@ def fi_unbalanced(
     runs = [(part, np.array([r for _, r in g])) for part, g in groups]
 
     if method == "quadrature":
-
-        def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-            g, gd = np.concatenate([a @ densities.block_table(ud.set_size, part, t, s) for part, a in runs], axis=1)
-            return 1.0, gd / g, g
-
-        total = score_information(model, set_coefficients)
-        return _quadrature_fi(model, total * ud.replications, label)
+        return _quadrature_fi(model, _set_information(model, ud.set_size, runs) * ud.replications, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
     coefs = np.concatenate([densities.rank_coefficients(ud.set_size, part, a) for part, a in runs])
@@ -212,6 +214,17 @@ def fi_unbalanced(
         return w1 / w, w2 / w - (w1 / w) ** 2
 
     return _mc_fi(model, ud.set_size, rows, logw_dt, reps, seed, workers, ud.replications, label)
+
+
+def _set_information(model: Model, set_size: int, runs: tp.Sequence[tuple[tp.Any, np.ndarray]]) -> np.ndarray:
+    """The information of one measurement per set, summed over the sets of runs: (partition, rows) pairs whose
+    rows are the sets' misplacement rows over that partition's blocks."""
+
+    def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        g, gd = np.concatenate([a @ densities.block_table(set_size, part, t, s) for part, a in runs], axis=1)
+        return 1.0, gd / g, g
+
+    return score_information(model, set_coefficients)
 
 
 def _quadrature_fi(model: Model, entries: np.ndarray, label: str) -> FIResult:

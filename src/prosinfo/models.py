@@ -11,7 +11,8 @@ and its derivatives follow by the chain rule; the exponential mixture states its
 own, and so does gamma, whose chain rule is written out so that it holds down to
 z = 0.  All formulas are analytic, and so is every per-observation Fisher matrix
 but the exponential mixture's, which comes by quadrature of the score outer
-product.  Information runs on Model.standard, and from_standard maps it back.
+product.  Information runs on Model.standard, and from_standard maps it back;
+Model.quantile_scores keeps (d log f, dF) at integrate's nodes as (p, len(t)) arrays.
 
 The special functions are numpy code but the gamma family's, which import
 scipy.special when a gamma model is first evaluated.  The gamma quantile starts
@@ -37,6 +38,7 @@ import numpy as np
 from . import numerics
 
 _EULER_GAMMA = 0.5772156649015328606
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 # Cap on the Newton steps of the exponential-mixture quantile.  From x = 0 it
 # converges in at most 13 steps for pi in [0.001, 0.9999] and h in [1e-4, 100];
@@ -84,9 +86,7 @@ class Model:
     def __post_init__(self) -> None:
         fam = _family(self.family)
         if len(self.params) != len(fam.param_names):
-            raise ModelError(
-                f"{self.family} takes parameters {fam.param_names}, got {len(self.params)} values"
-            )
+            raise ModelError(f"{self.family} takes parameters {fam.param_names}, got {len(self.params)} values")
         for name, v in zip(fam.param_names, self.params):
             if not math.isfinite(v):
                 raise ModelError(f"parameter {name!r} must be finite, got {v!r}")
@@ -185,7 +185,7 @@ class Model:
 
     def logpdf(self, x: FloatArray) -> FloatArray:
         xa = np.asarray(x, dtype=float)
-        out = np.log(np.maximum(self.pdf(xa), np.finfo(float).tiny))
+        out = np.log(np.maximum(self.pdf(xa), _TINY))
         return out if np.ndim(x) else float(out)
 
     def quantile(self, u: FloatArray, s: FloatArray | None = None) -> FloatArray:
@@ -203,19 +203,20 @@ class Model:
         free = _family(self.family).free
         return [free.index(n) for n in self.active]
 
-    def _scores(self, x: FloatArray) -> tuple[np.ndarray, np.ndarray]:
-        """(d log f, dF) for the active parameters, each stacked on the last axis."""
+    def _scores(self, x: FloatArray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+        """(d log f, dF) for the active parameters, each stacked on axis."""
         fam, c, loc, scale = self._frame()
         xa, pos = np.asarray(x, dtype=float), self._positions()
         partials = fam.standard_partials(c, (xa - loc) / scale)
-        return tuple(np.stack([np.broadcast_to(d[i], xa.shape) for i in pos], axis=-1) / scale for d in partials)
+        return tuple(np.stack([np.broadcast_to(d[i], xa.shape) for i in pos], axis=axis) / scale for d in partials)
 
     def quantile_scores(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, d log f, dF) at x = F^{-1}(t), s = 1 - t, from one evaluation, kept per model at integrate's nodes."""
+        """(x, d log f, dF) at x = F^{-1}(t), s = 1 - t, from one evaluation, kept per model at integrate's nodes;
+        d log f and dF are contiguous (p, len(t)) arrays, one row per active parameter."""
 
         def build(_: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             x = self.quantile(t, s)
-            return (x, *self._scores(x))
+            return (x, *self._scores(x, axis=0))
 
         return numerics.node_memo(self, t, build)
 
@@ -304,7 +305,7 @@ def from_standard(model: Model, entries: np.ndarray) -> np.ndarray:
     """
     scale = model._frame()[3]
     inv, largest = (1.0 / scale) * (1.0 / scale), float(np.abs(entries).max())
-    if largest and not np.finfo(float).tiny <= largest * inv < math.inf:
+    if largest and not _TINY <= largest * inv < math.inf:
         raise ModelError(f"the Fisher information of {model.label()} lies outside the double range")
     return entries * inv
 
@@ -314,14 +315,14 @@ def score_information(model: Model, coefficients: tp.Callable[[np.ndarray, np.nd
 
     coefficients maps integrate's nodes (t, s = 1 - t) to (alpha, beta, w), each
     broadcastable to (k, len(t)), one term b per row; a None alpha or beta drops
-    its score.  It runs on the standard member.
+    its score.  It runs on the standard member, and v is built as (p, k, len(t)).
     """
     std = model.standard()[0]
 
     def terms(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, d_logf, d_cdf = std.quantile_scores(t, s)
         alpha, beta, w = coefficients(t, s)
-        v = [np.asarray(c)[..., None] * d for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
+        v = [np.asarray(c) * d[:, None] for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
         return sum(v[1:], v[0]), w
 
     return from_standard(model, numerics.integrate_gram(terms, model.p))
@@ -470,11 +471,11 @@ class _Family:
     never_active: tuple[str, ...] = ()
     validate: tp.Callable[[dict[str, float]], None] = lambda c: None  # the checks of the shape
 
-    @property
+    @functools.cached_property
     def param_names(self) -> tuple[str, ...]:
         return (*self.shapes, *(n for n in (self.loc, self.scale) if n))
 
-    @property
+    @functools.cached_property
     def free(self) -> tuple[str, ...]:  # the parameters that may be active
         return tuple(n for n in self.param_names if n not in self.never_active)
 

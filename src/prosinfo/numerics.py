@@ -12,10 +12,11 @@ integrand call.  The integrand gets each node t with its exact complement
 s = 1 - t, so both ends of (0, 1) resolve to about 4e-308 and an integrand
 singular at 1 is treated as one singular at 0.  Expectations are evaluated on
 the quantile scale, so endpoint-singular integrands such as 1/(F(1-F)) become
-1/(t s); integrate_gram integrates weighted outer products on it.  Every
-integrand call gets one of a few node arrays built at import, so node_memo can
-keep what callers build from them: a model's quantile scores and a partition's
-block weight table.
+1/(t s); integrate_gram integrates weighted outer products on it, from arrays
+whose last axis runs over the nodes.  Every integrand call gets one of a few
+node arrays built at import, so node_memo can keep what callers build from
+them: a model's quantile scores and a partition's block weight table.
+InfoMatrix checks, and det_small expands, p <= 3 matrices on Python floats.
 Monte Carlo means run their fixed-size chunks on the calling thread and up to
 `workers` - 1 threads joined before the call returns, and are bit-identical for
 a fixed seed at every worker count.  A worker runs its chunks in passes, one
@@ -122,13 +123,13 @@ class InfoMatrix:
         p = a.shape[0]
         if not 1 <= p <= 3:
             raise ValueError(f"InfoMatrix dimension must be 1..3, got {p}")
-        largest = np.abs(a).max()  # nan or inf for a non-finite entry
-        if not largest < math.inf:
+        r = a.tolist()  # numpy's per-call cost would dominate checks of p <= 3 entries
+        if not all(math.isfinite(x) for row in r for x in row):
             raise ValueError("InfoMatrix entries must be finite")
-        tol = 1e-12 * max(largest, 1.0)
-        if np.abs(a - a.T).max() > tol:
+        tol = 1e-12 * max(1.0, *(abs(x) for row in r for x in row))
+        if any(abs(r[i][j] - r[j][i]) > tol for i in range(p) for j in range(i)):
             raise ValueError("InfoMatrix entries are not symmetric")
-        if a.diagonal().min() < -tol:
+        if min(r[i][i] for i in range(p)) < -tol:
             raise ValueError("InfoMatrix diagonal entries must be non-negative")
         sym = (a + a.T) / 2.0
         sym.flags.writeable = False
@@ -311,10 +312,9 @@ def integrate_unit_interval(fn: tp.Callable[[float], float]) -> float:
 def integrate_gram(fn: tp.Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], p: int) -> np.ndarray:
     """The p x p matrix int sum_b w_b(t) v_b(t) v_b(t)^T dt over the open interval (0, 1).
 
-    fn maps the node arrays (t, s = 1 - t) of integrate to (v, w), broadcastable
-    to shapes (k, len(t), p) and (k, len(t)); a term whose weight is not
-    positive contributes nothing, so v may be non-finite there.  The p(p+1)/2
-    distinct entries are the rows of one integrate pass, under its shared tolerance.
+    fn maps the node arrays (t, s = 1 - t) of integrate to (v, w), broadcastable to shapes (p, k, len(t)) and
+    (k, len(t)), nodes innermost; a term whose weight is not positive contributes nothing, so v may be
+    non-finite there.  The p(p+1)/2 distinct entries are the rows of one integrate pass, under its shared tolerance.
 
     :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
     :raises IntegrandEvaluationError: a term with positive weight is not finite.
@@ -323,8 +323,7 @@ def integrate_gram(fn: tp.Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, n
 
     def entries(t: np.ndarray, s: np.ndarray) -> np.ndarray:
         v, w = (np.asarray(a, dtype=float) for a in fn(t, s))
-        terms = np.where(w[..., None] > 0.0, w[..., None] * v[..., rows] * v[..., cols], 0.0)
-        return terms.sum(axis=0).T
+        return np.where(w > 0.0, w * v[rows] * v[cols], 0.0).sum(axis=1)
 
     return from_triu(p, integrate(entries))
 
@@ -345,8 +344,7 @@ def det_small(m: tp.Any) -> float:
     The arithmetic runs on Python floats, so a determinant beyond the double
     range comes back as inf or nan without a warning.
     """
-    a = np.asarray(m, dtype=float)
-    a = np.atleast_2d(a)
+    a = np.atleast_2d(np.asarray(m, dtype=float))
     p = a.shape[0]
     if a.shape != (p, p) or p not in (1, 2, 3):
         raise ValueError(f"det_small handles square matrices of dimension 1..3, got shape {a.shape}")

@@ -130,6 +130,30 @@ def test_validate_misplacement_errors():
         validate_misplacement([[np.nan, 1.0], [1.0, 0.0]])
 
 
+def _misplacement_error(entries):
+    try:
+        validate_misplacement(entries)
+    except DesignError as e:
+        return str(e)
+    return None
+
+
+def test_validate_misplacement_edges():
+    assert _misplacement_error([[0.5, np.inf], [0.5, 0.5]]) == "misplacement matrix entries must be finite"
+    assert _misplacement_error([[-np.inf, 1.0], [1.0, 0.0]]) == "misplacement matrix entries must be finite"
+    # the first smallest entry in row-major order is named, with its numpy repr
+    two = [[0.5, 0.6, -0.1], [-0.3, 0.4, 0.9], [0.8, -0.3, 0.2]]
+    assert _misplacement_error(two) == f"misplacement entry (1, 0) is negative: {np.float64(-0.3)!r}"
+    # row and column sums at 1 +- 1e-9, just inside and just outside the bound
+    for sign in (1.0, -1.0):
+        for scale, fails in ((0.999, False), (1.001, True)):
+            e = sign * scale * 1e-9
+            row = _misplacement_error([[1.0 + e]])
+            assert row == (f"row 0 sums {1.0 + e:.10g}, expected 1 (doubly stochastic)" if fails else None)
+            column = _misplacement_error([[0.5 + e, 0.5 - e, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+            assert column == (f"column 0 sums {1.0 + e:.10g}, expected 1 (doubly stochastic)" if fails else None)
+
+
 def test_unbalanced_design_basics():
     sets = (
         SetPlan(1, ((1, 2, 3), (4, 5), (6,)), 1),

@@ -216,6 +216,20 @@ def test_values_read_from_the_parent_row_are_exact(S, n):
     assert abs(k_srs - n / 8) <= math.ulp(n / 8)
 
 
+@pytest.mark.parametrize("n", (1, 3))
+def test_srs_reads_no_block_weight_table(n):
+    # at S = 1 every weight row is the parent's, exactly 1, so no ("blocks", 1, ...) table is built or kept;
+    # the pros request shows that the same calls keep the tables of a set size above 1
+    from prosinfo import numerics
+
+    numerics._memo.clear()
+    model = make_model("normal")
+    shannon(model, "srs", n), renyi(model, 0.5, "srs", n), kl_likelihood_chain(model, make_balanced_design(1, 1))
+    shannon(model, "pros", n, 2 * n)
+    sizes = {key[1] for key, _ in numerics._memo if isinstance(key, tuple) and key[0] == "blocks"}
+    assert sizes == {2 * n}, sizes
+
+
 def test_kl_chain_uniform_diverges():
     with pytest.raises(EntropyError):
         kl_likelihood_chain(make_model("uniform"), make_balanced_design(6, 2))

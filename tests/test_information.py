@@ -46,7 +46,7 @@ def test_quadrature_routes_match_chained_info_matrix_arithmetic(family):
     design = make_balanced_design(S, n, cycles)
 
     def cdf_scores(t, s):
-        return model.score_cdf(model.quantile(t, s))[None], (1.0 / (t * s))[None]
+        return model.score_cdf(model.quantile(t, s)).T[:, None], (1.0 / (t * s))[None]
 
     unit = model.fisher_srs_unit()
     k = InfoMatrix(n * (S - 1) * integrate_gram(cdf_scores, model.p))
@@ -352,11 +352,37 @@ def test_marginal_information_matches_srs_plus_gain_decomposition(family, S, n):
 
         def tilted_cdf_scores(t, s):
             g, gd, _ = densities.bernstein_series(coefs, t, s)
-            return (gd / g)[..., None] * model.score_cdf(model.quantile(t, s)), g
+            return (gd / g) * model.score_cdf(model.quantile(t, s)).T[:, None], g
 
         want = n * unit + (0.0 if p == 1.0 / n else integrate_gram(tilted_cdf_scores, model.p))
         got = fi_unbalanced(model, ud, {1: alpha}).matrix.as_array()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (p, got, want)
+
+
+PARITY_MODELS = (*((f, {}) for f in GATE_FAMILIES if f != "gamma"), ("gamma", {"shape": 0.5}), ("gamma", {"shape": 2.0}))
+
+
+@pytest.mark.parametrize("family, params", PARITY_MODELS)
+@pytest.mark.parametrize("S, n", ((2, 2), (6, 1), (6, 3), (12, 4), (64, 4)))
+@pytest.mark.parametrize("cycles", (1, 3))
+def test_balanced_quadrature_matches_its_unbalanced_design_bit_for_bit(family, params, S, n, cycles):
+    # fi_pros_marginal reads the design's one run of sets without building the unbalanced design, through the
+    # kernel fi_unbalanced runs on that design
+    model = make_model(family, **params)
+    design = make_balanced_design(S, n, cycles)
+    ud = UnbalancedDesign.from_design(design)
+    alphas = [None, MisplacementMatrix(np.full((n, n), 1.0 / n))] + ([make_symmetric_alpha(n, 0.6)] if n > 1 else [])
+    for alpha in alphas:
+        got = fi_pros_marginal(model, design, alpha)
+        want = fi_unbalanced(model, ud, {1: alpha})
+        assert got.method == want.method == "quadrature"
+        assert got.matrix.entries.tobytes() == want.matrix.entries.tobytes(), alpha
+    wrong = make_symmetric_alpha(n + 1, 0.6)
+    with pytest.raises(DesignError) as balanced:
+        fi_pros_marginal(model, design, wrong)
+    with pytest.raises(DesignError) as unbalanced:
+        fi_unbalanced(model, ud, {1: wrong})
+    assert type(balanced.value) is type(unbalanced.value) and str(balanced.value) == str(unbalanced.value)
 
 
 def test_unbalanced_rejects_a_matrix_for_a_missing_cycle():
@@ -694,7 +720,7 @@ def test_models_differing_in_a_parameter_or_active_keep_their_own_scores():
         assert model.quantile_scores(node, comp) is table
         fresh = model.quantile_scores(node.copy(), comp)  # not a node array: built outside the memo
         assert [a.tobytes() for a in table] == [a.tobytes() for a in fresh]
-        assert table[1].shape == (node.size, model.p)
+        assert all(a.shape == (model.p, node.size) and a.flags.c_contiguous for a in table[1:])
 
 
 def test_monte_carlo_draws_never_enter_the_memo():

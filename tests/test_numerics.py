@@ -347,13 +347,13 @@ def test_integrate_gram_closed_forms():
     from scipy.special import zeta
 
     normal = make_model("normal")
-    unit = integrate_gram(lambda t, s: (normal.score_logpdf(normal.quantile(t, s))[None], _unit_weight(t)), 2)
+    unit = integrate_gram(lambda t, s: (normal.score_logpdf(normal.quantile(t, s)).T[:, None], _unit_weight(t)), 2)
     # over the open interval no tail of the scale information is lost
     np.testing.assert_allclose(unit, np.diag([1.0, 2.0]), rtol=1e-12, atol=1e-12)
     expo = make_model("exponential")
 
     def cdf_scores(t, s):
-        return expo.score_cdf(expo.quantile(t, s))[None], (1.0 / (t * s))[None]
+        return expo.score_cdf(expo.quantile(t, s)).T[:, None], (1.0 / (t * s))[None]
 
     got = integrate_gram(cdf_scores, 1)
     np.testing.assert_allclose(got, [[0.4041]], atol=1e-4)
@@ -361,9 +361,9 @@ def test_integrate_gram_closed_forms():
 
 
 def test_integrate_gram_sums_weighted_terms():
-    # two terms: v = (1, t) with w = 1 and v = (t, 0) with w = 2
+    # two terms: v = (1, t) with w = 1 and v = (t, 0) with w = 2, stacked as v[parameter, term, node]
     def fn(t, s):
-        v = np.stack([np.stack([np.ones_like(t), t], axis=-1), np.stack([t, 0.0 * t], axis=-1)])
+        v = np.stack([np.stack([np.ones_like(t), t]), np.stack([t, 0.0 * t])])
         return v, np.stack([np.ones_like(t), np.full_like(t, 2.0)])
 
     np.testing.assert_allclose(integrate_gram(fn, 2), [[1.0 + 2.0 / 3.0, 0.5], [0.5, 1.0 / 3.0]], rtol=1e-10)
@@ -371,7 +371,7 @@ def test_integrate_gram_sums_weighted_terms():
 
 def test_integrate_gram_rejects_non_finite_integrand():
     def fn(t, s):
-        return np.where(t > 0.5, np.nan, 1.0)[None, :, None], _unit_weight(t)
+        return np.where(t > 0.5, np.nan, 1.0)[None, None], _unit_weight(t)
 
     with pytest.raises(IntegrandEvaluationError) as err:
         integrate_gram(fn, 1)
@@ -379,7 +379,7 @@ def test_integrate_gram_rejects_non_finite_integrand():
 
     def zero_weight_nan(t, s):
         # a term whose weight vanishes contributes nothing, finite or not
-        v = np.stack([np.ones_like(t), np.full_like(t, np.nan)])[..., None]
+        v = np.stack([np.ones_like(t), np.full_like(t, np.nan)])[None]
         return v, np.stack([np.ones_like(t), np.zeros_like(t)])
 
     np.testing.assert_allclose(integrate_gram(zero_weight_nan, 1), [[1.0]], rtol=1e-10)
@@ -387,7 +387,7 @@ def test_integrate_gram_rejects_non_finite_integrand():
 
 def test_integrate_gram_reports_non_convergence():
     def fast_oscillation(t, s):
-        return np.sin(2e4 * t)[None, :, None], _unit_weight(t)
+        return np.sin(2e4 * t)[None, None], _unit_weight(t)
 
     with pytest.raises(QuadratureNonConvergence) as err:
         integrate_gram(fast_oscillation, 1)
@@ -396,7 +396,7 @@ def test_integrate_gram_reports_non_convergence():
 
 
 def test_integrate_gram_zero_integrand_converges():
-    got = integrate_gram(lambda t, s: (np.zeros((1, t.size, 3)), _unit_weight(t)), 3)
+    got = integrate_gram(lambda t, s: (np.zeros((3, 1, t.size)), _unit_weight(t)), 3)
     np.testing.assert_array_equal(got, np.zeros((3, 3)))
 
 
@@ -439,6 +439,36 @@ def test_info_matrix_validation():
         InfoMatrix(np.eye(4))
     with pytest.raises(ValueError):
         InfoMatrix(np.ones((2, 3)))
+
+
+def _info_matrix_error(entries):
+    try:
+        InfoMatrix(entries)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_info_matrix_check_edges():
+    # each check at its bound, with the message it raises: tol = 1e-12 max(largest |entry|, 1)
+    finite = "InfoMatrix entries must be finite"
+    for bad in ([[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, -np.inf]]):
+        assert _info_matrix_error(bad) == finite, bad
+    for largest in (0.25, 4.0, 3e5):
+        tol = 1e-12 * max(largest, 1.0)
+        for i, j in ((0, 1), (2, 0), (1, 2)):
+            a = np.diag([largest, largest / 2, largest / 4])
+            a[i, j] = tol  # |a_ij - a_ji| = tol exactly
+            assert _info_matrix_error(a) is None
+            np.testing.assert_array_equal(InfoMatrix(a).entries[i, j], tol / 2)
+            a[i, j] = np.nextafter(tol, np.inf)
+            assert _info_matrix_error(a) == "InfoMatrix entries are not symmetric"
+        for k in (1, 2):
+            a = np.diag([largest, largest / 2, largest / 4])
+            a[k, k] = -tol
+            assert _info_matrix_error(a) is None
+            a[k, k] = np.nextafter(-tol, -np.inf)
+            assert _info_matrix_error(a) == "InfoMatrix diagonal entries must be non-negative"
 
 
 def test_info_matrix_arithmetic():
