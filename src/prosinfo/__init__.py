@@ -42,8 +42,6 @@ from .densities import (
     DensityError,
     bernstein_series,
     block_weight,
-    density,
-    latent_conditional,
     rank_coefficients,
     unbalanced_weight,
 )

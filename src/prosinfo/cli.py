@@ -27,7 +27,7 @@ from .designs import (
     Design,
     DesignError,
     MisplacementMatrix,
-    UnbalancedDesign,
+    SetPlan,
     make_balanced_design,
     make_symmetric_alpha,
     rss_design,
@@ -219,10 +219,8 @@ def _level_infos(pairs: tp.Iterable[tuple[Model, Design]], grid: _Grid, seed: in
     for (model, set_size), designs in groups.items():
         alphas = grid.alphas(model, set_size, [d.subsets for d in designs], seed)
         for design, row in zip(designs, alphas):
-            ud = UnbalancedDesign.from_design(design)
             for level, alpha in zip(grid.levels, row):
-                # the fi_unbalanced call fi_pros_marginal makes
-                info[model, design, level] = information.fi_unbalanced(model, ud, {1: alpha}).matrix
+                info[model, design, level] = information.fi_unbalanced(model, design, {1: alpha}).matrix
     return info
 
 
@@ -287,9 +285,10 @@ def _mixture_models() -> list[tuple[str, Model]]:
 
 
 def _partition_rows() -> list[_Row]:
-    """Single-partition unbalanced designs of set size 6, normal parent."""
-    model = make_model("normal")
-    return [(text, model, (("", Design(6, _parse_partition(text))),)) for text in _UNBALANCED_PARTITIONS]
+    """Single-partition unbalanced designs of set size 6, normal parent: one set per block, measuring it."""
+    model, partitions = make_model("normal"), map(_parse_partition, _UNBALANCED_PARTITIONS)
+    rows = (Design(6, tuple(SetPlan(1, blocks, r) for r in range(1, len(blocks) + 1))) for blocks in partitions)
+    return [(text, model, (("", design),)) for text, design in zip(_UNBALANCED_PARTITIONS, rows)]
 
 
 def run_table(table_id: int, cfg: RunConfig) -> list[TableCell]:
@@ -342,10 +341,10 @@ class _Inputs(tp.NamedTuple):
     """What a request reads beyond its settings, parsed by run_custom from one read of each file."""
 
     alpha: tuple[str, float | MisplacementMatrix | None]  # the --alpha kind and its level, or the file's matrix
-    design: UnbalancedDesign | None  # the --design-file design over --cycles replications
+    design: Design | None  # the --design-file design over --cycles replications
 
 
-def _alphas(cfg: RunConfig, inputs: _Inputs, model: Model, ud: UnbalancedDesign) -> dict[int, MisplacementMatrix]:
+def _alphas(cfg: RunConfig, inputs: _Inputs, model: Model, ud: Design) -> dict[int, MisplacementMatrix]:
     """Per-cycle misplacement matrices of --alpha; none under perfect ranking.
 
     A Dell-Clutter matrix of cycle i is calibrated at --seed + i - 1, so a
@@ -395,7 +394,7 @@ def _fi_entry_pairs(fi: information.FIResult, names: tp.Sequence[str]) -> list[t
 
 def _rss_report_info(cfg: RunConfig, inputs: _Inputs, model: Model, n: int, cycles: int = 1) -> numerics.InfoMatrix:
     """Information of RSS(n) under the run's --alpha, the denominator of the reported re2."""
-    rss = UnbalancedDesign.from_design(rss_design(n, cycles))
+    rss = rss_design(n, cycles)
     return information.fi_unbalanced(model, rss, _alphas(cfg, inputs, model, rss)).matrix
 
 
@@ -421,7 +420,7 @@ def _run_fisher(cfg: RunConfig, inputs: _Inputs) -> str:
             fi = information.fi_pros_complete(model, n, design.set_size, cfg.cycles, **common)
             re2 = _rel(fi.matrix, information.fi_pros_complete(model, n, n, cfg.cycles).matrix)
         elif cfg.mode == "marginal":
-            alpha = _alphas(cfg, inputs, model, UnbalancedDesign.from_design(design)).get(1)
+            alpha = _alphas(cfg, inputs, model, design).get(1)
             fi = information.fi_pros_marginal(model, design, alpha, **common)
             re2 = _rel(fi.matrix, _rss_report_info(cfg, inputs, model, n, cfg.cycles))
         else:
@@ -458,7 +457,7 @@ def _run_entropy(cfg: RunConfig, inputs: _Inputs) -> str:
 
 def _run_sample(cfg: RunConfig, inputs: _Inputs) -> str:
     model = _build_model(cfg)
-    ud = inputs.design or UnbalancedDesign.from_design(_balanced_design(cfg))
+    ud = inputs.design or _balanced_design(cfg)
     return sampling.sample_to_csv(sampling.draw_unbalanced_pros(model, ud, _alphas(cfg, inputs, model, ud), cfg.seed))
 
 

@@ -16,7 +16,8 @@ block of points, and keeps nothing.  block_table keeps each partition's block
 weights at integrate's node arrays, fixed at import as its levels and
 tolerances are constants, for the Fisher and entropy routes alike.  Every
 factor lies in [0, 1], so nothing overflows and a weight below the double
-range underflows to 0.  density composes one row with a model's f and F.
+range underflows to 0.  A measured unit's density is its model's f(x) times
+bernstein_series of its row at F(x).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import typing as tp
 import numpy as np
 
 from . import numerics
-from .designs import Design, MisplacementMatrix, UnbalancedDesign
-from .models import Model
+from .designs import Design, MisplacementMatrix
 
 FloatArray = tp.Union[float, np.ndarray]
 Blocks = tp.Sequence[tp.Sequence[int]]
@@ -134,65 +134,15 @@ def _weight(coef: np.ndarray, t: FloatArray) -> FloatArray:
     return w if np.ndim(t) else float(w)
 
 
-# -- model-facing densities --------------------------------------------------
-
-
-def density(model: Model, coef: np.ndarray, x: FloatArray) -> FloatArray:
-    """f(x) w(F(x)) of one coefficient row; a scalar x gives a float.
-
-    The row rank_coefficients(S, ((u,),), [1.0]) gives the density of the u-th
-    order statistic, rank_coefficients(S, (block,), [1.0]) that of a unit judged
-    perfectly into block, and rank_coefficients(S, partition, alpha_row) that of
-    a unit judged under misplacement.
-    """
-    return model.pdf(x) * _weight(coef, model.cdf(x))
-
-
-def _unbalanced_coefficients(ud: UnbalancedDesign, i: int, r: int, alpha_i: MisplacementMatrix) -> np.ndarray:
-    rows = [(sp, row) for sp, row in ud.measured_rows({i: alpha_i}) if sp.cycle == i]
-    if not 1 <= r <= len(rows):
-        raise DensityError(f"cycle {i} has sets 1..{len(rows)}, got {r}")
-    sp, row = rows[r - 1]
-    return rank_coefficients(ud.set_size, sp.partition, row)
-
-
 def unbalanced_weight(
-    ud: UnbalancedDesign, i: int, r: int, alpha_i: MisplacementMatrix, t: FloatArray
+    design: Design, i: int, r: int, alpha_i: MisplacementMatrix, t: FloatArray
 ) -> FloatArray:
     """Quantile-domain weight of the measurement from set r of cycle i.
 
     The judged block is the set's measured index; misplacement mixes the
     (S/m_h)-weighted block densities of the same set's partition.
     """
-    return _weight(_unbalanced_coefficients(ud, i, r, alpha_i), t)
-
-
-def latent_conditional(model: Model, design: Design, r: int, x: float) -> np.ndarray:
-    """Conditional probabilities of the latent rank u in d_r given the measured value.
-
-    Entry j is proportional to f^(u_j:S)(x) for u_j the j-th rank of subset r.
-    The weights b_u(F(x)) are formed and normalized in log space (1 - F(x) as
-    the model's survival function), so a block deep in a tail neither
-    underflows nor loses its small entries.  Where F(x) or 1 - F(x) rounds to
-    0 inside the support, the block's lowest or highest rank holds all the
-    mass: the limit, exact to within F(x) S < 1e-300.
-
-    :raises DensityError: the measurement lies outside the open support and
-        every order-statistic density of the block vanishes there.
-    """
-    k = np.asarray(design.subset(r)) - 1.0
-    big_n = design.set_size - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_t, log_1mt = np.log(model.cdf(x)), np.log(model.sf(x))
-        log_w = (
-            np.log([float(math.comb(big_n, int(j))) for j in k])
-            + np.where(k > 0, k * log_t, 0.0)
-            + np.where(k < big_n, (big_n - k) * log_1mt, 0.0)
-        )
-    if not np.any(log_w > -np.inf):
-        lo, hi = model.support()
-        if not lo < x < hi:
-            raise DensityError(f"latent rank probabilities vanish at x={x!r}: point outside the support")
-        log_w = np.where(k == (k.min() if log_t == -np.inf else k.max()), 0.0, -np.inf)
-    weights = np.exp(log_w - log_w.max())
-    return weights / weights.sum()
+    rows = [(sp, row) for sp, row in design.measured_rows({i: alpha_i}) if sp.cycle == i]
+    if not 1 <= r <= len(rows):
+        raise DensityError(f"cycle {i} has sets 1..{len(rows)}, got {r}")
+    return _weight(rank_coefficients(design.set_size, rows[r - 1][0].partition, rows[r - 1][1]), t)

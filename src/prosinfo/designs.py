@@ -1,17 +1,20 @@
 """Sampling-design descriptions: rank partitions, cycles, and misplacement matrices.
 
-A balanced design PROS(n, S) partitions the ranks {1..S} of each size-S set
-into n consecutive blocks and measures one unit per block; RSS is the special
-case n = S and SRS the case n = S = 1.  Unbalanced designs let every judgment
-set carry its own partition and its own measured block.  Misplacement matrices
-quantify the probability that a unit judged into block r actually belongs to
-block h; they must be doubly stochastic.
+A Design is judgment sets of S units, each naming its cycle, its partition of
+the ranks {1..S} into consecutive blocks and the block it measures; the sets of
+a cycle share one misplacement matrix.  Balanced PROS(n, S) is the one-cycle
+design of one partition into n equal blocks, each measured once, in order; RSS
+is the case n = S and SRS the case n = S = 1.  Misplacement matrices quantify
+the probability that a unit judged into block r actually belongs to block h;
+they must be doubly stochastic.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 import typing as tp
 
 import numpy as np
@@ -21,52 +24,110 @@ class DesignError(ValueError):
     """Invalid design description or misplacement matrix."""
 
 
-def _check_partition(set_size: int, subsets: tuple[tuple[int, ...], ...]) -> None:
-    """Subsets must be nonempty consecutive rank blocks covering 1..set_size in order."""
-    if not subsets:
+def _check_partition(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The subsets (as int tuples if given otherwise): nonempty consecutive rank blocks covering 1..set_size."""
+    if not len(subsets):
         raise DesignError("a design needs at least one subset")
     flat: list[int] = []
     for block in subsets:
+        if type(block) is not tuple or type(subsets) is not tuple:
+            return _check_partition(set_size, tuple(tuple(int(u) for u in block) for block in subsets))
         if not block:
             raise DesignError("empty subset in partition")
         flat.extend(block)
     if flat != list(range(1, set_size + 1)):
         raise DesignError(f"subsets must be consecutive rank blocks partitioning 1..{set_size}, got {subsets!r}")
+    return subsets
+
+
+class SetPlan(tp.NamedTuple):
+    """One judgment set: its cycle, its consecutive-block partition of {1..S}, and the block it measures (1-based)."""
+
+    cycle: int
+    partition: tuple[tuple[int, ...], ...]
+    measured: int
+
+
+def _check_set(cycle: int, measured: int, n: int) -> None:
+    """:raises DesignError: cycle below 1, or measured outside the n blocks of the set's partition."""
+    if cycle < 1:
+        raise DesignError(f"cycle must be >= 1, got {cycle}")
+    if not 1 <= measured <= n:
+        raise DesignError(f"measured subset {measured} out of range 1..{n}")
 
 
 @dataclasses.dataclass(frozen=True)
 class Design:
-    """Balanced-or-not PROS design: one shared partition, one measurement per subset per cycle.
+    """Judgment sets grouped into cycles, the whole list drawn `replications` times (N).
 
-    :param set_size: number of units S in each judgment set.
-    :param subsets: ordered partition of ranks {1..S} into consecutive blocks.
-    :param cycles: number of cycle repetitions N.
+    Each distinct partition is checked once, each set by int comparisons.  Construction works out each cycle's
+    subset count, the runs of sets sharing a partition in cycle order, and is_balanced.
     """
 
     set_size: int
-    subsets: tuple[tuple[int, ...], ...]
-    cycles: int = 1
+    sets: tuple[SetPlan, ...]
+    replications: int = 1
+    is_balanced: bool = dataclasses.field(init=False, repr=False, compare=False)
+    _counts: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    _runs: tuple[tuple[tp.Any, tuple[SetPlan, ...]], ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.set_size < 1:
             raise DesignError(f"set_size must be >= 1, got {self.set_size}")
-        if self.cycles < 1:
-            raise DesignError(f"cycles must be >= 1, got {self.cycles}")
-        object.__setattr__(self, "subsets", tuple(tuple(int(u) for u in block) for block in self.subsets))
-        _check_partition(self.set_size, self.subsets)
+        if self.replications < 1:
+            raise DesignError(f"replications must be >= 1, got {self.replications}")
+        if not self.sets:
+            raise DesignError("a design needs at least one set")
+        sets = tuple(self.sets)
+        cycles, given, measured = zip(*sets)
+        if given.count(given[0]) == cycles.count(1) == len(sets):  # one cycle of one partition, checked at once
+            part = _check_partition(self.set_size, given[0])
+            for m in measured if not 1 <= min(measured) <= max(measured) <= len(part) else ():
+                _check_set(1, m, len(part))
+            sets = sets if part is given[0] else tuple(SetPlan(1, part, m) for m in measured)
+            counts, runs = {1: len(part)}, ((part, sets),)
+        else:
+            checked: dict[int, tp.Any] = {}  # the checked form of each given partition, by the given one's id
+            counts = {}  # each cycle's subset count, from its first set
+            for cycle, p, m in sets:
+                part = checked.get(id(p)) or checked.setdefault(id(p), _check_partition(self.set_size, p))
+                n_i = counts.setdefault(cycle, len(part))
+                if cycle < 1 or not 1 <= m <= n_i == len(part):
+                    _check_set(cycle, m, len(part))
+                    raise DesignError(f"cycle {cycle} mixes partitions with {n_i} and {len(part)} subsets")
+            counts = dict(sorted(counts.items()))
+            if list(counts) != list(range(1, len(counts) + 1)):
+                raise DesignError(f"cycle identifiers must be contiguous from 1, got {list(counts)}")
+            if any(checked[id(p)] is not p for p in given):
+                sets = tuple(SetPlan(c, checked[id(p)], m) for c, p, m in sets)
+            by_cycle = sorted(sets, key=operator.itemgetter(0))  # listed order within a cycle
+            runs = tuple((part, tuple(run)) for part, run in itertools.groupby(by_cycle, operator.itemgetter(1)))
+        part = runs[0][0]
+        object.__setattr__(self, "sets", sets)
+        in_order = len(runs) == 1 == len(counts) and measured == tuple(range(1, len(part) + 1))
+        object.__setattr__(self, "is_balanced", in_order and len(set(map(len, part))) == 1)
+        object.__setattr__(self, "_counts", tuple(counts.values()))
+        object.__setattr__(self, "_runs", runs)
+
+    @property
+    def cycle_ids(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self._counts) + 1))
+
+    @property
+    def K(self) -> int:
+        """Measured units per replication."""
+        return len(self.sets)
+
+    @property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        """The partition every set shares.  :raises DesignError: the sets have more than one."""
+        if len(self._runs) > 1:
+            raise DesignError("subsets are only defined for designs whose sets share one partition")
+        return self._runs[0][0]
 
     @property
     def n(self) -> int:
         return len(self.subsets)
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.subsets)
-
-    @property
-    def is_balanced(self) -> bool:
-        sizes = self.block_sizes
-        return all(m == sizes[0] for m in sizes)
 
     @property
     def m(self) -> int:
@@ -74,28 +135,47 @@ class Design:
             raise DesignError("block size m is only defined for balanced designs")
         return len(self.subsets[0])
 
-    def subset(self, r: int) -> tuple[int, ...]:
-        """Ranks of subset r (1-based)."""
-        if not 1 <= r <= self.n:
-            raise DesignError(f"subset index must lie in 1..{self.n}, got {r}")
-        return self.subsets[r - 1]
+    def n_subsets(self, i: int) -> int:
+        """Misplacement-matrix dimension for cycle i."""
+        if i not in self.cycle_ids:
+            raise DesignError(f"no cycle {i} in this design")
+        return self._counts[i - 1]
 
-    def label(self) -> str:
-        return f"PROS(n={self.n}, S={self.set_size}, N={self.cycles})"
+    def measured_rows(self, alphas: tp.Mapping | None = None) -> tuple[tuple[SetPlan, np.ndarray], ...]:
+        """Every set in cycle order (listed order within a cycle) with row `measured` of its cycle's matrix in
+        alphas, the identity's where alphas gives none.  :raises DesignError: a stray cycle or a wrong dimension."""
+        alphas = alphas or {}
+        stray = alphas.keys() - range(1, len(self._counts) + 1)
+        if stray:
+            raise DesignError(f"misplacement matrix given for cycle {min(stray)}, which the design lacks")
+        entries = [alpha_entries(alphas.get(i), n_i, i) for i, n_i in enumerate(self._counts, 1)]
+        return tuple((sp, entries[sp.cycle - 1][sp.measured - 1]) for _, run in self._runs for sp in run)
+
+    def measured_runs(self, alphas: tp.Mapping | None = None) -> list[tuple[tp.Any, np.ndarray]]:
+        """The rows of measured_rows stacked per run of sets sharing a partition, as (partition, rows) pairs."""
+        rows = iter(self.measured_rows(alphas))
+        return [(part, np.array([row for _, row in itertools.islice(rows, len(run))])) for part, run in self._runs]
+
+    def label(self, as_unbalanced: bool = False) -> str:
+        """PROS(n, S, N) of a balanced design; UPROS(K, S, N) of any other, or of any where as_unbalanced is set."""
+        if self.is_balanced and not as_unbalanced:
+            return f"PROS(n={self.n}, S={self.set_size}, N={self.replications})"
+        return f"UPROS(K={self.K}, S={self.set_size}, N={self.replications})"
+
+
+UnbalancedDesign = Design  # the name the unbalanced routes and their callers use
 
 
 def make_balanced_design(set_size: int, n: int, cycles: int = 1) -> Design:
-    """PROS(n, S) with consecutive blocks of equal size m = S/n.
-
-    :raises DesignError: n does not divide set_size.
-    """
+    """PROS(n, S): blocks of size m = S/n, `cycles` replications.  :raises DesignError: n does not divide set_size."""
     if n < 1 or set_size < 1:
         raise DesignError("set_size and n must be >= 1")
     if set_size % n:
         raise DesignError(f"n={n} does not divide set_size={set_size}; use an unbalanced design")
-    m = set_size // n
-    blocks = tuple(tuple(range((r - 1) * m + 1, r * m + 1)) for r in range(1, n + 1))
-    return Design(set_size=set_size, subsets=blocks, cycles=cycles)
+    if cycles < 1:
+        raise DesignError(f"cycles must be >= 1, got {cycles}")
+    blocks = tuple(zip(*[iter(range(1, set_size + 1))] * (set_size // n)))  # consecutive runs of m ranks
+    return Design(set_size, tuple([SetPlan(1, blocks, r) for r in range(1, n + 1)]), cycles)
 
 
 def rss_design(n: int, cycles: int = 1) -> Design:
@@ -203,110 +283,6 @@ def alpha_entries(alpha: MisplacementMatrix | None, n: int, cycle: int = 1) -> n
     return alpha.entries
 
 
-# -- unbalanced designs -------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class SetPlan:
-    """One judgment set: its cycle, its rank partition, and the block it measures.
-
-    :param cycle: 1-based cycle identifier; sets sharing a cycle share a
-        misplacement matrix.
-    :param partition: ordered consecutive-block partition of {1..S}.
-    :param measured: 1-based index of the block this set's measurement is
-        judged to come from.
-    """
-
-    cycle: int
-    partition: tuple[tuple[int, ...], ...]
-    measured: int
-
-    def __post_init__(self) -> None:
-        if self.cycle < 1:
-            raise DesignError(f"cycle must be >= 1, got {self.cycle}")
-        object.__setattr__(self, "partition", tuple(tuple(int(u) for u in block) for block in self.partition))
-        if not 1 <= self.measured <= len(self.partition):
-            raise DesignError(f"measured subset {self.measured} out of range 1..{len(self.partition)}")
-
-
-@dataclasses.dataclass(frozen=True)
-class UnbalancedDesign:
-    """A collection of judgment sets grouped into cycles, replicated as a whole.
-
-    Within a cycle every set must partition the ranks into the same number of
-    blocks, so a single misplacement matrix applies to the cycle.
-    """
-
-    set_size: int
-    sets: tuple[SetPlan, ...]
-    replications: int = 1
-
-    def __post_init__(self) -> None:
-        if self.set_size < 1:
-            raise DesignError(f"set_size must be >= 1, got {self.set_size}")
-        if self.replications < 1:
-            raise DesignError(f"replications must be >= 1, got {self.replications}")
-        if not self.sets:
-            raise DesignError("an unbalanced design needs at least one set")
-        object.__setattr__(self, "sets", tuple(self.sets))
-        for partition in dict.fromkeys(sp.partition for sp in self.sets):  # each distinct partition once
-            _check_partition(self.set_size, partition)
-        counts: dict[int, int] = {}
-        for sp in self.sets:
-            n_i = counts.setdefault(sp.cycle, len(sp.partition))
-            if n_i != len(sp.partition):
-                raise DesignError(f"cycle {sp.cycle} mixes partitions with {n_i} and {len(sp.partition)} subsets")
-        ids = sorted(counts)
-        if ids != list(range(1, len(ids) + 1)):
-            raise DesignError(f"cycle identifiers must be contiguous from 1, got {ids}")
-
-    @property
-    def K(self) -> int:
-        """Measured units per replication."""
-        return len(self.sets)
-
-    @property
-    def cycle_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({sp.cycle for sp in self.sets}))
-
-    def sets_in_cycle(self, i: int) -> tuple[SetPlan, ...]:
-        chosen = tuple(sp for sp in self.sets if sp.cycle == i)
-        if not chosen:
-            raise DesignError(f"no cycle {i} in this design")
-        return chosen
-
-    def n_subsets(self, i: int) -> int:
-        """Misplacement-matrix dimension for cycle i."""
-        return len(self.sets_in_cycle(i)[0].partition)
-
-    def measured_rows(
-        self, alphas: tp.Mapping[int, MisplacementMatrix | None] | None = None
-    ) -> tuple[tuple[SetPlan, np.ndarray], ...]:
-        """Every set, in cycle order, with the misplacement row of the block it measures.
-
-        Sets keep their listed order within a cycle.  A cycle that alphas
-        gives no matrix (or None) is ranked perfectly: its row is the identity's.
-
-        :raises DesignError: alphas names a cycle the design lacks, or a
-            matrix's dimension differs from its cycle's number of subsets.
-        """
-        alphas = alphas or {}
-        stray = sorted(set(alphas) - set(self.cycle_ids))
-        if stray:
-            raise DesignError(f"misplacement matrix given for cycle {stray[0]}, which the design lacks")
-        entries = {i: alpha_entries(alphas.get(i), self.n_subsets(i), i) for i in self.cycle_ids}
-        return tuple((sp, entries[i][sp.measured - 1]) for i in self.cycle_ids for sp in self.sets_in_cycle(i))
-
-    def label(self) -> str:
-        return f"UPROS(K={self.K}, S={self.set_size}, N={self.replications})"
-
-    @classmethod
-    def from_design(cls, design: Design) -> "UnbalancedDesign":
-        """View a shared-partition design as the equivalent unbalanced one."""
-        plans = tuple(SetPlan(cycle=1, partition=design.subsets, measured=r) for r in range(1, design.n + 1))
-        return cls(set_size=design.set_size, sets=plans, replications=design.cycles)
-
-
 # -- file formats --------------------------------------------------------------
 
 
@@ -352,17 +328,18 @@ def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def parse_design_file(path: str) -> UnbalancedDesign:
-    """Read an unbalanced design: one `cycle;partition;measured` line per set.
+def parse_design_file(path: str) -> Design:
+    """Read a design: one `cycle;partition;measured` line per set.
 
     Partitions use `1-3|4-5|6` syntax.  Blank lines and lines starting with
-    `#` are skipped.  The set size is the largest rank mentioned.
+    `#` are skipped.  The set size is the largest rank mentioned.  An error
+    in a line names it as path:line.
     """
     return _design_from_lines(path, _read_lines(path))
 
 
-def _design_from_lines(path: str, lines: tp.Sequence[str]) -> UnbalancedDesign:
-    """The unbalanced design in the lines read from path (see parse_design_file)."""
+def _design_from_lines(path: str, lines: tp.Sequence[str]) -> Design:
+    """The design in the lines read from path (see parse_design_file)."""
     plans: list[SetPlan] = []
     partitions: dict[str, tuple[tuple[int, ...], ...]] = {}  # each distinct partition text, parsed once
     for lineno, raw in enumerate(lines, start=1):
@@ -376,10 +353,11 @@ def _design_from_lines(path: str, lines: tp.Sequence[str]) -> UnbalancedDesign:
             cycle = int(parts[0])
             partition = partitions.get(parts[1]) or partitions.setdefault(parts[1], _parse_partition(parts[1]))
             measured = int(parts[2])
+            _check_set(cycle, measured, len(partition))
         except ValueError as e:
             raise DesignError(f"{path}:{lineno}: {e}") from e
-        plans.append(SetPlan(cycle=cycle, partition=partition, measured=measured))
+        plans.append(SetPlan(cycle, partition, measured))
     if not plans:
         raise DesignError(f"{path}: no sets defined")
     set_size = max(max(map(max, partition)) for partition in partitions.values())
-    return UnbalancedDesign(set_size=set_size, sets=tuple(plans))
+    return Design(set_size, tuple(plans))

@@ -14,12 +14,12 @@ over the open quantile domain; the routes differ only in (alpha, beta, w):
 
 Complete-data PROS information is n I_srs + K; measurements-only information
 integrates each set's full score, each set's gamma being its misplacement row
-times its partition's block weights (densities.block_table), in one helper that
-fi_unbalanced and fi_pros_marginal both call: a balanced design's sets are one
-run of one partition, with no UnbalancedDesign built.  The Monte Carlo route
-estimates -E[d^2 log L / dtheta^2] at simulated draws and reports a standard
-error per matrix entry; it is the check the quadrature identities are tested
-against.
+times its partition's block weights (densities.block_table), in one core that
+fi_unbalanced and fi_pros_marginal enter with the runs of sets sharing a
+partition; a balanced design is one run, whose rows are its misplacement
+matrix.  The Monte Carlo route estimates -E[d^2 log L / dtheta^2] at simulated
+draws and reports a standard error per matrix entry; it is the check the
+quadrature identities are tested against.
 A draw's log likelihood is log f(x) + log w(F(x)), so by the chain rule its
 Hessian is d^2 log f + (w'/w) d^2 F + (w''/w - (w'/w)^2) dF dF^T, with w and
 its t-derivatives at the t = F(x) that sampling.block_draws returns with x (in
@@ -32,14 +32,13 @@ same size, RE2 against an RSS benchmark.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import typing as tp
 
 import numpy as np
 
 from . import densities, numerics, sampling
-from .designs import Design, DesignError, MisplacementMatrix, UnbalancedDesign, alpha_entries, make_balanced_design
+from .designs import Design, DesignError, MisplacementMatrix, alpha_entries, make_balanced_design
 from .models import Model, from_standard, require_fi_regular, score_information, unit_entries
 
 DEFAULT_REPS = 50_000
@@ -147,8 +146,7 @@ def fi_pros_complete(
         return _quadrature_fi(model, per_cycle * cycles, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
-    rows = UnbalancedDesign.from_design(design).measured_rows()
-    return _mc_fi(model, set_size, rows, lambda _, u, t: _rank_logw_dt(set_size, u, t),
+    return _mc_fi(model, set_size, design.measured_runs(), lambda _, u, t: _rank_logw_dt(set_size, u, t),
                   reps, seed, workers, cycles, label)
 
 
@@ -164,56 +162,50 @@ def fi_pros_marginal(
     """Measurements-only information of a balanced design under misplacement alpha.
 
     Per cycle this is n I_srs + sum_r E[(d g_r)(d g_r)^T / g_r], with perfect
-    subsetting the identity alpha: the one-cycle case of fi_unbalanced, whose
-    score outer product is exact for any partition, by quadrature on its kernel
-    (the design's sets are one run) and by mc through it.  Unbalanced partitions
-    go through fi_unbalanced itself.
+    subsetting the identity alpha: fi_unbalanced of the design's one cycle.
     """
     require_fi_regular(model)
     if not design.is_balanced:
         raise InformationError("design is unbalanced; use fi_unbalanced")
-    label = f"{design.label()} marginal"
-    if method == "quadrature":
-        runs = [(design.subsets, alpha_entries(alpha, design.n))]
-        return _quadrature_fi(model, _set_information(model, design.set_size, runs) * design.cycles, label)
-    fi = fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}, method, reps, seed, workers)
-    return dataclasses.replace(fi, design_label=label)
+    runs = [(design.subsets, alpha_entries(alpha, design.n))]  # the sets' one run, measuring blocks 1..n in order
+    return _measured_fi(model, design, runs, method, reps, seed, workers, f"{design.label()} marginal")
 
 
 def fi_unbalanced(
     model: Model,
-    ud: UnbalancedDesign,
-    alphas: tp.Mapping[int, MisplacementMatrix] | None = None,
+    design: Design,
+    alphas: tp.Mapping[int, MisplacementMatrix | None] | None = None,
     method: str = "quadrature",
     reps: int = DEFAULT_REPS,
     seed: int = numerics.DEFAULT_SEED,
     workers: int = 1,
 ) -> FIResult:
-    """Measurements-only information of an unbalanced design.
+    """Measurements-only information of any design, cycle i under misplacement alphas[i].
 
     Each measurement's marginal density is f(x) gamma(F(x)) with gamma the
     alpha-mixed block weight of its judgment set, so its information is
     int_0^1 s s^T gamma dt with score s = d log f + (gamma'/gamma) dF, summed
-    over all sets and cycles.  This is exact for any partition;
-    fi_pros_marginal is its balanced one-cycle case.
+    over all sets and cycles, exact for any partition.
     """
     require_fi_regular(model)
-    label = f"{ud.label()} marginal"
-    rows = ud.measured_rows(alphas)
-    groups = itertools.groupby(rows, key=lambda sp_row: sp_row[0].partition)  # runs of sets with one partition
-    runs = [(part, np.array([r for _, r in g])) for part, g in groups]
+    label = f"{design.label(as_unbalanced=True)} marginal"
+    return _measured_fi(model, design, design.measured_runs(alphas), method, reps, seed, workers, label)
 
+
+def _measured_fi(model: Model, design: Design, runs: list, method: str, reps: int, seed: int, workers: int,
+                 label: str) -> FIResult:
+    """The information of one measurement per set of design, whose misplacement rows are runs."""
     if method == "quadrature":
-        return _quadrature_fi(model, _set_information(model, ud.set_size, runs) * ud.replications, label)
+        return _quadrature_fi(model, _set_information(model, design.set_size, runs) * design.replications, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
-    coefs = np.concatenate([densities.rank_coefficients(ud.set_size, part, a) for part, a in runs])
+    coefs = np.concatenate([densities.rank_coefficients(design.set_size, part, a) for part, a in runs])
 
     def logw_dt(i: int, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, w1, w2 = densities.bernstein_series(coefs[i], t)
         return w1 / w, w2 / w - (w1 / w) ** 2
 
-    return _mc_fi(model, ud.set_size, rows, logw_dt, reps, seed, workers, ud.replications, label)
+    return _mc_fi(model, design.set_size, runs, logw_dt, reps, seed, workers, design.replications, label)
 
 
 def _set_information(model: Model, set_size: int, runs: tp.Sequence[tuple[tp.Any, np.ndarray]]) -> np.ndarray:
@@ -221,7 +213,8 @@ def _set_information(model: Model, set_size: int, runs: tp.Sequence[tuple[tp.Any
     rows are the sets' misplacement rows over that partition's blocks."""
 
     def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        g, gd = np.concatenate([a @ densities.block_table(set_size, part, t, s) for part, a in runs], axis=1)
+        tables = [a @ densities.block_table(set_size, part, t, s) for part, a in runs]
+        g, gd = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
         return 1.0, gd / g, g
 
     return score_information(model, set_coefficients)
@@ -243,19 +236,20 @@ def _rank_logw_dt(set_size: int, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarr
 
 
 def _mc_fi(
-    model: Model, set_size: int, rows: tp.Sequence[tuple[tp.Any, np.ndarray]], logw_dt: tp.Callable[..., tuple],
+    model: Model, set_size: int, runs: tp.Sequence[tuple[tp.Any, np.ndarray]], logw_dt: tp.Callable[..., tuple],
     reps: int, seed: int, workers: int, multiplier: int, label: str,
 ) -> FIResult:
-    """multiplier x the mean -Hessian of one draw per set of rows; logw_dt(i, u, t) is set i's (log w)', (log w)''.
+    """multiplier x the mean -Hessian of one draw per set of runs; logw_dt(i, u, t) is set i's (log w)', (log w)''.
 
     Runs on the standard member; a negative diagonal entry (too few replicates) raises numerics.NumericsError.
     """
     std = model.standard()[0]
+    rows = [(part, row) for part, a in runs for row in a]
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         total = 0.0
-        for i, (sp, row) in enumerate(rows):
-            x, u, t = sampling.block_draws(std, set_size, sp.partition, row, rng, count)
+        for i, (partition, row) in enumerate(rows):
+            x, u, t = sampling.block_draws(std, set_size, partition, row, rng, count)
             total = total + std.neg_hessian(x, *logw_dt(i, u, t))
         return total
 
@@ -357,9 +351,13 @@ def verify_lemma_identity(
 
     One replicate is one perfect cycle; phi_u(0) = u - 1 and phi_u(1) = S - u.
     Both sides equal n (S-1) E[G(X)], returned as `reference` via quadrature.
+
+    :raises InformationError: the design's sets do not measure each block of one partition once.
     """
     n, S = design.n, design.set_size
-    rows = UnbalancedDesign.from_design(design).measured_rows()
+    if sorted(sp.measured for sp in design.sets) != list(range(1, n + 1)):
+        raise InformationError("the rank-sum identity needs one set measuring each block of the partition once")
+    rows = [(part, row) for part, a in design.measured_runs() for row in a]
 
     def g_of_quantile(t: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.asarray(G(model.quantile(t, s)), dtype=float), t.shape)[None]
@@ -369,8 +367,8 @@ def verify_lemma_identity(
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         t0 = np.zeros(count)
         t1 = np.zeros(count)
-        for sp, row in rows:
-            x, u, F = sampling.block_draws(model, S, sp.partition, row, rng, count)
+        for partition, row in rows:
+            x, u, F = sampling.block_draws(model, S, partition, row, rng, count)
             gx = np.asarray(G(x), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 t0 += np.where(u > 1, (u - 1) * gx / F, 0.0)

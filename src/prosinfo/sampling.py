@@ -6,10 +6,11 @@ block's misplacement-mixed weight (densities.rank_coefficients), so source
 block h comes with probability alpha[r, h] and u is uniform among h's ranks;
 then t ~ Beta(u, S+1-u) and the value is the order statistic
 X_(u:S) = F^{-1}(t), which has the same joint law of (value, rank) as drawing
-S values, sorting them and measuring the u-th.  draw_unbalanced_pros makes one such call per judgment set
-for all replications at once, and draw_pros is its one-cycle case.  The true
-rank of every measured unit is recorded, which is what the complete-data
-information estimators and the latent-rank diagnostics consume.
+S values, sorting them and measuring the u-th.  One private sampler makes one
+such call per judgment set of a designs.Design, for all replications at once;
+draw_unbalanced_pros and draw_pros are its two entries.  The true rank of every
+measured unit is recorded, which is what the complete-data information
+estimators and the latent-rank diagnostics consume.
 
 Ranking quality is modeled on the Dell and Clutter concomitant scheme: the
 ranker perceives W = rho * Z + sqrt(1 - rho^2) * eps instead of the
@@ -25,7 +26,7 @@ import typing as tp
 import numpy as np
 
 from . import densities, numerics
-from .designs import Design, MisplacementMatrix, UnbalancedDesign, _check_partition, identity_alpha
+from .designs import Design, MisplacementMatrix, _check_partition, identity_alpha
 from .models import Model
 
 DC_REPS = 5000  # simulated judgment sets per Dell-Clutter estimate, unless a request names its own
@@ -81,31 +82,30 @@ def draw_pros(
 ) -> ProsSample:
     """One PROS sample: N cycles of n judgment sets, one measurement per set.
 
-    Set r targets block r; under misplacement the measured unit comes from
+    Set r targets block r; under misplacement (alpha, in every cycle) the measured unit comes from
     block h with probability alpha[r, h], uniformly among that block's ranks.
-    This is the one-cycle unbalanced design of draw_unbalanced_pros.
     """
-    ud = UnbalancedDesign.from_design(design)
-    return dataclasses.replace(draw_unbalanced_pros(model, ud, {1: alpha}, seed), design_label=design.label())
+    return _draw(model, design, dict.fromkeys(design.cycle_ids, alpha), seed, design.label())
 
 
 def draw_unbalanced_pros(
     model: Model,
-    ud: UnbalancedDesign,
+    design: Design,
     alphas: tp.Mapping[int, MisplacementMatrix | None] | None = None,
     seed: int = numerics.DEFAULT_SEED,
 ) -> ProsSample:
-    """K measurements per replication following each set's own partition and target block.
+    """K measurements per replication following each set's own partition and target block."""
+    return _draw(model, design, alphas, seed, design.label(as_unbalanced=True))
 
-    Each set draws all its replications at once through block_draws; rows are
-    ordered by replication, then cycle, then set within the cycle.
-    """
+
+def _draw(model: Model, design: Design, alphas: tp.Mapping | None, seed: int, label: str) -> ProsSample:
+    """Each set draws all its replications through block_draws; rows by replication, cycle, then set."""
     rng = numerics.substream(seed)
-    rows = ud.measured_rows(alphas)
+    rows = design.measured_rows(alphas)
     columns = []
     for sp, row in rows:
         with np.errstate(over="ignore", invalid="ignore"):
-            x, u, _t = block_draws(model, ud.set_size, sp.partition, row, rng, ud.replications)
+            x, u, _t = block_draws(model, design.set_size, sp.partition, row, rng, design.replications)
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"{model.label()} gave a non-finite draw in cycle {sp.cycle}")
         columns.append((x, u, np.searchsorted([b[0] for b in sp.partition], u, side="right")))
@@ -113,7 +113,7 @@ def draw_unbalanced_pros(
     cycle = np.array([sp.cycle for sp, _ in rows])
     # rows come grouped by cycle, so a set's index is its offset from its cycle's first row
     set_index = np.arange(1, len(rows) + 1) - np.searchsorted(cycle, cycle)
-    reps = ud.replications
+    reps = design.replications
     return ProsSample(
         values=values,
         cycle=(np.arange(reps)[:, None] * cycle[-1] + cycle).ravel(),
@@ -121,7 +121,7 @@ def draw_unbalanced_pros(
         target_subset=np.tile([sp.measured for sp, _ in rows], reps),
         source_subset=source,
         true_rank=ranks,
-        design_label=ud.label(),
+        design_label=label,
     )
 
 
@@ -265,14 +265,14 @@ def estimate_dell_clutter_alpha(
 
 
 def estimate_unbalanced_alphas(
-    model: Model, ud: UnbalancedDesign, cfg: DellClutterConfig
+    model: Model, design: Design, cfg: DellClutterConfig
 ) -> dict[int, MisplacementMatrix]:
     """Per-cycle misplacement matrices, cycle i calibrated at cfg.seed + i - 1; a cycle's sets share one partition."""
     out: dict[int, MisplacementMatrix] = {}
-    for i in ud.cycle_ids:
-        partitions = {sp.partition for sp in ud.sets_in_cycle(i)}
+    for i in design.cycle_ids:
+        partitions = {sp.partition for sp in design.sets if sp.cycle == i}
         if len(partitions) > 1:
             raise SamplingError(f"cycle {i} mixes partitions; Dell-Clutter calibration needs one per cycle")
         cycle_cfg = dataclasses.replace(cfg, seed=cfg.seed + i - 1)
-        out[i] = estimate_alpha_for_partition(model, ud.set_size, partitions.pop(), cycle_cfg)
+        out[i] = estimate_alpha_for_partition(model, design.set_size, partitions.pop(), cycle_cfg)
     return out

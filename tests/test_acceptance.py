@@ -338,8 +338,7 @@ def test_criterion_9_worker_count_reproducibility(capsys, monkeypatch):
                              workers=workers)
         m = fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.8), method="mc",
                              reps=20_000, seed=DEFAULT_SEED, workers=workers)
-        ud = UnbalancedDesign.from_design(design)
-        u = fi_unbalanced(model, ud, method="mc", reps=20_000, seed=DEFAULT_SEED,
+        u = fi_unbalanced(model, design, method="mc", reps=20_000, seed=DEFAULT_SEED,
                           workers=workers)
         lem = verify_lemma_identity(model, design, lambda x: x, reps=20_000,
                                     seed=DEFAULT_SEED, workers=workers)

@@ -16,11 +16,9 @@ from prosinfo import (
     UnbalancedDesign,
     bernstein_series,
     block_weight,
-    density,
     family_names,
     identity_alpha,
     integrate_unit_interval,
-    latent_conditional,
     make_balanced_design,
     make_model,
     make_symmetric_alpha,
@@ -31,14 +29,25 @@ from prosinfo import (
 T_GRID = np.linspace(0.02, 0.98, 25)
 
 
+def _density(model, coef, x):
+    """f(x) w(F(x)) of one coefficient row: Model.pdf times bernstein_series at the cdf."""
+    return model.pdf(x) * bernstein_series(coef, model.cdf(x))[0]
+
+
 def _order_stat_pdf(model, u, S, x):
     """Density of the u-th order statistic of a size-S sample."""
-    return density(model, rank_coefficients(S, ((u,),), [1.0]), x)
+    return _density(model, rank_coefficients(S, ((u,),), [1.0]), x)
 
 
 def _subset_pdf(model, design, r, x):
     """Density of a unit judged perfectly into subset r."""
-    return density(model, rank_coefficients(design.set_size, (design.subset(r),), [1.0]), x)
+    return _density(model, rank_coefficients(design.set_size, (design.subsets[r - 1],), [1.0]), x)
+
+
+def _latent_rank_probabilities(model, S, ranks, x):
+    """P(latent rank u | measured value x) for the ranks u of a block: its order-statistic densities, normalized."""
+    dens = np.array([_order_stat_pdf(model, u, S, x) for u in ranks])
+    return dens / dens.sum()
 
 
 def _imperfect_coefficients(design, alpha, r):
@@ -168,7 +177,7 @@ def test_subset_pdf_integrates_to_one(S, n):
     design = make_balanced_design(S, n)
     for r in range(1, n + 1):
         got = integrate_unit_interval(
-            lambda t: block_weight(S, design.subset(r), t)
+            lambda t: block_weight(S, design.subsets[r - 1], t)
         )
         np.testing.assert_allclose(got, 1.0, atol=1e-8, err_msg=f"subset {r}")
 
@@ -204,14 +213,14 @@ def test_imperfect_mixture_recovers_parent():
     alpha = make_symmetric_alpha(2, 0.65)
     model = make_model("exponential")
     xs = np.array([model.quantile(u) for u in np.linspace(0.02, 0.98, 50)])
-    total = sum(density(model, _imperfect_coefficients(design, alpha, r), xs) for r in (1, 2))
+    total = sum(_density(model, _imperfect_coefficients(design, alpha, r), xs) for r in (1, 2))
     np.testing.assert_allclose(total, 2.0 * model.pdf(xs), atol=1e-10)
 
 
 def test_g_factor_dimension_mismatch():
     design = make_balanced_design(6, 2)
     with pytest.raises(DesignError):
-        unbalanced_weight(UnbalancedDesign.from_design(design), 1, 1, identity_alpha(3), 0.5)
+        unbalanced_weight(design, 1, 1, identity_alpha(3), 0.5)
     with pytest.raises(DensityError):
         _g_factor(make_model("normal"), design, identity_alpha(3), 1, 0.0)
 
@@ -236,10 +245,10 @@ def test_unbalanced_pdf_uniform_values():
     uniform = make_model("uniform")
     # measured block {3,4,5,6}: (1/4) sum of the four upper order statistics
     np.testing.assert_allclose(uniform.pdf(0.5) * unbalanced_weight(ud, 2, 2, identity_alpha(2), 0.5), 1.21875)
-    np.testing.assert_allclose(density(uniform, rank_coefficients(6, ((3, 4, 5, 6),), [1.0]), 0.5), 1.21875)
+    np.testing.assert_allclose(_density(uniform, rank_coefficients(6, ((3, 4, 5, 6),), [1.0]), 0.5), 1.21875)
     # measured block {1,2}: (1/2)(f_(1:6) + f_(2:6)) at the median
     np.testing.assert_allclose(uniform.pdf(0.5) * unbalanced_weight(ud, 2, 1, identity_alpha(2), 0.5), 0.5625)
-    np.testing.assert_allclose(density(uniform, rank_coefficients(6, ((1, 2),), [1.0]), 0.5), 0.5625)
+    np.testing.assert_allclose(_density(uniform, rank_coefficients(6, ((1, 2),), [1.0]), 0.5), 0.5625)
 
 
 def test_unbalanced_weights_mix_to_parent():
@@ -257,14 +266,13 @@ def test_unbalanced_weights_mix_to_parent():
 
 def test_unbalanced_matches_balanced_machinery():
     design = make_balanced_design(6, 2)
-    ud = UnbalancedDesign.from_design(design)
     model = make_model("normal")
     alpha = make_symmetric_alpha(2, 0.7)
     xs = np.array([model.quantile(u) for u in np.linspace(0.03, 0.97, 20)])
     for r in (1, 2):
         np.testing.assert_allclose(
-            model.pdf(xs) * unbalanced_weight(ud, 1, r, alpha, model.cdf(xs)),
-            density(model, _imperfect_coefficients(design, alpha, r), xs),
+            model.pdf(xs) * unbalanced_weight(design, 1, r, alpha, model.cdf(xs)),
+            _density(model, _imperfect_coefficients(design, alpha, r), xs),
             atol=1e-10,
         )
 
@@ -277,62 +285,11 @@ def test_unbalanced_index_validation():
         unbalanced_weight(ud, 2, 1, identity_alpha(3), 0.5)
 
 
-def test_latent_conditional_values():
-    from prosinfo import Design
-
+def test_latent_rank_probabilities_values():
     model = make_model("uniform")
-    np.testing.assert_allclose(latent_conditional(model, make_balanced_design(1, 1), 1, 0.3), [1.0])
-    both = Design(2, ((1, 2),))
-    np.testing.assert_allclose(latent_conditional(model, both, 1, 0.5), [0.5, 0.5])
-    np.testing.assert_allclose(latent_conditional(model, both, 1, 0.25), [0.75, 0.25])
-    # above the support every order statistic of the bottom block vanishes
-    with pytest.raises(DensityError):
-        latent_conditional(model, make_balanced_design(2, 2), 1, 2.0)
-
-
-def test_latent_conditional_sums_to_one():
-    model = make_model("normal")
-    design = make_balanced_design(6, 2)
-    for x in (-1.3, 0.0, 0.4, 2.1):
-        probs = latent_conditional(model, design, 2, x)
-        assert probs.shape == (3,)
-        np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
-        assert np.all(probs >= 0.0)
-
-
-@pytest.mark.parametrize("r, x", [(4, -6.0), (4, -5.5), (4, -5.0), (1, 5.0), (1, 5.5), (1, 6.0)])
-def test_latent_conditional_deep_in_a_tail(r, x):
-    # the top block far below the median, and its mirror image, against binomial log-pmfs;
-    # b_u(t) is the Binomial(S-1, t) pmf at u-1, equivalently Binomial(S-1, 1-t) at S-u
-    from scipy.stats import binom, norm
-
-    design = make_balanced_design(64, 4)
-    u = np.asarray(design.subset(r))
-    log_w = binom.logpmf(u - 1, 63, norm.cdf(x)) if x < 0 else binom.logpmf(64 - u, 63, norm.sf(x))
-    want = np.exp(log_w - sps.logsumexp(log_w))
-    got = latent_conditional(make_model("normal"), design, r, x)
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
-
-
-@pytest.mark.parametrize(
-    "fam, r, x",
-    [("normal", 4, -38.0), ("normal", 4, -39.0), ("normal", 1, 38.0), ("normal", 1, 39.0),
-     ("logistic", 4, -800.0), ("logistic", 1, 800.0), ("extreme_value", 1, 7.0)],
-)
-def test_latent_conditional_where_the_cdf_underflows(fam, r, x):
-    # F(x) or 1 - F(x) rounds to 0 here, but the point lies inside the support; the oracle
-    # forms log b_u(F(x)) from scipy's log-cdf and log-sf, with log C(63, k) from the
-    # Binomial(63, 1/2) log-pmf (the constant 63 log 2 cancels in the normalization)
-    from scipy import stats
-
-    dist = {"normal": stats.norm, "logistic": stats.logistic, "extreme_value": stats.gumbel_l}[fam]
-    design = make_balanced_design(64, 4)
-    k = np.asarray(design.subset(r)) - 1
-    log_w = stats.binom.logpmf(k, 63, 0.5) + k * dist.logcdf(x) + (63 - k) * dist.logsf(x)
-    want = np.exp(log_w - sps.logsumexp(log_w))
-    got = latent_conditional(make_model(fam), design, r, x)
-    assert np.all(np.isfinite(got)) and got.sum() == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-300)
+    np.testing.assert_allclose(_latent_rank_probabilities(model, 1, (1,), 0.3), [1.0])
+    np.testing.assert_allclose(_latent_rank_probabilities(model, 2, (1, 2), 0.5), [0.5, 0.5])
+    np.testing.assert_allclose(_latent_rank_probabilities(model, 2, (1, 2), 0.25), [0.75, 0.25])
 
 
 def test_large_set_sizes_stay_finite():
@@ -353,15 +310,10 @@ def test_alpha_weight_row_length_mismatch():
 
 
 def test_scalar_points_give_floats():
-    model = make_model("normal")
     design = make_balanced_design(6, 2)
     alpha = make_symmetric_alpha(2, 0.7)
-    ud = UnbalancedDesign.from_design(design)
     for value in (
-        _order_stat_pdf(model, 2, 6, 0.3),
-        _subset_pdf(model, design, 1, 0.3),
-        density(model, _imperfect_coefficients(design, alpha, 1), 0.3),
-        unbalanced_weight(ud, 1, 1, alpha, 0.3),
+        unbalanced_weight(design, 1, 1, alpha, 0.3),
         block_weight(6, (1, 2, 3), 0.3),
     ):
         assert type(value) is float
@@ -491,11 +443,11 @@ def test_densities_match_beta_oracle(case):
     f, t = model.pdf(x), model.cdf(x)
     for u in {1, (S + 1) // 2, S}:
         np.testing.assert_allclose(_order_stat_pdf(model, u, S, x), f * beta.pdf(t, u, S + 1 - u), rtol=1e-10)
-    mix = sum(density(model, _imperfect_coefficients(design, alpha, r), x) for r in range(1, n + 1)) / n
+    mix = sum(_density(model, _imperfect_coefficients(design, alpha, r), x) for r in range(1, n + 1)) / n
     np.testing.assert_allclose(mix, f, rtol=1e-10)
-    ranks = np.asarray(design.subset(n))
+    ranks = np.asarray(design.subsets[n - 1])
     dens = beta.pdf(t[3], ranks, S + 1 - ranks)
-    np.testing.assert_allclose(latent_conditional(model, design, n, float(x[3])), dens / dens.sum(), rtol=1e-10)
+    np.testing.assert_allclose(_latent_rank_probabilities(model, S, ranks, float(x[3])), dens / dens.sum(), rtol=1e-10)
 
 
 def test_rank_coefficients_stacked_rows_match_the_per_rank_loop():

@@ -17,17 +17,22 @@ from prosinfo import (
 )
 
 
+def _one_cycle(set_size, partition, replications=1):
+    """The one-cycle design whose sets measure the blocks of partition once each, in order."""
+    return Design(set_size, tuple(SetPlan(1, partition, r) for r in range(1, len(partition) + 1)), replications)
+
+
 def test_balanced_design_six_two():
     design = make_balanced_design(6, 2)
     assert design.subsets == ((1, 2, 3), (4, 5, 6))
     assert design.n == 2
     assert design.m == 3
     assert design.is_balanced
-    assert design.block_sizes == (3, 3)
+    assert tuple(map(len, design.subsets)) == (3, 3)
 
 
 def test_srs_and_rss_special_cases():
-    assert make_balanced_design(1, 1, cycles=4).cycles == 4
+    assert make_balanced_design(1, 1, cycles=4).replications == 4
     rss = rss_design(3)
     assert rss.subsets == ((1,), (2,), (3,))
     assert rss.set_size == 3
@@ -43,30 +48,34 @@ def test_balanced_design_requires_divisor():
 
 
 def test_design_subsets_must_be_consecutive_cover():
-    Design(4, ((1, 2), (3, 4)))
+    _one_cycle(4, ((1, 2), (3, 4)))
     with pytest.raises(DesignError):
-        Design(4, ((1, 3), (2, 4)))  # not consecutive
+        _one_cycle(4, ((1, 3), (2, 4)))  # not consecutive
     with pytest.raises(DesignError):
-        Design(4, ((1, 2), (4,)))  # gap
+        _one_cycle(4, ((1, 2), (4,)))  # gap
     with pytest.raises(DesignError):
-        Design(4, ((1, 2),))  # does not cover
+        _one_cycle(4, ((1, 2),))  # does not cover
     with pytest.raises(DesignError):
-        Design(4, ())
+        _one_cycle(4, ())
     with pytest.raises(DesignError):
-        Design(4, ((1, 2), (3, 4)), cycles=0)
+        _one_cycle(4, ((1, 2), (3, 4)), replications=0)
+    with pytest.raises(DesignError, match=r"^cycles must be >= 1, got 0$"):
+        make_balanced_design(4, 2, cycles=0)
 
 
 def test_design_accessors():
-    design = Design(6, ((1, 2), (3, 4, 5), (6,)), cycles=2)
+    design = _one_cycle(6, ((1, 2), (3, 4, 5), (6,)), replications=2)
     assert not design.is_balanced
-    assert design.subset(2) == (3, 4, 5)
-    with pytest.raises(DesignError):
-        design.subset(0)
-    with pytest.raises(DesignError):
-        design.subset(4)
+    assert design.subsets[1] == (3, 4, 5)
+    assert design.n == 3
     with pytest.raises(DesignError):
         design.m  # only defined for equal blocks
-    assert design.label() == "PROS(n=3, S=6, N=2)"
+    assert design.label() == "UPROS(K=3, S=6, N=2)"
+    assert make_balanced_design(6, 3, cycles=2).label() == "PROS(n=3, S=6, N=2)"
+    assert make_balanced_design(6, 3).label(as_unbalanced=True) == "UPROS(K=3, S=6, N=1)"
+    two = Design(6, (SetPlan(1, ((1, 2, 3), (4, 5, 6)), 1), SetPlan(2, ((1, 2), (3, 4, 5, 6)), 1)))
+    with pytest.raises(DesignError, match="share one partition"):
+        two.subsets
 
 
 def test_symmetric_alpha_values():
@@ -167,7 +176,7 @@ def test_unbalanced_design_basics():
     assert ud.cycle_ids == (1, 2)
     assert ud.n_subsets(1) == 3
     assert ud.n_subsets(2) == 2
-    assert len(ud.sets_in_cycle(2)) == 2
+    assert [sp.measured for sp in ud.sets if sp.cycle == 2] == [1, 2]
     assert ud.label() == "UPROS(K=5, S=6, N=1)"
 
 
@@ -183,20 +192,28 @@ def test_unbalanced_design_validation():
         UnbalancedDesign(set_size=6, sets=())
     with pytest.raises(DesignError):
         UnbalancedDesign(set_size=6, sets=(plan,), replications=0)
-    with pytest.raises(DesignError):
-        SetPlan(1, ((1, 2, 3), (4, 5, 6)), 3)  # measured block out of range
-    with pytest.raises(DesignError):
-        SetPlan(0, ((1, 2, 3), (4, 5, 6)), 1)
+    with pytest.raises(DesignError, match=r"^measured subset 3 out of range 1..2$"):
+        UnbalancedDesign(set_size=6, sets=(SetPlan(1, ((1, 2, 3), (4, 5, 6)), 3),))
+    with pytest.raises(DesignError, match=r"^cycle must be >= 1, got 0$"):
+        UnbalancedDesign(set_size=6, sets=(plan, SetPlan(0, ((1, 2, 3), (4, 5, 6)), 1)))
 
 
-def test_unbalanced_from_design():
+def test_balanced_design_is_the_one_cycle_design():
     design = make_balanced_design(6, 2, cycles=3)
-    ud = UnbalancedDesign.from_design(design)
-    assert ud.K == 2
-    assert ud.replications == 3
-    for plan in ud.sets:
+    assert design.K == 2
+    assert design.replications == 3
+    assert design.cycle_ids == (1,)
+    for plan in design.sets:
         assert plan.partition == ((1, 2, 3), (4, 5, 6))
-    assert tuple(plan.measured for plan in ud.sets) == (1, 2)
+    assert tuple(plan.measured for plan in design.sets) == (1, 2)
+    assert design == _one_cycle(6, ((1, 2, 3), (4, 5, 6)), replications=3)
+    # one cycle of one partition of equal blocks, each measured once in order, and nothing else, is balanced
+    assert _one_cycle(6, ((1, 2, 3), (4, 5, 6))).is_balanced
+    blocks = ((1, 2, 3), (4, 5, 6))
+    for sets in ((SetPlan(1, blocks, 2), SetPlan(1, blocks, 1)), (SetPlan(1, blocks, 1),),
+                 (SetPlan(1, blocks, 1), SetPlan(1, blocks, 2), SetPlan(2, blocks, 1), SetPlan(2, blocks, 2)),
+                 (SetPlan(1, blocks, 1), SetPlan(2, blocks, 2))):
+        assert not Design(6, sets).is_balanced
 
 
 def test_measured_rows_pairs_each_set_with_its_row():
@@ -217,13 +234,35 @@ def test_measured_rows_pairs_each_set_with_its_row():
 
 
 def test_measured_rows_rejects_wrong_size_and_stray_cycles():
-    ud = UnbalancedDesign.from_design(make_balanced_design(6, 2))
+    ud = make_balanced_design(6, 2)
     with pytest.raises(DesignError, match=r"^misplacement matrix is 3x3, cycle 1 has 2 subsets$"):
         ud.measured_rows({1: identity_alpha(3)})
     with pytest.raises(DesignError, match="cycle 2"):
         ud.measured_rows({2: make_symmetric_alpha(2, 0.6)})
     with pytest.raises(DesignError, match="cycle 2"):
         ud.measured_rows({1: None, 2: identity_alpha(2)})
+
+
+def test_measured_runs_stack_the_rows_of_sets_sharing_a_partition():
+    first, second = ((1, 2, 3), (4, 5), (6,)), ((1, 2), (3, 4, 5, 6))
+    sets = (SetPlan(2, second, 2), SetPlan(1, first, 3), SetPlan(3, second, 1), SetPlan(1, first, 1),
+            SetPlan(2, second, 1))
+    design = Design(6, sets)
+    alphas = {1: make_symmetric_alpha(3, 0.7), 3: make_symmetric_alpha(2, 0.9)}
+    runs = design.measured_runs(alphas)
+    # cycle order; equal partitions of consecutive cycles form one run
+    assert [part for part, _ in runs] == [first, second]
+    np.testing.assert_array_equal(runs[0][1], [alphas[1].row(3), alphas[1].row(1)])
+    np.testing.assert_array_equal(runs[1][1], [[0.0, 1.0], [1.0, 0.0], alphas[3].row(1)])
+    rows = design.measured_rows(alphas)
+    assert [sp for sp, _ in rows] == [sets[1], sets[3], sets[0], sets[4], sets[2]]
+    assert [r.tolist() for _, a in runs for r in a] == [row.tolist() for _, row in rows]
+    assert design.cycle_ids == (1, 2, 3)
+    assert [design.n_subsets(i) for i in design.cycle_ids] == [3, 2, 2]
+    with pytest.raises(DesignError, match="^no cycle 4 in this design$"):
+        design.n_subsets(4)
+    assert design.sets == sets  # listed order
+    assert not design.is_balanced and design.label() == "UPROS(K=5, S=6, N=1)"
 
 
 def test_parse_design_file(tmp_path):
@@ -294,17 +333,21 @@ def test_each_distinct_partition_is_parsed_and_checked_once(tmp_path, monkeypatc
     ud = parse_design_file(path)
     assert calls == {"_parse_partition": 2, "_check_partition": 2}
     assert ud.sets[0].partition == ud.sets[1].partition == ((1, 2), (3, 4, 5, 6))
-    design = make_balanced_design(12, 3)
     calls.update(_check_partition=0)
-    from_design = UnbalancedDesign.from_design(design)
-    assert calls["_check_partition"] == 1  # the unbalanced view of the three sets checks their one partition
-    assert all(sp.partition == design.subsets for sp in from_design.sets)
+    design = make_balanced_design(12, 3)
+    assert calls["_check_partition"] == 1  # the three sets of a balanced design check their one partition
+    assert all(sp.partition == design.subsets for sp in design.sets)
 
 
-def test_set_plan_builds_a_partition_given_in_other_types():
-    plan = SetPlan(np.int64(1), [[np.int64(1), 2.0], (3,)], 1)
+def test_design_builds_a_partition_given_in_other_types():
+    design = Design(3, (SetPlan(np.int64(1), [[np.int64(1), 2.0], (3,)], 1),))
+    plan = design.sets[0]
     assert plan.partition == ((1, 2), (3,))
     assert all(type(u) is int for block in plan.partition for u in block)
+    assert hash(design) == hash(Design(3, (SetPlan(1, ((1, 2), (3,)), 1),)))
+    two = Design(3, (SetPlan(1, [[1, 2], [3]], 2), SetPlan(2, ((1,), (2, 3)), 1)))
+    assert [sp.partition for sp in two.sets] == [((1, 2), (3,)), ((1,), (2, 3))]
+    assert all(type(block) is tuple for sp in two.sets for block in sp.partition)
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -315,6 +358,8 @@ def test_set_plan_builds_a_partition_given_in_other_types():
     ("1;1-2|3-x;1\n", "plan.txt:1: invalid literal for int() with base 10: 'x'"),
     ("1;1-2|6-3;1\n", "plan.txt:1: descending block '6-3' in partition '1-2|6-3'"),
     ("1;1-2|3-6;1\n1;1-2||3-6;2\n", "plan.txt:2: empty block in partition '1-2||3-6'"),
+    ("1;1-3|4-6;1\n1;1-3|4-6;3\n", "plan.txt:2: measured subset 3 out of range 1..2"),
+    ("1;1-3|4-6;1\n0;1-3|4-6;1\n", "plan.txt:2: cycle must be >= 1, got 0"),
 ])
 def test_design_file_errors_keep_their_messages(tmp_path, lines, message):
     path = tmp_path / "plan.txt"

@@ -8,6 +8,7 @@ from prosinfo import (
     Design,
     EntropyError,
     NumericsError,
+    SetPlan,
     kl_likelihood_chain,
     kl_pros_srs,
     make_balanced_design,
@@ -180,8 +181,12 @@ def test_kl_pros_srs_nonnegative_and_bounded(S, n):
 
 
 def test_kl_pros_srs_requires_balanced():
-    with pytest.raises(EntropyError):
-        kl_pros_srs(make_model("normal"), Design(6, ((1, 2), (3, 4, 5, 6))))
+    blocks = ((1, 2), (3, 4, 5, 6))
+    unequal = Design(6, (SetPlan(1, blocks, 1), SetPlan(1, blocks, 2)))
+    with pytest.raises(EntropyError, match="^KL information is defined here for balanced designs$"):
+        kl_pros_srs(make_model("normal"), unequal)
+    with pytest.raises(EntropyError, match="^the likelihood chain is defined for balanced designs$"):
+        kl_likelihood_chain(make_model("normal"), unequal)
 
 
 def test_kl_chain_ordering():

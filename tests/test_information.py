@@ -57,7 +57,7 @@ def test_quadrature_routes_match_chained_info_matrix_arithmetic(family):
         (fi_pros_complete(model, n, S, cycles).matrix, InfoMatrix(unit.scaled(n).entries + k.entries).scaled(cycles)),
         (
             fi_pros_marginal(model, design, alpha).matrix,
-            fi_unbalanced(model, UnbalancedDesign.from_design(design), {1: alpha}).matrix,
+            fi_unbalanced(model, design, {1: alpha}).matrix,
         ),
     ):
         assert got.entries.tobytes() == want.entries.tobytes()
@@ -251,10 +251,11 @@ def test_relative_efficiency_is_free_of_the_scale(sigma):
 
 
 def test_marginal_rejects_unbalanced_designs():
-    from prosinfo import Design
+    from prosinfo import Design, SetPlan
 
-    with pytest.raises(InformationError):
-        fi_pros_marginal(make_model("normal"), Design(6, ((1, 2), (3, 4, 5, 6))))
+    blocks = ((1, 2), (3, 4, 5, 6))
+    with pytest.raises(InformationError, match="^design is unbalanced; use fi_unbalanced$"):
+        fi_pros_marginal(make_model("normal"), Design(6, (SetPlan(1, blocks, 1), SetPlan(1, blocks, 2))))
     with pytest.raises(DesignError):
         fi_pros_marginal(make_model("normal"), make_balanced_design(6, 2), identity_alpha(3))
 
@@ -327,9 +328,8 @@ def test_complete_information_refuses_a_design_that_cannot_exist(n, set_size, me
 def test_unbalanced_balanced_case_matches_marginal():
     model = make_model("normal")
     design = make_balanced_design(6, 2)
-    ud = UnbalancedDesign.from_design(design)
     alpha = make_symmetric_alpha(2, 0.75)
-    a = fi_unbalanced(model, ud, {1: alpha}).matrix.as_array()
+    a = fi_unbalanced(model, design, {1: alpha}).matrix.as_array()
     b = fi_pros_marginal(model, design, alpha).matrix.as_array()
     np.testing.assert_allclose(a, b, atol=1e-6)
 
@@ -343,7 +343,7 @@ def test_marginal_information_matches_srs_plus_gain_decomposition(family, S, n):
     # oracle: n I_srs from the unit matrix plus the ranking gain sum_r E[(d g_r)(d g_r)^T / g_r], the
     # kernel with v = (g_r' / g_r) dF and w = g_r; at p = 1/n every g_r is 1 and the gain vanishes
     model = make_model(family)
-    ud = UnbalancedDesign.from_design(make_balanced_design(S, n))
+    ud = make_balanced_design(S, n)
     unit = model.fisher_srs_unit().entries
     for p in (0.3, 0.7, 1.0, 1.0 / n):
         alpha = make_symmetric_alpha(n, p)
@@ -366,27 +366,57 @@ PARITY_MODELS = (*((f, {}) for f in GATE_FAMILIES if f != "gamma"), ("gamma", {"
 @pytest.mark.parametrize("S, n", ((2, 2), (6, 1), (6, 3), (12, 4), (64, 4)))
 @pytest.mark.parametrize("cycles", (1, 3))
 def test_balanced_quadrature_matches_its_unbalanced_design_bit_for_bit(family, params, S, n, cycles):
-    # fi_pros_marginal reads the design's one run of sets without building the unbalanced design, through the
-    # kernel fi_unbalanced runs on that design
+    # fi_pros_marginal hands the design's one run of sets, its misplacement matrix, to the kernel that
+    # fi_unbalanced runs on the rows it stacks per run
     model = make_model(family, **params)
     design = make_balanced_design(S, n, cycles)
-    ud = UnbalancedDesign.from_design(design)
     alphas = [None, MisplacementMatrix(np.full((n, n), 1.0 / n))] + ([make_symmetric_alpha(n, 0.6)] if n > 1 else [])
     for alpha in alphas:
         got = fi_pros_marginal(model, design, alpha)
-        want = fi_unbalanced(model, ud, {1: alpha})
+        want = fi_unbalanced(model, design, {1: alpha})
         assert got.method == want.method == "quadrature"
         assert got.matrix.entries.tobytes() == want.matrix.entries.tobytes(), alpha
     wrong = make_symmetric_alpha(n + 1, 0.6)
     with pytest.raises(DesignError) as balanced:
         fi_pros_marginal(model, design, wrong)
     with pytest.raises(DesignError) as unbalanced:
-        fi_unbalanced(model, ud, {1: wrong})
+        fi_unbalanced(model, design, {1: wrong})
     assert type(balanced.value) is type(unbalanced.value) and str(balanced.value) == str(unbalanced.value)
 
 
+def test_lemma_identity_refuses_a_design_that_does_not_measure_each_block_once():
+    # with block 1 measured twice, one replicate is not a perfect cycle and the identity's reference does not hold
+    from prosinfo import Design, SetPlan
+
+    blocks = ((1, 2, 3), (4, 5, 6))
+    for sets in ((SetPlan(1, blocks, 1), SetPlan(1, blocks, 1)), (SetPlan(1, blocks, 2),)):
+        with pytest.raises(InformationError, match="each block of the partition once"):
+            verify_lemma_identity(make_model("normal"), Design(6, sets), lambda x: x, reps=100)
+    unequal = Design(6, (SetPlan(1, ((1, 2), (3, 4, 5, 6)), 2), SetPlan(1, ((1, 2), (3, 4, 5, 6)), 1)))
+    check = verify_lemma_identity(make_model("normal"), unequal, lambda x: x * x, reps=8_000, seed=SEED)
+    assert check.reference == pytest.approx(10.0)
+    assert abs(check.lambda0.value - check.reference) <= 4.0 * check.lambda0.std_error
+    assert abs(check.lambda1.value - check.reference) <= 4.0 * check.lambda1.std_error
+
+
+def test_balanced_entries_never_call_the_unbalanced_names(monkeypatch):
+    # fi_pros_marginal and draw_pros run the shared private cores themselves, so a traced request through
+    # either counts one call
+    from prosinfo import draw_pros, information, sampling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a balanced entry called the unbalanced one")
+
+    monkeypatch.setattr(information, "fi_unbalanced", refuse)
+    monkeypatch.setattr(sampling, "draw_unbalanced_pros", refuse)
+    model, design, alpha = make_model("normal"), make_balanced_design(6, 2), make_symmetric_alpha(2, 0.8)
+    assert fi_pros_marginal(model, design, alpha).design_label == "PROS(n=2, S=6, N=1) marginal"
+    assert fi_pros_marginal(model, design, alpha, method="mc", reps=2000, seed=SEED).method == "mc"
+    assert draw_pros(model, design, alpha, seed=SEED).design_label == "PROS(n=2, S=6, N=1)"
+
+
 def test_unbalanced_rejects_a_matrix_for_a_missing_cycle():
-    ud = UnbalancedDesign.from_design(make_balanced_design(6, 2))
+    ud = make_balanced_design(6, 2)
     with pytest.raises(DesignError, match="cycle 2"):
         fi_unbalanced(make_model("normal"), ud, {2: make_symmetric_alpha(2, 0.6)})
 
@@ -475,7 +505,7 @@ def test_mc_routes_reject_workers_below_one(workers):
     calls = [
         lambda: fi_pros_complete(model, 2, 6, method="mc", reps=5000, workers=workers),
         lambda: fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.8), method="mc", reps=5000, workers=workers),
-        lambda: fi_unbalanced(model, UnbalancedDesign.from_design(design), method="mc", reps=5000, workers=workers),
+        lambda: fi_unbalanced(model, design, method="mc", reps=5000, workers=workers),
         lambda: verify_lemma_identity(model, design, lambda x: x, reps=5000, workers=workers),
     ]
     for call in calls:
@@ -491,7 +521,6 @@ def test_uniform_family_is_rejected_by_every_route():
 
     model = make_model("uniform")
     design = make_balanced_design(6, 2)
-    ud = UnbalancedDesign.from_design(design)
     calls = [lambda: k_matrix(model, 2, 6), lambda: fisher_srs(model, 2),
              lambda: regression_fi(model, [-1.0, 1.0], 2, 3)]
     for method in ("quadrature", "mc"):
@@ -499,7 +528,7 @@ def test_uniform_family_is_rejected_by_every_route():
         calls += [
             lambda o=opts: fi_pros_complete(model, 2, 6, **o),
             lambda o=opts: fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.8), **o),
-            lambda o=opts: fi_unbalanced(model, ud, **o),
+            lambda o=opts: fi_unbalanced(model, design, **o),
         ]
     for call in calls:
         with pytest.raises(ModelError, match="not FI-regular"):

@@ -136,9 +136,8 @@ def test_draw_unbalanced_counts_and_max_block():
 
 def test_draw_unbalanced_balanced_case_matches_parent_mixture():
     design = make_balanced_design(4, 2, cycles=8_000)
-    ud = UnbalancedDesign.from_design(design)
     model = make_model("exponential")
-    pooled = draw_unbalanced_pros(model, ud, seed=SEED).values
+    pooled = draw_unbalanced_pros(model, design, seed=SEED).values
     assert stats.kstest(pooled, model.cdf).pvalue > 0.01
 
 
@@ -176,7 +175,7 @@ def test_draw_pros_matches_the_sorting_procedure():
     design = make_balanced_design(6, 2, cycles=5_000)
     alpha = make_symmetric_alpha(2, 0.8)
     sample = draw_pros(model, design, alpha, seed=SEED)
-    _assert_same_law(sample, _sorting_oracle(model, UnbalancedDesign.from_design(design), {1: alpha}, SEED + 1), 2)
+    _assert_same_law(sample, _sorting_oracle(model, design, {1: alpha}, SEED + 1), 2)
 
 
 def test_draw_unbalanced_matches_the_sorting_procedure():
@@ -199,15 +198,27 @@ def test_draw_unbalanced_row_layout_follows_cycle_order():
     assert all(u in block for u, block in zip(sample.true_rank, blocks))
 
 
+def test_draw_pros_applies_its_matrix_to_every_cycle():
+    blocks = ((1, 2, 3), (4, 5, 6))
+    design = UnbalancedDesign(6, (SetPlan(1, blocks, 1), SetPlan(2, blocks, 2)), replications=50)
+    alpha = make_symmetric_alpha(2, 0.8)
+    got = draw_pros(make_model("normal"), design, alpha, seed=SEED)
+    want = draw_unbalanced_pros(make_model("normal"), design, {1: alpha, 2: alpha}, seed=SEED)
+    assert got.values.tobytes() == want.values.tobytes() and got.design_label == want.design_label
+    mixed = UnbalancedDesign(6, (SetPlan(1, blocks, 1), SetPlan(2, ((1,), (2,), (3, 4, 5, 6)), 1)))
+    with pytest.raises(DesignError, match="^misplacement matrix is 2x2, cycle 2 has 3 subsets$"):
+        draw_pros(make_model("normal"), mixed, alpha)
+
+
 def test_draw_unbalanced_rejects_a_matrix_for_a_missing_cycle():
-    ud = UnbalancedDesign.from_design(make_balanced_design(6, 2))
+    ud = make_balanced_design(6, 2)
     with pytest.raises(DesignError, match="cycle 2"):
         draw_unbalanced_pros(make_model("normal"), ud, {2: make_symmetric_alpha(2, 0.6)})
 
 
 def test_draw_unbalanced_refuses_a_non_finite_draw():
     # sigma = 1e308 sends every draw beyond about 1.8 standard deviations to -inf or inf
-    ud = UnbalancedDesign.from_design(make_balanced_design(6, 2, cycles=20))
+    ud = make_balanced_design(6, 2, cycles=20)
     with pytest.raises(SamplingError, match="non-finite draw"):
         draw_unbalanced_pros(make_model("normal", sigma=1e308), ud, seed=SEED)
 
@@ -416,7 +427,7 @@ def test_dell_clutter_refuses_blocks_that_do_not_partition_the_ranks(blocks):
 def test_dell_clutter_one_cycle_design_matches_its_balanced_design():
     # one seeding rule: cycle i of an unbalanced design is calibrated at seed + i - 1
     model, design, cfg = make_model("exponential"), make_balanced_design(6, 3), DellClutterConfig(0.75, 1_000, SEED)
-    per_cycle = estimate_unbalanced_alphas(model, UnbalancedDesign.from_design(design), cfg)
+    per_cycle = estimate_unbalanced_alphas(model, design, cfg)
     assert np.array_equal(per_cycle[1].entries, estimate_dell_clutter_alpha(model, design, cfg).entries)
 
 

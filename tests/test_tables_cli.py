@@ -236,6 +236,32 @@ def test_cli_one_cycle_design_file_matches_the_balanced_request(tmp_path, capsys
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("line, message", [
+    ("1;1-3|4-6;3", "measured subset 3 out of range 1..2"),
+    ("0;1-3|4-6;1", "cycle must be >= 1, got 0"),
+    ("1;1-3|4-6;x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_cli_design_file_errors_name_their_line(tmp_path, capsys, line, message):
+    plan = tmp_path / "bad3.txt"
+    plan.write_text(f"# plan\n1;1-3|4-6;1\n\n{line}\n")
+    _assert_one_line_refusal(["fisher", "--design-file", str(plan)], capsys)
+    _assert_one_line_refusal(["sample", "--design-file", str(plan)], capsys)
+
+
+def test_cli_design_line_names_the_request(tmp_path, capsys):
+    # a --set-size/--subsets request reports PROS(n, S, N), a --design-file request UPROS(K, S, N),
+    # also where the file lists a balanced design
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1;1-3|4-6;1\n1;1-3|4-6;2\n")
+    for args, line in (
+        (["--set-size", "6", "--subsets", "2", "--cycles", "3"], "design = PROS(n=2, S=6, N=3) marginal"),
+        (["--design-file", str(plan), "--cycles", "3"], "design = UPROS(K=2, S=6, N=3) marginal"),
+        (["--design-file", str(plan), "--mode", "unbalanced"], "design = UPROS(K=2, S=6, N=1) marginal"),
+    ):
+        assert main(["fisher", "--family", "normal", *args]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+
 def test_cli_entropy_uniform(capsys):
     rc = main(["entropy", "--family", "uniform", "--measure", "shannon", "--kind", "pros",
                "--subsets", "2", "--set-size", "2"])
@@ -296,6 +322,19 @@ def test_cli_sample_matches_golden_bytes(capsys):
                "--alpha", "symmetric:0.8", "--seed", "42"])
     assert rc == 0
     assert capsys.readouterr().out == (DATA / "sample_golden.csv").read_text()
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["sample", "--family", "gamma", "--cycles", "40", "--alpha", "symmetric:0.8", "--seed", "42"],
+     "design_sample_golden.csv"),
+    (["fisher", "--family", "exponential", "--alpha", "dellclutter:0.75", "--method", "mc", "--reps", "20000",
+      "--seed", "3"], "design_fisher_golden.txt"),
+])
+def test_cli_design_file_matches_golden_bytes(capsys, args, golden):
+    # the design-file sampler and the Monte Carlo information of a two-cycle design with Dell-Clutter matrices
+    rc = main(args + ["--design-file", _D_FILE])
+    assert rc == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
 def test_cli_table_output_file(tmp_path):
