@@ -292,6 +292,16 @@ def test_latent_rank_probabilities_values():
     np.testing.assert_allclose(_latent_rank_probabilities(model, 2, (1, 2), 0.25), [0.75, 0.25])
 
 
+def test_latent_rank_probabilities_sum_to_one():
+    model = make_model("normal")
+    ranks = make_balanced_design(6, 2).subsets[1]
+    for x in (-1.3, 0.0, 0.4, 2.1):
+        probs = _latent_rank_probabilities(model, 6, ranks, x)
+        assert probs.shape == (3,)
+        np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
+        assert np.all(probs >= 0.0)
+
+
 def test_large_set_sizes_stay_finite():
     # log-space binomials keep S = 64 weights representable
     val = block_weight(64, (32,), 0.5) / 64
@@ -405,6 +415,23 @@ def test_bernstein_series_at_the_ends_of_the_double_range(S, blocks, row):
     np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-300)
     scale = S * max(np.max(np.abs(ref)), np.max(np.abs(ref1)))
     np.testing.assert_allclose(w1, ref1, rtol=1e-10, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("r, x", [(1, -6.0), (1, -5.5), (1, -5.0), (4, 5.0), (4, 5.5), (4, 6.0)])
+def test_bernstein_series_deep_in_a_tail_keeps_relative_precision(r, x):
+    # the bottom block far below the median, and the top block far above it with s = sf(x), against
+    # binomial log-pmfs: b_u(t) is the Binomial(S-1, t) pmf at u-1, equivalently Binomial(S-1, s) at S-u;
+    # forming s as 1 - t above the median would cost up to 1e-6 relative here
+    from scipy.stats import binom, norm
+
+    design = make_balanced_design(64, 4)
+    u = np.asarray(design.subsets[r - 1])
+    t, s = norm.cdf(x), norm.sf(x)
+    want = np.exp(binom.logpmf(u - 1, 63, t) if x < 0 else binom.logpmf(64 - u, 63, s))
+    assert np.all(want > 1e-130)
+    np.testing.assert_allclose(bernstein_series(np.eye(64)[u - 1], t, s)[0], want, rtol=1e-12, atol=0.0)
+    block = bernstein_series(rank_coefficients(64, design.subsets, np.eye(4)[r - 1]), t, s)[0]
+    np.testing.assert_allclose(block, 4.0 * want.sum(), rtol=1e-12, atol=0.0)
 
 
 def test_bernstein_series_keeps_the_shape_of_many_stacked_points():
