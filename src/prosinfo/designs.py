@@ -80,26 +80,31 @@ class Design:
             raise DesignError("a design needs at least one set")
         sets = tuple(self.sets)
         cycles, given, measured = zip(*sets)
-        if given.count(given[0]) == cycles.count(1) == len(sets):  # one cycle of one partition, checked at once
+        if given.count(given[0]) == cycles.count(1) == len(sets):  # one cycle of one partition: no per-set loop
             part = _check_partition(self.set_size, given[0])
             for m in measured if not 1 <= min(measured) <= max(measured) <= len(part) else ():
                 _check_set(1, m, len(part))
             sets = sets if part is given[0] else tuple(SetPlan(1, part, m) for m in measured)
             counts, runs = {1: len(part)}, ((part, sets),)
         else:
-            checked: dict[int, tp.Any] = {}  # the checked form of each given partition, by the given one's id
+            checked: dict[tp.Any, tp.Any] = {}  # each distinct partition, by value, checked once
             counts = {}  # each cycle's subset count, from its first set
+            parts = []
             for cycle, p, m in sets:
-                part = checked.get(id(p)) or checked.setdefault(id(p), _check_partition(self.set_size, p))
+                try:
+                    part = checked.get(p) or checked.setdefault(p, _check_partition(self.set_size, p))
+                except TypeError:  # a partition given as lists: unhashable until checked
+                    part = _check_partition(self.set_size, p)
                 n_i = counts.setdefault(cycle, len(part))
                 if cycle < 1 or not 1 <= m <= n_i == len(part):
                     _check_set(cycle, m, len(part))
                     raise DesignError(f"cycle {cycle} mixes partitions with {n_i} and {len(part)} subsets")
+                parts.append(part)
             counts = dict(sorted(counts.items()))
             if list(counts) != list(range(1, len(counts) + 1)):
                 raise DesignError(f"cycle identifiers must be contiguous from 1, got {list(counts)}")
-            if any(checked[id(p)] is not p for p in given):
-                sets = tuple(SetPlan(c, checked[id(p)], m) for c, p, m in sets)
+            if any(map(operator.is_not, parts, given)):
+                sets = tuple(SetPlan(c, part, m) for c, part, m in zip(cycles, parts, measured))
             by_cycle = sorted(sets, key=operator.itemgetter(0))  # listed order within a cycle
             runs = tuple((part, tuple(run)) for part, run in itertools.groupby(by_cycle, operator.itemgetter(1)))
         part = runs[0][0]

@@ -146,8 +146,9 @@ def fi_pros_complete(
         return _quadrature_fi(model, per_cycle * cycles, label)
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
-    return _mc_fi(model, set_size, design.measured_runs(), lambda _, u, t: _rank_logw_dt(set_size, u, t),
-                  reps, seed, workers, cycles, label)
+    rows = [(sp.partition, row) for sp, row in design.measured_rows()]
+    return _mc_fi(model, set_size, rows, lambda _, u, t: _rank_logw_dt(set_size, u, t), reps, seed, workers, cycles,
+                  label)
 
 
 def fi_pros_marginal(
@@ -205,7 +206,8 @@ def _measured_fi(model: Model, design: Design, runs: list, method: str, reps: in
         w, w1, w2 = densities.bernstein_series(coefs[i], t)
         return w1 / w, w2 / w - (w1 / w) ** 2
 
-    return _mc_fi(model, design.set_size, runs, logw_dt, reps, seed, workers, design.replications, label)
+    rows = [(part, row) for part, a in runs for row in a]
+    return _mc_fi(model, design.set_size, rows, logw_dt, reps, seed, workers, design.replications, label)
 
 
 def _set_information(model: Model, set_size: int, runs: tp.Sequence[tuple[tp.Any, np.ndarray]]) -> np.ndarray:
@@ -214,7 +216,7 @@ def _set_information(model: Model, set_size: int, runs: tp.Sequence[tuple[tp.Any
 
     def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         tables = [a @ densities.block_table(set_size, part, t, s) for part, a in runs]
-        g, gd = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+        g, gd = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)  # one run: no copy
         return 1.0, gd / g, g
 
     return score_information(model, set_coefficients)
@@ -236,15 +238,14 @@ def _rank_logw_dt(set_size: int, u: np.ndarray, t: np.ndarray) -> tuple[np.ndarr
 
 
 def _mc_fi(
-    model: Model, set_size: int, runs: tp.Sequence[tuple[tp.Any, np.ndarray]], logw_dt: tp.Callable[..., tuple],
+    model: Model, set_size: int, rows: tp.Sequence[tuple[tp.Any, np.ndarray]], logw_dt: tp.Callable[..., tuple],
     reps: int, seed: int, workers: int, multiplier: int, label: str,
 ) -> FIResult:
-    """multiplier x the mean -Hessian of one draw per set of runs; logw_dt(i, u, t) is set i's (log w)', (log w)''.
+    """multiplier x the mean -Hessian of one draw per set of rows; logw_dt(i, u, t) is set i's (log w)', (log w)''.
 
     Runs on the standard member; a negative diagonal entry (too few replicates) raises numerics.NumericsError.
     """
     std = model.standard()[0]
-    rows = [(part, row) for part, a in runs for row in a]
 
     def batch(rng: np.random.Generator, count: int) -> np.ndarray:
         total = 0.0
@@ -357,7 +358,7 @@ def verify_lemma_identity(
     n, S = design.n, design.set_size
     if sorted(sp.measured for sp in design.sets) != list(range(1, n + 1)):
         raise InformationError("the rank-sum identity needs one set measuring each block of the partition once")
-    rows = [(part, row) for part, a in design.measured_runs() for row in a]
+    rows = [(sp.partition, row) for sp, row in design.measured_rows()]
 
     def g_of_quantile(t: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.asarray(G(model.quantile(t, s)), dtype=float), t.shape)[None]

@@ -337,6 +337,11 @@ def test_each_distinct_partition_is_parsed_and_checked_once(tmp_path, monkeypatc
     design = make_balanced_design(12, 3)
     assert calls["_check_partition"] == 1  # the three sets of a balanced design check their one partition
     assert all(sp.partition == design.subsets for sp in design.sets)
+    calls.update(_check_partition=0)
+    fresh = [tuple(tuple(range(lo, lo + 3)) for lo in (1, 4)) for _ in range(3)]  # equal, but distinct objects
+    two = Design(6, (SetPlan(1, fresh[0], 1), SetPlan(1, fresh[1], 2), SetPlan(2, fresh[2], 1)))
+    assert calls["_check_partition"] == 1  # a partition is checked once by value, not once per object
+    assert all(sp.partition is fresh[0] for sp in two.sets)
 
 
 def test_design_builds_a_partition_given_in_other_types():

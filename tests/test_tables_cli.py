@@ -244,8 +244,8 @@ def test_cli_one_cycle_design_file_matches_the_balanced_request(tmp_path, capsys
 def test_cli_design_file_errors_name_their_line(tmp_path, capsys, line, message):
     plan = tmp_path / "bad3.txt"
     plan.write_text(f"# plan\n1;1-3|4-6;1\n\n{line}\n")
-    _assert_one_line_refusal(["fisher", "--design-file", str(plan)], capsys)
-    _assert_one_line_refusal(["sample", "--design-file", str(plan)], capsys)
+    _assert_one_line_refusal(["fisher", "--design-file", str(plan)], capsys, flag=f"{plan}:4: {message}")
+    _assert_one_line_refusal(["sample", "--design-file", str(plan)], capsys, flag=f"{plan}:4: {message}")
 
 
 def test_cli_design_line_names_the_request(tmp_path, capsys):
