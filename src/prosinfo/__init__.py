@@ -46,7 +46,6 @@ from .densities import (
     unbalanced_weight,
 )
 from .sampling import (
-    DellClutterConfig,
     ProsSample,
     SamplingError,
     block_draws,

@@ -35,7 +35,7 @@ from .designs import (
 )
 from .entropy import EntropyError
 from .models import Model, ModelError, family_names, make_model
-from .sampling import DellClutterConfig, SamplingError
+from .sampling import SamplingError
 
 __all__ = ["RunConfig", "TableCell", "run_table", "run_custom", "cells_to_csv", "cells_to_markdown", "main"]
 
@@ -201,7 +201,7 @@ class _Grid(tp.NamedTuple):
     ) -> list[list[MisplacementMatrix]]:
         """The matrix of partitions[i] at levels[j] as [i][j]; calibrated levels share one draw of sets."""
         if self.method == _DC_METHOD:
-            return sampling.estimate_alphas(model, set_size, partitions, self.levels, sampling.DC_REPS, seed)
+            return sampling.estimate_alphas(model, set_size, partitions, self.levels, seed=seed)
         return [[make_symmetric_alpha(len(partition), p) for p in self.levels] for partition in partitions]
 
 
@@ -356,7 +356,7 @@ def _alphas(cfg: RunConfig, inputs: _Inputs, model: Model, ud: Design) -> dict[i
     if kind == "symmetric":
         return {i: make_symmetric_alpha(ud.n_subsets(i), tp.cast(float, value)) for i in ud.cycle_ids}
     if kind == "dellclutter":
-        return sampling.estimate_unbalanced_alphas(model, ud, DellClutterConfig(tp.cast(float, value), seed=cfg.seed))
+        return sampling.estimate_unbalanced_alphas(model, ud, tp.cast(float, value), seed=cfg.seed)
     return {i: tp.cast(MisplacementMatrix, value) for i in ud.cycle_ids}
 
 
@@ -513,10 +513,9 @@ def run_custom(cfg: RunConfig) -> str:
     if text is None:
         if alpha_lines is not None:
             value = designs._misplacement_from_lines(paths[0], alpha_lines)
-        design = None if design_lines is None else designs._design_from_lines(cfg.design_file, design_lines)
         # the file fixes S and every partition, and --cycles replicates it
-        inputs = _Inputs((kind, value), design and dataclasses.replace(design, replications=cfg.cycles))
-        text = runners[cfg.subcommand](cfg, inputs)
+        design = None if design_lines is None else designs._design_from_lines(paths[1], design_lines, cfg.cycles)
+        text = runners[cfg.subcommand](cfg, _Inputs((kind, value), design))
         _REPORTS.put(key, text)
     return text
 

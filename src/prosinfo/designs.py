@@ -24,17 +24,30 @@ class DesignError(ValueError):
     """Invalid design description or misplacement matrix."""
 
 
+def _whole(value: tp.Any, what: str) -> int:
+    """value as an int.  :raises DesignError: value is not an integer, whatever its type."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DesignError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_partition(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The subsets (as int tuples if given otherwise): nonempty consecutive rank blocks covering 1..set_size."""
+    """The subsets as int tuples, built anew only if given otherwise: nonempty consecutive rank blocks covering
+    1..set_size.  :raises DesignError: otherwise, or a rank that is not an integer."""
     if not len(subsets):
         raise DesignError("a design needs at least one subset")
+    exact = type(subsets) is tuple  # a tuple of int tuples, kept as given
     flat: list[int] = []
     for block in subsets:
-        if type(block) is not tuple or type(subsets) is not tuple:
-            return _check_partition(set_size, tuple(tuple(int(u) for u in block) for block in subsets))
-        if not block:
+        if not len(block):
             raise DesignError("empty subset in partition")
+        exact = exact and type(block) is tuple
         flat.extend(block)
+    if not exact or [*map(type, flat)].count(int) != len(flat):  # a list, or a rank such as 2.0, np.int64, True
+        return _check_partition(set_size, tuple(tuple(_whole(u, "rank") for u in block) for block in subsets))
     if flat != list(range(1, set_size + 1)):
         raise DesignError(f"subsets must be consecutive rank blocks partitioning 1..{set_size}, got {subsets!r}")
     return subsets
@@ -60,8 +73,10 @@ def _check_set(cycle: int, measured: int, n: int) -> None:
 class Design:
     """Judgment sets grouped into cycles, the whole list drawn `replications` times (N).
 
-    Each distinct partition is checked once, each set by int comparisons.  Construction works out each cycle's
-    subset count, the runs of sets sharing a partition in cycle order, and is_balanced.
+    Each set is stored as a SetPlan of ints: a rank, cycle or measured block of another integral type (2.0,
+    np.int64) becomes an int, and a non-integral one is refused.  Each distinct partition is checked once, each
+    set by int comparisons.  Construction works out each cycle's subset count, the runs of sets sharing a
+    partition in cycle order, and is_balanced.
     """
 
     set_size: int
@@ -80,6 +95,10 @@ class Design:
             raise DesignError("a design needs at least one set")
         sets = tuple(self.sets)
         cycles, given, measured = zip(*sets)
+        if [*map(type, sets)].count(SetPlan) + [*map(type, cycles + measured)].count(int) < 3 * len(sets):
+            # a set that is no SetPlan, or a cycle or measured block that is no int
+            sets = tuple(SetPlan(_whole(c, "cycle"), p, _whole(m, "measured subset")) for c, p, m in sets)
+            cycles, given, measured = zip(*sets)
         if given.count(given[0]) == cycles.count(1) == len(sets):  # one cycle of one partition: no per-set loop
             part = _check_partition(self.set_size, given[0])
             for m in measured if not 1 <= min(measured) <= max(measured) <= len(part) else ():
@@ -343,8 +362,8 @@ def parse_design_file(path: str) -> Design:
     return _design_from_lines(path, _read_lines(path))
 
 
-def _design_from_lines(path: str, lines: tp.Sequence[str]) -> Design:
-    """The design in the lines read from path (see parse_design_file)."""
+def _design_from_lines(path: str, lines: tp.Sequence[str], replications: int = 1) -> Design:
+    """The design in the lines read from path (see parse_design_file), drawn `replications` times."""
     plans: list[SetPlan] = []
     partitions: dict[str, tuple[tuple[int, ...], ...]] = {}  # each distinct partition text, parsed once
     for lineno, raw in enumerate(lines, start=1):
@@ -365,4 +384,4 @@ def _design_from_lines(path: str, lines: tp.Sequence[str]) -> Design:
     if not plans:
         raise DesignError(f"{path}: no sets defined")
     set_size = max(max(map(max, partition)) for partition in partitions.values())
-    return Design(set_size, tuple(plans))
+    return Design(set_size, tuple(plans), replications)

@@ -165,22 +165,15 @@ class Model:
         return out if np.ndim(x) else float(out)
 
     def cdf(self, x: FloatArray) -> FloatArray:
-        return self._clamped(_family(self.family).cdf, 0.0, x)
-
-    def sf(self, x: FloatArray) -> FloatArray:
-        """Survival function 1 - F(x), with full relative precision where F(x) rounds to 1."""
-        return self._clamped(_family(self.family).sf, 1.0, x)
-
-    def _clamped(self, fn: tp.Callable, below: float, x: FloatArray) -> FloatArray:
-        _, c, loc, scale = self._frame()
+        fam, c, loc, scale = self._frame()
         lo, hi = self.support()
         xa = np.asarray(x, dtype=float)
         out = np.full_like(xa, np.nan)  # a NaN x is neither below, inside nor above
         inside = (xa > lo) & (xa < hi)
-        out[xa <= lo] = below
-        out[xa >= hi] = 1.0 - below
+        out[xa <= lo] = 0.0
+        out[xa >= hi] = 1.0
         if np.any(inside):
-            out[inside] = np.clip(fn(c, (xa[inside] - loc) / scale), 0.0, 1.0)
+            out[inside] = np.clip(fam.cdf(c, (xa[inside] - loc) / scale), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
     def logpdf(self, x: FloatArray) -> FloatArray:
@@ -210,13 +203,12 @@ class Model:
         partials = fam.standard_partials(c, (xa - loc) / scale)
         return tuple(np.stack([np.broadcast_to(d[i], xa.shape) for i in pos], axis=axis) / scale for d in partials)
 
-    def quantile_scores(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, d log f, dF) at x = F^{-1}(t), s = 1 - t, from one evaluation, kept per model at integrate's nodes;
-        d log f and dF are contiguous (p, len(t)) arrays, one row per active parameter."""
+    def quantile_scores(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d log f, dF) at x = F^{-1}(t), s = 1 - t, from one evaluation, kept per model at integrate's nodes:
+        contiguous (p, len(t)) arrays, one row per active parameter."""
 
-        def build(_: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            x = self.quantile(t, s)
-            return (x, *self._scores(x, axis=0))
+        def build(_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return self._scores(self.quantile(t, s), axis=0)
 
         return numerics.node_memo(self, t, build)
 
@@ -320,7 +312,7 @@ def score_information(model: Model, coefficients: tp.Callable[[np.ndarray, np.nd
     std = model.standard()[0]
 
     def terms(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, d_logf, d_cdf = std.quantile_scores(t, s)
+        d_logf, d_cdf = std.quantile_scores(t, s)
         alpha, beta, w = coefficients(t, s)
         v = [np.asarray(c) * d[:, None] for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
         return sum(v[1:], v[0]), w
@@ -443,7 +435,7 @@ class _Family:
     """A family stated once, at its standard member: location 0, scale 1 and the shape as given.
 
     Model alone maps the standard variable z to x = loc + scale z, and picks the active parameters.  Each callable
-    takes the parameters by name first and reads only the shape: pdf, cdf and sf are f0, F0 and 1 - F0 of z,
+    takes the parameters by name first and reads only the shape: pdf and cdf are f0 and F0 of z,
     quantile is F0^{-1} of (t, s = 1 - t or None), and mean, var and fisher_unit (None where quadrature gives it)
     are the standard member's.  loc and scale name those parameters, None where the family has none.  Every
     derivative runs over free, the parameters that may be active, in param_names order: the shapes, then loc, then
@@ -454,7 +446,6 @@ class _Family:
     scale: str | None
     pdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     cdf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
-    sf: tp.Callable[[dict[str, float], np.ndarray], np.ndarray]
     quantile: tp.Callable[[dict[str, float], np.ndarray, np.ndarray | None], np.ndarray]
     mean: tp.Callable[[dict[str, float]], float]
     var: tp.Callable[[dict[str, float]], float]
@@ -677,7 +668,6 @@ _FAMILIES: dict[str, _Family] = {
         "mu", "sigma",
         pdf=lambda c, z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
         cdf=lambda c, z: _ndtr(z),
-        sf=lambda c, z: _ndtr(-z),
         quantile=lambda c, t, s: _ndtri(t, s),
         psi=lambda c, z: -z,
         dpsi=lambda c, z: -1.0,
@@ -690,7 +680,6 @@ _FAMILIES: dict[str, _Family] = {
         support=(0.0, math.inf),
         pdf=lambda c, z: np.exp(-z),
         cdf=lambda c, z: -np.expm1(-z),
-        sf=lambda c, z: np.exp(-z),
         quantile=lambda c, t, s: -_log1m(t, s),
         psi=lambda c, z: -1.0,
         dpsi=lambda c, z: 0.0,
@@ -702,7 +691,6 @@ _FAMILIES: dict[str, _Family] = {
         "mu", "sigma",
         pdf=_logistic_pdf0,
         cdf=lambda c, z: _expit(z),
-        sf=lambda c, z: _expit(-z),
         quantile=lambda c, t, s: np.log(t) - _log1m(t, s),
         psi=lambda c, z: -np.tanh(0.5 * z),
         dpsi=lambda c, z: -2.0 * _logistic_pdf0(c, z),
@@ -714,7 +702,6 @@ _FAMILIES: dict[str, _Family] = {
         "mu", "sigma",
         pdf=lambda c, z: np.exp(z - np.exp(z)),
         cdf=lambda c, z: -np.expm1(-np.exp(z)),
-        sf=lambda c, z: np.exp(-np.exp(z)),
         quantile=lambda c, t, s: np.log(-_log1m(t, s)),
         psi=lambda c, z: 1.0 - np.exp(z),
         dpsi=lambda c, z: -np.exp(z),
@@ -732,7 +719,6 @@ _FAMILIES: dict[str, _Family] = {
         support=(0.0, math.inf),
         pdf=lambda c, z: np.exp((c["shape"] - 1.0) * np.log(z) - z - math.lgamma(c["shape"])),
         cdf=lambda c, z: _scipy_special().gammainc(c["shape"], z),
-        sf=lambda c, z: _scipy_special().gammaincc(c["shape"], z),
         quantile=lambda c, t, s: _gamma_quantile(c["shape"], t, s),
         partials=_gamma_partials,
         neg_hessian=_gamma_neg_hessian,
@@ -746,7 +732,6 @@ _FAMILIES: dict[str, _Family] = {
         support=(0.0, 1.0),
         pdf=lambda c, z: np.ones_like(z),
         cdf=lambda c, z: z,
-        sf=lambda c, z: 1.0 - z,
         quantile=lambda c, t, s: t,
         psi=lambda c, z: 0.0,
         dpsi=lambda c, z: 0.0,
@@ -761,7 +746,6 @@ _FAMILIES: dict[str, _Family] = {
         support=(0.0, math.inf),
         pdf=_mixture_pdf,
         cdf=_mixture_cdf,
-        sf=_mixture_sf,
         quantile=_mixture_quantile,
         partials=_mixture_partials,
         neg_hessian=_mixture_neg_hessian,

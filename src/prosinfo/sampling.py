@@ -15,7 +15,9 @@ estimators and the latent-rank diagnostics consume.
 Ranking quality is modeled on the Dell and Clutter concomitant scheme: the
 ranker perceives W = rho * Z + sqrt(1 - rho^2) * eps instead of the
 standardized response Z.  estimate_alphas tallies the induced block confusion
-of every requested partition at every rho from one simulated draw of sets.
+of every requested partition at every rho from one simulated draw of sets; it
+and its three one-matrix entries all take rho (or rhos), reps = DC_REPS and
+seed = DEFAULT_SEED as plain arguments.
 """
 
 from __future__ import annotations
@@ -163,27 +165,6 @@ def block_draws(
     return np.asarray(model.quantile(t)), u, t
 
 
-@dataclasses.dataclass(frozen=True)
-class DellClutterConfig:
-    """Stage-1 settings for estimating the misplacement matrix by simulation.
-
-    :param rho: correlation between the standardized response and the ranker's
-        perception; 1 is exact ranking, 0 is random ranking.
-    :param reps: number of simulated judgment sets.
-    :param seed: stream seed for the stage-1 draws.
-    """
-
-    rho: float
-    reps: int = DC_REPS
-    seed: int = numerics.DEFAULT_SEED
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise SamplingError(f"rho must lie in [0, 1], got {self.rho!r}")
-        if self.reps < 1:
-            raise SamplingError(f"reps must be >= 1, got {self.reps}")
-
-
 def _sinkhorn(a: np.ndarray, iterations: int = 100, tol: float = 1e-10) -> np.ndarray:
     """Project a nonnegative matrix onto the doubly stochastic set by row/column scaling."""
     a = np.array(a, dtype=float)
@@ -202,7 +183,7 @@ def _sinkhorn(a: np.ndarray, iterations: int = 100, tol: float = 1e-10) -> np.nd
 
 def estimate_alphas(
     model: Model, set_size: int, partitions: tp.Sequence[tp.Sequence[tp.Sequence[int]]], rhos: tp.Sequence[float],
-    reps: int, seed: int,
+    reps: int = DC_REPS, seed: int = numerics.DEFAULT_SEED,
 ) -> list[list[MisplacementMatrix]]:
     """Dell-Clutter matrices out[i][j] of partitions[i] at rhos[j], all tallied from one draw of reps sets at seed.
 
@@ -210,12 +191,15 @@ def estimate_alphas(
     symmetrized with their transpose and projected to doubly stochastic form, and rho = 1 gives the identity.
     Each rho sorts the perceptions once for every partition, so an entry equals a call with its pair alone.
 
+    :raises SamplingError: a rho outside [0, 1], or reps below 1.
     :raises DesignError: a partition is not consecutive blocks covering 1..set_size.
     """
-    for blocks in partitions:
-        _check_partition(set_size, blocks)
     for rho in rhos:
-        DellClutterConfig(rho, reps, seed)  # refuses rho outside [0, 1] and reps < 1
+        if not 0.0 <= rho <= 1.0:  # 1 is exact ranking, 0 random ranking
+            raise SamplingError(f"rho must lie in [0, 1], got {rho!r}")
+    if reps < 1:
+        raise SamplingError(f"reps must be >= 1, got {reps}")
+    partitions = [_check_partition(set_size, blocks) for blocks in partitions]
     if all(len(blocks) == 1 for blocks in partitions):
         return [[identity_alpha(1)] * len(rhos) for _ in partitions]
     rng = numerics.substream(seed)
@@ -251,28 +235,28 @@ def estimate_alphas(
 
 
 def estimate_alpha_for_partition(
-    model: Model, set_size: int, blocks: tp.Sequence[tp.Sequence[int]], cfg: DellClutterConfig
+    model: Model, set_size: int, blocks: tp.Sequence[tp.Sequence[int]], rho: float, reps: int = DC_REPS,
+    seed: int = numerics.DEFAULT_SEED,
 ) -> MisplacementMatrix:
     """Dell-Clutter block confusion of an arbitrary consecutive partition: estimate_alphas of one pair."""
-    return estimate_alphas(model, set_size, [blocks], [cfg.rho], cfg.reps, cfg.seed)[0][0]
+    return estimate_alphas(model, set_size, [blocks], [rho], reps, seed)[0][0]
 
 
 def estimate_dell_clutter_alpha(
-    model: Model, design: Design, cfg: DellClutterConfig
+    model: Model, design: Design, rho: float, reps: int = DC_REPS, seed: int = numerics.DEFAULT_SEED
 ) -> MisplacementMatrix:
     """Misplacement matrix induced by rho-quality ranking on the design's partition (see estimate_alphas)."""
-    return estimate_alpha_for_partition(model, design.set_size, design.subsets, cfg)
+    return estimate_alpha_for_partition(model, design.set_size, design.subsets, rho, reps, seed)
 
 
 def estimate_unbalanced_alphas(
-    model: Model, design: Design, cfg: DellClutterConfig
+    model: Model, design: Design, rho: float, reps: int = DC_REPS, seed: int = numerics.DEFAULT_SEED
 ) -> dict[int, MisplacementMatrix]:
-    """Per-cycle misplacement matrices, cycle i calibrated at cfg.seed + i - 1; a cycle's sets share one partition."""
+    """Per-cycle misplacement matrices, cycle i calibrated at seed + i - 1; a cycle's sets share one partition."""
     out: dict[int, MisplacementMatrix] = {}
     for i in design.cycle_ids:
         partitions = {sp.partition for sp in design.sets if sp.cycle == i}
         if len(partitions) > 1:
             raise SamplingError(f"cycle {i} mixes partitions; Dell-Clutter calibration needs one per cycle")
-        cycle_cfg = dataclasses.replace(cfg, seed=cfg.seed + i - 1)
-        out[i] = estimate_alpha_for_partition(model, design.set_size, partitions.pop(), cycle_cfg)
+        out[i] = estimate_alpha_for_partition(model, design.set_size, partitions.pop(), rho, reps, seed + i - 1)
     return out

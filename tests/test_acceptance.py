@@ -25,7 +25,6 @@ from scipy import integrate, stats
 
 from prosinfo import (
     DEFAULT_SEED,
-    DellClutterConfig,
     EntropyError,
     SetPlan,
     UnbalancedDesign,
@@ -166,11 +165,11 @@ def test_criterion_5_simulated_ranker_pipeline():
     design = make_balanced_design(6, 2)
     srs = fisher_srs(model, 2)
     for rho, want in ((0.25, 1.02), (0.90, 1.51), (1.00, 2.48)):
-        alpha = estimate_dell_clutter_alpha(model, design, DellClutterConfig(rho, 5000, DEFAULT_SEED))
+        alpha = estimate_dell_clutter_alpha(model, design, rho, 5000, DEFAULT_SEED)
         re1 = relative_efficiencies(fi_pros_marginal(model, design, alpha), srs)
         assert abs(re1 - want) <= 0.05, (rho, re1, want)
     # a perfectly informative ranker reduces to exact block identification
-    alpha_one = estimate_dell_clutter_alpha(model, design, DellClutterConfig(1.0, 5000, DEFAULT_SEED))
+    alpha_one = estimate_dell_clutter_alpha(model, design, 1.0, 5000, DEFAULT_SEED)
     assert alpha_one.is_identity
     mc = fi_pros_marginal(model, design, alpha_one, method="mc", reps=REPS, seed=DEFAULT_SEED)
     quad = fi_pros_marginal(model, design, identity_alpha(2)).matrix.as_array()

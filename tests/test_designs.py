@@ -355,6 +355,46 @@ def test_design_builds_a_partition_given_in_other_types():
     assert all(type(block) is tuple for sp in two.sets for block in sp.partition)
 
 
+_INT_PLAN = SetPlan(1, ((1, 2), (3,)), 1)
+
+
+@pytest.mark.parametrize("sets", (
+    (SetPlan(1, ((np.int64(1), 2.0), (3,)), 1),),  # a partition given as tuples is rebuilt like a list one
+    (SetPlan(1.0, ((1, 2), (3,)), 1),),
+    (SetPlan(1, ((1, 2), (3,)), 1.0),),
+    (SetPlan(np.int64(1), ((1, 2), (3,)), np.float64(1.0)),),
+    ((1, ((1, 2), (3,)), 1),),  # a plain triple
+    ([1, [[1, 2], [3]], 1],),
+), ids=("tuple-ranks", "float-cycle", "float-measured", "numpy-fields", "tuple", "lists"))
+def test_design_stores_integral_input_as_int_set_plans(sets):
+    from prosinfo import draw_unbalanced_pros, fi_unbalanced, make_model
+
+    design, plain = Design(3, sets), Design(3, (_INT_PLAN,))
+    assert design == plain and hash(design) == hash(plain)
+    (plan,) = design.sets
+    assert type(plan) is SetPlan and type(plan.cycle) is int and type(plan.measured) is int
+    assert all(type(u) is int for block in plan.partition for u in block)
+    # the routes that crashed on the untyped input now give the int design's numbers
+    model = make_model("normal")
+    assert fi_unbalanced(model, design).matrix.as_array().tobytes() == \
+        fi_unbalanced(model, plain).matrix.as_array().tobytes()
+    assert draw_unbalanced_pros(model, design, seed=3).values.tobytes() == \
+        draw_unbalanced_pros(model, plain, seed=3).values.tobytes()
+
+
+@pytest.mark.parametrize("sets, message", (
+    ((SetPlan(1, [[1, 2.9], [3]], 1),), "rank must be an integer, got 2.9"),  # no longer truncated to 2
+    ((SetPlan(1, ((1, 2.5), (3,)), 1),), "rank must be an integer, got 2.5"),
+    ((SetPlan(1, ((1, "2"), (3,)), 1),), "rank must be an integer, got '2'"),
+    ((SetPlan(1.5, ((1, 2), (3,)), 1),), "cycle must be an integer, got 1.5"),
+    ((SetPlan(1, ((1, 2), (3,)), float("nan")),), "measured subset must be an integer, got nan"),
+    ((_INT_PLAN, (2, ((1, 2), (3,)), 1.25)), "measured subset must be an integer, got 1.25"),
+), ids=("list-rank", "tuple-rank", "str-rank", "cycle", "measured-nan", "measured"))
+def test_design_refuses_non_integral_ranks_cycles_and_measured_blocks(sets, message):
+    with pytest.raises(DesignError, match=f"^{message}$"):
+        Design(3, sets)
+
+
 @pytest.mark.parametrize("lines, message", [
     ("1;1-3|5-6;1\n", "subsets must be consecutive rank blocks partitioning 1..6, got ((1, 2, 3), (5, 6))"),
     ("1;1-2|3-6;1\n1;1-3|3-6;2\n",

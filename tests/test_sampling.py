@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from prosinfo import (
-    DellClutterConfig,
     DesignError,
     MisplacementMatrix,
     Model,
@@ -323,27 +322,63 @@ def test_block_draws_never_step_past_the_last_rank():
         assert np.all(u == top) and np.all(np.isfinite(x))
 
 
-def test_dell_clutter_config_validation():
-    DellClutterConfig(0.5)
-    with pytest.raises(SamplingError):
-        DellClutterConfig(-0.1)
-    with pytest.raises(SamplingError):
-        DellClutterConfig(1.5)
-    with pytest.raises(SamplingError):
-        DellClutterConfig(0.5, reps=0)
+@pytest.mark.parametrize("rho, reps, message", (
+    (-0.1, 200, r"^rho must lie in \[0, 1\], got -0.1$"),
+    (1.5, 200, r"^rho must lie in \[0, 1\], got 1.5$"),
+    (0.5, 0, r"^reps must be >= 1, got 0$"),
+))
+def test_dell_clutter_entries_refuse_rho_outside_the_unit_interval_and_no_reps(rho, reps, message):
+    model, design, blocks = make_model("normal"), make_balanced_design(6, 2), ((1, 2, 3), (4, 5, 6))
+    estimate_alpha_for_partition(model, 6, blocks, 0.5, 200)
+    for call in (
+        lambda: estimate_alphas(model, 6, [blocks], [0.5, rho], reps),
+        lambda: estimate_alpha_for_partition(model, 6, blocks, rho, reps),
+        lambda: estimate_dell_clutter_alpha(model, design, rho, reps),
+        lambda: estimate_unbalanced_alphas(model, design, rho, reps),
+        lambda: estimate_alpha_for_partition(model, 6, ((1, 2), (4, 5, 6)), rho, reps),  # before the partition
+    ):
+        with pytest.raises(SamplingError, match=message):
+            call()
+
+
+def test_dell_clutter_entries_share_one_calling_convention():
+    # rho (or rhos), then reps = DC_REPS and seed = DEFAULT_SEED, positional or by keyword, in all four entries
+    from prosinfo import DEFAULT_SEED
+
+    model, design = make_model("logistic"), make_balanced_design(6, 2)
+    want = estimate_alphas(model, 6, [design.subsets], [0.75], sampling.DC_REPS, DEFAULT_SEED)[0][0].entries
+    for got in (
+        estimate_alphas(model, 6, [design.subsets], [0.75])[0][0],
+        estimate_alpha_for_partition(model, 6, design.subsets, 0.75),
+        estimate_alpha_for_partition(model, 6, design.subsets, rho=0.75, reps=sampling.DC_REPS, seed=DEFAULT_SEED),
+        estimate_dell_clutter_alpha(model, design, 0.75),
+        estimate_unbalanced_alphas(model, design, 0.75)[1],
+    ):
+        assert np.array_equal(got.entries, want)
+
+
+def test_estimate_alphas_tallies_the_checked_partitions():
+    # a partition given as lists of other integral types is tallied as its int tuples
+    model = make_model("normal")
+    given = [[np.int64(1), 2.0], [3, 4, 5, 6]]
+    got = estimate_alphas(model, 6, [given], [0.9, 0.5], 500, SEED)[0]
+    want = estimate_alphas(model, 6, [((1, 2), (3, 4, 5, 6))], [0.9, 0.5], 500, SEED)[0]
+    assert [a.entries.tobytes() for a in got] == [a.entries.tobytes() for a in want]
+    with pytest.raises(DesignError, match=r"^rank must be an integer, got 2.5$"):
+        estimate_alphas(model, 6, [[[1, 2.5], [3, 4, 5, 6]]], [0.9], 500, SEED)
 
 
 def test_dell_clutter_perfect_correlation_is_identity():
     model = make_model("normal")
     design = make_balanced_design(6, 2)
-    a = estimate_dell_clutter_alpha(model, design, DellClutterConfig(1.0, 2_000, SEED))
+    a = estimate_dell_clutter_alpha(model, design, 1.0, 2_000, SEED)
     assert a.is_identity
 
 
 def test_dell_clutter_zero_correlation_is_near_uniform():
     model = make_model("normal")
     design = make_balanced_design(6, 3)
-    a = estimate_dell_clutter_alpha(model, design, DellClutterConfig(0.0, 5_000, SEED))
+    a = estimate_dell_clutter_alpha(model, design, 0.0, 5_000, SEED)
     np.testing.assert_allclose(a.entries, np.full((3, 3), 1.0 / 3.0), atol=0.05)
 
 
@@ -351,9 +386,9 @@ def test_dell_clutter_zero_correlation_is_near_uniform():
 def test_dell_clutter_estimates_are_doubly_stochastic(rho):
     model = make_model("exponential")
     design = make_balanced_design(6, 2)
-    a = estimate_dell_clutter_alpha(model, design, DellClutterConfig(rho, 2_000, SEED))
+    a = estimate_dell_clutter_alpha(model, design, rho, 2_000, SEED)
     validate_misplacement(a.entries)
-    b = estimate_dell_clutter_alpha(model, design, DellClutterConfig(rho, 2_000, SEED))
+    b = estimate_dell_clutter_alpha(model, design, rho, 2_000, SEED)
     np.testing.assert_array_equal(a.entries, b.entries)
 
 
@@ -361,7 +396,7 @@ def test_dell_clutter_monotone_in_rho():
     model = make_model("normal")
     design = make_balanced_design(6, 2)
     diag = [
-        estimate_dell_clutter_alpha(model, design, DellClutterConfig(r, 4_000, SEED)).entries[0, 0]
+        estimate_dell_clutter_alpha(model, design, r, 4_000, SEED).entries[0, 0]
         for r in (0.25, 0.5, 0.9)
     ]
     assert diag[0] < diag[1] < diag[2]
@@ -369,29 +404,27 @@ def test_dell_clutter_monotone_in_rho():
 
 def test_estimate_alpha_for_partition_unbalanced_blocks():
     model = make_model("normal")
-    a = estimate_alpha_for_partition(
-        model, 6, ((1, 2, 3, 4), (5, 6)), DellClutterConfig(0.9, 3_000, SEED)
-    )
+    a = estimate_alpha_for_partition(model, 6, ((1, 2, 3, 4), (5, 6)), 0.9, 3_000, SEED)
     assert a.n == 2
     validate_misplacement(a.entries)
     assert a.entries[0, 0] > 0.8  # a big bottom block is easy to judge
 
 
-def _add_at_alpha(model, set_size, blocks, cfg):
+def _add_at_alpha(model, set_size, blocks, rho, reps, seed):
     """estimate_alpha_for_partition with the tally by four argsorts and np.add.at, as an oracle."""
     n = len(blocks)
     block_of = np.empty(set_size, dtype=int)
     for idx, b in enumerate(blocks):
         block_of[np.asarray(b) - 1] = idx
-    rng = substream(cfg.seed)
-    x = np.asarray(model.quantile(rng.random((cfg.reps, set_size))))
+    rng = substream(seed)
+    x = np.asarray(model.quantile(rng.random((reps, set_size))))
     z = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
-    w = z if cfg.rho == 1.0 else cfg.rho * z + np.sqrt(1.0 - cfg.rho**2) * rng.standard_normal(x.shape)
+    w = z if rho == 1.0 else rho * z + np.sqrt(1.0 - rho**2) * rng.standard_normal(x.shape)
     rank_x = np.argsort(np.argsort(x, axis=1), axis=1)
     rank_w = np.argsort(np.argsort(w, axis=1), axis=1)
     counts = np.zeros((n, n))
     np.add.at(counts, (block_of[rank_w.ravel()], block_of[rank_x.ravel()]), 1.0)
-    a = counts / (cfg.reps * np.array([len(b) for b in blocks], dtype=float)[:, None])
+    a = counts / (reps * np.array([len(b) for b in blocks], dtype=float)[:, None])
     return sampling._sinkhorn((a + a.T) / 2.0)
 
 
@@ -409,9 +442,9 @@ def test_dell_clutter_tally_matches_the_add_at_tally(set_size):
     batched = estimate_alphas(model, set_size, partitions, rhos, 1_500, SEED + set_size)
     for blocks, row in zip(partitions, batched, strict=True):
         for rho, got in zip(rhos, row, strict=True):
-            cfg = DellClutterConfig(rho, 1_500, SEED + set_size)
-            assert np.array_equal(got.entries, _add_at_alpha(model, set_size, blocks, cfg))
-            assert np.array_equal(got.entries, estimate_alpha_for_partition(model, set_size, blocks, cfg).entries)
+            cal = rho, 1_500, SEED + set_size
+            assert np.array_equal(got.entries, _add_at_alpha(model, set_size, blocks, *cal))
+            assert np.array_equal(got.entries, estimate_alpha_for_partition(model, set_size, blocks, *cal).entries)
 
 
 @pytest.mark.parametrize(
@@ -421,20 +454,20 @@ def test_dell_clutter_tally_matches_the_add_at_tally(set_size):
 )
 def test_dell_clutter_refuses_blocks_that_do_not_partition_the_ranks(blocks):
     with pytest.raises(DesignError, match="consecutive rank blocks"):
-        estimate_alpha_for_partition(make_model("normal"), 6, blocks, DellClutterConfig(0.9, 200, SEED))
+        estimate_alpha_for_partition(make_model("normal"), 6, blocks, 0.9, 200, SEED)
 
 
 def test_dell_clutter_one_cycle_design_matches_its_balanced_design():
     # one seeding rule: cycle i of an unbalanced design is calibrated at seed + i - 1
-    model, design, cfg = make_model("exponential"), make_balanced_design(6, 3), DellClutterConfig(0.75, 1_000, SEED)
-    per_cycle = estimate_unbalanced_alphas(model, design, cfg)
-    assert np.array_equal(per_cycle[1].entries, estimate_dell_clutter_alpha(model, design, cfg).entries)
+    model, design, cal = make_model("exponential"), make_balanced_design(6, 3), (0.75, 1_000, SEED)
+    per_cycle = estimate_unbalanced_alphas(model, design, *cal)
+    assert np.array_equal(per_cycle[1].entries, estimate_dell_clutter_alpha(model, design, *cal).entries)
 
 
 def test_estimate_unbalanced_alphas_per_cycle():
     model = make_model("normal")
     ud = _table9_design()
-    alphas = estimate_unbalanced_alphas(model, ud, DellClutterConfig(0.9, 2_000, SEED))
+    alphas = estimate_unbalanced_alphas(model, ud, 0.9, 2_000, SEED)
     assert set(alphas) == {1, 2}
     assert alphas[1].n == 3
     assert alphas[2].n == 2
@@ -443,7 +476,7 @@ def test_estimate_unbalanced_alphas_per_cycle():
         sets=(SetPlan(1, ((1, 2), (3, 4)), 1), SetPlan(1, ((1,), (2, 3, 4)), 1)),
     )
     with pytest.raises(SamplingError):
-        estimate_unbalanced_alphas(model, mixed, DellClutterConfig(0.9, 500, SEED))
+        estimate_unbalanced_alphas(model, mixed, 0.9, 500, SEED)
 
 
 def test_dell_clutter_refuses_non_finite_standardized_values():
@@ -451,6 +484,6 @@ def test_dell_clutter_refuses_non_finite_standardized_values():
     # NaN and the tally meaningless
     model = make_model("gamma", shape=1e-300)
     with pytest.raises(SamplingError, match="standardized values"):
-        estimate_alpha_for_partition(model, 6, ((1, 2, 3), (4, 5, 6)), DellClutterConfig(0.5, 200, SEED))
+        estimate_alpha_for_partition(model, 6, ((1, 2, 3), (4, 5, 6)), 0.5, 200, SEED)
     with pytest.raises(SamplingError, match="standardized values"):
-        estimate_dell_clutter_alpha(model, make_balanced_design(6, 2), DellClutterConfig(0.9, 200, SEED))
+        estimate_dell_clutter_alpha(model, make_balanced_design(6, 2), 0.9, 200, SEED)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from prosinfo import (
-    DellClutterConfig,
     InformationError,
     estimate_dell_clutter_alpha,
     fi_pros_marginal,
@@ -138,12 +137,10 @@ def test_table8_spot_cells():
 
 def _ranker_cell(fam, S, n, N, rho, fixed, seed):
     model = make_model(fam)
-    a = estimate_dell_clutter_alpha(
-        model, make_balanced_design(S, n), DellClutterConfig(rho, 5000, seed)
-    )
+    a = estimate_dell_clutter_alpha(model, make_balanced_design(S, n), rho, 5000, seed)
     num = fi_pros_marginal(model, make_balanced_design(S, n, cycles=N), a)
     rss = make_balanced_design(fixed, fixed)
-    a_rss = estimate_dell_clutter_alpha(model, rss, DellClutterConfig(rho, 5000, seed))
+    a_rss = estimate_dell_clutter_alpha(model, rss, rho, 5000, seed)
     return relative_efficiencies(num, fi_pros_marginal(model, rss, a_rss))
 
 
@@ -743,6 +740,27 @@ _MEMO_CASES = (
     RunConfig(subcommand="sample", family="gamma", set_size=6, subsets=2, cycles=100, alpha="dellclutter:0.75"),
     RunConfig(subcommand="sample", family="exponential", design_file=_D_FILE, cycles=50, alpha="symmetric:0.9"),
 )
+
+
+
+def test_run_custom_builds_a_design_file_design_once_per_miss(monkeypatch):
+    # the file's design is parsed straight into its --cycles replications, not built once more to replicate it
+    built = []
+    post_init = designs.Design.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append((self.K, self.replications))
+
+    monkeypatch.setattr(designs.Design, "__post_init__", counted)
+    monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
+    for cycles, alpha in ((3, "perfect"), (3, "dellclutter:0.75"), (1, "symmetric:0.8")):
+        cfg = RunConfig(subcommand="fisher", family="exponential", design_file=_D_FILE, cycles=cycles, alpha=alpha)
+        for hit in (False, True):  # a miss, then a hit, which builds nothing
+            built.clear()
+            text = run_custom(cfg)
+            assert [b for b in built if b[0] == 5] == ([] if hit else [(5, cycles)])
+        assert f"UPROS(K=5, S=6, N={cycles})" in text
 
 
 @pytest.mark.parametrize("cfg", _MEMO_CASES, ids=lambda cfg: f"{cfg.subcommand}-{cfg.family}-{cfg.alpha}-{cfg.method}")
