@@ -18,7 +18,6 @@ from .numerics import (
     det_small,
     integrate,
     integrate_expectation,
-    integrate_gram,
     integrate_unit_interval,
     mc_mean_batches,
     substream,

@@ -24,14 +24,14 @@ class DesignError(ValueError):
     """Invalid design description or misplacement matrix."""
 
 
-def _whole(value: tp.Any, what: str) -> int:
-    """value as an int.  :raises DesignError: value is not an integer, whatever its type."""
+def _whole(value: tp.Any, what: str, error: type[ValueError] = DesignError) -> int:
+    """value as an int.  :raises error: value is not an integer, whatever its type."""
     try:
         if int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DesignError(f"{what} must be an integer, got {value!r}")
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _check_partition(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -73,10 +73,10 @@ def _check_set(cycle: int, measured: int, n: int) -> None:
 class Design:
     """Judgment sets grouped into cycles, the whole list drawn `replications` times (N).
 
-    Each set is stored as a SetPlan of ints: a rank, cycle or measured block of another integral type (2.0,
-    np.int64) becomes an int, and a non-integral one is refused.  Each distinct partition is checked once, each
-    set by int comparisons.  Construction works out each cycle's subset count, the runs of sets sharing a
-    partition in cycle order, and is_balanced.
+    set_size and replications are stored as ints, and each set as a SetPlan of ints: a value of another integral
+    type (2.0, np.int64) becomes an int, and a non-integral one is refused.  Each distinct partition is checked
+    once, each set by int comparisons.  Construction works out each cycle's subset count, the runs of sets
+    sharing a partition in cycle order, and is_balanced.
     """
 
     set_size: int
@@ -87,6 +87,9 @@ class Design:
     _runs: tuple[tuple[tp.Any, tuple[SetPlan, ...]], ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.set_size) is not int or type(self.replications) is not int:
+            object.__setattr__(self, "set_size", _whole(self.set_size, "set_size"))
+            object.__setattr__(self, "replications", _whole(self.replications, "replications"))
         if self.set_size < 1:
             raise DesignError(f"set_size must be >= 1, got {self.set_size}")
         if self.replications < 1:
@@ -192,6 +195,8 @@ UnbalancedDesign = Design  # the name the unbalanced routes and their callers us
 
 def make_balanced_design(set_size: int, n: int, cycles: int = 1) -> Design:
     """PROS(n, S): blocks of size m = S/n, `cycles` replications.  :raises DesignError: n does not divide set_size."""
+    if type(set_size) is not int or type(n) is not int or type(cycles) is not int:
+        set_size, n, cycles = _whole(set_size, "set_size"), _whole(n, "n"), _whole(cycles, "cycles")
     if n < 1 or set_size < 1:
         raise DesignError("set_size and n must be >= 1")
     if set_size % n:

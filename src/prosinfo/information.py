@@ -14,8 +14,8 @@ over the open quantile domain; the routes differ only in (alpha, beta, w):
 
 Complete-data PROS information is n I_srs + K; measurements-only information
 integrates each set's full score, each set's gamma being its misplacement row
-times its partition's block weights (densities.block_table), in one core that
-fi_unbalanced and fi_pros_marginal enter with the runs of sets sharing a
+times its partition's block weights (densities.block_table), in one kernel call
+that fi_unbalanced and fi_pros_marginal make with the runs of sets sharing a
 partition; a balanced design is one run, whose rows are its misplacement
 matrix.  The Monte Carlo route estimates -E[d^2 log L / dtheta^2] at simulated
 draws and reports a standard error per matrix entry; it is the check the
@@ -71,7 +71,7 @@ class FIResult:
 
     def det(self) -> float:
         """:raises InformationError: the determinant overflows the double range."""
-        det = numerics.det_small(self.matrix)
+        det = numerics.det_rows(self.matrix.entries.tolist())
         if not math.isfinite(det):
             raise InformationError("the determinant of the information matrix overflows the double range")
         return det
@@ -113,9 +113,8 @@ def h_matrix(model: Model, n: int, set_size: int) -> numerics.InfoMatrix:
     """
     if set_size < n:
         raise InformationError(f"set_size={set_size} must be >= n={n}")
-    p = model.p
     if set_size == n:
-        return numerics.InfoMatrix(np.zeros((p, p)))
+        return numerics.InfoMatrix(np.zeros((model.p, model.p)))
     return numerics.InfoMatrix(k_matrix(model, n, set_size).entries * ((set_size - n) / (set_size - 1)))
 
 
@@ -142,8 +141,8 @@ def fi_pros_complete(
         raise InformationError(str(e)) from e
     label = f"{design.label()} complete"
     if method == "quadrature":
-        per_cycle = unit_entries(model) * n + k_matrix(model, n, set_size).entries
-        return _quadrature_fi(model, per_cycle * cycles, label)
+        info = numerics.InfoMatrix((unit_entries(model) * n + k_matrix(model, n, set_size).entries) * cycles)
+        return FIResult(info, "quadrature", design_label=label, model_label=model.label())
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
     rows = [(sp.partition, row) for sp, row in design.measured_rows()]
@@ -195,9 +194,17 @@ def fi_unbalanced(
 
 def _measured_fi(model: Model, design: Design, runs: list, method: str, reps: int, seed: int, workers: int,
                  label: str) -> FIResult:
-    """The information of one measurement per set of design, whose misplacement rows are runs."""
+    """The information of one measurement per set of design, summed over the sets of runs: (partition, rows) pairs
+    whose rows are the sets' misplacement rows over that partition's blocks."""
     if method == "quadrature":
-        return _quadrature_fi(model, _set_information(model, design.set_size, runs) * design.replications, label)
+
+        def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+            tables = [a @ densities.block_table(design.set_size, part, t, s) for part, a in runs]
+            g, gd = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)  # one run: no copy
+            return 1.0, gd / g, g
+
+        info = numerics.InfoMatrix(score_information(model, set_coefficients) * design.replications)
+        return FIResult(info, "quadrature", design_label=label, model_label=model.label())
     if method != "mc":
         raise InformationError(f"method must be 'quadrature' or 'mc', got {method!r}")
     coefs = np.concatenate([densities.rank_coefficients(design.set_size, part, a) for part, a in runs])
@@ -208,23 +215,6 @@ def _measured_fi(model: Model, design: Design, runs: list, method: str, reps: in
 
     rows = [(part, row) for part, a in runs for row in a]
     return _mc_fi(model, design.set_size, rows, logw_dt, reps, seed, workers, design.replications, label)
-
-
-def _set_information(model: Model, set_size: int, runs: tp.Sequence[tuple[tp.Any, np.ndarray]]) -> np.ndarray:
-    """The information of one measurement per set, summed over the sets of runs: (partition, rows) pairs whose
-    rows are the sets' misplacement rows over that partition's blocks."""
-
-    def set_coefficients(t: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        tables = [a @ densities.block_table(set_size, part, t, s) for part, a in runs]
-        g, gd = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)  # one run: no copy
-        return 1.0, gd / g, g
-
-    return score_information(model, set_coefficients)
-
-
-def _quadrature_fi(model: Model, entries: np.ndarray, label: str) -> FIResult:
-    """FIResult of a quadrature route: the one InfoMatrix built from its summed entries."""
-    return FIResult(numerics.InfoMatrix(entries), "quadrature", design_label=label, model_label=model.label())
 
 
 # -- Monte Carlo machinery ------------------------------------------------------
@@ -273,19 +263,20 @@ def relative_efficiencies(fi_a: tp.Any, fi_b: tp.Any) -> float:
     ratio, so the ratio does not depend on how large or small the parameters'
     scale makes the information.
 
-    :raises InformationError: dimension mismatch or a singular denominator.
+    :raises InformationError: shapes that differ or are not p x p with p in
+        {1, 2, 3}, or a singular denominator.
     :raises OverflowError: an entry of fi_a exceeds fi_b's largest by more
         than the double range.
     """
     a, b = _entries(fi_a), _entries(fi_b)
-    if a.shape != b.shape:
-        raise InformationError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if a.shape != b.shape or a.shape not in ((1, 1), (2, 2), (3, 3)):
+        raise InformationError(f"need two p x p matrices of one p in 1..3, got shapes {a.shape} and {b.shape}")
     rows_a, rows_b = a.tolist(), b.tolist()
     exponent = -math.frexp(max(abs(x) for row in rows_b for x in row))[1]
-    det_b = numerics.det_small([[math.ldexp(x, exponent) for x in row] for row in rows_b])
+    det_b = numerics.det_rows([[math.ldexp(x, exponent) for x in row] for row in rows_b])
     if not abs(det_b) > 1e-300:
         raise InformationError("denominator information matrix is singular")
-    return numerics.det_small([[math.ldexp(x, exponent) for x in row] for row in rows_a]) / det_b
+    return numerics.det_rows([[math.ldexp(x, exponent) for x in row] for row in rows_a]) / det_b
 
 
 def regression_fi(

@@ -10,9 +10,10 @@ active parameters.  A location-scale family states f0, psi = (log f0)' and psi',
 and its derivatives follow by the chain rule; the exponential mixture states its
 own, and so does gamma, whose chain rule is written out so that it holds down to
 z = 0.  All formulas are analytic, and so is every per-observation Fisher matrix
-but the exponential mixture's, which comes by quadrature of the score outer
-product.  Information runs on Model.standard, and from_standard maps it back;
-Model.quantile_scores keeps (d log f, dF) at integrate's nodes as (p, len(t)) arrays.
+but the exponential mixture's, which comes from score_information, the one
+information kernel: it forms, integrates and packs the weighted score Gram from
+the (d log f, dF) that Model.quantile_scores keeps at integrate's nodes.  All
+information runs on Model.standard, and from_standard maps it back.
 
 The special functions are numpy code but the gamma family's, which import
 scipy.special when a gamma model is first evaluated.  The gamma quantile starts
@@ -307,17 +308,23 @@ def score_information(model: Model, coefficients: tp.Callable[[np.ndarray, np.nd
 
     coefficients maps integrate's nodes (t, s = 1 - t) to (alpha, beta, w), each
     broadcastable to (k, len(t)), one term b per row; a None alpha or beta drops
-    its score.  It runs on the standard member, and v is built as (p, k, len(t)).
+    its score, and a term whose weight is not positive adds nothing, so its v may
+    be non-finite.  On the standard member, v is built as (p, k, len(t)) and the
+    p(p+1)/2 entries w v_i v_j, in numerics.TRIU order, are one integrate pass.
+
+    :raises numerics.NumericsError: no convergence, or a non-finite term of positive weight.
     """
     std = model.standard()[0]
+    rows, cols = numerics.TRIU[model.p]
 
-    def terms(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def entries(t: np.ndarray, s: np.ndarray) -> np.ndarray:
         d_logf, d_cdf = std.quantile_scores(t, s)
         alpha, beta, w = coefficients(t, s)
         v = [np.asarray(c) * d[:, None] for c, d in ((alpha, d_logf), (beta, d_cdf)) if c is not None]
-        return sum(v[1:], v[0]), w
+        v, w = sum(v[1:], v[0]), np.asarray(w, dtype=float)
+        return np.where(w > 0.0, w * v[rows] * v[cols], 0.0).sum(axis=1)
 
-    return from_standard(model, numerics.integrate_gram(terms, model.p))
+    return from_standard(model, numerics.from_triu(model.p, numerics.integrate(entries)))
 
 
 # -- special functions in numpy: importing scipy.special takes about 0.3 s ------

@@ -12,11 +12,10 @@ integrand call.  The integrand gets each node t with its exact complement
 s = 1 - t, so both ends of (0, 1) resolve to about 4e-308 and an integrand
 singular at 1 is treated as one singular at 0.  Expectations are evaluated on
 the quantile scale, so endpoint-singular integrands such as 1/(F(1-F)) become
-1/(t s); integrate_gram integrates weighted outer products on it, from arrays
-whose last axis runs over the nodes.  Every integrand call gets one of a few
-node arrays built at import, so node_memo can keep what callers build from
-them: a model's quantile scores and a partition's block weight table.
-InfoMatrix checks, and det_small expands, p <= 3 matrices on Python floats.
+1/(t s).  Every integrand call gets one of a few node arrays built at import,
+so node_memo can keep what callers build from them: a model's quantile scores
+and a partition's block weight table.  TRIU fixes the order of a packed upper
+triangle; InfoMatrix checks, and det_rows expands, p <= 3 matrices on floats.
 Monte Carlo means run their fixed-size chunks on the calling thread and up to
 `workers` - 1 threads joined before the call returns, and are bit-identical for
 a fixed seed at every worker count.  A worker runs its chunks in passes, one
@@ -309,25 +308,6 @@ def integrate_unit_interval(fn: tp.Callable[[float], float]) -> float:
     return float(integrate(row)[0])
 
 
-def integrate_gram(fn: tp.Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], p: int) -> np.ndarray:
-    """The p x p matrix int sum_b w_b(t) v_b(t) v_b(t)^T dt over the open interval (0, 1).
-
-    fn maps the node arrays (t, s = 1 - t) of integrate to (v, w), broadcastable to shapes (p, k, len(t)) and
-    (k, len(t)), nodes innermost; a term whose weight is not positive contributes nothing, so v may be
-    non-finite there.  The p(p+1)/2 distinct entries are the rows of one integrate pass, under its shared tolerance.
-
-    :raises QuadratureNonConvergence: the finest level did not reach the tolerance.
-    :raises IntegrandEvaluationError: a term with positive weight is not finite.
-    """
-    rows, cols = TRIU[p]
-
-    def entries(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        v, w = (np.asarray(a, dtype=float) for a in fn(t, s))
-        return np.where(w > 0.0, w * v[rows] * v[cols], 0.0).sum(axis=1)
-
-    return from_triu(p, integrate(entries))
-
-
 def integrate_expectation(model: tp.Any, integrand: tp.Callable[[float], float]) -> float:
     """E[integrand(X)] for X ~ model, as the quantile-domain integral of integrand(F^{-1}(u)).
 
@@ -339,19 +319,20 @@ def integrate_expectation(model: tp.Any, integrand: tp.Callable[[float], float])
 
 
 def det_small(m: tp.Any) -> float:
-    """Closed-form determinant for p in {1, 2, 3}.
-
-    The arithmetic runs on Python floats, so a determinant beyond the double
-    range comes back as inf or nan without a warning.
-    """
+    """Closed-form determinant for p in {1, 2, 3}: det_rows of m's rows.  :raises ValueError: another shape."""
     a = np.atleast_2d(np.asarray(m, dtype=float))
-    p = a.shape[0]
-    if a.shape != (p, p) or p not in (1, 2, 3):
+    if a.shape not in ((1, 1), (2, 2), (3, 3)):
         raise ValueError(f"det_small handles square matrices of dimension 1..3, got shape {a.shape}")
-    r = a.tolist()
-    if p == 1:
+    return det_rows(a.tolist())
+
+
+def det_rows(r: list[list[float]]) -> float:
+    """Closed-form determinant of the p x p matrix of Python float rows r, p in {1, 2, 3}, which the caller checks.
+
+    A determinant beyond the double range comes back as inf or nan without a warning."""
+    if len(r) == 1:
         return r[0][0]
-    if p == 2:
+    if len(r) == 2:
         return r[0][0] * r[1][1] - r[0][1] * r[1][0]
     return (
         r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])

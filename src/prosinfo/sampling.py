@@ -28,7 +28,7 @@ import typing as tp
 import numpy as np
 
 from . import densities, numerics
-from .designs import Design, MisplacementMatrix, _check_partition, identity_alpha
+from .designs import Design, MisplacementMatrix, _check_partition, _whole, identity_alpha
 from .models import Model
 
 DC_REPS = 5000  # simulated judgment sets per Dell-Clutter estimate, unless a request names its own
@@ -191,12 +191,14 @@ def estimate_alphas(
     symmetrized with their transpose and projected to doubly stochastic form, and rho = 1 gives the identity.
     Each rho sorts the perceptions once for every partition, so an entry equals a call with its pair alone.
 
-    :raises SamplingError: a rho outside [0, 1], or reps below 1.
+    :raises SamplingError: a rho outside [0, 1], or reps not an integer or below 1.
     :raises DesignError: a partition is not consecutive blocks covering 1..set_size.
     """
     for rho in rhos:
         if not 0.0 <= rho <= 1.0:  # 1 is exact ranking, 0 random ranking
             raise SamplingError(f"rho must lie in [0, 1], got {rho!r}")
+    if type(reps) is not int:
+        reps = _whole(reps, "reps", SamplingError)
     if reps < 1:
         raise SamplingError(f"reps must be >= 1, got {reps}")
     partitions = [_check_partition(set_size, blocks) for blocks in partitions]

@@ -356,25 +356,32 @@ def test_design_builds_a_partition_given_in_other_types():
 
 
 _INT_PLAN = SetPlan(1, ((1, 2), (3,)), 1)
+_INT_DESIGN = Design(3, (_INT_PLAN,))
 
 
-@pytest.mark.parametrize("sets", (
-    (SetPlan(1, ((np.int64(1), 2.0), (3,)), 1),),  # a partition given as tuples is rebuilt like a list one
-    (SetPlan(1.0, ((1, 2), (3,)), 1),),
-    (SetPlan(1, ((1, 2), (3,)), 1.0),),
-    (SetPlan(np.int64(1), ((1, 2), (3,)), np.float64(1.0)),),
-    ((1, ((1, 2), (3,)), 1),),  # a plain triple
-    ([1, [[1, 2], [3]], 1],),
-), ids=("tuple-ranks", "float-cycle", "float-measured", "numpy-fields", "tuple", "lists"))
-def test_design_stores_integral_input_as_int_set_plans(sets):
+@pytest.mark.parametrize("build, plain", (
+    (lambda: Design(3, (SetPlan(1, ((np.int64(1), 2.0), (3,)), 1),)), _INT_DESIGN),  # rebuilt like a list partition
+    (lambda: Design(3, (SetPlan(1.0, ((1, 2), (3,)), 1),)), _INT_DESIGN),
+    (lambda: Design(3, (SetPlan(1, ((1, 2), (3,)), 1.0),)), _INT_DESIGN),
+    (lambda: Design(3, (SetPlan(np.int64(1), ((1, 2), (3,)), np.float64(1.0)),)), _INT_DESIGN),
+    (lambda: Design(3, ((1, ((1, 2), (3,)), 1),)), _INT_DESIGN),  # a plain triple
+    (lambda: Design(3, ([1, [[1, 2], [3]], 1],)), _INT_DESIGN),
+    (lambda: Design(3.0, (_INT_PLAN,), np.int64(2)), Design(3, (_INT_PLAN,), 2)),
+    (lambda: Design(np.int64(3), (_INT_PLAN,), 2.0), Design(3, (_INT_PLAN,), 2)),
+    (lambda: make_balanced_design(6.0, np.int64(2), 2.0), make_balanced_design(6, 2, 2)),
+    (lambda: rss_design(np.float64(3.0), 2.0), rss_design(3, 2)),
+), ids=("tuple-ranks", "float-cycle", "float-measured", "numpy-fields", "tuple", "lists", "float-set-size",
+        "float-replications", "balanced", "rss"))
+def test_design_stores_integral_input_as_int_set_plans(build, plain):
     from prosinfo import draw_unbalanced_pros, fi_unbalanced, make_model
 
-    design, plain = Design(3, sets), Design(3, (_INT_PLAN,))
+    design = build()
     assert design == plain and hash(design) == hash(plain)
-    (plan,) = design.sets
-    assert type(plan) is SetPlan and type(plan.cycle) is int and type(plan.measured) is int
-    assert all(type(u) is int for block in plan.partition for u in block)
-    # the routes that crashed on the untyped input now give the int design's numbers
+    assert type(design.set_size) is int and type(design.replications) is int
+    for plan in design.sets:
+        assert type(plan) is SetPlan and type(plan.cycle) is int and type(plan.measured) is int
+        assert all(type(u) is int for block in plan.partition for u in block)
+    # the routes that crashed on the untyped input, or scaled by a float, now give the int design's numbers
     model = make_model("normal")
     assert fi_unbalanced(model, design).matrix.as_array().tobytes() == \
         fi_unbalanced(model, plain).matrix.as_array().tobytes()
@@ -382,17 +389,25 @@ def test_design_stores_integral_input_as_int_set_plans(sets):
         draw_unbalanced_pros(model, plain, seed=3).values.tobytes()
 
 
-@pytest.mark.parametrize("sets, message", (
-    ((SetPlan(1, [[1, 2.9], [3]], 1),), "rank must be an integer, got 2.9"),  # no longer truncated to 2
-    ((SetPlan(1, ((1, 2.5), (3,)), 1),), "rank must be an integer, got 2.5"),
-    ((SetPlan(1, ((1, "2"), (3,)), 1),), "rank must be an integer, got '2'"),
-    ((SetPlan(1.5, ((1, 2), (3,)), 1),), "cycle must be an integer, got 1.5"),
-    ((SetPlan(1, ((1, 2), (3,)), float("nan")),), "measured subset must be an integer, got nan"),
-    ((_INT_PLAN, (2, ((1, 2), (3,)), 1.25)), "measured subset must be an integer, got 1.25"),
-), ids=("list-rank", "tuple-rank", "str-rank", "cycle", "measured-nan", "measured"))
-def test_design_refuses_non_integral_ranks_cycles_and_measured_blocks(sets, message):
+@pytest.mark.parametrize("build, message", (
+    (lambda: Design(3, (SetPlan(1, [[1, 2.9], [3]], 1),)), "rank must be an integer, got 2.9"),  # not truncated to 2
+    (lambda: Design(3, (SetPlan(1, ((1, 2.5), (3,)), 1),)), "rank must be an integer, got 2.5"),
+    (lambda: Design(3, (SetPlan(1, ((1, "2"), (3,)), 1),)), "rank must be an integer, got '2'"),
+    (lambda: Design(3, (SetPlan(1.5, ((1, 2), (3,)), 1),)), "cycle must be an integer, got 1.5"),
+    (lambda: Design(3, (SetPlan(1, ((1, 2), (3,)), float("nan")),)), "measured subset must be an integer, got nan"),
+    (lambda: Design(3, (_INT_PLAN, (2, ((1, 2), (3,)), 1.25))), "measured subset must be an integer, got 1.25"),
+    (lambda: Design(3, (_INT_PLAN,), replications=1.5), "replications must be an integer, got 1.5"),
+    (lambda: Design(3.5, (_INT_PLAN,)), "set_size must be an integer, got 3.5"),
+    (lambda: Design("3", (_INT_PLAN,)), "set_size must be an integer, got '3'"),
+    (lambda: make_balanced_design(6.5, 2), "set_size must be an integer, got 6.5"),
+    (lambda: make_balanced_design(6, 2.5), "n must be an integer, got 2.5"),
+    (lambda: make_balanced_design(6, 2, 1.5), "cycles must be an integer, got 1.5"),
+    (lambda: rss_design(2.5), "set_size must be an integer, got 2.5"),
+), ids=("list-rank", "tuple-rank", "str-rank", "cycle", "measured-nan", "measured", "replications", "set-size",
+        "str-set-size", "balanced-set-size", "balanced-n", "balanced-cycles", "rss"))
+def test_design_refuses_non_integral_ranks_cycles_and_measured_blocks(build, message):
     with pytest.raises(DesignError, match=f"^{message}$"):
-        Design(3, sets)
+        build()
 
 
 @pytest.mark.parametrize("lines, message", [

@@ -18,15 +18,27 @@ from prosinfo import (
     make_balanced_design,
     make_model,
     make_symmetric_alpha,
+    numerics,
     regression_fi,
     relative_efficiencies,
     rss_design,
     verify_lemma_identity,
 )
 from prosinfo.models import unit_entries
-from prosinfo.numerics import integrate_gram
 
 SEED = 4511
+
+
+def _gram(p, fn):
+    """The information kernel's oracle, formed here over numerics.integrate: int_0^1 sum_b w_b v_b v_b^T dt from
+    fn(t, s) = (v, w), v of shape (p, k, len(t)) and w of (k, len(t)), a term of weight 0 adding nothing."""
+    rows, cols = numerics.TRIU[p]
+
+    def entries(t, s):
+        v, w = fn(t, s)
+        return np.where(w > 0.0, w * v[rows] * v[cols], 0.0).sum(axis=1)
+
+    return numerics.from_triu(p, numerics.integrate(entries))
 
 
 def test_fisher_srs_scales_with_count():
@@ -49,7 +61,7 @@ def test_quadrature_routes_match_chained_info_matrix_arithmetic(family):
         return model.score_cdf(model.quantile(t, s)).T[:, None], (1.0 / (t * s))[None]
 
     unit = model.fisher_srs_unit()
-    k = InfoMatrix(n * (S - 1) * integrate_gram(cdf_scores, model.p))
+    k = InfoMatrix(n * (S - 1) * _gram(model.p, cdf_scores))
     for got, want in (
         (fisher_srs(model, 7), unit.scaled(7)),
         (k_matrix(model, n, S), k),
@@ -164,6 +176,8 @@ def test_relative_efficiencies_basics():
         relative_efficiencies(fisher_srs(make_model("normal"), 1), fi)
     with pytest.raises(InformationError):
         relative_efficiencies(fi, np.zeros((1, 1)))
+    with pytest.raises(InformationError, match=r"^need two p x p matrices of one p in 1\.\.3, got shapes \(4, 4\)"):
+        relative_efficiencies(np.eye(4), np.eye(4))  # refused, not the determinant of a 3 x 3 corner
 
 
 def test_rss_to_srs_ratio_normal():
@@ -354,7 +368,7 @@ def test_marginal_information_matches_srs_plus_gain_decomposition(family, S, n):
             g, gd, _ = densities.bernstein_series(coefs, t, s)
             return (gd / g) * model.score_cdf(model.quantile(t, s)).T[:, None], g
 
-        want = n * unit + (0.0 if p == 1.0 / n else integrate_gram(tilted_cdf_scores, model.p))
+        want = n * unit + (0.0 if p == 1.0 / n else _gram(model.p, tilted_cdf_scores))
         got = fi_unbalanced(model, ud, {1: alpha}).matrix.as_array()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (p, got, want)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from prosinfo import make_model, numerics
+from prosinfo.models import score_information
 from prosinfo.numerics import (
     CHUNK_SIZE,
     DEFAULT_SEED,
@@ -22,7 +23,6 @@ from prosinfo.numerics import (
     det_small,
     integrate,
     integrate_expectation,
-    integrate_gram,
     integrate_unit_interval,
     mc_mean_batches,
     substream,
@@ -343,61 +343,51 @@ def _unit_weight(t):
     return np.ones((1, t.size))
 
 
-def test_integrate_gram_closed_forms():
+def test_score_information_closed_forms():
     from scipy.special import zeta
 
-    normal = make_model("normal")
-    unit = integrate_gram(lambda t, s: (normal.score_logpdf(normal.quantile(t, s)).T[:, None], _unit_weight(t)), 2)
     # over the open interval no tail of the scale information is lost
+    unit = score_information(make_model("normal"), lambda t, s: (1.0, None, _unit_weight(t)))
     np.testing.assert_allclose(unit, np.diag([1.0, 2.0]), rtol=1e-12, atol=1e-12)
-    expo = make_model("exponential")
-
-    def cdf_scores(t, s):
-        return expo.score_cdf(expo.quantile(t, s)).T[:, None], (1.0 / (t * s))[None]
-
-    got = integrate_gram(cdf_scores, 1)
+    got = score_information(make_model("exponential"), lambda t, s: (None, 1.0, (1.0 / (t * s))[None]))
     np.testing.assert_allclose(got, [[0.4041]], atol=1e-4)
     np.testing.assert_allclose(got, [[2.0 * (zeta(3.0) - 1.0)]], rtol=1e-9)
 
 
-def test_integrate_gram_sums_weighted_terms():
-    # two terms: v = (1, t) with w = 1 and v = (t, 0) with w = 2, stacked as v[parameter, term, node]
-    def fn(t, s):
-        v = np.stack([np.stack([np.ones_like(t), t]), np.stack([t, 0.0 * t])])
-        return v, np.stack([np.ones_like(t), np.full_like(t, 2.0)])
+def test_score_information_of_two_terms_sums_the_one_term_kernels():
+    # rows b of (alpha, beta, w): v_b = alpha_b d log f + beta_b dF, weighted by w_b
+    model = make_model("logistic")
+    terms = (lambda t: (np.ones_like(t), t, np.ones_like(t)), lambda t: (t, np.full_like(t, -0.5), 2.0 * t * t))
+    one = [score_information(model, lambda t, s, f=f: tuple(c[None] for c in f(t))) for f in terms]
+    both = score_information(model, lambda t, s: tuple(np.stack(c) for c in zip(terms[0](t), terms[1](t))))
+    np.testing.assert_allclose(both, one[0] + one[1], rtol=1e-10)
 
-    np.testing.assert_allclose(integrate_gram(fn, 2), [[1.0 + 2.0 / 3.0, 0.5], [0.5, 1.0 / 3.0]], rtol=1e-10)
 
-
-def test_integrate_gram_rejects_non_finite_integrand():
-    def fn(t, s):
-        return np.where(t > 0.5, np.nan, 1.0)[None, None], _unit_weight(t)
-
+def test_score_information_refuses_a_non_finite_term_of_positive_weight():
+    normal = make_model("normal")
     with pytest.raises(IntegrandEvaluationError) as err:
-        integrate_gram(fn, 1)
+        score_information(normal, lambda t, s: (1.0, np.where(t > 0.5, np.nan, 1.0)[None], _unit_weight(t)))
     assert err.value.u > 0.5
 
     def zero_weight_nan(t, s):
         # a term whose weight vanishes contributes nothing, finite or not
-        v = np.stack([np.ones_like(t), np.full_like(t, np.nan)])[None]
-        return v, np.stack([np.ones_like(t), np.zeros_like(t)])
+        beta = np.stack([np.zeros_like(t), np.full_like(t, np.nan)])
+        return 1.0, beta, np.stack([np.ones_like(t), np.zeros_like(t)])
 
-    np.testing.assert_allclose(integrate_gram(zero_weight_nan, 1), [[1.0]], rtol=1e-10)
+    want = score_information(normal, lambda t, s: (1.0, None, _unit_weight(t)))
+    np.testing.assert_array_equal(score_information(normal, zero_weight_nan), want)
 
 
-def test_integrate_gram_reports_non_convergence():
-    def fast_oscillation(t, s):
-        return np.sin(2e4 * t)[None, None], _unit_weight(t)
-
+def test_score_information_reports_non_convergence():
     with pytest.raises(QuadratureNonConvergence) as err:
-        integrate_gram(fast_oscillation, 1)
+        score_information(make_model("exponential"), lambda t, s: (np.sin(2e4 * t)[None], None, _unit_weight(t)))
     assert math.isfinite(err.value.estimate)
     assert err.value.error_bound > 0.0
 
 
-def test_integrate_gram_zero_integrand_converges():
-    got = integrate_gram(lambda t, s: (np.zeros((3, 1, t.size)), _unit_weight(t)), 3)
-    np.testing.assert_array_equal(got, np.zeros((3, 3)))
+def test_score_information_of_zero_scores_is_zero():
+    got = score_information(make_model("normal"), lambda t, s: (0.0, np.zeros((1, t.size)), _unit_weight(t)))
+    np.testing.assert_array_equal(got, np.zeros((2, 2)))
 
 
 def test_det_small_closed_forms():

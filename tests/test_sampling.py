@@ -326,6 +326,7 @@ def test_block_draws_never_step_past_the_last_rank():
     (-0.1, 200, r"^rho must lie in \[0, 1\], got -0.1$"),
     (1.5, 200, r"^rho must lie in \[0, 1\], got 1.5$"),
     (0.5, 0, r"^reps must be >= 1, got 0$"),
+    (0.5, 100.5, r"^reps must be an integer, got 100.5$"),
 ))
 def test_dell_clutter_entries_refuse_rho_outside_the_unit_interval_and_no_reps(rho, reps, message):
     model, design, blocks = make_model("normal"), make_balanced_design(6, 2), ((1, 2, 3), (4, 5, 6))
@@ -351,6 +352,7 @@ def test_dell_clutter_entries_share_one_calling_convention():
         estimate_alphas(model, 6, [design.subsets], [0.75])[0][0],
         estimate_alpha_for_partition(model, 6, design.subsets, 0.75),
         estimate_alpha_for_partition(model, 6, design.subsets, rho=0.75, reps=sampling.DC_REPS, seed=DEFAULT_SEED),
+        estimate_alpha_for_partition(model, 6, design.subsets, 0.75, float(sampling.DC_REPS)),  # taken as an int
         estimate_dell_clutter_alpha(model, design, 0.75),
         estimate_unbalanced_alphas(model, design, 0.75)[1],
     ):
