@@ -21,7 +21,7 @@ import typing as tp
 import numpy as np
 
 from . import entropy as entropy_lib
-from . import designs, information, numerics, sampling
+from . import densities, designs, information, numerics, sampling
 from .information import InformationError
 from .designs import (
     Design,
@@ -666,8 +666,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if "active" in settings:
         settings["active"] = tuple(s.strip() for s in settings["active"].split(",")) if settings["active"] else None
     for name, least in (("reps", 2), ("seed", 0), ("workers", 1), ("set_size", 1), ("subsets", 1)):
-        if settings.get(name, least) < least:
-            raise CLIError(f"{name.replace('_', '-')} must be at least {least}, got {settings[name]}")
+        if name in settings:
+            settings[name] = numerics.whole(settings[name], name.replace("_", "-"), least, CLIError)
     formats = _SUBCOMMANDS[subcommand][1]
     if formats:
         settings.setdefault("fmt", formats[0])
@@ -702,7 +702,8 @@ def main(argv: tp.Sequence[str] | None = None) -> int:
     except numerics.NumericsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (CLIError, ModelError, DesignError, SamplingError, InformationError, EntropyError, OSError) as e:
+    except (CLIError, ModelError, DesignError, densities.DensityError, SamplingError, InformationError, EntropyError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

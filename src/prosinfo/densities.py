@@ -73,6 +73,7 @@ def bernstein_series(coef: np.ndarray, t: FloatArray, s: FloatArray | None = Non
     two of points at most 2^17 / (2S) and numerics.CHUNK_SIZE, so a Monte Carlo
     chunk's values do not depend on which chunks share its pass.  As 0^0 = 1,
     t = 0 and 1 are exact; a weight below the double range underflows to 0.
+    :raises DensityError: a coefficient (S-1)!/m! C(m, j) passes the double range, as from S of about 1013.
     """
     c = np.asarray(coef, dtype=float)
     flat = np.ravel(np.asarray(t, dtype=float))
@@ -84,7 +85,10 @@ def bernstein_series(coef: np.ndarray, t: FloatArray, s: FloatArray | None = Non
         live = np.flatnonzero(a.any(axis=0))
         if live.size:
             m, lo, hi, perm = a.shape[1] - 1, int(live[0]), int(live[-1]), math.perm(c.shape[-1] - 1, k)
-            scale = [float(perm * math.comb(m, j)) for j in range(lo, hi + 1)]
+            try:
+                scale = [float(perm * math.comb(m, j)) for j in range(lo, hi + 1)]
+            except OverflowError:
+                raise DensityError(f"set size S={c.shape[-1]} is too large: Bernstein coefficients overflow") from None
             windows.append((k, (m, lo, hi), a[:, lo : hi + 1] * scale))
         a = a[:, 1:] - a[:, :-1]
     spans = tuple(span for _, span, _ in windows)

@@ -19,19 +19,11 @@ import typing as tp
 
 import numpy as np
 
+from .numerics import whole
+
 
 class DesignError(ValueError):
     """Invalid design description or misplacement matrix."""
-
-
-def _whole(value: tp.Any, what: str, error: type[ValueError] = DesignError) -> int:
-    """value as an int.  :raises error: value is not an integer, whatever its type."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _check_partition(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -47,7 +39,7 @@ def _check_partition(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> t
         exact = exact and type(block) is tuple
         flat.extend(block)
     if not exact or [*map(type, flat)].count(int) != len(flat):  # a list, or a rank such as 2.0, np.int64, True
-        return _check_partition(set_size, tuple(tuple(_whole(u, "rank") for u in block) for block in subsets))
+        return _check_partition(set_size, tuple(tuple(whole(u, "rank", error=DesignError) for u in b) for b in subsets))
     if flat != list(range(1, set_size + 1)):
         raise DesignError(f"subsets must be consecutive rank blocks partitioning 1..{set_size}, got {subsets!r}")
     return subsets
@@ -73,10 +65,10 @@ def _check_set(cycle: int, measured: int, n: int) -> None:
 class Design:
     """Judgment sets grouped into cycles, the whole list drawn `replications` times (N).
 
-    set_size and replications are stored as ints, and each set as a SetPlan of ints: a value of another integral
-    type (2.0, np.int64) becomes an int, and a non-integral one is refused.  Each distinct partition is checked
-    once, each set by int comparisons.  Construction works out each cycle's subset count, the runs of sets
-    sharing a partition in cycle order, and is_balanced.
+    set_size and replications are stored as ints, and each set as a SetPlan of ints, through numerics.whole: a
+    value of another integral type (2.0, np.int64) becomes an int, and a non-integral one is refused.  Each distinct
+    partition is checked once, each set by int comparisons.  Construction works out each cycle's subset count, the
+    runs of sets sharing a partition in cycle order, and is_balanced.
     """
 
     set_size: int
@@ -87,20 +79,16 @@ class Design:
     _runs: tuple[tuple[tp.Any, tuple[SetPlan, ...]], ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if type(self.set_size) is not int or type(self.replications) is not int:
-            object.__setattr__(self, "set_size", _whole(self.set_size, "set_size"))
-            object.__setattr__(self, "replications", _whole(self.replications, "replications"))
-        if self.set_size < 1:
-            raise DesignError(f"set_size must be >= 1, got {self.set_size}")
-        if self.replications < 1:
-            raise DesignError(f"replications must be >= 1, got {self.replications}")
+        object.__setattr__(self, "set_size", whole(self.set_size, "set_size", 1, DesignError))
+        object.__setattr__(self, "replications", whole(self.replications, "replications", 1, DesignError))
         if not self.sets:
             raise DesignError("a design needs at least one set")
         sets = tuple(self.sets)
         cycles, given, measured = zip(*sets)
         if [*map(type, sets)].count(SetPlan) + [*map(type, cycles + measured)].count(int) < 3 * len(sets):
             # a set that is no SetPlan, or a cycle or measured block that is no int
-            sets = tuple(SetPlan(_whole(c, "cycle"), p, _whole(m, "measured subset")) for c, p, m in sets)
+            sets = tuple(SetPlan(whole(c, "cycle", None, DesignError), p, whole(m, "measured subset", None, DesignError))
+                         for c, p, m in sets)
             cycles, given, measured = zip(*sets)
         if given.count(given[0]) == cycles.count(1) == len(sets):  # one cycle of one partition: no per-set loop
             part = _check_partition(self.set_size, given[0])
@@ -195,14 +183,10 @@ UnbalancedDesign = Design  # the name the unbalanced routes and their callers us
 
 def make_balanced_design(set_size: int, n: int, cycles: int = 1) -> Design:
     """PROS(n, S): blocks of size m = S/n, `cycles` replications.  :raises DesignError: n does not divide set_size."""
-    if type(set_size) is not int or type(n) is not int or type(cycles) is not int:
-        set_size, n, cycles = _whole(set_size, "set_size"), _whole(n, "n"), _whole(cycles, "cycles")
-    if n < 1 or set_size < 1:
-        raise DesignError("set_size and n must be >= 1")
+    set_size, n = whole(set_size, "set_size", 1, DesignError), whole(n, "n", 1, DesignError)
+    cycles = whole(cycles, "cycles", 1, DesignError)
     if set_size % n:
         raise DesignError(f"n={n} does not divide set_size={set_size}; use an unbalanced design")
-    if cycles < 1:
-        raise DesignError(f"cycles must be >= 1, got {cycles}")
     blocks = tuple(zip(*[iter(range(1, set_size + 1))] * (set_size // n)))  # consecutive runs of m ranks
     return Design(set_size, tuple([SetPlan(1, blocks, r) for r in range(1, n + 1)]), cycles)
 
@@ -281,18 +265,15 @@ class MisplacementMatrix:
 
 def identity_alpha(n: int) -> MisplacementMatrix:
     """Perfect subsetting: no misplacement."""
-    if n < 1:
-        raise DesignError("dimension must be >= 1")
-    return MisplacementMatrix(np.eye(n))
+    return MisplacementMatrix(np.eye(whole(n, "n", 1, DesignError)))
 
 
 def make_symmetric_alpha(n: int, p: float) -> MisplacementMatrix:
     """Diagonal p, all off-diagonal entries (1-p)/(n-1).
 
-    :raises DesignError: n < 2 or p outside [0, 1].
+    :raises DesignError: n not an integer or below 2, or p outside [0, 1].
     """
-    if n < 2:
-        raise DesignError("symmetric misplacement needs n >= 2")
+    n = whole(n, "n", 2, DesignError)
     if not 0.0 <= p <= 1.0:
         raise DesignError(f"diagonal probability must lie in [0, 1], got {p!r}")
     off = (1.0 - p) / (n - 1)

@@ -49,7 +49,7 @@ __all__ = [
 _KINDS = ("srs", "rss", "pros")
 
 
-class EntropyError(Exception):
+class EntropyError(ValueError):
     """Raised for invalid entropy arguments or divergent integrals."""
 
 
@@ -77,23 +77,22 @@ class EntropyReport:
             raise EntropyError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
 
-def _resolve(kind: str, n: int, set_size: int | None) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Return (set size, subsets) for the requested design kind."""
+def _resolve(kind: str, n: int, set_size: int | None) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """Return (n, set size, subsets) for the requested design kind, n and the set size as ints."""
     if kind not in _KINDS:
         raise EntropyError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if n < 1:
-        raise EntropyError(f"n must be >= 1, got {n}")
+    n = numerics.whole(n, "n", 1, EntropyError)
+    if set_size is not None:
+        set_size = numerics.whole(set_size, "set_size", 1, EntropyError)
     if kind == "srs":
-        return 1, tuple((1,) for _ in range(n))
+        return n, 1, tuple((1,) for _ in range(n))
     if kind == "rss":
-        set_size = n if set_size is None else set_size
-        if set_size != n:
+        if set_size not in (None, n):
             raise EntropyError("rss measures every rank once; set_size must equal n")
-        return n, tuple((v,) for v in range(1, n + 1))
+        return n, n, tuple((v,) for v in range(1, n + 1))
     if set_size is None:
         raise EntropyError("pros needs an explicit set_size")
-    design = make_balanced_design(set_size, n)
-    return set_size, design.subsets
+    return n, set_size, make_balanced_design(set_size, n).subsets
 
 
 def _quantile_integrals(set_size: int, subsets: tp.Sequence[tuple[int, ...]], term: tp.Callable) -> np.ndarray:
@@ -140,7 +139,7 @@ def shannon(model: Model, kind: str = "pros", n: int = 1, set_size: int | None =
     PROS (balanced subsets of a size-``set_size`` set) sum the entropies
     -∫ w_r(t)·[log f(Q(t)) + log w_r(t)] dt of their subset densities f·w_r.
     """
-    set_size, subsets = _resolve(kind, n, set_size)
+    n, set_size, subsets = _resolve(kind, n, set_size)
     std, scale = model.standard()
 
     def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -163,7 +162,7 @@ def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: 
     """
     if not 0.0 < alpha < 1.0:
         raise EntropyError(f"Renyi order must satisfy 0 < alpha < 1 (alpha > 1 unsupported), got {alpha!r}")
-    set_size, subsets = _resolve(kind, n, set_size)
+    n, set_size, subsets = _resolve(kind, n, set_size)
     std, scale = model.standard()
 
     def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -90,16 +90,13 @@ def _entries(obj: tp.Any) -> np.ndarray:
 
 def fisher_srs(model: Model, count: int) -> numerics.InfoMatrix:
     """Information of `count` i.i.d. observations."""
-    if count < 1:
-        raise InformationError(f"count must be >= 1, got {count}")
-    return numerics.InfoMatrix(unit_entries(model) * count)
+    return numerics.InfoMatrix(unit_entries(model) * numerics.whole(count, "count", 1, InformationError))
 
 
 def k_matrix(model: Model, n: int, set_size: int) -> numerics.InfoMatrix:
     """Information gain n (S-1) E[(dF)(dF)^T / (F(1-F))] of one perfect PROS cycle over n i.i.d. observations."""
     require_fi_regular(model)
-    if set_size < 1 or n < 1:
-        raise InformationError("n and set_size must be >= 1")
+    n, set_size = numerics.whole(n, "n", 1, InformationError), numerics.whole(set_size, "set_size", 1, InformationError)
     if set_size == 1:
         return numerics.InfoMatrix(np.zeros((model.p, model.p)))
     gain = score_information(model, lambda t, s: (None, 1.0, (1.0 / (t * s))[None]))
@@ -111,6 +108,7 @@ def h_matrix(model: Model, n: int, set_size: int) -> numerics.InfoMatrix:
 
     Equals k_matrix scaled by (S-n)/(S-1); zero when S = n.
     """
+    n, set_size = numerics.whole(n, "n", 1, InformationError), numerics.whole(set_size, "set_size", 1, InformationError)
     if set_size < n:
         raise InformationError(f"set_size={set_size} must be >= n={n}")
     if set_size == n:
@@ -139,6 +137,7 @@ def fi_pros_complete(
         design = make_balanced_design(set_size, n, cycles)
     except DesignError as e:
         raise InformationError(str(e)) from e
+    n, set_size, cycles = design.n, design.set_size, design.replications
     label = f"{design.label()} complete"
     if method == "quadrature":
         info = numerics.InfoMatrix((unit_entries(model) * n + k_matrix(model, n, set_size).entries) * cycles)
@@ -292,9 +291,10 @@ def regression_fi(
     when the covariates are centered, which is required.
 
     :raises ModelError: the noise family has no regular Fisher information (uniform).
-    :raises InformationError: uncentered covariates or an unsupported noise family.
+    :raises InformationError: uncentered covariates, an unsupported noise family, or n or set_size below 1.
     """
     require_fi_regular(noise_model)
+    n, set_size = numerics.whole(n, "n", 1, InformationError), numerics.whole(set_size, "set_size", 1, InformationError)
     x = np.asarray(list(covariates), dtype=float)
     if x.size < 1:
         raise InformationError("at least one covariate is needed")

@@ -21,7 +21,9 @@ Monte Carlo means run their fixed-size chunks on the calling thread and up to
 a fixed seed at every worker count.  A worker runs its chunks in passes, one
 batch_fn call each, whose stream splits every draw across the chunks'
 substreams; so a batch function draws only arrays of the pass's length, and a
-replicate's value depends on its own draws alone.
+replicate's value depends on its own draws alone.  whole checks every integral
+size, count, seed and replicate count of the library, in each caller's error
+class.
 """
 
 from __future__ import annotations
@@ -158,6 +160,23 @@ class InfoMatrix:
         return f"InfoMatrix({self._entries.tolist()!r})"
 
 
+def whole(value: tp.Any, what: str, least: int | None = None, error: type[Exception] = ValueError) -> int:
+    """value as an int of at least `least`: an int as given, another integral value (2.0, np.int64(2)) as its int.
+
+    :raises error: "{what} must be an integer, got {value!r}" for a value that is not integral, whatever its type,
+        or "{what} must be >= {least}, got {value}".
+    """
+    try:
+        integral = type(value) is int or int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class MCEstimate:
     """Point estimate with its Monte Carlo standard error.
@@ -171,8 +190,7 @@ class MCEstimate:
     replications: int
 
     def __post_init__(self) -> None:
-        if self.replications < 2:
-            raise ValueError("MCEstimate needs at least 2 replications")
+        object.__setattr__(self, "replications", whole(self.replications, "replications", 2))
         if not self.std_error >= 0.0:
             raise ValueError("std_error must be non-negative")
 
@@ -184,7 +202,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     on creation order, which is what makes scheduling-invariant Monte Carlo
     possible.
     """
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    seq = np.random.SeedSequence(entropy=whole(seed, "seed", 0), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -429,12 +447,10 @@ def mc_mean_batches(
     value may depend on its own draws alone.  A pass that fails is evaluated
     again chunk by chunk.  Moments merge in index order, so the result is
     bit-identical at every worker count.
-    Returns (means, standard errors, reps).
+    Returns (means, standard errors, reps); reps, workers and seed below 2, 1 and 0 raise ValueError before any
+    thread starts, as does a value that is not an integer.
     """
-    if reps < 2:
-        raise ValueError("mc_mean_batches needs reps >= 2")
-    if workers < 1:
-        raise ValueError("mc_mean_batches needs workers >= 1")
+    reps, workers, seed = whole(reps, "reps", 2), whole(workers, "workers", 1), whole(seed, "seed", 0)
 
     def run_pass(idxs: tp.Sequence[int]) -> dict[int, tuple]:
         stream = _PassStream(seed, idxs, sum(min(CHUNK_SIZE, reps - idx * CHUNK_SIZE) for idx in idxs))

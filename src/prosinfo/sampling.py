@@ -28,7 +28,7 @@ import typing as tp
 import numpy as np
 
 from . import densities, numerics
-from .designs import Design, MisplacementMatrix, _check_partition, _whole, identity_alpha
+from .designs import Design, MisplacementMatrix, _check_partition, identity_alpha
 from .models import Model
 
 DC_REPS = 5000  # simulated judgment sets per Dell-Clutter estimate, unless a request names its own
@@ -70,10 +70,8 @@ class ProsSample:
 
 def draw_srs(model: Model, n: int, seed: int = numerics.DEFAULT_SEED) -> np.ndarray:
     """n i.i.d. draws via the quantile transform."""
-    if n < 1:
-        raise SamplingError(f"sample size must be >= 1, got {n}")
-    rng = numerics.substream(seed)
-    return np.asarray(model.quantile(rng.random(n)))
+    n = numerics.whole(n, "sample size", 1, SamplingError)
+    return np.asarray(model.quantile(numerics.substream(seed).random(n)))
 
 
 def draw_pros(
@@ -191,16 +189,14 @@ def estimate_alphas(
     symmetrized with their transpose and projected to doubly stochastic form, and rho = 1 gives the identity.
     Each rho sorts the perceptions once for every partition, so an entry equals a call with its pair alone.
 
-    :raises SamplingError: a rho outside [0, 1], or reps not an integer or below 1.
+    :raises SamplingError: a rho outside [0, 1], or set_size or reps not an integer or below 1.
     :raises DesignError: a partition is not consecutive blocks covering 1..set_size.
     """
     for rho in rhos:
         if not 0.0 <= rho <= 1.0:  # 1 is exact ranking, 0 random ranking
             raise SamplingError(f"rho must lie in [0, 1], got {rho!r}")
-    if type(reps) is not int:
-        reps = _whole(reps, "reps", SamplingError)
-    if reps < 1:
-        raise SamplingError(f"reps must be >= 1, got {reps}")
+    set_size = numerics.whole(set_size, "set_size", 1, SamplingError)
+    reps = numerics.whole(reps, "reps", 1, SamplingError)
     partitions = [_check_partition(set_size, blocks) for blocks in partitions]
     if all(len(blocks) == 1 for blocks in partitions):
         return [[identity_alpha(1)] * len(rhos) for _ in partitions]
@@ -255,6 +251,7 @@ def estimate_unbalanced_alphas(
     model: Model, design: Design, rho: float, reps: int = DC_REPS, seed: int = numerics.DEFAULT_SEED
 ) -> dict[int, MisplacementMatrix]:
     """Per-cycle misplacement matrices, cycle i calibrated at seed + i - 1; a cycle's sets share one partition."""
+    seed = numerics.whole(seed, "seed", 0)  # before seed + i - 1 can take a string or make a negative seed valid
     out: dict[int, MisplacementMatrix] = {}
     for i in design.cycle_ids:
         partitions = {sp.partition for sp in design.sets if sp.cycle == i}

@@ -12,8 +12,12 @@ summed exactly in fractions and log B(a, b) comes from math.lgamma.
   E[log(1 - U_(u:S))] = psi(S-u+1) - psi(S+1).
 * The logistic information gain K of one perfect PROS(n, S) cycle is n(S-1)/6 in
   (mu, mu), n(S-1)(pi^2 - 6)/18 in (sigma, sigma) and 0 off the diagonal.
+* The exponential information gain K of one perfect PROS(n, S) cycle is
+  2(zeta(3) - 1) n(S-1) in (sigma, sigma).
 * The Shannon entropy of a PROS sample is its upper bound n H(f) less the KL
   information K(pros, srs).
+* The KL information of a PROS sample against a shifted parent is the SRS
+  sample's plus K(pros, srs), since the n block weights sum to n at every t.
 """
 
 import math
@@ -22,9 +26,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prosinfo import family_names, k_matrix, kl_pros_srs, make_balanced_design, make_model, shannon
+from prosinfo import (
+    family_names,
+    k_matrix,
+    kl_likelihood_chain,
+    kl_pros_srs,
+    make_balanced_design,
+    make_model,
+    shannon,
+)
 
 SET_SIZES = (2, 6, 12, 24, 64)
+ZETA3 = 1.2020569031595942853997381615114  # Apery's constant, zeta(3)
 
 
 def _harmonic(k: int) -> Fraction:
@@ -56,6 +69,12 @@ def test_logistic_k_matrix_matches_its_closed_form(n, set_size):
     assert abs(got[0, 1]) <= 1e-12 * got[0, 0] and got[0, 1] == got[1, 0]
 
 
+@pytest.mark.parametrize("n, set_size", ((1, 2), (2, 6), (3, 12), (4, 64)))
+def test_exponential_k_matrix_matches_its_closed_form(n, set_size):
+    got = k_matrix(make_model("exponential"), n, set_size).as_array()
+    np.testing.assert_allclose(got, [[2.0 * (ZETA3 - 1.0) * n * (set_size - 1)]], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("set_size, n", ((2, 1), (6, 2), (6, 3), (12, 4), (24, 4), (64, 4), (6, 6)))
 @pytest.mark.parametrize("family", family_names())
 def test_pros_shannon_total_is_the_upper_bound_less_the_kl_information(family, set_size, n):
@@ -64,3 +83,12 @@ def test_pros_shannon_total_is_the_upper_bound_less_the_kl_information(family, s
     kl = kl_pros_srs(model, make_balanced_design(set_size, n))
     scale = max(abs(report.total), abs(report.upper_bound), abs(kl))
     assert abs(report.total - (report.upper_bound - kl)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("set_size, n", ((2, 1), (6, 2), (6, 3), (12, 3), (12, 4), (24, 4), (64, 4), (6, 6)))
+@pytest.mark.parametrize("family", ("normal", "exponential", "logistic", "extreme_value", "gamma", "exp_mixture"))
+def test_pros_likelihood_kl_is_the_srs_kl_plus_the_kl_information(family, set_size, n):
+    model, design = make_model(family), make_balanced_design(set_size, n)
+    k_srs, k_pros, _ = kl_likelihood_chain(model, design)
+    kl = kl_pros_srs(model, design)
+    assert abs(k_pros - (k_srs + kl)) <= 1e-12 * max(abs(k_srs), abs(k_pros), abs(kl))

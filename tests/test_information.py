@@ -523,7 +523,7 @@ def test_mc_routes_reject_workers_below_one(workers):
         lambda: verify_lemma_identity(model, design, lambda x: x, reps=5000, workers=workers),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="workers >= 1"):
+        with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
             call()
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -10,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from prosinfo import make_model, numerics
+import prosinfo as P
+from prosinfo import make_balanced_design, make_model, make_symmetric_alpha, numerics
 from prosinfo.models import score_information
 from prosinfo.numerics import (
     CHUNK_SIZE,
@@ -27,6 +30,8 @@ from prosinfo.numerics import (
     mc_mean_batches,
     substream,
 )
+
+ZETA3 = 1.2020569031595942853997381615114  # Apery's constant, zeta(3)
 
 
 def test_integrate_constant_is_one():
@@ -321,12 +326,10 @@ def test_expectation_normal_mean_is_zero():
 
 def test_expectation_exponential_rank_info_constant():
     # E{(dF/dsigma)^2 / (F(1-F))} for the standard exponential = 2(zeta(3) - 1)
-    from scipy.special import zeta
-
     model, k_integrand = _exponential_rank_integrand()
     got = integrate_expectation(model, k_integrand)
     np.testing.assert_allclose(got, 0.4041, atol=1e-3)
-    np.testing.assert_allclose(got, 2.0 * (zeta(3.0) - 1.0), rtol=1e-9)
+    np.testing.assert_allclose(got, 2.0 * (ZETA3 - 1.0), rtol=1e-9)
 
 
 def test_quantile_domain_weight_normalizes_for_every_family():
@@ -344,14 +347,12 @@ def _unit_weight(t):
 
 
 def test_score_information_closed_forms():
-    from scipy.special import zeta
-
     # over the open interval no tail of the scale information is lost
     unit = score_information(make_model("normal"), lambda t, s: (1.0, None, _unit_weight(t)))
     np.testing.assert_allclose(unit, np.diag([1.0, 2.0]), rtol=1e-12, atol=1e-12)
     got = score_information(make_model("exponential"), lambda t, s: (None, 1.0, (1.0 / (t * s))[None]))
     np.testing.assert_allclose(got, [[0.4041]], atol=1e-4)
-    np.testing.assert_allclose(got, [[2.0 * (zeta(3.0) - 1.0)]], rtol=1e-9)
+    np.testing.assert_allclose(got, [[2.0 * (ZETA3 - 1.0)]], rtol=1e-9)
 
 
 def test_score_information_of_two_terms_sums_the_one_term_kernels():
@@ -478,6 +479,129 @@ def test_mc_estimate_validation():
         MCEstimate(value=1.0, std_error=0.0, replications=1)
     with pytest.raises(ValueError):
         MCEstimate(value=1.0, std_error=-1.0, replications=10)
+
+
+@pytest.mark.parametrize("value, want", ((3, 3), (3.0, 3), (np.int64(3), 3), (np.float32(3.0), 3), (True, 1)))
+def test_whole_gives_an_integral_value_as_its_int(value, want):
+    got = numerics.whole(value, "size", 1)
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("value, least, message", (
+    (2.5, None, "size must be an integer, got 2.5"),
+    ("3", None, "size must be an integer, got '3'"),
+    (float("nan"), None, "size must be an integer, got nan"),
+    (float("inf"), 0, "size must be an integer, got inf"),
+    (None, 0, "size must be an integer, got None"),
+    (0, 1, "size must be >= 1, got 0"),
+    (np.int64(-1), 0, "size must be >= 0, got -1"),
+    (1.0, 2, "size must be >= 2, got 1.0"),
+))
+def test_whole_refuses_with_the_callers_error(value, least, message):
+    class Refused(ValueError):
+        pass
+
+    with pytest.raises(Refused, match=f"^{re.escape(message)}$"):
+        numerics.whole(value, "size", least, Refused)
+
+
+_NORMAL = make_model("normal")
+_DESIGN = make_balanced_design(6, 2)
+_BLOCKS = ((1, 2, 3), (4, 5, 6))
+_MC_ROUTES = (
+    lambda **kw: P.fi_pros_complete(_NORMAL, 2, 6, method="mc", **kw),
+    lambda **kw: P.fi_pros_marginal(_NORMAL, _DESIGN, make_symmetric_alpha(2, 0.8), method="mc", **kw),
+    lambda **kw: P.fi_unbalanced(_NORMAL, _DESIGN, method="mc", **kw),
+    lambda **kw: P.verify_lemma_identity(_NORMAL, _DESIGN, lambda x: x, **kw),
+    lambda **kw: mc_mean_batches(lambda rng, count: rng.random(count), **{"reps": 5000, "seed": 1, **kw}),
+)
+
+# (call, the route's error class, its message): each route checks its sizes through numerics.whole
+_SIZE_REFUSALS = (
+    (lambda: P.fisher_srs(_NORMAL, 1.5), P.InformationError, "count must be an integer, got 1.5"),
+    (lambda: P.k_matrix(_NORMAL, 2.5, 6), P.InformationError, "n must be an integer, got 2.5"),
+    (lambda: P.k_matrix(_NORMAL, 0, 6), P.InformationError, "n must be >= 1, got 0"),
+    (lambda: P.h_matrix(_NORMAL, 2, 6.5), P.InformationError, "set_size must be an integer, got 6.5"),
+    (lambda: P.h_matrix(_NORMAL, 2.5, 2.5), P.InformationError, "n must be an integer, got 2.5"),
+    (lambda: P.regression_fi(_NORMAL, [-1, 0, 1], 1.5, 6), P.InformationError, "n must be an integer, got 1.5"),
+    (lambda: P.regression_fi(_NORMAL, [-1, 0, 1], 0, 6), P.InformationError, "n must be >= 1, got 0"),
+    (lambda: P.regression_fi(_NORMAL, [-1, 0, 1], 2, 0), P.InformationError, "set_size must be >= 1, got 0"),
+    (lambda: P.fi_pros_marginal(_NORMAL, _DESIGN, method="mc", reps=5000, seed=1.5), ValueError,
+     "seed must be an integer, got 1.5"),
+    (lambda: P.draw_pros(_NORMAL, _DESIGN, seed=7.9), ValueError, "seed must be an integer, got 7.9"),
+    (lambda: P.draw_pros(_NORMAL, _DESIGN, seed="3"), ValueError, "seed must be an integer, got '3'"),
+    (lambda: P.draw_pros(_NORMAL, _DESIGN, seed=-1), ValueError, "seed must be >= 0, got -1"),
+    (lambda: P.draw_srs(_NORMAL, 3, seed=-1), ValueError, "seed must be >= 0, got -1"),
+    (lambda: P.estimate_alphas(_NORMAL, 6, [_BLOCKS], [0.5], 200, seed=2.5), ValueError,
+     "seed must be an integer, got 2.5"),
+    (lambda: P.estimate_unbalanced_alphas(_NORMAL, _DESIGN, 0.5, 200, seed="3"), ValueError,
+     "seed must be an integer, got '3'"),
+    (lambda: P.shannon(_NORMAL, "srs", 1.5), P.EntropyError, "n must be an integer, got 1.5"),
+    (lambda: P.shannon(_NORMAL, "pros", 2, 6.5), P.EntropyError, "set_size must be an integer, got 6.5"),
+    (lambda: P.renyi(_NORMAL, 0.5, "pros", 2, 0), P.EntropyError, "set_size must be >= 1, got 0"),
+    (lambda: P.draw_srs(_NORMAL, 2.5), P.SamplingError, "sample size must be an integer, got 2.5"),
+    (lambda: P.estimate_alphas(_NORMAL, 6.5, [_BLOCKS], [0.5], 200), P.SamplingError,
+     "set_size must be an integer, got 6.5"),
+    (lambda: P.identity_alpha(2.5), P.DesignError, "n must be an integer, got 2.5"),
+    (lambda: P.identity_alpha(0), P.DesignError, "n must be >= 1, got 0"),
+    (lambda: P.make_symmetric_alpha(1, 0.5), P.DesignError, "n must be >= 2, got 1"),
+    (lambda: P.make_symmetric_alpha(2.5, 0.5), P.DesignError, "n must be an integer, got 2.5"),
+    (lambda: P.make_balanced_design(0, 2), P.DesignError, "set_size must be >= 1, got 0"),
+    (lambda: P.make_balanced_design(6, 0), P.DesignError, "n must be >= 1, got 0"),
+    (lambda: P.fi_pros_complete(_NORMAL, 0, 6), P.InformationError, "n must be >= 1, got 0"),
+    (lambda: MCEstimate(1.0, 0.0, 1), ValueError, "replications must be >= 2, got 1"),
+    (lambda: MCEstimate(1.0, 0.0, 2.5), ValueError, "replications must be an integer, got 2.5"),
+    (lambda: substream(-1), ValueError, "seed must be >= 0, got -1"),
+    *((lambda route=route: route(reps=100.5), ValueError, "reps must be an integer, got 100.5")
+      for route in _MC_ROUTES),
+    *((lambda route=route: route(reps=1), ValueError, "reps must be >= 2, got 1") for route in _MC_ROUTES),
+    *((lambda route=route: route(reps=5000, workers=1.5), ValueError, "workers must be an integer, got 1.5")
+      for route in _MC_ROUTES),
+)
+
+
+@pytest.mark.parametrize("call, error, message", _SIZE_REFUSALS)
+def test_every_route_refuses_a_bad_size_with_its_own_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        call()
+    assert type(refused.value) is error and isinstance(refused.value, ValueError)
+
+
+def _same(a, b):
+    """Whether two results hold the same bits, field by field."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if a is None or isinstance(a, (str, int, float)):
+        return type(a) is type(b) and repr(a) == repr(b)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# calls that take each size as w(k) of an int k, with the names of those sizes
+_INTEGRAL_CALLS = (
+    (lambda w: P.shannon(_NORMAL, "rss", w(2)), "n"),
+    (lambda w: P.shannon(_NORMAL, "pros", w(2), w(6)), "n, set_size"),
+    (lambda w: P.draw_srs(_NORMAL, w(5), seed=w(3)), "n, seed"),
+    (lambda w: P.make_symmetric_alpha(w(2), 0.5).entries, "n"),
+    (lambda w: P.identity_alpha(w(3)).entries, "n"),
+    (lambda w: [[m.entries for m in row] for row in P.estimate_alphas(_NORMAL, w(6), [_BLOCKS], [0.5], w(300), w(4))],
+     "set_size, reps, seed"),
+    (lambda w: P.fi_pros_complete(_NORMAL, w(2), w(6), w(2), method="mc", reps=w(5000), seed=w(3)),
+     "n, set_size, cycles, reps, seed"),
+    (lambda w: P.fi_pros_marginal(_NORMAL, _DESIGN, make_symmetric_alpha(2, 0.8), method="mc", reps=w(5000),
+                                  seed=w(3), workers=w(2)), "reps, seed, workers"),
+    (lambda w: P.verify_lemma_identity(_NORMAL, _DESIGN, lambda x: x, reps=w(5000), seed=w(3), workers=w(2)),
+     "reps, seed, workers"),
+    (lambda w: mc_mean_batches(lambda rng, count: rng.random(count), w(5000), w(1), w(2)), "reps, seed, workers"),
+)
+
+
+@pytest.mark.parametrize("call, sizes", _INTEGRAL_CALLS)
+@pytest.mark.parametrize("kind", (float, np.int64, np.float64))
+def test_an_integral_size_of_another_type_gives_the_bits_of_the_int(three_cpus, call, sizes, kind):
+    assert _same(call(kind), call(int)), sizes
 
 
 def test_substream_is_keyed_and_reproducible():

@@ -2,6 +2,8 @@ import dataclasses
 import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -977,3 +979,48 @@ def test_cli_names_the_design_file_only_where_it_is_read(capsys):
         assert captured.out == "" and captured.err.count("\n") == 1, (argv, captured.err)
         assert captured.err.startswith("error: --set-size and --subsets are required"), captured.err
         assert ("--design-file" in captured.err) == hint, (argv, captured.err)
+
+
+@pytest.mark.parametrize("argv", (
+    ["fisher", "--set-size", "1014", "--subsets", "2"],
+    ["entropy", "--set-size", "1030", "--subsets", "2"],
+    ["fisher", "--set-size", "1030", "--subsets", "2", "--method", "mc", "--reps", "4096"],
+))
+def test_a_set_size_whose_bernstein_coefficients_overflow_is_refused_in_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: set size S={argv[2]} is too large: Bernstein coefficients overflow\n"
+
+
+def test_the_largest_set_size_below_the_overflow_runs(capsys):
+    assert main(["fisher", "--set-size", "1012", "--subsets", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "PROS(n=2, S=1012, N=1)" in captured.out
+
+
+def test_requests_off_the_gamma_family_leave_scipy_unloaded():
+    # importing scipy.special takes about 0.3 s, and only the gamma family needs it
+    import prosinfo
+
+    src = os.path.dirname(os.path.dirname(prosinfo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = """if True:
+        import os, sys
+        from prosinfo.cli import main
+
+        def scipy_loaded():
+            return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+        design = ["--set-size", "6", "--subsets", "2", "--output", os.devnull]
+        for argv in (["fisher", "--alpha", "symmetric:0.8"], ["fisher", "--method", "mc", "--reps", "5000"],
+                     ["entropy"], ["sample", "--alpha", "dellclutter:0.75"]):
+            assert main(argv + design) == 0, argv
+        assert main(["table", "3", "--output", os.devnull]) == 0
+        print(scipy_loaded())
+        assert main(["fisher", "--family", "gamma", "--params", "shape=2"] + design) == 0
+        print(scipy_loaded())
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
+                         check=True)
+    assert out.stdout.split() == ["False", "True"]
