@@ -4,7 +4,7 @@ A subset density factors as f(x)·w_r(F(x)), where the block weight w_r is a
 Bernstein series in t = F(x).  Each report is one vector integral
 (numerics.integrate) with one row per weight: the parent (w = 1 exactly), every
 measured subset and, for the lower bound, each of the S ranks of an RSS with
-set size S, as rows of the tables the Fisher routes read (densities.block_table).
+set size S, as rows of block weight tables of w alone (densities.block_table).
 
 Every integral runs on the parent's standard member (Model.standard): an
 entropy at scale s is the member's plus log s, row by row, and KL information
@@ -101,8 +101,8 @@ def _quantile_integrals(set_size: int, subsets: tp.Sequence[tuple[int, ...]], te
     singletons = tuple((u,) for u in range(1, set_size + 1))
 
     def rows(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        tables = (densities.block_table(set_size, blocks, t, s)[0] if set_size > 1 else np.ones((len(blocks), t.size))
-                  for blocks in (subsets, singletons))
+        tables = (densities.block_table(set_size, blocks, t, s, 1)[0] if set_size > 1
+                  else np.ones((len(blocks), t.size)) for blocks in (subsets, singletons))
         return term(t, s, np.concatenate((np.ones((1, t.size)), *tables)))
 
     return numerics.integrate(rows)
@@ -158,7 +158,8 @@ def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: 
     densities and are rejected.
 
     :raises numerics.NumericsError: the integral did not converge, as happens
-        at very small orders on an unbounded support.
+        at very small orders on an unbounded support, or one underflows to 0,
+        as the lower blocks' do at gamma shapes far below 1.
     """
     if not 0.0 < alpha < 1.0:
         raise EntropyError(f"Renyi order must satisfy 0 < alpha < 1 (alpha > 1 unsupported), got {alpha!r}")
@@ -172,6 +173,10 @@ def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: 
         return np.where(f > 0.0, f ** (alpha - 1.0), 0.0) * w**alpha
 
     mass = _quantile_integrals(set_size, subsets, term)
+    bad = np.flatnonzero(~(mass > 0.0))  # rows: the parent, each subset, then each rank of the lower bound
+    if bad.size:
+        raise numerics.NumericsError(f"the Renyi integral of weight row {bad[0]} is {float(mass[bad[0]])!r}, not "
+                                     "positive, so its entropy is not finite")
     return _report(model, kind, n, set_size, np.log(mass) / (1.0 - alpha) + math.log(scale))
 
 
@@ -183,7 +188,7 @@ def kl_pros_srs(model: Model, design: Design) -> float:
     """
     if not design.is_balanced:
         raise EntropyError("KL information is defined here for balanced designs")
-    blocks = numerics.integrate(lambda t, s: _xlogx(densities.block_table(design.set_size, design.subsets, t, s)[0]))
+    blocks = numerics.integrate(lambda t, s: _xlogx(densities.block_table(design.set_size, design.subsets, t, s, 1)[0]))
     return float(np.sum(blocks))
 
 

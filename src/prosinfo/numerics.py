@@ -313,7 +313,7 @@ def integrate(fn: tp.Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarr
     raise QuadratureNonConvergence("quadrature did not converge", float(np.max(np.abs(previous))), change)
 
 
-# integrate_unit_interval and integrate_expectation serve only the benchmark and the tests; ROADMAP item 12
+# integrate_unit_interval and integrate_expectation serve only the benchmark and the tests; ROADMAP item 15
 # deletes them once the benchmark calls integrate itself.
 
 

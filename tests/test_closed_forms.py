@@ -18,6 +18,10 @@ summed exactly in fractions and log B(a, b) comes from math.lgamma.
   information K(pros, srs).
 * The KL information of a PROS sample against a shifted parent is the SRS
   sample's plus K(pros, srs), since the n block weights sum to n at every t.
+
+The last two identities also run on two stress members: a mixture whose
+rates differ a hundredfold with almost all its mass on one, and a gamma
+whose density diverges at 0.
 """
 
 import math
@@ -38,6 +42,14 @@ from prosinfo import (
 
 SET_SIZES = (2, 6, 12, 24, 64)
 ZETA3 = 1.2020569031595942853997381615114  # Apery's constant, zeta(3)
+STRESS = {"exp_mixture(pi=0.999,h=0.01)": ("exp_mixture", {"pi": 0.999, "h": 0.01}),
+          "gamma(shape=0.5)": ("gamma", {"shape": 0.5})}
+
+
+def _model(name: str):
+    """The standard member of a family, or a stress member by its STRESS name."""
+    family, params = STRESS.get(name, (name, {}))
+    return make_model(family, **params)
 
 
 def _harmonic(k: int) -> Fraction:
@@ -76,9 +88,9 @@ def test_exponential_k_matrix_matches_its_closed_form(n, set_size):
 
 
 @pytest.mark.parametrize("set_size, n", ((2, 1), (6, 2), (6, 3), (12, 4), (24, 4), (64, 4), (6, 6)))
-@pytest.mark.parametrize("family", family_names())
+@pytest.mark.parametrize("family", (*family_names(), *STRESS))
 def test_pros_shannon_total_is_the_upper_bound_less_the_kl_information(family, set_size, n):
-    model = make_model(family)
+    model = _model(family)
     report = shannon(model, "pros", n, set_size)
     kl = kl_pros_srs(model, make_balanced_design(set_size, n))
     scale = max(abs(report.total), abs(report.upper_bound), abs(kl))
@@ -86,9 +98,10 @@ def test_pros_shannon_total_is_the_upper_bound_less_the_kl_information(family, s
 
 
 @pytest.mark.parametrize("set_size, n", ((2, 1), (6, 2), (6, 3), (12, 3), (12, 4), (24, 4), (64, 4), (6, 6)))
-@pytest.mark.parametrize("family", ("normal", "exponential", "logistic", "extreme_value", "gamma", "exp_mixture"))
+@pytest.mark.parametrize("family", ("normal", "exponential", "logistic", "extreme_value", "gamma", "exp_mixture",
+                                    *STRESS))
 def test_pros_likelihood_kl_is_the_srs_kl_plus_the_kl_information(family, set_size, n):
-    model, design = make_model(family), make_balanced_design(set_size, n)
+    model, design = _model(family), make_balanced_design(set_size, n)
     k_srs, k_pros, _ = kl_likelihood_chain(model, design)
     kl = kl_pros_srs(model, design)
     assert abs(k_pros - (k_srs + kl)) <= 1e-12 * max(abs(k_srs), abs(k_pros), abs(kl))

@@ -452,6 +452,42 @@ def test_bernstein_series_keeps_the_shape_of_many_stacked_points():
     np.testing.assert_allclose(results[0][0, 0], _beta_weight(S, coefs[0, 0], t), rtol=1e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize("S, n", ((1, 1), (2, 2), (6, 2), (12, 3), (64, 4), (64, 64)))
+def test_bernstein_series_of_fewer_orders_keeps_the_bits_of_all_three(S, n):
+    # window 0 alone sets the table of powers and the blocks of points, so an order formed alone has the bits
+    # of the same order formed beside the others; 5000 points span several blocks at S = 64
+    coefs = rank_coefficients(S, make_balanced_design(S, n).subsets, make_symmetric_alpha(n, 0.7).entries
+                              if n > 1 else [[1.0]])
+    t = np.concatenate([EDGE_T, np.random.default_rng(3).random(5000)])
+    full = bernstein_series(coefs, t, 1.0 - t)
+    for orders in (1, 2):
+        part = bernstein_series(coefs, t, 1.0 - t, orders)
+        assert len(part) == orders
+        for j in range(orders):
+            assert part[j].tobytes() == full[j].tobytes(), (orders, j)
+
+
+@pytest.mark.parametrize("n, orders, first", (
+    (2, 3, 1012), (2, 2, 1022), (2, 1, 1030), (None, 3, 1002), (None, 2, 1012), (None, 1, 1021),
+))
+def test_bernstein_series_refuses_a_set_size_whose_scaled_window_overflows(n, orders, first):
+    # the first S whose windows k < orders pass the double range, and the S just below it, for two blocks and
+    # for the S singletons: w'' of two blocks overflows only in its product with the differences of c, and w'
+    # of two blocks in its scale (S-1) C(S-2, j) already
+    def coefs(S):
+        if n is None:
+            return rank_coefficients(S, tuple((u,) for u in range(1, S + 1)), np.eye(S))
+        return rank_coefficients(S, make_balanced_design(S, n).subsets, np.eye(n))
+
+    t = np.array([0.25, 0.5, 0.75])
+    below = first - (1 if n is None else n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert all(np.isfinite(w).all() for w in bernstein_series(coefs(below), t, 1.0 - t, orders))
+        with pytest.raises(DensityError, match=rf"^set size S={first} is too large: Bernstein coefficients overflow$"):
+            bernstein_series(coefs(first), t, 1.0 - t, orders)
+
+
 @st.composite
 def _density_cases(draw):
     S = draw(st.integers(1, 64))

@@ -797,19 +797,20 @@ def test_a_second_alpha_on_a_partition_reads_its_block_weight_tables(monkeypatch
     assert not calls
 
 
-def test_fisher_and_entropy_routes_share_one_block_weight_table(monkeypatch):
-    # the balanced designs' partitions and the singletons of S = 6, from the Fisher routes first
+def test_fisher_routes_share_two_order_tables_and_entropy_routes_build_one_order_tables(monkeypatch):
+    # the Fisher routes read (W, W') and the entropy routes W alone, so each builds its own tables once per
+    # (S, partition, orders) and node array: the singleton table of S = 6 is built for both
     from prosinfo import entropy, numerics
     from prosinfo.designs import SetPlan
     from prosinfo.models import Model
 
     numerics._memo.clear()
-    model, design, built = make_model("logistic"), make_balanced_design(6, 2), {"fisher": set(), "entropy": set()}
-    series, route = densities.bernstein_series, ["fisher"]
+    model, design, built = make_model("logistic"), make_balanced_design(6, 2), []
+    series = densities.bernstein_series
 
-    def counted(coef, t, s=None):
-        built[route[0]].add((np.asarray(coef).tobytes(), numerics._UNIT_INDEX.get(id(t))))
-        return series(coef, t, s)
+    def counted(coef, t, s=None, orders=3):
+        built.append((np.asarray(coef).tobytes(), numerics._UNIT_INDEX.get(id(t)), orders))
+        return series(coef, t, s, orders)
 
     monkeypatch.setattr(densities, "bernstein_series", counted)
     fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.8))
@@ -817,16 +818,26 @@ def test_fisher_and_entropy_routes_share_one_block_weight_table(monkeypatch):
     ud = UnbalancedDesign(6, (SetPlan(1, ((1, 2), (3, 4, 5, 6)), 1), SetPlan(1, ((1, 2), (3, 4, 5, 6)), 2),
                               SetPlan(2, ((1,), (2, 3, 4, 5), (6,)), 3), SetPlan(2, ((1,), (2, 3, 4, 5), (6,)), 1)))
     fi_unbalanced(model, ud, {1: make_symmetric_alpha(2, 0.8), 2: make_symmetric_alpha(3, 0.6)})
-    assert built["fisher"]
-    route[0] = "entropy"
+    fisher = len(built)
+    assert fisher and {orders for *_, orders in built} == {2}
+    # another alpha, and an unbalanced design over the balanced partition, read the Fisher routes' tables
+    fi_pros_marginal(model, design, make_symmetric_alpha(2, 0.3))
+    fi_unbalanced(model, UnbalancedDesign(6, (SetPlan(1, design.subsets, 2),)), {1: make_symmetric_alpha(2, 0.6)})
+    assert len(built) == fisher
     entropy.shannon(model, "pros", 2, 6)
     entropy.renyi(model, 0.5, "pros", 2, 6)
     entropy.kl_likelihood_chain(model, design)
-    assert not built["entropy"] & built["fisher"]  # no table the Fisher routes built is built again
+    entropy.kl_pros_srs(model, design)
+    assert len(built) > fisher and {orders for *_, orders in built[fisher:]} == {1}
+    assert len(set(built)) == len(built)  # no table is built twice under one key
+    tables = {}
     for key, _ in numerics._memo:
-        assert isinstance(key, Model) or (key[:2] == ("blocks", 6) and len(key) == 3)
-    partitions = {key[2] for key, _ in numerics._memo if not isinstance(key, Model)}
-    assert partitions == {design.subsets, make_balanced_design(6, 6).subsets, *(sp.partition for sp in ud.sets)}
+        assert isinstance(key, Model) or (key[:2] == ("blocks", 6) and len(key) == 4)
+        if not isinstance(key, Model):
+            tables.setdefault(key[3], set()).add(key[2])
+    singletons = make_balanced_design(6, 6).subsets
+    assert tables[2] == {design.subsets, singletons, *(sp.partition for sp in ud.sets)}
+    assert tables == {2: tables[2], 1: {design.subsets, singletons}}
 
 
 def _table_cases():

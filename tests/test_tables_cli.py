@@ -981,10 +981,14 @@ def test_cli_names_the_design_file_only_where_it_is_read(capsys):
         assert ("--design-file" in captured.err) == hint, (argv, captured.err)
 
 
+# each route's first refused set size: the quadrature routes form w and w' of two blocks, the entropy routes w
+# of two blocks and of the S singletons, the Monte Carlo marginal route w, w' and w'' of two blocks, and the
+# quadrature route over the S singletons their w and w'
 @pytest.mark.parametrize("argv", (
-    ["fisher", "--set-size", "1014", "--subsets", "2"],
-    ["entropy", "--set-size", "1030", "--subsets", "2"],
-    ["fisher", "--set-size", "1030", "--subsets", "2", "--method", "mc", "--reps", "4096"],
+    ["fisher", "--set-size", "1022", "--subsets", "2"],
+    ["entropy", "--set-size", "1022", "--subsets", "2"],
+    ["fisher", "--set-size", "1012", "--subsets", "2", "--method", "mc", "--reps", "4096"],
+    ["fisher", "--set-size", "1012", "--subsets", "1012"],
 ))
 def test_a_set_size_whose_bernstein_coefficients_overflow_is_refused_in_one_line(capsys, argv):
     assert main(argv) == 2
@@ -993,10 +997,29 @@ def test_a_set_size_whose_bernstein_coefficients_overflow_is_refused_in_one_line
     assert captured.err == f"error: set size S={argv[2]} is too large: Bernstein coefficients overflow\n"
 
 
-def test_the_largest_set_size_below_the_overflow_runs(capsys):
-    assert main(["fisher", "--set-size", "1012", "--subsets", "2"]) == 0
+@pytest.mark.parametrize("argv", (
+    ["fisher", "--set-size", "1020", "--subsets", "2"],
+    ["entropy", "--set-size", "1020", "--subsets", "2"],
+    ["fisher", "--set-size", "1010", "--subsets", "2", "--method", "mc", "--reps", "4096"],
+    ["entropy", "--set-size", "1012", "--subsets", "2"],  # its singleton w' would overflow here
+))
+def test_the_largest_set_size_below_the_overflow_runs(capsys, argv):
+    assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.err == "" and "PROS(n=2, S=1012, N=1)" in captured.out
+    assert captured.err == "" and f"n=2, S={argv[2]}" in captured.out
+
+
+@pytest.mark.parametrize("argv", (
+    ["entropy", "--family", "gamma", "--params", "shape=1e-300", "--set-size", "6", "--subsets", "2"],
+    ["entropy", "--family", "gamma", "--params", "shape=1e-8", "--kind", "rss", "--subsets", "200"],
+))
+def test_a_renyi_integral_that_underflows_to_zero_is_a_numeric_failure_in_one_line(capsys, argv):
+    # far below shape 1 the gamma quantile underflows to 0 over most of (0, 1), and so does the lowest
+    # subset's integral, whose log would print -inf
+    assert main(argv + ["--measure", "renyi", "--order", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+    assert captured.err.startswith("error: the Renyi integral of weight row 1 is 0.0, not positive"), captured.err
 
 
 def test_requests_off_the_gamma_family_leave_scipy_unloaded():
