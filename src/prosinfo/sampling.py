@@ -18,6 +18,13 @@ standardized response Z.  estimate_alphas tallies the induced block confusion
 of every requested partition at every rho from one simulated draw of sets; it
 and its three one-matrix entries all take rho (or rhos), reps = DC_REPS and
 seed = DEFAULT_SEED as plain arguments.
+
+sample_to_csv writes the bytes of str of each index and '%.17g' of each value,
+row by row, but builds them with numpy in one byte matrix.  A value with |v| in
+[1e-4, 1e17), where %g prints fixed notation, takes its 17 digits from the
+exact product |v| * 10**(16 - e) of its decade e (Dekker's two-product),
+rounded half to even; every other value, and an index column that is not
+integers in [0, 10**8), is formatted one entry at a time.
 """
 
 from __future__ import annotations
@@ -125,13 +132,91 @@ def _draw(model: Model, design: Design, alphas: tp.Mapping | None, seed: int, la
     )
 
 
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")  # column c: the 4 ASCII digits of c
+# _TENS[i] is the least double >= 10**(i - 4), exact from 10**0 on: a double v >= 10**e exactly where v >= _TENS[e + 4]
+_TENS = np.r_[1e-4, 1e-3, 1e-2, 0.1, 10.0 ** np.arange(21)]
+_LEADS = np.r_[10 ** np.arange(7, 0, -1), 0]  # the least value that prints a digit at each of the last 8 places
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p, err with p + err == a * b exactly: Dekker's product over Veltkamp's split by 2**27 + 1."""
+    p = a * b
+    c, d = (2.0**27 + 1) * a, (2.0**27 + 1) * b
+    ah, bh = c - (c - a), d - (d - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _digit_rows(x: np.ndarray, width: int) -> np.ndarray:
+    """(width, len(x)) ASCII digits of the integers 0 <= x < 10**width <= 10**8, zero-padded."""
+    if width <= 4:
+        return np.take(_DIGITS, x, axis=1)[-width:]
+    high = x // 10**4
+    return np.vstack([np.take(_DIGITS, high, axis=1), np.take(_DIGITS, x - high * 10**4, axis=1)])[-width:]
+
+
+def _text_rows(strings: list[str]) -> np.ndarray:
+    """(width, len(strings)) bytes of ASCII strings, NUL-padded."""
+    return np.array(strings, dtype=bytes)[:, None].view(np.uint8).T
+
+
+def _index_rows(column: np.ndarray) -> np.ndarray:
+    """str of each entry: integers in [0, 10**8) from the digit table, anything else one by one."""
+    x = np.asarray(column)
+    if x.dtype.kind not in "iu" or x.min(initial=0) < 0 or (top := x.max(initial=0)) >= 10**8:
+        return _text_rows([str(i) for i in x.tolist()])
+    width = len(str(top))
+    rows = _digit_rows(x.astype(np.int64, copy=False), width)
+    rows *= x >= _LEADS[-width:, None]  # leading zeros become NUL
+    return rows
+
+
+def _value_rows(values: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of each value.  For |v| in [1e-4, 1e17) in decade e that is N * 10**(e - 16) in fixed notation,
+    N the round-half-even of the exact |v| * 10**(16 - e); +-0, subnormals, nan, +-inf and the rest go one by one."""
+    v = np.asarray(values, dtype=float)
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    e += (a >= _TENS[e + 5]).astype(np.intp) - (a < _TENS[e + 4])  # log10 may be one off beside a power of ten
+    p, err = _two_product(a, _TENS[20 - e])
+    # p >= 1e16 > 2**53 is even, so this rounds p + err half to even.  n < 10**17: the largest double under 10**k,
+    # k = -3..17, lies more than 8e-17 * 10**k below it, 16 times the half unit of the 17th digit that rounds up
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    top, lead = n // 10**8, n // 10**16
+    digits = np.vstack([lead.astype(np.uint8) + ord("0"), _digit_rows(top - lead * 10**8, 8),
+                        _digit_rows(n - top * 10**8, 8)])
+    place = np.arange(17, dtype=np.uint8)[:, None]
+    last = ((digits != ord("0")) * place).max(axis=0)  # the last non-zero digit
+    digits *= place <= np.maximum(last, e).astype(np.uint8)  # trailing fraction zeros become NUL
+    minus, zero, point = np.frombuffer(b"-0.", np.uint8)
+    rows = [minus * (v < 0), zero * (e < 0), point * (e < 0)]
+    rows += [zero * (e <= -m) for m in range(2, 1 - e.min(initial=0))]  # the fraction's leading zeros
+    places = np.flatnonzero(np.bincount(e + 4, minlength=21)[4:])  # a point row after digit i, for rows with e == i
+    table = np.vstack(rows + [np.insert(digits, places + 1, point * ((e == places[:, None]) & (last > e)), axis=0)])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = _text_rows(["%.17g" % x for x in v[slow].tolist()])
+        table = np.vstack([table, np.zeros((max(len(text) - len(table), 0), len(v)), np.uint8)])
+        table[:, slow] = 0
+        table[: len(text), slow] = text
+    return table
+
+
 def sample_to_csv(sample: ProsSample) -> str:
-    """CSV rendering: cycle,set,subset,value,true_position, every row from one % template."""
-    columns = (sample.cycle, sample.set_index, sample.target_subset, sample.values, sample.true_rank)
-    fields: list = [None] * (5 * len(sample))  # the columns interleaved; %s prints any index dtype as str does
-    for j, col in enumerate(columns):
-        fields[j::5] = np.asarray(col).tolist()
-    return "cycle,set,subset,value,true_position\n" + ("%s,%s,%s,%.17g,%s\n" * len(sample)) % tuple(fields)
+    """CSV rendering: cycle,set,subset,value,true_position, with str of each index and '%.17g' of each value."""
+    # each field NUL-padded to its widest entry, one table row per sample row; the NULs are dropped from the bytes
+    fields = (_index_rows(sample.cycle), _index_rows(sample.set_index), _index_rows(sample.target_subset),
+              _value_rows(sample.values), _index_rows(sample.true_rank))
+    comma = np.full((len(sample), 1), ord(","), np.uint8)
+    table = np.hstack([column for field in fields for column in (field.T, comma)])
+    table[:, -1] = ord("\n")
+    flat = table.ravel()
+    # compress makes an index array of 8 bytes per byte kept, so it runs over 64 KiB slices
+    parts = (flat[i : i + 2**16] for i in range(0, flat.size, 2**16))
+    body = (np.compress(part != 0, part).tobytes() for part in parts)
+    return b"".join([b"cycle,set,subset,value,true_position\n", *body]).decode("ascii")
 
 
 # -- bulk engines for Monte Carlo information estimates -----------------------

@@ -274,6 +274,67 @@ def test_sample_to_csv_matches_per_row_oracle():
         assert sample_to_csv(sample) == _per_row_csv(sample)
 
 
+def _with_values(values, index=None):
+    """A sample whose value column is values; small positive integer index columns unless index is given."""
+    n = len(values)
+    index = np.arange(n) % 997 + 1 if index is None else np.asarray(index)
+    return ProsSample(values=np.asarray(values), cycle=index, set_index=np.arange(n) % 7 + 1, target_subset=index[::-1],
+                      source_subset=np.ones(n, dtype=int), true_rank=np.arange(n) % 12)
+
+
+def _exact_ties(rng):
+    """m * 2**-j with m odd and m * 5**j of 18 digits: a decimal of 18 digits ending in 5, a tie at 17 digits."""
+    parts = []
+    for j in range(2, 26):
+        low, high = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        parts.append(np.ldexp(2 * rng.integers(low // 2, (high - 1) // 2, 200) + 1.0, -j))
+    return np.concatenate(parts)
+
+
+def _power_of_ten_neighbours(rng):
+    tens = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    return np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+
+
+# value families of the writer's differential test, each drawn from its own seeded generator
+_VALUE_FAMILIES = {
+    # three mantissas at every binary exponent, subnormals included
+    "binary-exponents": lambda rng: np.ldexp(rng.uniform(1.0, 2.0, (3, 2098)), np.arange(-1074, 1024)).ravel(),
+    "power-of-ten-neighbours": _power_of_ten_neighbours,
+    # doubles just below 10**j whose 17-digit rounding is 10**j, and the largest double of each decade of the
+    # writer's fixed-notation window
+    "decade-carries": lambda rng: np.concatenate([
+        [9.99999999999999999e-3, 1e-14, 1e-70, 1e-305, 1e98, 1e220],
+        np.nextafter(np.array([float(f"1e{k}") for k in range(-4, 18)]), 0.0)]),
+    "exact-ties": _exact_ties,
+    "magnitudes": lambda rng: rng.standard_normal(20_000) * 10.0 ** rng.uniform(-8.0, 18.0, 20_000),
+    "few-decimals": lambda rng: np.concatenate([np.round(rng.standard_normal(2000) * 100.0, d) for d in range(7)]),
+    "float32": lambda rng: (rng.standard_normal(5000) * 10.0 ** rng.uniform(-8.0, 18.0, 5000)).astype(np.float32),
+    "non-finite": lambda rng: np.where(rng.random(3000) < 0.2, rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], 3000),
+                                       rng.standard_normal(3000)),
+    "empty-sample": lambda rng: np.empty(0),
+}
+
+
+@pytest.mark.parametrize("family", list(_VALUE_FAMILIES))
+def test_sample_to_csv_values_match_per_row_oracle(family):
+    values = _VALUE_FAMILIES[family](np.random.default_rng(list(_VALUE_FAMILIES).index(family)))
+    sample = _with_values(np.concatenate([values, -values]))  # both signs
+    assert sample_to_csv(sample) == _per_row_csv(sample)
+
+
+@pytest.mark.parametrize("index", [
+    np.arange(40) * 0.25,  # not integers
+    np.arange(40) - 20,  # negative
+    np.arange(40, dtype=np.uint64) * 10**7 + 10**7,  # reaching 10**8
+    np.arange(40, dtype=np.int16) * 700,
+    np.arange(40) % 2 == 0,  # str of a bool is not a digit
+], ids=["fractional", "negative", "uint64-to-4e8", "int16", "bool"])
+def test_sample_to_csv_index_columns_match_per_row_oracle(index):
+    sample = _with_values(np.random.default_rng(3).standard_normal(len(index)), index)
+    assert sample_to_csv(sample) == _per_row_csv(sample)
+
+
 def test_block_draws_follow_block_law():
     model = make_model("uniform")
     rng = substream(SEED, 0)

@@ -323,6 +323,14 @@ def test_cli_sample_matches_golden_bytes(capsys):
     assert capsys.readouterr().out == (DATA / "sample_golden.csv").read_text()
 
 
+def test_cli_sample_across_the_fixed_notation_window_matches_golden_bytes(capsys):
+    # values near +-1e-3: negatives, and about one in twelve below 1e-4, where %.17g turns to exponent notation
+    rc = main(["sample", "--family", "normal", "--params", "sigma=0.001", "--set-size", "6", "--subsets", "3",
+               "--cycles", "300", "--seed", "42"])
+    assert rc == 0
+    assert capsys.readouterr().out == (DATA / "sample_window_golden.csv").read_text()
+
+
 @pytest.mark.parametrize("args, golden", [
     (["sample", "--family", "gamma", "--cycles", "40", "--alpha", "symmetric:0.8", "--seed", "42"],
      "design_sample_golden.csv"),
