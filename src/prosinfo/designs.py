@@ -65,10 +65,10 @@ def _check_set(cycle: int, measured: int, n: int) -> None:
 class Design:
     """Judgment sets grouped into cycles, the whole list drawn `replications` times (N).
 
-    set_size and replications are stored as ints, and each set as a SetPlan of ints, through numerics.whole: a
-    value of another integral type (2.0, np.int64) becomes an int, and a non-integral one is refused.  Each distinct
-    partition is checked once, each set by int comparisons.  Construction works out each cycle's subset count, the
-    runs of sets sharing a partition in cycle order, and is_balanced.
+    set_size and replications are stored as ints, and every set is normalized once, in one pass, into a SetPlan of
+    ints through numerics.whole: a value of another integral type (2.0, np.int64) becomes an int, and a non-integral
+    one is refused.  Each distinct partition is checked once, each set by int comparisons.  Construction works out
+    each cycle's subset count, the runs of sets sharing a partition in cycle order, and is_balanced.
     """
 
     set_size: int
@@ -83,13 +83,9 @@ class Design:
         object.__setattr__(self, "replications", whole(self.replications, "replications", 1, DesignError))
         if not self.sets:
             raise DesignError("a design needs at least one set")
-        sets = tuple(self.sets)
+        sets = tuple(SetPlan(whole(c, "cycle", None, DesignError), p, whole(m, "measured subset", None, DesignError))
+                     for c, p, m in self.sets)
         cycles, given, measured = zip(*sets)
-        if [*map(type, sets)].count(SetPlan) + [*map(type, cycles + measured)].count(int) < 3 * len(sets):
-            # a set that is no SetPlan, or a cycle or measured block that is no int
-            sets = tuple(SetPlan(whole(c, "cycle", None, DesignError), p, whole(m, "measured subset", None, DesignError))
-                         for c, p, m in sets)
-            cycles, given, measured = zip(*sets)
         if given.count(given[0]) == cycles.count(1) == len(sets):  # one cycle of one partition: no per-set loop
             part = _check_partition(self.set_size, given[0])
             for m in measured if not 1 <= min(measured) <= max(measured) <= len(part) else ():
@@ -113,8 +109,7 @@ class Design:
             counts = dict(sorted(counts.items()))
             if list(counts) != list(range(1, len(counts) + 1)):
                 raise DesignError(f"cycle identifiers must be contiguous from 1, got {list(counts)}")
-            if any(map(operator.is_not, parts, given)):
-                sets = tuple(SetPlan(c, part, m) for c, part, m in zip(cycles, parts, measured))
+            sets = tuple(SetPlan(c, part, m) for c, part, m in zip(cycles, parts, measured))
             by_cycle = sorted(sets, key=operator.itemgetter(0))  # listed order within a cycle
             runs = tuple((part, tuple(run)) for part, run in itertools.groupby(by_cycle, operator.itemgetter(1)))
         part = runs[0][0]

@@ -14,10 +14,11 @@ estimators and the latent-rank diagnostics consume.
 
 Ranking quality is modeled on the Dell and Clutter concomitant scheme: the
 ranker perceives W = rho * Z + sqrt(1 - rho^2) * eps instead of the
-standardized response Z.  estimate_alphas tallies the induced block confusion
-of every requested partition at every rho from one simulated draw of sets; it
-and its three one-matrix entries all take rho (or rhos), reps = DC_REPS and
-seed = DEFAULT_SEED as plain arguments.
+standardized response Z, at every rho in [0, 1]; rho = 1 (exact ranking) goes
+through the same rule, with eps drawn and weighted by 0.  estimate_alphas
+tallies the induced block confusion of every requested partition at every rho
+from one simulated draw of sets; it and its three one-matrix entries all take
+rho (or rhos), reps = DC_REPS and seed = DEFAULT_SEED as plain arguments.
 
 sample_to_csv writes the bytes of str of each index and '%.17g' of each value,
 row by row, but builds them with numpy in one byte matrix.  A value with |v| in
@@ -109,12 +110,15 @@ def _draw(model: Model, design: Design, alphas: tp.Mapping | None, seed: int, la
     """Each set draws all its replications through block_draws; rows by replication, cycle, then set."""
     rng = numerics.substream(seed)
     rows = design.measured_rows(alphas)
+    lo, hi = model.support()
     columns = []
     for sp, row in rows:
         with np.errstate(over="ignore", invalid="ignore"):
             x, u, _t = block_draws(model, design.set_size, sp.partition, row, rng, design.replications)
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"{model.label()} gave a non-finite draw in cycle {sp.cycle}")
+        if not np.all((x > lo) & (x < hi)):  # a quantile that underflows onto an end of the support
+            raise SamplingError(f"{model.label()} gave a draw outside its support ({lo:g}, {hi:g}) in cycle {sp.cycle}")
         columns.append((x, u, np.searchsorted([b[0] for b in sp.partition], u, side="right")))
     values, ranks, source = (np.stack(c, axis=1).ravel() for c in zip(*columns))
     cycle = np.array([sp.cycle for sp, _ in rows])
@@ -248,16 +252,14 @@ def block_draws(
     return np.asarray(model.quantile(t)), u, t
 
 
-def _sinkhorn(a: np.ndarray, iterations: int = 100, tol: float = 1e-10) -> np.ndarray:
-    """Project a nonnegative matrix onto the doubly stochastic set by row/column scaling."""
+def _sinkhorn(a: np.ndarray) -> np.ndarray:
+    """Project a nonnegative matrix onto the doubly stochastic set by row/column scaling: at most 100 steps, until
+    every row and column sum is within 1e-10 of 1."""
     a = np.array(a, dtype=float)
-    for _ in range(iterations):
+    for _ in range(100):
         a /= a.sum(axis=1, keepdims=True)
         a /= a.sum(axis=0, keepdims=True)
-        if (
-            np.max(np.abs(a.sum(axis=1) - 1.0)) < tol
-            and np.max(np.abs(a.sum(axis=0) - 1.0)) < tol
-        ):
+        if np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10 and np.max(np.abs(a.sum(axis=0) - 1.0)) < 1e-10:
             break
     # final row normalization keeps row sums exactly 1 within float error
     a /= a.sum(axis=1, keepdims=True)
@@ -271,7 +273,8 @@ def estimate_alphas(
     """Dell-Clutter matrices out[i][j] of partitions[i] at rhos[j], all tallied from one draw of reps sets at seed.
 
     Every simulated unit contributes one (perceived block, true block) count; the counts are row-normalized,
-    symmetrized with their transpose and projected to doubly stochastic form, and rho = 1 gives the identity.
+    symmetrized with their transpose and projected to doubly stochastic form.  Every rho, 1 included, perceives
+    through the same rule, and rho = 1 gives the identity.
     Each rho sorts the perceptions once for every partition, so an entry equals a call with its pair alone.
 
     :raises SamplingError: a rho outside [0, 1], or set_size or reps not an integer or below 1.
@@ -298,13 +301,13 @@ def estimate_alphas(
         z = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
     if not np.all(np.isfinite(z)):
         raise SamplingError(f"Dell-Clutter ranking: {model.label()} gave a set of non-finite standardized values")
-    noise = rng.standard_normal(x.shape) if any(rho < 1.0 for rho in rhos) else None
+    noise = rng.standard_normal(x.shape)
     # true rank within its own set (0-based) of each unit
     rank_x = np.empty(x.shape, dtype=np.intp)
     np.put_along_axis(rank_x, np.argsort(x, axis=1), np.arange(set_size), axis=1)
     out: list[list[MisplacementMatrix]] = [[] for _ in partitions]
     for rho in rhos:
-        w = z if rho == 1.0 else rho * z + np.sqrt(1.0 - rho**2) * noise
+        w = rho * z + np.sqrt(1.0 - rho**2) * noise  # at rho = 1 this adds 0 * noise, which moves no rank
         true_rank = np.take_along_axis(rank_x, np.argsort(w, axis=1), axis=1)
         # pairs[p, q]: units perceived at rank p whose true rank is q; integers, so block sums are exact
         pairs = np.bincount((set_size * np.arange(set_size) + true_rank).ravel(), minlength=set_size**2)

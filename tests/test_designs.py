@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from prosinfo import (
     rss_design,
     validate_misplacement,
 )
+from prosinfo import designs
 
 
 def _one_cycle(set_size, partition, replications=1):
@@ -427,3 +430,42 @@ def test_design_file_errors_keep_their_messages(tmp_path, lines, message):
     with pytest.raises(DesignError) as info:
         parse_design_file(str(path))
     assert str(info.value).endswith(message)
+
+
+def test_design_normalizes_set_plans_tuples_lists_numpy_and_bool_fields_alike():
+    blocks, halves = ((1, 2), (3, 4, 5, 6)), ((1, 2, 3), (4, 5, 6))
+    plain = Design(6, (SetPlan(1, blocks, 1), SetPlan(1, blocks, 2), SetPlan(2, halves, 2), SetPlan(2, halves, 1),
+                       SetPlan(3, blocks, 1)), 2)
+    mixed = Design(6, (SetPlan(1, blocks, 1),  # a SetPlan of ints
+                       (1, [[1, 2], [3, 4, 5, 6]], np.int64(2)),  # a plain tuple with a list partition
+                       [np.int64(2), halves, 2.0],  # a list
+                       (2, ((np.int64(1), 2, 3), (4, 5, 6)), True),  # np.int64 ranks and a bool block
+                       SetPlan(3.0, [(1, 2), (3, 4, 5, 6)], True)), np.int64(2))
+    for design in (mixed, dataclasses.replace(mixed)):
+        assert design.sets == plain.sets and design == plain
+        assert design._runs == plain._runs and design._counts == plain._counts == (2, 2, 2)
+        assert design.is_balanced is plain.is_balanced is False
+        for plan in design.sets:
+            assert type(plan) is SetPlan and type(plan.cycle) is int and type(plan.measured) is int
+            assert all(type(block) is tuple and all(type(u) is int for u in block) for block in plan.partition)
+    one = Design(6, ((True, [[1, 2, 3], [4, 5, 6]], True), SetPlan(np.int64(1), halves, 2.0)))
+    assert one.sets == make_balanced_design(6, 2).sets and one.is_balanced
+    # every cycle and measured block is made an int before any partition is checked
+    with pytest.raises(DesignError, match="^measured subset must be an integer, got 1.5$"):
+        Design(6, (SetPlan(1, ((1, 2), (2, 3, 4, 5, 6)), 1), SetPlan(2, blocks, 1.5)))
+
+
+def test_check_partition_refuses_an_empty_partition_and_an_empty_block():
+    with pytest.raises(DesignError, match="^a design needs at least one subset$"):
+        designs._check_partition(3, ())
+    with pytest.raises(DesignError, match="^empty subset in partition$"):
+        designs._check_partition(3, ((1, 2), (), (3,)))
+
+
+def test_misplacement_matrix_reads_as_an_array_and_prints_its_entries():
+    alpha = make_symmetric_alpha(2, 0.75)
+    assert np.array_equal(np.asarray(alpha), [[0.75, 0.25], [0.25, 0.75]])
+    as_single = np.asarray(alpha, dtype=np.float32)
+    assert as_single.dtype == np.float32 and np.array_equal(as_single, [[0.75, 0.25], [0.25, 0.75]])
+    assert alpha[0, 1] == 0.25 and np.array_equal(alpha[1], [0.25, 0.75])
+    assert repr(alpha) == "MisplacementMatrix([[0.75, 0.25], [0.25, 0.75]])"

@@ -7,6 +7,7 @@ import scipy.special as sps
 from prosinfo import (
     Design,
     EntropyError,
+    EntropyReport,
     NumericsError,
     SetPlan,
     kl_likelihood_chain,
@@ -344,3 +345,9 @@ def test_renyi_pros_matches_an_x_scale_quad_oracle(fam, set_size, n):
     for a in (0.1, 0.3, 0.5, 0.8):
         got = renyi(make_model(fam), a, kind="pros", n=n, set_size=set_size).per_subset
         np.testing.assert_allclose(got, _x_scale_renyi(fam, a, n, set_size), rtol=1e-10, atol=1e-12, err_msg=str(a))
+
+
+def test_entropy_report_refuses_an_unknown_kind():
+    with pytest.raises(EntropyError, match=r"^kind must be one of \('srs', 'rss', 'pros'\), got 'x'$"):
+        EntropyReport(kind="x", total=0.0, per_subset=(), lower_bound=0.0, upper_bound=0.0, model_label="",
+                      design_label="")

@@ -881,3 +881,8 @@ def test_unbalanced_information_from_tables_matches_one_series_of_all_sets():
 
     want = score_information(model, series)
     np.testing.assert_allclose(fi_unbalanced(model, ud, alphas).matrix.as_array(), want, rtol=1e-13, atol=0.0)
+
+
+def test_regression_fi_refuses_no_covariates():
+    with pytest.raises(InformationError, match="^at least one covariate is needed$"):
+        regression_fi(make_model("normal"), [], 6, 2)

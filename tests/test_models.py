@@ -675,3 +675,13 @@ print(json.dumps({{"states": states, "fi": fi.tolist()}}))
     got = json.loads(out.stdout)
     assert got["states"] == [False, False, True]
     assert got["fi"] == fisher_srs_unit(make_model("gamma")).scaled(3).as_array().tolist()
+
+
+def test_unknown_parameter_names_and_a_short_parameter_tuple_are_refused():
+    model = make_model("normal")
+    with pytest.raises(ModelError, match="^family 'normal' has no parameter 'shape'$"):
+        model.value("shape")
+    with pytest.raises(ModelError, match="^family 'normal' has no parameter 'shape'$"):
+        model.with_params(shape=1.0)
+    with pytest.raises(ModelError, match=r"^normal takes parameters \('mu', 'sigma'\), got 1 values$"):
+        Model("normal", (0.0,), ("mu",))

@@ -896,3 +896,7 @@ def test_node_memo_never_holds_more_than_its_bound(empty_memo):
     assert len(empty_memo) == numerics.MEMO_ENTRIES
     kept = {key for key, _ in empty_memo}
     assert 0 in kept and numerics.MEMO_ENTRIES + 19 in kept and 1 not in kept
+
+
+def test_info_matrix_repr_lists_its_entries():
+    assert repr(P.fisher_srs(make_model("normal"), 2)) == "InfoMatrix([[2.0, 0.0], [0.0, 4.0]])"

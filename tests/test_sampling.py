@@ -550,3 +550,43 @@ def test_dell_clutter_refuses_non_finite_standardized_values():
         estimate_alpha_for_partition(model, 6, ((1, 2, 3), (4, 5, 6)), 0.5, 200, SEED)
     with pytest.raises(SamplingError, match="standardized values"):
         estimate_dell_clutter_alpha(model, make_balanced_design(6, 2), 0.9, 200, SEED)
+
+
+def test_draws_outside_the_open_support_are_refused():
+    # at shape 1e-3 the gamma quantile underflows to 0, the lower end of the support, over most of (0, 1)
+    model = make_model("gamma", shape=1e-3)
+    message = r"^gamma\(shape=0\.001, sigma=1\) gave a draw outside its support \(0, inf\) in cycle 1$"
+    with pytest.raises(SamplingError, match=message):
+        draw_pros(model, make_balanced_design(6, 2, 50))
+    # cycle 1 measures the top rank of six, whose quantile stays above 0 at t > 0.5; cycle 2 the lower five
+    part = ((1, 2, 3, 4, 5), (6,))
+    upper_first = UnbalancedDesign(6, (SetPlan(1, part, 2), SetPlan(2, part, 1)), 20)
+    with pytest.raises(SamplingError, match=message.replace("cycle 1", "cycle 2")):
+        draw_unbalanced_pros(model, upper_first)
+
+
+@pytest.mark.parametrize("family, params, set_size, subsets, cycles, alpha", (
+    ("normal", {}, 6, 2, 2000, None),
+    ("normal", {}, 12, 4, 3000, 0.6),
+    ("exponential", {}, 6, 3, 3000, None),
+    ("exponential", {}, 4, 2, 3000, 0.9),
+    ("gamma", {"shape": 0.5}, 6, 2, 2000, "dellclutter"),
+    ("gamma", {"shape": 0.5}, 12, 2, 2500, None),
+))
+def test_samples_of_the_catalogue_sizes_lie_inside_the_support(family, params, set_size, subsets, cycles, alpha):
+    model = make_model(family, **params)
+    design = make_balanced_design(set_size, subsets, cycles)
+    if alpha == "dellclutter":
+        alpha = estimate_dell_clutter_alpha(model, design, 0.75)
+    elif alpha is not None:
+        alpha = make_symmetric_alpha(subsets, alpha)
+    lo, hi = model.support()
+    for seed in (0, SEED):
+        values = draw_pros(model, design, alpha, seed).values
+        assert len(values) == subsets * cycles and np.all((values > lo) & (values < hi))
+
+
+def test_pros_sample_refuses_a_short_field():
+    full = np.zeros(3)
+    with pytest.raises(SamplingError, match="^field target_subset has length != 3$"):
+        ProsSample(full, full, full, np.zeros(2), full, full)

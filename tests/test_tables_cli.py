@@ -1055,3 +1055,38 @@ def test_requests_off_the_gamma_family_leave_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
                          check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["fisher", "--family", "logistic", *_D, "--alpha", "symmetric:0.8"],
+    ["entropy", "--family", "exponential", "--set-size", "6", "--subsets", "3", "--measure", "renyi", "--order", "0.5"],
+))
+def test_cli_md_report_is_the_text_report_as_a_table(capsys, argv):
+    assert main(argv) == 0
+    pairs = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
+    assert main([*argv, "--format", "md"]) == 0
+    assert capsys.readouterr().out == "|quantity|value|\n|---|---|\n" + "".join(f"|{k}|{v}|\n" for k, v in pairs)
+
+
+def test_cli_config_file_skips_blank_and_comment_lines_and_names_a_line_without_equals(tmp_path, capsys):
+    sample = ["sample", "--family", "normal", *_D, "--cycles", "3"]
+    assert main([*sample, "--seed", "5"]) == 0
+    want = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n# a comment\n   \nseed = 5\n#format = md\n")
+    assert main([*sample, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == want
+    cfg.write_text("# a comment\n\nseed 5\n")
+    assert main([*sample, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}:3: expected key=value, got 'seed 5'\n")
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["fisher", *_D, "--alpha", "symmetric:abc"], "--alpha symmetric:VALUE needs a number, got 'abc'"),
+    (["fisher", *_D, "--mode", "unbalanced"], "unbalanced mode needs --design-file"),
+    (["sample", "--family", "gamma", "--params", "shape=1e-3", *_D, "--cycles", "50"],
+     "gamma(shape=0.001, sigma=1) gave a draw outside its support (0, inf) in cycle 1"),
+))
+def test_cli_refusals_keep_their_messages(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
