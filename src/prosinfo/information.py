@@ -266,6 +266,7 @@ def relative_efficiencies(fi_a: tp.Any, fi_b: tp.Any) -> float:
         {1, 2, 3}, or a singular denominator.
     :raises OverflowError: an entry of fi_a exceeds fi_b's largest by more
         than the double range.
+    :raises numerics.NumericsError: det(fi_a) is below 0 or NaN (fi_a too near singular).
     """
     a, b = _entries(fi_a), _entries(fi_b)
     if a.shape != b.shape or a.shape not in ((1, 1), (2, 2), (3, 3)):
@@ -275,7 +276,10 @@ def relative_efficiencies(fi_a: tp.Any, fi_b: tp.Any) -> float:
     det_b = numerics.det_rows([[math.ldexp(x, exponent) for x in row] for row in rows_b])
     if not abs(det_b) > 1e-300:
         raise InformationError("denominator information matrix is singular")
-    return numerics.det_rows([[math.ldexp(x, exponent) for x in row] for row in rows_a]) / det_b
+    det_a = numerics.det_rows([[math.ldexp(x, exponent) for x in row] for row in rows_a])
+    if not det_a >= 0.0:  # the rounding of a nearly singular fi_a's entries outweighs its determinant, or a NaN
+        raise numerics.NumericsError(f"det(numerator) = {det_a / det_b:.3g} det(denominator): too near singular")
+    return det_a / det_b
 
 
 def regression_fi(

@@ -133,7 +133,8 @@ class Model:
         return Model(self.family, tuple(unit.get(n, v) for n, v in c.items()), self.active), scale
 
     def label(self) -> str:
-        inner = ", ".join(f"{n}={v:g}" for n, v in zip(self.param_names, self.params))
+        texts = (f"{v:g}" if float(f"{v:g}") == v else repr(float(v)) for v in self.params)  # %g where it reads back
+        inner = ", ".join(f"{n}={t}" for n, t in zip(self.param_names, texts))
         return f"{self.family}({inner})"
 
     @property

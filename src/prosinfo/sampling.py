@@ -14,18 +14,20 @@ estimators and the latent-rank diagnostics consume.
 
 Ranking quality is modeled on the Dell and Clutter concomitant scheme: the
 ranker perceives W = rho * Z + sqrt(1 - rho^2) * eps instead of the
-standardized response Z, at every rho in [0, 1]; rho = 1 (exact ranking) goes
-through the same rule, with eps drawn and weighted by 0.  estimate_alphas
-tallies the induced block confusion of every requested partition at every rho
-from one simulated draw of sets; it and its three one-matrix entries all take
-rho (or rhos), reps = DC_REPS and seed = DEFAULT_SEED as plain arguments.
+standardized response Z, at every rho in [0, 1], 1 included.  Each simulated
+set is held in true-rank order and a stable sort of W reads off the true
+ranks, so tied perceptions keep that order and rho = 1 is exact ranking at
+every shape.  estimate_alphas tallies the block confusion of every requested
+partition at every rho from one draw of sets; it and its three one-matrix
+entries take rho (or rhos), reps = DC_REPS and seed = DEFAULT_SEED.
 
 sample_to_csv writes the bytes of str of each index and '%.17g' of each value,
-row by row, but builds them with numpy in one byte matrix.  A value with |v| in
-[1e-4, 1e17), where %g prints fixed notation, takes its 17 digits from the
-exact product |v| * 10**(16 - e) of its decade e (Dekker's two-product),
-rounded half to even; every other value, and an index column that is not
-integers in [0, 10**8), is formatted one entry at a time.
+row by row, but builds them with numpy in one NUL-padded byte matrix, whose
+padding one bytes.translate drops.  A value with |v| in [1e-4, 1e17), where %g
+prints fixed notation, takes its 17 digits from the exact product
+|v| * 10**(16 - e) of its decade e (Dekker's two-product), rounded half to
+even; every other value, and an index column that is not integers in
+[0, 10**8), is formatted one entry at a time.
 """
 
 from __future__ import annotations
@@ -170,9 +172,7 @@ def _index_rows(column: np.ndarray) -> np.ndarray:
     if x.dtype.kind not in "iu" or x.min(initial=0) < 0 or (top := x.max(initial=0)) >= 10**8:
         return _text_rows([str(i) for i in x.tolist()])
     width = len(str(top))
-    rows = _digit_rows(x.astype(np.int64, copy=False), width)
-    rows *= x >= _LEADS[-width:, None]  # leading zeros become NUL
-    return rows
+    return _digit_rows(x.astype(np.int64, copy=False), width) * (x >= _LEADS[-width:, None])  # leading zeros: NUL
 
 
 def _value_rows(values: np.ndarray) -> np.ndarray:
@@ -216,11 +216,7 @@ def sample_to_csv(sample: ProsSample) -> str:
     comma = np.full((len(sample), 1), ord(","), np.uint8)
     table = np.hstack([column for field in fields for column in (field.T, comma)])
     table[:, -1] = ord("\n")
-    flat = table.ravel()
-    # compress makes an index array of 8 bytes per byte kept, so it runs over 64 KiB slices
-    parts = (flat[i : i + 2**16] for i in range(0, flat.size, 2**16))
-    body = (np.compress(part != 0, part).tobytes() for part in parts)
-    return b"".join([b"cycle,set,subset,value,true_position\n", *body]).decode("ascii")
+    return "cycle,set,subset,value,true_position\n" + table.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # -- bulk engines for Monte Carlo information estimates -----------------------
@@ -253,17 +249,14 @@ def block_draws(
 
 
 def _sinkhorn(a: np.ndarray) -> np.ndarray:
-    """Project a nonnegative matrix onto the doubly stochastic set by row/column scaling: at most 100 steps, until
-    every row and column sum is within 1e-10 of 1."""
+    """Doubly stochastic projection by row and column scaling: at most 100 steps, to all sums within 1e-10 of 1."""
     a = np.array(a, dtype=float)
     for _ in range(100):
         a /= a.sum(axis=1, keepdims=True)
         a /= a.sum(axis=0, keepdims=True)
         if np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10 and np.max(np.abs(a.sum(axis=0) - 1.0)) < 1e-10:
             break
-    # final row normalization keeps row sums exactly 1 within float error
-    a /= a.sum(axis=1, keepdims=True)
-    return a
+    return a / a.sum(axis=1, keepdims=True)  # a last row normalization keeps row sums 1 within float error
 
 
 def estimate_alphas(
@@ -273,9 +266,9 @@ def estimate_alphas(
     """Dell-Clutter matrices out[i][j] of partitions[i] at rhos[j], all tallied from one draw of reps sets at seed.
 
     Every simulated unit contributes one (perceived block, true block) count; the counts are row-normalized,
-    symmetrized with their transpose and projected to doubly stochastic form.  Every rho, 1 included, perceives
-    through the same rule, and rho = 1 gives the identity.
-    Each rho sorts the perceptions once for every partition, so an entry equals a call with its pair alone.
+    symmetrized with their transpose and projected to doubly stochastic form.  Every rho perceives through the same
+    rule, and tied perceptions keep true-rank order, so rho = 1 gives the identity at every shape.  Each rho sorts
+    once for all partitions, so an entry equals a call with its pair alone.
 
     :raises SamplingError: a rho outside [0, 1], or set_size or reps not an integer or below 1.
     :raises DesignError: a partition is not consecutive blocks covering 1..set_size.
@@ -290,25 +283,26 @@ def estimate_alphas(
         return [[identity_alpha(1)] * len(rhos) for _ in partitions]
     rng = numerics.substream(seed)
 
-    # each set is standardized by its own sample moments; the per-set scale
-    # modulates the effective perception noise and is what reproduces the
-    # published efficiency curves (analytic moments run systematically low).
-    # Location and scale cancel in that standardization, and the ranks are the
-    # same on either scale, so the sets are drawn on the standard member, whose
-    # values keep their precision where mu dwarfs sigma.
+    # each set is standardized by its own sample moments; the per-set scale modulates the effective perception noise
+    # and is what reproduces the published efficiency curves (analytic moments run systematically low).  Location and
+    # scale cancel in that standardization, and the ranks are the same on either scale, so the sets are drawn on the
+    # standard member, whose values keep their precision where mu dwarfs sigma.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.asarray(model.standard()[0].quantile(rng.random((reps, set_size))))
-        z = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
+        d = x - x.mean(axis=1, keepdims=True)
+        ss = (d * d).sum(axis=1, keepdims=True)
+        far = np.flatnonzero(~((ss > 1e-290) & (ss < 1e290)))  # squares that may under- or overflow: scale d exactly
+        d[far] = np.ldexp(d[far], -np.frexp(np.abs(d[far]).max(axis=1, keepdims=True))[1])
+        ss[far] = (d[far] * d[far]).sum(axis=1, keepdims=True)
+        z = d / np.sqrt(ss / (set_size - 1))  # elsewhere the bits of x.std(ddof=1)
     if not np.all(np.isfinite(z)):
         raise SamplingError(f"Dell-Clutter ranking: {model.label()} gave a set of non-finite standardized values")
-    noise = rng.standard_normal(x.shape)
-    # true rank within its own set (0-based) of each unit
-    rank_x = np.empty(x.shape, dtype=np.intp)
-    np.put_along_axis(rank_x, np.argsort(x, axis=1), np.arange(set_size), axis=1)
+    order = np.argsort(x, axis=1)  # column k of each set becomes its unit of true rank k (0-based), with its noise
+    z, noise = (np.take_along_axis(v, order, axis=1) for v in (z, rng.standard_normal(x.shape)))
     out: list[list[MisplacementMatrix]] = [[] for _ in partitions]
     for rho in rhos:
         w = rho * z + np.sqrt(1.0 - rho**2) * noise  # at rho = 1 this adds 0 * noise, which moves no rank
-        true_rank = np.take_along_axis(rank_x, np.argsort(w, axis=1), axis=1)
+        true_rank = np.argsort(w, axis=1, kind="stable")  # ties keep true-rank order, so rho = 1 ranks exactly
         # pairs[p, q]: units perceived at rank p whose true rank is q; integers, so block sums are exact
         pairs = np.bincount((set_size * np.arange(set_size) + true_rank).ravel(), minlength=set_size**2)
         pairs = pairs.reshape(set_size, set_size)

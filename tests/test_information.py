@@ -157,6 +157,19 @@ def test_complete_trivial_design_is_srs():
     )
 
 
+def test_relative_efficiencies_refuse_a_numerator_determinant_below_zero_or_nan():
+    # a numeric failure, which the command line reports with exit 3: near exp_mixture's h = 1 the rounding of the
+    # entries outweighs a determinant that falls as (1 - h)**4
+    srs = fisher_srs(make_model("normal"), 2)
+    for numerator in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(numerics.NumericsError, match=r"^det\(numerator\) = (-0\.375|nan) det\(denominator\): too"):
+            relative_efficiencies(numerator, srs)
+    assert relative_efficiencies(np.array([[1.0, 1.0], [1.0, 1.0]]), srs) == 0.0  # singular, not below 0
+    model = make_model("exp_mixture", pi=0.5, h=0.99999999)
+    with pytest.raises(numerics.NumericsError, match="too near singular"):
+        relative_efficiencies(fi_pros_marginal(model, make_balanced_design(6, 2)), fisher_srs(model, 2))
+
+
 def test_complete_mc_agrees_with_quadrature():
     model = make_model("normal")
     quad = fi_pros_complete(model, 2, 6).matrix.as_array()

@@ -461,6 +461,19 @@ def test_model_introspection():
     assert model.value("mu") == 0.5  # original untouched
 
 
+def test_model_label_prints_each_parameter_so_that_it_reads_back():
+    # %g where it reads back, which keeps every default label; the full repr where %g would round
+    assert make_model("exp_mixture", pi=0.5, h=0.99999999).label() == "exp_mixture(pi=0.5, h=0.99999999)"
+    assert make_model("normal", mu=1 / 3, sigma=1e-300).label() == "normal(mu=0.3333333333333333, sigma=1e-300)"
+    for family in family_names():
+        model = make_model(family)
+        assert model.label() == f"{family}({', '.join(f'{n}={v:g}' for n, v in zip(model.param_names, model.params))})"
+    for family, params in (("gamma", {"shape": 2.0 + 2.0**-40}), ("logistic", {"mu": -123456.789, "sigma": 7e-9})):
+        model = make_model(family, **params)
+        texts = dict(item.split("=") for item in model.label()[len(family) + 1 : -1].split(", "))
+        assert tuple(float(texts[n]) for n in model.param_names) == model.params
+
+
 def test_gamma_defaults_and_activity():
     model = make_model("gamma")
     assert model.value("shape") == 2.0

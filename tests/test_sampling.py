@@ -274,6 +274,18 @@ def test_sample_to_csv_matches_per_row_oracle():
         assert sample_to_csv(sample) == _per_row_csv(sample)
 
 
+def test_sample_to_csv_drops_the_padding_of_slow_values_and_text_indices_in_one_pass():
+    # %.17g values (outside [1e-4, 1e17), non-finite, signed zeros) pad the value field to 24 bytes and a negative
+    # index column goes through str, so most bytes of this table are padding, over several 64 KiB stretches
+    rng = np.random.default_rng(11)
+    n = 6000
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-9.0, 21.0, n)
+    values[::97] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1.7976931348623157e308], len(values[::97]))
+    sample = _with_values(values, np.arange(n) % 1013 - 500)
+    assert sample_to_csv(sample) == _per_row_csv(sample)
+    assert 0 < np.mean(np.abs(values) < 1e-4) < 0.5 and len(sample_to_csv(sample)) > 2**17
+
+
 def _with_values(values, index=None):
     """A sample whose value column is values; small positive integer index columns unless index is given."""
     n = len(values)
@@ -438,6 +450,23 @@ def test_dell_clutter_perfect_correlation_is_identity():
     assert a.is_identity
 
 
+@pytest.mark.parametrize("shape", (0.01, 0.02, 0.05))
+def test_dell_clutter_at_rho_one_is_the_identity_where_perceptions_tie(shape):
+    # values far below a set's mean collapse onto one standardized value; those ties keep true-rank order
+    model = make_model("gamma", shape=shape)
+    for set_size, n in ((2, 2), (6, 2), (6, 3), (12, 3), (64, 4)):
+        assert estimate_dell_clutter_alpha(model, make_balanced_design(set_size, n), 1.0, 2_000, SEED).is_identity
+
+
+def test_dell_clutter_sets_of_two_whose_squares_underflow_standardize_like_any_other():
+    # a set of two standardizes to -1/sqrt(2), 1/sqrt(2) in true-rank order, whatever the family, so the calibration
+    # draws the same perceptions as the normal's; at shape 0.01 the squared deviations of some sets underflow
+    design, tiny = make_balanced_design(2, 2), make_model("gamma", shape=0.01)
+    for rho in (0.0, 0.5, 0.9, 1.0):
+        want = estimate_dell_clutter_alpha(make_model("normal"), design, rho, 5_000, SEED).entries
+        assert np.array_equal(estimate_dell_clutter_alpha(tiny, design, rho, 5_000, SEED).entries, want)
+
+
 def test_dell_clutter_zero_correlation_is_near_uniform():
     model = make_model("normal")
     design = make_balanced_design(6, 3)
@@ -491,13 +520,18 @@ def _add_at_alpha(model, set_size, blocks, rho, reps, seed):
     return sampling._sinkhorn((a + a.T) / 2.0)
 
 
-@pytest.mark.parametrize("set_size", (6, 12, 24))
-def test_dell_clutter_tally_matches_the_add_at_tally(set_size):
+@pytest.mark.parametrize("family, params, set_size", (
+    *(pytest.param("logistic", {}, s, id=str(s)) for s in (6, 12, 24, 64)),
+    pytest.param("gamma", {"shape": 0.5}, 12, id="gamma-0.5-12"),
+    pytest.param("exp_mixture", {}, 6, id="exp_mixture-6"),
+))
+def test_dell_clutter_tally_matches_the_add_at_tally(family, params, set_size):
     # the counts are integers, so the block sums of one batched draw must give every
-    # (partition, rho) matrix of a call with that pair alone, bit for bit
-    model = make_model("logistic")
+    # (partition, rho) matrix of a call with that pair alone, bit for bit; no perceptions tie in these cells, so
+    # the stable sort of sets held in true-rank order ranks them as the oracle's argsorts do
+    model = make_model(family, **params)
     partitions = (
-        make_balanced_design(set_size, 3).subsets,
+        make_balanced_design(set_size, 3 if set_size % 3 == 0 else 4).subsets,
         ((1,), tuple(range(2, set_size)), (set_size,)),
         (tuple(range(1, set_size + 1)),),
     )

@@ -1068,6 +1068,28 @@ def test_cli_md_report_is_the_text_report_as_a_table(capsys, argv):
     assert capsys.readouterr().out == "|quantity|value|\n|---|---|\n" + "".join(f"|{k}|{v}|\n" for k, v in pairs)
 
 
+@pytest.mark.parametrize("family", (
+    ["--family", "gamma", "--params", "shape=0.01"],
+    ["--family", "gamma", "--params", "shape=0.02"],
+    ["--family", "gamma", "--params", "shape=0.05"],
+    ["--family", "normal"],
+), ids=("gamma-0.01", "gamma-0.02", "gamma-0.05", "normal"))
+def test_cli_dell_clutter_at_rho_one_reports_perfect_ranking(capsys, family):
+    # small gamma shapes collapse the values far below a set's mean onto one standardized value, and in the set of
+    # two that re2's calibration draws their squares underflow; the calibration still ranks every set exactly
+    reports = []
+    for alpha in ("dellclutter:1", "perfect"):
+        assert main(["fisher", *family, *_D, "--alpha", alpha]) == 0
+        reports.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("re")])
+    assert reports[0] == reports[1] and [line[:6] for line in reports[0]] == ["re1 = ", "re2 = "]
+
+
+def test_cli_refuses_an_efficiency_whose_numerator_determinant_is_below_zero(capsys):
+    # near exp_mixture's h = 1 the determinant is rounding noise: a numeric failure, exit 3, in one line
+    assert main(["fisher", "--family", "exp_mixture", "--params", "pi=0.5,h=0.99999999", *_D]) == 3
+    assert capsys.readouterr() == ("", "error: det(numerator) = -4 det(denominator): too near singular\n")
+
+
 def test_cli_config_file_skips_blank_and_comment_lines_and_names_a_line_without_equals(tmp_path, capsys):
     sample = ["sample", "--family", "normal", *_D, "--cycles", "3"]
     assert main([*sample, "--seed", "5"]) == 0
