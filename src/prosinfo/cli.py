@@ -2,9 +2,11 @@
 
 `prosinfo table ID` regenerates one of the published relative-efficiency
 tables; `fisher`, `entropy`, and `sample` expose the underlying computations
-directly.  Each subcommand declares only the flags it can read, and refuses a
-flag that the rest of the request leaves unread.  Exit codes: 0 success, 2
-validation error, 3 numeric non-convergence.
+directly.  Each setting comes from its flag alone.  Each subcommand declares
+only the flags it can read, and refuses a flag that the rest of the request
+leaves unread.  A `fisher` report's re2 compares one cycle of the design with
+one RSS(n) cycle under the same --alpha.  Exit codes: 0 success, 2 validation
+error, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -392,44 +394,37 @@ def _fi_entry_pairs(fi: information.FIResult, names: tp.Sequence[str]) -> list[t
     return pairs
 
 
-def _rss_report_info(cfg: RunConfig, inputs: _Inputs, model: Model, n: int, cycles: int = 1) -> numerics.InfoMatrix:
-    """Information of RSS(n) under the run's --alpha, the denominator of the reported re2."""
-    rss = rss_design(n, cycles)
+def _rss_report_info(cfg: RunConfig, inputs: _Inputs, model: Model, n: int) -> numerics.InfoMatrix:
+    """Information of one RSS(n) cycle under the run's --alpha, the denominator of the reported re2."""
+    rss = rss_design(n)
     return information.fi_unbalanced(model, rss, _alphas(cfg, inputs, model, rss)).matrix
 
 
 def _run_fisher(cfg: RunConfig, inputs: _Inputs) -> str:
     model = _build_model(cfg)
     common = dict(method=cfg.method, reps=cfg.reps, seed=cfg.seed, workers=cfg.workers)
-    ud = inputs.design
-    if cfg.mode == "unbalanced" or (cfg.mode == "marginal" and ud is not None):
-        if ud is None:
-            raise CLIError("unbalanced mode needs --design-file")
-        fi = information.fi_unbalanced(model, ud, _alphas(cfg, inputs, model, ud), **common)
-        count = ud.K * ud.replications
-        block_counts = {ud.n_subsets(i) for i in ud.cycle_ids}
-        re2 = None
-        if len(block_counts) == 1:
-            n = block_counts.pop()
-            re2 = _rel(fi.matrix.scaled(n / count), _rss_report_info(cfg, inputs, model, n))
+    if cfg.mode not in ("complete", "marginal", "unbalanced"):
+        raise CLIError(f"--mode must be complete, marginal, or unbalanced, got {cfg.mode!r}")
+    if cfg.mode == "complete":  # complete data knows every unit's rank, so it reads no --alpha and no design file
+        inputs = _Inputs(("perfect", None), None)
+    elif cfg.mode == "unbalanced" and inputs.design is None:
+        raise CLIError("unbalanced mode needs --design-file")
+    design = inputs.design or _balanced_design(cfg)
+    if cfg.mode == "complete":
+        fi = information.fi_pros_complete(model, design.n, design.set_size, design.replications, **common)
+    elif inputs.design is None:
+        fi = information.fi_pros_marginal(model, design, _alphas(cfg, inputs, model, design).get(1), **common)
     else:
-        design = _balanced_design(cfg)
-        n = design.n
-        count = n * cfg.cycles
-        if cfg.mode == "complete":
-            fi = information.fi_pros_complete(model, n, design.set_size, cfg.cycles, **common)
-            re2 = _rel(fi.matrix, information.fi_pros_complete(model, n, n, cfg.cycles).matrix)
-        elif cfg.mode == "marginal":
-            alpha = _alphas(cfg, inputs, model, design).get(1)
-            fi = information.fi_pros_marginal(model, design, alpha, **common)
-            re2 = _rel(fi.matrix, _rss_report_info(cfg, inputs, model, n, cfg.cycles))
-        else:
-            raise CLIError(f"--mode must be complete, marginal, or unbalanced, got {cfg.mode!r}")
+        fi = information.fi_unbalanced(model, design, _alphas(cfg, inputs, model, design), **common)
+    count = design.K * design.replications
+    block_counts = {design.n_subsets(i) for i in design.cycle_ids}
+    re2 = []
+    if len(block_counts) == 1:  # one cycle of n blocks against one RSS(n) cycle
+        n = block_counts.pop()
+        re2 = [("re2", _fixed(_rel(fi.matrix.scaled(n / count), _rss_report_info(cfg, inputs, model, n))))]
     re1 = _rel(fi.matrix, information.fisher_srs(model, count))
     pairs = [("model", model.label()), ("design", fi.design_label), ("method", fi.method)]
-    pairs += _fi_entry_pairs(fi, model.active) + [("det", _fixed(fi.det())), ("re1", _fixed(re1))]
-    if re2 is not None:
-        pairs.append(("re2", _fixed(re2)))
+    pairs += _fi_entry_pairs(fi, model.active) + [("det", _fixed(fi.det())), ("re1", _fixed(re1))] + re2
     return _report_lines(pairs, cfg.fmt)
 
 
@@ -539,28 +534,6 @@ def _parse_params(text: str) -> tuple[tuple[str, float], ...]:
     return tuple(out)
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    allowed = {"reps", "seed", "method", "workers", "format", "output"}
-    out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as e:
-        raise CLIError(f"{path}: {e}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CLIError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise CLIError(f"{path}:{lineno}: unknown key {key!r}; allowed: {sorted(allowed)}")
-        out[key] = value.strip()
-    return out
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a parse error in one stderr line."""
 
@@ -570,7 +543,6 @@ class _Parser(argparse.ArgumentParser):
 
 # add_argument keywords of every flag; a flag not given takes its RunConfig field's default
 _FLAGS: dict[str, dict[str, tp.Any]] = {
-    "--config": dict(help="key=value file of reps, seed, method, workers, format, output; unread keys ignored"),
     "--output": dict(help="write here instead of stdout"),
     **{flag: dict(type=int) for flag in ("--seed", "--reps", "--set-size", "--subsets", "--cycles")},
     "--workers": dict(type=int, help="Monte Carlo worker threads, capped by chunks and CPUs; same bytes at any count"),
@@ -587,7 +559,7 @@ _FLAGS: dict[str, dict[str, tp.Any]] = {
 }
 
 _MODEL_DESIGN = ("--family", "--params", "--set-size", "--subsets")
-# subcommand: (help, its --format choices with the default first, the flags it reads besides --config and --output)
+# subcommand: (help, its --format choices with the default first, the flags it reads besides --output)
 _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
     "table": ("regenerate a benchmark table", ("csv", "md"), ("--seed",)),
     "fisher": ("Fisher information report", ("text", "csv", "md"), ("--seed", "--method", "--reps", "--workers",
@@ -611,61 +583,35 @@ _UNREAD = (
 )
 
 
-def _declared(subcommand: str) -> dict[str, dict[str, tp.Any]]:
-    """add_argument keywords of every flag the subcommand declares."""
-    _, formats, flags = _SUBCOMMANDS[subcommand]
-    declared = {flag: _FLAGS[flag] for flag in ("--config", "--output", *flags)}
-    if formats:
-        declared["--format"] = dict(dest="fmt", choices=formats, help=f"default {formats[0]}")
-    return declared
-
-
 def _build_parser() -> argparse.ArgumentParser:
     description = "Fisher information, entropy, and efficiency tables for rank-based sampling designs."
     parser = _Parser(prog="prosinfo", description=description)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (text, _, _) in _SUBCOMMANDS.items():
+    for name, (text, formats, flags) in _SUBCOMMANDS.items():
         # SUPPRESS: the namespace holds exactly the flags given
         command = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         if name == "table":
             command.add_argument("table_id", type=int)
-        for flag, spec in _declared(name).items():
-            command.add_argument(flag, **spec)
+        for flag in ("--output", *flags):
+            command.add_argument(flag, **_FLAGS[flag])
+        if formats:
+            command.add_argument("--format", dest="fmt", choices=formats, help=f"default {formats[0]}")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags given, over the --config keys the subcommand reads, over PROSINFO_SEED.
+    """RunConfig from the flags given; a flag not given keeps its RunConfig field's default.
 
     A flag given where the resolved settings leave it unread is refused.
     """
-    given = dict(vars(args))
-    subcommand, table_id = given.pop("subcommand"), given.pop("table_id", None)
-    declared = _declared(subcommand)
-    env_seed = os.environ.get("PROSINFO_SEED")
-    sources = [("PROSINFO_SEED", {"seed": env_seed} if env_seed else {})]
-    if "config" in given:
-        sources.append((given["config"], _load_config_file(given.pop("config"))))
-    settings: dict[str, tp.Any] = {}
-    for source, entries in sources:
-        for key, raw in entries.items():
-            spec = declared.get("--" + key)
-            if spec is None:
-                continue  # a shared key this subcommand does not read
-            cast = spec.get("type", str)
-            try:
-                value = cast(raw)
-            except ValueError:
-                raise CLIError(f"{source}: {key} = {raw!r} is not a valid {cast.__name__}") from None
-            if value not in spec.get("choices", (value,)):
-                raise CLIError(f"{source}: {key} must be one of {', '.join(spec['choices'])}, got {raw!r}")
-            settings[spec.get("dest", key)] = value
-    settings.update(given)
+    settings = dict(vars(args))
+    subcommand, table_id = settings.pop("subcommand"), settings.pop("table_id", None)
+    given = set(settings)
     if "params" in settings:
         settings["params"] = _parse_params(settings["params"])
     if "active" in settings:
         settings["active"] = tuple(s.strip() for s in settings["active"].split(",")) if settings["active"] else None
-    for name, least in (("reps", 2), ("seed", 0), ("workers", 1), ("set_size", 1), ("subsets", 1)):
+    for name, least in (("reps", 2), ("seed", 0), ("workers", 1), ("set_size", 1), ("subsets", 1), ("cycles", 1)):
         if name in settings:
             settings[name] = numerics.whole(settings[name], name.replace("_", "-"), least, CLIError)
     formats = _SUBCOMMANDS[subcommand][1]

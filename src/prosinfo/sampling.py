@@ -249,9 +249,13 @@ def block_draws(
 
 
 def _sinkhorn(a: np.ndarray) -> np.ndarray:
-    """Doubly stochastic projection by row and column scaling: at most 100 steps, to all sums within 1e-10 of 1."""
+    """Doubly stochastic projection by row and column scaling, to all sums within 1e-10 of 1.
+
+    Nearly diagonal counts (rho near 1 over unequal blocks) take thousands of steps; the cap of 100 000 only bounds
+    a matrix that never converges, which MisplacementMatrix then refuses.
+    """
     a = np.array(a, dtype=float)
-    for _ in range(100):
+    for _ in range(100_000):
         a /= a.sum(axis=1, keepdims=True)
         a /= a.sum(axis=0, keepdims=True)
         if np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10 and np.max(np.abs(a.sum(axis=0) - 1.0)) < 1e-10:

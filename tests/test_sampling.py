@@ -458,6 +458,14 @@ def test_dell_clutter_at_rho_one_is_the_identity_where_perceptions_tie(shape):
         assert estimate_dell_clutter_alpha(model, make_balanced_design(set_size, n), 1.0, 2_000, SEED).is_identity
 
 
+def test_dell_clutter_near_one_over_unequal_blocks_reaches_the_sinkhorn_tolerance():
+    # the counts of a one-rank block beside a two-rank block are nearly diagonal near rho = 1, and their doubly
+    # stochastic projection takes far more than 100 scaling steps
+    ((alpha,),) = estimate_alphas(make_model("normal"), 3, [((1,), (2, 3))], [0.99])
+    for axis in (0, 1):
+        assert np.max(np.abs(alpha.entries.sum(axis=axis) - 1.0)) < 1e-10
+
+
 def test_dell_clutter_sets_of_two_whose_squares_underflow_standardize_like_any_other():
     # a set of two standardizes to -1/sqrt(2), 1/sqrt(2) in true-rank order, whatever the family, so the calibration
     # draws the same perceptions as the normal's; at shape 0.01 the squared deviations of some sets underflow

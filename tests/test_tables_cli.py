@@ -378,10 +378,6 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
     base = ["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2"]
     plan = tmp_path / "plan.txt"
     plan.write_text("1;1-4|5-6;1\n1;1-4|5-6;2\n")
-    bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text("reps = abc\n")
-    bad_format = tmp_path / "format.cfg"
-    bad_format.write_text("format = xml\n")
     not_utf8 = tmp_path / "utf16.txt"
     not_utf8.write_bytes(b"\xff\xfe1;1-4|5-6;1\n")
     for extra in (
@@ -391,14 +387,11 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["--method", "mc", "--reps", "1"],
         ["--workers", "0"],
         ["--seed", "-1"],
-        ["--config", str(bad_cfg)],
-        ["--config", str(bad_format)],
         ["--params", "mu=nan"],
         ["--params", "sigma=inf"],
         ["--set-size", "0"],
         ["--subsets", "-1"],
         ["--active", "mu,mu"],
-        ["--config", str(not_utf8)],
     ):
         assert main(base + extra) == 2, extra
         err = capsys.readouterr().err
@@ -531,39 +524,6 @@ def test_cli_uniform_fisher_is_rejected_by_both_methods(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (extra, err)
         assert "not FI-regular" in err, (extra, err)
-
-
-def test_cli_env_seed_changes_sample(capsys, monkeypatch):
-    args = ["sample", "--family", "normal", "--set-size", "2", "--subsets", "2", "--cycles", "1"]
-    monkeypatch.setenv("PROSINFO_SEED", "1")
-    main(args)
-    first = capsys.readouterr().out
-    monkeypatch.setenv("PROSINFO_SEED", "2")
-    main(args)
-    second = capsys.readouterr().out
-    assert first != second
-    # an explicit flag beats the environment
-    monkeypatch.setenv("PROSINFO_SEED", "3")
-    main(args + ["--seed", "1"])
-    assert capsys.readouterr().out == first
-
-
-def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 1\nformat = csv\n")
-    args = ["sample", "--family", "normal", "--set-size", "2", "--subsets", "2",
-            "--cycles", "1", "--config", str(cfg)]
-    main(args)
-    from_config = capsys.readouterr().out
-    main(["sample", "--family", "normal", "--set-size", "2", "--subsets", "2",
-          "--cycles", "1", "--seed", "1"])
-    assert capsys.readouterr().out == from_config
-    main(args + ["--seed", "2"])
-    assert capsys.readouterr().out != from_config
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("reps = 100\nnonsense = 1\n")
-    assert main(["sample", "--family", "normal", "--set-size", "2", "--subsets", "2",
-                 "--config", str(bad)]) == 2
 
 
 def test_cli_model_errors_exit_code():
@@ -902,19 +862,6 @@ def test_cli_accepts_each_flag_where_it_is_read(tmp_path):
         _resolve(_build_parser().parse_args(_with_plan(argv, plan)))
 
 
-def test_cli_shared_config_keys_and_seed_are_ignored_where_unread(tmp_path, capsys, monkeypatch):
-    shared = tmp_path / "shared.cfg"
-    shared.write_text("reps = 100\nseed = 5\nmethod = quadrature\nworkers = 2\nformat = csv\n")
-    monkeypatch.setenv("PROSINFO_SEED", "3")
-    for argv in (["table", "2"], _FISHER, _ENTROPY, [*_SAMPLE, "--cycles", "1"]):
-        assert main(argv + ["--config", str(shared)]) == 0, argv
-        assert capsys.readouterr().err == "", argv
-    # a key read with a value its flag would refuse is refused in one line
-    text = tmp_path / "text.cfg"
-    text.write_text("format = text\n")
-    _assert_one_line_refusal(["table", "2", "--config", str(text)], capsys, "format")
-
-
 def test_cli_parse_errors_take_one_line(capsys):
     for argv in (
         ["fisher", "--set-size", "six"],
@@ -932,7 +879,7 @@ def test_cli_parse_errors_take_one_line(capsys):
 
 
 def test_cli_help_lists_only_the_flags_read(capsys):
-    common = {"--config", "--output"}
+    common = {"--output"}
     model_design = {"--family", "--params", "--set-size", "--subsets"}
     reads = {
         "table": common | {"--format", "--seed"},
@@ -961,7 +908,6 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
     commands, design = _readme_command_line()
     assert len(commands) >= 10
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PROSINFO_SEED", raising=False)
     (tmp_path / "design.txt").write_text(design)
     for argv in commands:
         assert main(argv) == 0, argv
@@ -1090,17 +1036,52 @@ def test_cli_refuses_an_efficiency_whose_numerator_determinant_is_below_zero(cap
     assert capsys.readouterr() == ("", "error: det(numerator) = -4 det(denominator): too near singular\n")
 
 
-def test_cli_config_file_skips_blank_and_comment_lines_and_names_a_line_without_equals(tmp_path, capsys):
-    sample = ["sample", "--family", "normal", *_D, "--cycles", "3"]
-    assert main([*sample, "--seed", "5"]) == 0
+def test_cli_dell_clutter_near_one_over_a_design_file_of_unequal_blocks_runs(capsys):
+    for rho in ("0.9999", "0.99999", "0.999999"):
+        assert main(["fisher", "--design-file", _D_FILE, "--alpha", f"dellclutter:{rho}"]) == 0, rho
+        captured = capsys.readouterr()
+        assert captured.err == "" and "re1 = " in captured.out, rho
+
+
+def _re2_line(argv, capsys):
+    assert main(argv) == 0, argv
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("re2 = ")]
+    assert len(lines) == 1, argv
+    return lines[0]
+
+
+@pytest.mark.parametrize("extra", (
+    [*_D, "--alpha", "perfect"],
+    [*_D, "--alpha", "symmetric:0.8"],
+    [*_D, "--alpha", "dellclutter:0.75"],
+    [*_D, "--mode", "complete"],
+    ["--design-file", "PLAN", "--alpha", "dellclutter:0.75"],
+))
+def test_cli_re2_compares_one_cycle_so_cycles_leave_it_alone(extra, tmp_path, capsys):
+    # two cycles of two blocks each: a cycle is two sets, not the file's four
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1;1-4|5-6;1\n1;1-4|5-6;2\n2;1-2|3-6;1\n2;1-2|3-6;2\n")
+    argv = _with_plan(["fisher", "--family", "logistic", *extra], plan)
+    assert _re2_line([*argv, "--cycles", "3"], capsys) == _re2_line([*argv, "--cycles", "1"], capsys)
+
+
+def test_cli_refuses_zero_cycles_in_one_message_with_or_without_a_design_file(capsys):
+    for argv in ([*_FISHER, "--cycles", "0"], ["fisher", "--design-file", _D_FILE, "--cycles", "0"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: cycles must be >= 1, got 0\n"), argv
+
+
+def test_cli_takes_each_setting_from_its_flag_alone(tmp_path, capsys, monkeypatch):
+    argv = [*_SAMPLE, "--cycles", "1"]
+    assert main(argv) == 0
     want = capsys.readouterr().out
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("\n# a comment\n   \nseed = 5\n#format = md\n")
-    assert main([*sample, "--config", str(cfg)]) == 0
+    monkeypatch.setenv("PROSINFO_SEED", "2")
+    monkeypatch.setattr(cli, "_REPORTS", cli._ReportMemo())
+    assert main(argv) == 0
     assert capsys.readouterr().out == want
-    cfg.write_text("# a comment\n\nseed 5\n")
-    assert main([*sample, "--config", str(cfg)]) == 2
-    assert capsys.readouterr() == ("", f"error: {cfg}:3: expected key=value, got 'seed 5'\n")
+    settings = tmp_path / "run.cfg"
+    settings.write_text("seed = 2\n")
+    _assert_one_line_refusal([*argv, "--config", str(settings)], capsys, "--config")
 
 
 @pytest.mark.parametrize("argv, message", (
