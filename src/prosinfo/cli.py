@@ -24,7 +24,7 @@ import numpy as np
 
 from . import entropy as entropy_lib
 from . import densities, designs, information, numerics, sampling
-from .information import InformationError
+from .information import InformationError, relative_efficiencies
 from .designs import (
     Design,
     DesignError,
@@ -137,10 +137,6 @@ def cells_to_markdown(cells: tp.Sequence[TableCell]) -> str:
 # -- table generation -----------------------------------------------------------
 
 
-def _rel(num: tp.Any, den: tp.Any) -> float:
-    return information.relative_efficiencies(num, den)
-
-
 def _table2_cells() -> list[TableCell]:
     """Leading coefficients of the complete-data efficiency formulas.
 
@@ -163,7 +159,7 @@ def _table2_cells() -> list[TableCell]:
     joint_rows = [(f"{fam} location+scale", fam) for fam in ("normal", "logistic", "extreme_value")]
 
     def re2(model: Model) -> float:
-        return _rel(information.fi_pros_complete(model, 2, 6).matrix, information.fi_pros_complete(model, 2, 2).matrix)
+        return relative_efficiencies(*(information.fi_pros_complete(model, 2, S) for S in (6, 2)))
 
     cells: list[TableCell] = []
     for label, fam, active, params, raw in single_rows:
@@ -226,55 +222,50 @@ def _level_infos(pairs: tp.Iterable[tuple[Model, Design]], grid: _Grid, seed: in
     return info
 
 
-# row label, model, and the (column prefix, design) pairs of the row, which share one n
-_Row = tuple[str, Model, tuple[tuple[str, Design], ...]]
+# row label, model, the (column prefix, design) pairs of the row, which share one n, and the denominator of every
+# cell: None for SRS(n), else a design whose information is taken at the cell's level
+_Row = tuple[str, Model, tuple[tuple[str, Design], ...], Design | None]
 
 
-def _efficiency_cells(rows: tp.Sequence[_Row], grid: _Grid, seed: int) -> list[TableCell]:
-    """RE1 against SRS(n) and RE2 against RSS(n) at every level; a row's RE1 cells come first."""
-    pairs = [(model, design) for _, model, designs in rows for _, design in designs]
-    info = _level_infos(pairs + [(model, rss_design(design.n)) for model, design in pairs], grid, seed)
+def _ratio_cells(rows: tp.Sequence[_Row], grid: _Grid, seed: int) -> list[TableCell]:
+    """Determinant ratio of each row's designs over its denominator at every level, in row, design, level order."""
+    pairs = [(model, d) for _, model, designs, den in rows for _, d in (*designs, ("", den)) if d is not None]
+    info = _level_infos(pairs, grid, seed)
     cells: list[TableCell] = []
-    for label, model, designs in rows:
-        n = designs[0][1].n
-        srs, rss = information.fisher_srs(model, n), rss_design(n)
-        re1: list[TableCell] = []
-        re2: list[TableCell] = []
+    for label, model, designs, den in rows:
+        srs = information.fisher_srs(model, designs[0][1].n) if den is None else None
         for prefix, design in designs:
             for level in grid.levels:
-                num = info[model, design, level]
-                col = prefix + grid.column.format(level)
-                re1.append(TableCell(f"{label} RE1", col, _rel(num, srs), 0.0, grid.method))
-                re2.append(TableCell(f"{label} RE2", col, _rel(num, info[model, rss, level]), 0.0, grid.method))
-        cells += re1 + re2
+                over = srs if den is None else info[model, den, level]
+                ratio = relative_efficiencies(info[model, design, level], over)
+                cells.append(TableCell(label, prefix + grid.column.format(level), ratio, 0.0, grid.method))
     return cells
 
 
-def _fixed_rss_cells(
-    comparisons: tp.Sequence[tuple[int, tp.Sequence[tuple[int, int, int]]]], grid: _Grid, seed: int
-) -> list[TableCell]:
-    """RE2 of PROS(S, n) over N cycles against RSS of a fixed set size, per family and level."""
-    rows = [
-        (f"{fam} S={S} n={n} N={N} vs RSS({fixed})", model, make_balanced_design(S, n, cycles=N), rss_design(fixed))
-        for fam, model in _family_models()
-        for fixed, sizes in comparisons
-        for S, n, N in sizes
-    ]
-    info = _level_infos([(model, d) for _, model, design, rss in rows for d in (design, rss)], grid, seed)
+def _re_rows(rows: tp.Iterable[tuple[str, Model, tuple[tuple[str, Design], ...]]]) -> list[_Row]:
+    """Each row of designs that share one n as an RE1 row against SRS(n), then an RE2 row against RSS(n)."""
     return [
-        TableCell(label, grid.column.format(level), _rel(info[m, d, level], info[m, rss, level]), 0.0, grid.method)
-        for label, m, d, rss in rows
-        for level in grid.levels
+        (f"{label} {name}", model, designs, den)
+        for label, model, designs in rows
+        for name, den in (("RE1", None), ("RE2", rss_design(designs[0][1].n)))
     ]
 
 
 def _same_size_rows(models: tp.Sequence[tuple[str, Model]], set_sizes: tp.Sequence[int]) -> list[_Row]:
     """PROS(S, n) for n = 2, 3; a column names S only when the row spans several."""
     named = len(set_sizes) > 1
+    designs = {n: tuple((f"S={S} " if named else "", make_balanced_design(S, n)) for S in set_sizes) for n in (2, 3)}
+    return _re_rows((f"{base} n={n}", model, designs[n]) for base, model in models for n in (2, 3))
+
+
+def _fixed_rss_rows(comparisons: tp.Sequence[tuple[int, tp.Sequence[tuple[int, int, int]]]]) -> list[_Row]:
+    """PROS(S, n) over N cycles against RSS of a fixed set size, per family."""
     return [
-        (f"{base} n={n}", model, tuple((f"S={S} " if named else "", make_balanced_design(S, n)) for S in set_sizes))
-        for base, model in models
-        for n in (2, 3)
+        (f"{fam} S={S} n={n} N={N} vs RSS({fixed})", model, (("", make_balanced_design(S, n, cycles=N)),),
+         rss_design(fixed))
+        for fam, model in _family_models()
+        for fixed, sizes in comparisons
+        for S, n, N in sizes
     ]
 
 
@@ -289,8 +280,8 @@ def _mixture_models() -> list[tuple[str, Model]]:
 def _partition_rows() -> list[_Row]:
     """Single-partition unbalanced designs of set size 6, normal parent: one set per block, measuring it."""
     model, partitions = make_model("normal"), map(_parse_partition, _UNBALANCED_PARTITIONS)
-    rows = (Design(6, tuple(SetPlan(1, blocks, r) for r in range(1, len(blocks) + 1))) for blocks in partitions)
-    return [(text, model, (("", design),)) for text, design in zip(_UNBALANCED_PARTITIONS, rows)]
+    designs = (Design(6, tuple(SetPlan(1, blocks, r) for r in range(1, len(blocks) + 1))) for blocks in partitions)
+    return _re_rows((text, model, (("", design),)) for text, design in zip(_UNBALANCED_PARTITIONS, designs))
 
 
 def run_table(table_id: int, cfg: RunConfig) -> list[TableCell]:
@@ -299,21 +290,20 @@ def run_table(table_id: int, cfg: RunConfig) -> list[TableCell]:
     The DC_TABLES calibrate their misplacement matrices from one draw of
     sampling.DC_REPS judgment sets per (model, S) at cfg.seed; the others use quadrature only.
     """
-    seed = cfg.seed
-    grid = _RHO_COLUMNS if table_id in DC_TABLES else _P_COLUMNS
-    builders: dict[int, tp.Callable[[], list[TableCell]]] = {
-        2: _table2_cells,
-        3: lambda: _efficiency_cells(_same_size_rows(_family_models(), (6,)), grid, seed),
-        4: lambda: _efficiency_cells(_same_size_rows(_family_models(), (12,)), grid, seed),
-        5: lambda: _efficiency_cells(_same_size_rows(_family_models() + _mixture_models(), (6, 12)), grid, seed),
-        6: lambda: _fixed_rss_cells(((6, _FIXED6_DC_ROWS), (12, _FIXED12_ROWS)), grid, seed),
-        7: lambda: _fixed_rss_cells(((6, _FIXED6_ROWS),), grid, seed),
-        8: lambda: _fixed_rss_cells(((12, _FIXED12_ROWS),), grid, seed),
-        10: lambda: _efficiency_cells(_partition_rows(), grid, seed),
+    rows: dict[int, tp.Callable[[], list[_Row]]] = {
+        3: lambda: _same_size_rows(_family_models(), (6,)),
+        4: lambda: _same_size_rows(_family_models(), (12,)),
+        5: lambda: _same_size_rows(_family_models() + _mixture_models(), (6, 12)),
+        6: lambda: _fixed_rss_rows(((6, _FIXED6_DC_ROWS), (12, _FIXED12_ROWS))),
+        7: lambda: _fixed_rss_rows(((6, _FIXED6_ROWS),)),
+        8: lambda: _fixed_rss_rows(((12, _FIXED12_ROWS),)),
+        10: _partition_rows,
     }
-    if table_id not in builders:
+    if table_id == 2:
+        return _table2_cells()
+    if table_id not in rows:
         raise CLIError(f"unknown table id {table_id}; valid ids are {', '.join(map(str, TABLE_IDS))}")
-    return builders[table_id]()
+    return _ratio_cells(rows[table_id](), _RHO_COLUMNS if table_id in DC_TABLES else _P_COLUMNS, cfg.seed)
 
 
 # -- ad-hoc subcommands ----------------------------------------------------------
@@ -421,8 +411,9 @@ def _run_fisher(cfg: RunConfig, inputs: _Inputs) -> str:
     re2 = []
     if len(block_counts) == 1:  # one cycle of n blocks against one RSS(n) cycle
         n = block_counts.pop()
-        re2 = [("re2", _fixed(_rel(fi.matrix.scaled(n / count), _rss_report_info(cfg, inputs, model, n))))]
-    re1 = _rel(fi.matrix, information.fisher_srs(model, count))
+        rss = _rss_report_info(cfg, inputs, model, n)
+        re2 = [("re2", _fixed(relative_efficiencies(fi.matrix.scaled(n / count), rss)))]
+    re1 = relative_efficiencies(fi.matrix, information.fisher_srs(model, count))
     pairs = [("model", model.label()), ("design", fi.design_label), ("method", fi.method)]
     pairs += _fi_entry_pairs(fi, model.active) + [("det", _fixed(fi.det())), ("re1", _fixed(re1))] + re2
     return _report_lines(pairs, cfg.fmt)
@@ -521,17 +512,20 @@ def run_custom(cfg: RunConfig) -> str:
 def _parse_params(text: str) -> tuple[tuple[str, float], ...]:
     if not text:
         return ()
-    out: list[tuple[str, float]] = []
+    out: dict[str, float] = {}
     for i, piece in enumerate(text.split(","), start=1):
         piece = piece.strip()
-        if "=" not in piece:
+        name, eq, raw = piece.partition("=")
+        name = name.strip()
+        if not eq:
             raise CLIError(f"--params entry {i} ({piece!r}) must look like name=value")
-        name, _, raw = piece.partition("=")
+        if name in out:
+            raise CLIError(f"--params entry {i} ({piece!r}) repeats the name {name!r}")
         try:
-            out.append((name.strip(), float(raw)))
+            out[name] = float(raw)
         except ValueError:
             raise CLIError(f"--params entry {i}: {raw!r} is not a number") from None
-    return tuple(out)
+    return tuple(out.items())
 
 
 class _Parser(argparse.ArgumentParser):

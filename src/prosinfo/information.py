@@ -263,23 +263,28 @@ def relative_efficiencies(fi_a: tp.Any, fi_b: tp.Any) -> float:
     scale makes the information.
 
     :raises InformationError: shapes that differ or are not p x p with p in
-        {1, 2, 3}, or a singular denominator.
+        {1, 2, 3}, or a singular denominator (|det(fi_b)| at most 1e-300, or NaN).
     :raises OverflowError: an entry of fi_a exceeds fi_b's largest by more
         than the double range.
-    :raises numerics.NumericsError: det(fi_a) is below 0 or NaN (fi_a too near singular).
+    :raises numerics.NumericsError: det(fi_b) is below 0, or else det(fi_a) is
+        below 0 or NaN: the rounding of a nearly singular matrix's entries
+        outweighs its determinant.  The message names the side.
     """
     a, b = _entries(fi_a), _entries(fi_b)
     if a.shape != b.shape or a.shape not in ((1, 1), (2, 2), (3, 3)):
         raise InformationError(f"need two p x p matrices of one p in 1..3, got shapes {a.shape} and {b.shape}")
-    rows_a, rows_b = a.tolist(), b.tolist()
+    rows_b = b.tolist()
     exponent = -math.frexp(max(abs(x) for row in rows_b for x in row))[1]
-    det_b = numerics.det_rows([[math.ldexp(x, exponent) for x in row] for row in rows_b])
+    det_a, det_b = (numerics.det_rows([[math.ldexp(x, exponent) for x in r] for r in m]) for m in (a.tolist(), rows_b))
     if not abs(det_b) > 1e-300:
         raise InformationError("denominator information matrix is singular")
-    det_a = numerics.det_rows([[math.ldexp(x, exponent) for x in row] for row in rows_a])
-    if not det_a >= 0.0:  # the rounding of a nearly singular fi_a's entries outweighs its determinant, or a NaN
-        raise numerics.NumericsError(f"det(numerator) = {det_a / det_b:.3g} det(denominator): too near singular")
-    return det_a / det_b
+    ratio = det_a / det_b
+    # the rounding of a nearly singular matrix's entries outweighs its determinant; a NaN det_b was refused above
+    for side, det, value, unit in (("denominator", det_b, det_b, "with its largest entry scaled into [1/2, 1)"),
+                                   ("numerator", det_a, ratio, "det(denominator)")):
+        if not det >= 0.0:
+            raise numerics.NumericsError(f"det({side}) = {value:.3g} {unit}: too near singular")
+    return ratio
 
 
 def regression_fi(

@@ -170,6 +170,21 @@ def test_relative_efficiencies_refuse_a_numerator_determinant_below_zero_or_nan(
         relative_efficiencies(fi_pros_marginal(model, make_balanced_design(6, 2)), fisher_srs(model, 2))
 
 
+def test_relative_efficiencies_refuse_a_denominator_determinant_below_zero_before_the_numerator():
+    # the sign rule reads the denominator first, so a ratio of two negative determinants is refused, not printed
+    # positive; a zero or NaN determinant is still a singular denominator, a refused request
+    below = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for numerator in (np.eye(2), below):
+        with pytest.raises(numerics.NumericsError, match=r"^det\(denominator\) = -0\.188 with its largest entry"):
+            relative_efficiencies(numerator, below)
+    for singular in (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros((2, 2))):
+        with pytest.raises(InformationError, match="^denominator information matrix is singular$"):
+            relative_efficiencies(np.eye(2), singular)
+    model = make_model("exp_mixture", pi=0.5, h=0.99999999)
+    with pytest.raises(numerics.NumericsError, match=r"^det\(denominator\) = -.* too near singular$"):
+        relative_efficiencies(fisher_srs(model, 2), fi_pros_marginal(model, make_balanced_design(6, 2)))
+
+
 def test_complete_mc_agrees_with_quadrature():
     model = make_model("normal")
     quad = fi_pros_complete(model, 2, 6).matrix.as_array()

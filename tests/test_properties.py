@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prosinfo import (
+    InformationError,
     MisplacementMatrix,
     SetPlan,
     UnbalancedDesign,
@@ -203,6 +204,32 @@ def test_determinant_of_the_information_does_not_fall_as_the_set_grows(member, c
         np.testing.assert_allclose(a_large, a_small, rtol=1e-14, atol=1e-14 * np.abs(a_small).max())
     slack = 1e-12 * _largest_term(a_small.tolist())
     assert fi_large.det() >= fi_small.det() - slack, (small * n, large * n, fi_small.det(), fi_large.det())
+
+
+@st.composite
+def _symmetric_matrix(draw, p):
+    """A symmetric p x p matrix at a random power-of-two scale: any one, or a rank-one one perturbed by 1e-16.
+
+    No entry lies in (0, 1e-9), so no pair's entries lie a double range apart (an OverflowError)."""
+    entries = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-9)
+    m = np.array(draw(st.lists(entries, min_size=p * p, max_size=p * p))).reshape(p, p)
+    m = m + m.T
+    if draw(st.booleans()):
+        v = np.array(draw(st.lists(entries, min_size=p, max_size=p)))
+        m = np.outer(v, v) + 1e-16 * m
+    return m * 2.0 ** draw(st.integers(-60, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda p: st.tuples(_symmetric_matrix(p), _symmetric_matrix(p))))
+@example((np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])))  # a positive determinant over a negative one
+def test_relative_efficiency_is_never_negative(pair):
+    # a determinant below 0 is rounding noise on either side, so the ratio is refused rather than signed
+    try:
+        value = relative_efficiencies(*pair)
+    except (InformationError, numerics.NumericsError):
+        return
+    assert value >= 0.0, pair
 
 
 # families with their shapes, each with its default location 0 and scale 1

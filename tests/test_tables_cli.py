@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import os
 import re
 import shlex
@@ -392,6 +394,7 @@ def test_cli_bad_params_exit_code(capsys, tmp_path):
         ["--set-size", "0"],
         ["--subsets", "-1"],
         ["--active", "mu,mu"],
+        ["--params", "mu=1,mu=2"],
     ):
         assert main(base + extra) == 2, extra
         err = capsys.readouterr().err
@@ -1034,6 +1037,47 @@ def test_cli_refuses_an_efficiency_whose_numerator_determinant_is_below_zero(cap
     # near exp_mixture's h = 1 the determinant is rounding noise: a numeric failure, exit 3, in one line
     assert main(["fisher", "--family", "exp_mixture", "--params", "pi=0.5,h=0.99999999", *_D]) == 3
     assert capsys.readouterr() == ("", "error: det(numerator) = -4 det(denominator): too near singular\n")
+
+
+@pytest.mark.parametrize("argv", (
+    [*_D, "--alpha", "dellclutter:0.75"],
+    ["--design-file", "PLAN", "--cycles", "3", "--alpha", "symmetric:0.6"],
+    [*_D, "--cycles", "3", "--method", "mc", "--reps", "3000", "--seed", "4", "--alpha", "dellclutter:0.75"],
+), ids=("dellclutter", "design-file", "mc"))
+def test_cli_refuses_an_efficiency_whose_denominator_determinant_is_below_zero(argv, tmp_path, capsys):
+    # near exp_mixture's h = 1 re2's RSS(n) determinant is rounding noise too: a numeric failure, exit 3, in one
+    # line that names the denominator, not a negative re2 or the positive ratio of two negative determinants
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1;1-4|5-6;1\n1;1-4|5-6;2\n2;1-2|3-6;1\n2;1-2|3-6;2\n")
+    assert main(["fisher", "--family", "exp_mixture", "--params", "pi=0.5,h=0.99999999", *_with_plan(argv, plan)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"error: det\(denominator\) = -\S+ with .*: too near singular\n", err), err
+
+
+def test_cli_refuses_an_exp_mixture_at_h_one_as_a_singular_denominator(capsys):
+    assert main(["fisher", "--family", "exp_mixture", "--params", "pi=0.5,h=1", *_D]) == 2
+    assert capsys.readouterr() == ("", "error: denominator information matrix is singular\n")
+
+
+@pytest.mark.parametrize("table, row, col, argv, want", (
+    ("3", "normal n=2", "p=0.8", [*_FISHER, "--alpha", "symmetric:0.8"], ("1.335794", "1.140752")),
+    ("5", "logistic n=3", "S=12 rho=0.50",
+     ["fisher", "--family", "logistic", "--set-size", "12", "--subsets", "3", "--alpha", "dellclutter:0.5"],
+     ("1.193805", "1.054904")),
+    ("10", "1-2|3-6", "rho=0.50", ["fisher", "--design-file", "PLAN", "--alpha", "dellclutter:0.5"],
+     ("1.112625", "1.022723")),
+), ids=("table3", "table5", "table10"))
+def test_cli_table_cell_prints_the_efficiencies_of_the_same_fisher_request(table, row, col, argv, want, tmp_path,
+                                                                            capsys):
+    # one set per block of 1-2|3-6 is table 10's design, and its Dell-Clutter calibration the fisher request's
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1;1-2|3-6;1\n1;1-2|3-6;2\n")
+    assert main(["table", table]) == 0
+    table_csv = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    cells = {(c["row_label"], c["col_label"]): c["estimate"] for c in table_csv}
+    assert main(_with_plan(argv, plan)) == 0
+    report = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert (cells[f"{row} RE1", col], cells[f"{row} RE2", col]) == (report["re1"], report["re2"]) == want
 
 
 def test_cli_dell_clutter_near_one_over_a_design_file_of_unequal_blocks_runs(capsys):
