@@ -16,14 +16,15 @@ the quantile scale, so endpoint-singular integrands such as 1/(F(1-F)) become
 so node_memo can keep what callers build from them: a model's quantile scores
 and a partition's block weight table.  TRIU fixes the order of a packed upper
 triangle; InfoMatrix checks, and det_rows expands, p <= 3 matrices on floats.
-Monte Carlo means run their fixed-size chunks on the calling thread and up to
-`workers` - 1 threads joined before the call returns, and are bit-identical for
-a fixed seed at every worker count.  A worker runs its chunks in passes, one
-batch_fn call each, whose stream splits every draw across the chunks'
-substreams; so a batch function draws only arrays of the pass's length, and a
-replicate's value depends on its own draws alone.  whole checks every integral
-size, count, seed and replicate count of the library, in each caller's error
-class.
+Monte Carlo means run their fixed-size chunks by one schedule, on the calling
+thread and `workers` - 1 threads (none at 1) joined before the call returns,
+and are bit-identical for a fixed seed at every worker count.  A worker runs
+its chunks in passes, one batch_fn call each, whose stream splits every draw
+across the chunks' substreams; so a batch function draws only arrays of the
+pass's length, and a replicate's value depends on its own draws alone.  The
+caller's index-order merge evaluates alone each chunk no pass delivered, the
+one place a failing chunk is tried again.  whole checks every integral size,
+count, seed and replicate count of the library, in each caller's error class.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
-import functools
 import math
 import os
 import threading
@@ -398,11 +398,12 @@ class _PassStream:
 def _threaded_chunks(evaluate: tp.Callable[..., None], n_chunks: int, k: int) -> dict[int, tuple]:
     """Moments of chunks 0..n_chunks-1, worker j of k evaluating chunks j, j+k, ... by evaluate(chunks, parts, stop).
 
-    The caller is worker 0; the k-1 others are threads started here, each in a
-    copy of the caller's context (numpy's error state included), and joined
-    before this returns or raises.  A worker stops at its first failing chunk,
-    so a failed chunk is reported by its absence.  When the caller leaves by an
-    exception, stop is set and the threads end after the pass they are in.
+    The caller is worker 0; the k-1 others (none at k = 1) are threads started
+    here, each in a copy of the caller's context (numpy's error state
+    included), and joined before this returns or raises.  A worker stops at its
+    first failing pass, so a failed chunk is reported by its absence.  When the
+    caller leaves by an exception, stop is set and the threads end after the
+    pass they are in.
     """
     stop = threading.Event()
     shares: list[dict[int, tuple]] = [{} for _ in range(k)]
@@ -436,17 +437,18 @@ def mc_mean_batches(
     """Mean and standard error of batch_fn(rng, count) -> (count, d) arrays over reps replicates.
 
     One substream per CHUNK_SIZE chunk keyed by (seed, chunk index).  Chunks run on
-    k = min(workers, chunks, usable CPUs) workers: the calling thread and k-1
-    threads joined before this returns or raises, so batch_fn must be safe to
-    call from two threads at once.  Chunks no worker delivered are evaluated
-    here, so a failing chunk raises as at workers=1.  A worker evaluates its
-    chunks in passes of up to PASS_CHUNKS, in index order: one batch_fn call
+    k = min(workers, chunks, usable CPUs) workers by one schedule at every k: the
+    calling thread and k-1 threads joined before this returns or raises, so
+    batch_fn must be safe to call from two threads at once.  A worker evaluates
+    its chunks in passes of up to PASS_CHUNKS, in index order: one batch_fn call
     whose rng splits each random(count), standard_normal(count) or beta(a, b)
     draw across the chunks' substreams, so every chunk draws what it draws
     alone.  batch_fn must draw only length-count arrays, and a replicate's
-    value may depend on its own draws alone.  A pass that fails is evaluated
-    again chunk by chunk.  Moments merge in index order, so the result is
-    bit-identical at every worker count.
+    value may depend on its own draws alone.  A worker stops at a pass that
+    raises or yields a non-finite replicate.  Then one walk in index order
+    merges the chunks' moments and evaluates alone each chunk no pass
+    delivered, so the lowest failing chunk raises, after two evaluations.
+    Neither depends on k, so the result is bit-identical at every worker count.
     Returns (means, standard errors, reps); reps, workers and seed below 2, 1 and 0 raise ValueError before any
     thread starts, as does a value that is not an integer.
     """
@@ -470,21 +472,17 @@ def mc_mean_batches(
             parts[idx] = chunk.shape[1], mean, ((chunk - mean[:, None]) ** 2).sum(axis=1)
         return parts
 
-    def evaluate(idxs: tp.Sequence[int], parts: dict, stop: threading.Event | None = None) -> None:
+    def evaluate(idxs: tp.Sequence[int], parts: dict, stop: threading.Event) -> None:
         for first in range(0, len(idxs), PASS_CHUNKS):
-            if stop is not None and stop.is_set():
+            if stop.is_set():
                 return
-            group = idxs[first : first + PASS_CHUNKS]
-            try:
-                parts.update(run_pass(group))
-            except Exception:
-                for idx in group:  # so that the lowest failing chunk raises, whatever shares its pass
-                    parts.update(run_pass([idx]))
+            parts.update(run_pass(idxs[first : first + PASS_CHUNKS]))
 
     n_chunks = -(-reps // CHUNK_SIZE)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = min(workers, n_chunks, cpus)
-    parts = _threaded_chunks(evaluate, n_chunks, k) if k > 1 else {}
-    evaluate([idx for idx in range(n_chunks) if idx not in parts], parts)
-    n, mean, m2 = functools.reduce(_merge_moments, [parts[idx] for idx in range(n_chunks)])
+    parts = _threaded_chunks(evaluate, n_chunks, min(workers, n_chunks, cpus))
+    for idx in range(n_chunks):
+        part = parts[idx] if idx in parts else run_pass([idx])[idx]
+        total = _merge_moments(total, part) if idx else part
+    n, mean, m2 = total
     return mean, np.sqrt(m2 / (n - 1) / n), reps

@@ -678,6 +678,28 @@ def test_mc_mean_batches_raises_the_lowest_bad_replicate_at_every_worker_count(t
         _assert_no_worker_left()
 
 
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    # lets mc_mean_batches run up to eight workers on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3, 7))
+def test_mc_mean_batches_evaluates_a_failing_chunk_twice_at_every_worker_count(eight_cpus, workers):
+    # once in its worker's pass, which stops there, and once alone in the caller's index-order walk
+    evaluated = []
+
+    def fn(idx, count):
+        evaluated.append(idx)
+        return np.where((np.arange(count) == 9) & (idx == 5), np.nan, 1.0)
+
+    with pytest.raises(ReplicateError) as err:
+        mc_mean_batches(_by_chunk(7, 12, fn), reps=12 * CHUNK_SIZE, seed=7, workers=workers)
+    assert err.value.index == 5 * CHUNK_SIZE + 9
+    assert evaluated.count(5) == 2
+    _assert_no_worker_left()
+
+
 def _chan_merge_of_lone_chunks(batch, reps, seed):
     """(means, standard errors) of every chunk evaluated alone from its own substream, merged in index order."""
     moments = []
@@ -717,11 +739,12 @@ def test_mc_mean_batches_never_passes_more_than_its_cap():
     assert sum(counts) == reps
 
 
-def test_mc_mean_batches_refuses_a_draw_of_another_length():
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_mc_mean_batches_refuses_a_draw_of_another_length(three_cpus, workers):
     with pytest.raises(ValueError, match="length"):
-        mc_mean_batches(lambda rng, count: rng.random(count - 1), reps=2 * CHUNK_SIZE, seed=1)
+        mc_mean_batches(lambda rng, count: rng.random(count - 1), reps=2 * CHUNK_SIZE, seed=1, workers=workers)
     with pytest.raises(ValueError, match="length"):
-        mc_mean_batches(lambda rng, count: rng.beta(np.ones(count + 1), 2.0)[:count], reps=100, seed=1)
+        mc_mean_batches(lambda rng, count: rng.beta(np.ones(count + 1), 2.0)[:count], reps=100, seed=1, workers=workers)
 
 
 def test_mc_mean_batches_runs_workers_beside_other_threads(three_cpus):
