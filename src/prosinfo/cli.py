@@ -107,80 +107,59 @@ def _fixed(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def cells_to_csv(cells: tp.Sequence[TableCell]) -> str:
+def _csv(header: tp.Sequence[str], rows: tp.Iterable[tp.Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row_label", "col_label", "estimate", "mc_stderr", "method"])
-    for c in cells:
-        writer.writerow([c.row_label, c.col_label, _fixed(c.estimate), _fixed(c.mc_stderr), c.method])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
+def _markdown(header: tp.Sequence[str], rows: tp.Iterable[tp.Sequence[str]]) -> str:
+    return "".join("|" + "|".join(row) + "|\n" for row in (header, ["---"] * len(header), *rows))
+
+
+def cells_to_csv(cells: tp.Sequence[TableCell]) -> str:
+    rows = ([c.row_label, c.col_label, _fixed(c.estimate), _fixed(c.mc_stderr), c.method] for c in cells)
+    return _csv(["row_label", "col_label", "estimate", "mc_stderr", "method"], rows)
+
+
 def cells_to_markdown(cells: tp.Sequence[TableCell]) -> str:
-    """Pivot to the paper's visual layout: one row per row_label."""
-    rows: list[str] = []
-    cols: list[str] = []
-    values: dict[tuple[str, str], float] = {}
+    """Pivot to the paper's visual layout: one row per row_label, rows and columns in order of first appearance."""
+    rows: dict[str, dict[str, str]] = {}
+    cols: dict[str, None] = {}
     for c in cells:
-        if c.row_label not in rows:
-            rows.append(c.row_label)
-        if c.col_label not in cols:
-            cols.append(c.col_label)
-        values[(c.row_label, c.col_label)] = c.estimate
-    lines = ["| |" + "|".join(cols) + "|", "|---|" + "|".join("---" for _ in cols) + "|"]
-    for r in rows:
-        cells_txt = ("" if (r, c) not in values else f"{values[(r, c)]:.4f}" for c in cols)
-        lines.append(f"|{r}|" + "|".join(cells_txt) + "|")
-    return "\n".join(lines) + "\n"
+        rows.setdefault(c.row_label, {})[c.col_label] = f"{c.estimate:.4f}"
+        cols[c.col_label] = None
+    return _markdown([" ", *cols], ([r, *(values.get(c, "") for c in cols)] for r, values in rows.items()))
 
 
 # -- table generation -----------------------------------------------------------
 
 
 def _table2_cells() -> list[TableCell]:
-    """Leading coefficients of the complete-data efficiency formulas.
+    """Leading coefficients of det(I + (S-1)K)/det I, the complete-data efficiency, with K = k_matrix(model, 1, 2).
 
-    Single-parameter rows report the per-unit gain over the unit information
-    (the scale row of the extreme-value family is printed unnormalized and is
-    reproduced that way); two-parameter rows report the linear and quadratic
-    coefficients of the determinant ratio in (S-1).  Every row also evaluates
+    re1_lin is tr(adj(I)K)/det I, K/I for one parameter; the scale row of the
+    extreme-value family prints its numerator unnormalized, as published.
+    Two-parameter rows add re1_quad = det K/det I.  Every row also evaluates
     the efficiency against RSS at (S, n) = (6, 2).
     """
-    single_rows: list[tuple[str, str, tuple[str, ...], dict[str, float], bool]] = [
-        ("exponential scale", "exponential", ("sigma",), {}, False),
-        ("normal location", "normal", ("mu",), {}, False),
-        ("normal scale", "normal", ("sigma",), {}, False),
-        ("logistic location", "logistic", ("mu",), {}, False),
-        ("logistic scale", "logistic", ("sigma",), {}, False),
-        ("extreme_value location", "extreme_value", ("mu",), {}, False),
-        ("extreme_value scale", "extreme_value", ("sigma",), {}, True),
-        *((f"gamma(shape={k}) scale", "gamma", ("sigma",), {"shape": float(k)}, False) for k in (2, 3, 4, 10)),
-    ]
-    joint_rows = [(f"{fam} location+scale", fam) for fam in ("normal", "logistic", "extreme_value")]
-
-    def re2(model: Model) -> float:
-        return relative_efficiencies(*(information.fi_pros_complete(model, 2, S) for S in (6, 2)))
-
+    families, named = ("normal", "logistic", "extreme_value"), {"mu": "location", "sigma": "scale"}
+    rows = [("exponential scale", make_model("exponential", active=("sigma",)))]
+    rows += [(f"{fam} {named[param]}", make_model(fam, active=(param,))) for fam in families for param in named]
+    rows += [(f"gamma(shape={k}) scale", make_model("gamma", active=("sigma",), shape=float(k))) for k in (2, 3, 4, 10)]
+    rows += [(f"{fam} location+scale", make_model(fam)) for fam in families]
     cells: list[TableCell] = []
-    for label, fam, active, params, raw in single_rows:
-        model = make_model(fam, active=active, **params)
-        unit = float(model.fisher_srs_unit()[0, 0])
-        gain = float(information.k_matrix(model, 1, 2)[0, 0])
-        slope = gain if raw else gain / unit
-        cells.append(TableCell(label, "re1_lin", slope, 0.0, "quadrature"))
-        cells.append(TableCell(label, "re2(S=6,n=2)", re2(model), 0.0, "quadrature"))
-    for label, fam in joint_rows:
-        model = make_model(fam)
-        unit, gain = model.fisher_srs_unit(), information.k_matrix(model, 1, 2)
-        (i00, i01), (_, i11) = unit.entries
-        (k00, k01), (_, k11) = gain.entries
-        # det(I + cK) / det I = 1 + c (I00 K11 + I11 K00 - 2 I01 K01) / det I + c^2 det K / det I
-        det_unit = numerics.det_small(unit)
-        lin = (i00 * k11 + i11 * k00 - 2.0 * i01 * k01) / det_unit
-        quad = numerics.det_small(gain) / det_unit
-        cells.append(TableCell(label, "re1_lin", lin, 0.0, "quadrature"))
-        cells.append(TableCell(label, "re1_quad", quad, 0.0, "quadrature"))
-        cells.append(TableCell(label, "re2(S=6,n=2)", re2(model), 0.0, "quadrature"))
+    for label, model in rows:
+        i, k = model.fisher_srs_unit().entries.tolist(), information.k_matrix(model, 1, 2).entries.tolist()
+        # tr(adj(I)K) = d/dc det(I + cK) at c = 0: the sum of the determinants of I with one row taken from K
+        trace = sum(numerics.det_rows([k[r] if r == j else i[r] for r in range(len(i))]) for j in range(len(i)))
+        det_unit = numerics.det_rows(i)
+        lin = [("re1_lin", trace if label == "extreme_value scale" else trace / det_unit)]
+        quad = [("re1_quad", numerics.det_rows(k) / det_unit)] if len(i) == 2 else []
+        re2 = [("re2(S=6,n=2)", relative_efficiencies(*(information.fi_pros_complete(model, 2, S) for S in (6, 2))))]
+        cells += [TableCell(label, col, value, 0.0, "quadrature") for col, value in lin + quad + re2]
     return cells
 
 
@@ -360,28 +339,18 @@ def _balanced_design(cfg: RunConfig) -> Design:
 
 
 def _report_lines(pairs: tp.Sequence[tuple[str, str]], fmt: str) -> str:
-    if fmt == "md":
-        lines = ["|quantity|value|", "|---|---|"] + [f"|{k}|{v}|" for k, v in pairs]
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["quantity", "value"])
-        writer.writerows(pairs)
-        return buf.getvalue()
+    if fmt in ("csv", "md"):
+        return (_csv if fmt == "csv" else _markdown)(["quantity", "value"], pairs)
     return "".join(f"{k} = {v}\n" for k, v in pairs)
 
 
 def _fi_entry_pairs(fi: information.FIResult, names: tp.Sequence[str]) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    p = fi.p
-    for j in range(p):
-        for k in range(j, p):
-            value = _fixed(fi.matrix[j, k])
-            if fi.std_errors is not None:
-                value += f" (se {_fixed(fi.std_errors[j, k])})"
-            pairs.append((f"fi[{names[j]},{names[k]}]", value))
-    return pairs
+    """One (fi[a,b], value) pair per upper-triangle entry in numerics.TRIU order, with its se under Monte Carlo."""
+    se = fi.std_errors
+    return [
+        (f"fi[{names[j]},{names[k]}]", _fixed(fi.matrix[j, k]) + ("" if se is None else f" (se {_fixed(se[j, k])})"))
+        for j, k in zip(*numerics.TRIU[fi.p])
+    ]
 
 
 def _rss_report_info(cfg: RunConfig, inputs: _Inputs, model: Model, n: int) -> numerics.InfoMatrix:

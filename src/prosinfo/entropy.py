@@ -77,22 +77,22 @@ class EntropyReport:
             raise EntropyError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
 
-def _resolve(kind: str, n: int, set_size: int | None) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """Return (n, set size, subsets) for the requested design kind, n and the set size as ints."""
+def _resolve(kind: str, n: int, set_size: int | None) -> tuple[str, int, int, tuple[tuple[int, ...], ...]]:
+    """Return (report label, n, set size, subsets) for the requested design kind, n and the set size as ints."""
     if kind not in _KINDS:
         raise EntropyError(f"kind must be one of {_KINDS}, got {kind!r}")
     n = numerics.whole(n, "n", 1, EntropyError)
     if set_size is not None:
         set_size = numerics.whole(set_size, "set_size", 1, EntropyError)
     if kind == "srs":
-        return n, 1, tuple((1,) for _ in range(n))
+        return f"srs(n={n})", n, 1, tuple((1,) for _ in range(n))
     if kind == "rss":
         if set_size not in (None, n):
             raise EntropyError("rss measures every rank once; set_size must equal n")
-        return n, n, tuple((v,) for v in range(1, n + 1))
+        return f"rss(n={n})", n, n, tuple((v,) for v in range(1, n + 1))
     if set_size is None:
         raise EntropyError("pros needs an explicit set_size")
-    return n, set_size, make_balanced_design(set_size, n).subsets
+    return f"pros(n={n}, S={set_size})", n, set_size, make_balanced_design(set_size, n).subsets
 
 
 def _quantile_integrals(set_size: int, subsets: tp.Sequence[tuple[int, ...]], term: tp.Callable) -> np.ndarray:
@@ -108,15 +108,7 @@ def _quantile_integrals(set_size: int, subsets: tp.Sequence[tuple[int, ...]], te
     return numerics.integrate(rows)
 
 
-def _label(kind: str, n: int, set_size: int) -> str:
-    if kind == "srs":
-        return f"srs(n={n})"
-    if kind == "rss":
-        return f"rss(n={n})"
-    return f"pros(n={n}, S={set_size})"
-
-
-def _report(model: Model, kind: str, n: int, set_size: int, values: np.ndarray) -> EntropyReport:
+def _report(model: Model, kind: str, label: str, n: int, set_size: int, values: np.ndarray) -> EntropyReport:
     """Assemble a report from one entropy per row of _quantile_integrals.
 
     Sandwich: (1/m)·H_S(rss with all S ranks) <= total <= n·H(f).
@@ -124,12 +116,12 @@ def _report(model: Model, kind: str, n: int, set_size: int, values: np.ndarray) 
     if kind == "srs":
         per = tuple(float(values[0]) for _ in range(n))
         total = float(np.sum(per))
-        return EntropyReport(kind, total, per, total, total, model.label(), _label(kind, n, 1))
+        return EntropyReport(kind, total, per, total, total, model.label(), label)
     per = tuple(float(v) for v in values[1 : n + 1])
     total = float(np.sum(per))
     lower = float(np.sum(values[n + 1 :])) / (set_size // n)
     upper = n * float(values[0])
-    return EntropyReport(kind, total, per, lower, upper, model.label(), _label(kind, n, set_size))
+    return EntropyReport(kind, total, per, lower, upper, model.label(), label)
 
 
 def shannon(model: Model, kind: str = "pros", n: int = 1, set_size: int | None = None) -> EntropyReport:
@@ -139,14 +131,14 @@ def shannon(model: Model, kind: str = "pros", n: int = 1, set_size: int | None =
     PROS (balanced subsets of a size-``set_size`` set) sum the entropies
     -∫ w_r(t)·[log f(Q(t)) + log w_r(t)] dt of their subset densities f·w_r.
     """
-    n, set_size, subsets = _resolve(kind, n, set_size)
+    label, n, set_size, subsets = _resolve(kind, n, set_size)
     std, scale = model.standard()
 
     def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         return -(w * std.logpdf(std.quantile(t, s)) + _xlogx(w))
 
     values = _quantile_integrals(set_size, subsets, term)
-    return _report(model, kind, n, set_size, values + math.log(scale))
+    return _report(model, kind, label, n, set_size, values + math.log(scale))
 
 
 def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: int | None = None) -> EntropyReport:
@@ -163,7 +155,7 @@ def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: 
     """
     if not 0.0 < alpha < 1.0:
         raise EntropyError(f"Renyi order must satisfy 0 < alpha < 1 (alpha > 1 unsupported), got {alpha!r}")
-    n, set_size, subsets = _resolve(kind, n, set_size)
+    label, n, set_size, subsets = _resolve(kind, n, set_size)
     std, scale = model.standard()
 
     def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -177,7 +169,7 @@ def renyi(model: Model, alpha: float, kind: str = "pros", n: int = 1, set_size: 
     if bad.size:
         raise numerics.NumericsError(f"the Renyi integral of weight row {bad[0]} is {float(mass[bad[0]])!r}, not "
                                      "positive, so its entropy is not finite")
-    return _report(model, kind, n, set_size, np.log(mass) / (1.0 - alpha) + math.log(scale))
+    return _report(model, kind, label, n, set_size, np.log(mass) / (1.0 - alpha) + math.log(scale))
 
 
 def kl_pros_srs(model: Model, design: Design) -> float:

@@ -52,9 +52,8 @@ def empty_report_memo(monkeypatch):
 def test_table_matches_golden_bytes(table_id):
     # tables 5, 6 and 10 calibrate their misplacement matrices at the default seed
     cells = run_table(table_id, RunConfig(subcommand="table"))
-    got = cells_to_csv(cells)
-    want = (DATA / f"table{table_id}_golden.csv").read_text()
-    assert got == want
+    assert cells_to_csv(cells) == (DATA / f"table{table_id}_golden.csv").read_text()
+    assert cells_to_markdown(cells) == (DATA / f"table{table_id}_golden.md").read_text()
 
 
 def test_table2_rerun_is_byte_identical():
