@@ -12,6 +12,7 @@ they must be doubly stochastic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -27,22 +28,16 @@ class DesignError(ValueError):
 
 
 def _check_partition(set_size: int, subsets: tp.Sequence[tp.Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The subsets as int tuples, built anew only if given otherwise: nonempty consecutive rank blocks covering
-    1..set_size.  :raises DesignError: otherwise, or a rank that is not an integer."""
+    """The subsets as int tuples: nonempty consecutive rank blocks covering 1..set_size.
+    :raises DesignError: otherwise, or a rank that is not an integer."""
     if not len(subsets):
         raise DesignError("a design needs at least one subset")
-    exact = type(subsets) is tuple  # a tuple of int tuples, kept as given
-    flat: list[int] = []
-    for block in subsets:
-        if not len(block):
-            raise DesignError("empty subset in partition")
-        exact = exact and type(block) is tuple
-        flat.extend(block)
-    if not exact or [*map(type, flat)].count(int) != len(flat):  # a list, or a rank such as 2.0, np.int64, True
-        return _check_partition(set_size, tuple(tuple(whole(u, "rank", error=DesignError) for u in b) for b in subsets))
-    if flat != list(range(1, set_size + 1)):
-        raise DesignError(f"subsets must be consecutive rank blocks partitioning 1..{set_size}, got {subsets!r}")
-    return subsets
+    if not all(map(len, subsets)):
+        raise DesignError("empty subset in partition")
+    part = tuple(tuple(whole(u, "rank", error=DesignError) for u in block) for block in subsets)
+    if [u for block in part for u in block] != list(range(1, set_size + 1)):
+        raise DesignError(f"subsets must be consecutive rank blocks partitioning 1..{set_size}, got {part!r}")
+    return part
 
 
 class SetPlan(tp.NamedTuple):
@@ -85,36 +80,28 @@ class Design:
             raise DesignError("a design needs at least one set")
         sets = tuple(SetPlan(whole(c, "cycle", None, DesignError), p, whole(m, "measured subset", None, DesignError))
                      for c, p, m in self.sets)
-        cycles, given, measured = zip(*sets)
-        if given.count(given[0]) == cycles.count(1) == len(sets):  # one cycle of one partition: no per-set loop
-            part = _check_partition(self.set_size, given[0])
-            for m in measured if not 1 <= min(measured) <= max(measured) <= len(part) else ():
-                _check_set(1, m, len(part))
-            sets = sets if part is given[0] else tuple(SetPlan(1, part, m) for m in measured)
-            counts, runs = {1: len(part)}, ((part, sets),)
-        else:
-            checked: dict[tp.Any, tp.Any] = {}  # each distinct partition, by value, checked once
-            counts = {}  # each cycle's subset count, from its first set
-            parts = []
-            for cycle, p, m in sets:
-                try:
-                    part = checked.get(p) or checked.setdefault(p, _check_partition(self.set_size, p))
-                except TypeError:  # a partition given as lists: unhashable until checked
-                    part = _check_partition(self.set_size, p)
-                n_i = counts.setdefault(cycle, len(part))
-                if cycle < 1 or not 1 <= m <= n_i == len(part):
-                    _check_set(cycle, m, len(part))
-                    raise DesignError(f"cycle {cycle} mixes partitions with {n_i} and {len(part)} subsets")
-                parts.append(part)
-            counts = dict(sorted(counts.items()))
-            if list(counts) != list(range(1, len(counts) + 1)):
-                raise DesignError(f"cycle identifiers must be contiguous from 1, got {list(counts)}")
-            sets = tuple(SetPlan(c, part, m) for c, part, m in zip(cycles, parts, measured))
-            by_cycle = sorted(sets, key=operator.itemgetter(0))  # listed order within a cycle
-            runs = tuple((part, tuple(run)) for part, run in itertools.groupby(by_cycle, operator.itemgetter(1)))
+        checked: dict[tp.Any, tp.Any] = {}  # each distinct partition, by value, checked once
+        counts: dict[int, int] = {}  # each cycle's subset count, from its first set
+        parts = []
+        for cycle, p, m in sets:
+            try:
+                part = checked.get(p) or checked.setdefault(p, _check_partition(self.set_size, p))
+            except TypeError:  # a partition given as lists: unhashable until checked
+                part = _check_partition(self.set_size, p)
+            n_i = counts.setdefault(cycle, len(part))
+            if cycle < 1 or not 1 <= m <= n_i == len(part):
+                _check_set(cycle, m, len(part))
+                raise DesignError(f"cycle {cycle} mixes partitions with {n_i} and {len(part)} subsets")
+            parts.append(part)
+        counts = dict(sorted(counts.items()))
+        if list(counts) != list(range(1, len(counts) + 1)):
+            raise DesignError(f"cycle identifiers must be contiguous from 1, got {list(counts)}")
+        sets = tuple(SetPlan(c, part, m) for (c, _, m), part in zip(sets, parts))
+        by_cycle = sorted(sets, key=operator.itemgetter(0))  # listed order within a cycle
+        runs = tuple((part, tuple(run)) for part, run in itertools.groupby(by_cycle, operator.itemgetter(1)))
         part = runs[0][0]
         object.__setattr__(self, "sets", sets)
-        in_order = len(runs) == 1 == len(counts) and measured == tuple(range(1, len(part) + 1))
+        in_order = len(runs) == 1 == len(counts) and [sp.measured for sp in sets] == list(range(1, len(part) + 1))
         object.__setattr__(self, "is_balanced", in_order and len(set(map(len, part))) == 1)
         object.__setattr__(self, "_counts", tuple(counts.values()))
         object.__setattr__(self, "_runs", runs)
@@ -177,11 +164,17 @@ UnbalancedDesign = Design  # the name the unbalanced routes and their callers us
 
 
 def make_balanced_design(set_size: int, n: int, cycles: int = 1) -> Design:
-    """PROS(n, S): blocks of size m = S/n, `cycles` replications.  :raises DesignError: n does not divide set_size."""
+    """PROS(n, S): blocks of size m = S/n, `cycles` replications; one shared value per (S, n, cycles).
+    :raises DesignError: n does not divide set_size."""
     set_size, n = whole(set_size, "set_size", 1, DesignError), whole(n, "n", 1, DesignError)
     cycles = whole(cycles, "cycles", 1, DesignError)
     if set_size % n:
         raise DesignError(f"n={n} does not divide set_size={set_size}; use an unbalanced design")
+    return _balanced(set_size, n, cycles)
+
+
+@functools.lru_cache(maxsize=64)
+def _balanced(set_size: int, n: int, cycles: int) -> Design:
     blocks = tuple(zip(*[iter(range(1, set_size + 1))] * (set_size // n)))  # consecutive runs of m ranks
     return Design(set_size, tuple([SetPlan(1, blocks, r) for r in range(1, n + 1)]), cycles)
 
@@ -202,16 +195,15 @@ def validate_misplacement(entries: tp.Any) -> np.ndarray:
     a = np.atleast_2d(np.asarray(entries, dtype=float))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DesignError(f"misplacement matrix must be square, got shape {a.shape}")
-    flat = a.ravel().tolist()  # Python floats: at a design's few subsets, cheaper than numpy's per-call cost
-    if not all(map(math.isfinite, flat)):
+    if not np.isfinite(a).all():
         raise DesignError("misplacement matrix entries must be finite")
-    if min(flat) < 0.0:
-        r, h = divmod(flat.index(min(flat)), a.shape[1])
+    r, h = divmod(int(a.argmin()), a.shape[1])  # the first smallest entry in row-major order
+    if a[r, h] < 0.0:
         raise DesignError(f"misplacement entry ({r}, {h}) is negative: {a[r, h]!r}")
     for name, sums in (("row", a.sum(axis=1)), ("column", a.sum(axis=0))):
-        for i, total in enumerate(sums.tolist()):
-            if abs(total - 1.0) > 1e-9:
-                raise DesignError(f"{name} {i} sums {total:.10g}, expected 1 (doubly stochastic)")
+        far = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+        if far.size:
+            raise DesignError(f"{name} {far[0]} sums {sums[far[0]]:.10g}, expected 1 (doubly stochastic)")
     return a
 
 
@@ -259,20 +251,26 @@ class MisplacementMatrix:
 
 
 def identity_alpha(n: int) -> MisplacementMatrix:
-    """Perfect subsetting: no misplacement."""
-    return MisplacementMatrix(np.eye(whole(n, "n", 1, DesignError)))
+    """Perfect subsetting: no misplacement; the value make_symmetric_alpha(n, 1.0) shares where n >= 2."""
+    return _symmetric_alpha(whole(n, "n", 1, DesignError), 1.0, 1.0)
 
 
 def make_symmetric_alpha(n: int, p: float) -> MisplacementMatrix:
-    """Diagonal p, all off-diagonal entries (1-p)/(n-1).
+    """Diagonal p, all off-diagonal entries (1-p)/(n-1); one shared value per (n, p).
 
     :raises DesignError: n not an integer or below 2, or p outside [0, 1].
     """
     n = whole(n, "n", 2, DesignError)
     if not 0.0 <= p <= 1.0:
         raise DesignError(f"diagonal probability must lie in [0, 1], got {p!r}")
-    off = (1.0 - p) / (n - 1)
-    a = np.full((n, n), off)
+    return _symmetric_alpha(n, float(p), math.copysign(1.0, p))
+
+
+@functools.lru_cache(maxsize=64)
+def _symmetric_alpha(n: int, p: float, sign: float) -> MisplacementMatrix:
+    """The matrix of make_symmetric_alpha, and at p = 1 of identity_alpha (n = 1 included); p's sign keys -0.0
+    apart from 0.0, which it equals as a key."""
+    a = np.full((n, n), (1.0 - p) / max(n - 1, 1))
     np.fill_diagonal(a, p)
     return MisplacementMatrix(a)
 

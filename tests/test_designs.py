@@ -337,14 +337,15 @@ def test_each_distinct_partition_is_parsed_and_checked_once(tmp_path, monkeypatc
     assert calls == {"_parse_partition": 2, "_check_partition": 2}
     assert ud.sets[0].partition == ud.sets[1].partition == ((1, 2), (3, 4, 5, 6))
     calls.update(_check_partition=0)
-    design = make_balanced_design(12, 3)
+    # a direct build: make_balanced_design(12, 3) may hand back a design built before, and check nothing
+    design = _one_cycle(12, ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)))
     assert calls["_check_partition"] == 1  # the three sets of a balanced design check their one partition
     assert all(sp.partition == design.subsets for sp in design.sets)
     calls.update(_check_partition=0)
     fresh = [tuple(tuple(range(lo, lo + 3)) for lo in (1, 4)) for _ in range(3)]  # equal, but distinct objects
     two = Design(6, (SetPlan(1, fresh[0], 1), SetPlan(1, fresh[1], 2), SetPlan(2, fresh[2], 1)))
     assert calls["_check_partition"] == 1  # a partition is checked once by value, not once per object
-    assert all(sp.partition is fresh[0] for sp in two.sets)
+    assert all(sp.partition is two.sets[0].partition == fresh[0] for sp in two.sets)
 
 
 def test_design_builds_a_partition_given_in_other_types():
@@ -469,3 +470,55 @@ def test_misplacement_matrix_reads_as_an_array_and_prints_its_entries():
     assert as_single.dtype == np.float32 and np.array_equal(as_single, [[0.75, 0.25], [0.25, 0.75]])
     assert alpha[0, 1] == 0.25 and np.array_equal(alpha[1], [0.25, 0.75])
     assert repr(alpha) == "MisplacementMatrix([[0.75, 0.25], [0.25, 0.75]])"
+
+
+@pytest.mark.parametrize("build, args", (
+    (make_balanced_design, ((6, 2), (6.0, 2.0), (np.int64(6), np.int64(2)), (6, 2, 1), (6, 2, 1.0))),
+    (rss_design, ((3,), (3.0,), (np.int64(3), np.int64(1)))),
+    (identity_alpha, ((3,), (3.0,), (np.int64(3),))),
+    (make_symmetric_alpha, ((3, 0.8), (3.0, np.float64(0.8)), (np.int64(3), 0.8))),
+    (make_symmetric_alpha, ((2, 1.0), (2, 1), (2, True), (2, np.float64(1.0)))),
+), ids=("balanced", "rss", "identity", "symmetric", "symmetric-one"))
+def test_constructors_share_one_value_per_normalized_argument_tuple(build, args):
+    first = build(*args[0])
+    assert all(build(*a) is first for a in args[1:])
+    assert rss_design(3) is make_balanced_design(3, 3) and make_symmetric_alpha(4, 1.0) is identity_alpha(4)
+    assert make_balanced_design(6, 2, 2) is not make_balanced_design(6, 2)
+    assert make_symmetric_alpha(3, 0.8) is not make_symmetric_alpha(3, 0.7)
+
+
+def test_negative_zero_keeps_its_own_matrix():
+    minus, plus = make_symmetric_alpha(3, -0.0), make_symmetric_alpha(3, 0.0)
+    assert minus is not plus and minus is make_symmetric_alpha(3, np.float64(-0.0))
+    assert np.signbit(np.diag(minus.entries)).all() and not np.signbit(plus.entries).any()
+
+
+@pytest.mark.parametrize("build, message", (
+    (lambda: make_balanced_design([6], 2), "set_size must be an integer, got [6]"),
+    (lambda: make_balanced_design(6, np.array(2.5)), "n must be an integer, got array(2.5)"),
+    (lambda: rss_design(np.array(2.5)), "set_size must be an integer, got array(2.5)"),
+    (lambda: identity_alpha([3]), "n must be an integer, got [3]"),
+    (lambda: make_symmetric_alpha([3], 0.5), "n must be an integer, got [3]"),
+    (lambda: make_symmetric_alpha(np.array(2.5), 0.5), "n must be an integer, got array(2.5)"),
+    (lambda: make_symmetric_alpha(3, float("nan")), "diagonal probability must lie in [0, 1], got nan"),
+    (lambda: make_symmetric_alpha(3, np.nan), "diagonal probability must lie in [0, 1], got nan"),
+    (lambda: make_symmetric_alpha(3, np.array(2.5)), "diagonal probability must lie in [0, 1], got array(2.5)"),
+), ids=("balanced-list", "balanced-0d", "rss-0d", "identity-list", "symmetric-list", "symmetric-0d", "p-nan",
+        "p-np-nan", "p-0d"))
+def test_bad_constructor_input_raises_the_same_error_on_every_call_and_caches_nothing(build, message):
+    builders = (designs._balanced, designs._symmetric_alpha)
+    before = [f.cache_info() for f in builders]  # no hit, miss or entry: the builders are never reached
+    for _ in range(2):
+        with pytest.raises(DesignError) as info:
+            build()
+        assert str(info.value) == message
+    assert [f.cache_info() for f in builders] == before
+
+
+def test_shared_misplacement_entries_stay_read_only():
+    for alpha in (make_symmetric_alpha(3, 0.6), make_symmetric_alpha(3, 0.6), identity_alpha(2), identity_alpha(1)):
+        with pytest.raises(ValueError):
+            alpha.entries[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            alpha.row(1)[0] = 0.5
+    assert make_symmetric_alpha(3, 0.6).entries[0, 0] == 0.6 and identity_alpha(2).is_identity

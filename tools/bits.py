@@ -1,0 +1,275 @@
+#!/usr/bin/env python3
+"""Which outputs of prosinfo move between two versions of its source, compared bit for bit.
+
+    python tools/bits.py REV [REV2] [--allow NAME ...]
+
+`git archive REV src/prosinfo` is unpacked under another package name and imported beside the working tree's
+package, or beside REV2's, unpacked the same way.  The package imports its own modules only relatively, so the two
+copies share nothing but numpy and scipy.  Each computes one fixed manifest:
+
+- table.ID: every cell of the eight tables (estimate and standard error), and each table's CSV and Markdown text;
+- grid: the 165 grid cells' (re1, re2), computed as the grid-quadrature workload computes them;
+- fisher, entropy, sample: requests through cli.main under perfect, symmetric and Dell-Clutter ranking, each
+  report's numbers printed by repr instead of to six decimals;
+- mc.w1, mc.w2: the 28 Monte Carlo catalogue requests of the mc-replicates workload at workers 1 and 2, every
+  information entry and standard error; mc.w2_vs_w1 compares the second side's two worker counts;
+- golden: the requests of the three sample goldens and of the design Fisher golden.
+
+Each output prints "same bits", or its largest distance in units in the last place (ulp) with the case that moves
+most.  The exit status is 0 only when every output keeps its bits or matches an --allow pattern (fnmatch).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import fnmatch
+import importlib.util
+import io
+import math
+import pathlib
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+import types
+import typing as tp
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+Value = tp.Union[np.ndarray, str]  # an output's numbers at full precision, or its text
+
+TABLE_IDS = (2, 3, 4, 5, 6, 7, 8, 10)
+GRID_FAMILIES = ("normal", "exponential", "logistic")
+GRID_DESIGNS = ((6, 2), (6, 3), (12, 2), (12, 3), (12, 4))
+GRID_PS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+MC_FAMILIES = ("normal", "exponential", "logistic", "gamma")
+MC_KINDS = (
+    ("complete", 6, 2, None, None),
+    ("complete", 12, 3, None, None),
+    ("marginal", 6, 2, 0.8, None),
+    ("marginal", 12, 3, 0.7, None),
+    ("unbalanced", 6, None, 0.8, ((1, 2), (3, 4, 5, 6))),
+    ("unbalanced", 6, None, 0.8, ((1,), (2, 3, 4, 5), (6,))),
+    ("lemma", 6, 2, None, None),
+)  # (kind, S, n, p, partition)
+MC_REPS = 50_000
+PLAN = "1;1-2|3-6;1\n1;1-2|3-6;2\n2;1|2-5|6;1\n2;1|2-5|6;2\n2;1|2-5|6;3\n"  # two cycles of unequal blocks
+FAMILIES = (
+    ("normal", ""), ("exponential", ""), ("logistic", ""), ("extreme_value", ""), ("uniform", ""),
+    ("gamma", "shape=2"), ("gamma", "shape=0.5"), ("exp_mixture", "pi=0.3,h=0.3333333333333333"),
+)
+ALPHAS = ("perfect", "symmetric:0.8", "dellclutter:0.75")
+
+
+def cli_requests(plan: str) -> dict[str, list[str]]:
+    """The command lines of each CLI output, by output name."""
+    fam = [f"--family {f}" + (f" --params {p}" if p else "") for f, p in FAMILIES]
+    regular = [f for f in fam if "uniform" not in f]  # the uniform family has no Fisher information
+    fisher = [f"fisher {f} {d} --alpha {a}" for f in regular for d in ("--set-size 6 --subsets 2",
+                                                                       "--set-size 12 --subsets 3") for a in ALPHAS]
+    fisher += [f"fisher {f} --set-size 6 --subsets 2 --mode complete" for f in regular]
+    fisher += ["fisher --family uniform --set-size 6 --subsets 2", "fisher --params mu=1,mu=2 --set-size 6 --subsets 2",
+               "fisher --family exp_mixture --params pi=0.5,h=0.99999999 --set-size 6 --subsets 2"]  # refusals
+    fisher += [f"fisher {f} --design-file {plan} --alpha {a}" for f in fam[:3] for a in ALPHAS[1:]]
+    fisher += [f"fisher {f} --set-size 6 --subsets 2 --alpha {a} --method mc --reps 4096 --seed 5"
+               for f in fam[:2] for a in ALPHAS]
+    entropy = [f"entropy {f} {d} --measure {m}" for f in fam for d in ("--set-size 6 --subsets 2", "--kind srs")
+               for m in ("shannon", "renyi --order 0.5", "kl") if not (m == "kl" and "srs" in d)]
+    sample = [f"sample {f} --set-size 6 --subsets 2 --cycles 40 --alpha {a} --seed 42" for f in fam for a in ALPHAS]
+    golden = [
+        "sample --family gamma --set-size 12 --subsets 3 --cycles 300 --alpha symmetric:0.8 --seed 42",
+        "sample --family normal --params sigma=0.001 --set-size 6 --subsets 3 --cycles 300 --seed 42",
+        f"sample --family gamma --design-file {plan} --cycles 40 --alpha symmetric:0.8 --seed 42",
+        f"fisher --family exponential --design-file {plan} --alpha dellclutter:0.75 --method mc --reps 20000 --seed 3",
+    ]
+    return {"fisher": fisher, "entropy": entropy, "sample": sample, "golden": golden}
+
+
+def load(rev: str | None, name: str, into: pathlib.Path) -> types.ModuleType:
+    """The working tree's src/prosinfo (rev None), or REV's unpacked into `into`, imported as package `name`."""
+    pkg = ROOT / "src" / "prosinfo"
+    if rev is not None:
+        tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/prosinfo"], check=True,
+                             capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+            archive.extractall(into / name, filter="data")
+        pkg = into / name / "src" / "prosinfo"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_cli(P: types.ModuleType, line: str) -> str:
+    """Exit code, stdout and stderr of one command line, every number of a report printed by repr."""
+    out, err = io.StringIO(), io.StringIO()
+    fixed, P.cli._fixed = P.cli._fixed, lambda value: repr(float(value))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = P.cli.main(line.split())
+    finally:
+        P.cli._fixed = fixed
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def guarded(fn: tp.Callable[[], Value]) -> Value:
+    """fn's value, or the text of the exception it raised."""
+    try:
+        return fn()
+    except Exception as e:  # a refusal is an output too: both sides must refuse alike
+        return f"{type(e).__name__}: {e}"
+
+
+def table_outputs(P: types.ModuleType) -> dict[str, dict[str, Value]]:
+    out = {}
+    for tid in TABLE_IDS:
+        cells = P.run_table(tid, P.cli.RunConfig(subcommand="table"))
+        cases: dict[str, Value] = {"csv": P.cells_to_csv(cells), "md": P.cells_to_markdown(cells)}
+        for c in cells:
+            key = f"{c.row_label} / {c.col_label} ({c.method})"
+            cases[key if key not in cases else f"{key} #{len(cases)}"] = np.array([c.estimate, c.mc_stderr])
+        out[f"table.{tid}"] = cases
+    return out
+
+
+def grid_cell(P: types.ModuleType, family: str, S: int, n: int, p: float) -> np.ndarray:
+    model = P.make_model(family)
+    alpha = P.make_symmetric_alpha(n, p)
+    num = P.fi_pros_marginal(model, P.make_balanced_design(S, n), alpha).matrix
+    re1 = P.relative_efficiencies(num, P.fisher_srs(model, n))
+    re2 = P.relative_efficiencies(num, P.fi_pros_marginal(model, P.rss_design(n), alpha).matrix)
+    return np.array([re1, re2], dtype=float)
+
+
+def mc_cell(P: types.ModuleType, family: str, kind: tuple, seed: int, workers: int) -> np.ndarray:
+    name, S, n, p, partition = kind
+    model = P.make_model(family)
+    opts = {"method": "mc", "reps": MC_REPS, "seed": seed, "workers": workers}
+    if name == "complete":
+        fi = P.fi_pros_complete(model, n, S, **opts)
+    elif name == "marginal":
+        fi = P.fi_pros_marginal(model, P.make_balanced_design(S, n), P.make_symmetric_alpha(n, p), **opts)
+    elif name == "unbalanced":
+        design = P.Design(S, tuple(P.SetPlan(1, partition, r) for r in range(1, len(partition) + 1)))
+        fi = P.fi_unbalanced(model, design, {1: P.make_symmetric_alpha(len(partition), p)}, **opts)
+    else:
+        def g(x: np.ndarray) -> np.ndarray:  # G = F (1 - F): the rank-sum identity's replicates stay in [0, 1]
+            F = np.asarray(model.cdf(x), dtype=float)
+            return F * (1.0 - F)
+
+        check = P.verify_lemma_identity(model, P.make_balanced_design(S, n), g, reps=MC_REPS, seed=seed,
+                                        workers=workers)
+        return np.array([check.lambda0.value, check.lambda0.std_error, check.lambda1.value, check.lambda1.std_error,
+                         check.reference])
+    return np.concatenate([fi.matrix.as_array().ravel(), np.asarray(fi.std_errors, dtype=float).ravel()])
+
+
+def manifest(P: types.ModuleType, plan: str) -> dict[str, dict[str, Value]]:
+    """Every output of the manifest, by output name and case."""
+    out = table_outputs(P)
+    out["grid"] = {f"{f} S={S} n={n} p={p}": guarded(lambda: grid_cell(P, f, S, n, p))
+                   for p in GRID_PS for f in GRID_FAMILIES for S, n in GRID_DESIGNS}
+    for name, lines in cli_requests(plan).items():
+        out[name] = {line.replace(plan, "PLAN"): guarded(lambda: run_cli(P, line)) for line in lines}
+    for workers in (1, 2):
+        out[f"mc.w{workers}"] = {
+            " ".join([f, kind[0], *(f"{k}={v}" for k, v in zip(("S", "n", "p", "partition"), kind[1:]) if v),
+                      f"seed={seed}"]): guarded(lambda: mc_cell(P, f, kind, seed, workers))
+            for seed, (f, kind) in enumerate(((f, k) for f in MC_FAMILIES for k in MC_KINDS), start=1)
+        }
+    return out
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|\binf\b|\bnan\b)")
+
+
+def ulps(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest distance in units in the last place between two float arrays; inf for other shapes, or a nan
+    on one side only."""
+    a, b = np.asarray(a, dtype=np.float64).ravel(), np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape or (np.isnan(a) != np.isnan(b)).any():
+        return math.inf
+    ia, ib = (np.where(v.view(np.int64) < 0, np.iinfo(np.int64).min - v.view(np.int64), v.view(np.int64))
+              for v in (a, b))  # float order as integer order; -0.0 and 0.0 both map to 0
+    diff = [abs(int(x) - int(y)) for x, y in zip(ia.tolist(), ib.tolist())]
+    return float(max(diff, default=0))
+
+
+def distance(a: Value, b: Value) -> tuple[float, str]:
+    """(ulps, note) between two values whose bits differ; text compares its numbers where only they differ."""
+    if isinstance(a, str) and isinstance(b, str):
+        if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+            line = next(i for i, (x, y) in enumerate(zip(a.splitlines() + [""], b.splitlines() + [""]), 1) if x != y)
+            return math.inf, f"text differs at line {line}"
+        a, b = (np.array([float(t) for t in _NUMBER.findall(v)]) for v in (a, b))
+    elif isinstance(a, str) or isinstance(b, str):
+        return math.inf, "a number on one side, text on the other"
+    d = ulps(a, b)
+    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
+    rel = math.nan
+    if a.shape == b.shape:  # over the entries finite and nonzero on some side
+        big = np.maximum(np.abs(a), np.abs(b))
+        apart = np.isfinite(big) & (big > 0.0)
+        rel = float(np.max(np.abs(a[apart] - b[apart]) / big[apart], initial=0.0))
+    return d, f"{d:.0f} ulp, relative {rel:.3g}"
+
+
+def same(a: Value, b: Value) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def compare(name: str, left: dict[str, Value], right: dict[str, Value]) -> tuple[bool, str]:
+    """(every case keeps its bits, the report line) of one output."""
+    missing = sorted(left.keys() ^ right.keys())
+    moved = [case for case in left if case in right and not same(left[case], right[case])]
+    if not moved and not missing:
+        return True, f"{name}: same bits ({len(left)} cases)"
+    worst, note, case = max((*distance(left[c], right[c]), c) for c in moved) if moved else (0.0, "", "")
+    line = f"{name}: {len(moved)} of {len(left)} cases moved"
+    if moved:
+        line += f"; worst {case!r}: {note}"
+    if missing:
+        line += f"; {len(missing)} cases on one side only, first {missing[0]!r}"
+    return False, line
+
+
+def main(argv: tp.Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the revision compared (git archive REV src/prosinfo)")
+    parser.add_argument("rev2", nargs="?", help="compare with this revision instead of the working tree")
+    parser.add_argument("--allow", action="append", default=[], metavar="NAME",
+                        help="an output expected to move (fnmatch pattern, e.g. 'table.*'); repeatable")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = pathlib.Path(tmp) / "plan.txt"
+        plan.write_text(PLAN)
+        sides = [load(rev, name, pathlib.Path(tmp)) for rev, name in ((args.rev, "prosinfo_a"),
+                                                                      (args.rev2, "prosinfo_b"))]
+        left, right = (manifest(P, str(plan)) for P in sides)
+    pairs = [(name, left[name], right.get(name, {})) for name in left]
+    pairs += [(name, {}, right[name]) for name in right if name not in left]
+    pairs.append(("mc.w2_vs_w1", right["mc.w1"], right["mc.w2"]))
+    moved = failed = 0
+    for name, a, b in pairs:
+        ok, line = compare(name, a, b)
+        allowed = not ok and any(fnmatch.fnmatchcase(name, pattern) for pattern in args.allow)
+        print(line + (" (allowed)" if allowed else ""))
+        moved += not ok
+        failed += not ok and not allowed
+    verdict = f"{moved} outputs moved, {failed} of them not allowed" if moved else "same bits"
+    print(f"{verdict}: {args.rev} against {args.rev2 or 'the working tree'}, {sum(map(len, right.values()))} cases "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
