@@ -258,10 +258,10 @@ def identity_alpha(n: int) -> MisplacementMatrix:
 def make_symmetric_alpha(n: int, p: float) -> MisplacementMatrix:
     """Diagonal p, all off-diagonal entries (1-p)/(n-1); one shared value per (n, p).
 
-    :raises DesignError: n not an integer or below 2, or p outside [0, 1].
+    :raises DesignError: n not an integer or below 2, or p not a real number in [0, 1].
     """
     n = whole(n, "n", 2, DesignError)
-    if not 0.0 <= p <= 1.0:
+    if not (isinstance(p, (int, float, np.integer, np.floating)) and 0.0 <= p <= 1.0):
         raise DesignError(f"diagonal probability must lie in [0, 1], got {p!r}")
     return _symmetric_alpha(n, float(p), math.copysign(1.0, p))
 

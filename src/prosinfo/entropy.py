@@ -199,9 +199,11 @@ def kl_likelihood_chain(model: Model, design: Design, shift: float = 0.5) -> tup
     delta = shift * model.std()
     S, n = design.set_size, design.n
 
-    probe = np.linspace(1e-6, 1.0 - 1e-6, 257)
-    if np.any(np.asarray(model.pdf(np.asarray(model.quantile(probe)) + delta)) <= 0.0):
+    lo, hi = model.support()
+    if (delta > 0.0 and math.isfinite(hi)) or (delta < 0.0 and math.isfinite(lo)):
         raise EntropyError("KL divergence is infinite: the shifted density vanishes on the parent support")
+    if np.any(np.asarray(model.pdf(np.asarray(model.quantile(np.linspace(1e-6, 1.0 - 1e-6, 257))) + delta)) <= 0.0):
+        raise EntropyError("the shifted density underflows on the parent support, where logpdf floors its logarithm")
 
     def term(t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = model.quantile(t, s)

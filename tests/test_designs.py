@@ -477,7 +477,7 @@ def test_misplacement_matrix_reads_as_an_array_and_prints_its_entries():
     (rss_design, ((3,), (3.0,), (np.int64(3), np.int64(1)))),
     (identity_alpha, ((3,), (3.0,), (np.int64(3),))),
     (make_symmetric_alpha, ((3, 0.8), (3.0, np.float64(0.8)), (np.int64(3), 0.8))),
-    (make_symmetric_alpha, ((2, 1.0), (2, 1), (2, True), (2, np.float64(1.0)))),
+    (make_symmetric_alpha, ((2, 1.0), (2, 1), (2, True), (2, np.float64(1.0)), (2, np.int64(1)))),
 ), ids=("balanced", "rss", "identity", "symmetric", "symmetric-one"))
 def test_constructors_share_one_value_per_normalized_argument_tuple(build, args):
     first = build(*args[0])
@@ -503,8 +503,11 @@ def test_negative_zero_keeps_its_own_matrix():
     (lambda: make_symmetric_alpha(3, float("nan")), "diagonal probability must lie in [0, 1], got nan"),
     (lambda: make_symmetric_alpha(3, np.nan), "diagonal probability must lie in [0, 1], got nan"),
     (lambda: make_symmetric_alpha(3, np.array(2.5)), "diagonal probability must lie in [0, 1], got array(2.5)"),
+    (lambda: make_symmetric_alpha(3, [0.5]), "diagonal probability must lie in [0, 1], got [0.5]"),
+    (lambda: make_symmetric_alpha(3, "0.5"), "diagonal probability must lie in [0, 1], got '0.5'"),
+    (lambda: make_symmetric_alpha(3, None), "diagonal probability must lie in [0, 1], got None"),
 ), ids=("balanced-list", "balanced-0d", "rss-0d", "identity-list", "symmetric-list", "symmetric-0d", "p-nan",
-        "p-np-nan", "p-0d"))
+        "p-np-nan", "p-0d", "p-list", "p-str", "p-none"))
 def test_bad_constructor_input_raises_the_same_error_on_every_call_and_caches_nothing(build, message):
     builders = (designs._balanced, designs._symmetric_alpha)
     before = [f.cache_info() for f in builders]  # no hit, miss or entry: the builders are never reached

@@ -241,6 +241,18 @@ def test_kl_chain_uniform_diverges():
         kl_likelihood_chain(make_model("uniform"), make_balanced_design(6, 2))
 
 
+@pytest.mark.parametrize("family, shift, message", [
+    # a shift too small for any quantile probe still uncovers a finite end of the support
+    ("uniform", 1e-6, "KL divergence is infinite"),
+    ("exponential", -1e-9, "KL divergence is infinite"),
+    # a finite KL whose shifted density underflows, so that its floored logarithm would cut the value short
+    ("normal", 60.0, "the shifted density underflows"),
+])
+def test_kl_chain_refuses_an_uncovered_support_end_and_an_underflowed_shift(family, shift, message):
+    with pytest.raises(EntropyError, match=f"^{message}"):
+        kl_likelihood_chain(make_model(family), make_balanced_design(6, 2), shift=shift)
+
+
 def test_report_labels():
     report = shannon(make_model("normal"), kind="pros", n=2, set_size=6)
     assert "pros" in report.design_label

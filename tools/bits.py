@@ -5,16 +5,19 @@
 
 `git archive REV src/prosinfo` is unpacked under another package name and imported beside the working tree's
 package, or beside REV2's, unpacked the same way.  The package imports its own modules only relatively, so the two
-copies share nothing but numpy and scipy.  Each computes one fixed manifest:
+copies share nothing but numpy and scipy.  The working tree's perfbench/workloads.py is imported once per side,
+its `import prosinfo as P` bound to that side's package, so both sides run exactly the benchmark's catalogues and
+executors.  Each side computes one fixed manifest:
 
 - table.ID: every cell of the eight tables (estimate and standard error), and each table's CSV and Markdown text;
-- grid: the 165 grid cells' (re1, re2), computed as the grid-quadrature workload computes them;
-- fisher, entropy, sample: requests through cli.main under perfect, symmetric and Dell-Clutter ranking, each
-  report's numbers printed by repr instead of to six decimals;
-- mc.w1, mc.w2: the 28 Monte Carlo catalogue requests of the mc-replicates workload at workers 1 and 2, every
+- grid: grid_execute over the 165 cells of the grid-quadrature catalogue;
+- fisher, entropy, sample: requests through cli.main under perfect, symmetric and Dell-Clutter ranking;
+- query: query_execute over the 50 query-mix catalogue entries at seeds 1 and 2;
+- mc.w1, mc.w2: mc_call over the 28 mc-replicates catalogue entries at seeds 1-28 and workers 1 and 2, every
   information entry and standard error; mc.w2_vs_w1 compares the second side's two worker counts;
 - golden: the requests of the three sample goldens and of the design Fisher golden.
 
+Every report of fisher, entropy, sample, query and golden prints its numbers by repr instead of to six decimals.
 Each output prints "same bits", or its largest distance in units in the last place (ulp) with the case that moves
 most.  The exit status is 0 only when every output keeps its bits or matches an --allow pattern (fnmatch).
 """
@@ -43,20 +46,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 Value = tp.Union[np.ndarray, str]  # an output's numbers at full precision, or its text
 
 TABLE_IDS = (2, 3, 4, 5, 6, 7, 8, 10)
-GRID_FAMILIES = ("normal", "exponential", "logistic")
-GRID_DESIGNS = ((6, 2), (6, 3), (12, 2), (12, 3), (12, 4))
-GRID_PS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-MC_FAMILIES = ("normal", "exponential", "logistic", "gamma")
-MC_KINDS = (
-    ("complete", 6, 2, None, None),
-    ("complete", 12, 3, None, None),
-    ("marginal", 6, 2, 0.8, None),
-    ("marginal", 12, 3, 0.7, None),
-    ("unbalanced", 6, None, 0.8, ((1, 2), (3, 4, 5, 6))),
-    ("unbalanced", 6, None, 0.8, ((1,), (2, 3, 4, 5), (6,))),
-    ("lemma", 6, 2, None, None),
-)  # (kind, S, n, p, partition)
-MC_REPS = 50_000
+QUERY_SEEDS = (1, 2)
 PLAN = "1;1-2|3-6;1\n1;1-2|3-6;2\n2;1|2-5|6;1\n2;1|2-5|6;2\n2;1|2-5|6;3\n"  # two cycles of unequal blocks
 FAMILIES = (
     ("normal", ""), ("exponential", ""), ("logistic", ""), ("extreme_value", ""), ("uniform", ""),
@@ -106,15 +96,40 @@ def load(rev: str | None, name: str, into: pathlib.Path) -> types.ModuleType:
     return module
 
 
-def run_cli(P: types.ModuleType, line: str) -> str:
-    """Exit code, stdout and stderr of one command line, every number of a report printed by repr."""
-    out, err = io.StringIO(), io.StringIO()
+def bind_workloads(P: types.ModuleType) -> types.ModuleType:
+    """perfbench/workloads.py imported as `{P's name}_workloads`, its `import prosinfo as P` bound to P."""
+    name = f"{P.__name__}_workloads"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses looks the module up by name
+    saved = sys.modules.get("prosinfo")
+    sys.modules["prosinfo"] = P
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        if saved is None:
+            del sys.modules["prosinfo"]
+        else:
+            sys.modules["prosinfo"] = saved
+    return module
+
+
+@contextlib.contextmanager
+def full_precision(P: types.ModuleType) -> tp.Iterator[None]:
+    """Every number of a report printed by repr, so that run_custom's report memo never serves a six-decimal one."""
     fixed, P.cli._fixed = P.cli._fixed, lambda value: repr(float(value))
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = P.cli.main(line.split())
+        yield
     finally:
         P.cli._fixed = fixed
+
+
+def run_cli(P: types.ModuleType, line: str) -> str:
+    """Exit code, stdout and stderr of one command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = P.cli.main(line.split())
     return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
 
 
@@ -138,50 +153,30 @@ def table_outputs(P: types.ModuleType) -> dict[str, dict[str, Value]]:
     return out
 
 
-def grid_cell(P: types.ModuleType, family: str, S: int, n: int, p: float) -> np.ndarray:
-    model = P.make_model(family)
-    alpha = P.make_symmetric_alpha(n, p)
-    num = P.fi_pros_marginal(model, P.make_balanced_design(S, n), alpha).matrix
-    re1 = P.relative_efficiencies(num, P.fisher_srs(model, n))
-    re2 = P.relative_efficiencies(num, P.fi_pros_marginal(model, P.rss_design(n), alpha).matrix)
-    return np.array([re1, re2], dtype=float)
-
-
-def mc_cell(P: types.ModuleType, family: str, kind: tuple, seed: int, workers: int) -> np.ndarray:
-    name, S, n, p, partition = kind
-    model = P.make_model(family)
-    opts = {"method": "mc", "reps": MC_REPS, "seed": seed, "workers": workers}
-    if name == "complete":
-        fi = P.fi_pros_complete(model, n, S, **opts)
-    elif name == "marginal":
-        fi = P.fi_pros_marginal(model, P.make_balanced_design(S, n), P.make_symmetric_alpha(n, p), **opts)
-    elif name == "unbalanced":
-        design = P.Design(S, tuple(P.SetPlan(1, partition, r) for r in range(1, len(partition) + 1)))
-        fi = P.fi_unbalanced(model, design, {1: P.make_symmetric_alpha(len(partition), p)}, **opts)
-    else:
-        def g(x: np.ndarray) -> np.ndarray:  # G = F (1 - F): the rank-sum identity's replicates stay in [0, 1]
-            F = np.asarray(model.cdf(x), dtype=float)
-            return F * (1.0 - F)
-
-        check = P.verify_lemma_identity(model, P.make_balanced_design(S, n), g, reps=MC_REPS, seed=seed,
-                                        workers=workers)
-        return np.array([check.lambda0.value, check.lambda0.std_error, check.lambda1.value, check.lambda1.std_error,
-                         check.reference])
-    return np.concatenate([fi.matrix.as_array().ravel(), np.asarray(fi.std_errors, dtype=float).ravel()])
+def mc_numbers(out: tp.Any) -> np.ndarray:
+    """A LemmaCheck's two estimates with their standard errors and its reference, or an FIResult's information
+    entries and then their standard errors."""
+    if hasattr(out, "lambda0"):
+        return np.array([out.lambda0.value, out.lambda0.std_error, out.lambda1.value, out.lambda1.std_error,
+                         out.reference])
+    return np.concatenate([out.matrix.as_array().ravel(), np.asarray(out.std_errors, dtype=float).ravel()])
 
 
 def manifest(P: types.ModuleType, plan: str) -> dict[str, dict[str, Value]]:
     """Every output of the manifest, by output name and case."""
+    W = bind_workloads(P)
     out = table_outputs(P)
-    out["grid"] = {f"{f} S={S} n={n} p={p}": guarded(lambda: grid_cell(P, f, S, n, p))
-                   for p in GRID_PS for f in GRID_FAMILIES for S, n in GRID_DESIGNS}
-    for name, lines in cli_requests(plan).items():
-        out[name] = {line.replace(plan, "PLAN"): guarded(lambda: run_cli(P, line)) for line in lines}
+    out["grid"] = {W.grid_key(e["family"], e["set_size"], e["n"], e["p"]):
+                   guarded(lambda: np.array(W.grid_execute(W.Request(0, "", e)))) for e in W.grid_catalogue()}
+    with full_precision(P):
+        for name, lines in cli_requests(plan).items():
+            out[name] = {line.replace(plan, "PLAN"): guarded(lambda: run_cli(P, line)) for line in lines}
+        out["query"] = {f"{W.query_key(e)} seed={seed}": guarded(lambda: W.query_execute(W.Request(0, "", e, seed)))
+                        for seed in QUERY_SEEDS for e in W.query_catalogue()}
     for workers in (1, 2):
         out[f"mc.w{workers}"] = {
-            " ".join([f, kind[0], *(f"{k}={v}" for k, v in zip(("S", "n", "p", "partition"), kind[1:]) if v),
-                      f"seed={seed}"]): guarded(lambda: mc_cell(P, f, kind, seed, workers))
-            for seed, (f, kind) in enumerate(((f, k) for f in MC_FAMILIES for k in MC_KINDS), start=1)
+            f"{W.mc_key(e)} seed={seed}": guarded(lambda: mc_numbers(W.mc_call(e, "mc", seed, workers)))
+            for seed, e in enumerate(W.mc_catalogue(), start=1)
         }
     return out
 
