@@ -6,13 +6,14 @@ d log f(x;theta)/d theta, and the Monte Carlo route's closed-form -Hessian of
 log f(x) + log w(F(x)) given (log w)' and (log w)''.  Every family is stated
 once, at its standard member (location 0, scale 1, the shape as given) and over
 its free parameters; Model alone maps it to x = loc + scale z and picks the
-active parameters.  A location-scale family states f0, psi = (log f0)' and psi',
-and its derivatives follow by the chain rule; the exponential mixture states its
-own, and so does gamma, whose chain rule is written out so that it holds down to
-z = 0.  All formulas are analytic, and so is every per-observation Fisher matrix
-but the exponential mixture's, which comes from score_information, the one
-information kernel: it forms, integrates and packs the weighted score Gram from
-the (d log f, dF) that Model.quantile_scores keeps at integrate's nodes.  All
+active parameters, and resolves that frame once, when it is built.  A
+location-scale family states f0, psi = (log f0)' and psi', and its derivatives
+follow by the chain rule; the exponential mixture states its own, and so does
+gamma, whose chain rule is written out so that it holds down to z = 0.  All
+formulas are analytic, and so is every per-observation Fisher matrix but the
+exponential mixture's, which comes from score_information, the one information
+kernel: it forms, integrates and packs the weighted score Gram from the
+(d log f, dF) that Model.quantile_scores keeps at integrate's nodes.  All
 information runs on Model.standard, and from_standard maps it back.
 
 The special functions are numpy code but the gamma family's, which import
@@ -85,52 +86,65 @@ class Model:
     active: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        """Check the model, then keep what every call reads: the family, the parameters by name, loc and scale (0
+        and 1 where absent), the active parameters' positions among the free ones and neg_hessian's entry picks.
+        They are plain attributes, not fields, so equality, hashing, repr and replace see the three fields alone."""
         fam = _family(self.family)
         if len(self.params) != len(fam.param_names):
             raise ModelError(f"{self.family} takes parameters {fam.param_names}, got {len(self.params)} values")
-        for name, v in zip(fam.param_names, self.params):
+        c = dict(zip(fam.param_names, self.params))
+        for name, v in c.items():
             if not math.isfinite(v):
                 raise ModelError(f"parameter {name!r} must be finite, got {v!r}")
         if not self.active:
             raise ModelError("active parameter set must be nonempty")
+        for name in self.active:
+            if name not in c:
+                raise ModelError(f"unknown parameter {name!r} for family {self.family!r}")
         if len(set(self.active)) != len(self.active):
             raise ModelError(f"active parameters must be distinct, got {self.active}")
         for name in self.active:
-            if name not in fam.param_names:
-                raise ModelError(f"unknown parameter {name!r} for family {self.family!r}")
             if name in fam.never_active:
                 raise ModelError(f"parameter {name!r} of family {self.family!r} is fixed by design")
-        _, c, _, scale = self._frame()
+        loc, scale = c[fam.loc] if fam.loc else 0.0, c[fam.scale] if fam.scale else 1.0
         fam.validate(c)
         _require_positive(fam.scale, scale)
+        pos = [fam.free.index(n) for n in self.active]
+        tri = list(zip(*numerics.TRIU[len(fam.free)]))
+        picks = [tri.index(tuple(sorted((pos[i], pos[j])))) for i, j in zip(*numerics.TRIU[len(pos)])]
+        for name, value in dict(_fam=fam, _c=c, _loc=loc, _scale=scale, _pos=pos, _picks=picks).items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        """Rebuilt from its fields: the kept family holds lambdas, which do not pickle."""
+        return Model, (self.family, self.params, self.active)
 
     # -- parameter access -------------------------------------------------
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return _family(self.family).param_names
+        return self._fam.param_names
 
     def value(self, name: str) -> float:
         try:
-            return self.params[self.param_names.index(name)]
-        except ValueError:
+            return self._c[name]
+        except KeyError:
             raise ModelError(f"family {self.family!r} has no parameter {name!r}") from None
 
     def with_params(self, **updates: float) -> "Model":
-        values = dict(zip(self.param_names, self.params))
+        values = dict(self._c)
         for name, v in updates.items():
             if name not in values:
                 raise ModelError(f"family {self.family!r} has no parameter {name!r}")
             values[name] = float(v)
-        return Model(self.family, tuple(values[n] for n in self.param_names), self.active)
+        return Model(self.family, tuple(values.values()), self.active)
 
     def standard(self) -> tuple["Model", float]:
         """(the member at location 0 and scale 1 of this shape, the scale); self where that is this model."""
-        fam, c, loc, scale = self._frame()
-        if loc == 0.0 and scale == 1.0:
+        if self._loc == 0.0 and self._scale == 1.0:
             return self, 1.0
-        unit = {fam.loc: 0.0, fam.scale: 1.0}
-        return Model(self.family, tuple(unit.get(n, v) for n, v in c.items()), self.active), scale
+        unit = {self._fam.loc: 0.0, self._fam.scale: 1.0}
+        return Model(self.family, tuple(unit.get(n, v) for n, v in self._c.items()), self.active), self._scale
 
     def label(self) -> str:
         texts = (f"{v:g}" if float(f"{v:g}") == v else repr(float(v)) for v in self.params)  # %g where it reads back
@@ -143,17 +157,11 @@ class Model:
 
     # -- distribution surface: the family's standard member, mapped by x = loc + scale z ----------
 
-    def _frame(self) -> tuple["_Family", dict[str, float], float, float]:
-        """(family, parameters by name, loc, scale): the one place loc and scale are read, 0 and 1 if absent."""
-        fam, c = _family(self.family), dict(zip(self.param_names, self.params))
-        return fam, c, c[fam.loc] if fam.loc else 0.0, c[fam.scale] if fam.scale else 1.0
-
     def support(self) -> tuple[float, float]:
-        fam, _, loc, scale = self._frame()
-        return loc + scale * fam.support[0], loc + scale * fam.support[1]
+        lo, hi = self._fam.support
+        return self._loc + self._scale * lo, self._loc + self._scale * hi
 
     def pdf(self, x: FloatArray) -> FloatArray:
-        fam, c, loc, scale = self._frame()
         lo, hi = self.support()
         xa = np.asarray(x, dtype=float)
         inside = (xa >= lo) & (xa <= hi)
@@ -162,12 +170,11 @@ class Model:
             # closed interval so support endpoints get their boundary density;
             # families whose formula diverges there are clamped to 0, not NaN
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.asarray(fam.pdf(c, (xa[inside] - loc) / scale) / scale)
+                vals = np.asarray(self._fam.pdf(self._c, (xa[inside] - self._loc) / self._scale) / self._scale)
             out[inside] = np.where(np.isfinite(vals), vals, 0.0)
         return out if np.ndim(x) else float(out)
 
     def cdf(self, x: FloatArray) -> FloatArray:
-        fam, c, loc, scale = self._frame()
         lo, hi = self.support()
         xa = np.asarray(x, dtype=float)
         out = np.full_like(xa, np.nan)  # a NaN x is neither below, inside nor above
@@ -175,7 +182,7 @@ class Model:
         out[xa <= lo] = 0.0
         out[xa >= hi] = 1.0
         if np.any(inside):
-            out[inside] = np.clip(fam.cdf(c, (xa[inside] - loc) / scale), 0.0, 1.0)
+            out[inside] = np.clip(self._fam.cdf(self._c, (xa[inside] - self._loc) / self._scale), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
     def logpdf(self, x: FloatArray) -> FloatArray:
@@ -189,21 +196,15 @@ class Model:
         sa = None if s is None else np.asarray(s, dtype=float)
         if np.any(~((ua > 0.0) & ((ua < 1.0) if sa is None else (sa > 0.0)))):
             raise ModelError("quantile argument must lie strictly inside (0, 1)")
-        fam, c, loc, scale = self._frame()
-        out = loc + scale * fam.quantile(c, ua, sa)
+        out = self._loc + self._scale * self._fam.quantile(self._c, ua, sa)
         return np.asarray(out) if np.ndim(u) else float(out)
-
-    def _positions(self) -> list[int]:
-        """Where each active parameter sits in the family's free parameters, over which it states every derivative."""
-        free = _family(self.family).free
-        return [free.index(n) for n in self.active]
 
     def _scores(self, x: FloatArray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
         """(d log f, dF) for the active parameters, each stacked on axis."""
-        fam, c, loc, scale = self._frame()
-        xa, pos = np.asarray(x, dtype=float), self._positions()
-        partials = fam.standard_partials(c, (xa - loc) / scale)
-        return tuple(np.stack([np.broadcast_to(d[i], xa.shape) for i in pos], axis=axis) / scale for d in partials)
+        xa = np.asarray(x, dtype=float)
+        partials = self._fam.standard_partials(self._c, (xa - self._loc) / self._scale)
+        return tuple(np.stack([np.broadcast_to(d[i], xa.shape) for i in self._pos], axis=axis) / self._scale
+                     for d in partials)
 
     def quantile_scores(self, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d log f, dF) at x = F^{-1}(t), s = 1 - t, from one evaluation, kept per model at integrate's nodes:
@@ -228,19 +229,14 @@ class Model:
         a and b are taken at t = F(x) and broadcast against x; the p(p+1)/2
         upper-triangle entries are stacked on the last axis in numerics.TRIU order.
         """
-        fam, c, loc, scale = self._frame()
-        entries = fam.standard_neg_hessian(c, (np.asarray(x, dtype=float) - loc) / scale, a, b)
-        pos, tri = self._positions(), list(zip(*numerics.TRIU[len(fam.free)]))
-        picked = (tri.index(tuple(sorted((pos[i], pos[j])))) for i, j in zip(*numerics.TRIU[self.p]))
-        return np.stack([entries[k] for k in picked], axis=-1) / _sq(scale)
+        entries = self._fam.standard_neg_hessian(self._c, (np.asarray(x, dtype=float) - self._loc) / self._scale, a, b)
+        return np.stack([entries[k] for k in self._picks], axis=-1) / _sq(self._scale)
 
     def mean(self) -> float:
-        fam, c, loc, scale = self._frame()
-        return loc + scale * fam.mean(c)
+        return self._loc + self._scale * self._fam.mean(self._c)
 
     def var(self) -> float:
-        fam, c, _, scale = self._frame()
-        return _sq(scale) * fam.var(c)
+        return _sq(self._scale) * self._fam.var(self._c)
 
     def std(self) -> float:
         return math.sqrt(self.var())
@@ -283,12 +279,10 @@ def unit_entries(model: Model) -> np.ndarray:
     :raises numerics.NumericsError: the quadrature failed to converge.
     """
     require_fi_regular(model)
-    fam, c, _, _ = model._frame()
-    closed = fam.fisher_unit(c)  # the standard member's, which depends on the shape alone
+    closed = model._fam.fisher_unit(model._c)  # the standard member's, which depends on the shape alone
     if closed is None:
         return score_information(model, lambda t, s: (1.0, None, np.ones((1, t.size))))
-    pos = model._positions()
-    return from_standard(model, np.asarray(closed)[np.ix_(pos, pos)])
+    return from_standard(model, np.asarray(closed)[np.ix_(model._pos, model._pos)])
 
 
 def from_standard(model: Model, entries: np.ndarray) -> np.ndarray:
@@ -297,8 +291,7 @@ def from_standard(model: Model, entries: np.ndarray) -> np.ndarray:
 
     :raises ModelError: the largest mapped entry overflows or falls below the smallest normal double.
     """
-    scale = model._frame()[3]
-    inv, largest = (1.0 / scale) * (1.0 / scale), float(np.abs(entries).max())
+    inv, largest = (1.0 / model._scale) * (1.0 / model._scale), float(np.abs(entries).max())
     if largest and not _TINY <= largest * inv < math.inf:
         raise ModelError(f"the Fisher information of {model.label()} lies outside the double range")
     return entries * inv

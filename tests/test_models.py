@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -16,6 +19,7 @@ from prosinfo import (
     family_names,
     fisher_srs_unit,
     make_model,
+    numerics,
 )
 from prosinfo.models import GAMMA_MAX_SHAPE, _GAMMA_TABLE_SHAPES, _expit, _gamma_halley, _ndtr, _ndtri, _xlogx
 
@@ -413,6 +417,42 @@ def test_repeated_active_names_are_rejected():
         make_model("normal", active=("mu", "mu"))
 
 
+@pytest.mark.parametrize("active", (("", ""), ("tau", "tau"), ("mu", "tau", "mu")))
+def test_an_unknown_active_name_is_named_before_a_repeat(active):
+    with pytest.raises(ModelError, match=f"unknown parameter '{active[1]}' for family 'normal'"):
+        Model("normal", (0.0, 1.0), active)
+
+
+VALUE_CASES = [(fam, {}) for fam in family_names()] + [("normal", {"mu": 1.5, "sigma": 2.5})]
+VALUE_IDS = [f"{fam}{params or ''}" for fam, params in VALUE_CASES]
+
+
+@pytest.mark.parametrize("fam,params", VALUE_CASES, ids=VALUE_IDS)
+def test_a_model_is_the_value_of_its_three_fields(fam, params):
+    model = make_model(fam, **params)
+    assert [f.name for f in dataclasses.fields(Model)] == ["family", "params", "active"]
+    assert repr(model) == f"Model(family={fam!r}, params={model.params!r}, active={model.active!r})"
+    copies = (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model), dataclasses.replace(model))
+    for other in copies:
+        assert other == model and hash(other) == hash(model) and repr(other) == repr(model)
+        # each copy resolved its own frame: its distribution surface has the same bits
+        u = np.array([0.1, 0.5, 0.9])
+        assert other.quantile(u).tobytes() == model.quantile(u).tobytes()
+        assert other.score_logpdf(model.quantile(u)).tobytes() == model.score_logpdf(model.quantile(u)).tobytes()
+
+
+@pytest.mark.parametrize("fam,params", VALUE_CASES, ids=VALUE_IDS)
+def test_equal_models_built_apart_share_one_node_memo_entry(fam, params, monkeypatch):
+    monkeypatch.setattr(numerics, "_memo", {})
+    first, again = make_model(fam, **params), make_model(fam, **params)
+    wide = Model(fam, tuple(np.float64(v) for v in first.params), first.active)
+    assert first is not again and first == again == wide and hash(first) == hash(again) == hash(wide)
+    t, s = numerics._T[0], numerics._S[0]
+    kept = first.quantile_scores(t, s)
+    assert again.quantile_scores(t, s) is kept and wide.quantile_scores(t, s) is kept
+    assert len(numerics._memo) == 1
+
+
 def test_make_model_validation():
     with pytest.raises(ModelError):
         make_model("weibull")
@@ -495,7 +535,7 @@ def test_standard_member_keeps_shape_and_active_set(monkeypatch):
     from prosinfo import Model
 
     monkeypatch.setattr(Model, "with_params", None)  # standard() builds its member directly
-    for model in (make_model("normal"), make_model("gamma", shape=3.0), make_model("exp_mixture", pi=0.3, h=4.0)):
+    for model in (*default_models(), make_model("gamma", shape=3.0), make_model("exp_mixture", pi=0.3, h=4.0)):
         assert model.standard()[0] is model and model.standard()[1] == 1.0
     std, scale = make_model("gamma", active=("sigma",), shape=3.0, sigma=1e-20).standard()
     assert (std, scale) == (make_model("gamma", shape=3.0), 1e-20)

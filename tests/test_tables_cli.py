@@ -375,6 +375,11 @@ def _assert_one_line_refusal(argv, capsys, flag=None):
         assert flag in captured.err, (argv, captured.err)
 
 
+def test_cli_empty_active_names_are_refused_as_unknown_parameters(capsys):
+    assert _exit_code(["fisher", "--active", ",", "--set-size", "6", "--subsets", "2"]) == 2
+    assert capsys.readouterr().err == "error: unknown parameter '' for family 'normal'\n"
+
+
 def test_cli_bad_params_exit_code(capsys, tmp_path):
     base = ["fisher", "--family", "normal", "--set-size", "6", "--subsets", "2"]
     plan = tmp_path / "plan.txt"

@@ -15,11 +15,17 @@ executors.  Each side computes one fixed manifest:
 - query: query_execute over the 50 query-mix catalogue entries at seeds 1 and 2;
 - mc.w1, mc.w2: mc_call over the 28 mc-replicates catalogue entries at seeds 1-28 and workers 1 and 2, every
   information entry and standard error; mc.w2_vs_w1 compares the second side's two worker counts;
-- golden: the requests of the three sample goldens and of the design Fisher golden.
+- golden: the requests of the three sample goldens and of the design Fisher golden;
+- refused, quiet: the command lines of tools/cli_checks.txt under each check;
+- route.NAME: k_matrix, h_matrix, regression_fi, kl_pros_srs, kl_likelihood_chain and estimate_alphas, and
+  model.NAME: Model.quantile_scores, score_cdf, score_logpdf and neg_hessian at integrate's first node array and at
+  fixed draws, each over FAMILIES and one member with mu != 0 and sigma != 1.
 
-Every report of fisher, entropy, sample, query and golden prints its numbers by repr instead of to six decimals.
-Each output prints "same bits", or its largest distance in units in the last place (ulp) with the case that moves
-most.  The exit status is 0 only when every output keeps its bits or matches an --allow pattern (fnmatch).
+Every command line runs with every warning an error, and every report of fisher, entropy, sample, query, golden,
+refused and quiet prints its numbers by repr instead of to six decimals.  Each output prints "same bits", or the
+case that moves most: its largest relative difference, and that entry's distance in units in the last place (ulp),
+over the entries that are not rounding noise around 0 (below NOISE of the case's largest magnitude).  The exit
+status is 0 only when every output keeps its bits or matches an --allow pattern (fnmatch).
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import tempfile
 import time
 import types
 import typing as tp
+import warnings
 
 import numpy as np
 
@@ -52,7 +59,12 @@ FAMILIES = (
     ("normal", ""), ("exponential", ""), ("logistic", ""), ("extreme_value", ""), ("uniform", ""),
     ("gamma", "shape=2"), ("gamma", "shape=0.5"), ("exp_mixture", "pi=0.3,h=0.3333333333333333"),
 )
+SHIFTED = ("normal", "mu=1.5,sigma=2.5")  # the member on which Model maps x = mu + sigma z off the standard one
 ALPHAS = ("perfect", "symmetric:0.8", "dellclutter:0.75")
+DESIGNS = ((6, 2), (12, 3))  # (S, n) of the public routes
+PARTITIONS = {6: ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4, 5, 6]]), 12: ([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]],
+                                                                      [[1, 2], [3, 4, 5, 6, 7, 8, 9, 10], [11, 12]])}
+NOISE = 1e-12  # an entry below this share of its case's largest magnitude is rounding noise around 0
 
 
 def cli_requests(plan: str) -> dict[str, list[str]]:
@@ -62,8 +74,7 @@ def cli_requests(plan: str) -> dict[str, list[str]]:
     fisher = [f"fisher {f} {d} --alpha {a}" for f in regular for d in ("--set-size 6 --subsets 2",
                                                                        "--set-size 12 --subsets 3") for a in ALPHAS]
     fisher += [f"fisher {f} --set-size 6 --subsets 2 --mode complete" for f in regular]
-    fisher += ["fisher --family uniform --set-size 6 --subsets 2", "fisher --params mu=1,mu=2 --set-size 6 --subsets 2",
-               "fisher --family exp_mixture --params pi=0.5,h=0.99999999 --set-size 6 --subsets 2"]  # refusals
+    fisher.append("fisher --family uniform --set-size 6 --subsets 2")  # a refusal; tools/cli_checks.txt has more
     fisher += [f"fisher {f} --design-file {plan} --alpha {a}" for f in fam[:3] for a in ALPHAS[1:]]
     fisher += [f"fisher {f} --set-size 6 --subsets 2 --alpha {a} --method mc --reps 4096 --seed 5"
                for f in fam[:2] for a in ALPHAS]
@@ -76,7 +87,12 @@ def cli_requests(plan: str) -> dict[str, list[str]]:
         f"sample --family gamma --design-file {plan} --cycles 40 --alpha symmetric:0.8 --seed 42",
         f"fisher --family exponential --design-file {plan} --alpha dellclutter:0.75 --method mc --reps 20000 --seed 3",
     ]
-    return {"fisher": fisher, "entropy": entropy, "sample": sample, "golden": golden}
+    checks: dict[str, list[str]] = {}
+    for line in (ROOT / "tools" / "cli_checks.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            check, args = line.split(" ", 1)
+            checks.setdefault(check, []).append(args)
+    return {"fisher": fisher, "entropy": entropy, "sample": sample, "golden": golden, **checks}
 
 
 def load(rev: str | None, name: str, into: pathlib.Path) -> types.ModuleType:
@@ -126,9 +142,12 @@ def full_precision(P: types.ModuleType) -> tp.Iterator[None]:
 
 
 def run_cli(P: types.ModuleType, line: str) -> str:
-    """Exit code, stdout and stderr of one command line."""
+    """Exit code, stdout and stderr of one command line run from the repository root, every warning an error as
+    under CI's PYTHONWARNINGS=error."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), contextlib.chdir(ROOT), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = P.cli.main(line.split())
     return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
 
@@ -162,6 +181,39 @@ def mc_numbers(out: tp.Any) -> np.ndarray:
     return np.concatenate([out.matrix.as_array().ravel(), np.asarray(out.std_errors, dtype=float).ravel()])
 
 
+def route_outputs(P: types.ModuleType) -> dict[str, dict[str, Value]]:
+    """The public routes over DESIGNS, and the Model surface at integrate's first node array and at 64 fixed draws,
+    for each member of FAMILIES and SHIFTED."""
+    models = {f + (f"({p})" if p else ""): P.make_model(f, **dict(kv.split("=") for kv in p.split(",") if kv))
+              for f, p in (*FAMILIES, SHIFTED)}
+    draws = np.random.default_rng(20240101).random(64)
+    points = {"nodes": (P.numerics._T[0], P.numerics._S[0]), "draws": (draws, 1.0 - draws)}
+    routes: dict[str, tp.Callable[[tp.Any, int, int], Value]] = {
+        "k_matrix": lambda m, S, n: P.k_matrix(m, n, S).as_array(),
+        "h_matrix": lambda m, S, n: P.h_matrix(m, n, S).as_array(),
+        "regression_fi": lambda m, S, n: np.array([r.as_array() for r in P.regression_fi(m, (-1, 0, 1), n, S)]),
+        "kl_pros_srs": lambda m, S, n: np.array(P.kl_pros_srs(m, P.make_balanced_design(S, n))),
+        "estimate_alphas": lambda m, S, n: np.array([[a.entries for a in row] for row in P.estimate_alphas(
+            m, S, PARTITIONS[S], (0.5, 0.9))]),
+    }
+    surface: dict[str, tp.Callable[[tp.Any, np.ndarray, np.ndarray], Value]] = {
+        "quantile_scores": lambda m, t, s: np.array(m.quantile_scores(t, s)),
+        "score_cdf": lambda m, t, s: m.score_cdf(m.quantile(t, s)),
+        "score_logpdf": lambda m, t, s: m.score_logpdf(m.quantile(t, s)),
+        "neg_hessian": lambda m, t, s: m.neg_hessian(m.quantile(t, s), 0.75, -1.25),
+    }
+    out = {f"route.{name}": {f"{label} S={S} n={n}": guarded(lambda: fn(m, S, n))
+                             for label, m in models.items() for S, n in DESIGNS} for name, fn in routes.items()}
+    out["route.kl_likelihood_chain"] = {
+        f"{label} S={S} n={n} shift={shift:+}": guarded(lambda: np.array(P.kl_likelihood_chain(
+            m, P.make_balanced_design(S, n), shift))) for label, m in models.items() for S, n in DESIGNS
+        for shift in (-0.5, 0.5)}
+    out.update({f"model.{name}": {f"{label} at {at}": guarded(lambda: fn(m, *ts))
+                                  for label, m in models.items() for at, ts in points.items()}
+                for name, fn in surface.items()})
+    return out
+
+
 def manifest(P: types.ModuleType, plan: str) -> dict[str, dict[str, Value]]:
     """Every output of the manifest, by output name and case."""
     W = bind_workloads(P)
@@ -173,6 +225,7 @@ def manifest(P: types.ModuleType, plan: str) -> dict[str, dict[str, Value]]:
             out[name] = {line.replace(plan, "PLAN"): guarded(lambda: run_cli(P, line)) for line in lines}
         out["query"] = {f"{W.query_key(e)} seed={seed}": guarded(lambda: W.query_execute(W.Request(0, "", e, seed)))
                         for seed in QUERY_SEEDS for e in W.query_catalogue()}
+    out.update(route_outputs(P))
     for workers in (1, 2):
         out[f"mc.w{workers}"] = {
             f"{W.mc_key(e)} seed={seed}": guarded(lambda: mc_numbers(W.mc_call(e, "mc", seed, workers)))
@@ -184,20 +237,16 @@ def manifest(P: types.ModuleType, plan: str) -> dict[str, dict[str, Value]]:
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|\binf\b|\bnan\b)")
 
 
-def ulps(a: np.ndarray, b: np.ndarray) -> float:
-    """The largest distance in units in the last place between two float arrays; inf for other shapes, or a nan
-    on one side only."""
-    a, b = np.asarray(a, dtype=np.float64).ravel(), np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape or (np.isnan(a) != np.isnan(b)).any():
-        return math.inf
-    ia, ib = (np.where(v.view(np.int64) < 0, np.iinfo(np.int64).min - v.view(np.int64), v.view(np.int64))
-              for v in (a, b))  # float order as integer order; -0.0 and 0.0 both map to 0
-    diff = [abs(int(x) - int(y)) for x, y in zip(ia.tolist(), ib.tolist())]
-    return float(max(diff, default=0))
+def ulps(x: float, y: float) -> int:
+    """The distance in units in the last place between two doubles: float order as integer order, -0.0 at 0."""
+    i, j = (int(np.float64(v).view(np.int64)) for v in (x, y))
+    return abs((i if i >= 0 else -(2**63) - i) - (j if j >= 0 else -(2**63) - j))
 
 
 def distance(a: Value, b: Value) -> tuple[float, str]:
-    """(ulps, note) between two values whose bits differ; text compares its numbers where only they differ."""
+    """(relative difference, note) between two values whose bits differ: the largest |a - b| / max(|a|, |b|) over
+    the entries that are not rounding noise, with that entry's ulp distance; text compares its numbers where only
+    they differ.  inf where shapes, text or a non-finite entry differ."""
     if isinstance(a, str) and isinstance(b, str):
         if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
             line = next(i for i, (x, y) in enumerate(zip(a.splitlines() + [""], b.splitlines() + [""]), 1) if x != y)
@@ -205,14 +254,20 @@ def distance(a: Value, b: Value) -> tuple[float, str]:
         a, b = (np.array([float(t) for t in _NUMBER.findall(v)]) for v in (a, b))
     elif isinstance(a, str) or isinstance(b, str):
         return math.inf, "a number on one side, text on the other"
-    d = ulps(a, b)
-    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
-    rel = math.nan
-    if a.shape == b.shape:  # over the entries finite and nonzero on some side
-        big = np.maximum(np.abs(a), np.abs(b))
-        apart = np.isfinite(big) & (big > 0.0)
-        rel = float(np.max(np.abs(a[apart] - b[apart]) / big[apart], initial=0.0))
-    return d, f"{d:.0f} ulp, relative {rel:.3g}"
+    a, b = np.asarray(a, dtype=np.float64).ravel(), np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        return math.inf, "shapes differ"
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not (finite | (a == b) | (np.isnan(a) & np.isnan(b))).all():
+        return math.inf, "a non-finite entry differs"
+    big = np.where(finite, np.maximum(np.abs(a), np.abs(b)), 0.0)
+    kept = big > NOISE * big.max(initial=0.0)  # entries below this are rounding noise around 0
+    if (a[kept] == b[kept]).all():
+        return 0.0, f"only entries below {NOISE:g} of the largest magnitude moved"
+    a, b, big = a[kept], b[kept], big[kept]
+    worst = int(np.argmax(np.abs(a - b) / big))
+    rel = float(abs(a[worst] - b[worst]) / big[worst])
+    return rel, f"relative {rel:.3g}, {ulps(a[worst], b[worst])} ulp"
 
 
 def same(a: Value, b: Value) -> bool:
